@@ -10,7 +10,7 @@ use hmc_sim::{AddressMapping, DefaultMapping, HmcConfig, PhaseEngine, PimMapping
 use pim_approx::{fast_div, fast_exp, fast_inv_sqrt};
 use pim_capsnet::distribution::Dimension;
 use pim_capsnet::intra::{build_rp_phases, AddressingMode};
-use pim_tensor::Tensor;
+use pim_tensor::{uhat_project, Tensor, UhatWeights};
 
 fn bench_special_funcs(c: &mut Criterion) {
     let mut g = c.benchmark_group("special_funcs");
@@ -96,6 +96,51 @@ fn bench_matmul(c: &mut Criterion) {
     g.finish();
 }
 
+/// The û projection (Eq 1) at the two serve-benchmark shapes, so a
+/// profile can set the kernel beside the host's streaming rate. GB/s is
+/// **computed** from tensor sizes (`W` + `u` + `û`, each moved once), not
+/// measured by a counter.
+fn bench_uhat_project(c: &mut Criterion) {
+    println!(
+        "uhat_project rows: GFLOP/s = 2·B·L·C_L·N / time; GB/s = computed bytes (W + u + û, f32) / time \
+         (simd: {}, threads: {})",
+        pim_tensor::simd::active_level().name(),
+        pim_tensor::par::available_threads()
+    );
+    // (name, L, C_L, N = H·C_H)
+    for (shape, l, cl, n) in [
+        ("stream", 1152usize, 64usize, 992usize),
+        ("rp_heavy", 1152, 8, 496),
+    ] {
+        let w = Tensor::uniform(&[l, cl, n], -0.5, 0.5, 4).into_vec();
+        for b in [1usize, 16] {
+            let u = Tensor::uniform(&[b, l, cl], -1.0, 1.0, 5).into_vec();
+            let mut out = vec![0.0f32; b * l * n];
+            let mut g = c.benchmark_group("uhat_project");
+            g.sample_size(10);
+            let id = format!("{shape}_b{b}");
+            g.bench_function(&id, |bch| {
+                bch.iter(|| {
+                    uhat_project(black_box(&u), UhatWeights::F32(&w), &mut out, (b, l, cl, n))
+                })
+            });
+            g.finish();
+            // Nothing is measured in `--test` mode.
+            let Some(ns) = c.take_results().last().map(|r| r.ns_per_iter) else {
+                continue;
+            };
+            let flops = 2.0 * (b * l * cl * n) as f64;
+            let bytes = 4.0 * (w.len() + u.len() + out.len()) as f64;
+            println!(
+                "uhat_project/{id}: {:.2} ms, {:.1} GFLOP/s, {:.1} GB/s (computed)",
+                ns / 1e6,
+                flops / ns,
+                bytes / ns
+            );
+        }
+    }
+}
+
 fn bench_addressing(c: &mut Criterion) {
     let mut g = c.benchmark_group("addressing");
     let cfg = HmcConfig::gen3();
@@ -136,6 +181,7 @@ criterion_group!(
     bench_special_funcs,
     bench_routing,
     bench_matmul,
+    bench_uhat_project,
     bench_addressing,
     bench_phase_engine
 );

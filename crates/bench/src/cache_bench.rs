@@ -13,8 +13,8 @@ use capsnet::{CapsNet, ExactMath};
 use capsnet_workloads::traffic::{request_images, streaming_spec, Arrival};
 use capsnet_workloads::zipf::{distinct_content, ZipfConfig};
 use pim_serve::{
-    BatchExecution, CacheConfig, CacheReport, MetricsReport, ModelRegistry, Request, ServeCache,
-    ServeConfig, ServedModel, Server, Ticket,
+    CacheConfig, CacheReport, MetricsReport, ModelRegistry, Request, ServeCache, ServeConfig,
+    ServedModel, Server, Ticket,
 };
 
 use crate::emit::{write_json_artifact, BenchHost};
@@ -67,7 +67,6 @@ pub fn bench_cache_serve_config() -> ServeConfig {
         max_wait: Duration::from_millis(2),
         queue_capacity: 256,
         workers: 1,
-        execution: BatchExecution::Auto,
         admission: pim_serve::AdmissionPolicy::QueueBound,
     }
 }

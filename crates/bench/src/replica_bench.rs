@@ -9,9 +9,7 @@ use std::path::Path;
 use capsnet::ExactMath;
 use capsnet_workloads::rollout::{rolling_rollout, RolloutScenarioConfig, RolloutScenarioReport};
 use capsnet_workloads::traffic::{request_images, streaming_spec};
-use pim_serve::{
-    BatchExecution, ReplicaSet, ReplicaSetConfig, Request, RoutingPolicy, ServeConfig, SubmitError,
-};
+use pim_serve::{ReplicaSet, ReplicaSetConfig, Request, RoutingPolicy, ServeConfig, SubmitError};
 use pim_store::SharedArtifact;
 
 use crate::emit::{write_json_artifact, BenchHost};
@@ -59,16 +57,16 @@ pub struct ReplicaBenchResult {
     pub rollout: RolloutScenarioReport,
 }
 
-/// Per-replica scheduler knobs for the scaling sweep. Arena execution
-/// keeps each replica serial, so replica count is the *only* parallelism
-/// axis being measured; knobs are pinned for cross-PR comparability.
+/// Per-replica scheduler knobs for the scaling sweep: one worker per
+/// replica, knobs pinned for cross-PR comparability. (Each replica's
+/// capsule layer still shards across the host's cores, so replica count is
+/// not the only parallelism axis on a multi-core host.)
 pub fn scaling_serve_config() -> ServeConfig {
     ServeConfig {
         max_batch: 8,
         max_wait: std::time::Duration::from_millis(2),
         queue_capacity: 256,
         workers: 1,
-        execution: BatchExecution::Arena,
         admission: pim_serve::AdmissionPolicy::QueueBound,
     }
 }
@@ -182,7 +180,6 @@ pub fn bench_rollout_config() -> RolloutScenarioConfig {
             max_wait: std::time::Duration::from_micros(500),
             queue_capacity: 256,
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: pim_serve::AdmissionPolicy::QueueBound,
         },
     }

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, ExactMath};
 use capsnet_workloads::traffic::{request_images, streaming_spec, Arrival, TrafficConfig};
-use pim_serve::{BatchExecution, ModelRegistry, Request, ServeConfig, ServedModel, Server, Ticket};
+use pim_serve::{ModelRegistry, Request, ServeConfig, ServedModel, Server, Ticket};
 
 use crate::emit::{histogram_json, write_json_artifact, BenchHost};
 
@@ -56,7 +56,6 @@ pub fn bench_serve_config() -> ServeConfig {
         max_wait: Duration::from_millis(2),
         queue_capacity: 256,
         workers: 1,
-        execution: BatchExecution::Auto,
         admission: pim_serve::AdmissionPolicy::QueueBound,
     }
 }

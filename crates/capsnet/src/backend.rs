@@ -76,19 +76,6 @@ pub trait MathBackend: Send + Sync {
     fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
         simd::scalar::axpy(alpha, x, y);
     }
-    /// Fused dequantize-accumulate over int8 affine bytes:
-    /// `y[i] += alpha · (q[i] − zero_point) · scale`. The quantized weight
-    /// is never materialized as an `f32` copy — the default delegates to
-    /// the scalar reference kernel so every backend dequantizes to the
-    /// same bits.
-    fn axpy_i8(&self, alpha: f32, q: &[u8], scale: f32, zero_point: i32, y: &mut [f32]) {
-        simd::scalar::axpy_i8(alpha, q, scale, zero_point, y);
-    }
-    /// Fused dequantize-accumulate over little-endian IEEE-754 `binary16`
-    /// byte pairs: `y[i] += alpha · f32(h[2i..2i+2])`.
-    fn axpy_f16(&self, alpha: f32, h: &[u8], y: &mut [f32]) {
-        simd::scalar::axpy_f16(alpha, h, y);
-    }
     /// `y[i] = alpha·x[i] + beta·y[i]` (BLAS `saxpby`); with `beta == 0.0`
     /// the previous contents of `y` are overwritten, never read, so stale
     /// NaN/∞ in a reused buffer cannot leak through.
@@ -248,14 +235,6 @@ impl MathBackend for ExactMath {
     #[inline]
     fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
         simd::axpy(alpha, x, y);
-    }
-    #[inline]
-    fn axpy_i8(&self, alpha: f32, q: &[u8], scale: f32, zero_point: i32, y: &mut [f32]) {
-        simd::axpy_i8(alpha, q, scale, zero_point, y);
-    }
-    #[inline]
-    fn axpy_f16(&self, alpha: f32, h: &[u8], y: &mut [f32]) {
-        simd::axpy_f16(alpha, h, y);
     }
     #[inline]
     fn scale_add(&self, alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {

@@ -1,12 +1,12 @@
 //! The final Caps layer: per-pair prediction vectors (`û = u·W`, paper Eq 1)
 //! followed by the routing procedure.
 
-use pim_tensor::{QuantDType, Tensor};
+use pim_tensor::{uhat_project, Tensor, UhatWeights};
 
 use crate::backend::MathBackend;
 use crate::config::RoutingAlgorithm;
 use crate::error::CapsNetError;
-use crate::routing::{self, RoutingOutput};
+use crate::routing::{Procedure, RoutingArena, RoutingOutput};
 use crate::weights::{WeightRef, WeightView};
 
 /// The Caps layer connecting `L` low-level capsules (dimension `C_L`) to
@@ -157,14 +157,18 @@ impl CapsLayer {
         backend: &B,
     ) -> Result<Tensor, CapsNetError> {
         let mut out = Tensor::zeros(&[0]);
-        let mut gather = Vec::new();
-        self.prediction_vectors_into(u, backend, &mut out, &mut gather)?;
+        self.prediction_vectors_into(u, backend, &mut out, &mut Vec::new())?;
         Ok(out)
     }
 
     /// Allocation-free [`Self::prediction_vectors`]: writes `û` into `out`
-    /// (resized in place) using the caller-owned `gather` buffer for the
-    /// per-capsule input rows.
+    /// (resized in place, every element overwritten) through
+    /// [`pim_tensor::uhat_project`] — one register-tiled pass over `W`,
+    /// dense or dequantized on the fly, sharded over the `L` capsules.
+    ///
+    /// The projection is pure arithmetic every backend performs to the
+    /// same bits, and it reads `u` in place, so `backend` and `gather` are
+    /// unused; both stay in the signature for source compatibility.
     ///
     /// # Errors
     ///
@@ -172,9 +176,9 @@ impl CapsLayer {
     pub fn prediction_vectors_into<B: MathBackend + ?Sized>(
         &self,
         u: &Tensor,
-        backend: &B,
+        _backend: &B,
         out: &mut Tensor,
-        gather: &mut Vec<f32>,
+        _gather: &mut Vec<f32>,
     ) -> Result<(), CapsNetError> {
         let dims = u.shape().dims();
         if dims.len() != 3 || dims[1] != self.l_caps || dims[2] != self.cl_dim {
@@ -184,121 +188,53 @@ impl CapsLayer {
             });
         }
         let b = dims[0];
-        let hc = self.h_caps * self.ch_dim;
-        let u_src = u.as_slice();
-        out.resize_for(&[b, self.l_caps, self.h_caps, self.ch_dim]);
-        let out_buf = out.as_mut_slice();
-        // Per low-level capsule i: gather u rows [B, CL] and multiply by
-        // W_i [CL, H*CH]. The gather keeps the GEMM contiguous.
-        gather.clear();
-        gather.resize(b * self.cl_dim, 0.0);
-        let u_i = gather;
-        match self.weight.as_ref() {
-            WeightRef::F32(w) => {
-                let w_src = w.as_slice();
-                for i in 0..self.l_caps {
-                    for bi in 0..b {
-                        let src = &u_src[(bi * self.l_caps + i) * self.cl_dim..][..self.cl_dim];
-                        u_i[bi * self.cl_dim..(bi + 1) * self.cl_dim].copy_from_slice(src);
-                    }
-                    let w_i = &w_src[i * self.cl_dim * hc..(i + 1) * self.cl_dim * hc];
-                    // out_i [B, H*CH]
-                    for bi in 0..b {
-                        let urow = &u_i[bi * self.cl_dim..(bi + 1) * self.cl_dim];
-                        let orow = &mut out_buf[(bi * self.l_caps + i) * hc..][..hc];
-                        for (d, &uv) in urow.iter().enumerate() {
-                            if uv == 0.0 {
-                                continue;
-                            }
-                            let wrow = &w_i[d * hc..(d + 1) * hc];
-                            for (o, &wv) in orow.iter_mut().zip(wrow) {
-                                *o += uv * wv;
-                            }
-                        }
-                    }
-                }
-            }
-            WeightRef::Quant(q) => {
-                // Quantized weights stream straight from the stored bytes
-                // through the backend's fused dequantize-accumulate
-                // kernels — ~4x (int8) / 2x (fp16) fewer bytes than the
-                // f32 path, and never an f32 materialization. One affine
-                // block covers each stored vault partition, so a whole
-                // W_i row block shares its (scale, zero_point).
-                let bytes = q.bytes();
-                let eb = q.dtype().elem_bytes();
-                for i in 0..self.l_caps {
-                    for bi in 0..b {
-                        let src = &u_src[(bi * self.l_caps + i) * self.cl_dim..][..self.cl_dim];
-                        u_i[bi * self.cl_dim..(bi + 1) * self.cl_dim].copy_from_slice(src);
-                    }
-                    let row0 = i * self.cl_dim * hc;
-                    let block = q.block_at(row0);
-                    debug_assert!(
-                        row0 + self.cl_dim * hc <= block.start + block.elems,
-                        "partition split must fall on capsule boundaries"
-                    );
-                    for bi in 0..b {
-                        let urow = &u_i[bi * self.cl_dim..(bi + 1) * self.cl_dim];
-                        let orow = &mut out_buf[(bi * self.l_caps + i) * hc..][..hc];
-                        for (d, &uv) in urow.iter().enumerate() {
-                            if uv == 0.0 {
-                                continue;
-                            }
-                            let off = (row0 + d * hc) * eb;
-                            match q.dtype() {
-                                QuantDType::I8 => backend.axpy_i8(
-                                    uv,
-                                    &bytes[off..off + hc],
-                                    block.scale,
-                                    block.zero_point,
-                                    orow,
-                                ),
-                                QuantDType::F16 => {
-                                    backend.axpy_f16(uv, &bytes[off..off + hc * 2], orow)
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        out.resize_for_overwrite(&[b, self.l_caps, self.h_caps, self.ch_dim]);
+        let weight = match self.weight.as_ref() {
+            WeightRef::F32(w) => UhatWeights::F32(w.as_slice()),
+            WeightRef::Quant(q) => UhatWeights::Quant(q),
+        };
+        uhat_project(
+            u.as_slice(),
+            weight,
+            out.as_mut_slice(),
+            (b, self.l_caps, self.cl_dim, self.h_caps * self.ch_dim),
+        );
         Ok(())
     }
 
-    /// Full forward pass: prediction vectors then routing.
+    fn procedure(&self) -> Procedure {
+        Procedure {
+            algorithm: self.routing,
+            iterations: self.iterations,
+            batch_shared: self.batch_shared,
+        }
+    }
+
+    /// Full forward pass into freshly allocated tensors: prediction
+    /// vectors then routing, same math as [`Self::forward_into`].
     ///
     /// # Errors
     ///
     /// Propagates shape errors from [`Self::prediction_vectors`].
-    pub fn forward<B: MathBackend + Sync + ?Sized>(
+    pub fn forward<B: MathBackend + ?Sized>(
         &self,
         u: &Tensor,
         backend: &B,
     ) -> Result<RoutingOutput, CapsNetError> {
         let u_hat = self.prediction_vectors(u, backend)?;
-        match (self.routing, self.batch_shared) {
-            (RoutingAlgorithm::Dynamic, true) => {
-                routing::dynamic_routing(&u_hat, self.iterations, true, backend)
-            }
-            // Per-sample coefficients route every sample independently, so
-            // the batch shards across cores; results are bit-identical to
-            // the serial path (the driver falls back to it for small work).
-            (RoutingAlgorithm::Dynamic, false) => {
-                routing::dynamic_routing_parallel(&u_hat, self.iterations, backend)
-            }
-            (RoutingAlgorithm::Em, _) => {
-                routing::em_routing_parallel(&u_hat, self.iterations, backend)
-            }
-        }
+        self.procedure().route_owned(&u_hat, backend)
     }
 
     /// Allocation-free forward pass for the arena-backed model path: `û`
-    /// lands in `u_hat`, the routed capsules and coefficients in `scratch`
-    /// (read them via [`RoutingScratch::v`] and the coefficient accessors).
+    /// lands in `u_hat`, the routed capsules and coefficients in `routing`
+    /// (read them via [`RoutingArena::v`] and
+    /// [`RoutingArena::coefficients`]).
     ///
-    /// Serial by design — the batch-parallel driver owns per-thread
-    /// scratches instead (see [`routing::dynamic_routing_parallel`]).
+    /// Both stages shard across cores when the work amortizes the spawns:
+    /// the projection over the `L` capsules, the routing — when samples
+    /// route independently (per-sample dynamic, EM) — over the batch, each
+    /// shard on its own scratch. Results are bit-identical at any thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -308,26 +244,19 @@ impl CapsLayer {
         u: &Tensor,
         backend: &B,
         u_hat: &mut Tensor,
-        gather: &mut Vec<f32>,
-        scratch: &mut crate::routing::RoutingScratch,
+        routing: &mut RoutingArena,
     ) -> Result<(), CapsNetError> {
-        self.prediction_vectors_into(u, backend, u_hat, gather)?;
-        let d = u_hat.shape().dims();
-        let dims = (d[0], d[1], d[2], d[3]);
-        match self.routing {
-            RoutingAlgorithm::Dynamic => routing::dynamic_routing_core(
-                u_hat.as_slice(),
-                dims,
-                self.iterations,
-                self.batch_shared,
-                backend,
-                scratch,
-            ),
-            RoutingAlgorithm::Em => {
-                routing::em_routing_core(u_hat.as_slice(), dims, self.iterations, backend, scratch)
-            }
-        }
+        self.prediction_vectors_into(u, backend, u_hat, &mut Vec::new())?;
+        let dims = (u.shape().dims()[0], self.l_caps, self.h_caps, self.ch_dim);
+        routing.route(self.procedure(), u_hat.as_slice(), dims, backend);
         Ok(())
+    }
+
+    /// `true` when the layer routes with one `[L, H]` coefficient matrix
+    /// for the whole batch (batch-shared dynamic routing); otherwise the
+    /// coefficients are `[B, L, H]`.
+    pub fn shared_coefficients(&self) -> bool {
+        self.procedure().shared_coefficients()
     }
 
     /// `true` when routing coefficients are shared across the batch.
@@ -402,7 +331,7 @@ mod tests {
 
     #[test]
     fn quantized_weight_predictions_track_dequantized_f32() {
-        use pim_tensor::QuantTensor;
+        use pim_tensor::{QuantDType, QuantTensor};
         let l = layer();
         let u = Tensor::uniform(&[2, 5, 4], -1.0, 1.0, 9);
         let base = l.prediction_vectors(&u, &ExactMath).unwrap();
@@ -445,7 +374,7 @@ mod tests {
 
     #[test]
     fn quantized_weight_rejects_bad_shape() {
-        use pim_tensor::QuantTensor;
+        use pim_tensor::{QuantDType, QuantTensor};
         let q = QuantTensor::quantize(QuantDType::I8, &[0.5; 24], &[2, 3, 4], &[2]).unwrap();
         assert!(CapsLayer::from_weight_view(
             crate::WeightView::Quant(q),

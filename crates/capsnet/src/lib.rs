@@ -57,7 +57,7 @@ pub use weights::{WeightRef, WeightView};
 // tree.
 pub use routing::{
     dynamic_routing, dynamic_routing_parallel, dynamic_routing_with, em_routing,
-    em_routing_parallel, em_routing_with, RoutingScratch,
+    em_routing_parallel, em_routing_with, RoutingArena, RoutingScratch,
 };
 pub use squash::{squash_in_place, squash_into, squash_scale};
 

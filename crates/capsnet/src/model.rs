@@ -1,22 +1,20 @@
 //! The assembled CapsNet model: encoder (Conv1 → PrimaryCaps → Caps layer
 //! with routing) and FC decoder, per Fig 2.
 //!
-//! Two forward paths share the same math (and produce bit-identical
-//! outputs):
-//!
-//! * [`CapsNet::forward`] — materializes owned tensors per call and lets
-//!   the routing layer shard independent samples across cores;
-//! * [`CapsNet::forward_with`] — threads a [`ForwardArena`] through every
-//!   layer so steady-state inference performs **zero heap allocations**
-//!   after the first (warm-up) call at a given batch size.
+//! There is one forward path: [`CapsNet::forward_with`] threads a
+//! [`ForwardArena`] through every layer, so steady-state inference touches
+//! no heap buffer after the first (warm-up) call at a given batch size,
+//! while the capsule layer shards its projection over the `L` capsules and
+//! its routing over independent samples. [`CapsNet::forward`] is the same
+//! pass on a temporary arena, copied out into owned tensors.
 
 use pim_tensor::{Conv2dScratch, Tensor};
 
 use crate::backend::MathBackend;
-use crate::config::{CapsNetSpec, RoutingAlgorithm};
+use crate::config::CapsNetSpec;
 use crate::error::CapsNetError;
 use crate::layers::{Activation, CapsLayer, Conv2dLayer, DenseLayer, PrimaryCapsLayer};
-use crate::routing::RoutingScratch;
+use crate::routing::RoutingArena;
 use crate::weights::{WeightRef, WeightView};
 
 /// Everything the encoder produces for a batch.
@@ -77,21 +75,20 @@ fn argmax_rows_into(data: &[f32], b: usize, h: usize, out: &mut Vec<usize>) {
 ///
 /// Keep one per thread (arenas are cheap when cold and grow to the largest
 /// problem seen). All buffers are resized in place, so after the first
-/// call at a given geometry, forward passes allocate nothing.
+/// call at a given geometry, forward passes allocate no buffer.
+///
+/// Storage is shared by lifetime: both convolutions unfold into one
+/// im2col slab, and `û` is written into that same slab. The slab is dead
+/// once the primary capsules exist, and at the MNIST geometry it is four
+/// times the size of `û`, so a separate `û` buffer would raise peak memory
+/// for nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardArena {
     conv1_out: Tensor,
     primary_conv: Tensor,
     primary_caps: Tensor,
-    u_hat: Tensor,
-    gather: Vec<f32>,
-    // One scratch per conv stage: the two convolutions have different
-    // im2col geometries, and sharing one buffer would re-shape it (and
-    // reallocate its Shape) on every pass, breaking the zero-allocation
-    // steady state.
-    conv1_scratch: Conv2dScratch,
-    primary_scratch: Conv2dScratch,
-    routing: RoutingScratch,
+    conv_scratch: Conv2dScratch,
+    routing: RoutingArena,
     norms: Vec<f32>,
 }
 
@@ -99,6 +96,18 @@ impl ForwardArena {
     /// Creates an empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Bytes of heap capacity the arena holds — constant once the arena
+    /// has seen its largest batch.
+    pub fn capacity_bytes(&self) -> usize {
+        let tensors = self.conv1_out.capacity()
+            + self.primary_conv.capacity()
+            + self.primary_caps.capacity()
+            + self.norms.capacity();
+        tensors * std::mem::size_of::<f32>()
+            + self.conv_scratch.capacity_bytes()
+            + self.routing.capacity_bytes()
     }
 }
 
@@ -460,42 +469,31 @@ impl CapsNet {
         census
     }
 
-    /// Encoder forward pass: images `[B, C, H, W]` → class capsules.
-    ///
-    /// Generic over the backend (concrete types monomorphize the routing
-    /// hot loop; `&dyn MathBackend` still works). With per-sample routing
-    /// coefficients the routing layer shards the batch across cores —
-    /// results are bit-identical either way.
+    /// Encoder forward pass: images `[B, C, H, W]` → class capsules, as
+    /// owned tensors. This is [`Self::forward_with`] on a temporary arena —
+    /// callers running more than one pass should keep an arena instead.
     ///
     /// # Errors
     ///
     /// Returns [`CapsNetError::InputMismatch`] for wrong image geometry and
     /// propagates tensor errors.
-    pub fn forward<B: MathBackend + Sync + ?Sized>(
+    pub fn forward<B: MathBackend + ?Sized>(
         &self,
         images: &Tensor,
         backend: &B,
     ) -> Result<ForwardOutput, CapsNetError> {
-        self.validate_images(images)?;
-        let c1 = self.conv1.forward(images)?;
-        let u = self.primary.forward(&c1, backend)?;
-        let routed = self.caps.forward(&u, backend)?;
-
-        // Class scores: squared norms of the H capsules.
-        let vdims = routed.v.shape().dims();
-        let (b, h, ch) = (vdims[0], vdims[1], vdims[2]);
-        let mut norms = vec![0.0f32; b * h];
-        norms_sq_into(routed.v.as_slice(), b, h, ch, &mut norms);
-        Ok(ForwardOutput {
-            class_capsules: routed.v,
-            class_norms_sq: Tensor::from_vec(norms, &[b, h])?,
-            routing_coefficients: routed.coefficients,
-        })
+        self.forward_with(images, backend, &mut ForwardArena::new())?
+            .to_owned_output()
     }
 
-    /// Arena-backed encoder forward pass: identical math and bit-identical
-    /// outputs to [`Self::forward`], but every intermediate lives in
-    /// `arena`, so a warm arena makes the whole pass allocation-free.
+    /// Arena-backed encoder forward pass: every intermediate lives in
+    /// `arena`, so a warm arena makes the whole pass free of buffer
+    /// allocation.
+    ///
+    /// Generic over the backend (concrete types monomorphize the routing
+    /// hot loop; `&dyn MathBackend` still works). The capsule layer shards
+    /// across cores when the work amortizes the spawns — results are
+    /// bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -509,19 +507,19 @@ impl CapsNet {
     ) -> Result<ForwardView<'a>, CapsNetError> {
         self.validate_images(images)?;
         self.conv1
-            .forward_into(images, &mut arena.conv1_out, &mut arena.conv1_scratch)?;
+            .forward_into(images, &mut arena.conv1_out, &mut arena.conv_scratch)?;
         self.primary.forward_into(
             &arena.conv1_out,
             backend,
             &mut arena.primary_caps,
             &mut arena.primary_conv,
-            &mut arena.primary_scratch,
+            &mut arena.conv_scratch,
         )?;
+        // The im2col slab is dead from here on: û takes it over.
         self.caps.forward_into(
             &arena.primary_caps,
             backend,
-            &mut arena.u_hat,
-            &mut arena.gather,
+            arena.conv_scratch.slab_mut(),
             &mut arena.routing,
         )?;
 
@@ -532,22 +530,15 @@ impl CapsNet {
         norms_sq_into(arena.routing.v(), b, h, ch, &mut arena.norms);
 
         let l = self.caps.l_caps();
-        let (coeff_dims, coeff_rank) = if self.caps.routing_algorithm() == RoutingAlgorithm::Dynamic
-            && self.caps.batch_shared()
-        {
+        let (coeff_dims, coeff_rank) = if self.caps.shared_coefficients() {
             ([l, h, 0], 2)
         } else {
             ([b, l, h], 3)
         };
-        let routing_coefficients = if self.caps.routing_algorithm() == RoutingAlgorithm::Dynamic {
-            arena.routing.coefficients()
-        } else {
-            arena.routing.responsibilities()
-        };
         Ok(ForwardView {
             class_capsules: arena.routing.v(),
             class_norms_sq: &arena.norms,
-            routing_coefficients,
+            routing_coefficients: arena.routing.coefficients(),
             batch: b,
             h_caps: h,
             ch_dim: ch,

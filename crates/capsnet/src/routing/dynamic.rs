@@ -19,7 +19,7 @@ use pim_tensor::Tensor;
 
 use crate::backend::MathBackend;
 use crate::error::CapsNetError;
-use crate::routing::{validate_u_hat, RoutingOutput, RoutingScratch};
+use crate::routing::{validate_u_hat, Routed, RoutingOutput, RoutingScratch};
 use crate::squash::squash_into;
 
 /// Runs dynamic routing over prediction vectors `û` of shape
@@ -64,30 +64,23 @@ pub fn dynamic_routing_with<B: MathBackend + ?Sized>(
     backend: &B,
     scratch: &mut RoutingScratch,
 ) -> Result<RoutingOutput, CapsNetError> {
-    let (nb, nl, nh, ch) = validate_u_hat(u_hat, iterations)?;
-    dynamic_routing_core(
-        u_hat.as_slice(),
-        (nb, nl, nh, ch),
-        iterations,
-        batch_shared,
-        backend,
-        scratch,
-    );
-    let coeff_dims: Vec<usize> = if batch_shared {
-        vec![nl, nh]
-    } else {
-        vec![nb, nl, nh]
-    };
-    Ok(RoutingOutput {
-        v: Tensor::from_vec(scratch.v.clone(), &[nb, nh, ch])?,
-        coefficients: Tensor::from_vec(scratch.c.clone(), &coeff_dims)?,
-        iterations,
+    let dims = validate_u_hat(u_hat, iterations)?;
+    RoutingOutput::routed(dims, batch_shared, iterations, |out| {
+        dynamic_routing_core(
+            u_hat.as_slice(),
+            dims,
+            iterations,
+            batch_shared,
+            backend,
+            scratch,
+            out,
+        );
     })
 }
 
 /// The monomorphized RP inner loop: routes `uh` (`[B, L, H, C_H]`
-/// row-major, pre-validated dims) leaving `v` and the coefficients in
-/// `scratch`.
+/// row-major, pre-validated dims) into `out` — `v` and the coefficients
+/// are written in full, their previous contents never read.
 ///
 /// This is the paper's Algorithm 1 exactly, written against the backend's
 /// slice/block kernels: the softmax over coupling logits is one fused row
@@ -102,19 +95,16 @@ pub(crate) fn dynamic_routing_core<B: MathBackend + ?Sized>(
     batch_shared: bool,
     backend: &B,
     scratch: &mut RoutingScratch,
+    out: Routed<'_>,
 ) {
     debug_assert_eq!(uh.len(), nb * nl * nh * ch);
     let coeff_rows = if batch_shared { nl } else { nb * nl };
+    let Routed { v, coeff: c } = out;
+    debug_assert_eq!(v.len(), nb * nh * ch);
+    debug_assert_eq!(c.len(), coeff_rows * nh);
     RoutingScratch::fill_buf(&mut scratch.b_logits, coeff_rows * nh, 0.0);
-    RoutingScratch::fill_buf(&mut scratch.c, coeff_rows * nh, 0.0);
     RoutingScratch::fill_buf(&mut scratch.s, nb * nh * ch, 0.0);
-    RoutingScratch::fill_buf(&mut scratch.v, nb * nh * ch, 0.0);
-    let (b_logits, c, s, v) = (
-        &mut scratch.b_logits,
-        &mut scratch.c,
-        &mut scratch.s,
-        &mut scratch.v,
-    );
+    let (b_logits, s) = (&mut scratch.b_logits, &mut scratch.s);
     let block = nh * ch;
 
     // Pass fusion: Algorithm 1 runs softmax → Eq 2 → squash → Eq 4 per

@@ -16,7 +16,7 @@ use pim_tensor::Tensor;
 
 use crate::backend::MathBackend;
 use crate::error::CapsNetError;
-use crate::routing::{validate_u_hat, RoutingOutput, RoutingScratch};
+use crate::routing::{validate_u_hat, Routed, RoutingOutput, RoutingScratch};
 
 /// Variance floor keeping the Gaussians well-conditioned.
 const SIGMA_FLOOR: f32 = 1e-4;
@@ -64,47 +64,40 @@ pub fn em_routing_with<B: MathBackend + ?Sized>(
     backend: &B,
     scratch: &mut RoutingScratch,
 ) -> Result<RoutingOutput, CapsNetError> {
-    let (nb, nl, nh, ch) = validate_u_hat(u_hat, iterations)?;
-    em_routing_core(
-        u_hat.as_slice(),
-        (nb, nl, nh, ch),
-        iterations,
-        backend,
-        scratch,
-    );
-    Ok(RoutingOutput {
-        v: Tensor::from_vec(scratch.v.clone(), &[nb, nh, ch])?,
-        coefficients: Tensor::from_vec(scratch.r.clone(), &[nb, nl, nh])?,
-        iterations,
+    let dims = validate_u_hat(u_hat, iterations)?;
+    RoutingOutput::routed(dims, false, iterations, |out| {
+        em_routing_core(u_hat.as_slice(), dims, iterations, backend, scratch, out);
     })
 }
 
 /// The monomorphized EM inner loop: routes `uh` (`[B, L, H, C_H]`
-/// row-major, pre-validated dims) leaving `v` (activation-scaled means) and
-/// the responsibilities `r` in `scratch`.
+/// row-major, pre-validated dims) into `out` — `v` (activation-scaled
+/// means) and the responsibilities (`[B, L, H]`) are written in full,
+/// their previous contents never read.
 pub(crate) fn em_routing_core<B: MathBackend + ?Sized>(
     uh: &[f32],
     (nb, nl, nh, ch): (usize, usize, usize, usize),
     iterations: usize,
     backend: &B,
     scratch: &mut RoutingScratch,
+    out: Routed<'_>,
 ) {
     debug_assert_eq!(uh.len(), nb * nl * nh * ch);
-    RoutingScratch::fill_buf(&mut scratch.r, nb * nl * nh, 1.0 / nh as f32);
+    let Routed { v, coeff: r } = out;
+    debug_assert_eq!(v.len(), nb * nh * ch);
+    debug_assert_eq!(r.len(), nb * nl * nh);
+    r.fill(1.0 / nh as f32);
     RoutingScratch::fill_buf(&mut scratch.mu, nb * nh * ch, 0.0);
     RoutingScratch::fill_buf(&mut scratch.sigma_sq, nb * nh * ch, 1.0);
     RoutingScratch::fill_buf(&mut scratch.act, nb * nh, 0.5);
     RoutingScratch::fill_buf(&mut scratch.log_p, nh, 0.0);
     RoutingScratch::fill_buf(&mut scratch.r_sum, nh, 0.0);
-    RoutingScratch::fill_buf(&mut scratch.v, nb * nh * ch, 0.0);
-    let (r, mu, sigma_sq, act, log_p, r_sum, v) = (
-        &mut scratch.r,
+    let (mu, sigma_sq, act, log_p, r_sum) = (
         &mut scratch.mu,
         &mut scratch.sigma_sq,
         &mut scratch.act,
         &mut scratch.log_p,
         &mut scratch.r_sum,
-        &mut scratch.v,
     );
 
     for _ in 0..iterations {

@@ -16,16 +16,25 @@ mod em;
 mod parallel;
 mod scratch;
 
-pub(crate) use dynamic::dynamic_routing_core;
 pub use dynamic::{dynamic_routing, dynamic_routing_with};
-pub(crate) use em::em_routing_core;
 pub use em::{em_routing, em_routing_with};
-pub use parallel::{dynamic_routing_parallel, em_routing_parallel};
+pub(crate) use parallel::Procedure;
+pub use parallel::{dynamic_routing_parallel, em_routing_parallel, RoutingArena};
 pub use scratch::RoutingScratch;
 
 use pim_tensor::Tensor;
 
 use crate::error::CapsNetError;
+
+/// The output windows a routing core fills: the high-level capsules `v`
+/// (`[B, H, C_H]`) and the final coefficients (`[L, H]` for batch-shared
+/// dynamic routing, `[B, L, H]` otherwise). Both are written in full and
+/// their previous contents never read, so a sample shard can be handed
+/// its window of a larger, reused buffer.
+pub(crate) struct Routed<'a> {
+    pub v: &'a mut [f32],
+    pub coeff: &'a mut [f32],
+}
 
 /// Validates a `[B, L, H, C_H]` prediction-vector tensor and a routing
 /// iteration count, returning the unpacked dims.
@@ -64,4 +73,33 @@ pub struct RoutingOutput {
     pub coefficients: Tensor,
     /// Number of routing iterations executed.
     pub iterations: usize,
+}
+
+impl RoutingOutput {
+    /// Allocates the outputs for pre-validated `dims`, lets `route` fill
+    /// them, and wraps them as tensors (`[L, H]` coefficients when
+    /// `shared_coefficients`, `[B, L, H]` otherwise).
+    pub(crate) fn routed(
+        (nb, nl, nh, ch): (usize, usize, usize, usize),
+        shared_coefficients: bool,
+        iterations: usize,
+        route: impl FnOnce(Routed<'_>),
+    ) -> Result<Self, CapsNetError> {
+        let coeff_dims: &[usize] = if shared_coefficients {
+            &[nl, nh]
+        } else {
+            &[nb, nl, nh]
+        };
+        let mut v = vec![0.0f32; nb * nh * ch];
+        let mut coeff = vec![0.0f32; coeff_dims.iter().product()];
+        route(Routed {
+            v: &mut v,
+            coeff: &mut coeff,
+        });
+        Ok(RoutingOutput {
+            v: Tensor::from_vec(v, &[nb, nh, ch])?,
+            coefficients: Tensor::from_vec(coeff, coeff_dims)?,
+            iterations,
+        })
+    }
 }

@@ -1,35 +1,191 @@
-//! Batch-parallel routing driver.
+//! Sample-sharded routing driver.
 //!
 //! With per-sample routing coefficients (`batch_shared = false`, the
 //! original Sabour et al. formulation and the configuration the accuracy
 //! harness uses) every sample routes independently, so a batch shards
 //! perfectly across cores. The driver reuses the work-size heuristics of
 //! `pim_tensor::par` (the same ones gating the threaded matmul) to decide
-//! when spawning is worth it, hands each `std::thread::scope` worker its own
-//! [`RoutingScratch`], and writes disjoint output chunks — results are
-//! **bit-identical** to the serial path because per-sample routing never
-//! mixes information across samples (the equivalence suite asserts this).
+//! when spawning is worth it, hands each shard its own [`RoutingScratch`]
+//! and its own window of the output buffers — results are **bit-identical**
+//! to the serial path because per-sample routing never mixes information
+//! across samples (the equivalence suite asserts this).
+//!
+//! One routine, [`Procedure::route`], serves every caller: the layer's
+//! arena path ([`RoutingArena`]), the layer's owning path and the public
+//! `*_parallel` entry points.
 
-use pim_tensor::par::{map_sharded, plan_threads};
+use pim_tensor::par::{for_each_shard, plan_threads};
 use pim_tensor::Tensor;
 
 use crate::backend::MathBackend;
+use crate::config::RoutingAlgorithm;
 use crate::error::CapsNetError;
 use crate::routing::dynamic::dynamic_routing_core;
 use crate::routing::em::em_routing_core;
-use crate::routing::{validate_u_hat, RoutingOutput, RoutingScratch};
+use crate::routing::{validate_u_hat, Routed, RoutingOutput, RoutingScratch};
 
-/// Per-sample multiply-add-equivalents of one dynamic-routing invocation
-/// (Eq 2 + Eq 4 dominate: two `L·H·C_H` passes per iteration).
-fn dynamic_work_per_sample(nl: usize, nh: usize, ch: usize, iterations: usize) -> usize {
-    iterations.saturating_mul(nl * nh * (2 * ch + 4))
+/// Which routing procedure to run, as a Caps layer configures it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Procedure {
+    pub algorithm: RoutingAlgorithm,
+    pub iterations: usize,
+    pub batch_shared: bool,
 }
 
-/// Per-sample multiply-add-equivalents of one EM-routing invocation (the
-/// M-step's mean+variance fits and the E-step's quadratic forms are each
-/// `L·H·C_H` passes).
-fn em_work_per_sample(nl: usize, nh: usize, ch: usize, iterations: usize) -> usize {
-    (iterations + 1).saturating_mul(nl * nh * (4 * ch + 8))
+impl Procedure {
+    /// `true` when one `[L, H]` coefficient matrix couples the whole batch
+    /// (batch-shared dynamic routing); otherwise every sample routes on
+    /// its own `[L, H]` slice of `[B, L, H]` and the batch can shard.
+    pub fn shared_coefficients(&self) -> bool {
+        self.algorithm == RoutingAlgorithm::Dynamic && self.batch_shared
+    }
+
+    /// Per-sample multiply-add-equivalents of one invocation. Dynamic:
+    /// Eq 2 + Eq 4 dominate, two `L·H·C_H` passes per iteration. EM: the
+    /// M-step's mean+variance fits and the E-step's quadratic forms are
+    /// each `L·H·C_H` passes.
+    fn work_per_sample(&self, nl: usize, nh: usize, ch: usize) -> usize {
+        match self.algorithm {
+            RoutingAlgorithm::Dynamic => self.iterations.saturating_mul(nl * nh * (2 * ch + 4)),
+            RoutingAlgorithm::Em => (self.iterations + 1).saturating_mul(nl * nh * (4 * ch + 8)),
+        }
+    }
+
+    fn core<B: MathBackend + ?Sized>(
+        &self,
+        uh: &[f32],
+        dims: (usize, usize, usize, usize),
+        backend: &B,
+        scratch: &mut RoutingScratch,
+        out: Routed<'_>,
+    ) {
+        match self.algorithm {
+            RoutingAlgorithm::Dynamic => dynamic_routing_core(
+                uh,
+                dims,
+                self.iterations,
+                self.batch_shared,
+                backend,
+                scratch,
+                out,
+            ),
+            RoutingAlgorithm::Em => {
+                em_routing_core(uh, dims, self.iterations, backend, scratch, out)
+            }
+        }
+    }
+
+    /// Routes `uh` (`[B, L, H, C_H]`, pre-validated `dims`) into `out`.
+    ///
+    /// When samples route independently the batch splits into contiguous
+    /// chunks, one per planned thread, each with its own scratch (grown
+    /// into `shards` on first use) and its own window of `out` — routing a
+    /// chunk as a mini-batch produces exactly the per-sample results of
+    /// the full batch, so there is no reduction step.
+    pub fn route<B: MathBackend + ?Sized>(
+        &self,
+        uh: &[f32],
+        dims: (usize, usize, usize, usize),
+        backend: &B,
+        shards: &mut Vec<RoutingScratch>,
+        out: Routed<'_>,
+    ) {
+        let (nb, nl, nh, ch) = dims;
+        let threads = if self.shared_coefficients() {
+            1
+        } else {
+            plan_threads(nb, self.work_per_sample(nl, nh, ch))
+        };
+        if shards.len() < threads {
+            shards.resize_with(threads, RoutingScratch::new);
+        }
+        if threads == 1 {
+            return self.core(uh, dims, backend, &mut shards[0], out);
+        }
+        // More than one thread was planned, so the work — and with it
+        // every extent below — is nonzero.
+        let per = nb.div_ceil(threads);
+        let windows = uh
+            .chunks(per * nl * nh * ch)
+            .zip(out.v.chunks_mut(per * nh * ch))
+            .zip(out.coeff.chunks_mut(per * nl * nh))
+            .zip(shards.iter_mut());
+        for_each_shard(windows, |(((uh, v), coeff), scratch)| {
+            let samples = v.len() / (nh * ch);
+            let out = Routed { v, coeff };
+            self.core(uh, (samples, nl, nh, ch), backend, scratch, out);
+        });
+    }
+
+    /// [`Self::route`] into freshly allocated output tensors.
+    pub fn route_owned<B: MathBackend + ?Sized>(
+        &self,
+        u_hat: &Tensor,
+        backend: &B,
+    ) -> Result<RoutingOutput, CapsNetError> {
+        let dims = validate_u_hat(u_hat, self.iterations)?;
+        RoutingOutput::routed(dims, self.shared_coefficients(), self.iterations, |out| {
+            self.route(u_hat.as_slice(), dims, backend, &mut Vec::new(), out);
+        })
+    }
+}
+
+/// Caller-owned routing state for the allocation-free layer path: one
+/// [`RoutingScratch`] per sample shard plus the routed outputs. Keep one
+/// per thread that runs forward passes; every buffer grows to the largest
+/// problem seen and is then reused.
+#[derive(Debug, Clone, Default)]
+pub struct RoutingArena {
+    shards: Vec<RoutingScratch>,
+    v: Vec<f32>,
+    coefficients: Vec<f32>,
+}
+
+impl RoutingArena {
+    /// The routed high-level capsules `v` (`[B, H, C_H]` row-major) of the
+    /// most recent pass.
+    pub fn v(&self) -> &[f32] {
+        &self.v
+    }
+
+    /// The final routing coefficients of the most recent pass: `[L, H]`
+    /// for batch-shared dynamic routing, `[B, L, H]` otherwise (for EM
+    /// routing, the responsibilities).
+    pub fn coefficients(&self) -> &[f32] {
+        &self.coefficients
+    }
+
+    /// Bytes of heap capacity the arena holds.
+    pub fn capacity_bytes(&self) -> usize {
+        let shards: usize = self.shards.iter().map(|s| s.capacity_bytes()).sum();
+        shards + (self.v.capacity() + self.coefficients.capacity()) * std::mem::size_of::<f32>()
+    }
+
+    /// Routes `uh` (`[B, L, H, C_H]`, pre-validated `dims`) under `procedure`,
+    /// leaving the outputs readable through [`Self::v`] and
+    /// [`Self::coefficients`].
+    pub(crate) fn route<B: MathBackend + ?Sized>(
+        &mut self,
+        procedure: Procedure,
+        uh: &[f32],
+        dims: (usize, usize, usize, usize),
+        backend: &B,
+    ) {
+        let (nb, nl, nh, ch) = dims;
+        let coeff_rows = if procedure.shared_coefficients() {
+            nl
+        } else {
+            nb * nl
+        };
+        // No fill: the cores overwrite both in full.
+        self.v.resize(nb * nh * ch, 0.0);
+        self.coefficients.resize(coeff_rows * nh, 0.0);
+        let out = Routed {
+            v: &mut self.v,
+            coeff: &mut self.coefficients,
+        };
+        procedure.route(uh, dims, backend, &mut self.shards, out);
+    }
 }
 
 /// Dynamic routing with **per-sample** coefficients, sharded across cores.
@@ -44,29 +200,17 @@ fn em_work_per_sample(nl: usize, nh: usize, ch: usize, iterations: usize) -> usi
 ///
 /// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4, or
 /// [`CapsNetError::InvalidSpec`] for zero iterations.
-pub fn dynamic_routing_parallel<B: MathBackend + Sync + ?Sized>(
+pub fn dynamic_routing_parallel<B: MathBackend + ?Sized>(
     u_hat: &Tensor,
     iterations: usize,
     backend: &B,
 ) -> Result<RoutingOutput, CapsNetError> {
-    let (nb, nl, nh, ch) = validate_u_hat(u_hat, iterations)?;
-    let threads = plan_threads(nb, dynamic_work_per_sample(nl, nh, ch, iterations));
-    let run = |uh: &[f32], samples: usize, scratch: &mut RoutingScratch| {
-        dynamic_routing_core(
-            uh,
-            (samples, nl, nh, ch),
-            iterations,
-            false,
-            backend,
-            scratch,
-        );
-    };
-    let (v, c) = shard_batch(u_hat.as_slice(), (nb, nl, nh, ch), threads, run);
-    Ok(RoutingOutput {
-        v: Tensor::from_vec(v, &[nb, nh, ch])?,
-        coefficients: Tensor::from_vec(c, &[nb, nl, nh])?,
+    Procedure {
+        algorithm: RoutingAlgorithm::Dynamic,
         iterations,
-    })
+        batch_shared: false,
+    }
+    .route_owned(u_hat, backend)
 }
 
 /// EM routing sharded across cores.
@@ -79,67 +223,17 @@ pub fn dynamic_routing_parallel<B: MathBackend + Sync + ?Sized>(
 ///
 /// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4, or
 /// [`CapsNetError::InvalidSpec`] for zero iterations.
-pub fn em_routing_parallel<B: MathBackend + Sync + ?Sized>(
+pub fn em_routing_parallel<B: MathBackend + ?Sized>(
     u_hat: &Tensor,
     iterations: usize,
     backend: &B,
 ) -> Result<RoutingOutput, CapsNetError> {
-    let (nb, nl, nh, ch) = validate_u_hat(u_hat, iterations)?;
-    let threads = plan_threads(nb, em_work_per_sample(nl, nh, ch, iterations));
-    let run = |uh: &[f32], samples: usize, scratch: &mut RoutingScratch| {
-        em_routing_core(uh, (samples, nl, nh, ch), iterations, backend, scratch);
-        // EM's coefficients live in `r`; surface them through `c` so the
-        // shard assembler reads one place.
-        scratch.c.clear();
-        scratch.c.extend_from_slice(&scratch.r);
-    };
-    let (v, r) = shard_batch(u_hat.as_slice(), (nb, nl, nh, ch), threads, run);
-    Ok(RoutingOutput {
-        v: Tensor::from_vec(v, &[nb, nh, ch])?,
-        coefficients: Tensor::from_vec(r, &[nb, nl, nh])?,
+    Procedure {
+        algorithm: RoutingAlgorithm::Em,
         iterations,
-    })
-}
-
-/// Splits the batch into contiguous chunks, routes each on its own worker
-/// with its own scratch, and assembles `(v, coefficients)`.
-///
-/// Per-sample routing treats every sample independently, so routing a chunk
-/// as a mini-batch produces exactly the per-sample results of the full
-/// batch — concatenation is the whole reduction.
-fn shard_batch<F>(
-    uh: &[f32],
-    (nb, nl, nh, ch): (usize, usize, usize, usize),
-    threads: usize,
-    run: F,
-) -> (Vec<f32>, Vec<f32>)
-where
-    F: Fn(&[f32], usize, &mut RoutingScratch) + Sync,
-{
-    let sample_u = nl * nh * ch;
-    let sample_v = nh * ch;
-    let sample_c = nl * nh;
-    let parts = map_sharded(nb, threads, |range| {
-        let mut scratch = RoutingScratch::new();
-        run(
-            &uh[range.start * sample_u..range.end * sample_u],
-            range.len(),
-            &mut scratch,
-        );
-        // Move the routed buffers out of the worker's scratch — the
-        // concatenation below is the whole reduction.
-        (
-            std::mem::take(&mut scratch.v),
-            std::mem::take(&mut scratch.c),
-        )
-    });
-    let mut v = Vec::with_capacity(nb * sample_v);
-    let mut c = Vec::with_capacity(nb * sample_c);
-    for (part_v, part_c) in parts {
-        v.extend_from_slice(&part_v);
-        c.extend_from_slice(&part_c);
+        batch_shared: false,
     }
-    (v, c)
+    .route_owned(u_hat, backend)
 }
 
 #[cfg(test)]

@@ -1,27 +1,26 @@
 //! Reusable scratch memory for the routing procedure.
 //!
 //! The RP is the hot loop of CapsNet inference (the entire premise of the
-//! paper), and the seed implementation reallocated its `b`/`c`/`s`/`v`
+//! paper), and the seed implementation reallocated its `b`/`s`
 //! intermediates on every call. [`RoutingScratch`] owns those buffers so a
 //! warm engine performs **zero heap allocations** per routing invocation:
 //! every buffer is `clear()`+`resize()`d in place, which only touches the
-//! allocator when a larger problem than any seen before arrives.
+//! allocator when a larger problem than any seen before arrives. The
+//! routed capsules and coefficients are not scratch — the cores write them
+//! straight into the caller's output windows (see [`super::Routed`]).
 
 /// Scratch buffers for [`dynamic_routing`](crate::routing::dynamic_routing)
 /// and [`em_routing`](crate::routing::em_routing).
 ///
 /// One scratch serves both algorithms (buffers are disjoint per algorithm
 /// but reuse is harmless); keep one per thread — the buffers are the reason
-/// the batch-parallel driver hands each worker its own.
+/// the sample-sharded driver hands each shard its own.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingScratch {
     // Dynamic routing (Algorithm 1).
     pub(crate) b_logits: Vec<f32>,
-    pub(crate) c: Vec<f32>,
     pub(crate) s: Vec<f32>,
-    pub(crate) v: Vec<f32>,
     // EM routing.
-    pub(crate) r: Vec<f32>,
     pub(crate) mu: Vec<f32>,
     pub(crate) sigma_sq: Vec<f32>,
     pub(crate) act: Vec<f32>,
@@ -35,22 +34,18 @@ impl RoutingScratch {
         Self::default()
     }
 
-    /// The routed high-level capsules `v` (`[B, H, C_H]` row-major) from the
-    /// most recent routing call.
-    pub fn v(&self) -> &[f32] {
-        &self.v
-    }
-
-    /// The final routing coefficients from the most recent *dynamic* routing
-    /// call (`[L, H]` when batch-shared, `[B, L, H]` per-sample).
-    pub fn coefficients(&self) -> &[f32] {
-        &self.c
-    }
-
-    /// The final responsibilities from the most recent *EM* routing call
-    /// (`[B, L, H]`).
-    pub fn responsibilities(&self) -> &[f32] {
-        &self.r
+    /// Bytes of heap capacity the scratch holds.
+    pub fn capacity_bytes(&self) -> usize {
+        let buffers = [
+            &self.b_logits,
+            &self.s,
+            &self.mu,
+            &self.sigma_sq,
+            &self.act,
+            &self.log_p,
+            &self.r_sum,
+        ];
+        buffers.iter().map(|b| b.capacity()).sum::<usize>() * std::mem::size_of::<f32>()
     }
 
     /// Resizes `buf` to `len` filled with `value`, reusing capacity.

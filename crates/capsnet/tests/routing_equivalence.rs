@@ -8,8 +8,9 @@
 //! * generic (monomorphized) calls vs `&dyn MathBackend` calls;
 //! * fresh-scratch calls vs warm reused-scratch calls;
 //! * batch-parallel sharded routing vs single-threaded routing;
-//! * the arena-backed `CapsNet::forward_with` vs the materializing
-//!   `CapsNet::forward`.
+//! * `CapsNet::forward_with` on a warm, reused arena vs `CapsNet::forward`
+//!   (the same pass on a fresh arena);
+//! * a sharded batch-16 pass vs sixteen batch-1 passes.
 
 use capsnet::routing::{
     dynamic_routing, dynamic_routing_parallel, dynamic_routing_with, em_routing,
@@ -129,8 +130,8 @@ fn arena_forward_matches_materializing_forward_bitwise() {
             let net = CapsNet::seeded(&spec, 77).unwrap();
             let mut arena = ForwardArena::new();
             // Reuse the arena across calls and batch sizes; every call must
-            // match the materializing path bitwise.
-            for (seed, batch) in [(1u64, 4), (2, 4), (3, 2), (4, 6)] {
+            // match the fresh-arena path bitwise.
+            for (seed, batch) in [(1u64, 4), (2, 4), (3, 2), (4, 6), (5, 16), (6, 1)] {
                 let images = Tensor::uniform(
                     &[batch, 1, spec.input_hw.0, spec.input_hw.1],
                     0.0,
@@ -155,4 +156,129 @@ fn arena_forward_matches_materializing_forward_bitwise() {
             }
         }
     }
+}
+
+/// A model wide enough that, on a host with ≥ 2 threads, `plan_threads`
+/// shards both the û projection (over `L`) and per-sample routing (over
+/// the batch) at batch 16.
+fn wide_spec(routing: RoutingAlgorithm, batch_shared: bool) -> CapsNetSpec {
+    let mut spec = CapsNetSpec::tiny_for_tests();
+    spec.primary_channels = 16;
+    spec.cl_dim = 8;
+    spec.h_caps = 10;
+    spec.ch_dim = 16;
+    spec.routing = routing;
+    spec.batch_shared_routing = batch_shared;
+    spec
+}
+
+#[test]
+fn sharded_forward_matches_warm_arena_and_per_sample_passes_bitwise() {
+    for (routing, batch_shared) in [
+        (RoutingAlgorithm::Dynamic, false),
+        (RoutingAlgorithm::Dynamic, true),
+        (RoutingAlgorithm::Em, false),
+    ] {
+        let spec = wide_spec(routing, batch_shared);
+        let net = CapsNet::seeded(&spec, 5).unwrap();
+        let pixels = spec.input_hw.0 * spec.input_hw.1;
+        let mut arena = ForwardArena::new();
+        for (seed, batch) in [(1u64, 16), (2, 1), (3, 16)] {
+            let images = Tensor::uniform(
+                &[batch, 1, spec.input_hw.0, spec.input_hw.1],
+                0.0,
+                1.0,
+                seed,
+            );
+            let owned = net.forward(&images, &ExactMath).unwrap();
+            let view = net.forward_with(&images, &ExactMath, &mut arena).unwrap();
+            let what = format!("{routing:?} shared={batch_shared} batch={batch}");
+            assert_eq!(
+                owned.class_capsules.as_slice(),
+                view.class_capsules(),
+                "{what}"
+            );
+            assert_eq!(
+                owned.class_norms_sq.as_slice(),
+                view.class_norms_sq(),
+                "{what}"
+            );
+            assert_eq!(
+                owned.routing_coefficients.as_slice(),
+                view.routing_coefficients(),
+                "{what}"
+            );
+            if batch_shared && routing == RoutingAlgorithm::Dynamic {
+                continue; // samples are coupled: no per-sample reference
+            }
+            // Row invariance: sample k of the batch equals the batch-1 pass
+            // on that sample (which cannot shard its routing).
+            let h = spec.h_caps * spec.ch_dim;
+            for k in 0..batch {
+                let one = Tensor::from_vec(
+                    images.as_slice()[k * pixels..(k + 1) * pixels].to_vec(),
+                    &[1, 1, spec.input_hw.0, spec.input_hw.1],
+                )
+                .unwrap();
+                let alone = net.forward(&one, &ExactMath).unwrap();
+                assert_eq!(
+                    alone.class_capsules.as_slice(),
+                    &owned.class_capsules.as_slice()[k * h..(k + 1) * h],
+                    "{what} sample {k}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn arena_capacity_is_steady_after_the_first_batch() {
+    let spec = wide_spec(RoutingAlgorithm::Dynamic, false);
+    let net = CapsNet::seeded(&spec, 9).unwrap();
+    let mut arena = ForwardArena::new();
+    let mut second = 0;
+    for pass in 1..=10u64 {
+        let images = Tensor::uniform(&[16, 1, spec.input_hw.0, spec.input_hw.1], 0.0, 1.0, pass);
+        net.forward_with(&images, &ExactMath, &mut arena).unwrap();
+        if pass == 2 {
+            second = arena.capacity_bytes();
+        }
+    }
+    assert!(second > 0);
+    assert_eq!(
+        arena.capacity_bytes(),
+        second,
+        "the arena grew after warm-up"
+    );
+}
+
+#[test]
+fn mnist_arena_shares_the_im2col_slab_with_u_hat() {
+    // CapsNet-MNIST at batch 8, routed per sample: the primary-caps im2col
+    // matrix (24 MB) is four times û (6 MB). û must live in that slab, not
+    // beside it, or a serve worker's peak memory rises by û for nothing.
+    let mut spec = CapsNetSpec::mnist();
+    spec.batch_shared_routing = false;
+    let net = CapsNet::seeded(&spec, 1).unwrap();
+    let batch = 8;
+    let images = Tensor::uniform(&[batch, 1, 28, 28], 0.0, 1.0, 2);
+    let mut arena = ForwardArena::new();
+    net.forward_with(&images, &ExactMath, &mut arena).unwrap();
+
+    let (ph, pw) = spec.primary_grid().unwrap();
+    let (c1h, c1w) = spec.conv1_out_hw().unwrap();
+    let k = spec.primary_kernel;
+    let im2col = batch * ph * pw * spec.conv1_channels * k * k;
+    let conv1_out = batch * spec.conv1_channels * c1h * c1w;
+    let primary_out = batch * spec.primary_channels * spec.cl_dim * ph * pw;
+    let u_hat = batch * spec.l_caps().unwrap() * spec.h_caps * spec.ch_dim;
+    // conv1 output, primary conv output, and its regrouping into capsules.
+    let budget = 4 * (im2col + conv1_out + 2 * primary_out) + (2 << 20);
+    assert!(4 * u_hat > (2 << 20), "û must not fit in the slack");
+    assert!(
+        arena.capacity_bytes() < budget,
+        "arena holds {} B, budget {} B",
+        arena.capacity_bytes(),
+        budget
+    );
 }

@@ -5,26 +5,6 @@ use std::time::Duration;
 use crate::admission::AdmissionPolicy;
 use crate::error::ServeError;
 
-/// How a worker executes a coalesced batch. Every mode produces
-/// **bit-identical** outputs (the routing equivalence suite in `capsnet`
-/// pins the underlying drivers down); they differ only in resource usage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchExecution {
-    /// Pick per batch: the batch-parallel drivers when the host has more
-    /// than one core and the batch routes per sample, the warm arena
-    /// otherwise.
-    #[default]
-    Auto,
-    /// Always run through the worker's warm [`capsnet::ForwardArena`]
-    /// (`CapsNet::forward_with`): zero steady-state allocation, serial
-    /// routing.
-    Arena,
-    /// Always run through `CapsNet::forward`, whose per-sample routing path
-    /// shards the batch across cores via `dynamic_routing_parallel` /
-    /// `em_routing_parallel`.
-    Parallel,
-}
-
 /// Scheduler knobs: the latency budget (`max_batch` × `max_wait`), the
 /// backpressure bound, and the worker pool size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,8 +23,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Worker threads running inference.
     pub workers: usize,
-    /// Batch execution strategy.
-    pub execution: BatchExecution,
     /// Admission policy: the legacy queue bound, or SLO-aware shedding
     /// with priority tiers and per-tenant quotas (see [`crate::admission`]).
     pub admission: AdmissionPolicy,
@@ -57,7 +35,6 @@ impl Default for ServeConfig {
             max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             workers: 1,
-            execution: BatchExecution::Auto,
             admission: AdmissionPolicy::QueueBound,
         }
     }

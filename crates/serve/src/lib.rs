@@ -87,7 +87,7 @@ pub mod rollout;
 mod server;
 
 pub use admission::{AdmissionPolicy, AdmissionVerdict, Priority, SloConfig, TIERS};
-pub use config::{BatchExecution, ServeConfig};
+pub use config::ServeConfig;
 pub use error::{CallError, ServeError, SubmitError};
 pub use metrics::{MetricsReport, ModelVersionCount, TierReport};
 pub use pim_cache::{CacheConfig, CacheDigest, CacheReport};

@@ -9,11 +9,10 @@ use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, ForwardArena, MathBackend};
 use pim_cache::{hash, CacheValue, ResponseCache};
-use pim_tensor::par::available_threads;
 use pim_tensor::Tensor;
 
 use crate::admission::{self, AdmissionVerdict, Priority, TIERS};
-use crate::config::{BatchExecution, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::{ServeError, SubmitError};
 use crate::metrics::{MetricsRecorder, MetricsReport};
 use crate::registry::{ModelHandle, ModelRegistry};
@@ -1023,7 +1022,7 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
     }
 }
 
-/// Executes the batch under the configured strategy. Returns
+/// Runs the batch through the worker's warm arena. Returns
 /// `(predictions, class_norms_sq, h_caps)`.
 fn forward_batch<B: MathBackend + Sync + ?Sized>(
     shared: &Shared<'_, B>,
@@ -1031,29 +1030,12 @@ fn forward_batch<B: MathBackend + Sync + ?Sized>(
     images: &Tensor,
     arena: &mut ForwardArena,
 ) -> Result<(Vec<usize>, Vec<f32>, usize), ServeError> {
-    let net = handle.net();
-    let parallel = match shared.cfg.execution {
-        BatchExecution::Arena => false,
-        BatchExecution::Parallel => true,
-        BatchExecution::Auto => {
-            available_threads() > 1
-                && images.shape().dims()[0] > 1
-                && !net.spec().batch_shared_routing
-        }
-    };
-    if parallel {
-        let out = net
-            .forward(images, shared.backend)
-            .map_err(|e| ServeError::Forward(e.to_string()))?;
-        let h = out.class_norms_sq.shape().dims()[1];
-        Ok((out.predictions(), out.class_norms_sq.as_slice().to_vec(), h))
-    } else {
-        let view = net
-            .forward_with(images, shared.backend, arena)
-            .map_err(|e| ServeError::Forward(e.to_string()))?;
-        let h = view.class_norms_sq().len() / view.batch().max(1);
-        Ok((view.predictions(), view.class_norms_sq().to_vec(), h))
-    }
+    let view = handle
+        .net()
+        .forward_with(images, shared.backend, arena)
+        .map_err(|e| ServeError::Forward(e.to_string()))?;
+    let h = view.class_norms_sq().len() / view.batch().max(1);
+    Ok((view.predictions(), view.class_norms_sq().to_vec(), h))
 }
 
 fn fulfill(slot: &TicketSlot, outcome: Result<Response, ServeError>) {
@@ -1093,7 +1075,6 @@ mod tests {
             max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: crate::AdmissionPolicy::QueueBound,
         }
     }
@@ -1136,26 +1117,44 @@ mod tests {
         }
     }
 
+    /// The one execution path shards the capsule layer across cores on a
+    /// multi-core host; a default-config server must still answer a full
+    /// batch bit for bit like per-request `CapsNet::forward`.
     #[test]
-    fn parallel_execution_matches_arena() {
-        let models = ModelRegistry::from_models([tiny_model().clone()]);
-        let run = |execution| {
-            let cfg = ServeConfig {
-                execution,
-                ..server_cfg()
-            };
-            let server = Server::new(&models, &ExactMath, cfg).unwrap();
-            let (out, _) = server.run(|h| {
-                let t = h.submit(Request::new(0, 0, images(4, 9))).unwrap();
-                t.wait().unwrap()
-            });
-            out
-        };
-        let arena = run(BatchExecution::Arena);
-        let parallel = run(BatchExecution::Parallel);
-        assert_eq!(arena.predictions, parallel.predictions);
-        for (a, b) in arena.class_norms_sq.iter().zip(&parallel.class_norms_sq) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    fn default_config_full_batch_matches_per_request_forward() {
+        // Big enough that `plan_threads` really shards both the projection
+        // (over L) and the routing (over samples) when the host has ≥ 2
+        // threads; on one thread the same gate runs serially.
+        let mut spec = CapsNetSpec::tiny_for_tests();
+        spec.primary_channels = 16;
+        spec.cl_dim = 8;
+        spec.h_caps = 10;
+        spec.ch_dim = 16;
+        spec.batch_shared_routing = false;
+        let net = CapsNet::seeded(&spec, 7).unwrap();
+        let models = ModelRegistry::from_models([ServedModel::new("wide", net.clone())]);
+        let cfg = ServeConfig::default();
+        let server = Server::new(&models, &ExactMath, cfg).unwrap();
+        let (responses, metrics) = server.run(|h| {
+            let tickets: Vec<Ticket> = (0..cfg.max_batch as u64)
+                .map(|i| h.submit(Request::new(0, 0, images(1, i))).unwrap())
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| t.wait().unwrap())
+                .collect::<Vec<Response>>()
+        });
+        assert_eq!(metrics.requests, cfg.max_batch as u64);
+        for (i, r) in responses.iter().enumerate() {
+            let direct = net.forward(&images(1, i as u64), &ExactMath).unwrap();
+            assert_eq!(r.predictions, direct.predictions(), "request {i}");
+            for (a, b) in r
+                .class_norms_sq
+                .iter()
+                .zip(direct.class_norms_sq.as_slice())
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "request {i} not bitwise equal");
+            }
         }
     }
 

@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath, MathBackend};
 use pim_serve::{
-    BatchExecution, CacheConfig, ModelRegistry, Priority, ReplicaSet, ReplicaSetConfig, Request,
-    RoutingPolicy, ServeCache, ServeConfig, ServedModel, Server,
+    CacheConfig, ModelRegistry, Priority, ReplicaSet, ReplicaSetConfig, Request, RoutingPolicy,
+    ServeCache, ServeConfig, ServedModel, Server,
 };
 use pim_tensor::Tensor;
 
@@ -31,7 +31,6 @@ fn serve_cfg() -> ServeConfig {
         max_wait: Duration::from_micros(200),
         queue_capacity: 64,
         workers: 1,
-        execution: BatchExecution::Arena,
         admission: pim_serve::AdmissionPolicy::QueueBound,
     }
 }

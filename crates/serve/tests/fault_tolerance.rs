@@ -8,9 +8,8 @@ use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath, MathBackend};
 use pim_serve::{
-    AdmissionPolicy, BatchExecution, FaultToleranceConfig, HealthState, Priority, ReplicaSet,
-    ReplicaSetConfig, Request, RetryBudget, RoutingPolicy, ServeConfig, ServeError, SloConfig,
-    SubmitError,
+    AdmissionPolicy, FaultToleranceConfig, HealthState, Priority, ReplicaSet, ReplicaSetConfig,
+    Request, RetryBudget, RoutingPolicy, ServeConfig, ServeError, SloConfig, SubmitError,
 };
 use pim_store::{ModelWriter, SharedArtifact};
 use pim_tensor::Tensor;
@@ -35,7 +34,6 @@ fn serve_cfg() -> ServeConfig {
         max_wait: Duration::ZERO,
         queue_capacity: 64,
         workers: 1,
-        execution: BatchExecution::Arena,
         admission: AdmissionPolicy::QueueBound,
     }
 }

@@ -7,9 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
-use pim_serve::{
-    BatchExecution, ModelRegistry, Request, Response, ServeConfig, ServedModel, Server, SubmitError,
-};
+use pim_serve::{ModelRegistry, Request, Response, ServeConfig, ServedModel, Server, SubmitError};
 use pim_store::ModelWriter;
 use pim_tensor::Tensor;
 
@@ -39,7 +37,6 @@ fn hot_swap_under_concurrent_load_loses_nothing_and_versions_are_monotone() {
         max_wait: Duration::from_micros(300),
         queue_capacity: 1024,
         workers: 2,
-        execution: BatchExecution::Arena,
         admission: pim_serve::AdmissionPolicy::QueueBound,
     };
     let server = Server::new(&registry, &ExactMath, cfg).unwrap();
@@ -178,7 +175,6 @@ fn swap_from_artifact_path_mid_window() {
         max_wait: Duration::from_micros(200),
         queue_capacity: 64,
         workers: 1,
-        execution: BatchExecution::Arena,
         admission: pim_serve::AdmissionPolicy::QueueBound,
     };
     let server = Server::new(&registry, &ExactMath, cfg).unwrap();
@@ -262,7 +258,6 @@ fn quantized_artifact_hot_swap_under_load_drops_nothing() {
         max_wait: Duration::from_micros(300),
         queue_capacity: 256,
         workers: 2,
-        execution: BatchExecution::Arena,
         admission: pim_serve::AdmissionPolicy::QueueBound,
     };
     let server = Server::new(&registry, &ExactMath, cfg).unwrap();

@@ -18,8 +18,7 @@ use std::time::Duration;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use pim_serve::{
-    BatchExecution, CacheConfig, ModelRegistry, Request, ServeCache, ServeConfig, ServedModel,
-    Server,
+    CacheConfig, ModelRegistry, Request, ServeCache, ServeConfig, ServedModel, Server,
 };
 use pim_tensor::{QuantDType, Tensor};
 use proptest::prelude::*;
@@ -110,7 +109,6 @@ proptest! {
             max_wait: Duration::ZERO,
             queue_capacity: 16,
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: pim_serve::AdmissionPolicy::QueueBound,
         };
         let server = Server::new(&registry, &ExactMath, cfg)

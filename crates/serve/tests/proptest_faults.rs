@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use capsnet_workloads::chaos::{ChaosBackend, FaultAction, FaultPlan, FaultPoint};
 use pim_serve::{
-    AdmissionPolicy, BatchExecution, FaultToleranceConfig, HealthState, ReplicaSet,
-    ReplicaSetConfig, ReplicaSetHandle, Request, RoutingPolicy, ServeConfig,
+    AdmissionPolicy, FaultToleranceConfig, HealthState, ReplicaSet, ReplicaSetConfig,
+    ReplicaSetHandle, Request, RoutingPolicy, ServeConfig,
 };
 use pim_tensor::Tensor;
 use proptest::prelude::*;
@@ -43,7 +43,6 @@ fn pool_cfg(replicas: usize) -> ReplicaSetConfig {
             max_wait: Duration::ZERO,
             queue_capacity: 256,
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: AdmissionPolicy::QueueBound,
         },
         fault: FaultToleranceConfig {

@@ -21,8 +21,7 @@ use std::time::Duration;
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use capsnet_workloads::traffic::request_images;
 use pim_serve::{
-    BatchExecution, ModelRegistry, Request, Response, ServeConfig, ServedModel, Server,
-    SubmitError, Ticket,
+    ModelRegistry, Request, Response, ServeConfig, ServedModel, Server, SubmitError, Ticket,
 };
 use proptest::prelude::*;
 
@@ -218,7 +217,6 @@ proptest! {
             max_wait: Duration::from_micros(wait_us),
             queue_capacity: max_batch.max(6), // small: QueueFull is reachable
             workers,
-            execution: BatchExecution::Arena,
             admission: pim_serve::AdmissionPolicy::QueueBound,
         };
         // Requests wider than max_batch are rejected at submit; keep the
@@ -239,7 +237,6 @@ proptest! {
             max_wait: Duration::from_micros(wait_us),
             queue_capacity: 64, // roomy: concurrent path tests ordering, not rejects
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: pim_serve::AdmissionPolicy::QueueBound,
         };
         let subs: Vec<Sub> = subs.into_iter().map(|mut s| { s.samples = s.samples.min(max_batch); s }).collect();
@@ -262,7 +259,6 @@ proptest! {
             max_wait: Duration::from_millis(50), // long: shutdown must cut it short
             queue_capacity: 64,
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: pim_serve::AdmissionPolicy::QueueBound,
         };
         let registry = ModelRegistry::from_models(models().iter().cloned());

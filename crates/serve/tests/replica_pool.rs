@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use pim_serve::{
-    BatchExecution, ReplicaOutcome, ReplicaSet, ReplicaSetConfig, Request, RolloutConfig,
-    RoutingPolicy, ServeConfig,
+    ReplicaOutcome, ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RoutingPolicy,
+    ServeConfig,
 };
 use pim_store::{ModelWriter, SharedArtifact};
 use pim_tensor::Tensor;
@@ -41,7 +41,6 @@ fn pool_cfg(replicas: usize, policy: RoutingPolicy) -> ReplicaSetConfig {
             max_wait: Duration::from_micros(300),
             queue_capacity: 64,
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: pim_serve::AdmissionPolicy::QueueBound,
         },
         fault: pim_serve::FaultToleranceConfig::default(),

@@ -7,9 +7,8 @@ use std::time::Duration;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath, MathBackend};
 use pim_serve::{
-    AdmissionPolicy, BatchExecution, FaultToleranceConfig, ReplicaOutcome, ReplicaSet,
-    ReplicaSetConfig, Request, RetryBudget, RolloutConfig, RoutingPolicy, ServeConfig, ServeError,
-    SubmitError,
+    AdmissionPolicy, FaultToleranceConfig, ReplicaOutcome, ReplicaSet, ReplicaSetConfig, Request,
+    RetryBudget, RolloutConfig, RoutingPolicy, ServeConfig, ServeError, SubmitError,
 };
 use pim_store::{ModelWriter, SharedArtifact};
 use pim_tensor::Tensor;
@@ -90,7 +89,6 @@ fn canary_against_saturated_replica_fails_typed_not_livelocked() {
             max_wait: Duration::ZERO,
             queue_capacity: 1, // one waiting sample: the burst saturates it
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: AdmissionPolicy::QueueBound,
         },
         fault: FaultToleranceConfig::default(),
@@ -160,7 +158,6 @@ fn failed_reverts_are_recorded_not_silently_dropped() {
             max_wait: Duration::from_micros(300),
             queue_capacity: 64,
             workers: 1,
-            execution: BatchExecution::Arena,
             admission: AdmissionPolicy::QueueBound,
         },
         fault: FaultToleranceConfig::default(),

@@ -80,39 +80,74 @@ pub fn im2col(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor, TensorError> {
 ///
 /// Same conditions as [`im2col`].
 pub fn im2col_into(input: &Tensor, spec: Conv2dSpec, out: &mut Tensor) -> Result<(), TensorError> {
-    let dims = input.shape().dims();
-    if dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: dims.len(),
-        });
+    let geometry = Im2colGeometry::of(input, spec)?;
+    let Im2colGeometry { b, c, oh, ow, .. } = geometry;
+    out.resize_for_overwrite(&[b, oh * ow, c * spec.kernel * spec.kernel]);
+    geometry.unfold(input.as_slice(), spec, out.as_mut_slice());
+    Ok(())
+}
+
+/// Validated extents of one unfold: input `[b, c, h, w]` → `oh × ow`
+/// output pixels.
+#[derive(Clone, Copy)]
+struct Im2colGeometry {
+    b: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Im2colGeometry {
+    fn of(input: &Tensor, spec: Conv2dSpec) -> Result<Self, TensorError> {
+        let dims = input.shape().dims();
+        if dims.len() != 4 {
+            return Err(TensorError::RankMismatch {
+                expected: 4,
+                actual: dims.len(),
+            });
+        }
+        let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let oh = spec.output_dim(h).ok_or_else(|| {
+            TensorError::InvalidConv(format!("kernel {} > height {}", spec.kernel, h))
+        })?;
+        let ow = spec.output_dim(w).ok_or_else(|| {
+            TensorError::InvalidConv(format!("kernel {} > width {}", spec.kernel, w))
+        })?;
+        Ok(Im2colGeometry { b, c, h, w, oh, ow })
     }
-    let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let oh = spec.output_dim(h).ok_or_else(|| {
-        TensorError::InvalidConv(format!("kernel {} > height {}", spec.kernel, h))
-    })?;
-    let ow = spec
-        .output_dim(w)
-        .ok_or_else(|| TensorError::InvalidConv(format!("kernel {} > width {}", spec.kernel, w)))?;
-    let k = spec.kernel;
-    let cols_per_row = c * k * k;
-    out.resize_for(&[b, oh * ow, cols_per_row]);
-    let dst_buf = out.as_mut_slice();
-    let src = input.as_slice();
-    let pad = spec.padding as isize;
-    for bi in 0..b {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row_base = ((bi * oh + oy) * ow + ox) * cols_per_row;
-                for ci in 0..c {
-                    for ky in 0..k {
-                        let iy = (oy * spec.stride + ky) as isize - pad;
-                        for kx in 0..k {
-                            let ix = (ox * spec.stride + kx) as isize - pad;
-                            let dst = row_base + (ci * k + ky) * k + kx;
-                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                dst_buf[dst] =
-                                    src[((bi * c + ci) * h + iy as usize) * w + ix as usize];
+
+    /// Elements of the unfolded `[b, oh·ow, c·k·k]` matrix.
+    fn cols_len(&self, spec: Conv2dSpec) -> usize {
+        self.b * self.oh * self.ow * self.c * spec.kernel * spec.kernel
+    }
+
+    /// Writes the columns into `dst` (`cols_len` elements, contents
+    /// unspecified on entry). Without padding every element is written;
+    /// with padding the out-of-image taps are the zeros filled here first.
+    fn unfold(&self, src: &[f32], spec: Conv2dSpec, dst_buf: &mut [f32]) {
+        let Im2colGeometry { b, c, h, w, oh, ow } = *self;
+        let k = spec.kernel;
+        let cols_per_row = c * k * k;
+        let pad = spec.padding as isize;
+        if spec.padding > 0 {
+            dst_buf.fill(0.0);
+        }
+        for bi in 0..b {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row_base = ((bi * oh + oy) * ow + ox) * cols_per_row;
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            let iy = (oy * spec.stride + ky) as isize - pad;
+                            for kx in 0..k {
+                                let ix = (ox * spec.stride + kx) as isize - pad;
+                                let dst = row_base + (ci * k + ky) * k + kx;
+                                if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                    dst_buf[dst] =
+                                        src[((bi * c + ci) * h + iy as usize) * w + ix as usize];
+                                }
                             }
                         }
                     }
@@ -120,16 +155,34 @@ pub fn im2col_into(input: &Tensor, spec: Conv2dSpec, out: &mut Tensor) -> Result
             }
         }
     }
-    Ok(())
 }
 
 /// Reusable buffers for [`conv2d_pretransposed_into`]: the im2col columns
 /// and the per-batch GEMM output. After warm-up no further heap allocation
 /// occurs for same-or-smaller problem sizes.
+///
+/// The column storage is a slab: a convolution unfolds into a prefix of
+/// it and never shrinks it, so one scratch can serve convolutions of
+/// different geometries back to back.
 #[derive(Debug, Clone, Default)]
 pub struct Conv2dScratch {
     cols: Tensor,
     gemm: Vec<f32>,
+}
+
+impl Conv2dScratch {
+    /// The column slab. It is dead between convolutions, so the scratch's
+    /// owner may lend it to a later stage as a temporary of any shape (the
+    /// capsnet forward arena writes `û` here); the next convolution
+    /// overwrites whatever it finds.
+    pub fn slab_mut(&mut self) -> &mut Tensor {
+        &mut self.cols
+    }
+
+    /// Bytes of heap capacity the scratch holds.
+    pub fn capacity_bytes(&self) -> usize {
+        (self.cols.capacity() + self.gemm.capacity()) * std::mem::size_of::<f32>()
+    }
 }
 
 /// Allocation-free convolution core: same math as [`conv2d`] but the weight
@@ -158,18 +211,12 @@ pub fn conv2d_pretransposed_into(
         });
     }
     let (ckk, out_c) = (wt_dims[0], wt_dims[1]);
-    let in_dims = input.shape().dims();
-    if in_dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: in_dims.len(),
-        });
-    }
-    let in_c = in_dims[1];
-    if ckk != in_c * spec.kernel * spec.kernel {
+    let geometry = Im2colGeometry::of(input, spec)?;
+    let Im2colGeometry { b, c, oh, ow, .. } = geometry;
+    if ckk != c * spec.kernel * spec.kernel {
         return Err(TensorError::InvalidConv(format!(
             "transposed weight rows {ckk} != in_c*k*k = {}",
-            in_c * spec.kernel * spec.kernel
+            c * spec.kernel * spec.kernel
         )));
     }
     if let Some(bs) = bias {
@@ -180,21 +227,17 @@ pub fn conv2d_pretransposed_into(
             )));
         }
     }
-    im2col_into(input, spec, &mut scratch.cols)?;
-    let cols_dims = scratch.cols.shape().dims();
-    let (b, pixels) = (cols_dims[0], cols_dims[1]);
-    let (oh, ow) = {
-        let h = in_dims[2];
-        let w = in_dims[3];
-        // Both are Some: im2col_into just validated them.
-        // LINT-ALLOW(R2): spec.validate() at fn entry already proved both output dims exist
-        (spec.output_dim(h).unwrap(), spec.output_dim(w).unwrap())
-    };
-    out.resize_for(&[b, out_c, oh, ow]);
+    let cols_len = geometry.cols_len(spec);
+    if scratch.cols.len() < cols_len {
+        scratch.cols.resize_for_overwrite(&[cols_len]);
+    }
+    let cols_slice = &mut scratch.cols.as_mut_slice()[..cols_len];
+    geometry.unfold(input.as_slice(), spec, cols_slice);
+    let pixels = oh * ow;
+    out.resize_for_overwrite(&[b, out_c, oh, ow]);
     let out_buf = out.as_mut_slice();
     scratch.gemm.clear();
     scratch.gemm.resize(pixels * out_c, 0.0);
-    let cols_slice = scratch.cols.as_slice();
     for bi in 0..b {
         let col_block = &cols_slice[bi * pixels * ckk..(bi + 1) * pixels * ckk];
         matmul_into(

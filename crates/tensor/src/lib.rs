@@ -34,6 +34,7 @@ pub mod quant;
 mod shape;
 pub mod simd;
 mod tensor;
+mod uhat;
 
 pub use conv::{conv2d, conv2d_pretransposed_into, im2col, im2col_into, Conv2dScratch, Conv2dSpec};
 pub use error::TensorError;
@@ -45,6 +46,7 @@ pub use quant::{
 pub use shape::Shape;
 pub use simd::SimdLevel;
 pub use tensor::{Tensor, TensorBuf};
+pub use uhat::{uhat_project, UhatWeights};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -77,9 +77,53 @@ where
         .collect()
 }
 
+/// Runs `run` over every shard: the first on the calling thread, each
+/// further one on its own `std::thread::scope` worker — so a single shard
+/// spawns nothing. Shards are values (typically disjoint `&mut` windows),
+/// which is what lets callers shard without `unsafe`. A panicking worker
+/// propagates once every shard has finished.
+pub fn for_each_shard<T: Send>(shards: impl IntoIterator<Item = T>, run: impl Fn(T) + Sync) {
+    let mut rest = shards.into_iter().peekable();
+    let Some(first) = rest.next() else {
+        return;
+    };
+    if rest.peek().is_none() {
+        return run(first);
+    }
+    std::thread::scope(|scope| {
+        let run = &run;
+        for shard in rest {
+            scope.spawn(move || run(shard));
+        }
+        run(first);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_shard_visits_every_window_once() {
+        for shards in [0usize, 1, 2, 5] {
+            let mut data = vec![0u32; shards * 3];
+            let caller = std::thread::current().id();
+            let on_caller = std::sync::atomic::AtomicUsize::new(0);
+            for_each_shard(data.chunks_mut(3).enumerate(), |(t, window)| {
+                if std::thread::current().id() == caller {
+                    on_caller.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                window.fill(t as u32 + 1);
+            });
+            let want: Vec<u32> = (0..shards).flat_map(|t| [t as u32 + 1; 3]).collect();
+            assert_eq!(data, want, "shards={shards}");
+            assert_eq!(
+                on_caller.into_inner(),
+                shards.min(1),
+                "one shard runs inline"
+            );
+        }
+    }
 
     #[test]
     fn tiny_work_stays_serial() {

@@ -33,6 +33,16 @@ impl Shape {
         &self.dims
     }
 
+    /// Replaces the extents in place, reusing the allocation: a buffer
+    /// that alternates between geometries of the same (or lower) rank
+    /// never touches the heap.
+    pub(crate) fn set_dims(&mut self, dims: &[usize]) {
+        if self.dims != dims {
+            self.dims.clear();
+            self.dims.extend_from_slice(dims);
+        }
+    }
+
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.dims.len()

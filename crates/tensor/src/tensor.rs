@@ -321,23 +321,39 @@ impl Tensor {
 
     /// Resizes this tensor in place to `dims`, zero-filling the data.
     ///
-    /// Reuses the existing buffer capacity (and, when the dims are
-    /// unchanged, the existing [`Shape`]), so a warm buffer incurs no heap
-    /// allocation. This is the primitive the allocation-free forward arenas
-    /// build on.
+    /// Reuses the existing buffer capacity and the existing [`Shape`]
+    /// allocation, so a warm buffer incurs no heap allocation. This is the
+    /// primitive the allocation-free forward arenas build on.
     pub fn resize_for(&mut self, dims: &[usize]) {
-        if self.shape.dims() != dims {
-            self.shape = Shape::new(dims);
-        }
+        self.resize_for_overwrite(dims);
+        self.as_mut_slice().fill(0.0);
+    }
+
+    /// [`Self::resize_for`] without the zero-fill, for producers that
+    /// write every element: elements the buffer already held keep their
+    /// stale values (only growth is zero-filled), so a warm buffer costs
+    /// neither an allocation nor a pass over memory.
+    pub fn resize_for_overwrite(&mut self, dims: &[usize]) {
+        self.shape.set_dims(dims);
         let volume = self.shape.volume();
         match &mut self.data {
             Storage::Owned(v) => {
-                v.clear();
+                // Exact growth: arena buffers are sized once and kept.
+                v.reserve_exact(volume.saturating_sub(v.len()));
                 v.resize(volume, 0.0);
             }
             // A shared tensor repurposed as a scratch buffer drops its
             // borrow and starts an owned buffer of its own.
             Storage::Shared { .. } => self.data = Storage::Owned(vec![0.0; volume]),
+        }
+    }
+
+    /// Elements the owned buffer can hold without reallocating (0 for
+    /// shared storage, which owns nothing).
+    pub fn capacity(&self) -> usize {
+        match &self.data {
+            Storage::Owned(v) => v.capacity(),
+            Storage::Shared { .. } => 0,
         }
     }
 
@@ -571,6 +587,19 @@ mod tests {
         let mut t = Tensor::from_shared(buf, 0, &[4]).unwrap();
         t.resize_for(&[2, 2]);
         assert!(!t.is_shared());
+        assert_eq!(t.as_slice(), &[0.0; 4]);
+    }
+
+    #[test]
+    fn resize_for_overwrite_keeps_capacity_and_reshapes_in_place() {
+        let mut t = Tensor::full(&[2, 3], 7.0);
+        t.resize_for_overwrite(&[3, 1]);
+        assert_eq!(t.shape().dims(), &[3, 1]);
+        assert_eq!(t.as_slice(), &[7.0; 3], "retained elements are not cleared");
+        t.resize_for_overwrite(&[5]);
+        assert_eq!(t.as_slice(), &[7.0, 7.0, 7.0, 0.0, 0.0], "growth is zeroed");
+        assert_eq!(t.capacity(), 6, "the first allocation is kept");
+        t.resize_for(&[2, 2]);
         assert_eq!(t.as_slice(), &[0.0; 4]);
     }
 

@@ -12,7 +12,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
-use pim_serve::{BatchExecution, ModelRegistry, Request, ServeConfig, Server, Ticket};
+use pim_serve::{ModelRegistry, Request, ServeConfig, Server, Ticket};
 use pim_store::{Layout, MappedModel, ModelWriter, StoreError};
 
 use crate::traffic::request_images;
@@ -67,7 +67,6 @@ pub fn persist_roundtrip(
         max_wait: std::time::Duration::from_micros(500),
         queue_capacity: 256,
         workers: 1,
-        execution: BatchExecution::Auto,
         admission: pim_serve::AdmissionPolicy::QueueBound,
     };
     let server = Server::new(&registry, &ExactMath, cfg)

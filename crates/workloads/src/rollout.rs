@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use pim_serve::{
-    BatchExecution, ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RolloutReport,
-    RoutingPolicy, ServeConfig, SubmitError,
+    ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RolloutReport, RoutingPolicy,
+    ServeConfig, SubmitError,
 };
 use pim_store::{ModelWriter, SharedArtifact, StoreError};
 use pim_tensor::Tensor;
@@ -64,7 +64,6 @@ impl Default for RolloutScenarioConfig {
                 max_wait: Duration::from_micros(300),
                 queue_capacity: 256,
                 workers: 1,
-                execution: BatchExecution::Arena,
                 admission: pim_serve::AdmissionPolicy::QueueBound,
             },
         }

@@ -134,7 +134,6 @@ pub fn soak_serve_config() -> ServeConfig {
         max_wait: Duration::from_micros(200),
         queue_capacity: 1 << 20,
         workers: 1,
-        execution: pim_serve::BatchExecution::Arena,
         admission: AdmissionPolicy::SloAware(SloConfig::default()),
     }
 }
