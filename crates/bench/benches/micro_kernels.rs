@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks: wall-clock performance of the library's hot
-//! paths (exact vs approximate special functions, routing, matmul, address
+//! paths (exact vs approximate special functions, routing, GEMM, û, address
 //! mapping, the phase-level HMC engine).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -10,7 +10,7 @@ use hmc_sim::{AddressMapping, DefaultMapping, HmcConfig, PhaseEngine, PimMapping
 use pim_approx::{fast_div, fast_exp, fast_inv_sqrt};
 use pim_capsnet::distribution::Dimension;
 use pim_capsnet::intra::{build_rp_phases, AddressingMode};
-use pim_tensor::{uhat_project, Tensor, UhatWeights};
+use pim_tensor::{matmul_into, uhat_project, Tensor, UhatWeights};
 
 fn bench_special_funcs(c: &mut Criterion) {
     let mut g = c.benchmark_group("special_funcs");
@@ -85,15 +85,71 @@ fn bench_routing(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_matmul(c: &mut Criterion) {
-    let mut g = c.benchmark_group("matmul");
-    g.sample_size(20);
-    let a = Tensor::uniform(&[128, 128], -1.0, 1.0, 2);
-    let b_ = Tensor::uniform(&[128, 128], -1.0, 1.0, 3);
-    g.bench_function("matmul_128", |bch| {
-        bch.iter(|| black_box(&a).matmul(black_box(&b_)).unwrap())
-    });
-    g.finish();
+/// The GEMM at the serve benchmark's convolution shapes (`m` = batch ×
+/// output pixels, `k` = `C·k·k`, `n` = output channels), at `max_batch` and
+/// at batch 1. Rows run as [`pim_tensor::par::plan_threads`] shards them;
+/// on a multi-core host the table is printed again from a child pinned to
+/// one core by `taskset` (the thread count is cached from the affinity
+/// mask at first use), which is the pair the shared `PAR_MIN_WORK` is
+/// derived from. These are plain `[m, n]` products, which shard between
+/// rows; inside a convolution a batch-1 product is one sample and shards
+/// between column strips instead, so the `stream` batch-1 row (`m` = 9:
+/// an uneven two row blocks against one) reads worse here than there.
+fn bench_gemm(c: &mut Criterion) {
+    let threads = pim_tensor::par::available_threads();
+    println!(
+        "gemm rows: GFLOP/s = 2·m·k·n / time (simd: {}, threads: {threads})",
+        pim_tensor::simd::active_level().name()
+    );
+    let mut measured = false;
+    for (shape, m, k, n) in [
+        ("mnist_primary_b8", 288usize, 20_736usize, 256usize),
+        ("mnist_primary_b1", 36, 20_736, 256),
+        ("mnist_conv1_b8", 3_200, 81, 256),
+        ("mnist_conv1_b1", 400, 81, 256),
+        ("stream_primary_b16", 144, 144, 8_192),
+        ("stream_primary_b1", 9, 144, 8_192),
+        ("rp_heavy_primary_b16", 144, 144, 1_024),
+        ("rp_heavy_primary_b1", 9, 144, 1_024),
+        ("rp_heavy_conv1_b16", 1_024, 25, 16),
+        ("rp_heavy_conv1_b1", 64, 25, 16),
+        ("micro_pool_conv1_b8", 128, 9, 4),
+        ("micro_pool_conv1_b1", 16, 9, 4),
+    ] {
+        // ReLU-sparse rows, as conv1 hands them to the primary convolution.
+        let a = Tensor::uniform(&[m, k], -1.0, 1.0, 2).relu().into_vec();
+        let b_ = Tensor::uniform(&[k, n], -1.0, 1.0, 3).into_vec();
+        let mut out = vec![0.0f32; m * n];
+        let mut g = c.benchmark_group("gemm");
+        g.sample_size(10);
+        g.bench_function(shape, |bch| {
+            bch.iter(|| matmul_into(black_box(&a), black_box(&b_), &mut out, m, k, n))
+        });
+        g.finish();
+        // Nothing is measured in `--test` mode or when filtered out.
+        let Some(ns) = c.take_results().last().map(|r| r.ns_per_iter) else {
+            continue;
+        };
+        measured = true;
+        let flops = 2.0 * (m * k * n) as f64;
+        println!(
+            "gemm/{shape}: {:.3} ms, {:.1} GFLOP/s",
+            ns / 1e6,
+            flops / ns
+        );
+    }
+    if measured && threads > 1 {
+        let pinned = std::env::current_exe().and_then(|exe| {
+            std::process::Command::new("taskset")
+                .args(["-c", "0"])
+                .arg(exe)
+                .args(["--bench", "gemm/"])
+                .status()
+        });
+        if !pinned.is_ok_and(|status| status.success()) {
+            println!("gemm rows on one thread: `taskset -c 0` could not run this bench");
+        }
+    }
 }
 
 /// The û projection (Eq 1) at the two serve-benchmark shapes, so a
@@ -110,7 +166,7 @@ fn bench_uhat_project(c: &mut Criterion) {
     // (name, L, C_L, N = H·C_H)
     for (shape, l, cl, n) in [
         ("stream", 1152usize, 64usize, 992usize),
-        ("rp_heavy", 1152, 8, 496),
+        ("rp_heavy", 1152, 8, 992),
     ] {
         let w = Tensor::uniform(&[l, cl, n], -0.5, 0.5, 4).into_vec();
         for b in [1usize, 16] {
@@ -180,7 +236,7 @@ criterion_group!(
     benches,
     bench_special_funcs,
     bench_routing,
-    bench_matmul,
+    bench_gemm,
     bench_uhat_project,
     bench_addressing,
     bench_phase_engine

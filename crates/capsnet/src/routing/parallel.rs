@@ -250,7 +250,7 @@ mod tests {
     fn dynamic_parallel_matches_serial_bitwise() {
         // Large enough that plan_threads actually shards on multicore hosts
         // (total work exceeds PAR_MIN_WORK).
-        let u = uhat(16, 128, 8, 12, 1);
+        let u = uhat(32, 208, 8, 12, 1);
         let serial = dynamic_routing(&u, 3, false, &ExactMath).unwrap();
         let parallel = dynamic_routing_parallel(&u, 3, &ExactMath).unwrap();
         assert_eq!(serial.v, parallel.v);
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn em_parallel_matches_serial_bitwise() {
-        let u = uhat(16, 96, 6, 8, 2);
+        let u = uhat(32, 144, 6, 8, 2);
         let serial = em_routing(&u, 3, &ExactMath).unwrap();
         let parallel = em_routing_parallel(&u, 3, &ExactMath).unwrap();
         assert_eq!(serial.v, parallel.v);

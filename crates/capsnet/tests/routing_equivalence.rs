@@ -103,7 +103,7 @@ fn warm_scratch_matches_fresh_allocations_bitwise() {
 fn batch_parallel_matches_single_threaded_bitwise() {
     // Big enough to clear the PAR_MIN_WORK gate so sharding really happens
     // on multicore machines.
-    let u = uhat(24, 96, 10, 16, 13);
+    let u = uhat(24, 192, 10, 16, 13);
     for (name, backend) in backends() {
         let serial_dyn = dynamic_routing(&u, 3, false, backend.as_ref()).unwrap();
         let par_dyn = dynamic_routing_parallel(&u, 3, backend.as_ref()).unwrap();
@@ -163,7 +163,7 @@ fn arena_forward_matches_materializing_forward_bitwise() {
 /// the batch) at batch 16.
 fn wide_spec(routing: RoutingAlgorithm, batch_shared: bool) -> CapsNetSpec {
     let mut spec = CapsNetSpec::tiny_for_tests();
-    spec.primary_channels = 16;
+    spec.primary_channels = 64;
     spec.cl_dim = 8;
     spec.h_caps = 10;
     spec.ch_dim = 16;
@@ -281,4 +281,43 @@ fn mnist_arena_shares_the_im2col_slab_with_u_hat() {
         arena.capacity_bytes(),
         budget
     );
+}
+
+#[test]
+fn mnist_batch_rows_match_batch_one_passes_bitwise() {
+    // Each convolution is one GEMM over every sample's pixels, so a
+    // register block can hold rows of two samples and a shard boundary can
+    // fall anywhere between samples: a sample's row of the batch-8 output
+    // must not depend on where in the batch it sits.
+    let mut spec = CapsNetSpec::mnist();
+    spec.batch_shared_routing = false;
+    let net = CapsNet::seeded(&spec, 1).unwrap();
+    let batch = 8;
+    let images = Tensor::uniform(&[batch, 1, 28, 28], 0.0, 1.0, 4);
+    let mut arena = ForwardArena::new();
+    let view = net.forward_with(&images, &ExactMath, &mut arena).unwrap();
+    let (caps, coeff) = (
+        view.class_capsules().to_vec(),
+        view.routing_coefficients().to_vec(),
+    );
+    let (h, c) = (caps.len() / batch, coeff.len() / batch);
+    for k in 0..batch {
+        let one = Tensor::from_vec(
+            images.as_slice()[k * 784..(k + 1) * 784].to_vec(),
+            &[1, 1, 28, 28],
+        )
+        .unwrap();
+        let alone = net.forward_with(&one, &ExactMath, &mut arena).unwrap();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(alone.class_capsules()),
+            bits(&caps[k * h..(k + 1) * h]),
+            "capsules of sample {k}"
+        );
+        assert_eq!(
+            bits(alone.routing_coefficients()),
+            bits(&coeff[k * c..(k + 1) * c]),
+            "coefficients of sample {k}"
+        );
+    }
 }

@@ -4,10 +4,12 @@
 //! [`criterion_group!`] / [`criterion_main!`], [`Criterion::benchmark_group`],
 //! `bench_function`, `sample_size`, [`black_box`] — with a simple
 //! calibrate-then-sample measurement loop. Reported numbers are median
-//! ns/iter over the collected samples. Two extras beyond the real crate:
+//! ns/iter over the collected samples. Beyond that surface:
 //!
 //! * passing `--test` (as `cargo test` does for benches) runs each closure
 //!   once and skips measurement entirely;
+//! * the first positional argument is the real crate's `FILTER`: only ids
+//!   containing it run;
 //! * [`Criterion::take_results`] exposes the measurements programmatically
 //!   so harnesses (e.g. `suite_summary`) can persist machine-readable JSON.
 
@@ -48,6 +50,9 @@ impl Bencher {
 /// The benchmark harness context.
 pub struct Criterion {
     test_mode: bool,
+    /// Substring a benchmark id must contain to run (the real crate's
+    /// positional `FILTER` argument).
+    filter: Option<String>,
     default_sample_size: usize,
     results: Vec<BenchResult>,
 }
@@ -58,6 +63,7 @@ impl Default for Criterion {
             || std::env::var_os("CRITERION_TEST_MODE").is_some();
         Criterion {
             test_mode,
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
             default_sample_size: 10,
             results: Vec::new(),
         }
@@ -87,6 +93,13 @@ impl Criterion {
     }
 
     fn run_one<F: FnMut(&mut Bencher)>(&mut self, id: String, sample_size: usize, mut f: F) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|filter| !id.contains(filter))
+        {
+            return;
+        }
         if self.test_mode {
             let mut b = Bencher {
                 iters: 1,
@@ -186,6 +199,7 @@ mod tests {
     fn measures_something_positive() {
         let mut c = Criterion {
             test_mode: false,
+            filter: None,
             default_sample_size: 3,
             results: Vec::new(),
         };
@@ -204,11 +218,13 @@ mod tests {
     fn test_mode_skips_measurement() {
         let mut c = Criterion {
             test_mode: true,
+            filter: Some("qui".to_string()),
             default_sample_size: 10,
             results: Vec::new(),
         };
         let mut ran = 0u32;
         c.bench_function("quick", |b| b.iter(|| ran += 1));
+        c.bench_function("filtered out", |b| b.iter(|| ran += 1));
         assert_eq!(ran, 1);
         assert!(c.take_results().is_empty());
     }

@@ -1126,7 +1126,7 @@ mod tests {
         // (over L) and the routing (over samples) when the host has ≥ 2
         // threads; on one thread the same gate runs serially.
         let mut spec = CapsNetSpec::tiny_for_tests();
-        spec.primary_channels = 16;
+        spec.primary_channels = 64;
         spec.cl_dim = 8;
         spec.h_caps = 10;
         spec.ch_dim = 16;

@@ -1,8 +1,9 @@
-//! 2D convolution via im2col + GEMM, the same lowering CuDNN-era GPU kernels
-//! use for CapsNet's Conv and PrimaryCaps layers.
+//! 2D convolution as im2col + one GEMM over all `batch · out_h · out_w` rows
+//! (the lowering CuDNN-era GPU kernels use for CapsNet's Conv and PrimaryCaps
+//! layers), whose store writes `[batch, out_c, out_h, out_w]` directly.
 
 use crate::error::TensorError;
-use crate::matmul::matmul_into;
+use crate::matmul::Gemm;
 use crate::tensor::Tensor;
 
 /// Static description of a 2D convolution.
@@ -126,30 +127,28 @@ impl Im2colGeometry {
     /// Writes the columns into `dst` (`cols_len` elements, contents
     /// unspecified on entry). Without padding every element is written;
     /// with padding the out-of-image taps are the zeros filled here first.
-    fn unfold(&self, src: &[f32], spec: Conv2dSpec, dst_buf: &mut [f32]) {
-        let Im2colGeometry { b, c, h, w, oh, ow } = *self;
-        let k = spec.kernel;
-        let cols_per_row = c * k * k;
-        let pad = spec.padding as isize;
-        if spec.padding > 0 {
-            dst_buf.fill(0.0);
+    /// Each kernel row is one copy of its in-image run of up to `k` taps.
+    fn unfold(&self, src: &[f32], spec: Conv2dSpec, dst: &mut [f32]) {
+        let Im2colGeometry {
+            c, h, w, oh, ow, ..
+        } = *self;
+        let (k, pad) = (spec.kernel, spec.padding);
+        if pad > 0 {
+            dst.fill(0.0);
         }
-        for bi in 0..b {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row_base = ((bi * oh + oy) * ow + ox) * cols_per_row;
-                    for ci in 0..c {
-                        for ky in 0..k {
-                            let iy = (oy * spec.stride + ky) as isize - pad;
-                            for kx in 0..k {
-                                let ix = (ox * spec.stride + kx) as isize - pad;
-                                let dst = row_base + (ci * k + ky) * k + kx;
-                                if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                    dst_buf[dst] =
-                                        src[((bi * c + ci) * h + iy as usize) * w + ix as usize];
-                                }
-                            }
-                        }
+        let rows = dst.chunks_exact_mut((c * k * k).max(1));
+        for (pixel, row) in rows.enumerate() {
+            let (bi, oy, ox) = (pixel / (oh * ow), pixel / ow % oh, pixel % ow);
+            // Tap `kx` reads input column `x0 + kx - pad`: in the image for
+            // `kx` in `lo..hi`.
+            let x0 = ox * spec.stride;
+            let (lo, hi) = (pad.saturating_sub(x0), k.min((w + pad).saturating_sub(x0)));
+            for (ci, plane) in row.chunks_exact_mut(k * k).enumerate() {
+                for (ky, taps) in plane.chunks_exact_mut(k).enumerate() {
+                    let iy = oy * spec.stride + ky;
+                    if lo < hi && (pad..h + pad).contains(&iy) {
+                        let from = ((bi * c + ci) * h + iy - pad) * w + x0 + lo - pad;
+                        taps[lo..hi].copy_from_slice(&src[from..from + hi - lo]);
                     }
                 }
             }
@@ -157,9 +156,9 @@ impl Im2colGeometry {
     }
 }
 
-/// Reusable buffers for [`conv2d_pretransposed_into`]: the im2col columns
-/// and the per-batch GEMM output. After warm-up no further heap allocation
-/// occurs for same-or-smaller problem sizes.
+/// Reusable buffer for [`conv2d_pretransposed_into`]: the im2col columns.
+/// After warm-up no further heap allocation occurs for same-or-smaller
+/// problem sizes.
 ///
 /// The column storage is a slab: a convolution unfolds into a prefix of
 /// it and never shrinks it, so one scratch can serve convolutions of
@@ -167,7 +166,6 @@ impl Im2colGeometry {
 #[derive(Debug, Clone, Default)]
 pub struct Conv2dScratch {
     cols: Tensor,
-    gemm: Vec<f32>,
 }
 
 impl Conv2dScratch {
@@ -181,7 +179,7 @@ impl Conv2dScratch {
 
     /// Bytes of heap capacity the scratch holds.
     pub fn capacity_bytes(&self) -> usize {
-        (self.cols.capacity() + self.gemm.capacity()) * std::mem::size_of::<f32>()
+        self.cols.capacity() * std::mem::size_of::<f32>()
     }
 }
 
@@ -233,29 +231,17 @@ pub fn conv2d_pretransposed_into(
     }
     let cols_slice = &mut scratch.cols.as_mut_slice()[..cols_len];
     geometry.unfold(input.as_slice(), spec, cols_slice);
-    let pixels = oh * ow;
+    // One GEMM over all `b·oh·ow` rows; its store writes `[b, out_c,
+    // oh, ow]` directly and adds the bias.
     out.resize_for_overwrite(&[b, out_c, oh, ow]);
-    let out_buf = out.as_mut_slice();
-    scratch.gemm.clear();
-    scratch.gemm.resize(pixels * out_c, 0.0);
-    for bi in 0..b {
-        let col_block = &cols_slice[bi * pixels * ckk..(bi + 1) * pixels * ckk];
-        matmul_into(
-            col_block,
-            weight_t.as_slice(),
-            &mut scratch.gemm,
-            pixels,
-            ckk,
-            out_c,
-        );
-        // gemm is [oh*ow, out_c]; transpose into [out_c, oh, ow].
-        for p in 0..pixels {
-            for oc in 0..out_c {
-                let v = scratch.gemm[p * out_c + oc] + bias.map_or(0.0, |bsx| bsx.as_slice()[oc]);
-                out_buf[((bi * out_c + oc) * pixels) + p] = v;
-            }
-        }
-    }
+    let product = Gemm {
+        a: cols_slice,
+        b: weight_t.as_slice(),
+        bias: bias.map(Tensor::as_slice),
+        dims: (b * oh * ow, ckk, out_c),
+        pixels: oh * ow,
+    };
+    product.run(out.as_mut_slice());
     Ok(())
 }
 
@@ -299,17 +285,8 @@ pub fn conv2d(
             spec.kernel
         )));
     }
-    if let Some(bs) = bias {
-        if bs.len() != out_c {
-            return Err(TensorError::InvalidConv(format!(
-                "bias length {} != out channels {out_c}",
-                bs.len()
-            )));
-        }
-    }
     let ckk = in_c * k * k;
-    // GEMM per batch item: cols [oh*ow, ckk] x weight^T [ckk, out_c].
-    // Pre-transpose the weight once.
+    // cols [b·oh·ow, ckk] x weight^T [ckk, out_c]; the bias is checked there.
     let wt = weight.reshape(&[out_c, ckk])?.transpose()?; // [ckk, out_c]
     let mut out = Tensor::zeros(&[0]);
     let mut scratch = Conv2dScratch::default();
@@ -415,6 +392,66 @@ mod tests {
         assert_eq!(fast.shape().dims(), &[1, 3, 5, 5]);
         for (a, b) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((a - b).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn one_gemm_over_all_samples_matches_naive_on_a_warm_scratch() {
+        // Output pixels per sample: 36 (row blocks tile a sample), 9 (they
+        // straddle samples), 1 (every row is a sample), 9 with padding.
+        // The largest geometry runs first and the slab is poisoned between
+        // runs, as when the arena lends it to û: nothing stale may reach the
+        // fused store, and padded taps must be re-zeroed.
+        let mut scratch = Conv2dScratch::default();
+        let mut out = Tensor::zeros(&[0]);
+        for (seed, &(b, c, hw, oc, k, stride, pad)) in [
+            (8usize, 3usize, 8usize, 20usize, 3usize, 1usize, 0usize),
+            (3, 4, 7, 33, 3, 2, 0),
+            (5, 2, 3, 17, 3, 1, 0),
+            (2, 2, 5, 6, 3, 2, 1),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let seed = 10 * seed as u64;
+            let input = Tensor::uniform(&[b, c, hw, hw], -1.0, 1.0, seed);
+            let weight = Tensor::uniform(&[oc, c, k, k], -0.5, 0.5, seed + 1);
+            let bias = Tensor::uniform(&[oc], -0.1, 0.1, seed + 2);
+            let spec = Conv2dSpec::new(k, stride, pad);
+            let wt = weight
+                .reshape(&[oc, c * k * k])
+                .unwrap()
+                .transpose()
+                .unwrap();
+            scratch.slab_mut().as_mut_slice().fill(f32::NAN);
+            conv2d_pretransposed_into(&input, &wt, Some(&bias), spec, &mut out, &mut scratch)
+                .unwrap();
+            let slow = conv2d_naive(&input, &weight, Some(&bias), spec);
+            assert_eq!(out.shape(), slow.shape());
+            for (a, b) in out.as_slice().iter().zip(slow.as_slice()) {
+                assert!((a - b).abs() < 1e-4, "geometry {seed}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_batch_is_an_empty_output() {
+        let weight = Tensor::uniform(&[4, 3, 3, 3], -0.5, 0.5, 2);
+        let bias = Tensor::uniform(&[4], -0.1, 0.1, 3);
+        let spec = Conv2dSpec::new(3, 1, 0);
+        let out = conv2d(&Tensor::zeros(&[0, 3, 8, 8]), &weight, Some(&bias), spec).unwrap();
+        assert_eq!(out.shape().dims(), &[0, 4, 6, 6]);
+    }
+
+    #[test]
+    fn no_input_channels_is_the_bias() {
+        let bias = Tensor::uniform(&[3], -0.1, 0.1, 3);
+        let spec = Conv2dSpec::new(3, 1, 0);
+        let input = Tensor::zeros(&[2, 0, 4, 4]);
+        let out = conv2d(&input, &Tensor::zeros(&[3, 0, 3, 3]), Some(&bias), spec).unwrap();
+        assert_eq!(out.shape().dims(), &[2, 3, 2, 2]);
+        for (i, v) in out.as_slice().iter().enumerate() {
+            assert_eq!(*v, bias.as_slice()[i / 4 % 3]);
         }
     }
 

@@ -34,6 +34,7 @@ pub mod quant;
 mod shape;
 pub mod simd;
 mod tensor;
+mod tile;
 mod uhat;
 
 pub use conv::{conv2d, conv2d_pretransposed_into, im2col, im2col_into, Conv2dScratch, Conv2dSpec};

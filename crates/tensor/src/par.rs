@@ -1,16 +1,17 @@
 //! Shared work-splitting heuristics for the threaded kernels.
 //!
-//! The matmul kernel and the capsnet batch-parallel routing driver both
+//! The GEMM, the û projection and the capsnet batch-parallel routing driver
 //! shard independent work items across `std::thread::scope` workers; this
 //! module centralizes the "is threading worth it?" decision so every
 //! consumer amortizes spawn cost the same way.
 
 /// Minimum total work (in multiply-add-equivalents) before threads are
-/// worth spawning at all.
-pub const PAR_MIN_WORK: usize = 1 << 20;
-
-/// Rows-per-GEMM threshold below which the matmul stays serial.
-pub const PAR_MIN_ROWS: usize = 64;
+/// worth spawning at all. Derived from two measurements on the 2-core
+/// reference host: a scoped spawn and join costs ~75 µs (median of 200) and
+/// the register tile retires ~25 G multiply-adds/s on one thread, so two
+/// shards beat one thread once a job is above 2 × 75 µs × 25 G/s ≈ 3.75 M
+/// multiply-adds.
+pub const PAR_MIN_WORK: usize = 1 << 22;
 
 /// Number of worker threads the machine offers (1 when unknown).
 ///

@@ -33,11 +33,8 @@ use std::ops::Range;
 use crate::par::{for_each_shard, plan_threads};
 use crate::quant::{f16_to_f32, QuantDType, QuantTensor};
 use crate::simd::{self, SimdLevel};
+use crate::tile::{self, F32Strip, Lhs, Strip, ROWS, STRIP};
 
-/// Columns per strip: two 8-lane vectors.
-const STRIP: usize = 16;
-/// Batch rows per register block.
-const ROWS: usize = 4;
 /// Columns between a strip and the one its first row block prefetches.
 #[cfg(target_arch = "x86_64")]
 const LOOKAHEAD: usize = 4 * STRIP;
@@ -138,7 +135,10 @@ fn project_shard(
             n,
         };
         match w {
-            UhatWeights::F32(w) => project_capsule(&F32Strip(&w[block]), u, rows, at, level),
+            // The `f32` step is unfused: multiply, round, then add.
+            UhatWeights::F32(w) => {
+                project_capsule(&F32Strip::<false>(&w[block]), u, rows, at, level)
+            }
             UhatWeights::Quant(q) => {
                 let bytes = q.bytes();
                 match q.dtype() {
@@ -174,57 +174,6 @@ struct Capsule {
     out_off: usize,
     cl: usize,
     n: usize,
-}
-
-/// One capsule's `[C_L, N]` weight block, read as `f32`.
-trait Strip {
-    /// `true`: accumulate with one fused multiply-add (the quantized `axpy`
-    /// step); `false`: multiply, round, then add (the `f32` step).
-    const FUSED: bool;
-    /// `true` when [`Self::load8`] needs F16C on top of AVX2.
-    const F16C: bool = false;
-
-    /// Weight `idx` of the block.
-    fn at(&self, idx: usize) -> f32;
-
-    /// Weights `idx..idx + 8` of the block.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (and F16C for the fp16 strip) and `idx + 8` within
-    /// the block.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn load8(&self, idx: usize) -> std::arch::x86_64::__m256;
-
-    /// Address of weight `idx` for a prefetch hint. `idx` may lie past the
-    /// block (the next capsule's block follows it in `W`), so the pointer
-    /// is formed with wrapping arithmetic and must never be dereferenced.
-    fn hint(&self, idx: usize) -> *const i8;
-}
-
-struct F32Strip<'a>(&'a [f32]);
-
-impl Strip for F32Strip<'_> {
-    const FUSED: bool = false;
-
-    #[inline(always)]
-    fn at(&self, idx: usize) -> f32 {
-        self.0[idx]
-    }
-
-    // SAFETY: the trait contract — AVX2, `idx + 8` within the block.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn load8(&self, idx: usize) -> std::arch::x86_64::__m256 {
-        debug_assert!(idx + 8 <= self.0.len());
-        // SAFETY: the caller keeps `idx + 8` inside the block.
-        unsafe { std::arch::x86_64::_mm256_loadu_ps(self.0.as_ptr().add(idx)) }
-    }
-
-    #[inline(always)]
-    fn hint(&self, idx: usize) -> *const i8 {
-        self.0.as_ptr().wrapping_add(idx).cast()
-    }
 }
 
 struct I8Strip<'a> {
@@ -294,16 +243,6 @@ impl Strip for F16Strip<'_> {
     #[inline(always)]
     fn hint(&self, idx: usize) -> *const i8 {
         self.0.as_ptr().wrapping_add(2 * idx).cast()
-    }
-}
-
-/// One accumulation step of the arithmetic contract.
-#[inline(always)]
-fn step<S: Strip>(acc: f32, u: f32, w: f32) -> f32 {
-    if S::FUSED {
-        u.mul_add(w, acc)
-    } else {
-        acc + u * w
     }
 }
 
@@ -399,7 +338,8 @@ unsafe fn capsule_vector<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f32]]
     capsule_tiles(strip, u, rows, at, full);
 }
 
-/// `R` rows × 16 columns in `2·R` vector accumulators held across `d`.
+/// `R` rows × 16 columns: the shared tile from zero across the whole
+/// `d = 0..C_L` reduction, stored once.
 ///
 /// # Safety
 ///
@@ -417,34 +357,19 @@ unsafe fn tile_vector<S: Strip, const R: usize>(
     hint: Option<usize>,
 ) {
     use std::arch::x86_64::*;
-    let Capsule { cl, n, .. } = at;
-    debug_assert!(j + STRIP <= n && r0 + R <= rows.len());
-    debug_assert!((r0 + R - 1) * at.u_stride + at.u_off + cl <= u.len());
+    debug_assert!(j + STRIP <= at.n && r0 + R <= rows.len());
+    let lhs = Lhs {
+        data: u,
+        off: r0 * at.u_stride + at.u_off,
+        stride: at.u_stride,
+    };
     // SAFETY: `project` asserted `u` is [B, L, C_L] and `rows` holds B
-    // windows of [caps, N], so for k < B the reads `u[k·u_stride + u_off +
-    // d]` (d < C_L) and the 16-float stores at `rows[k][out_off + j]`
-    // (j + 16 ≤ N) are in bounds; `load8` reads `d·n + j + 16 ≤ C_L·N`
-    // weights of the block.
+    // windows of [caps, N], so for k < B the tile's reads `u[k·u_stride +
+    // u_off + d]` (d < C_L) and the 16-float stores at `rows[k][out_off +
+    // j]` (j + 16 ≤ N) are in bounds, and `C_L·N` is the strip's length.
     unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; R];
-        let u_base = u.as_ptr().add(r0 * at.u_stride + at.u_off);
-        for d in 0..cl {
-            let w0 = strip.load8(d * n + j);
-            let w1 = strip.load8(d * n + j + 8);
-            if let Some(ahead) = hint {
-                _mm_prefetch::<_MM_HINT_T0>(strip.hint(d * n + ahead));
-            }
-            for (r, a) in acc.iter_mut().enumerate() {
-                let uv = _mm256_set1_ps(*u_base.add(r * at.u_stride + d));
-                if S::FUSED {
-                    a[0] = _mm256_fmadd_ps(uv, w0, a[0]);
-                    a[1] = _mm256_fmadd_ps(uv, w1, a[1]);
-                } else {
-                    a[0] = _mm256_add_ps(a[0], _mm256_mul_ps(uv, w0));
-                    a[1] = _mm256_add_ps(a[1], _mm256_mul_ps(uv, w1));
-                }
-            }
-        }
+        let zero = [[_mm256_setzero_ps(); 2]; R];
+        let acc = tile::tile_vector::<S, R>(strip, (at.n, j), lhs, 0..at.cl, hint, zero);
         for (r, a) in acc.iter().enumerate() {
             let dst = rows[r0 + r].as_mut_ptr().add(at.out_off + j);
             _mm256_storeu_ps(dst, a[0]);
@@ -464,24 +389,19 @@ fn capsule_tiles<S: Strip>(
     at: Capsule,
     from: usize,
 ) {
-    let Capsule { cl, n, .. } = at;
+    let n = at.n;
     let mut j = from;
     while j < n {
         let width = STRIP.min(n - j);
         for (r0, block) in rows.chunks_mut(ROWS).enumerate() {
+            let lhs = Lhs {
+                data: u,
+                off: r0 * ROWS * at.u_stride + at.u_off,
+                stride: at.u_stride,
+            };
             let mut acc = [[0.0f32; STRIP]; ROWS];
-            for d in 0..cl {
-                let mut w = [0.0f32; STRIP];
-                for (c, wv) in w[..width].iter_mut().enumerate() {
-                    *wv = strip.at(d * n + j + c);
-                }
-                for (r, a) in acc[..block.len()].iter_mut().enumerate() {
-                    let uv = u[(r0 * ROWS + r) * at.u_stride + at.u_off + d];
-                    for (av, &wv) in a[..width].iter_mut().zip(&w[..width]) {
-                        *av = step::<S>(*av, uv, wv);
-                    }
-                }
-            }
+            let live = &mut acc[..block.len()];
+            tile::tile_scalar(strip, (n, j, width), lhs, 0..at.cl, live);
             for (row, a) in block.iter_mut().zip(&acc) {
                 row[at.out_off + j..at.out_off + j + width].copy_from_slice(&a[..width]);
             }
