@@ -12,9 +12,11 @@
 //! regressions (a lost SIMD path, an allocation sneaking back into the hot
 //! loop) overshoot it by integer factors.
 
+use std::path::Path;
 use std::process::ExitCode;
 
-use pim_bench::jsonlite::{parse, Value};
+use pim_bench::check::{host_summary, load};
+use pim_bench::jsonlite::Value;
 
 /// The strategy the gate watches — the monomorphized shared-coefficient
 /// routing path, which every serving configuration runs through.
@@ -32,26 +34,9 @@ fn ns_per_iter(doc: &Value, name: &str, path: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{path}: no ns_per_iter for {name:?}"))
 }
 
-fn host_summary(doc: &Value) -> String {
-    let host = doc.get("host");
-    let simd = host
-        .and_then(|h| h.get("simd"))
-        .and_then(Value::as_str)
-        .unwrap_or("unknown");
-    let threads = host
-        .and_then(|h| h.get("threads"))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    format!("simd={simd}, threads={threads}")
-}
-
 fn run(baseline_path: &str, fresh_path: &str) -> Result<(), String> {
-    let load = |path: &str| -> Result<Value, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
-    };
-    let baseline = load(baseline_path)?;
-    let fresh = load(fresh_path)?;
+    let baseline = load(Path::new(baseline_path))?;
+    let fresh = load(Path::new(fresh_path))?;
     let base_ns = ns_per_iter(&baseline, GATED, baseline_path)?;
     let fresh_ns = ns_per_iter(&fresh, GATED, fresh_path)?;
     if !(base_ns > 0.0 && base_ns.is_finite()) {

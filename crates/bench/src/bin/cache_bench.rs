@@ -1,24 +1,15 @@
 //! `cache_bench` — content-addressed response cache measurement: one
 //! seeded Zipf-skewed stream (s ≈ 1.0) through the serve tier with the
 //! cache off and again with it on, with the bitwise-equality, hit-rate,
-//! uplift and zero-dropped-tickets gates asserted in-process (CI
-//! regression gate). Emits `bench_results/BENCH_cache.json`.
+//! fast-path-accounting and zero-dropped-tickets gates checked before the
+//! record is written (CI regression gate). Emits
+//! `bench_results/BENCH_cache.json`.
 //!
 //! Usage: `cache_bench [--requests N]` (default 400).
 
 use pim_bench::cache_bench::run_cache_bench;
+use pim_bench::count_arg;
 
 fn main() {
-    let mut requests = 400usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests" => {
-                let value = args.next().expect("--requests needs a value");
-                requests = value.parse().expect("--requests must be a count");
-            }
-            other => panic!("unknown argument {other:?} (try --requests N)"),
-        }
-    }
-    run_cache_bench(requests).report_and_write();
+    run_cache_bench(count_arg("--requests", 400)).report_and_write();
 }

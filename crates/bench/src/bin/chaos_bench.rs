@@ -3,25 +3,16 @@
 //! a scripted fault plan (2 worker panics + 1 stall longer than the
 //! replica timeout + a mid-traffic operator quarantine), with the
 //! zero-dropped-tickets, faults-fired, restart-accounting,
-//! fleet-recovered and clean-replica-p99 gates asserted in-process (CI
-//! regression gate). Emits `bench_results/BENCH_chaos.json`.
+//! fleet-recovered and clean-replica-p99 gates checked before the record
+//! is written (CI regression gate). Emits
+//! `bench_results/BENCH_chaos.json`.
 //!
 //! Usage: `chaos_bench [--requests-per-phase N]` (default 120000, which
 //! keeps the chaos phase over the 100k-request target).
 
 use pim_bench::chaos_bench::run_chaos_bench;
+use pim_bench::count_arg;
 
 fn main() {
-    let mut requests_per_phase = 120_000usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests-per-phase" => {
-                let value = args.next().expect("--requests-per-phase needs a value");
-                requests_per_phase = value.parse().expect("--requests-per-phase must be a count");
-            }
-            other => panic!("unknown argument {other:?} (try --requests-per-phase N)"),
-        }
-    }
-    run_chaos_bench(requests_per_phase).report_and_write();
+    run_chaos_bench(count_arg("--requests-per-phase", 120_000)).report_and_write();
 }

@@ -3,27 +3,17 @@
 //! gate on the quantized reloads, and emits
 //! `bench_results/BENCH_quant.json`.
 //!
-//! Exits non-zero if the accuracy gate fails — the quantized artifacts
-//! must not ship numbers alongside broken classifications.
-
-use std::process::ExitCode;
+//! Exits non-zero, writing nothing, if the accuracy gate fails or a
+//! streaming rate falls under `check_quant`'s bars — the quantized
+//! artifacts must not ship numbers alongside broken classifications.
 
 use pim_bench::quant_bench::{default_gate_benchmark, run_quant_bench};
 
-fn main() -> ExitCode {
+fn main() {
     // Enough batch-1 requests that each measurement streams the caps
     // weights for a second or more, keeping the samples/s stable.
     const REQUESTS: usize = 24;
 
-    let gate_benchmark = default_gate_benchmark();
-    let result = run_quant_bench(REQUESTS, &gate_benchmark);
-    result.report_and_write();
-
-    let inputs = result.to_inputs();
-    if !inputs.gate_passed {
-        eprintln!("[quant_bench] accuracy gate FAILED — see BENCH_quant.json rows");
-        return ExitCode::FAILURE;
-    }
+    run_quant_bench(REQUESTS, &default_gate_benchmark()).report_and_write();
     println!("[quant_bench] accuracy gate passed");
-    ExitCode::SUCCESS
 }

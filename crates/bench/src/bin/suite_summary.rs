@@ -1,8 +1,8 @@
 //! Prints the whole-suite comparison of every design variant — a compact
 //! version of Figs 15–17 for quick inspection — then measures the routing
-//! engine's execution strategies and the `pim-serve` batched scheduler,
-//! writing `BENCH_routing.json` and `BENCH_serve.json` so future changes
-//! have a perf trajectory to compare against.
+//! engine's execution strategies, writing `BENCH_routing.json` so future
+//! changes have a perf trajectory to compare against. (Serving throughput
+//! is the benchmark's: `bash benchmark/run.sh --workload stream`.)
 //!
 //! ```text
 //! cargo run --release -p pim-bench --bin suite_summary
@@ -15,8 +15,8 @@ use capsnet::routing::{
 };
 use capsnet::{ExactMath, MathBackend, RoutingScratch};
 use capsnet_workloads::report::{mean, Table};
+use pim_bench::check::check_routing;
 use pim_bench::emit::{routing_json, write_json_artifact, BenchHost, RoutingMeasurement};
-use pim_bench::serve_bench::run_serve_bench;
 use pim_bench::{f2, pct, BenchContext};
 use pim_capsnet::DesignVariant;
 use pim_tensor::Tensor;
@@ -57,7 +57,6 @@ fn main() {
     );
 
     write_routing_benchmarks();
-    write_serve_benchmarks();
 }
 
 /// Times `f` with a calibrated batch size (total per sample >= ~2 ms).
@@ -178,13 +177,9 @@ fn write_routing_benchmarks() {
             m.baseline
         );
     }
-    write_json_artifact("BENCH_routing.json", &routing_json(&host, &measurements));
-}
-
-/// Measures the batched serving layer on a reduced request count (the
-/// standalone `serve_throughput` bench runs the full-size version) and
-/// writes `BENCH_serve.json`.
-fn write_serve_benchmarks() {
-    println!("\n=== pim-serve — batched scheduling vs per-request forward ===");
-    run_serve_bench(48).report_and_write();
+    write_json_artifact(
+        "BENCH_routing.json",
+        &routing_json(&host, &measurements),
+        check_routing,
+    );
 }

@@ -2,9 +2,13 @@
 //! (`bench_results/BENCH_*.json`).
 //!
 //! The JSON strings are assembled here — not inline in the bench binaries —
-//! so the golden-file tests can pin their schema without re-running the
-//! measurements.
+//! so the checkers in [`crate::check`] can be run on a synthetic document
+//! without re-running the measurements.
 
+use capsnet_workloads::drive::Ledger;
+
+use crate::check::Verdict;
+use crate::jsonlite::Value;
 use crate::results_dir;
 
 /// One measured routing configuration (see the `suite_summary` binary).
@@ -247,20 +251,50 @@ pub fn quant_json(host: &BenchHost, inputs: &QuantBenchInputs) -> String {
     json
 }
 
-/// Writes a JSON artifact into the results directory, logging the outcome.
-pub fn write_json_artifact(file_name: &str, json: &str) {
+/// One [`Ledger`] as every serve gate records it: each bucket of the
+/// reconciliation identity (`shed` per tier, high to low), and whether it
+/// held.
+pub fn ledger_json(ledger: &Ledger) -> String {
+    format!(
+        concat!(
+            "{{\"submitted\": {}, \"completed\": {}, \"failed_forward\": {}, ",
+            "\"deadline_exceeded\": {}, \"replica_timeout\": {}, \"other_failed\": {}, ",
+            "\"shed\": {:?}, \"rejected_full\": {}, \"rejected_quota\": {}, ",
+            "\"rejected_unresponsive\": {}, \"rejected_shutdown\": {}, \"reconciled\": {}}}",
+        ),
+        ledger.submitted,
+        ledger.completed,
+        ledger.failed_forward,
+        ledger.deadline_exceeded,
+        ledger.replica_timeout,
+        ledger.other_failed,
+        ledger.shed,
+        ledger.rejected_full,
+        ledger.rejected_quota,
+        ledger.rejected_unresponsive,
+        ledger.rejected_shutdown,
+        ledger.reconciles(),
+    )
+}
+
+/// Writes a JSON artifact into the results directory — after running its
+/// checker on it, so a record its own golden test would reject is never
+/// written and the recording binary exits non-zero instead.
+///
+/// # Panics
+///
+/// Panics when `check` rejects the document.
+pub fn write_json_artifact(file_name: &str, json: &str, check: fn(&Value) -> Verdict) {
+    let verdict = crate::jsonlite::parse(json).and_then(|doc| check(&doc));
+    if let Err(why) = verdict {
+        panic!("refusing to write {file_name}: {why}\n{json}");
+    }
     let dir = results_dir();
     let path = dir.join(file_name);
     match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
         Ok(()) => println!("[json] {}", path.display()),
         Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
     }
-}
-
-/// Renders a `u64` histogram as a JSON array.
-pub fn histogram_json(hist: &[u64]) -> String {
-    let cells: Vec<String> = hist.iter().map(|c| c.to_string()).collect();
-    format!("[{}]", cells.join(", "))
 }
 
 #[cfg(test)]
@@ -300,16 +334,57 @@ mod tests {
         );
     }
 
+    /// The streaming-rate bars `check_quant` applies until the convert
+    /// leaves the strip loader's inner loop: both dtypes >= 1.6x f32, int8
+    /// no more than 5% behind fp16.
+    #[test]
+    fn quant_rate_bars_follow_what_the_kernels_support() {
+        let verdict = |int8_sps: f64, fp16_sps: f64| {
+            let row = |dtype, artifact_bytes, samples_per_s| QuantDtypeRow {
+                dtype,
+                artifact_bytes,
+                samples_per_s,
+                max_norm_divergence: 0.0,
+            };
+            let gate = |dtype| QuantGateRow {
+                dtype,
+                agreement: 1.0,
+                max_norm_divergence: 1e-3,
+                f32_accuracy: 0.99,
+                quant_accuracy: 0.99,
+                verdict: "pass",
+            };
+            let inputs = QuantBenchInputs {
+                model: "Caps-Serve-Stream".into(),
+                caps_weight_bytes: 292 << 20,
+                requests: 24,
+                dtypes: vec![
+                    row("f32", 297 << 20, 100.0),
+                    row("int8", 75 << 20, int8_sps),
+                    row("fp16", 149 << 20, fp16_sps),
+                ],
+                gate_benchmark: "Caps-MN1".into(),
+                gate_samples: 60,
+                gate: vec![gate("int8"), gate("fp16")],
+                gate_passed: true,
+            };
+            let host = BenchHost {
+                simd: "avx2+fma",
+                threads: 2,
+            };
+            crate::check::check_quant(&crate::jsonlite::parse(&quant_json(&host, &inputs)).unwrap())
+        };
+        assert_eq!(verdict(199.0, 177.0), Ok(()), "this host, fresh");
+        assert_eq!(verdict(192.0, 194.0), Ok(()), "PR 13's record");
+        assert!(verdict(155.0, 177.0).is_err(), "int8 under 1.6x");
+        assert!(verdict(199.0, 150.0).is_err(), "fp16 under 1.6x");
+        assert!(verdict(170.0, 195.0).is_err(), "int8 > 5% behind fp16");
+    }
+
     #[test]
     fn detected_host_is_sane() {
         let host = BenchHost::detect();
         assert!(host.threads >= 1);
         assert!(matches!(host.simd, "scalar" | "avx2+fma"));
-    }
-
-    #[test]
-    fn histogram_renders() {
-        assert_eq!(histogram_json(&[0, 2, 5]), "[0, 2, 5]");
-        assert_eq!(histogram_json(&[]), "[]");
     }
 }

@@ -6,11 +6,11 @@
 
 pub mod cache_bench;
 pub mod chaos_bench;
+pub mod check;
 pub mod emit;
 pub mod jsonlite;
 pub mod quant_bench;
 pub mod replica_bench;
-pub mod serve_bench;
 pub mod soak_bench;
 
 use std::path::{Path, PathBuf};
@@ -116,6 +116,68 @@ pub fn csv_path(name: &str) -> PathBuf {
 /// `true` when `p` looks like one of our CSV artifacts.
 pub fn is_csv_artifact(p: &Path) -> bool {
     p.extension().is_some_and(|e| e == "csv")
+}
+
+/// The count following `flag` on the command line, or `default`.
+///
+/// # Panics
+///
+/// Panics on any other argument, a missing value, or a non-count.
+pub fn count_arg(flag: &str, default: usize) -> usize {
+    let mut count = default;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        assert!(arg == flag, "unknown argument {arg:?} (try {flag} N)");
+        let value = args
+            .next()
+            .unwrap_or_else(|| panic!("{flag} needs a value"));
+        count = value
+            .parse()
+            .unwrap_or_else(|_| panic!("{flag} must be a count"));
+    }
+    count
+}
+
+/// Synthetic serve-tier reports for the artifact modules' unit tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use pim_serve::{MetricsReport, Priority, TierReport};
+
+    /// One tier row with `p99` (and proportionate p50/p95).
+    pub fn tier(priority: Priority, requests: u64, shed: u64, p99: u64) -> TierReport {
+        TierReport {
+            priority,
+            requests,
+            cache_hits: 0,
+            shed,
+            p50_us: p99 / 2,
+            p95_us: p99,
+            p99_us: p99,
+        }
+    }
+
+    /// A one-second window that dispatched `requests` single-sample batches.
+    pub fn metrics(requests: u64, cache_hits: u64, tiers: [TierReport; 3]) -> MetricsReport {
+        MetricsReport {
+            requests,
+            samples: requests,
+            batches: requests,
+            cache_hits,
+            rejected_full: 0,
+            rejected_quota: 0,
+            failed_requests: 0,
+            failed_batches: 0,
+            p50_us: 10,
+            p95_us: 20,
+            p99_us: 30,
+            mean_us: 12.0,
+            batch_occupancy: vec![0, requests],
+            elapsed_s: 1.0,
+            tiers,
+            version_counts: Vec::new(),
+            swaps: 0,
+        }
+    }
 }
 
 #[cfg(test)]

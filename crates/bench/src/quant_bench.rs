@@ -18,6 +18,7 @@ use capsnet_workloads::traffic::{request_images, streaming_spec};
 use capsnet_workloads::{benchmarks, Benchmark};
 use pim_tensor::QuantDType;
 
+use crate::check::check_quant;
 use crate::emit::{
     quant_json, write_json_artifact, BenchHost, QuantBenchInputs, QuantDtypeRow, QuantGateRow,
 };
@@ -241,10 +242,16 @@ impl QuantBenchResult {
     }
 
     /// Writes `BENCH_quant.json`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (before writing) when [`check_quant`] rejects the record: a
+    /// failed accuracy row, or a streaming rate under the bars.
     pub fn report_and_write(&self) {
         write_json_artifact(
             "BENCH_quant.json",
             &quant_json(&BenchHost::detect(), &self.to_inputs()),
+            check_quant,
         );
     }
 }

@@ -1,28 +1,28 @@
-//! The replicated-serving measurement: samples/s versus replica count on
-//! the streaming model (all replicas sharing **one** mapped artifact),
-//! shared-versus-owned weight-byte accounting, and the rolling-rollout
-//! scenario's invariants and pause times. Shared by the `replica_scale`
-//! binary and the `BENCH_replica.json` golden schema test.
+//! The replicated-serving gate on the streaming model: shared-versus-owned
+//! weight-byte accounting over a pool whose replicas all wrap **one**
+//! mapped artifact, and the rolling-rollout scenario's invariants and
+//! pause times. Shared by the `replica_scale` binary and the
+//! `BENCH_replica.json` golden test.
+//!
+//! No samples/s-versus-replica-count row: the capsule layer already shards
+//! across this host's two cores, so replicas cannot buy throughput here,
+//! and the one-replica pool rate is the benchmark's `driver.pool_sat_sps`
+//! (`bash benchmark/run.sh --workload micro_pool`). The row returns when a
+//! host can show it.
 
 use std::path::Path;
 
 use capsnet::ExactMath;
 use capsnet_workloads::rollout::{rolling_rollout, RolloutScenarioConfig, RolloutScenarioReport};
-use capsnet_workloads::traffic::{request_images, streaming_spec};
-use pim_serve::{ReplicaSet, ReplicaSetConfig, Request, RoutingPolicy, ServeConfig, SubmitError};
+use capsnet_workloads::traffic::streaming_spec;
+use pim_serve::{ReplicaSet, ReplicaSetConfig, ServeConfig};
 use pim_store::SharedArtifact;
 
-use crate::emit::{write_json_artifact, BenchHost};
+use crate::check::check_replica;
+use crate::emit::{ledger_json, write_json_artifact, BenchHost};
 
-/// Throughput at one fleet size.
-pub struct ReplicaCountMeasurement {
-    /// Replicas serving.
-    pub replicas: usize,
-    /// Fleet throughput, samples per second.
-    pub samples_per_s: f64,
-    /// Requests driven through the fleet.
-    pub requests: usize,
-}
+/// Fleet size the shared-mapping accounting is taken over.
+pub const SHARING_REPLICAS: usize = 4;
 
 /// Where the fleet's weight bytes physically live.
 pub struct SharedBytesAccounting {
@@ -49,65 +49,10 @@ pub struct SharedBytesAccounting {
 
 /// Everything one `replica_scale` run measured.
 pub struct ReplicaBenchResult {
-    /// Throughput per fleet size, ascending replica count.
-    pub scaling: Vec<ReplicaCountMeasurement>,
-    /// Shared-mapping accounting at the largest fleet size.
+    /// Shared-mapping accounting over [`SHARING_REPLICAS`] replicas.
     pub sharing: SharedBytesAccounting,
     /// The rolling-rollout scenario's observations (streaming model).
     pub rollout: RolloutScenarioReport,
-}
-
-/// Per-replica scheduler knobs for the scaling sweep: one worker per
-/// replica, knobs pinned for cross-PR comparability. (Each replica's
-/// capsule layer still shards across the host's cores, so replica count is
-/// not the only parallelism axis on a multi-core host.)
-pub fn scaling_serve_config() -> ServeConfig {
-    ServeConfig {
-        max_batch: 8,
-        max_wait: std::time::Duration::from_millis(2),
-        queue_capacity: 256,
-        workers: 1,
-        admission: pim_serve::AdmissionPolicy::QueueBound,
-    }
-}
-
-/// Drives `requests` single-sample requests through an `n`-replica pool
-/// mapped onto `artifact` and returns the measurement.
-fn measure_fleet(artifact: &SharedArtifact, n: usize, requests: usize) -> ReplicaCountMeasurement {
-    let cfg = ReplicaSetConfig {
-        replicas: n,
-        policy: RoutingPolicy::RoundRobin,
-        serve: scaling_serve_config(),
-        fault: pim_serve::FaultToleranceConfig::default(),
-        cache: None,
-    };
-    let spec = streaming_spec();
-    let set = ReplicaSet::from_shared(spec.name.clone(), artifact, &ExactMath, cfg)
-        .expect("streaming artifact rebuilds");
-    let ((), report) = set.run(|pool| {
-        let tickets: Vec<_> = (0..requests)
-            .map(|i| loop {
-                match pool.submit(Request::new(
-                    i % 4,
-                    0,
-                    request_images(&spec, 1, 0xF1EE7 ^ i as u64),
-                )) {
-                    Ok(t) => break t,
-                    Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
-                    Err(e) => panic!("unexpected reject: {e}"),
-                }
-            })
-            .collect();
-        for t in tickets {
-            t.wait().expect("fleet forward");
-        }
-    });
-    assert_eq!(report.requests as usize, requests);
-    ReplicaCountMeasurement {
-        replicas: n,
-        samples_per_s: report.samples_per_s(),
-        requests,
-    }
 }
 
 /// Takes the shared-bytes accounting over an `n`-replica pool.
@@ -124,10 +69,7 @@ fn account_sharing(
         * std::mem::size_of::<f32>()) as u64;
     let cfg = ReplicaSetConfig {
         replicas: n,
-        policy: RoutingPolicy::RoundRobin,
-        serve: scaling_serve_config(),
-        fault: pim_serve::FaultToleranceConfig::default(),
-        cache: None,
+        ..ReplicaSetConfig::default()
     };
     let set = ReplicaSet::from_shared(spec.name.clone(), artifact, &ExactMath, cfg)
         .expect("streaming artifact rebuilds");
@@ -185,10 +127,10 @@ pub fn bench_rollout_config() -> RolloutScenarioConfig {
     }
 }
 
-/// Runs the full measurement: saves the streaming artifact under `dir`,
-/// sweeps the fleet sizes, accounts the sharing, runs the rollout
-/// scenario, and asserts the scenario's acceptance predicate.
-pub fn run_replica_bench(dir: &Path, counts: &[usize], requests: usize) -> ReplicaBenchResult {
+/// Runs the full gate: saves the streaming artifact under `dir`, accounts
+/// the sharing, and runs the rollout scenario. The bars are applied by
+/// [`check_replica`] when the record is written.
+pub fn run_replica_bench(dir: &Path) -> ReplicaBenchResult {
     let spec = streaming_spec();
     println!("[replica_scale] building + saving {} artifact", spec.name);
     let net = capsnet::CapsNet::seeded(&spec, 42).expect("streaming spec valid");
@@ -199,20 +141,7 @@ pub fn run_replica_bench(dir: &Path, counts: &[usize], requests: usize) -> Repli
     drop(net); // the fleet serves off the mapping, not this copy
     let artifact = SharedArtifact::open(&path).expect("open shared artifact");
 
-    let scaling: Vec<ReplicaCountMeasurement> = counts
-        .iter()
-        .map(|&n| {
-            let m = measure_fleet(&artifact, n, requests);
-            println!(
-                "[replica_scale] {} replica(s): {:>7.2} samples/s ({} requests)",
-                m.replicas, m.samples_per_s, m.requests
-            );
-            m
-        })
-        .collect();
-
-    let max_replicas = counts.iter().copied().max().unwrap_or(1);
-    let sharing = account_sharing(&artifact, save.bytes, max_replicas);
+    let sharing = account_sharing(&artifact, save.bytes, SHARING_REPLICAS);
     println!(
         "[replica_scale] sharing over {} replicas: mapped {} MB once, per-replica shared {} MB / owned {} KB, caps shared: {}",
         sharing.replicas,
@@ -221,127 +150,83 @@ pub fn run_replica_bench(dir: &Path, counts: &[usize], requests: usize) -> Repli
         sharing.per_replica_owned_bytes >> 10,
         sharing.caps_weight_shared,
     );
-    assert!(
-        sharing.caps_weight_shared,
-        "eligible weights must be served zero-copy from the shared mapping"
-    );
-    assert!(
-        (sharing.per_replica_owned_bytes as u64) < sharing.caps_weight_bytes / 1000,
-        "per-replica owned weight bytes ({}) must be negligible next to the caps weight ({})",
-        sharing.per_replica_owned_bytes,
-        sharing.caps_weight_bytes
-    );
 
     println!("[replica_scale] rolling rollout scenario (streaming model, 3 replicas)");
     let rollout = rolling_rollout(&spec, dir, &bench_rollout_config()).expect("rollout scenario");
     println!(
-        "[replica_scale] rollout: {}/{} resolved, monotone: {}, rollback exercised: {}, good max pause {} us",
-        rollout.resolved,
-        rollout.submitted,
+        "[replica_scale] rollout: {}/{} completed, monotone: {}, rollback exercised: {}, good max pause {} us",
+        rollout.ledger.completed,
+        rollout.ledger.submitted,
         rollout.versions_monotone,
         rollout.poisoned_rollout.rolled_back,
         rollout.good_rollout.max_pause_us(),
     );
-    assert!(
-        rollout.holds(),
-        "rollout scenario invariants must hold: {rollout:?}"
-    );
-
-    ReplicaBenchResult {
-        scaling,
-        sharing,
-        rollout,
-    }
+    ReplicaBenchResult { sharing, rollout }
 }
 
 impl ReplicaBenchResult {
-    /// Throughput of the largest fleet relative to one replica.
-    pub fn scaling_max_vs_one(&self) -> f64 {
-        let one = self
-            .scaling
-            .iter()
-            .find(|m| m.replicas == 1)
-            .map(|m| m.samples_per_s)
-            .unwrap_or(f64::NAN);
-        let max = self
-            .scaling
-            .iter()
-            .max_by_key(|m| m.replicas)
-            .map(|m| m.samples_per_s)
-            .unwrap_or(f64::NAN);
-        max / one
-    }
-
     /// Renders `BENCH_replica.json`.
     pub fn to_json(&self, host: &BenchHost) -> String {
-        let spec = streaming_spec();
-        let mut json = format!(
-            "{{\n  \"host\": {{\"simd\": \"{}\", \"threads\": {}}},\n  \"model\": {{\"name\": \"{}\", \"artifact_bytes\": {}, \"caps_weight_bytes\": {}}},\n  \"scaling\": [\n",
-            host.simd,
-            host.threads,
-            spec.name,
-            self.sharing.artifact_bytes,
-            self.sharing.caps_weight_bytes
-        );
-        for (i, m) in self.scaling.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"replicas\": {}, \"samples_per_s\": {:.2}, \"requests\": {}}}{}\n",
-                m.replicas,
-                m.samples_per_s,
-                m.requests,
-                if i + 1 == self.scaling.len() { "" } else { "," }
-            ));
-        }
-        json.push_str(&format!(
+        let (sharing, rollout) = (&self.sharing, &self.rollout);
+        format!(
             concat!(
-                "  ],\n",
-                "  \"scaling_max_vs_one\": {:.4},\n",
+                "{{\n  \"host\": {{\"simd\": \"{}\", \"threads\": {}}},\n",
+                "  \"model\": {{\"name\": \"{}\", \"artifact_bytes\": {}, ",
+                "\"caps_weight_bytes\": {}}},\n",
                 "  \"shared_mapping\": {{\"replicas\": {}, \"mapped_bytes_total\": {}, ",
                 "\"per_replica_shared_bytes\": {}, \"per_replica_owned_bytes\": {}, ",
                 "\"caps_weight_shared\": {}}},\n",
-            ),
-            self.scaling_max_vs_one(),
-            self.sharing.replicas,
-            self.sharing.mapped_bytes_total,
-            self.sharing.per_replica_shared_bytes,
-            self.sharing.per_replica_owned_bytes,
-            self.sharing.caps_weight_shared,
-        ));
-        json.push_str(&format!(
-            concat!(
-                "  \"rollout\": {{\"replicas\": {}, \"submitted\": {}, \"resolved\": {}, ",
-                "\"dropped_tickets\": {}, \"failed_requests\": {}, ",
-                "\"versions_monotone\": {}, \"rollback_exercised\": {}, ",
+                "  \"rollout\": {{\"replicas\": {}, \"ledger\": {}, ",
+                "\"failed_requests\": {}, \"versions_monotone\": {}, ",
+                "\"bitwise_attributed\": {}, \"rollback_exercised\": {}, ",
+                "\"invariants_hold\": {}, ",
                 "\"good_rollout_updated\": {}, \"good_rollout_max_pause_us\": {}, ",
                 "\"poisoned_rollout_max_pause_us\": {}}}\n}}\n",
             ),
-            self.rollout.replicas,
-            self.rollout.submitted,
-            self.rollout.resolved,
-            self.rollout.submitted - self.rollout.resolved,
-            self.rollout.metric_failed_requests,
-            self.rollout.versions_monotone,
-            self.rollout.poisoned_rollout.rolled_back,
-            self.rollout.good_rollout.updated(),
-            self.rollout.good_rollout.max_pause_us(),
-            self.rollout.poisoned_rollout.max_pause_us(),
-        ));
-        json
+            host.simd,
+            host.threads,
+            streaming_spec().name,
+            sharing.artifact_bytes,
+            sharing.caps_weight_bytes,
+            sharing.replicas,
+            sharing.mapped_bytes_total,
+            sharing.per_replica_shared_bytes,
+            sharing.per_replica_owned_bytes,
+            sharing.caps_weight_shared,
+            rollout.replicas,
+            ledger_json(&rollout.ledger),
+            rollout.metric_failed_requests,
+            rollout.versions_monotone,
+            rollout.bitwise_attributed,
+            rollout.poisoned_rollout.rolled_back,
+            rollout.holds(),
+            rollout.good_rollout.updated(),
+            rollout.good_rollout.max_pause_us(),
+            rollout.poisoned_rollout.max_pause_us(),
+        )
     }
 
-    /// Prints the summary and writes `BENCH_replica.json`.
+    /// Writes `BENCH_replica.json`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (before writing) when a bar of [`check_replica`] fails: a
+    /// per-replica copy of the weights, a dropped ticket, a non-monotone
+    /// version stream, an unattributed response, or a rollback that was
+    /// not exercised.
     pub fn report_and_write(&self) {
-        println!(
-            "[replica_scale] scaling max fleet vs one replica: {:.2}x",
-            self.scaling_max_vs_one()
+        write_json_artifact(
+            "BENCH_replica.json",
+            &self.to_json(&BenchHost::detect()),
+            check_replica,
         );
-        write_json_artifact("BENCH_replica.json", &self.to_json(&BenchHost::detect()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capsnet_workloads::drive::Ledger;
     use pim_serve::{ReplicaOutcome, ReplicaRollout, RolloutReport};
 
     fn synthetic_result() -> ReplicaBenchResult {
@@ -354,18 +239,6 @@ mod tests {
             pause_us: 1500,
         };
         ReplicaBenchResult {
-            scaling: vec![
-                ReplicaCountMeasurement {
-                    replicas: 1,
-                    samples_per_s: 25.0,
-                    requests: 48,
-                },
-                ReplicaCountMeasurement {
-                    replicas: 4,
-                    samples_per_s: 80.0,
-                    requests: 48,
-                },
-            ],
             sharing: SharedBytesAccounting {
                 artifact_bytes: 297 << 20,
                 mapped_bytes_total: 297 << 20,
@@ -377,9 +250,11 @@ mod tests {
             },
             rollout: RolloutScenarioReport {
                 replicas: 3,
-                submitted: 36,
-                resolved: 36,
-                failed: 0,
+                ledger: Ledger {
+                    submitted: 36,
+                    completed: 36,
+                    ..Default::default()
+                },
                 versions_monotone: true,
                 bitwise_attributed: true,
                 good_rollout: RolloutReport {
@@ -401,7 +276,6 @@ mod tests {
                     }],
                     rolled_back: true,
                 },
-                samples_per_s: 30.0,
                 metric_failed_requests: 0,
             },
         }
@@ -409,31 +283,30 @@ mod tests {
 
     #[test]
     fn replica_json_schema_is_stable() {
-        let result = synthetic_result();
-        assert!((result.scaling_max_vs_one() - 3.2).abs() < 1e-9);
         let host = BenchHost {
             simd: "avx2+fma",
             threads: 4,
         };
-        let v = crate::jsonlite::parse(&result.to_json(&host)).unwrap();
-        let scaling = v.get("scaling").unwrap().as_array().unwrap();
-        assert_eq!(scaling.len(), 2);
-        assert_eq!(scaling[1].get("replicas").unwrap().as_f64(), Some(4.0));
-        assert_eq!(v.get("scaling_max_vs_one").unwrap().as_f64(), Some(3.2));
-        let sharing = v.get("shared_mapping").unwrap();
-        assert_eq!(
-            sharing.get("caps_weight_shared").unwrap().as_bool(),
-            Some(true)
-        );
-        let rollout = v.get("rollout").unwrap();
-        assert_eq!(rollout.get("dropped_tickets").unwrap().as_f64(), Some(0.0));
-        assert_eq!(
-            rollout.get("rollback_exercised").unwrap().as_bool(),
-            Some(true)
-        );
-        assert_eq!(
-            rollout.get("versions_monotone").unwrap().as_bool(),
-            Some(true)
-        );
+        let verdict = |r: &ReplicaBenchResult| {
+            check_replica(&crate::jsonlite::parse(&r.to_json(&host)).unwrap())
+        };
+        assert_eq!(verdict(&synthetic_result()), Ok(()));
+
+        // Each kept gate fails the record when violated.
+        let mut copied = synthetic_result();
+        copied.sharing.per_replica_owned_bytes = 1 << 20;
+        assert!(verdict(&copied).is_err());
+        let mut dropped = synthetic_result();
+        dropped.rollout.ledger.completed -= 1;
+        assert!(verdict(&dropped).is_err());
+        let mut regressed = synthetic_result();
+        regressed.rollout.versions_monotone = false;
+        assert!(verdict(&regressed).is_err());
+        let mut foreign = synthetic_result();
+        foreign.rollout.bitwise_attributed = false;
+        assert!(verdict(&foreign).is_err());
+        let mut sticky = synthetic_result();
+        sticky.rollout.poisoned_rollout.rolled_back = false;
+        assert!(verdict(&sticky).is_err());
     }
 }

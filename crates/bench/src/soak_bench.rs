@@ -1,11 +1,16 @@
 //! `soak_bench` — the scheduler scale-out soak and its CI gates
 //! (`bench_results/BENCH_soak.json`).
 //!
-//! Measures the host's serving capacity for the micro soak model
-//! closed-loop, then drives three open-loop Poisson phases at **0.8x /
-//! 1.0x / 1.2x** of that capacity over hundreds of tenants, the scheduler
-//! running SLO-aware admission ([`pim_serve::AdmissionPolicy::SloAware`]).
-//! Three invariants are asserted in-process, so the binary doubles as the
+//! Drives three open-loop Poisson phases at **0.8x / 1.0x / 1.2x** of the
+//! capacity the micro soak model sustains — measured immediately before
+//! each phase (the phase's own driver configuration, saturated — see
+//! [`capsnet_workloads::soak::saturated_hz`]), because this shared host's
+//! speed shifts by up to 1.4x within seconds and a reading taken three
+//! phases earlier can make "1.2x" a rate the server keeps up with — over
+//! hundreds of tenants, the scheduler running SLO-aware admission
+//! ([`pim_serve::AdmissionPolicy::SloAware`]). Three invariants are
+//! enforced by [`crate::check::check_soak`] on the record, from its raw
+//! fields, before it is written — so the binary doubles as the
 //! p99-under-overload regression gate in CI:
 //!
 //! 1. **zero dropped tickets** — every phase's submissions reconcile
@@ -14,16 +19,23 @@
 //! 2. **high-priority p99 stays bounded at 1.2x** — within 10x of its
 //!    0.8x value (or an absolute 100 ms floor, whichever is larger);
 //! 3. **overload sheds best-effort first** — at 1.2x the low tier sheds
-//!    and the high tier does not.
+//!    and the high tier does not, up to [`HIGH_SHED_PER_LOW_SHED`]: a
+//!    host stall of tens of milliseconds inflates the server's
+//!    service-time estimate for a few batches, and the admission layer
+//!    then rightly sheds the handful of high-tier arrivals that land
+//!    inside them (measured: 4 high against 8 399 low in 1 run of 20).
+//!    The strict "never the high tier" is held where there is no host to
+//!    stall: `soak::tests::simulated_overload_sheds_low_not_high`.
 
 use capsnet::ExactMath;
 use capsnet_workloads::soak::{
-    measure_capacity_hz, run_soak_phase, soak_registry, soak_serve_config, SoakConfig,
-    SoakPhaseReport,
+    run_soak_phase, saturated_hz, soak_registry, soak_serve_config, SoakConfig, SoakPhaseReport,
+    CAPACITY_SPRINTS, PROBE_QUEUE,
 };
 use pim_serve::{AdmissionPolicy, Priority, SloConfig};
 
-use crate::emit::{write_json_artifact, BenchHost};
+use crate::check::check_soak;
+use crate::emit::{ledger_json, write_json_artifact, BenchHost};
 
 /// Phase rates as multiples of the measured capacity.
 pub const MULTIPLIERS: [f64; 3] = [0.8, 1.0, 1.2];
@@ -31,6 +43,9 @@ pub const MULTIPLIERS: [f64; 3] = [0.8, 1.0, 1.2];
 /// Tenants issuing soak traffic (tiers split 20/50/30 by
 /// [`capsnet_workloads::soak::tier_for_tenant`]).
 pub const TENANTS: usize = 300;
+
+/// High-tier sheds the 1.2x phase may show per low-tier shed (1%).
+pub const HIGH_SHED_PER_LOW_SHED: f64 = 0.01;
 
 /// Ceiling, microseconds, the high tier's 1.2x p99 may never exceed even
 /// when 10x its 0.8x p99 is smaller.
@@ -40,32 +55,34 @@ pub const HIGH_P99_FLOOR_US: u64 = 100_000;
 pub struct SoakBenchResult {
     /// Measurement host.
     pub host: BenchHost,
-    /// Closed-loop capacity the multipliers are anchored to, requests/s.
-    pub capacity_hz: f64,
+    /// Requests per capacity sprint.
+    pub capacity_requests: usize,
     /// Requests offered per phase.
     pub requests_per_phase: usize,
     /// One report per entry of [`MULTIPLIERS`], same order.
     pub phases: Vec<SoakPhaseReport>,
 }
 
-/// Runs the capacity probe plus the three open-loop phases and asserts
-/// the soak gates. `requests_per_phase` scales the run: ~340k for the
-/// committed ≥1M-request artifact, a few thousand for the CI leg.
+/// Runs the three open-loop phases, each behind its own capacity probe;
+/// the gates are applied when the record is written. `requests_per_phase` scales the
+/// run: ~340k for the committed ≥1M-request artifact, tens of thousands
+/// for the CI leg.
 pub fn run_soak_bench(requests_per_phase: usize) -> SoakBenchResult {
     assert!(requests_per_phase > 0);
     let registry = soak_registry(0x50AC);
     let serve = soak_serve_config();
-    let probe = requests_per_phase.clamp(2_000, 20_000);
-    let capacity_hz = measure_capacity_hz(&registry, &ExactMath, serve, probe, TENANTS, 0xCA9);
+    let probe = requests_per_phase.clamp(2_000, 100_000);
     println!(
-        "soak_bench: capacity {capacity_hz:.0} req/s (closed-loop, {probe} requests), \
-         {TENANTS} tenants, {requests_per_phase} requests/phase"
+        "soak_bench: {TENANTS} tenants, {requests_per_phase} requests/phase, capacity = upper \
+         quartile of {CAPACITY_SPRINTS} saturating sprints of {probe} requests before each phase"
     );
 
     let phases: Vec<SoakPhaseReport> = MULTIPLIERS
         .iter()
         .enumerate()
         .map(|(i, &multiplier)| {
+            let seed = 0x50AC0 + i as u64;
+            let capacity_hz = saturated_hz(&registry, &ExactMath, serve, probe, TENANTS, seed);
             let report = run_soak_phase(
                 &registry,
                 &ExactMath,
@@ -73,13 +90,13 @@ pub fn run_soak_bench(requests_per_phase: usize) -> SoakBenchResult {
                     tenants: TENANTS,
                     requests: requests_per_phase,
                     rate_hz: capacity_hz * multiplier,
-                    seed: 0x50AC0 + i as u64,
+                    seed,
                     serve,
                 },
             );
             let c = &report.counts;
             println!(
-                "  {multiplier:.1}x: offered {:.0} req/s, achieved {:.0} req/s, \
+                "  {multiplier:.1}x of {capacity_hz:.0}: offered {:.0} req/s, achieved {:.0} req/s, \
                  completed {} shed {:?} full {} quota {}  high p99 {} us",
                 report.offered_hz,
                 report.achieved_hz,
@@ -93,70 +110,15 @@ pub fn run_soak_bench(requests_per_phase: usize) -> SoakBenchResult {
         })
         .collect();
 
-    let result = SoakBenchResult {
+    SoakBenchResult {
         host: BenchHost::detect(),
-        capacity_hz,
+        capacity_requests: probe,
         requests_per_phase,
         phases,
-    };
-    result.assert_gates();
-    result
+    }
 }
 
 impl SoakBenchResult {
-    fn overload_phase(&self) -> &SoakPhaseReport {
-        self.phases.last().expect("phases nonempty")
-    }
-
-    /// Gate 1: every submission of every phase is accounted exactly once,
-    /// and the submitter-side ledger agrees with the server's metrics.
-    pub fn zero_dropped(&self) -> bool {
-        self.phases.iter().all(|p| {
-            p.counts.reconciles()
-                && p.counts.completed == p.metrics.requests
-                && p.counts.failed == p.metrics.failed_requests
-                && p.counts.shed_total() == p.metrics.shed_total()
-                && p.counts.rejected_full == p.metrics.rejected_full
-                && p.counts.rejected_quota == p.metrics.rejected_quota
-        })
-    }
-
-    /// Gate 2: high-tier p99 at 1.2x within 10x of its 0.8x value (or the
-    /// absolute floor).
-    pub fn high_p99_bounded(&self) -> bool {
-        let base = self.phases[0].metrics.tier(Priority::High).p99_us;
-        let overload = self.overload_phase().metrics.tier(Priority::High).p99_us;
-        overload <= (10 * base).max(HIGH_P99_FLOOR_US)
-    }
-
-    /// Gate 3: the 1.2x phase sheds the low tier and never the high tier.
-    pub fn low_shed_at_overload(&self) -> bool {
-        let shed = self.overload_phase().counts.shed;
-        shed[Priority::Low.index()] > 0 && shed[Priority::High.index()] == 0
-    }
-
-    fn assert_gates(&self) {
-        for (m, p) in MULTIPLIERS.iter().zip(&self.phases) {
-            assert!(
-                p.counts.reconciles(),
-                "{m:.1}x phase dropped tickets: {:?}",
-                p.counts
-            );
-        }
-        assert!(self.zero_dropped(), "submitter/metrics ledgers disagree");
-        assert!(
-            self.low_shed_at_overload(),
-            "1.2x phase shed the wrong tiers: {:?}",
-            self.overload_phase().counts.shed
-        );
-        assert!(
-            self.high_p99_bounded(),
-            "high-tier p99 blew up under overload: 0.8x {} us vs 1.2x {} us",
-            self.phases[0].metrics.tier(Priority::High).p99_us,
-            self.overload_phase().metrics.tier(Priority::High).p99_us
-        );
-    }
-
     /// Renders `BENCH_soak.json`.
     pub fn to_json(&self) -> String {
         let serve = soak_serve_config();
@@ -177,9 +139,14 @@ impl SoakBenchResult {
                 "\"queue_capacity\": {qc}, \"workers\": {wk}, ",
                 "\"admission\": \"slo_aware\", ",
                 "\"shed_wait_us\": [{s0}, {s1}, {s2}], \"tenant_quota\": {tq}}},\n",
-                "  \"capacity_hz\": {cap:.2},\n",
+                "  \"capacity\": {{\"sprints\": {sprints}, ",
+                "\"requests_per_sprint\": {creq}, \"queue_bound\": {pq}, ",
+                "\"method\": \"upper-quartile requests/s of the sprints: a phase's request stream ",
+                "and side-thread harvester, offered as a burst against a bounded queue ",
+                "with QueueFull retried, taken immediately before each phase\"}},\n",
                 "  \"requests_per_phase\": {rpp},\n",
                 "  \"total_requests\": {total},\n",
+                "  \"high_p99_floor_us\": {floor},\n",
                 "  \"phases\": [\n",
             ),
             simd = self.host.simd,
@@ -193,129 +160,89 @@ impl SoakBenchResult {
             s1 = shed_wait_us[1],
             s2 = shed_wait_us[2],
             tq = tenant_quota,
-            cap = self.capacity_hz,
+            sprints = CAPACITY_SPRINTS,
+            creq = self.capacity_requests,
+            pq = PROBE_QUEUE,
             rpp = self.requests_per_phase,
             total = self.requests_per_phase * self.phases.len(),
+            floor = HIGH_P99_FLOOR_US,
         );
-        for (i, (multiplier, p)) in MULTIPLIERS.iter().zip(&self.phases).enumerate() {
-            let c = &p.counts;
-            json.push_str(&format!(
-                concat!(
-                    "    {{\"multiplier\": {m:.1}, \"offered_hz\": {off:.2}, ",
-                    "\"achieved_hz\": {ach:.2},\n",
-                    "     \"submitted\": {sub}, \"completed\": {com}, \"failed\": {fail}, ",
-                    "\"shed\": {{\"high\": {sh}, \"normal\": {sn}, \"low\": {sl}}}, ",
-                    "\"rejected_full\": {rf}, \"rejected_quota\": {rq}, ",
-                    "\"reconciled\": {rec},\n",
-                    "     \"tiers\": [\n",
-                ),
-                m = multiplier,
-                off = p.offered_hz,
-                ach = p.achieved_hz,
-                sub = c.submitted,
-                com = c.completed,
-                fail = c.failed,
-                sh = c.shed[0],
-                sn = c.shed[1],
-                sl = c.shed[2],
-                rf = c.rejected_full,
-                rq = c.rejected_quota,
-                rec = c.reconciles(),
-            ));
-            for (j, t) in p.metrics.tiers.iter().enumerate() {
-                json.push_str(&format!(
-                    "       {{\"priority\": \"{}\", \"requests\": {}, \"shed\": {}, \
-                     \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}{}\n",
-                    t.priority.label(),
-                    t.requests,
-                    t.shed,
-                    t.p50_us,
-                    t.p95_us,
-                    t.p99_us,
-                    if j + 1 == p.metrics.tiers.len() {
-                        ""
-                    } else {
-                        ","
-                    }
-                ));
-            }
-            json.push_str(&format!(
-                "     ]}}{}\n",
-                if i + 1 == self.phases.len() { "" } else { "," }
-            ));
-        }
-        json.push_str(&format!(
-            concat!(
-                "  ],\n",
-                "  \"zero_dropped\": {zd},\n",
-                "  \"high_p99_bounded\": {hb},\n",
-                "  \"low_shed_at_overload\": {ls}\n",
-                "}}\n",
-            ),
-            zd = self.zero_dropped(),
-            hb = self.high_p99_bounded(),
-            ls = self.low_shed_at_overload(),
-        ));
+        let phases: Vec<String> = MULTIPLIERS
+            .iter()
+            .zip(&self.phases)
+            .map(|(multiplier, p)| {
+                let tiers: Vec<String> = p
+                    .metrics
+                    .tiers
+                    .iter()
+                    .map(|t| {
+                        format!(
+                            "       {{\"priority\": \"{}\", \"requests\": {}, \"shed\": {}, \
+                             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}",
+                            t.priority.label(),
+                            t.requests,
+                            t.shed,
+                            t.p50_us,
+                            t.p95_us,
+                            t.p99_us,
+                        )
+                    })
+                    .collect();
+                format!(
+                    concat!(
+                        "    {{\"multiplier\": {:.1}, \"capacity_hz\": {:.2}, \"offered_hz\": {:.2}, ",
+                        "\"achieved_hz\": {:.2},\n     \"ledger\": {},\n",
+                        "     \"server\": {{\"requests\": {}, \"failed_requests\": {}, ",
+                        "\"rejected_full\": {}, \"rejected_quota\": {}}},\n",
+                        "     \"tiers\": [\n{}\n     ]}}",
+                    ),
+                    multiplier,
+                    p.offered_hz / multiplier,
+                    p.offered_hz,
+                    p.achieved_hz,
+                    ledger_json(&p.counts),
+                    p.metrics.requests,
+                    p.metrics.failed_requests,
+                    p.metrics.rejected_full,
+                    p.metrics.rejected_quota,
+                    tiers.join(",\n"),
+                )
+            })
+            .collect();
+        json.push_str(&phases.join(",\n"));
+        json.push_str("\n  ]\n}\n");
         json
     }
 
-    /// Prints the gate summary and writes `BENCH_soak.json`.
+    /// Writes `BENCH_soak.json`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (before writing) when a gate fails: a phase whose ledger
+    /// does not reconcile exactly or disagrees with the server's metrics,
+    /// a 1.2x phase that shed the wrong tiers, or a high-tier p99 that
+    /// blew up under overload.
     pub fn report_and_write(&self) {
-        println!(
-            "soak_bench gates: zero_dropped {} high_p99_bounded {} low_shed_at_overload {}",
-            self.zero_dropped(),
-            self.high_p99_bounded(),
-            self.low_shed_at_overload()
-        );
-        write_json_artifact("BENCH_soak.json", &self.to_json());
+        write_json_artifact("BENCH_soak.json", &self.to_json(), check_soak);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capsnet_workloads::soak::SoakCounts;
-    use pim_serve::{MetricsReport, TierReport};
-
-    fn tier(priority: Priority, requests: u64, shed: u64, p99: u64) -> TierReport {
-        TierReport {
-            priority,
-            requests,
-            cache_hits: 0,
-            shed,
-            p50_us: p99 / 2,
-            p95_us: p99,
-            p99_us: p99,
-        }
-    }
+    use crate::fixtures::{metrics, tier};
+    use capsnet_workloads::drive::Ledger;
 
     fn phase(multiplier: f64, shed: [u64; 3], high_p99: u64) -> SoakPhaseReport {
         let completed = 100 - shed.iter().sum::<u64>();
-        let metrics = MetricsReport {
-            requests: completed,
-            samples: completed,
-            batches: completed,
-            cache_hits: 0,
-            rejected_full: 0,
-            rejected_quota: 0,
-            failed_requests: 0,
-            failed_batches: 0,
-            p50_us: 10,
-            p95_us: 20,
-            p99_us: 30,
-            mean_us: 12.0,
-            batch_occupancy: vec![0, completed],
-            elapsed_s: 1.0,
-            tiers: [
-                tier(Priority::High, 20, shed[0], high_p99),
-                tier(Priority::Normal, 50 - shed[1], shed[1], 40),
-                tier(Priority::Low, completed - 20 - (50 - shed[1]), shed[2], 50),
-            ],
-            version_counts: Vec::new(),
-            swaps: 0,
-        };
+        let tiers = [
+            tier(Priority::High, 20, shed[0], high_p99),
+            tier(Priority::Normal, 50 - shed[1], shed[1], 40),
+            tier(Priority::Low, completed - 20 - (50 - shed[1]), shed[2], 50),
+        ];
+        let metrics = metrics(completed, 0, tiers);
         SoakPhaseReport {
-            counts: SoakCounts {
+            counts: Ledger {
                 submitted: 100,
                 completed,
                 shed,
@@ -331,9 +258,9 @@ mod tests {
         SoakBenchResult {
             host: BenchHost {
                 simd: "scalar",
-                threads: 1,
+                threads: 2,
             },
-            capacity_hz: 100.0,
+            capacity_requests: 100,
             requests_per_phase: 100,
             phases: vec![
                 phase(0.8, [0, 0, 0], 100),
@@ -343,53 +270,42 @@ mod tests {
         }
     }
 
+    fn verdict(result: &SoakBenchResult) -> crate::check::Verdict {
+        check_soak(&crate::jsonlite::parse(&result.to_json()).unwrap())
+    }
+
     #[test]
     fn soak_json_schema_is_stable() {
         let result = synthetic();
-        assert!(result.zero_dropped());
-        assert!(result.high_p99_bounded());
-        assert!(result.low_shed_at_overload());
+        assert_eq!(verdict(&result), Ok(()));
         let v = crate::jsonlite::parse(&result.to_json()).unwrap();
-        assert_eq!(
-            v.get("capacity_hz").and_then(|x| x.as_f64()),
-            Some(100.0),
-            "capacity_hz"
-        );
-        assert_eq!(
-            v.get("total_requests").and_then(|x| x.as_f64()),
-            Some(300.0)
-        );
-        let phases = v.get("phases").and_then(|x| x.as_array()).unwrap();
-        assert_eq!(phases.len(), 3);
-        let overload = &phases[2];
-        let shed = overload.get("shed").unwrap();
-        assert_eq!(shed.get("low").and_then(|x| x.as_f64()), Some(20.0));
-        assert_eq!(
-            overload.get("reconciled").and_then(|x| x.as_bool()),
-            Some(true)
-        );
-        assert_eq!(
-            overload
-                .get("tiers")
-                .and_then(|x| x.as_array())
-                .map(|t| t.len()),
-            Some(3)
-        );
-        assert_eq!(v.get("zero_dropped").and_then(|x| x.as_bool()), Some(true));
+        let overload = &v.get("phases").and_then(|x| x.as_array()).unwrap()[2];
+        let shed = overload.get("ledger").unwrap().get("shed").unwrap();
+        assert_eq!(shed.as_array().unwrap()[2].as_f64(), Some(20.0));
     }
 
     #[test]
     fn gates_catch_violations() {
         let mut dropped = synthetic();
         dropped.phases[1].counts.completed -= 1; // one vanished ticket
-        assert!(!dropped.zero_dropped());
+        assert!(verdict(&dropped).is_err());
+
+        let mut unmetered = synthetic();
+        unmetered.phases[1].metrics.requests -= 1; // server saw one fewer
+        assert!(verdict(&unmetered).is_err());
 
         let mut high_shed = synthetic();
-        high_shed.phases[2].counts.shed[Priority::High.index()] = 1;
-        assert!(!high_shed.low_shed_at_overload());
+        high_shed.phases[2].counts.shed = [1, 2, 19];
+        high_shed.phases[2].metrics.tiers[Priority::High.index()].shed = 1;
+        high_shed.phases[2].metrics.tiers[Priority::Low.index()].shed = 19;
+        assert!(verdict(&high_shed).unwrap_err().contains("1 high"));
+
+        let mut idle = synthetic();
+        idle.phases[2] = phase(1.2, [0, 0, 0], 400); // not an overload
+        assert!(verdict(&idle).is_err());
 
         let mut blowup = synthetic();
         blowup.phases[2].metrics.tiers[Priority::High.index()].p99_us = 2_000_000;
-        assert!(!blowup.high_p99_bounded());
+        assert!(verdict(&blowup).unwrap_err().contains("p99"));
     }
 }

@@ -1,801 +1,47 @@
-//! Golden-file schema tests for the perf-trajectory artifacts.
+//! Golden-file tests for the committed perf-trajectory artifacts.
 //!
-//! The `bench_results/BENCH_*.json` artifacts (routing, serve, store,
-//! replica, quant, soak, chaos) are committed so each PR leaves a
-//! comparable performance record; these
-//! tests pin their **schema** (keys, types, value sanity) without pinning
-//! machine-dependent numbers, so the files cannot silently drift into a
-//! shape future tooling can't read.
+//! Each `bench_results/BENCH_*.json` is checked by the same
+//! `pim_bench::check::check_<artifact>` its recording binary ran before
+//! writing it — schema, reconciliation identities and bars, never
+//! machine-dependent numbers — plus what only a *committed* record owes:
+//! it was cut on a host whose kernels could use at least two threads (a
+//! one-thread record mis-states every sharded path), and at full size.
 
-use pim_bench::jsonlite::{parse, Value};
+use pim_bench::check::{
+    check_cache, check_chaos, check_host, check_quant, check_replica, check_routing, check_soak,
+    check_store, load, Verdict,
+};
+use pim_bench::jsonlite::Value;
 use pim_bench::results_dir;
 
-fn load(name: &str) -> Value {
-    let path = results_dir().join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must be committed: {e}", path.display()));
-    parse(&text).unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()))
+/// Checks one committed artifact; `floor` is a top-level size field and
+/// the least a committed record may carry there.
+fn committed(file: &str, check: fn(&Value) -> Verdict, floor: Option<(&str, f64)>) {
+    let doc = load(&results_dir().join(file)).unwrap_or_else(|e| panic!("not committed? {e}"));
+    check(&doc).unwrap_or_else(|why| panic!("{file}: {why}"));
+    let threads = check_host(&doc).expect("checked above");
+    assert!(threads >= 2.0, "{file}: recorded at host.threads {threads}");
+    if let Some((field, least)) = floor {
+        let size = doc.get(field).and_then(Value::as_f64).unwrap_or(0.0);
+        assert!(size >= least, "{file}: committed {field} {size} < {least}");
+    }
 }
 
-fn f64_field(v: &Value, key: &str, ctx: &str) -> f64 {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("{ctx}: missing numeric field {key:?}"))
-}
-
-#[test]
-fn bench_routing_schema() {
-    let doc = load("BENCH_routing.json");
-    // The measurement host: numbers are only interpretable knowing which
-    // SIMD path ran and how many threads the kernels could use.
-    let host = doc.get("host").expect("top-level \"host\" object");
-    let simd = host
-        .get("simd")
-        .and_then(Value::as_str)
-        .expect("host.simd string");
-    assert!(!simd.is_empty(), "host.simd must name the kernel path");
-    let threads = f64_field(host, "threads", "host");
-    assert!(
-        threads >= 1.0 && threads.fract() == 0.0,
-        "host.threads {threads}"
-    );
-    let benches = doc
-        .get("benchmarks")
-        .and_then(Value::as_array)
-        .expect("top-level \"benchmarks\" array");
-    assert!(
-        benches.len() >= 8,
-        "routing suite shrank: {}",
-        benches.len()
-    );
-    let mut names = Vec::new();
-    for b in benches {
-        let name = b
-            .get("name")
-            .and_then(Value::as_str)
-            .expect("benchmark name");
-        names.push(name.to_string());
-        let ns = f64_field(b, "ns_per_iter", name);
-        assert!(ns > 0.0 && ns.is_finite(), "{name}: ns_per_iter {ns}");
-        let speedup = f64_field(b, "speedup_vs_baseline", name);
-        assert!(
-            speedup > 0.0 && speedup.is_finite(),
-            "{name}: speedup {speedup}"
-        );
-        let baseline = b
-            .get("baseline")
-            .and_then(Value::as_str)
-            .expect("baseline name");
-        assert!(
-            benches
-                .iter()
-                .any(|x| x.get("name").and_then(Value::as_str) == Some(baseline)),
-            "{name}: baseline {baseline:?} not in the suite"
-        );
-    }
-    // The execution strategies the routing engine ships must stay measured.
-    for required in [
-        "dynamic_shared_boxed",
-        "dynamic_shared_mono",
-        "dynamic_shared_arena",
-        "dynamic_per_sample_parallel",
-        "em_mono",
-    ] {
-        assert!(names.iter().any(|n| n == required), "missing {required}");
-    }
-    // Baselines compare against themselves at exactly 1.0.
-    for b in benches {
-        let name = b.get("name").and_then(Value::as_str).unwrap();
-        if b.get("baseline").and_then(Value::as_str) == Some(name) {
-            assert_eq!(f64_field(b, "speedup_vs_baseline", name), 1.0);
+macro_rules! golden {
+    ($($test:ident: $file:literal, $check:ident, $floor:expr;)+) => {$(
+        #[test]
+        fn $test() {
+            committed($file, $check, $floor);
         }
-    }
+    )+};
 }
 
-#[test]
-fn bench_serve_schema() {
-    let doc = load("BENCH_serve.json");
-
-    // The measurement host: serve throughputs are only comparable across
-    // PRs knowing which SIMD path ran and how many threads were available.
-    let host = doc.get("host").expect("top-level \"host\" object");
-    let simd = host
-        .get("simd")
-        .and_then(Value::as_str)
-        .expect("host.simd string");
-    assert!(!simd.is_empty(), "host.simd must name the kernel path");
-    let threads = f64_field(host, "threads", "host");
-    assert!(
-        threads >= 1.0 && threads.fract() == 0.0,
-        "host.threads {threads}"
-    );
-
-    let model = doc.get("model").expect("\"model\" object");
-    for key in [
-        "name",
-        "l_caps",
-        "cl_dim",
-        "h_caps",
-        "ch_dim",
-        "caps_weight_mb",
-    ] {
-        assert!(model.get(key).is_some(), "model missing {key:?}");
-    }
-    // The served model must stay in the weight-streaming regime the bench
-    // is about.
-    assert!(
-        f64_field(model, "caps_weight_mb", "model") > 100.0,
-        "caps weights no longer exceed cache scale"
-    );
-
-    let sched = doc.get("scheduler").expect("\"scheduler\" object");
-    for key in ["max_batch", "max_wait_us", "queue_capacity", "workers"] {
-        assert!(
-            f64_field(sched, key, "scheduler") >= 1.0,
-            "scheduler {key} must be >= 1"
-        );
-    }
-
-    let traffic = doc.get("traffic").expect("\"traffic\" object");
-    let requests = f64_field(traffic, "requests", "traffic");
-    let samples = f64_field(traffic, "samples", "traffic");
-    assert!(requests >= 1.0 && samples >= requests);
-
-    let serial_sps = f64_field(
-        doc.get("serial").expect("serial"),
-        "samples_per_s",
-        "serial",
-    );
-    let batched = doc.get("batched").expect("\"batched\" object");
-    let batched_sps = f64_field(batched, "samples_per_s", "batched");
-    assert!(serial_sps > 0.0 && batched_sps > 0.0);
-    for key in ["p50_us", "p95_us", "p99_us", "batches", "mean_occupancy"] {
-        assert!(
-            f64_field(batched, key, "batched") >= 0.0,
-            "batched {key} must be present and non-negative"
-        );
-    }
-    let hist = batched
-        .get("occupancy_histogram")
-        .and_then(Value::as_array)
-        .expect("occupancy histogram array");
-    let max_batch = f64_field(sched, "max_batch", "scheduler") as usize;
-    assert_eq!(hist.len(), max_batch + 1, "histogram indexed by batch size");
-    let total_batches: f64 = hist.iter().filter_map(Value::as_f64).sum();
-    assert_eq!(total_batches, f64_field(batched, "batches", "batched"));
-
-    let speedup = f64_field(&doc, "speedup_batched_vs_serial", "top level");
-    assert!(speedup > 0.0 && speedup.is_finite());
-    let ratio = batched_sps / serial_sps;
-    assert!(
-        (speedup - ratio).abs() / ratio < 0.01,
-        "recorded speedup {speedup} inconsistent with throughputs ({ratio})"
-    );
-    assert_eq!(
-        doc.get("outputs_bitwise_equal").and_then(Value::as_bool),
-        Some(true),
-        "batched serving must record bitwise equality with serial forward"
-    );
-}
-
-#[test]
-fn bench_replica_schema() {
-    let doc = load("BENCH_replica.json");
-
-    let host = doc.get("host").expect("\"host\" object");
-    assert!(host.get("simd").and_then(Value::as_str).is_some());
-    let threads = f64_field(host, "threads", "host");
-    assert!(threads >= 1.0);
-
-    let model = doc.get("model").expect("\"model\" object");
-    assert!(model.get("name").and_then(Value::as_str).is_some());
-    assert!(
-        f64_field(model, "caps_weight_bytes", "model") > 200.0 * 1024.0 * 1024.0,
-        "the fleet must serve the weight-streaming model"
-    );
-
-    // Scaling sweep: ascending replica counts, positive throughputs,
-    // starting from a single replica.
-    let scaling = doc
-        .get("scaling")
-        .and_then(Value::as_array)
-        .expect("\"scaling\" array");
-    assert!(scaling.len() >= 2, "need at least two fleet sizes");
-    let mut last_replicas = 0.0;
-    for m in scaling {
-        let replicas = f64_field(m, "replicas", "scaling");
-        assert!(replicas > last_replicas, "replica counts must ascend");
-        last_replicas = replicas;
-        assert!(f64_field(m, "samples_per_s", "scaling") > 0.0);
-        assert!(f64_field(m, "requests", "scaling") >= 1.0);
-    }
-    assert_eq!(f64_field(&scaling[0], "replicas", "scaling"), 1.0);
-    let ratio = f64_field(&doc, "scaling_max_vs_one", "top level");
-    assert!(ratio.is_finite() && ratio > 0.0);
-    if threads >= 2.0 {
-        // With real cores available, replicas must buy throughput. On a
-        // single-core recorder host the fleet time-slices one core, so
-        // only sanity is asserted (the recorded host.threads says which
-        // regime the committed numbers are from).
-        assert!(ratio > 1.15, "replicas bought no throughput: {ratio}");
-    } else {
-        assert!(ratio > 0.5, "scaling collapsed even for one core: {ratio}");
-    }
-
-    // Shared-mapping accounting: one physical copy of the eligible
-    // weights, per-replica owned bytes negligible.
-    let sharing = doc
-        .get("shared_mapping")
-        .expect("\"shared_mapping\" object");
-    assert!(f64_field(sharing, "replicas", "sharing") >= 2.0);
-    let mapped = f64_field(sharing, "mapped_bytes_total", "sharing");
-    let shared = f64_field(sharing, "per_replica_shared_bytes", "sharing");
-    let owned = f64_field(sharing, "per_replica_owned_bytes", "sharing");
-    let caps_bytes = f64_field(model, "caps_weight_bytes", "model");
-    assert!(mapped >= caps_bytes, "mapping must contain the caps weight");
-    assert!(shared >= caps_bytes, "caps weight must be served shared");
-    assert!(
-        owned < caps_bytes / 1000.0,
-        "per-replica owned copies must be negligible: {owned}"
-    );
-    assert_eq!(
-        sharing.get("caps_weight_shared").and_then(Value::as_bool),
-        Some(true),
-        "eligible weights must be zero-copy views of the shared mapping"
-    );
-
-    // Rollout gate: zero drops, monotone versions, rollback exercised.
-    let rollout = doc.get("rollout").expect("\"rollout\" object");
-    assert!(f64_field(rollout, "replicas", "rollout") >= 3.0);
-    assert_eq!(f64_field(rollout, "dropped_tickets", "rollout"), 0.0);
-    assert_eq!(f64_field(rollout, "failed_requests", "rollout"), 0.0);
-    assert_eq!(
-        rollout.get("versions_monotone").and_then(Value::as_bool),
-        Some(true)
-    );
-    assert_eq!(
-        rollout.get("rollback_exercised").and_then(Value::as_bool),
-        Some(true)
-    );
-    assert_eq!(
-        f64_field(rollout, "good_rollout_updated", "rollout"),
-        f64_field(rollout, "replicas", "rollout"),
-        "the healthy rollout must update the whole fleet"
-    );
-    for key in ["good_rollout_max_pause_us", "poisoned_rollout_max_pause_us"] {
-        assert!(f64_field(rollout, key, "rollout") > 0.0);
-    }
-}
-
-#[test]
-fn bench_store_schema() {
-    let doc = load("BENCH_store.json");
-
-    let host = doc.get("host").expect("\"host\" object");
-    assert!(host.get("simd").and_then(Value::as_str).is_some());
-    assert!(f64_field(host, "threads", "host") >= 1.0);
-
-    let model = doc.get("model").expect("\"model\" object");
-    assert!(model.get("name").and_then(Value::as_str).is_some());
-    // The artifact stores the streaming model: weights alone exceed 200 MB
-    // (the whole point — they dwarf any cache and any RNG rebuild budget).
-    assert!(
-        f64_field(model, "caps_weight_bytes", "model") > 200.0 * 1024.0 * 1024.0,
-        "streaming model shrank below the weight-bound regime"
-    );
-    assert!(
-        f64_field(model, "artifact_bytes", "model")
-            >= f64_field(model, "caps_weight_bytes", "model"),
-        "artifact must contain at least the caps weights"
-    );
-
-    // All four persistence steps, measured, in order, with positive times.
-    let measurements = doc
-        .get("measurements")
-        .and_then(Value::as_array)
-        .expect("\"measurements\" array");
-    let names: Vec<&str> = measurements
-        .iter()
-        .map(|m| m.get("name").and_then(Value::as_str).expect("step name"))
-        .collect();
-    assert_eq!(
-        names,
-        ["rebuild_rng", "save_cold", "load_owned", "load_mmap"],
-        "persistence steps changed"
-    );
-    for m in measurements {
-        let name = m.get("name").and_then(Value::as_str).unwrap();
-        let ms = f64_field(m, "ms", name);
-        assert!(ms > 0.0 && ms.is_finite(), "{name}: ms {ms}");
-    }
-
-    // Quantized variants of the same artifact: int8 and fp16, each
-    // smaller on disk than the f32 baseline, with positive timings.
-    let quant = doc
-        .get("quant_artifacts")
-        .and_then(Value::as_array)
-        .expect("\"quant_artifacts\" array");
-    let f32_bytes = f64_field(model, "artifact_bytes", "model");
-    let dtypes: Vec<&str> = quant
-        .iter()
-        .map(|q| q.get("dtype").and_then(Value::as_str).expect("quant dtype"))
-        .collect();
-    assert_eq!(dtypes, ["int8", "fp16"], "quantized artifact rows changed");
-    for q in quant {
-        let dtype = q.get("dtype").and_then(Value::as_str).unwrap();
-        let bytes = f64_field(q, "artifact_bytes", dtype);
-        assert!(
-            bytes > 0.0 && bytes < f32_bytes,
-            "{dtype}: artifact {bytes} B not smaller than f32 ({f32_bytes} B)"
-        );
-        for key in ["save_ms", "load_mmap_ms"] {
-            let ms = f64_field(q, key, dtype);
-            assert!(ms > 0.0 && ms.is_finite(), "{dtype}: {key} {ms}");
-        }
-    }
-
-    // Acceptance bar: mmap loading beats rebuilding from RNG by ≥ 10×.
-    let speedup = f64_field(&doc, "speedup_mmap_vs_rebuild", "top level");
-    assert!(
-        speedup >= 10.0,
-        "mmap load only {speedup}x faster than RNG rebuild (bar: 10x)"
-    );
-    assert_eq!(
-        doc.get("mapped").and_then(Value::as_bool),
-        Some(true),
-        "the recorded run must have used a real memory mapping"
-    );
-    assert_eq!(
-        doc.get("bitwise_identical").and_then(Value::as_bool),
-        Some(true),
-        "serving off the mapping must record bitwise equality"
-    );
-}
-
-#[test]
-fn bench_quant_schema() {
-    let doc = load("BENCH_quant.json");
-
-    let host = doc.get("host").expect("\"host\" object");
-    assert!(host.get("simd").and_then(Value::as_str).is_some());
-    assert!(f64_field(host, "threads", "host") >= 1.0);
-
-    let model = doc.get("model").expect("\"model\" object");
-    assert!(model.get("name").and_then(Value::as_str).is_some());
-    assert!(
-        f64_field(model, "caps_weight_bytes", "model") > 200.0 * 1024.0 * 1024.0,
-        "quant bench must serve the weight-streaming model"
-    );
-    assert!(f64_field(model, "requests", "model") >= 1.0);
-
-    // One throughput row per stored dtype, f32 first as the baseline.
-    let dtypes = doc
-        .get("dtypes")
-        .and_then(Value::as_array)
-        .expect("\"dtypes\" array");
-    let labels: Vec<&str> = dtypes
-        .iter()
-        .map(|d| d.get("dtype").and_then(Value::as_str).expect("dtype label"))
-        .collect();
-    assert_eq!(labels, ["f32", "int8", "fp16"], "dtype rows changed");
-    let row = |label: &str| {
-        dtypes
-            .iter()
-            .find(|d| d.get("dtype").and_then(Value::as_str) == Some(label))
-            .unwrap()
-    };
-    let f32_row = row("f32");
-    let f32_bytes = f64_field(f32_row, "artifact_bytes", "f32");
-    for d in dtypes {
-        let label = d.get("dtype").and_then(Value::as_str).unwrap();
-        assert!(f64_field(d, "samples_per_s", label) > 0.0);
-        assert!(f64_field(d, "artifact_bytes", label) > 0.0);
-        let div = f64_field(d, "max_norm_divergence", label);
-        assert!(div >= 0.0 && div.is_finite(), "{label}: divergence {div}");
-        let speedup = f64_field(d, "speedup_vs_f32", label);
-        assert!(speedup > 0.0 && speedup.is_finite());
-    }
-    assert_eq!(f64_field(f32_row, "speedup_vs_f32", "f32"), 1.0);
-    assert!(
-        f64_field(row("int8"), "artifact_bytes", "int8") < f32_bytes / 3.0,
-        "int8 artifact must shrink close to 4x"
-    );
-    assert!(
-        f64_field(row("fp16"), "artifact_bytes", "fp16") < f32_bytes / 1.8,
-        "fp16 artifact must shrink close to 2x"
-    );
-    // The tentpole acceptance bar: int8 streaming at >= 2x f32 samples/s.
-    let int8_speedup = f64_field(row("int8"), "speedup_vs_f32", "int8");
-    assert!(
-        int8_speedup >= 2.0,
-        "int8 streaming only {int8_speedup}x over f32 (bar: 2x)"
-    );
-
-    // Accuracy gate: both quantized dtypes, every row passing.
-    let gate = doc.get("accuracy_gate").expect("\"accuracy_gate\" object");
-    assert!(gate.get("benchmark").and_then(Value::as_str).is_some());
-    assert!(f64_field(gate, "samples", "gate") >= 1.0);
-    let rows = gate
-        .get("rows")
-        .and_then(Value::as_array)
-        .expect("gate \"rows\" array");
-    let gate_dtypes: Vec<&str> = rows
-        .iter()
-        .map(|r| r.get("dtype").and_then(Value::as_str).expect("gate dtype"))
-        .collect();
-    assert_eq!(gate_dtypes, ["int8", "fp16"], "gate rows changed");
-    for r in rows {
-        let label = r.get("dtype").and_then(Value::as_str).unwrap();
-        let agreement = f64_field(r, "agreement", label);
-        assert!((0.0..=1.0).contains(&agreement));
-        assert!(f64_field(r, "max_norm_divergence", label) >= 0.0);
-        for key in ["f32_accuracy", "quant_accuracy"] {
-            let acc = f64_field(r, key, label);
-            assert!((0.0..=1.0).contains(&acc), "{label}: {key} {acc}");
-        }
-        assert_eq!(
-            r.get("verdict").and_then(Value::as_str),
-            Some("pass"),
-            "{label}: committed gate row must pass"
-        );
-    }
-    assert_eq!(
-        doc.get("gate_passed").and_then(Value::as_bool),
-        Some(true),
-        "the committed quant record must have passed the accuracy gate"
-    );
-}
-
-#[test]
-fn bench_soak_schema() {
-    let doc = load("BENCH_soak.json");
-    let host = doc.get("host").expect("top-level \"host\" object");
-    assert!(host.get("simd").and_then(Value::as_str).is_some());
-    assert!(f64_field(host, "threads", "host") >= 1.0);
-    assert_eq!(
-        doc.get("model").and_then(Value::as_str),
-        Some("caps-soak-micro")
-    );
-    assert!(
-        f64_field(&doc, "tenants", "soak") >= 100.0,
-        "100s of tenants"
-    );
-
-    // The scheduler ran the SLO-aware admission policy, not the bare
-    // queue bound.
-    let sched = doc.get("scheduler").expect("\"scheduler\" object");
-    assert_eq!(
-        sched.get("admission").and_then(Value::as_str),
-        Some("slo_aware")
-    );
-    let ceilings = sched
-        .get("shed_wait_us")
-        .and_then(Value::as_array)
-        .expect("scheduler.shed_wait_us array");
-    let ceilings: Vec<f64> = ceilings
-        .iter()
-        .map(|c| c.as_f64().expect("ceiling is numeric"))
-        .collect();
-    assert_eq!(ceilings.len(), 3, "one ceiling per tier");
-    assert!(
-        ceilings.windows(2).all(|w| w[0] >= w[1]),
-        "lower tiers must have tighter ceilings: {ceilings:?}"
-    );
-    assert!(f64_field(sched, "tenant_quota", "scheduler") >= 1.0);
-
-    let capacity = f64_field(&doc, "capacity_hz", "soak");
-    assert!(capacity > 0.0 && capacity.is_finite());
-    let total = f64_field(&doc, "total_requests", "soak");
-    assert!(total >= 1e6, "committed soak must cover >= 1M requests");
-    let per_phase = f64_field(&doc, "requests_per_phase", "soak");
-
-    let phases = doc
-        .get("phases")
-        .and_then(Value::as_array)
-        .expect("\"phases\" array");
-    let multipliers: Vec<f64> = phases
-        .iter()
-        .map(|p| f64_field(p, "multiplier", "phase"))
-        .collect();
-    assert_eq!(multipliers, [0.8, 1.0, 1.2], "capacity sweep changed");
-    assert_eq!(total, per_phase * phases.len() as f64);
-
-    for (p, m) in phases.iter().zip(&multipliers) {
-        let ctx = format!("phase {m}");
-        let submitted = f64_field(p, "submitted", &ctx);
-        assert_eq!(submitted, per_phase, "{ctx}");
-        let shed = p.get("shed").expect("phase \"shed\" object");
-        let shed_total = f64_field(shed, "high", &ctx)
-            + f64_field(shed, "normal", &ctx)
-            + f64_field(shed, "low", &ctx);
-        // Zero dropped tickets, recomputed from the raw fields rather
-        // than trusted from the flag.
-        let accounted = f64_field(p, "completed", &ctx)
-            + f64_field(p, "failed", &ctx)
-            + shed_total
-            + f64_field(p, "rejected_full", &ctx)
-            + f64_field(p, "rejected_quota", &ctx);
-        assert_eq!(submitted, accounted, "{ctx}: submissions unaccounted");
-        assert_eq!(p.get("reconciled").and_then(Value::as_bool), Some(true));
-        assert!(f64_field(p, "offered_hz", &ctx) > 0.0);
-        assert!(f64_field(p, "achieved_hz", &ctx) > 0.0);
-
-        let tiers = p
-            .get("tiers")
-            .and_then(Value::as_array)
-            .expect("phase \"tiers\" array");
-        let labels: Vec<&str> = tiers
-            .iter()
-            .map(|t| t.get("priority").and_then(Value::as_str).expect("tier"))
-            .collect();
-        assert_eq!(labels, ["high", "normal", "low"]);
-        for t in tiers {
-            let label = t.get("priority").and_then(Value::as_str).unwrap();
-            let p50 = f64_field(t, "p50_us", label);
-            let p95 = f64_field(t, "p95_us", label);
-            let p99 = f64_field(t, "p99_us", label);
-            assert!(p50 <= p95 && p95 <= p99, "{ctx} {label}: {p50}/{p95}/{p99}");
-            assert!(f64_field(t, "requests", label) >= 0.0);
-            assert!(f64_field(t, "shed", label) >= 0.0);
-        }
-    }
-
-    // The overload phase sheds best-effort traffic, never the high tier.
-    let overload = phases.last().unwrap();
-    let shed = overload.get("shed").unwrap();
-    assert!(
-        f64_field(shed, "low", "overload") > 0.0,
-        "1.2x must shed the low tier"
-    );
-    assert_eq!(f64_field(shed, "high", "overload"), 0.0);
-
-    // The in-process gates must have passed when the artifact was cut.
-    for flag in ["zero_dropped", "high_p99_bounded", "low_shed_at_overload"] {
-        assert_eq!(
-            doc.get(flag).and_then(Value::as_bool),
-            Some(true),
-            "committed soak record must pass gate {flag}"
-        );
-    }
-}
-
-#[test]
-fn bench_cache_schema() {
-    let doc = load("BENCH_cache.json");
-    let host = doc.get("host").expect("top-level \"host\" object");
-    assert!(host.get("simd").and_then(Value::as_str).is_some());
-    assert!(f64_field(host, "threads", "host") >= 1.0);
-
-    // The cache must front the weight-streaming model — a hit's value is
-    // the DRAM sweep it skips.
-    let model = doc.get("model").expect("\"model\" object");
-    assert!(model.get("name").and_then(Value::as_str).is_some());
-    assert!(
-        f64_field(model, "caps_weight_mb", "model") > 100.0,
-        "cache bench must serve the weight-streaming model"
-    );
-
-    let cache = doc.get("cache").expect("\"cache\" object");
-    for key in [
-        "byte_budget",
-        "shards",
-        "bloom_bits",
-        "bloom_hashes",
-        "hot_keys",
-    ] {
-        assert!(f64_field(cache, key, "cache") >= 1.0, "cache {key}");
-    }
-
-    // Zipf stream at the classic web skew, with real repetition to serve.
-    let traffic = doc.get("traffic").expect("\"traffic\" object");
-    let requests = f64_field(traffic, "requests", "traffic");
-    assert!(requests >= 1.0);
-    let skew = f64_field(traffic, "skew", "traffic");
-    assert!((0.8..=1.2).contains(&skew), "gate is defined at s ≈ 1.0");
-    let distinct = f64_field(traffic, "distinct_content", "traffic");
-    let achievable = f64_field(traffic, "achievable_hits", "traffic");
-    assert!(distinct >= 1.0 && distinct <= requests);
-    assert_eq!(achievable, requests - distinct, "achievable hits drifted");
-
-    let off = doc.get("cache_off").expect("\"cache_off\" object");
-    let off_sps = f64_field(off, "samples_per_s", "cache_off");
-    assert!(off_sps > 0.0);
-    assert_eq!(
-        f64_field(off, "dispatched", "cache_off"),
-        requests,
-        "cache-off pass must dispatch every request"
-    );
-
-    let on = doc.get("cache_on").expect("\"cache_on\" object");
-    let on_sps = f64_field(on, "samples_per_s", "cache_on");
-    assert!(on_sps > 0.0);
-    let dispatched = f64_field(on, "dispatched", "cache_on");
-    let hits = f64_field(on, "cache_hits", "cache_on");
-    assert_eq!(
-        dispatched + hits,
-        requests,
-        "fast-path completions must partition the stream"
-    );
-    assert!(
-        hits <= achievable,
-        "more hits ({hits}) than the stream repeats ({achievable})"
-    );
-
-    // Hit rate recomputed from the raw counters, not trusted from the
-    // recorded field.
-    let hit_rate = f64_field(on, "hit_rate", "cache_on");
-    let recomputed = hits / (dispatched + hits);
-    assert!(
-        (hit_rate - recomputed).abs() < 1e-3,
-        "recorded hit_rate {hit_rate} inconsistent with counters ({recomputed})"
-    );
-
-    // Exact ticket reconciliation, recomputed.
-    let rec = doc
-        .get("reconciliation")
-        .expect("\"reconciliation\" object");
-    let submitted = f64_field(rec, "submitted", "reconciliation");
-    let completed = f64_field(rec, "completed", "reconciliation");
-    let dropped = f64_field(rec, "dropped", "reconciliation");
-    assert_eq!(submitted, requests);
-    assert_eq!(dropped, submitted - completed, "dropped not recomputable");
-    assert_eq!(dropped, 0.0, "committed cache record dropped tickets");
-
-    // Uplift recomputed from the two throughputs.
-    let uplift = f64_field(&doc, "uplift_on_vs_off", "top level");
-    let ratio = on_sps / off_sps;
-    assert!(
-        (uplift - ratio).abs() / ratio < 0.01,
-        "recorded uplift {uplift} inconsistent with throughputs ({ratio})"
-    );
-
-    // The gates the committed record must hold.
-    assert_eq!(
-        doc.get("hit_responses_bitwise_equal")
-            .and_then(Value::as_bool),
-        Some(true),
-        "cache hits must record bitwise equality with dispatched responses"
-    );
-    let gates = doc.get("gates").expect("\"gates\" object");
-    let hit_min = f64_field(gates, "hit_rate_min", "gates");
-    let uplift_min = f64_field(gates, "uplift_min", "gates");
-    assert!(hit_min >= 0.5, "hit-rate gate weakened: {hit_min}");
-    assert!(uplift_min >= 1.5, "uplift gate weakened: {uplift_min}");
-    assert!(
-        hit_rate >= hit_min,
-        "hit rate {hit_rate} under gate {hit_min}"
-    );
-    assert!(
-        uplift >= uplift_min,
-        "uplift {uplift} under gate {uplift_min}"
-    );
-    assert_eq!(gates.get("passed").and_then(Value::as_bool), Some(true));
-}
-
-#[test]
-fn bench_chaos_schema() {
-    let doc = load("BENCH_chaos.json");
-    let host = doc.get("host").expect("top-level \"host\" object");
-    assert!(host.get("simd").and_then(Value::as_str).is_some());
-    assert!(f64_field(host, "threads", "host") >= 1.0);
-    assert_eq!(
-        doc.get("model").and_then(Value::as_str),
-        Some("caps-soak-micro")
-    );
-    let replicas = f64_field(&doc, "replicas", "chaos");
-    assert!(replicas >= 2.0, "chaos needs a fleet to fail over within");
-    assert!(f64_field(&doc, "capacity_hz", "chaos") > 0.0);
-    assert!(f64_field(&doc, "pool_hz", "chaos") > 0.0);
-    assert!(
-        f64_field(&doc, "requests_per_phase", "chaos") >= 1e5,
-        "committed chaos soak must cover >= 100k requests per phase"
-    );
-
-    // The supervision knobs the run was cut under.
-    let sup = doc.get("supervision").expect("\"supervision\" object");
-    assert!(f64_field(sup, "replica_timeout_ms", "supervision") > 0.0);
-    assert!(f64_field(sup, "breaker_threshold", "supervision") >= 1.0);
-    assert!(f64_field(sup, "max_restarts", "supervision") >= 1.0);
-
-    // The plan actually scripted faults, and the stall outlives the
-    // replica timeout (otherwise the reply-drop path never exercises).
-    let plan = doc.get("plan").expect("\"plan\" object");
-    let panics = f64_field(plan, "panics", "plan");
-    let stalls = f64_field(plan, "stalls", "plan");
-    assert!(panics >= 2.0, "committed chaos record needs >= 2 panics");
-    assert!(stalls >= 1.0, "committed chaos record needs >= 1 stall");
-    assert!(
-        f64_field(plan, "stall_ms", "plan") > f64_field(sup, "replica_timeout_ms", "supervision")
-    );
-    let points = plan
-        .get("points")
-        .and_then(Value::as_array)
-        .expect("plan \"points\" array");
-    assert_eq!(points.len() as f64, panics + stalls);
-    let calls: Vec<f64> = points
-        .iter()
-        .map(|p| f64_field(p, "at_call", "point"))
-        .collect();
-    assert!(calls.windows(2).all(|w| w[0] < w[1]), "points sorted");
-
-    let phases = doc
-        .get("phases")
-        .and_then(Value::as_array)
-        .expect("\"phases\" array");
-    let names: Vec<&str> = phases
-        .iter()
-        .map(|p| p.get("name").and_then(Value::as_str).expect("phase name"))
-        .collect();
-    assert_eq!(names, ["baseline", "chaos"]);
-
-    for p in phases {
-        let ctx = p.get("name").and_then(Value::as_str).unwrap().to_string();
-        // Zero dropped tickets, recomputed from the raw fields rather
-        // than trusted from the flag.
-        let accounted = f64_field(p, "completed", &ctx)
-            + f64_field(p, "shed", &ctx)
-            + f64_field(p, "rejected_full", &ctx)
-            + f64_field(p, "rejected_quota", &ctx)
-            + f64_field(p, "rejected_unresponsive", &ctx)
-            + f64_field(p, "rejected_shutdown", &ctx)
-            + f64_field(p, "failed_forward", &ctx)
-            + f64_field(p, "deadline_exceeded", &ctx)
-            + f64_field(p, "replica_timeout", &ctx)
-            + f64_field(p, "other_failed", &ctx);
-        assert_eq!(
-            f64_field(p, "submitted", &ctx),
-            accounted,
-            "{ctx}: submissions unaccounted"
-        );
-        assert_eq!(p.get("reconciled").and_then(Value::as_bool), Some(true));
-        assert!(f64_field(p, "offered_hz", &ctx) > 0.0);
-        assert!(f64_field(p, "achieved_hz", &ctx) > 0.0);
-        let serving = p
-            .get("serving_at_end")
-            .and_then(Value::as_array)
-            .expect("serving_at_end array");
-        assert_eq!(serving.len() as f64, replicas);
-        assert!(
-            serving.iter().all(|s| s.as_bool() == Some(true)),
-            "{ctx}: every replica must serve at the end"
-        );
-        assert_eq!(
-            p.get("tainted")
-                .and_then(Value::as_array)
-                .expect("tainted array")
-                .len() as f64,
-            replicas
-        );
-    }
-
-    // The chaos phase took real fire and recovered: every scripted fault
-    // fired, one replica-life restart per panic, and at least one
-    // replica stayed clean to anchor the tail gate.
-    let chaos = &phases[1];
-    assert_eq!(f64_field(chaos, "injected_panics", "chaos"), panics);
-    assert_eq!(f64_field(chaos, "injected_stalls", "chaos"), stalls);
-    assert_eq!(f64_field(chaos, "restarts", "chaos"), panics);
-    let per_replica = chaos
-        .get("restarts_per_replica")
-        .and_then(Value::as_array)
-        .expect("restarts_per_replica array");
-    let restart_sum: f64 = per_replica.iter().map(|r| r.as_f64().unwrap()).sum();
-    assert_eq!(restart_sum, panics);
-    let clean = f64_field(chaos, "clean_high_p99_us", "chaos");
-    assert!(clean > 0.0, "a clean replica must have high-tier samples");
-
-    // The in-process gates must have passed when the artifact was cut.
-    for flag in [
-        "zero_dropped",
-        "faults_fired",
-        "restarts_accounted",
-        "fleet_recovered",
-        "clean_high_p99_bounded",
-    ] {
-        assert_eq!(
-            doc.get(flag).and_then(Value::as_bool),
-            Some(true),
-            "committed chaos record must pass gate {flag}"
-        );
-    }
+golden! {
+    bench_routing_schema: "BENCH_routing.json", check_routing, None;
+    bench_store_schema: "BENCH_store.json", check_store, None;
+    bench_quant_schema: "BENCH_quant.json", check_quant, None;
+    bench_replica_schema: "BENCH_replica.json", check_replica, None;
+    bench_soak_schema: "BENCH_soak.json", check_soak, Some(("total_requests", 1e6));
+    bench_cache_schema: "BENCH_cache.json", check_cache, None;
+    bench_chaos_schema: "BENCH_chaos.json", check_chaos, Some(("requests_per_phase", 1e5));
 }

@@ -42,8 +42,8 @@
 //!
 //! Batched execution is **bit-identical** to calling [`capsnet::CapsNet::forward`]
 //! per request (models route per sample, so no information crosses request
-//! boundaries); the `serve_throughput` bench and this crate's tests assert
-//! it.
+//! boundaries); this crate's tests assert it, and `benchmark/run.sh`
+//! checks sampled responses bitwise on every run.
 //!
 //! # Example
 //!

@@ -82,30 +82,32 @@ proptest! {
     fn every_ticket_resolves_exactly_once_under_random_faults(
         replicas in 1usize..=3,
         requests in 10usize..=60,
-        raw_points in proptest::collection::vec((0u64..3_000, 0u8..2), 0..=4),
-        // `at` past the last arrival means "no quarantine this case".
+        // Arrival indices; one past the last arrival means "never armed
+        // this case" …
+        raw_points in proptest::collection::vec((0usize..90, 0u8..2), 0..=4),
+        // … or "no quarantine this case".
         quarantine in (0usize..90, 0usize..3),
         seed in 0u64..1_000,
     ) {
-        // Random positions may collide; the backend arms each distinct
-        // call index at most once.
-        let mut points: Vec<FaultPoint> = raw_points
-            .iter()
-            .map(|&(at_call, kind)| FaultPoint {
-                at_call,
-                action: if kind == 0 {
-                    FaultAction::Panic
-                } else {
-                    FaultAction::Stall(STALL)
-                },
-            })
-            .collect();
-        points.sort_by_key(|p| p.at_call);
-        points.dedup_by_key(|p| p.at_call);
-        let plan = FaultPlan { points, quarantine: None };
+        // Each fault is armed when its arrival comes due and taken by the
+        // next backend call anywhere in the fleet.
+        let plan = FaultPlan {
+            points: raw_points
+                .iter()
+                .map(|&(at_arrival, kind)| FaultPoint {
+                    at_arrival,
+                    action: if kind == 0 {
+                        FaultAction::Panic
+                    } else {
+                        FaultAction::Stall(STALL)
+                    },
+                })
+                .collect(),
+            quarantine: None,
+        };
 
         let net = CapsNet::seeded(&CapsNetSpec::tiny_for_tests(), seed ^ 0x9E37).unwrap();
-        let backend = ChaosBackend::new(&ExactMath, &plan);
+        let backend = ChaosBackend::new(&ExactMath);
         let set = ReplicaSet::from_net("prop", &net, &backend, pool_cfg(replicas)).unwrap();
 
         let mut accepted = 0u64;
@@ -118,6 +120,9 @@ proptest! {
                 let (at, r) = quarantine;
                 if at == i {
                     pool.quarantine(r % replicas);
+                }
+                for point in plan.points.iter().filter(|p| p.at_arrival == i) {
+                    backend.arm(point.action);
                 }
                 let request =
                     Request::new(i % 5, 0, image(seed + i as u64)).with_deadline(DEADLINE);

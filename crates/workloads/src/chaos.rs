@@ -5,41 +5,46 @@
 //! exactly once, typed. This module turns that claim into a repeatable
 //! experiment:
 //!
-//! * [`FaultPlan`] — a **seeded** schedule of faults: panic on the Nth
-//!   backend call, stall-for-duration on the Mth (long enough past the
-//!   pool's `replica_timeout` that the caller abandons the reply — the
-//!   reply-drop path), plus an optional operator quarantine at a fixed
-//!   arrival index. Same seed, same plan, every run.
-//! * [`ChaosBackend`] — the injection hook: wraps any [`MathBackend`] and
-//!   counts `exp` calls (every CapsNet forward routes through `exp`), so
-//!   fault positions are expressed in backend-call coordinates that scale
-//!   with the workload instead of wall-clock.
-//! * [`run_chaos_phase`] — an open-loop Poisson phase (same pacing as
-//!   [`crate::soak`]) driven into a [`pim_serve::ReplicaSet`] with
+//! * [`FaultPlan`] — a **seeded** schedule of faults, every one pinned to
+//!   an *arrival index* of the Poisson schedule: panics, stalls (long
+//!   enough past the pool's `replica_timeout` that the caller abandons the
+//!   reply — the reply-drop path) and an optional operator quarantine.
+//!   Same seed, same plan, every run.
+//! * [`ChaosBackend`] — the injection hook: wraps any [`MathBackend`];
+//!   [`ChaosBackend::arm`] makes the next `exp` call (every CapsNet
+//!   forward routes through `exp`) panic or stall. The driver's
+//!   `at_arrival` hook arms each fault when its arrival comes due, and the
+//!   post-window probe of every replica guarantees a backend call follows
+//!   every arming — so each scripted fault fires exactly once, whatever
+//!   the phase shed or timed out in between.
+//! * [`run_chaos_phase`] — an open-loop Poisson phase (the soak's
+//!   [`crate::drive`] configuration) into a [`pim_serve::ReplicaSet`] with
 //!   deadlines on every request, every ticket harvested, and every
-//!   submission accounted into [`ChaosCounts`] — the zero-dropped-tickets
+//!   submission accounted into one [`Ledger`] — the zero-dropped-tickets
 //!   reconciliation under fire. After traffic it verifies each replica
 //!   still serves ([`ChaosPhaseReport::serving_at_end`]).
 //!
-//! `pim-bench`'s `chaos_bench` runs a fault-free baseline phase, seeds a
-//! plan from the baseline's measured call count, re-runs the same traffic
-//! under that plan and gates on reconciliation, restart accounting, and
-//! clean-replica tail latency (`bench_results/BENCH_chaos.json`).
+//! `pim-bench`'s `chaos_bench` runs a fault-free baseline phase, re-runs
+//! the same traffic under a seeded plan and gates on reconciliation,
+//! restart accounting, and clean-replica tail latency
+//! (`bench_results/BENCH_chaos.json`).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, MathBackend};
 use pim_serve::{
     FaultToleranceConfig, Priority, ReplicaSet, ReplicaSetConfig, ReplicaSetHandle,
-    ReplicaSetReport, Request, RetryBudget, RoutingPolicy, ServeConfig, ServeError, SubmitError,
+    ReplicaSetReport, Request, RetryBudget, RoutingPolicy, ServeConfig, ServeError,
 };
 use pim_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::soak::{soak_spec, tier_for_tenant};
-use crate::traffic::{request_images, TrafficConfig};
+use crate::drive::{drive, Arrivals, Backpressure, Drive, Ledger};
+use crate::soak::{image_pool, phase_arrivals, soak_spec, tiered_request};
 
 /// One scripted fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,12 +58,12 @@ pub enum FaultAction {
     Stall(Duration),
 }
 
-/// A fault pinned to the Nth backend (`exp`) call across the fleet.
+/// A fault pinned to an arrival of the Poisson schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPoint {
-    /// Zero-based global `exp`-call index that triggers the fault. Each
-    /// index is drawn exactly once, so each point fires at most once.
-    pub at_call: u64,
+    /// Arrival index at which the fault is armed; the next backend call
+    /// anywhere in the fleet takes it.
+    pub at_arrival: usize,
     /// What happens there.
     pub action: FaultAction,
 }
@@ -73,10 +78,10 @@ pub struct QuarantineEvent {
 }
 
 /// A deterministic fault schedule — a pure function of its seed and the
-/// baseline call count it was scaled to.
+/// phase size it was scaled to.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Call-indexed faults, strictly ascending by `at_call`.
+    /// Arrival-indexed faults, strictly ascending by `at_arrival`.
     pub points: Vec<FaultPoint>,
     /// Optional mid-traffic operator quarantine.
     pub quarantine: Option<QuarantineEvent>,
@@ -89,48 +94,47 @@ impl FaultPlan {
     }
 
     /// Seeds a plan with `panics` panic points and `stalls` stall points
-    /// (each stalling `stall` long), all landing between 10% and 55% of
-    /// `baseline_calls` — early enough that a phase serving at least ~60%
-    /// of the baseline's forwards reaches every point — plus one
-    /// quarantine at ~35% of `requests` on a seeded replica.
+    /// (each stalling `stall` long), all armed between 10% and 55% of
+    /// `requests` — mid-traffic, with enough of the phase left to watch
+    /// the fleet recover — plus one quarantine at ~35% of `requests` on a
+    /// seeded replica.
     ///
     /// # Panics
     ///
-    /// Panics when `baseline_calls` is too small to place the points or a
-    /// count is zero where its feature is requested.
+    /// Panics when `requests` is too small to place the points or
+    /// `replicas` is zero.
     pub fn seeded(
         seed: u64,
-        baseline_calls: u64,
         panics: usize,
         stalls: usize,
         stall: Duration,
         replicas: usize,
         requests: usize,
     ) -> FaultPlan {
-        let lo = baseline_calls / 10;
-        let hi = baseline_calls * 55 / 100;
+        let lo = requests / 10;
+        let hi = requests * 55 / 100;
         let wanted = panics + stalls;
         assert!(replicas > 0, "replicas must be >= 1");
         assert!(
-            hi.saturating_sub(lo) >= wanted as u64 * 2,
-            "baseline_calls {baseline_calls} too small for {wanted} fault points"
+            hi.saturating_sub(lo) >= wanted * 2,
+            "{requests} requests too few for {wanted} fault points"
         );
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC4A0_5EED);
-        let mut at: Vec<u64> = Vec::with_capacity(wanted);
+        let mut at: Vec<usize> = Vec::with_capacity(wanted);
         while at.len() < wanted {
             let candidate = rng.gen_range(lo..hi);
             if !at.contains(&candidate) {
                 at.push(candidate);
             }
         }
-        // The first `panics` draws panic, the rest stall; sorting by call
-        // index afterwards keeps the draw order (and thus the plan) a
+        // The first `panics` draws panic, the rest stall; sorting by
+        // arrival afterwards keeps the draw order (and thus the plan) a
         // pure function of the seed.
         let mut points: Vec<FaultPoint> = at
             .iter()
             .enumerate()
-            .map(|(i, &at_call)| FaultPoint {
-                at_call,
+            .map(|(i, &at_arrival)| FaultPoint {
+                at_arrival,
                 action: if i < panics {
                     FaultAction::Panic
                 } else {
@@ -138,7 +142,7 @@ impl FaultPlan {
                 },
             })
             .collect();
-        points.sort_by_key(|p| p.at_call);
+        points.sort_by_key(|p| p.at_arrival);
         FaultPlan {
             points,
             quarantine: Some(QuarantineEvent {
@@ -162,38 +166,40 @@ impl FaultPlan {
     }
 }
 
-/// The fault-injection hook: delegates to `inner` and fires the plan's
-/// [`FaultPoint`]s on the matching global `exp`-call indices. The counter
-/// is shared by every replica's workers, so *which* replica draws a fault
-/// depends on scheduling — the plan pins *when* in the workload faults
-/// happen, and the gates ([`ChaosCounts::reconciles`], restart
+/// The fault-injection hook: delegates to `inner`, except that each
+/// [`ChaosBackend::arm`]ed fault is taken by exactly one later `exp` call.
+/// The backend is shared by every replica's workers, so *which* replica
+/// draws a fault depends on scheduling — the plan pins *when* in the
+/// workload faults happen, and the gates ([`Ledger::reconciles`], restart
 /// accounting, serving-at-end) hold regardless of where they land.
 pub struct ChaosBackend<'a, B: ?Sized> {
     inner: &'a B,
-    points: Vec<FaultPoint>,
-    calls: AtomicU64,
+    armed: Mutex<VecDeque<FaultAction>>,
+    /// `armed.len()`, readable without the lock: the fault-free `exp`
+    /// path costs one atomic load.
+    pending: AtomicU64,
     fired_panics: AtomicU64,
     fired_stalls: AtomicU64,
 }
 
 impl<'a, B: MathBackend + ?Sized> ChaosBackend<'a, B> {
-    /// Wraps `inner` with the plan's call-indexed faults.
-    pub fn new(inner: &'a B, plan: &FaultPlan) -> Self {
-        let mut points = plan.points.clone();
-        points.sort_by_key(|p| p.at_call);
-        points.dedup_by_key(|p| p.at_call);
+    /// Wraps `inner` with nothing armed.
+    pub fn new(inner: &'a B) -> Self {
         ChaosBackend {
             inner,
-            points,
-            calls: AtomicU64::new(0),
+            armed: Mutex::new(VecDeque::new()),
+            pending: AtomicU64::new(0),
             fired_panics: AtomicU64::new(0),
             fired_stalls: AtomicU64::new(0),
         }
     }
 
-    /// Total `exp` calls observed so far.
-    pub fn total_calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+    /// Arms one fault: the next `exp` call, on whichever worker makes it,
+    /// takes it.
+    pub fn arm(&self, action: FaultAction) {
+        let mut armed = self.armed.lock().expect("no fault fires under the lock");
+        armed.push_back(action);
+        self.pending.store(armed.len() as u64, Ordering::Release);
     }
 
     /// Panic points that actually fired.
@@ -205,6 +211,14 @@ impl<'a, B: MathBackend + ?Sized> ChaosBackend<'a, B> {
     pub fn fired_stalls(&self) -> u64 {
         self.fired_stalls.load(Ordering::Relaxed)
     }
+
+    /// Pops one armed fault, if any: the lock hands each to one caller.
+    fn take_armed(&self) -> Option<FaultAction> {
+        let mut armed = self.armed.lock().expect("no fault fires under the lock");
+        let action = armed.pop_front();
+        self.pending.store(armed.len() as u64, Ordering::Release);
+        action
+    }
 }
 
 impl<B: MathBackend + ?Sized> MathBackend for ChaosBackend<'_, B> {
@@ -213,19 +227,17 @@ impl<B: MathBackend + ?Sized> MathBackend for ChaosBackend<'_, B> {
     }
 
     fn exp(&self, x: f32) -> f32 {
-        // fetch_add hands each index to exactly one caller, so each fault
-        // point fires at most once even across racing workers.
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        if let Ok(i) = self.points.binary_search_by_key(&call, |p| p.at_call) {
-            match self.points[i].action {
-                FaultAction::Panic => {
+        if self.pending.load(Ordering::Acquire) != 0 {
+            match self.take_armed() {
+                Some(FaultAction::Panic) => {
                     self.fired_panics.fetch_add(1, Ordering::Relaxed);
-                    panic!("chaos: scripted panic at backend call {call}");
+                    panic!("chaos: scripted panic");
                 }
-                FaultAction::Stall(d) => {
+                Some(FaultAction::Stall(d)) => {
                     self.fired_stalls.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(d);
                 }
+                None => {}
             }
         }
         self.inner.exp(x)
@@ -278,58 +290,11 @@ pub fn chaos_fault_config() -> FaultToleranceConfig {
     }
 }
 
-/// Where every submission of a chaos phase ended up: exactly one bucket
-/// per submission, so [`ChaosCounts::reconciles`] holding means zero
-/// tickets were dropped or hung *while faults were firing*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChaosCounts {
-    /// Submissions offered to the pool.
-    pub submitted: u64,
-    /// Tickets that resolved with a response.
-    pub completed: u64,
-    /// Submissions shed by SLO admission (all tiers).
-    pub shed: u64,
-    /// Submissions rejected at the queue bound.
-    pub rejected_full: u64,
-    /// Submissions rejected by the per-tenant quota.
-    pub rejected_quota: u64,
-    /// Submissions whose replica never answered the submission rendezvous
-    /// within `replica_timeout` (it was mid-restart).
-    pub rejected_unresponsive: u64,
-    /// Submissions rejected because the replica was shutting down.
-    pub rejected_shutdown: u64,
-    /// Tickets failed typed by a panicked forward.
-    pub failed_forward: u64,
-    /// Tickets abandoned at their end-to-end deadline.
-    pub deadline_exceeded: u64,
-    /// Tickets abandoned at the per-replica stall timeout.
-    pub replica_timeout: u64,
-    /// Tickets failed with any other typed error.
-    pub other_failed: u64,
-}
-
-impl ChaosCounts {
-    /// The zero-dropped-tickets identity under fire.
-    pub fn reconciles(&self) -> bool {
-        self.submitted
-            == self.completed
-                + self.shed
-                + self.rejected_full
-                + self.rejected_quota
-                + self.rejected_unresponsive
-                + self.rejected_shutdown
-                + self.failed_forward
-                + self.deadline_exceeded
-                + self.replica_timeout
-                + self.other_failed
-    }
-}
-
 /// Outcome of one chaos phase.
 #[derive(Debug, Clone)]
 pub struct ChaosPhaseReport {
     /// Submission accounting (the reconciliation gate).
-    pub counts: ChaosCounts,
+    pub counts: Ledger,
     /// The pool's own report (restarts, quarantines, probes, per-replica
     /// metrics).
     pub set: ReplicaSetReport,
@@ -337,8 +302,6 @@ pub struct ChaosPhaseReport {
     pub injected_panics: u64,
     /// Stall points that fired during the phase.
     pub injected_stalls: u64,
-    /// Backend calls the phase consumed (seeds the next plan).
-    pub total_calls: u64,
     /// Per replica: `true` when a fault landed on it (a restart, or a
     /// caller-observed stall timeout). Clean replicas anchor the
     /// tail-latency gate.
@@ -357,23 +320,6 @@ pub struct ChaosPhaseReport {
     pub offered_hz: f64,
     /// Completed requests per second over the traffic window.
     pub achieved_hz: f64,
-}
-
-/// Busy-poll/sleep hybrid pacing (same as the soak driver).
-fn pace_until(start: Instant, at_us: u64) {
-    let target = Duration::from_micros(at_us);
-    loop {
-        let now = start.elapsed();
-        if now >= target {
-            return;
-        }
-        let ahead = target - now;
-        if ahead > Duration::from_micros(200) {
-            std::thread::sleep(ahead - Duration::from_micros(100));
-        } else {
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// After the traffic window, proves `replica` is serving: bounded retry
@@ -403,30 +349,20 @@ fn serves_fresh_request(
 }
 
 /// Runs one open-loop chaos phase: Poisson arrivals paced in real time
-/// into a replica pool served through a [`ChaosBackend`] armed with
-/// `plan`, every accepted ticket harvested on a side thread (deadlines
-/// bound every wait), every submission accounted into [`ChaosCounts`],
-/// and every replica health-checked after the traffic drains.
+/// into a replica pool served through a [`ChaosBackend`] that the driver's
+/// `at_arrival` hook arms per `plan`, every accepted ticket harvested on
+/// the side thread (deadlines bound every wait), every submission
+/// accounted into the [`Ledger`], and every replica health-checked after
+/// the traffic drains.
 pub fn run_chaos_phase<B: MathBackend + Sync + ?Sized>(
     inner: &B,
     cfg: &ChaosConfig,
     plan: &FaultPlan,
 ) -> ChaosPhaseReport {
-    let spec = soak_spec();
-    let net = CapsNet::seeded(&spec, cfg.seed ^ 0xC405).expect("chaos spec is valid");
-    let backend = ChaosBackend::new(inner, plan);
-    let arrivals = TrafficConfig {
-        rate_hz: cfg.rate_hz,
-        requests: cfg.requests,
-        tenants: cfg.tenants,
-        models: 1,
-        max_samples: 1,
-        seed: cfg.seed,
-    }
-    .arrivals();
-    let images: Vec<Tensor> = (0..64)
-        .map(|i| request_images(&spec, 1, cfg.seed ^ (0xC4A05 + i as u64)))
-        .collect();
+    let net = CapsNet::seeded(&soak_spec(), cfg.seed ^ 0xC405).expect("chaos spec is valid");
+    let backend = ChaosBackend::new(inner);
+    let arrivals = phase_arrivals(cfg.rate_hz, cfg.requests, cfg.tenants, cfg.seed);
+    let images = image_pool(cfg.seed ^ 0xC4A05);
 
     let pool_cfg = ReplicaSetConfig {
         replicas: cfg.replicas,
@@ -437,103 +373,61 @@ pub fn run_chaos_phase<B: MathBackend + Sync + ?Sized>(
     };
     let set = ReplicaSet::from_net("chaos", &net, &backend, pool_cfg).expect("chaos pool config");
 
-    let mut counts = ChaosCounts::default();
     let mut tainted = vec![false; cfg.replicas];
     let mut serving_at_end = vec![false; cfg.replicas];
-    let mut elapsed_s = 0.0f64;
-    let ((), set_report) = set.run(|pool| {
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel::<pim_serve::ReplicaTicket>();
-            let harvester = scope.spawn(move || {
-                // Ticket-resolution tallies and fault attributions. The
-                // harvester drains tickets *sequentially*, so a stalled
-                // ticket head-of-line-blocks it — which is why latency
-                // is NOT measured here (a caller-side clock would charge
-                // the harvest delay to innocent replicas); the per-tier
-                // gate reads each replica's own server-side metrics
-                // window instead.
-                let mut tally = ChaosCounts::default();
-                let mut timed_out = vec![false; cfg.replicas];
-                let mut panicked = vec![false; cfg.replicas];
-                for ticket in rx {
-                    let replica = ticket.replica();
-                    match ticket.wait() {
-                        Ok(_) => tally.completed += 1,
-                        Err(ServeError::Forward(_)) => {
-                            tally.failed_forward += 1;
-                            panicked[replica] = true;
-                        }
-                        Err(ServeError::DeadlineExceeded { .. }) => tally.deadline_exceeded += 1,
-                        Err(ServeError::ReplicaTimeout { .. }) => {
-                            tally.replica_timeout += 1;
-                            timed_out[replica] = true;
-                        }
-                        Err(_) => tally.other_failed += 1,
-                    }
+    let (driven, set_report) = set.run(|pool| {
+        let mut points = plan.points.iter().peekable();
+        // Latency is NOT measured on the harvest side: the harvester
+        // drains tickets sequentially, so a stalled ticket
+        // head-of-line-blocks it and a caller-side clock would charge the
+        // delay to innocent replicas; the per-tier gate reads each
+        // replica's own server-side metrics window instead.
+        let driven = drive(
+            pool,
+            &arrivals,
+            Drive {
+                arrivals: Arrivals::Paced,
+                backpressure: Backpressure::Tally,
+                keep_responses: false,
+            },
+            |_, arrival| tiered_request(&images, arrival).with_deadline(cfg.deadline),
+            |i, pool: &ReplicaSetHandle<'_>| {
+                if let Some(q) = plan.quarantine.filter(|q| q.at_arrival == i) {
+                    pool.quarantine(q.replica % cfg.replicas);
                 }
-                (tally, timed_out, panicked)
-            });
-
-            let start = Instant::now();
-            for (i, arrival) in arrivals.iter().enumerate() {
-                if let Some(q) = &plan.quarantine {
-                    if q.at_arrival == i {
-                        pool.quarantine(q.replica % cfg.replicas);
-                    }
+                while let Some(point) = points.next_if(|p| p.at_arrival <= i) {
+                    backend.arm(point.action);
                 }
-                pace_until(start, arrival.at_us);
-                let tier = tier_for_tenant(arrival.tenant);
-                let request = Request::new(
-                    arrival.tenant,
-                    arrival.model,
-                    images[(arrival.image_seed % images.len() as u64) as usize].clone(),
-                )
-                .with_priority(tier)
-                .with_deadline(cfg.deadline);
-                counts.submitted += 1;
-                match pool.submit(request) {
-                    Ok(ticket) => tx.send(ticket).expect("harvester outlives submission"),
-                    Err(SubmitError::Shed { .. }) => counts.shed += 1,
-                    Err(SubmitError::QueueFull { .. }) => counts.rejected_full += 1,
-                    Err(SubmitError::TenantQuotaExceeded { .. }) => counts.rejected_quota += 1,
-                    Err(SubmitError::ReplicaUnresponsive { .. }) => {
-                        counts.rejected_unresponsive += 1
-                    }
-                    Err(SubmitError::ShuttingDown) => counts.rejected_shutdown += 1,
-                    Err(other) => panic!("unexpected chaos-submit rejection: {other}"),
-                }
-            }
-            elapsed_s = start.elapsed().as_secs_f64();
-            drop(tx);
-            let (tally, timed_out, panicked) = harvester.join().expect("harvester thread");
-            counts.completed = tally.completed;
-            counts.failed_forward = tally.failed_forward;
-            counts.deadline_exceeded = tally.deadline_exceeded;
-            counts.replica_timeout = tally.replica_timeout;
-            counts.other_failed = tally.other_failed;
+            },
+        );
 
-            // A replica is tainted when a fault landed on it: a panic
-            // restarted it, or a caller abandoned it at the stall
-            // timeout. (The scripted stall always outlives
-            // `replica_timeout`, so the stalled replica is always
-            // caught.) The operator quarantine is *not* a taint — it
-            // serves nothing while out of rotation.
-            for r in 0..cfg.replicas {
-                tainted[r] = pool.restarts(r) > 0 || timed_out[r] || panicked[r];
+        // A replica is tainted when a fault landed on it: a panic
+        // restarted it, or a caller abandoned it at the stall timeout.
+        // (The scripted stall always outlives `replica_timeout`, so the
+        // stalled replica is always caught.) The operator quarantine is
+        // *not* a taint — it serves nothing while out of rotation.
+        for (r, taint) in tainted.iter_mut().enumerate() {
+            *taint = pool.restarts(r) > 0;
+        }
+        for outcome in &driven.outcomes {
+            if matches!(
+                outcome.result,
+                Err(ServeError::Forward(_) | ServeError::ReplicaTimeout { .. })
+            ) {
+                tainted[outcome.replica] = true;
             }
+        }
 
-            // Killed replicas must be back up and serving.
-            for (r, serving) in serving_at_end.iter_mut().enumerate() {
-                *serving = serves_fresh_request(
-                    pool,
-                    r,
-                    &images[0],
-                    cfg.deadline,
-                    Duration::from_secs(10),
-                );
-            }
-        });
+        // Killed replicas must be back up and serving. These probes are
+        // also the backend calls that take any fault still armed.
+        for (r, serving) in serving_at_end.iter_mut().enumerate() {
+            *serving =
+                serves_fresh_request(pool, r, &images[0], cfg.deadline, Duration::from_secs(10));
+        }
+        driven
     });
+    let counts = driven.ledger;
+    let elapsed_s = driven.submit_s;
 
     let achieved_hz = if elapsed_s > 0.0 {
         counts.completed as f64 / elapsed_s
@@ -562,7 +456,6 @@ pub fn run_chaos_phase<B: MathBackend + Sync + ?Sized>(
         set: set_report,
         injected_panics: backend.fired_panics(),
         injected_stalls: backend.fired_stalls(),
-        total_calls: backend.total_calls(),
         tainted,
         serving_at_end,
         clean_high_p99_us: clean_high_p99,
@@ -592,20 +485,20 @@ mod tests {
 
     #[test]
     fn fault_plan_is_deterministic_and_ordered() {
-        let a = FaultPlan::seeded(7, 100_000, 2, 1, Duration::from_millis(100), 4, 10_000);
-        let b = FaultPlan::seeded(7, 100_000, 2, 1, Duration::from_millis(100), 4, 10_000);
+        let a = FaultPlan::seeded(7, 2, 1, Duration::from_millis(100), 4, 10_000);
+        let b = FaultPlan::seeded(7, 2, 1, Duration::from_millis(100), 4, 10_000);
         assert_eq!(a, b, "same seed must give the same plan");
         assert_ne!(
             a,
-            FaultPlan::seeded(8, 100_000, 2, 1, Duration::from_millis(100), 4, 10_000)
+            FaultPlan::seeded(8, 2, 1, Duration::from_millis(100), 4, 10_000)
         );
         assert_eq!(a.panics(), 2);
         assert_eq!(a.stalls(), 1);
         for w in a.points.windows(2) {
-            assert!(w[0].at_call < w[1].at_call, "strictly ascending");
+            assert!(w[0].at_arrival < w[1].at_arrival, "strictly ascending");
         }
         for p in &a.points {
-            assert!(p.at_call >= 10_000 && p.at_call < 55_000, "{p:?}");
+            assert!(p.at_arrival >= 1_000 && p.at_arrival < 5_500, "{p:?}");
         }
         let q = a.quarantine.expect("seeded plans quarantine");
         assert_eq!(q.at_arrival, 3_500);
@@ -614,10 +507,10 @@ mod tests {
 
     #[test]
     fn counts_reconcile_exactly() {
-        let counts = ChaosCounts {
+        let counts = Ledger {
             submitted: 20,
             completed: 10,
-            shed: 2,
+            shed: [0, 0, 2],
             rejected_full: 1,
             rejected_quota: 1,
             rejected_unresponsive: 1,
@@ -628,7 +521,7 @@ mod tests {
             other_failed: 0,
         };
         assert!(counts.reconciles());
-        let dropped = ChaosCounts {
+        let dropped = Ledger {
             completed: 9,
             ..counts
         };
@@ -637,32 +530,27 @@ mod tests {
 
     #[test]
     fn chaos_backend_fires_each_point_exactly_once() {
-        let plan = FaultPlan {
-            points: vec![
-                FaultPoint {
-                    at_call: 3,
-                    action: FaultAction::Stall(Duration::from_micros(50)),
-                },
-                FaultPoint {
-                    at_call: 5,
-                    action: FaultAction::Stall(Duration::from_micros(50)),
-                },
-            ],
-            quarantine: None,
-        };
-        let backend = ChaosBackend::new(&ExactMath, &plan);
+        let backend = ChaosBackend::new(&ExactMath);
+        backend.exp(0.5);
+        assert_eq!(backend.fired_stalls(), 0, "nothing armed, nothing fires");
+        backend.arm(FaultAction::Stall(Duration::from_micros(50)));
+        backend.arm(FaultAction::Stall(Duration::from_micros(50)));
         for _ in 0..20 {
             backend.exp(0.5);
         }
         assert_eq!(backend.fired_stalls(), 2);
-        assert_eq!(backend.fired_panics(), 0);
-        assert_eq!(backend.total_calls(), 20);
+        backend.arm(FaultAction::Panic);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.exp(0.5)));
+        assert!(caught.is_err(), "the armed panic takes the next call");
+        assert_eq!(backend.fired_panics(), 1);
+        backend.exp(0.5); // and only that one
+        assert_eq!((backend.fired_panics(), backend.fired_stalls()), (1, 2));
     }
 
-    /// End-to-end mini chaos: a fault-free baseline sizes the plan, then
-    /// the same traffic runs under one panic, one stall and one
-    /// quarantine — and still reconciles exactly, restarts every killed
-    /// replica, and serves from every replica afterwards.
+    /// End-to-end mini chaos: a fault-free baseline, then the same traffic
+    /// under one panic, one stall and one quarantine — which still
+    /// reconciles exactly, fires every scripted fault, restarts every
+    /// killed replica, and serves from every replica afterwards.
     #[test]
     fn mini_chaos_phase_reconciles_and_recovers() {
         let cfg = small_cfg();
@@ -675,13 +563,9 @@ mod tests {
         assert_eq!(baseline.injected_panics + baseline.injected_stalls, 0);
         assert_eq!(baseline.set.restarts, 0);
         assert!(baseline.serving_at_end.iter().all(|&s| s));
-        // The micro spec routes ~5 `exp` calls per request — enough call
-        // resolution to place the plan's points.
-        assert!(baseline.total_calls > 5_000, "{}", baseline.total_calls);
 
         let plan = FaultPlan::seeded(
             cfg.seed,
-            baseline.total_calls,
             1,
             1,
             Duration::from_millis(80),

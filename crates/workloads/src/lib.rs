@@ -13,6 +13,7 @@
 
 pub mod accuracy;
 pub mod chaos;
+pub mod drive;
 pub mod persist;
 pub mod quant_gate;
 pub mod report;

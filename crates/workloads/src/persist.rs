@@ -12,10 +12,11 @@ use std::path::Path;
 use std::time::Instant;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
-use pim_serve::{ModelRegistry, Request, ServeConfig, Server, Ticket};
+use pim_serve::{ModelRegistry, Request, ServeConfig, Server};
 use pim_store::{Layout, MappedModel, ModelWriter, StoreError};
 
-use crate::traffic::request_images;
+use crate::drive::{bitwise_eq, drive, Arrivals, Backpressure, Drive};
+use crate::traffic::{request_images, Arrival};
 
 /// What one [`persist_roundtrip`] run measured.
 #[derive(Debug, Clone)]
@@ -71,29 +72,44 @@ pub fn persist_roundtrip(
     };
     let server = Server::new(&registry, &ExactMath, cfg)
         .map_err(|e| StoreError::Corrupt(format!("serve setup: {e}")))?;
-    let (bitwise_identical, _metrics) = server.run(|handle| {
-        let tickets: Vec<(u64, Ticket)> = (0..requests)
-            .map(|i| {
-                let seed = 0xC0FFEE ^ i as u64;
-                let ticket = handle
-                    .submit(Request::new(i % 4, 0, request_images(&spec, 1, seed)))
-                    .expect("queue sized for the stream");
-                (seed, ticket)
-            })
-            .collect();
-        tickets.into_iter().all(|(seed, t)| {
-            let response = t.wait().expect("ticket resolves");
-            let serial = net
-                .forward(&request_images(&spec, 1, seed), &ExactMath)
-                .expect("serial forward");
-            response.predictions == serial.predictions()
-                && response
-                    .class_norms_sq
-                    .iter()
-                    .zip(serial.class_norms_sq.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
+    let arrivals: Vec<Arrival> = (0..requests)
+        .map(|i| Arrival {
+            at_us: 0,
+            tenant: i % 4,
+            model: 0,
+            samples: 1,
+            image_seed: 0xC0FFEE ^ i as u64,
         })
+        .collect();
+    let (driven, _metrics) = server.run(|handle| {
+        drive(
+            handle,
+            &arrivals,
+            Drive {
+                arrivals: Arrivals::Burst,
+                backpressure: Backpressure::Retry,
+                keep_responses: true,
+            },
+            |_, a| Request::new(a.tenant, 0, request_images(&spec, 1, a.image_seed)),
+            |_, _| {},
+        )
     });
+    let bitwise_identical = driven.ledger.completed as usize == requests
+        && driven.outcomes.iter().all(|o| {
+            let serial = net
+                .forward(
+                    &request_images(&spec, 1, arrivals[o.arrival].image_seed),
+                    &ExactMath,
+                )
+                .expect("serial forward");
+            o.result.as_ref().is_ok_and(|response| {
+                bitwise_eq(
+                    response,
+                    &serial.predictions(),
+                    serial.class_norms_sq.as_slice(),
+                )
+            })
+        });
 
     Ok(PersistReport {
         artifact_bytes: report.bytes,

@@ -19,16 +19,16 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use pim_serve::{
-    ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RolloutReport, RoutingPolicy,
-    ServeConfig, SubmitError,
+    ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RolloutReport, RoutingPolicy, ServeConfig,
 };
 use pim_store::{ModelWriter, SharedArtifact, StoreError};
 use pim_tensor::Tensor;
 
+use crate::drive::{bitwise_eq, drive, Arrivals, Backpressure, Drive, Ledger};
 use crate::traffic::{request_images, TrafficConfig};
 
 /// Scenario knobs.
@@ -75,14 +75,10 @@ impl Default for RolloutScenarioConfig {
 pub struct RolloutScenarioReport {
     /// Replicas in the pool.
     pub replicas: usize,
-    /// Requests submitted (every arrival, QueueFull retried).
-    pub submitted: usize,
-    /// Tickets that resolved (success or typed failure). Zero dropped
-    /// tickets ⇔ `resolved == submitted`.
-    pub resolved: usize,
-    /// Tickets that resolved with a forward error (expected 0 — the
-    /// scenario never changes geometry).
-    pub failed: usize,
+    /// Where every arrival ended up (`QueueFull` retried, so zero dropped
+    /// tickets ⇔ `completed + failed() == submitted`; failures expected 0
+    /// — the scenario never changes geometry).
+    pub ledger: Ledger,
     /// `true` when every replica's response stream was version-monotone
     /// in dispatch order.
     pub versions_monotone: bool,
@@ -93,8 +89,6 @@ pub struct RolloutScenarioReport {
     pub good_rollout: RolloutReport,
     /// The poisoned rollout's report (must say `rolled_back`).
     pub poisoned_rollout: RolloutReport,
-    /// Fleet samples/s over the window.
-    pub samples_per_s: f64,
     /// Failed requests the pool metrics recorded.
     pub metric_failed_requests: u64,
 }
@@ -103,8 +97,8 @@ impl RolloutScenarioReport {
     /// The acceptance predicate: zero drops, monotone versions, rollback
     /// exercised, bitwise attribution, healthy rollout updated the fleet.
     pub fn holds(&self) -> bool {
-        self.resolved == self.submitted
-            && self.failed == 0
+        self.ledger.reconciles()
+            && self.ledger.completed == self.ledger.submitted
             && self.versions_monotone
             && self.bitwise_attributed
             && !self.good_rollout.rolled_back
@@ -176,45 +170,30 @@ pub fn rolling_rollout(
     let set = ReplicaSet::from_artifact(spec.name.clone(), &v1_path, &ExactMath, pool_cfg)
         .map_err(|e| StoreError::Corrupt(format!("pool setup: {e}")))?;
 
-    let submitted_counter = AtomicUsize::new(0);
-    let ((outcomes, good_rollout, poisoned_rollout), metrics) = set.run(|pool| {
+    let submitted = AtomicUsize::new(0);
+    let ((driven, good_rollout, poisoned_rollout), metrics) = set.run(|pool| {
         std::thread::scope(|scope| {
-            // Open-loop Poisson submitter: sleeps to each arrival's
-            // timestamp, retries per-replica backpressure, keeps every
-            // ticket.
+            // Open-loop Poisson submitter: paced to each arrival's
+            // timestamp, per-replica backpressure retried, every ticket
+            // kept and waited on once the stream is in.
             let submitter = scope.spawn(|| {
-                let t0 = Instant::now();
-                let mut outcomes = Vec::with_capacity(arrivals.len());
-                let mut tickets = Vec::with_capacity(arrivals.len());
-                for a in &arrivals {
-                    let due = Duration::from_micros(a.at_us);
-                    if let Some(wait) = due.checked_sub(t0.elapsed()) {
-                        if !wait.is_zero() {
-                            std::thread::sleep(wait);
-                        }
-                    }
-                    let images = request_images(spec, a.samples, a.image_seed);
-                    let ticket = loop {
-                        match pool.submit(Request::new(a.tenant, 0, images.clone())) {
-                            Ok(t) => break t,
-                            Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
-                            Err(e) => panic!("unexpected reject: {e}"),
-                        }
-                    };
-                    submitted_counter.fetch_add(1, Ordering::Relaxed);
-                    tickets.push((a.image_seed, a.samples, ticket));
-                }
-                for (seed, samples, ticket) in tickets {
-                    let replica = ticket.replica();
-                    outcomes.push((seed, samples, replica, ticket.wait()));
-                }
-                outcomes
+                drive(
+                    pool,
+                    &arrivals,
+                    Drive {
+                        arrivals: Arrivals::Paced,
+                        backpressure: Backpressure::Retry,
+                        keep_responses: true,
+                    },
+                    |_, a| Request::new(a.tenant, 0, request_images(spec, a.samples, a.image_seed)),
+                    |i, _| submitted.store(i, Ordering::Relaxed),
+                )
             });
 
             // The supervisor: wait until a third of the stream is in,
             // roll out v2; at two thirds, roll out the poisoned build.
             let wait_until = |n: usize| {
-                while submitted_counter.load(Ordering::Relaxed) < n {
+                while submitted.load(Ordering::Relaxed) < n {
                     std::thread::yield_now();
                 }
             };
@@ -239,17 +218,19 @@ pub fn rolling_rollout(
     });
 
     // ── invariant checks over the collected stream ──────────────────────
-    let submitted = submitted_counter.load(Ordering::Relaxed);
-    let resolved = outcomes.len();
-    let failed = outcomes.iter().filter(|(_, _, _, r)| r.is_err()).count();
+    let served = || {
+        driven
+            .outcomes
+            .iter()
+            .filter_map(|o| o.result.as_ref().ok().map(|r| (o, r)))
+    };
 
     // Per-replica version monotonicity in dispatch order.
     let mut versions_monotone = true;
     for replica in 0..cfg.replicas {
-        let mut stream: Vec<_> = outcomes
-            .iter()
-            .filter(|(_, _, r, _)| *r == replica)
-            .filter_map(|(_, _, _, resp)| resp.as_ref().ok())
+        let mut stream: Vec<_> = served()
+            .filter(|(o, _)| o.replica == replica)
+            .map(|(_, r)| r)
             .collect();
         stream.sort_by_key(|r| (r.batch_seq, r.batch_offset));
         let mut last = 0u64;
@@ -264,32 +245,26 @@ pub fn rolling_rollout(
     // Bitwise attribution: every successful response matches one of the
     // three candidate networks exactly.
     let candidates = [&v1, &v2, &poisoned];
-    let bitwise_attributed = outcomes
-        .iter()
-        .filter_map(|(seed, samples, _, resp)| resp.as_ref().ok().map(|r| (*seed, *samples, r)))
-        .all(|(seed, samples, response)| {
-            let images = request_images(spec, samples, seed);
-            candidates.iter().any(|net| {
-                let serial = net.forward(&images, &ExactMath).expect("candidate forward");
-                response.class_norms_sq.len() == serial.class_norms_sq.as_slice().len()
-                    && response
-                        .class_norms_sq
-                        .iter()
-                        .zip(serial.class_norms_sq.as_slice())
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            })
-        });
+    let bitwise_attributed = served().all(|(o, response)| {
+        let a = &arrivals[o.arrival];
+        let images = request_images(spec, a.samples, a.image_seed);
+        candidates.iter().any(|net| {
+            let serial = net.forward(&images, &ExactMath).expect("candidate forward");
+            bitwise_eq(
+                response,
+                &serial.predictions(),
+                serial.class_norms_sq.as_slice(),
+            )
+        })
+    });
 
     Ok(RolloutScenarioReport {
         replicas: cfg.replicas,
-        submitted,
-        resolved,
-        failed,
+        ledger: driven.ledger,
         versions_monotone,
         bitwise_attributed,
         good_rollout,
         poisoned_rollout,
-        samples_per_s: metrics.samples_per_s(),
         metric_failed_requests: metrics.failed_requests,
     })
 }
@@ -306,13 +281,12 @@ mod tests {
         let spec = tiny_persist_spec();
         let report = rolling_rollout(&spec, &dir, &RolloutScenarioConfig::default()).unwrap();
         assert!(report.holds(), "{report:?}");
-        assert_eq!(report.submitted, 120);
-        assert_eq!(report.resolved, 120, "zero dropped tickets");
-        assert_eq!(report.failed, 0);
+        assert_eq!(report.ledger.submitted, 120);
+        assert_eq!(report.ledger.completed, 120, "zero dropped tickets");
+        assert_eq!(report.ledger.failed(), 0);
         assert_eq!(report.metric_failed_requests, 0);
         assert_eq!(report.good_rollout.updated(), 3);
         assert!(report.poisoned_rollout.rolled_back);
-        assert!(report.samples_per_s > 0.0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,31 +7,33 @@
 //! high-priority p99 stays bounded at 1.2x capacity. This module supplies
 //! both halves of that story:
 //!
-//! * [`run_soak_phase`] — the **live** driver: an open-loop Poisson
+//! * [`run_soak_phase`] — the **live** phase: an open-loop Poisson
 //!   arrival stream ([`TrafficConfig::arrivals`]) paced in real time into
-//!   one [`Server::run`] window, every ticket harvested on a side thread
-//!   so nothing is dropped, and every submission accounted into
-//!   [`SoakCounts`] (the "zero dropped tickets" reconciliation);
+//!   one [`Server::run`] window by [`crate::drive`] (tallying every typed
+//!   rejection, harvesting on a side thread), every submission accounted
+//!   into one [`Ledger`] (the "zero dropped tickets" reconciliation);
 //! * [`simulate_soak`] — a **deterministic** discrete-event twin that
 //!   calls the *same* pure [`pim_serve::admission::decide`] the live
 //!   server calls, so shed/quota policy behavior can be property-tested
 //!   (same seed ⇒ identical counts) without wall-clock noise.
 //!
-//! Capacity itself is measured closed-loop by [`measure_capacity_hz`]
-//! (saturate the queue, drain it, divide) so the 0.8x/1.0x/1.2x phase
-//! rates are anchored to the host actually running the soak.
+//! Capacity itself is measured by [`saturated_hz`] — the phase's own
+//! request stream and harvester, offered as a burst — so the
+//! 0.8x/1.0x/1.2x phase rates are anchored to what a phase can sustain on
+//! the host actually running the soak.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use capsnet::{CapsNet, CapsNetSpec, MathBackend, RoutingAlgorithm};
 use pim_serve::admission::{decide, predicted_wait_us, AdmissionVerdict};
 use pim_serve::{
     AdmissionPolicy, MetricsReport, ModelRegistry, Priority, Request, ServeConfig, ServedModel,
-    Server, SloConfig, SubmitError, Ticket, TIERS,
+    Server, SloConfig, TIERS,
 };
 use pim_tensor::Tensor;
 
-use crate::traffic::{request_images, TrafficConfig};
+use crate::drive::{drive, Arrivals, Backpressure, Drive, Ledger};
+use crate::traffic::{request_images, Arrival, TrafficConfig};
 
 /// The soak network: the smallest valid CapsNet geometry (1×1 primary
 /// grid, 2 classes, one routing iteration) so a single core can push
@@ -70,45 +72,6 @@ pub fn tier_for_tenant(tenant: usize) -> Priority {
     }
 }
 
-/// Where every submission of a soak ended up. `submitted` is the number
-/// of [`pim_serve::ServerHandle::submit`] calls; each lands in exactly
-/// one of the other buckets, so [`SoakCounts::reconciles`] holding means
-/// zero tickets were dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SoakCounts {
-    /// Submissions offered to the server.
-    pub submitted: u64,
-    /// Tickets that resolved with a response.
-    pub completed: u64,
-    /// Tickets that resolved with an error (failed batches).
-    pub failed: u64,
-    /// Submissions shed by the SLO admission layer, per tier
-    /// ([`Priority::index`] order).
-    pub shed: [u64; TIERS],
-    /// Submissions rejected at the queue bound.
-    pub rejected_full: u64,
-    /// Submissions rejected by the per-tenant fairness quota.
-    pub rejected_quota: u64,
-}
-
-impl SoakCounts {
-    /// Total shed across tiers.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
-    }
-
-    /// The zero-dropped-tickets identity: every submission is accounted
-    /// exactly once.
-    pub fn reconciles(&self) -> bool {
-        self.submitted
-            == self.completed
-                + self.failed
-                + self.shed_total()
-                + self.rejected_full
-                + self.rejected_quota
-    }
-}
-
 /// One open-loop soak phase: its arrival stream and the server knobs it
 /// runs against.
 #[derive(Debug, Clone)]
@@ -143,7 +106,7 @@ pub fn soak_serve_config() -> ServeConfig {
 pub struct SoakPhaseReport {
     /// Submission accounting (reconciled against `metrics` by the tests
     /// and the bench gate).
-    pub counts: SoakCounts,
+    pub counts: Ledger,
     /// The serve window's own metrics (per-tier latency percentiles).
     pub metrics: MetricsReport,
     /// Offered rate, requests per second.
@@ -158,91 +121,65 @@ pub fn soak_registry(seed: u64) -> ModelRegistry {
     ModelRegistry::from_models([ServedModel::new("caps-soak-micro", net)])
 }
 
-/// Busy-poll/sleep hybrid pacing: sleeps while comfortably ahead of the
-/// arrival timestamp, yields the core (to the worker threads) close in.
-fn pace_until(start: Instant, at_us: u64) {
-    let target = Duration::from_micros(at_us);
-    loop {
-        let now = start.elapsed();
-        if now >= target {
-            return;
-        }
-        let ahead = target - now;
-        if ahead > Duration::from_micros(200) {
-            std::thread::sleep(ahead - Duration::from_micros(100));
-        } else {
-            std::thread::yield_now();
-        }
+/// The single-sample Poisson stream a soak or chaos phase offers.
+pub(crate) fn phase_arrivals(
+    rate_hz: f64,
+    requests: usize,
+    tenants: usize,
+    seed: u64,
+) -> Vec<Arrival> {
+    TrafficConfig {
+        rate_hz,
+        requests,
+        tenants,
+        models: 1,
+        max_samples: 1,
+        seed,
     }
+    .arrivals()
 }
 
-/// Runs one open-loop soak phase against a live server.
-///
-/// Arrivals are generated up front from the seeded Poisson process and
-/// paced in real time; every accepted ticket is handed to a harvester
-/// thread that waits on it (no ticket is ever dropped), and every typed
-/// rejection is tallied. Requests draw from a small pool of pre-built
-/// seeded image tensors so the submit path measures the scheduler, not
-/// the RNG.
+/// A small pool of pre-built seeded images, so the submit path measures
+/// the scheduler, not the RNG.
+pub(crate) fn image_pool(seed: u64) -> Vec<Tensor> {
+    let spec = soak_spec();
+    (0..64)
+        .map(|i| request_images(&spec, 1, seed + i))
+        .collect()
+}
+
+/// The request an arrival carries: a pooled image at its tenant's tier.
+pub(crate) fn tiered_request(images: &[Tensor], arrival: &Arrival) -> Request {
+    let image = &images[(arrival.image_seed % images.len() as u64) as usize];
+    Request::new(arrival.tenant, arrival.model, image.clone())
+        .with_priority(tier_for_tenant(arrival.tenant))
+}
+
+/// Runs one open-loop soak phase against a live server: seeded Poisson
+/// arrivals paced in real time, every typed rejection tallied, every
+/// accepted ticket waited on by the driver's side-thread harvester.
 pub fn run_soak_phase<B: MathBackend + Sync + ?Sized>(
     registry: &ModelRegistry,
     backend: &B,
     cfg: &SoakConfig,
 ) -> SoakPhaseReport {
-    let spec = soak_spec();
-    let arrivals = TrafficConfig {
-        rate_hz: cfg.rate_hz,
-        requests: cfg.requests,
-        tenants: cfg.tenants,
-        models: 1,
-        max_samples: 1,
-        seed: cfg.seed,
-    }
-    .arrivals();
-    let images: Vec<Tensor> = (0..64)
-        .map(|i| request_images(&spec, 1, cfg.seed ^ (0xA11CE + i as u64)))
-        .collect();
-
+    let arrivals = phase_arrivals(cfg.rate_hz, cfg.requests, cfg.tenants, cfg.seed);
+    let images = image_pool(cfg.seed ^ 0xA11CE);
     let server = Server::new(registry, backend, cfg.serve).expect("soak serve config is valid");
-    let mut counts = SoakCounts::default();
-    let ((), metrics) = server.run(|handle| {
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel::<Ticket>();
-            let harvester = scope.spawn(move || {
-                let (mut completed, mut failed) = (0u64, 0u64);
-                for ticket in rx {
-                    match ticket.wait() {
-                        Ok(_) => completed += 1,
-                        Err(_) => failed += 1,
-                    }
-                }
-                (completed, failed)
-            });
-            let start = Instant::now();
-            for arrival in &arrivals {
-                pace_until(start, arrival.at_us);
-                let tier = tier_for_tenant(arrival.tenant);
-                let request = Request::new(
-                    arrival.tenant,
-                    arrival.model,
-                    images[(arrival.image_seed % images.len() as u64) as usize].clone(),
-                )
-                .with_priority(tier);
-                counts.submitted += 1;
-                match handle.submit(request) {
-                    Ok(ticket) => tx.send(ticket).expect("harvester outlives submission"),
-                    Err(SubmitError::Shed { .. }) => counts.shed[tier.index()] += 1,
-                    Err(SubmitError::QueueFull { .. }) => counts.rejected_full += 1,
-                    Err(SubmitError::TenantQuotaExceeded { .. }) => counts.rejected_quota += 1,
-                    Err(other) => panic!("unexpected soak-submit rejection: {other}"),
-                }
-            }
-            drop(tx);
-            let (completed, failed) = harvester.join().expect("harvester thread");
-            counts.completed = completed;
-            counts.failed = failed;
-        });
+    let (driven, metrics) = server.run(|handle| {
+        drive(
+            handle,
+            &arrivals,
+            Drive {
+                arrivals: Arrivals::Paced,
+                backpressure: Backpressure::Tally,
+                keep_responses: false,
+            },
+            |_, arrival| tiered_request(&images, arrival),
+            |_, _| {},
+        )
     });
+    let counts = driven.ledger;
     let achieved_hz = if metrics.elapsed_s > 0.0 {
         counts.completed as f64 / metrics.elapsed_s
     } else {
@@ -256,13 +193,29 @@ pub fn run_soak_phase<B: MathBackend + Sync + ?Sized>(
     }
 }
 
-/// Measures the host's serving capacity, requests per second, closed-loop:
-/// submit `requests` single-sample requests back to back (admission forced
-/// to [`AdmissionPolicy::QueueBound`] with a bound that holds them all, so
-/// nothing is shed), wait for every ticket, divide by the window. Batches
-/// run full, so this is the throughput the open-loop phases' multipliers
-/// are anchored to.
-pub fn measure_capacity_hz<B: MathBackend + Sync + ?Sized>(
+/// Sprints [`saturated_hz`] takes the upper quartile of.
+pub const CAPACITY_SPRINTS: usize = 5;
+
+/// Queue bound of a capacity sprint, samples.
+pub const PROBE_QUEUE: usize = 1024;
+
+/// Measures the serving capacity a phase is anchored to, requests per
+/// second: the phase's own configuration — same image pool, tenant tiers
+/// and side-thread harvester — offered as a burst instead of paced, with
+/// admission forced to [`AdmissionPolicy::QueueBound`] and `QueueFull`
+/// retried so nothing is shed. The queue is bounded at [`PROBE_QUEUE`]
+/// samples so the submitter pushes against backpressure for the whole
+/// sprint and competes for a core as a pacing submitter does (an
+/// unbounded burst is queued in a few milliseconds, leaves the cores to
+/// the worker, and read 20–35% above what a paced phase sustains).
+/// Sprints of one run spread by ±10% on a shared host. Interference only
+/// ever subtracts, and an underestimate is the failure that matters — it
+/// turns the "1.2x" overload phase into one the server keeps up with — so
+/// the estimate leans high: the upper quartile of [`CAPACITY_SPRINTS`]
+/// sprints after one unmeasured warm-up. (Not the fastest: one freak
+/// sprint read 346k against a typical 200–220k and made the "0.8x" phase
+/// an overload.)
+pub fn saturated_hz<B: MathBackend + Sync + ?Sized>(
     registry: &ModelRegistry,
     backend: &B,
     serve: ServeConfig,
@@ -272,35 +225,38 @@ pub fn measure_capacity_hz<B: MathBackend + Sync + ?Sized>(
 ) -> f64 {
     let cfg = ServeConfig {
         admission: AdmissionPolicy::QueueBound,
-        queue_capacity: serve.queue_capacity.max(requests + 1),
+        queue_capacity: PROBE_QUEUE.max(serve.max_batch),
         ..serve
     };
-    let spec = soak_spec();
-    let images: Vec<Tensor> = (0..64)
-        .map(|i| request_images(&spec, 1, seed ^ (0xCAFE + i as u64)))
+    let arrivals = phase_arrivals(1.0, requests, tenants, seed);
+    let images = image_pool(seed ^ 0xCAFE);
+    let mut sprints: Vec<f64> = (0..=CAPACITY_SPRINTS)
+        .map(|_| {
+            let server = Server::new(registry, backend, cfg).expect("probe serve config is valid");
+            let (driven, metrics) = server.run(|handle| {
+                drive(
+                    handle,
+                    &arrivals,
+                    Drive {
+                        arrivals: Arrivals::Burst,
+                        backpressure: Backpressure::Retry,
+                        keep_responses: false,
+                    },
+                    |_, arrival| tiered_request(&images, arrival),
+                    |_, _| {},
+                )
+            });
+            assert_eq!(
+                driven.ledger.completed as usize, requests,
+                "probe dropped tickets: {:?}",
+                driven.ledger
+            );
+            requests as f64 / metrics.elapsed_s
+        })
+        .skip(1)
         .collect();
-    let closed_loop = |count: usize| {
-        let server = Server::new(registry, backend, cfg).expect("probe serve config is valid");
-        let ((), metrics) = server.run(|handle| {
-            let mut tickets = Vec::with_capacity(count);
-            for i in 0..count {
-                let request = Request::new(i % tenants, 0, images[i % images.len()].clone())
-                    .with_priority(tier_for_tenant(i % tenants));
-                tickets.push(handle.submit(request).expect("probe queue holds all"));
-            }
-            for ticket in tickets {
-                ticket.wait().expect("probe forward");
-            }
-        });
-        assert_eq!(metrics.requests as usize, count, "probe dropped tickets");
-        metrics.requests as f64 / metrics.elapsed_s
-    };
-    // One unmeasured pass absorbs cold-start costs (first forwards, lazy
-    // allocations); an underestimated capacity would turn the soak's
-    // "1.2x" overload phase into a phase the server can actually keep up
-    // with, shedding nothing.
-    closed_loop((requests / 4).clamp(1, 4_000));
-    closed_loop(requests)
+    sprints.sort_by(f64::total_cmp);
+    sprints[3 * CAPACITY_SPRINTS / 4]
 }
 
 /// Configuration of the deterministic discrete-event soak twin.
@@ -346,23 +302,15 @@ impl Default for SimSoakConfig {
 /// The estimator is modeled faithfully: predicted waits are zero (admit
 /// everything) until the first simulated completion, after which the
 /// estimate is the exact `service_ns`.
-pub fn simulate_soak(cfg: &SimSoakConfig) -> SoakCounts {
-    let arrivals = TrafficConfig {
-        rate_hz: cfg.rate_hz,
-        requests: cfg.requests,
-        tenants: cfg.tenants,
-        models: 1,
-        max_samples: 1,
-        seed: cfg.seed,
-    }
-    .arrivals();
+pub fn simulate_soak(cfg: &SimSoakConfig) -> Ledger {
+    let arrivals = phase_arrivals(cfg.rate_hz, cfg.requests, cfg.tenants, cfg.seed);
 
     // Waiting requests: (arrival_ns, tenant), FIFO per tier.
     let mut queues: [std::collections::VecDeque<(u64, usize)>; TIERS] =
         std::array::from_fn(|_| std::collections::VecDeque::new());
     let mut tenant_queued: std::collections::HashMap<usize, usize> =
         std::collections::HashMap::new();
-    let mut counts = SoakCounts::default();
+    let mut counts = Ledger::default();
     let mut free_ns: u64 = 0; // when the worker next idles
     let mut first_completion_ns: Option<u64> = None;
 
@@ -485,16 +433,17 @@ mod tests {
 
     #[test]
     fn counts_reconcile_exactly() {
-        let counts = SoakCounts {
+        let counts = Ledger {
             submitted: 10,
             completed: 4,
-            failed: 1,
+            failed_forward: 1,
             shed: [0, 1, 2],
             rejected_full: 1,
             rejected_quota: 1,
+            ..Default::default()
         };
         assert!(counts.reconciles());
-        let off_by_one = SoakCounts {
+        let off_by_one = Ledger {
             completed: 5,
             ..counts
         };
@@ -543,7 +492,7 @@ mod tests {
             };
             let counts = simulate_soak(&cfg);
             assert_eq!(counts.submitted as usize, cfg.requests, "case {case}");
-            assert_eq!(counts.failed, 0, "the simulator cannot fail forwards");
+            assert_eq!(counts.failed(), 0, "the simulator cannot fail forwards");
             assert!(
                 counts.reconciles(),
                 "case {case}: {counts:?} does not reconcile under {cfg:?}"
@@ -579,34 +528,52 @@ mod tests {
     }
 
     /// Live end-to-end: a short open-loop phase reconciles exactly and its
-    /// submitter-side counts agree with the server's own metrics.
+    /// submitter-side ledger agrees with the server's own metrics — under
+    /// the soak's shedding configuration at 1.2x capacity, and against a
+    /// four-sample queue with a one-sample tenant quota, where the queue
+    /// bound and the quota do the rejecting.
     #[test]
     fn live_phase_reconciles_against_server_metrics() {
         let registry = soak_registry(7);
-        let capacity =
-            measure_capacity_hz(&registry, &ExactMath, soak_serve_config(), 600, 30, 0xBEEF);
+        let capacity = saturated_hz(&registry, &ExactMath, soak_serve_config(), 600, 30, 0xBEEF);
         assert!(capacity > 0.0);
-        let report = run_soak_phase(
-            &registry,
-            &ExactMath,
-            &SoakConfig {
-                tenants: 30,
-                requests: 2_000,
-                rate_hz: capacity * 1.2,
-                seed: 0x50AC1,
-                serve: soak_serve_config(),
-            },
-        );
-        let counts = report.counts;
-        assert_eq!(counts.submitted, 2_000);
-        assert!(counts.reconciles(), "dropped tickets: {counts:?}");
-        assert_eq!(counts.completed, report.metrics.requests);
-        assert_eq!(counts.failed, report.metrics.failed_requests);
-        assert_eq!(counts.shed_total(), report.metrics.shed_total());
-        assert_eq!(counts.rejected_full, report.metrics.rejected_full);
-        assert_eq!(counts.rejected_quota, report.metrics.rejected_quota);
-        for (tier, report_tier) in Priority::ALL.iter().zip(&report.metrics.tiers) {
-            assert_eq!(counts.shed[tier.index()], report_tier.shed);
+        let tiny = ServeConfig {
+            max_batch: 4,
+            queue_capacity: 4,
+            admission: AdmissionPolicy::SloAware(SloConfig {
+                shed_wait_us: [u64::MAX; TIERS],
+                tenant_quota: 1,
+            }),
+            ..soak_serve_config()
+        };
+        for serve in [soak_serve_config(), tiny] {
+            let report = run_soak_phase(
+                &registry,
+                &ExactMath,
+                &SoakConfig {
+                    tenants: 30,
+                    requests: 2_000,
+                    rate_hz: capacity * 1.2,
+                    seed: 0x50AC1,
+                    serve,
+                },
+            );
+            let counts = report.counts;
+            assert_eq!(counts.submitted, 2_000);
+            assert!(counts.reconciles(), "dropped tickets: {counts:?}");
+            assert_eq!(counts.completed, report.metrics.requests);
+            assert_eq!(counts.failed(), report.metrics.failed_requests);
+            assert_eq!(counts.shed_total(), report.metrics.shed_total());
+            assert_eq!(counts.rejected_full, report.metrics.rejected_full);
+            assert_eq!(counts.rejected_quota, report.metrics.rejected_quota);
+            for (tier, report_tier) in Priority::ALL.iter().zip(&report.metrics.tiers) {
+                assert_eq!(counts.shed[tier.index()], report_tier.shed);
+            }
+            if serve.queue_capacity == 4 {
+                assert_eq!(counts.shed_total(), 0, "the ceilings are unreachable");
+                assert!(counts.rejected_full > 0, "queue bound idle: {counts:?}");
+                assert!(counts.rejected_quota > 0, "quota idle: {counts:?}");
+            }
         }
     }
 }
