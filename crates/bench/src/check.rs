@@ -293,12 +293,14 @@ pub fn check_replica(doc: &Value) -> Verdict {
     all_true(rollout, &flags)
 }
 
-/// `BENCH_soak.json`: exact per-phase reconciliation, low-tier-first
-/// shedding at 1.2x, and the recorded gate flags.
+/// `BENCH_soak.json`: exact per-phase reconciliation, one capacity under
+/// ascending offered rates, a calm 0.8x baseline, low-tier-only-never-high
+/// shedding at 1.2x and the bounded high-tier p99.
 pub fn check_soak(doc: &Value) -> Verdict {
     check_host(doc)?;
     ensure!(text(doc, "model")? == "caps-soak-micro", "model changed");
     at_least(doc, 100.0, &["tenants"])?;
+    at_least(doc, 1.0, &["sweeps"])?;
     let sched = member(doc, "scheduler")?;
     let slo_aware = text(sched, "admission")? == "slo_aware";
     ensure!(slo_aware, "the soak runs SLO-aware admission");
@@ -307,9 +309,10 @@ pub fn check_soak(doc: &Value) -> Verdict {
     ensure!(tightening, "tier ceilings loosen: {ceilings:?}");
     at_least(sched, 1.0, &["tenant_quota"])?;
     let capacity = member(doc, "capacity")?;
-    let probe = ["sprints", "requests_per_sprint", "queue_bound"];
+    let probe = ["requests", "queue_bound", "overdrive"];
     at_least(capacity, 1.0, &probe)?;
     ensure!(!text(capacity, "method")?.is_empty(), "capacity.method");
+    let capacity_hz = num(capacity, "hz")?;
 
     let per_phase = num(doc, "requests_per_phase")?;
     let phases = list(doc, "phases")?;
@@ -335,7 +338,11 @@ pub fn check_soak(doc: &Value) -> Verdict {
             && num(counts, "rejected_quota")? == num(server, "rejected_quota")?
             && nums(counts, "shed")? == each(tiers, "shed", num)?;
         ensure!(agree, "phase {m}: ledger and server metrics disagree");
-        at_least(p, TINY, &["capacity_hz", "offered_hz", "achieved_hz"])?;
+        at_least(p, TINY, &["achieved_hz"])?;
+        // Every phase is anchored to the one estimate, so the rates ascend.
+        let offered = num(p, "offered_hz")?;
+        let anchored = capacity_hz > 0.0 && (offered - m * capacity_hz).abs() < 0.02;
+        ensure!(anchored, "phase {m}: offered {offered} of {capacity_hz}");
         for t in tiers {
             at_least(t, 0.0, &["requests", "shed"])?;
             let (p50, p95, p99) = (num(t, "p50_us")?, num(t, "p95_us")?, num(t, "p99_us")?);
@@ -344,10 +351,13 @@ pub fn check_soak(doc: &Value) -> Verdict {
         }
         high_p99.push(num(&tiers[0], "p99_us")?);
     }
+    let calm_shed: f64 = nums(ledger(&phases[0])?, "shed")?.iter().sum();
+    let calm = calm_shed <= crate::soak_bench::CALM_SHED_SHARE * per_phase;
+    ensure!(calm, "0.8x shed {calm_shed} of {per_phase}: not a baseline");
     let shed = nums(ledger(&phases[2])?, "shed")?;
     ensure!(shed.len() == 3, "shed is per tier");
     let (high, low) = (shed[0], shed[2]);
-    let low_first = low > 0.0 && high <= crate::soak_bench::HIGH_SHED_PER_LOW_SHED * low;
+    let low_first = low > 0.0 && high == 0.0;
     ensure!(low_first, "1.2x shed {high} high against {low} low");
     let floor = num(doc, "high_p99_floor_us")?;
     let bounded = p99_bounded(high_p99[0], high_p99[2], floor);
