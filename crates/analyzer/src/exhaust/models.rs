@@ -9,7 +9,7 @@
 //!
 //! | model     | mirrors                                   | invariant |
 //! |-----------|-------------------------------------------|-----------|
-//! | `mailbox` | `serve::replica::Mailbox` push/close/requeue | every job resolves exactly once |
+//! | `mailbox` | `serve::replica::Mailbox` push/wound/close | every job resolves exactly once |
 //! | `bloom`   | `cache` bloom insert vs. lock-free probe  | bloom negative ⇒ key absent |
 //! | `reserve` | `serve::replica` `pick_and_reserve` CAS-argmin | counts never negative; overlapping picks spread |
 
@@ -49,16 +49,24 @@ fn lock_plain<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-// ── model 1: mailbox push / close / requeue ─────────────────────────────
+// ── model 1: mailbox push / wound / close ───────────────────────────────
 
-/// Shadow of `serve::replica::Mailbox`: a queue plus a closed flag under
-/// one mutex. Jobs are resolved (success or failure) exactly once.
+/// Shadow of `serve::replica::Mailbox`: control jobs plus the closed and
+/// wounded flags under one mutex. Jobs are resolved (run or failed)
+/// exactly once.
 pub struct MailboxState {
-    queue: ShadowMutex<(VecDeque<usize>, bool)>,
+    queue: ShadowMutex<Mail>,
     /// Per-job resolution count (plain — written only by the resolving
     /// thread, read after quiescence).
     resolved: [AtomicI64; 2],
-    requeued: AtomicI64,
+}
+
+/// The mailbox's guarded state.
+#[derive(Default)]
+pub struct Mail {
+    jobs: VecDeque<usize>,
+    closed: bool,
+    wounded: bool,
 }
 
 impl MailboxState {
@@ -68,15 +76,31 @@ impl MailboxState {
             sched.fail(tid, format!("job {job} resolved twice"));
         }
     }
+
+    /// `close_and_fail` / window-end drain: close, take everything queued
+    /// under the lock, resolve it outside.
+    fn close_and_drain(&self, sched: &Sched, tid: usize) {
+        let mut g = self.queue.lock(sched, tid);
+        g.closed = true;
+        let drained: Vec<usize> = g.jobs.drain(..).collect();
+        drop(g);
+        for job in drained {
+            self.resolve(sched, tid, job);
+        }
+    }
 }
 
-/// Threads: t0 pushes job 0 then job 1 (resolving on push-after-close),
-/// t1 closes the mailbox and fails everything drained, t2 works the queue
-/// and requeues job 0 once before completing it.
+/// Threads: t0 pushes control jobs 0 and 1 (failing a push-after-close);
+/// t1 is a replica worker dying twice (`wound`); t2 is the replica's
+/// supervisor and control thread — it pops (a wound before any job),
+/// restarts the life once on a wound (`heal`), dies for good on the next
+/// one (`close_and_fail`), and otherwise closes and drains at window end.
 ///
-/// `Broken`: push and requeue use check-then-act — the closed flag is read
-/// in one critical section and the push happens in another, so a close
-/// between them strands the job (resolved zero times).
+/// `Broken`: push is check-then-act (the closed flag is read in one
+/// critical section and the push happens in another, so a close between
+/// them strands the job), and the control thread pops a job *before*
+/// looking at the wound, so a wound ends the life with that job in hand
+/// and never run — the stranding the wound-first order prevents.
 pub fn mailbox(variant: Variant) -> Model<MailboxState> {
     let broken = variant == Variant::Broken;
     Model {
@@ -84,9 +108,8 @@ pub fn mailbox(variant: Variant) -> Model<MailboxState> {
         threads: 3,
         make: Arc::new(|| {
             Arc::new(MailboxState {
-                queue: ShadowMutex::new("mailbox", (VecDeque::new(), false)),
+                queue: ShadowMutex::new("mailbox", Mail::default()),
                 resolved: [AtomicI64::new(0), AtomicI64::new(0)],
-                requeued: AtomicI64::new(0),
             })
         }),
         body: Arc::new(move |tid, sched, s: &MailboxState| match tid {
@@ -96,73 +119,62 @@ pub fn mailbox(variant: Variant) -> Model<MailboxState> {
                     if broken {
                         // BUG: closed checked in a separate critical
                         // section from the push.
-                        let closed = s.queue.lock(sched, tid).1;
+                        let closed = s.queue.lock(sched, tid).closed;
                         if closed {
                             s.resolve(sched, tid, job);
                             continue;
                         }
-                        s.queue.lock(sched, tid).0.push_back(job);
+                        s.queue.lock(sched, tid).jobs.push_back(job);
                     } else {
                         // Correct: check-and-push is one critical section.
                         let mut g = s.queue.lock(sched, tid);
-                        if g.1 {
+                        if g.closed {
                             drop(g);
                             s.resolve(sched, tid, job);
                         } else {
-                            g.0.push_back(job);
+                            g.jobs.push_back(job);
                         }
                     }
                 }
             }
             1 => {
-                // Closer: close_and_fail — set closed and drain under the
-                // lock, resolve the drained jobs outside it.
-                let mut g = s.queue.lock(sched, tid);
-                g.1 = true;
-                let drained: Vec<usize> = g.0.drain(..).collect();
-                drop(g);
-                for job in drained {
-                    s.resolve(sched, tid, job);
+                // Dying workers: each raises the wound.
+                for _ in 0..2 {
+                    s.queue.lock(sched, tid).wounded = true;
                 }
             }
             2 => {
-                // Worker: pop up to 3 times; requeue job 0 once
-                // (front-of-queue, mirroring retry-after-transient-failure)
-                // before resolving it.
-                for _ in 0..3 {
+                // Supervisor + control loop, restart budget 1.
+                let mut restarts = 0;
+                for _ in 0..4 {
                     let mut g = s.queue.lock(sched, tid);
-                    let job = g.0.pop_front();
-                    let closed = g.1;
-                    drop(g);
-                    let Some(job) = job else { continue };
-                    if job == 0 && s.requeued.load(Ordering::SeqCst) == 0 {
-                        s.requeued.store(1, Ordering::SeqCst);
-                        if broken {
-                            // BUG: requeue ignores the closed flag.
-                            s.queue.lock(sched, tid).0.push_front(job);
-                        } else {
-                            let mut g = s.queue.lock(sched, tid);
-                            if g.1 {
-                                drop(g);
-                                s.resolve(sched, tid, job);
-                            } else {
-                                g.0.push_front(job);
-                            }
+                    // BUG (broken): the job is taken before the wound is
+                    // looked at.
+                    let early = if broken { g.jobs.pop_front() } else { None };
+                    if g.wounded {
+                        drop(g);
+                        if restarts == 1 {
+                            s.close_and_drain(sched, tid);
+                            return;
                         }
-                    } else {
-                        let _ = closed;
+                        restarts += 1;
+                        s.queue.lock(sched, tid).wounded = false;
+                        continue;
+                    }
+                    let job = early.or_else(|| g.jobs.pop_front());
+                    drop(g);
+                    if let Some(job) = job {
                         s.resolve(sched, tid, job);
                     }
                 }
+                // Window end: close, then drain and run what is queued.
+                s.close_and_drain(sched, tid);
             }
             _ => unreachable!(),
         }),
         check_final: Arc::new(|s: &MailboxState| {
-            // Anything still sitting in the queue at quiescence is a
-            // stranded job: closed mailboxes must drain, and the worker
-            // made enough passes to clear an open one... except when the
-            // close landed first; either way the *resolution count* is the
-            // ground truth.
+            // The resolution count is the ground truth: a stranded job
+            // (left queued, or dropped in hand) resolved zero times.
             for (job, r) in s.resolved.iter().enumerate() {
                 let n = r.load(Ordering::SeqCst);
                 if n != 1 {

@@ -154,7 +154,7 @@ fn print_phase(name: &str, p: &ChaosPhaseReport) {
     let c = &p.counts;
     println!(
         "  {name}: offered {:.0} req/s, achieved {:.0} req/s, completed {} shed {} \
-         forward-failed {} timeouts {} deadline {} unresponsive {}  \
+         forward-failed {} timeouts {} deadline {} shut down {}  \
          restarts {} quarantines {} probes {}  clean high p99 {:?} us",
         p.offered_hz,
         p.achieved_hz,
@@ -163,7 +163,7 @@ fn print_phase(name: &str, p: &ChaosPhaseReport) {
         c.failed_forward,
         c.replica_timeout,
         c.deadline_exceeded,
-        c.rejected_unresponsive,
+        c.rejected_shutdown,
         p.set.restarts,
         p.set.quarantines,
         p.set.probes,
@@ -289,8 +289,7 @@ mod tests {
                 shed: [0, 2, 8],
                 rejected_full: 0,
                 rejected_quota: 2,
-                rejected_unresponsive: 1,
-                rejected_shutdown: 0,
+                rejected_shutdown: 1,
                 failed_forward: if faulty { 2 } else { 0 },
                 deadline_exceeded: if faulty { 2 } else { 3 },
                 replica_timeout: if faulty { 3 } else { 4 },

@@ -111,7 +111,6 @@ fn ledger(v: &Value) -> Result<&Value, String> {
         "other_failed",
         "rejected_full",
         "rejected_quota",
-        "rejected_unresponsive",
         "rejected_shutdown",
     ];
     let (submitted, accounted) = (num(ledger, "submitted")?, sum(ledger, &buckets)? + shed);
@@ -169,34 +168,6 @@ fn streaming_model(doc: &Value) -> Result<f64, String> {
     let streams = bytes > 200.0 * 1024.0 * 1024.0;
     ensure!(streams, "model left the weight-streaming regime");
     Ok(bytes)
-}
-
-/// `BENCH_routing.json`.
-pub fn check_routing(doc: &Value) -> Verdict {
-    check_host(doc)?;
-    let benches = list(doc, "benchmarks")?;
-    let n = benches.len();
-    ensure!(n >= 8, "routing suite shrank to {n} rows");
-    let names = each(benches, "name", text)?;
-    for b in benches {
-        at_least(b, TINY, &["ns_per_iter", "speedup_vs_baseline"])?;
-        let (name, baseline) = (text(b, "name")?, text(b, "baseline")?);
-        let known = names.contains(&baseline);
-        ensure!(known, "{name}: baseline {baseline:?} not in the suite");
-        let unit = baseline != name || num(b, "speedup_vs_baseline")? == 1.0;
-        ensure!(unit, "{name}: a baseline compares against itself at 1.0");
-    }
-    // The execution strategies the routing engine ships must stay measured.
-    for required in [
-        "dynamic_shared_boxed",
-        "dynamic_shared_mono",
-        "dynamic_shared_arena",
-        "dynamic_per_sample_parallel",
-        "em_mono",
-    ] {
-        ensure!(names.contains(&required), "missing {required}");
-    }
-    Ok(())
 }
 
 /// `BENCH_store.json`: the ≥ 10x mmap-vs-rebuild bar and bitwise serving.

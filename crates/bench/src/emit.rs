@@ -11,16 +11,6 @@ use crate::check::Verdict;
 use crate::jsonlite::Value;
 use crate::results_dir;
 
-/// One measured routing configuration (see the `suite_summary` binary).
-pub struct RoutingMeasurement {
-    /// Strategy name (e.g. `dynamic_shared_mono`).
-    pub name: &'static str,
-    /// Name of the boxed-dispatch measurement this one is compared against.
-    pub baseline: &'static str,
-    /// Nanoseconds per iteration.
-    pub ns_per_iter: f64,
-}
-
 /// The measurement host's execution environment: which SIMD path the
 /// runtime dispatch selected and how many threads the work-splitting
 /// heuristics may use. Numbers from different hosts are only comparable
@@ -40,35 +30,6 @@ impl BenchHost {
             threads: pim_tensor::par::available_threads(),
         }
     }
-}
-
-/// Renders `BENCH_routing.json`: the measurement host plus every
-/// measurement and its speedup over its named baseline.
-pub fn routing_json(host: &BenchHost, measurements: &[RoutingMeasurement]) -> String {
-    let baseline_ns = |name: &str| {
-        measurements
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.ns_per_iter)
-            .unwrap_or(f64::NAN)
-    };
-    let mut json = format!(
-        "{{\n  \"host\": {{\"simd\": \"{}\", \"threads\": {}}},\n  \"benchmarks\": [\n",
-        host.simd, host.threads
-    );
-    for (i, m) in measurements.iter().enumerate() {
-        let speedup = baseline_ns(m.baseline) / m.ns_per_iter;
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"baseline\": \"{}\", \"speedup_vs_baseline\": {:.4}}}{}\n",
-            m.name,
-            m.ns_per_iter,
-            m.baseline,
-            speedup,
-            if i + 1 == measurements.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
 }
 
 /// One timed persistence step (see the `store_load` binary).
@@ -260,7 +221,7 @@ pub fn ledger_json(ledger: &Ledger) -> String {
             "{{\"submitted\": {}, \"completed\": {}, \"failed_forward\": {}, ",
             "\"deadline_exceeded\": {}, \"replica_timeout\": {}, \"other_failed\": {}, ",
             "\"shed\": {:?}, \"rejected_full\": {}, \"rejected_quota\": {}, ",
-            "\"rejected_unresponsive\": {}, \"rejected_shutdown\": {}, \"reconciled\": {}}}",
+            "\"rejected_shutdown\": {}, \"reconciled\": {}}}",
         ),
         ledger.submitted,
         ledger.completed,
@@ -271,7 +232,6 @@ pub fn ledger_json(ledger: &Ledger) -> String {
         ledger.shed,
         ledger.rejected_full,
         ledger.rejected_quota,
-        ledger.rejected_unresponsive,
         ledger.rejected_shutdown,
         ledger.reconciles(),
     )
@@ -300,39 +260,6 @@ pub fn write_json_artifact(file_name: &str, json: &str, check: fn(&Value) -> Ver
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn routing_json_is_wellformed_with_speedups_and_host() {
-        let host = BenchHost {
-            simd: "avx2+fma",
-            threads: 4,
-        };
-        let json = routing_json(
-            &host,
-            &[
-                RoutingMeasurement {
-                    name: "base",
-                    baseline: "base",
-                    ns_per_iter: 100.0,
-                },
-                RoutingMeasurement {
-                    name: "fast",
-                    baseline: "base",
-                    ns_per_iter: 50.0,
-                },
-            ],
-        );
-        let v = crate::jsonlite::parse(&json).unwrap();
-        let h = v.get("host").unwrap();
-        assert_eq!(h.get("simd").unwrap().as_str(), Some("avx2+fma"));
-        assert_eq!(h.get("threads").unwrap().as_f64(), Some(4.0));
-        let benches = v.get("benchmarks").unwrap().as_array().unwrap();
-        assert_eq!(benches.len(), 2);
-        assert_eq!(
-            benches[1].get("speedup_vs_baseline").unwrap().as_f64(),
-            Some(2.0)
-        );
-    }
 
     /// The streaming-rate bars `check_quant` applies until the convert
     /// leaves the strip loader's inner loop: both dtypes >= 1.6x f32, int8

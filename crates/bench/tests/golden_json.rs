@@ -8,8 +8,8 @@
 //! one-thread record mis-states every sharded path), and at full size.
 
 use pim_bench::check::{
-    check_cache, check_chaos, check_host, check_quant, check_replica, check_routing, check_soak,
-    check_store, load, Verdict,
+    check_cache, check_chaos, check_host, check_quant, check_replica, check_soak, check_store,
+    load, Verdict,
 };
 use pim_bench::jsonlite::Value;
 use pim_bench::results_dir;
@@ -37,7 +37,6 @@ macro_rules! golden {
 }
 
 golden! {
-    bench_routing_schema: "BENCH_routing.json", check_routing, None;
     bench_store_schema: "BENCH_store.json", check_store, None;
     bench_quant_schema: "BENCH_quant.json", check_quant, None;
     bench_replica_schema: "BENCH_replica.json", check_replica, None;

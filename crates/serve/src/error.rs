@@ -62,16 +62,6 @@ pub enum SubmitError {
         /// Offending dimensions.
         actual: Vec<usize>,
     },
-    /// The targeted replica did not acknowledge the submission within the
-    /// caller's wait bound (stalled backend, mid-restart, or wedged
-    /// control loop). The request was **not** admitted; resubmitting to
-    /// another replica is safe.
-    ReplicaUnresponsive {
-        /// The unresponsive replica.
-        replica: usize,
-        /// How long the submitter waited for the rendezvous, microseconds.
-        waited_us: u64,
-    },
 }
 
 impl fmt::Display for SubmitError {
@@ -112,10 +102,6 @@ impl fmt::Display for SubmitError {
             SubmitError::ShapeMismatch { expected, actual } => {
                 write!(f, "shape mismatch: expected {expected}, got {actual:?}")
             }
-            SubmitError::ReplicaUnresponsive { replica, waited_us } => write!(
-                f,
-                "replica {replica} unresponsive: no submission rendezvous within {waited_us}us"
-            ),
         }
     }
 }
@@ -259,12 +245,6 @@ mod tests {
         assert!(ServeError::Forward("boom".into())
             .to_string()
             .contains("boom"));
-        assert!(SubmitError::ReplicaUnresponsive {
-            replica: 2,
-            waited_us: 500,
-        }
-        .to_string()
-        .contains("replica 2"));
         assert!(ServeError::DeadlineExceeded { waited_us: 900 }
             .to_string()
             .contains("900us"));

@@ -31,7 +31,10 @@
 //!   running N thread-isolated replicas that share one mapped `pim-store`
 //!   artifact (one physical copy of the weights), with pluggable routing
 //!   ([`RoutingPolicy`]) and **rolling version rollout** with canary +
-//!   rollback ([`rollout`]);
+//!   rollback ([`rollout`]). A replica runs the same scheduler as a bare
+//!   [`Server`]: pool submits enqueue straight into it and resolve through
+//!   the same [`Ticket`]; a per-replica mailbox carries control traffic
+//!   only (swaps, probes, digest sync);
 //! * **content-addressed response caching** (`pim-cache`, attached via
 //!   [`Server::with_cache`]): requests are keyed by a zero-copy XXH64
 //!   digest of their input tensor; a hit bypasses queueing and shedding

@@ -189,8 +189,8 @@ impl ModelRegistry {
     /// [`Self::swap_model`] from an already-open [`SharedArtifact`] (see
     /// [`Self::load_shared`] for the sharing semantics). Like
     /// [`Self::swap_model`], this is the raw registry operation — inside a
-    /// serve window use [`crate::ServerHandle::swap_shared`], which drains
-    /// the forming reservation first.
+    /// pool's window use [`crate::ReplicaSetHandle::swap_replica_shared`],
+    /// which drains the forming reservation first.
     ///
     /// # Errors
     ///
@@ -211,7 +211,8 @@ fn load_net(path: &Path) -> Result<CapsNet, ServeError> {
 
 /// Rebuilds a network from a shared artifact, wrapping failures as
 /// [`ServeError::Load`] with the artifact's path — the one place this
-/// mapping lives (registry and server swap paths all route through it).
+/// mapping lives (registry, server and pool swap paths all route through
+/// it).
 pub(crate) fn rebuild_shared(artifact: &SharedArtifact) -> Result<CapsNet, ServeError> {
     artifact
         .capsnet()

@@ -5,16 +5,22 @@
 //! The PIM paper's premise is that the CapsNet's multi-hundred-MB weights
 //! should stay *resident near memory* instead of being re-streamed per
 //! consumer; the serving-tier analogue is that N replicas of a model must
-//! not hold N owned copies of the weights. A [`ReplicaSet`] therefore
-//! spawns N **independent** replicas — each with its own [`ModelRegistry`],
-//! its own scheduler, queue, workers and metrics, sharing *nothing* with
-//! its siblings except a [`pim_store::SharedArtifact`] handle — and the
-//! artifact's single mapping backs every replica's weight tensors (one
-//! physical copy via the page cache). This is the process model simulated
-//! with threads: replicas communicate with the supervisor only through
-//! per-replica mailboxes, exactly as N worker processes would through
-//! pipes, so promoting a replica to a real process later changes the
-//! transport, not the architecture.
+//! not hold N owned copies of the weights. A [`ReplicaSet`] therefore runs
+//! N **independent** replicas — each with its own [`ModelRegistry`], its
+//! own scheduler (queue, admission, metrics), workers and response cache,
+//! sharing *nothing* with its siblings except a
+//! [`pim_store::SharedArtifact`] handle — and the artifact's single mapping
+//! backs every replica's weight tensors (one physical copy via the page
+//! cache).
+//!
+//! A replica is a supervised shell around the same scheduler a bare
+//! [`crate::Server`] runs. [`ReplicaSetHandle::submit`] picks a replica and
+//! enqueues straight into its scheduler on the caller's thread, through the
+//! same admission / cache / queue path as [`crate::ServerHandle::submit`].
+//! Each replica's **mailbox** carries control traffic only — hot swaps,
+//! watchdog probes, digest-sync rounds — to the replica's control thread.
+//! It is the one seam a process transport would implement when a replica
+//! becomes a real process.
 //!
 //! Traffic is routed across replicas by a [`RoutingPolicy`]:
 //!
@@ -39,27 +45,34 @@
 //! the replica, taking it out of routing rotation. A supervisor watchdog
 //! probes quarantined replicas after a cooldown and re-admits responders
 //! on probation (one strike from re-quarantine until a success heals
-//! them). A replica whose serving thread panics is restarted in place from
-//! its registry — which, on the artifact path, wraps the shared
-//! [`SharedArtifact`] mapping, so the restart re-registers the *current*
-//! version (rollout monotonicity holds) without copying any weights. After
-//! [`FaultToleranceConfig::max_restarts`] failed lives the replica is
-//! `Dead`: its mailbox is closed and every queued job fails typed.
+//! them).
+//!
+//! A replica whose worker panics is restarted in place. The panicking
+//! batch fails typed, the dying worker wakes the replica's control thread
+//! through its mailbox, and a new *life* — fresh workers, a cold response
+//! cache, a cold service-time estimate — takes over the **same**
+//! scheduler: requests queued meanwhile are served by it, and the
+//! replica's metrics span every life. The registry survives too; on the
+//! artifact path it wraps the shared [`SharedArtifact`] mapping, so the
+//! restart serves the *current* version (rollout monotonicity holds)
+//! without copying any weights. After
+//! [`FaultToleranceConfig::max_restarts`] restarts the replica is `Dead`:
+//! its scheduler closes, queued requests fail typed, and later submits
+//! get [`SubmitError::ShuttingDown`].
 //!
 //! Requests may carry an end-to-end deadline
-//! ([`crate::Request::with_deadline`]); every wait on the replica-pool
-//! path is bounded by it, resolving [`ServeError::DeadlineExceeded`]
-//! instead of hanging. Independently,
-//! [`FaultToleranceConfig::replica_timeout`] bounds each *attempt* — a
-//! stalled replica yields [`ServeError::ReplicaTimeout`] (which feeds its
-//! breaker) so [`ReplicaSetHandle::call`] can fail the request over to a
-//! healthy replica under a [`RetryBudget`].
+//! ([`crate::Request::with_deadline`]); every ticket wait is bounded by
+//! it, resolving [`ServeError::DeadlineExceeded`] instead of hanging.
+//! Independently, [`FaultToleranceConfig::replica_timeout`] bounds each
+//! *attempt* — a stalled replica yields [`ServeError::ReplicaTimeout`]
+//! (which feeds its breaker) so [`ReplicaSetHandle::call`] can fail the
+//! request over to a healthy replica under a [`RetryBudget`].
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -69,10 +82,12 @@ use pim_store::SharedArtifact;
 
 use crate::config::ServeConfig;
 use crate::error::{CallError, ServeError, SubmitError};
-use crate::metrics::{MetricsRecorder, MetricsReport};
-use crate::registry::ModelRegistry;
+use crate::metrics::MetricsReport;
+use crate::registry::{rebuild_shared, ModelHandle, ModelRegistry};
 use crate::rollout::RetryBudget;
-use crate::server::{Request, Response, ServeCache, ServedModel, Server, Ticket};
+use crate::server::{
+    worker_loop, Request, Response, Scheduler, ServeCache, ServedModel, Slot, Ticket,
+};
 
 /// How a [`ReplicaSet`] spreads submissions across its replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,10 +107,9 @@ pub enum RoutingPolicy {
 /// the watchdog's probe cadence, and the restart budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultToleranceConfig {
-    /// Per-attempt bound on how long a submission rendezvous or a ticket
-    /// wait may block on one replica before it is declared stalled
-    /// ([`SubmitError::ReplicaUnresponsive`] /
-    /// [`ServeError::ReplicaTimeout`]). `None` (the default) keeps the
+    /// Per-attempt bound on how long a ticket wait may block on one
+    /// replica before it is declared stalled
+    /// ([`ServeError::ReplicaTimeout`]). `None` (the default) keeps the
     /// pre-fault-tolerance behavior: waits are unbounded except by a
     /// request's own deadline.
     pub replica_timeout: Option<Duration>,
@@ -264,11 +278,17 @@ impl fmt::Display for HealthState {
     }
 }
 
-/// One replica's health ledger: the state machine plus the counters the
-/// final [`ReplicaSetReport`] surfaces. Lock-free — every caller path
-/// (submitters, ticket waits, the watchdog, the replica's own respawn
-/// loop) touches it concurrently.
+/// One replica's health ledger and load: the state machine, the counters
+/// the final [`ReplicaSetReport`] surfaces, and the outstanding-request
+/// count `LeastQueued` routes on. Lock-free — submitters, ticket waits,
+/// the watchdog and the replica's own supervisor touch it concurrently,
+/// and tickets hold it past the window.
+#[derive(Debug)]
 struct ReplicaHealth {
+    /// The replica's index in the pool.
+    replica: usize,
+    /// The pool's per-attempt stall bound, which its tickets wait under.
+    replica_timeout: Option<Duration>,
     /// Time zero for the quarantine timestamps below.
     epoch: Instant,
     breaker_threshold: u32,
@@ -278,19 +298,25 @@ struct ReplicaHealth {
     consecutive_failures: AtomicU32,
     /// When the current quarantine was (re-)stamped, µs since `epoch`.
     quarantined_at_us: AtomicU64,
+    /// Requests submitted through the pool and not yet resolved: reserved
+    /// before the submission, released when its ticket drops.
+    outstanding: AtomicUsize,
     restarts: AtomicU32,
     quarantines: AtomicU32,
     probes: AtomicU32,
 }
 
 impl ReplicaHealth {
-    fn new(breaker_threshold: u32) -> Self {
+    fn new(replica: usize, fault: &FaultToleranceConfig) -> Self {
         ReplicaHealth {
+            replica,
+            replica_timeout: fault.replica_timeout,
             epoch: Instant::now(),
-            breaker_threshold,
+            breaker_threshold: fault.breaker_threshold,
             state: AtomicUsize::new(HealthState::Healthy.code()),
             consecutive_failures: AtomicU32::new(0),
             quarantined_at_us: AtomicU64::new(0),
+            outstanding: AtomicUsize::new(0),
             restarts: AtomicU32::new(0),
             quarantines: AtomicU32::new(0),
             probes: AtomicU32::new(0),
@@ -384,7 +410,7 @@ impl ReplicaHealth {
             .saturating_sub(self.quarantined_at_us.load(Ordering::Relaxed))
     }
 
-    /// The serving thread panicked (it may yet respawn).
+    /// A worker panicked (the replica may yet respawn).
     fn note_dead(&self) {
         self.state.store(HealthState::Dead.code(), Ordering::SeqCst);
     }
@@ -395,6 +421,60 @@ impl ReplicaHealth {
         self.consecutive_failures.store(0, Ordering::Relaxed);
         self.state
             .store(HealthState::Healthy.code(), Ordering::SeqCst);
+    }
+}
+
+/// One reserved outstanding slot on a replica, released on drop — when a
+/// rejected submission unwinds, or when the request's ticket is dropped.
+#[derive(Debug)]
+struct Reservation(Arc<ReplicaHealth>);
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.0.outstanding.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// What a pool [`Ticket`] carries back to its replica: the reservation it
+/// releases on drop, the breaker its outcome feeds, and the pool's
+/// deadline-miss counter.
+#[derive(Debug)]
+pub(crate) struct PoolLink {
+    reservation: Reservation,
+    deadline_misses: Arc<AtomicU64>,
+}
+
+impl PoolLink {
+    pub(crate) fn replica(&self) -> usize {
+        self.reservation.0.replica
+    }
+
+    pub(crate) fn replica_timeout(&self) -> Option<Duration> {
+        self.reservation.0.replica_timeout
+    }
+
+    /// Feeds a resolved outcome to the replica's breaker: successes heal,
+    /// failures count against it.
+    pub(crate) fn settle(&self, outcome: &Result<Response, ServeError>) {
+        match outcome {
+            Ok(_) => self.reservation.0.record_success(),
+            Err(_) => self.reservation.0.record_failure(),
+        }
+    }
+
+    /// The stall bound fired first: a strike against the replica.
+    pub(crate) fn stalled(&self, waited_us: u64) -> ServeError {
+        self.reservation.0.record_failure();
+        ServeError::ReplicaTimeout {
+            replica: self.replica(),
+            waited_us,
+        }
+    }
+
+    /// The request's own deadline fired first: counted, never held
+    /// against the replica.
+    pub(crate) fn missed_deadline(&self) {
+        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -509,256 +589,210 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
         self.registries.get(replica)
     }
 
-    /// Opens a serving window: spawns one supervisor-managed thread per
-    /// replica (each running its own [`Server::run`] window, respawned in
-    /// place on panic up to the restart budget) plus the health watchdog,
-    /// hands `f` a [`ReplicaSetHandle`] that routes submissions across the
-    /// fleet, and on return shuts every replica down (queues drained, zero
-    /// tickets dropped). Returns `f`'s result plus the pool's
+    /// Opens a serving window: creates each replica's scheduler, spawns
+    /// one supervisor thread per replica (running the replica's lives and
+    /// serving its mailbox) plus the health watchdog, hands `f` a
+    /// [`ReplicaSetHandle`] that routes submissions across the fleet, and
+    /// on return shuts every replica down (queues drained, zero tickets
+    /// dropped). Returns `f`'s result plus the pool's
     /// [`ReplicaSetReport`].
     pub fn run<R>(&self, f: impl FnOnce(&ReplicaSetHandle<'_>) -> R) -> (R, ReplicaSetReport) {
-        let n = self.cfg.replicas;
         let fault = self.cfg.fault;
         let pool = PoolShared {
-            mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
-            outstanding: (0..n).map(|_| Arc::new(AtomicUsize::new(0))).collect(),
-            draining: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            health: (0..n)
-                .map(|_| Arc::new(ReplicaHealth::new(fault.breaker_threshold)))
+            replicas: self
+                .registries
+                .iter()
+                .enumerate()
+                .map(|(i, registry)| Replica::new(i, registry, &self.cfg))
                 .collect(),
             failovers: AtomicU64::new(0),
             deadline_misses: Arc::new(AtomicU64::new(0)),
             rr: AtomicUsize::new(0),
         };
-        let stop_watchdog = AtomicBool::new(false);
+        let pool = &pool;
         let cache_sync = self.cfg.cache.map(|c| c.sync_interval);
-        let (result, reports) = std::thread::scope(|scope| {
-            let replica_threads: Vec<_> = self
-                .registries
-                .iter()
-                .enumerate()
-                .map(|(i, registry)| {
-                    let mailbox = &pool.mailboxes[i];
-                    let health = Arc::clone(&pool.health[i]);
-                    let backend = self.backend;
-                    let serve_cfg = self.cfg.serve;
-                    let cache_cfg = self.cfg.cache;
-                    scope.spawn(move || {
-                        replica_main(
-                            registry, backend, serve_cfg, fault, cache_cfg, mailbox, &health,
-                        )
-                    })
-                })
-                .collect();
-            let watchdog = scope.spawn(|| watchdog_loop(&pool, &stop_watchdog, &fault, cache_sync));
-            let handle = ReplicaSetHandle {
-                pool: &pool,
-                registries: &self.registries,
-                policy: self.cfg.policy,
-                fault,
-            };
+        // Dropping `stop` (the window closing) wakes the watchdog at once.
+        let (stop, stopped) = mpsc::channel::<()>();
+        let result = std::thread::scope(|scope| {
+            for replica in &pool.replicas {
+                scope.spawn(move || replica_main(replica, self.backend, &self.cfg));
+            }
+            scope.spawn(move || watchdog_loop(pool, &stopped, &fault, cache_sync));
             // Stop the watchdog and close the mailboxes on *every* exit
             // from `f` — including an unwind. Without this, a panic inside
             // the closure would leave the replica threads blocked in their
             // mailboxes and the scope would deadlock joining them instead
             // of propagating the panic.
-            struct CloseOnDrop<'m> {
-                mailboxes: &'m [Mailbox],
-                stop_watchdog: &'m AtomicBool,
+            struct CloseOnDrop<'m, 'a> {
+                pool: &'m PoolShared<'a>,
+                _stop: mpsc::Sender<()>,
             }
-            impl Drop for CloseOnDrop<'_> {
+            impl Drop for CloseOnDrop<'_, '_> {
                 fn drop(&mut self) {
-                    self.stop_watchdog.store(true, Ordering::SeqCst);
-                    for mailbox in self.mailboxes {
-                        mailbox.close();
+                    for replica in &self.pool.replicas {
+                        replica.mailbox.close();
                     }
                 }
             }
-            let result = {
-                let _closer = CloseOnDrop {
-                    mailboxes: &pool.mailboxes,
-                    stop_watchdog: &stop_watchdog,
-                };
-                f(&handle)
-            };
-            let reports: Vec<MetricsReport> = replica_threads
-                .into_iter()
-                // LINT-ALLOW(R2): the supervisor catches replica panics itself; a join error here is a harness bug
-                .map(|t| t.join().expect("replica supervisor never panics"))
-                .collect();
-            // LINT-ALLOW(R2): the watchdog loop has no panicking path; surface it loudly if one appears
-            watchdog.join().expect("watchdog never panics");
-            (result, reports)
+            let _closer = CloseOnDrop { pool, _stop: stop };
+            f(&ReplicaSetHandle {
+                pool,
+                policy: self.cfg.policy,
+                fault,
+            })
         });
-        let stats = PoolStats::collect(&pool);
-        (result, ReplicaSetReport::from_replicas(reports, stats))
+        (result, ReplicaSetReport::collect(pool))
     }
 }
 
-/// How often a wounded replica's control loop re-checks the wounded flag
-/// while waiting for mail. Bounds the window between a worker panic and
-/// the replica respawn.
-const WOUNDED_POLL: Duration = Duration::from_millis(2);
+/// One replica as its supervisor, its control thread and the pool handle
+/// see it.
+struct Replica<'a> {
+    /// Created once per window, so queued requests and metrics outlive a
+    /// life.
+    sched: Scheduler<'a>,
+    mailbox: Mailbox,
+    health: Arc<ReplicaHealth>,
+    /// Out of routing rotation (mid-rollout or decommissioned).
+    draining: AtomicBool,
+    /// The current life's response cache, which pool submits probe.
+    cache: Mutex<Option<Arc<ServeCache>>>,
+}
 
-/// One replica's supervisor: runs serving lives until clean shutdown or
-/// the restart budget is spent. Each life is a full [`Server::run`] window
-/// over the **same** registry — on the artifact path the registry wraps
-/// the shared mapping, so a respawn re-registers nothing and serves the
-/// current version (swaps that landed in earlier lives persist; rollout
-/// version monotonicity holds across restarts).
-///
-/// Panic capture is two-layered: [`crate::Server`]'s scheduler fails the
-/// affected batch typed and marks itself wounded, and the control loop
-/// here polls that flag so `Server::run` can return and re-raise the
-/// worker's panic — which the `catch_unwind` below converts into a
-/// respawn. Jobs still queued in the mailbox survive into the next life.
+impl<'a> Replica<'a> {
+    /// A replica ready for its first life — cache included, so a submit
+    /// that arrives before the replica's thread starts is cached too.
+    fn new(index: usize, registry: &'a ModelRegistry, cfg: &ReplicaSetConfig) -> Self {
+        let replica = Replica {
+            sched: Scheduler::new(registry, cfg.serve),
+            mailbox: Mailbox::new(),
+            health: Arc::new(ReplicaHealth::new(index, &cfg.fault)),
+            draining: AtomicBool::new(false),
+            cache: Mutex::new(None),
+        };
+        replica.new_life(cfg.cache);
+        replica
+    }
+
+    /// Prepares a life: a cold response cache (installed for pool submits
+    /// to probe), a cold service-time estimate and a healed mailbox — what
+    /// a restarted process would start from. Peers drop the cold cache's
+    /// digest as stale, so a restarted replica rejoins sync without
+    /// wedging anyone.
+    fn new_life(&self, cache: Option<CacheConfig>) -> Option<Arc<ServeCache>> {
+        self.sched.begin_life();
+        self.mailbox.heal();
+        let models = self.sched.models.len().max(1);
+        let cache = cache.map(|cfg| Arc::new(ServeCache::new(cfg, models)));
+        *self.cache.lock().unwrap_or_else(PoisonError::into_inner) = cache.clone();
+        cache
+    }
+}
+
+/// One replica's supervisor and control thread: runs lives until the
+/// window closes or the restart budget is spent. A life is the configured
+/// workers over the replica's scheduler plus the life's response cache;
+/// this thread serves the mailbox meanwhile. A worker's panic fails its
+/// batch typed, retires the life's other workers and wakes this thread
+/// through the mailbox; the scope then re-raises the panic, which the
+/// `catch_unwind` below turns into a restart. Whatever is still queued —
+/// requests in the scheduler, jobs in the mailbox — waits for the next
+/// life.
 fn replica_main<B: MathBackend + Sync + ?Sized>(
-    registry: &ModelRegistry,
+    replica: &Replica<'_>,
     backend: &B,
-    serve_cfg: ServeConfig,
-    fault: FaultToleranceConfig,
-    cache_cfg: Option<CacheConfig>,
-    mailbox: &Mailbox,
-    health: &ReplicaHealth,
-) -> MetricsReport {
-    // Held outside the catch so the unwind path can fail a reply the dying
-    // life left unanswered (the waiting submitter must not hang).
-    let pending: RefCell<Option<PendingReply>> = RefCell::new(None);
+    cfg: &ReplicaSetConfig,
+) {
+    let on_death = || {
+        replica.sched.retire();
+        replica.mailbox.wound();
+    };
+    let mut cache = replica
+        .cache
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
     let mut lives: u32 = 0;
     loop {
         lives += 1;
         let life = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // The cache is per **life**, not per replica: a respawn after a
-            // panic starts cold (empty cache, cold digest) exactly like a
-            // restarted process would. Peers drop the cold digest as stale,
-            // so a restarted replica rejoins sync without wedging anyone.
-            let cache = cache_cfg.map(|cfg| Arc::new(ServeCache::new(cfg, registry.len().max(1))));
-            let mut server = Server::new(registry, backend, serve_cfg)
-                // LINT-ALLOW(R2): ReplicaPoolConfig::validate ran before any replica spawned
-                .expect("config validated at pool construction");
-            if let Some(cache) = &cache {
-                server = server.with_cache(Arc::clone(cache));
-            }
-            let ((), report) = server.run(|h| {
-                // The replica's control loop: the only channel between
-                // supervisor and replica (thread-isolation stands in for
-                // process isolation).
-                loop {
-                    if h.is_wounded() {
-                        // A worker panicked: return so `Server::run` can
-                        // join it and re-raise the panic. Mail stays
-                        // queued for the next life.
-                        return;
-                    }
-                    match mailbox.pop_timeout(WOUNDED_POLL) {
-                        PopVerdict::Job(job) => {
-                            if h.is_wounded() {
-                                // A worker died in the same instant: hand
-                                // the job to the next life instead of
-                                // dispatching it into the closed server
-                                // (which would fail it typed mid-restart).
-                                mailbox.requeue(job);
-                                return;
-                            }
-                            *pending.borrow_mut() = Some(PendingReply::of(&job));
-                            match job {
-                                Job::Submit { request, reply } => {
-                                    reply.put(h.submit(request));
-                                }
-                                Job::SwapShared { artifact, reply } => {
-                                    reply.put(h.swap_shared(0, &artifact));
-                                }
-                                Job::SwapNet { net, reply } => {
-                                    reply.put(
-                                        h.swap_model(0, *net)
-                                            .map_err(|e| ServeError::Load(e.to_string())),
-                                    );
-                                }
-                                Job::Probe { reply } => {
-                                    let version =
-                                        registry.current(0).map(|m| m.version()).unwrap_or(0);
-                                    reply.put(Ok(version));
-                                }
-                                Job::SyncCache { incoming, reply } => {
-                                    reply.put(Ok(match &cache {
-                                        Some(cache) => {
-                                            for digest in &incoming {
-                                                cache.apply_digest(digest);
-                                            }
-                                            cache.digests()
-                                        }
-                                        None => Vec::new(),
-                                    }));
-                                }
-                            }
-                            *pending.borrow_mut() = None;
-                        }
-                        PopVerdict::Closed => return,
-                        PopVerdict::TimedOut => {}
-                    }
+            std::thread::scope(|scope| {
+                for _ in 0..cfg.serve.workers {
+                    scope.spawn(|| {
+                        worker_loop(&replica.sched, backend, cache.as_deref(), &on_death)
+                    });
+                }
+                if serve_mailbox(replica, cache.as_deref()) {
+                    replica.sched.close();
                 }
             });
-            report
         }));
-        match life {
-            Ok(report) => return report,
-            Err(_panic) => {
-                if let Some(reply) = pending.borrow_mut().take() {
-                    reply.fail();
-                }
-                health.note_dead();
-                if lives > fault.max_restarts {
-                    // Restart budget spent: permanent death. Fail every
-                    // queued job typed and report what little we can (the
-                    // dead lives' metrics unwound with them).
-                    mailbox.close_and_fail();
-                    return MetricsRecorder::new(serve_cfg.max_batch).report();
-                }
-                health.on_respawn();
-            }
+        if life.is_ok() {
+            return;
+        }
+        replica.health.note_dead();
+        if lives > cfg.fault.max_restarts {
+            // Restart budget spent: permanent death. Everything still
+            // queued fails typed; later submits are rejected.
+            replica.sched.close_and_fail();
+            replica.mailbox.close_and_fail();
+            return;
+        }
+        cache = replica.new_life(cfg.cache);
+        replica.health.on_respawn();
+    }
+}
+
+/// Serves control jobs until the mailbox closes (`true`: shut the life
+/// down) or a worker of the life dies (`false`).
+fn serve_mailbox(replica: &Replica<'_>, cache: Option<&ServeCache>) -> bool {
+    loop {
+        match replica.mailbox.pop() {
+            Mail::Job(job) => job.run(&replica.sched, cache),
+            Mail::Closed => return true,
+            Mail::Wounded => return false,
         }
     }
 }
 
-/// The supervisor watchdog: periodically probes quarantined replicas past
-/// their cooldown and re-admits the ones that answer. Probes go through
-/// the ordinary mailbox, so a responding probe proves the whole control
-/// loop (not just the health flag) is live. With caching enabled it also
-/// drives a cross-replica digest-sync round every `cache_sync` interval.
+/// The supervisor watchdog: every `watchdog_interval` it probes
+/// quarantined replicas past their cooldown and re-admits the ones that
+/// answer. Probes go through the ordinary mailbox, so a responding probe
+/// proves the replica's control thread (not just the health flag) is
+/// live. With caching enabled it also drives a cross-replica digest-sync
+/// round every `cache_sync` interval. Returns as soon as the window
+/// closes (`stop` disconnects).
 fn watchdog_loop(
-    pool: &PoolShared,
-    stop: &AtomicBool,
+    pool: &PoolShared<'_>,
+    stop: &mpsc::Receiver<()>,
     fault: &FaultToleranceConfig,
     cache_sync: Option<Duration>,
 ) {
     let cooldown_us = fault.probe_cooldown.as_micros() as u64;
     let probe_bound = fault.replica_timeout.unwrap_or(fault.probe_cooldown);
     let mut last_sync = Instant::now();
-    while !stop.load(Ordering::SeqCst) {
-        sleep_interruptible(fault.watchdog_interval, stop);
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(fault.watchdog_interval) {
         if let Some(interval) = cache_sync {
             if last_sync.elapsed() >= interval {
                 sync_round(pool, sync_reply_bound(fault));
                 last_sync = Instant::now();
             }
         }
-        for (i, health) in pool.health.iter().enumerate() {
+        for replica in &pool.replicas {
+            let health = &replica.health;
             if health.state() != HealthState::Quarantined
                 || health.since_quarantine_us() < cooldown_us
             {
                 continue;
             }
             health.probes.fetch_add(1, Ordering::Relaxed);
-            let reply = ReplySlot::new();
-            if !pool.mailboxes[i].push(Job::Probe {
+            let reply = Slot::new(None);
+            if !replica.mailbox.push(Job::Probe {
                 reply: Arc::clone(&reply),
             }) {
                 continue;
             }
-            match reply.take_deadline(Some(Instant::now() + probe_bound)) {
+            match reply.take_until(Instant::now() + probe_bound) {
                 Some(Ok(_)) => health.readmit(),
                 // No answer (stalled / mid-restart) or a typed failure:
                 // stay quarantined, restart the cooldown clock.
@@ -785,231 +819,145 @@ fn sync_reply_bound(fault: &FaultToleranceConfig) -> Duration {
 /// cold (restarted-peer) digests, so the round is safe at any point of a
 /// replica's lifecycle. Returns what was gathered, in replica order
 /// (empty for uncached pools and unresponsive replicas).
-fn sync_round(pool: &PoolShared, bound: Duration) -> Vec<Vec<CacheDigest>> {
-    let n = pool.mailboxes.len();
-    let gather: Vec<_> = (0..n)
-        .map(|i| {
-            let reply = ReplySlot::new();
-            pool.mailboxes[i]
-                .push(Job::SyncCache {
-                    incoming: Vec::new(),
-                    reply: Arc::clone(&reply),
-                })
-                .then_some(reply)
-        })
+fn sync_round(pool: &PoolShared<'_>, bound: Duration) -> Vec<Vec<CacheDigest>> {
+    let exchange = |replica: &Replica<'_>, incoming: Vec<CacheDigest>| {
+        let reply = Slot::new(None);
+        let job = Job::SyncCache {
+            incoming,
+            reply: Arc::clone(&reply),
+        };
+        replica.mailbox.push(job).then_some(reply)
+    };
+    let gather: Vec<_> = pool
+        .replicas
+        .iter()
+        .map(|replica| exchange(replica, Vec::new()))
         .collect();
     let deadline = Instant::now() + bound;
     let gathered: Vec<Vec<CacheDigest>> = gather
         .into_iter()
-        .map(
-            |reply| match reply.map(|r| r.take_deadline(Some(deadline))) {
-                Some(Some(Ok(digests))) => digests,
-                _ => Vec::new(),
-            },
-        )
+        .map(|reply| match reply.and_then(|r| r.take_until(deadline)) {
+            Some(Ok(digests)) => digests,
+            _ => Vec::new(),
+        })
         .collect();
-    let scatter: Vec<_> = (0..n)
-        .map(|i| {
+    let scatter: Vec<_> = pool
+        .replicas
+        .iter()
+        .enumerate()
+        .filter_map(|(i, replica)| {
             let incoming: Vec<CacheDigest> = gathered
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i)
                 .flat_map(|(_, digests)| digests.iter().cloned())
                 .collect();
-            if incoming.is_empty() {
-                return None;
-            }
-            let reply = ReplySlot::new();
-            pool.mailboxes[i]
-                .push(Job::SyncCache {
-                    incoming,
-                    reply: Arc::clone(&reply),
-                })
-                .then_some(reply)
+            (!incoming.is_empty()).then(|| exchange(replica, incoming))?
         })
         .collect();
     // Wait (bounded) for the scatter to land so a caller returning from
     // a sync round knows live replicas have merged their peers' digests.
     let deadline = Instant::now() + bound;
-    for reply in scatter.into_iter().flatten() {
-        let _ = reply.take_deadline(Some(deadline));
+    for reply in scatter {
+        let _ = reply.take_until(deadline);
     }
     gathered
 }
 
-/// Sleeps up to `total`, waking early when `stop` is raised (the watchdog
-/// must not hold pool shutdown hostage to its scan interval).
-fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
-    let deadline = Instant::now() + total;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        std::thread::sleep((deadline - now).min(Duration::from_micros(500)));
-    }
-}
-
 // ── supervisor ⇄ replica transport ──────────────────────────────────────
 
-/// One-shot rendezvous slot for a job's reply.
-///
-/// Poison-tolerant throughout: the state is a plain `Option`, valid at
-/// every point, so a panicking peer must not cascade into every waiting
-/// caller — the waiter recovers the guard and reads (or times out) as
-/// usual.
-struct ReplySlot<T> {
-    value: Mutex<Option<T>>,
-    ready: Condvar,
-}
+/// The reply to a control job that answers with a model version.
+type VersionReply = Arc<Slot<Result<u64, ServeError>>>;
 
-impl<T> ReplySlot<T> {
-    fn new() -> Arc<Self> {
-        Arc::new(ReplySlot {
-            value: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn put(&self, v: T) {
-        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = Some(v);
-        self.ready.notify_all();
-    }
-
-    /// Waits for the reply. `bound: None` waits forever; `Some(deadline)`
-    /// returns `None` once the deadline passes with no reply (the value,
-    /// if it arrives later, is simply dropped — the rendezvous is over).
-    fn take_deadline(&self, bound: Option<Instant>) -> Option<T> {
-        let mut guard = self.value.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(v) = guard.take() {
-                return Some(v);
-            }
-            match bound {
-                None => {
-                    guard = self
-                        .ready
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let (g, timeout) = self
-                        .ready
-                        .wait_timeout(guard, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    guard = g;
-                    if timeout.timed_out() {
-                        // Last-chance read under the reacquired lock.
-                        return guard.take();
-                    }
-                }
-            }
-        }
-    }
-
-    fn take(&self) -> T {
-        self.take_deadline(None)
-            // LINT-ALLOW(R2): deadline None never returns the timeout variant
-            .expect("unbounded take always yields")
-    }
-}
-
-/// A control message to one replica.
+/// A control message to one replica's control thread.
 enum Job {
-    Submit {
-        request: Request,
-        reply: Arc<ReplySlot<Result<Ticket, SubmitError>>>,
-    },
-    SwapShared {
-        artifact: SharedArtifact,
-        reply: Arc<ReplySlot<Result<u64, ServeError>>>,
-    },
-    SwapNet {
+    /// Drained hot swap of the replica's model slot 0.
+    Swap {
         net: Box<CapsNet>,
-        reply: Arc<ReplySlot<Result<u64, ServeError>>>,
+        reply: VersionReply,
     },
     /// Watchdog liveness probe; answered with the replica's current model
     /// version.
-    Probe {
-        reply: Arc<ReplySlot<Result<u64, ServeError>>>,
-    },
+    Probe { reply: VersionReply },
     /// One digest-sync exchange: the replica merges the peer digests in
     /// `incoming` into its cache and answers with its own per-model
     /// digests (empty when the pool runs uncached).
     SyncCache {
         incoming: Vec<CacheDigest>,
-        reply: Arc<ReplySlot<Result<Vec<CacheDigest>, ServeError>>>,
+        reply: Arc<Slot<Result<Vec<CacheDigest>, ServeError>>>,
     },
 }
 
-/// The reply slot of a job, held where a replica's unwind path can still
-/// reach it — see the `pending` cell in [`replica_main`].
-enum PendingReply {
-    Submit(Arc<ReplySlot<Result<Ticket, SubmitError>>>),
-    Swap(Arc<ReplySlot<Result<u64, ServeError>>>),
-    Sync(Arc<ReplySlot<Result<Vec<CacheDigest>, ServeError>>>),
-}
-
-impl PendingReply {
-    /// The reply slot a job will answer through.
-    fn of(job: &Job) -> PendingReply {
-        match job {
-            Job::Submit { reply, .. } => PendingReply::Submit(Arc::clone(reply)),
-            Job::SwapShared { reply, .. }
-            | Job::SwapNet { reply, .. }
-            | Job::Probe { reply, .. } => PendingReply::Swap(Arc::clone(reply)),
-            Job::SyncCache { reply, .. } => PendingReply::Sync(Arc::clone(reply)),
-        }
-    }
-
-    /// Resolves the reply with a replica-died error so the waiting
-    /// supervisor unblocks instead of hanging.
-    fn fail(self) {
+impl Job {
+    /// Runs the job against the replica's scheduler and current cache.
+    fn run(self, sched: &Scheduler<'_>, cache: Option<&ServeCache>) {
         match self {
-            PendingReply::Submit(slot) => slot.put(Err(SubmitError::ShuttingDown)),
-            PendingReply::Swap(slot) => {
-                slot.put(Err(ServeError::Load("replica serving thread died".into())));
+            Job::Swap { net, reply } => reply.put(
+                sched
+                    .swap_model(0, *net)
+                    .map_err(|e| ServeError::Load(e.to_string())),
+            ),
+            Job::Probe { reply } => {
+                reply.put(Ok(sched.models.current(0).map_or(0, |m| m.version())));
             }
-            PendingReply::Sync(slot) => {
-                slot.put(Err(ServeError::Load("replica serving thread died".into())));
+            Job::SyncCache { incoming, reply } => {
+                let digests = cache.map_or_else(Vec::new, |cache| {
+                    for digest in &incoming {
+                        cache.apply_digest(digest);
+                    }
+                    cache.digests()
+                });
+                reply.put(Ok(digests));
             }
+        }
+    }
+
+    /// Resolves the job's reply typed: no replica life will ever run it.
+    fn fail(self) {
+        let died = || ServeError::Load("replica serving thread died".into());
+        match self {
+            Job::Swap { reply, .. } | Job::Probe { reply } => reply.put(Err(died())),
+            Job::SyncCache { reply, .. } => reply.put(Err(died())),
         }
     }
 }
 
-/// What [`Mailbox::pop_timeout`] observed.
-enum PopVerdict {
+/// What [`Mailbox::pop`] hands the control thread.
+enum Mail {
     /// The next job.
     Job(Job),
-    /// Closed and drained: the replica should exit its control loop.
+    /// Closed and drained: the life shuts down.
     Closed,
-    /// Nothing arrived within the bound (poll again).
-    TimedOut,
+    /// A worker of the current life died: the life ends.
+    Wounded,
 }
 
-/// A replica's mailbox: FIFO jobs plus a closed flag. Poison-tolerant
-/// (the state is a plain `VecDeque` + `bool`, valid at every point).
+/// A replica's mailbox state (plain data, valid at every point).
+#[derive(Default)]
+struct MailState {
+    jobs: VecDeque<Job>,
+    closed: bool,
+    /// Raised by a dying worker, cleared when the next life starts.
+    wounded: bool,
+}
+
+/// A replica's mailbox: FIFO control jobs plus the closed flag, and the
+/// wounded flag through which a dying worker wakes the control thread.
+/// Poison-tolerant.
 struct Mailbox {
-    queue: Mutex<(VecDeque<Job>, bool)>,
+    queue: Mutex<MailState>,
     ready: Condvar,
 }
 
 impl Mailbox {
     fn new() -> Self {
         Mailbox {
-            queue: Mutex::new((VecDeque::new(), false)),
+            queue: Mutex::new(MailState::default()),
             ready: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, (VecDeque<Job>, bool)> {
+    fn lock(&self) -> MutexGuard<'_, MailState> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -1018,36 +966,21 @@ impl Mailbox {
     /// shutdown is rejected, never silently dropped).
     fn push(&self, job: Job) -> bool {
         let mut guard = self.lock();
-        if guard.1 {
+        if guard.closed {
             drop(guard);
-            PendingReply::of(&job).fail();
+            job.fail();
             return false;
         }
-        guard.0.push_back(job);
+        guard.jobs.push_back(job);
         drop(guard);
         self.ready.notify_all();
         true
     }
 
-    /// Returns a popped-but-undispatched job to the *front* of the queue:
-    /// the control loop observed the wounded flag after popping, and the
-    /// next life should serve the job in its original position instead of
-    /// the dying server failing it typed mid-restart. Only the replica's
-    /// own (single) control thread calls this, so it cannot race its own
-    /// `close_and_fail`; a mailbox closed for *drain* still accepts the
-    /// requeue — the respawned life (or `close_and_fail` on permanent
-    /// death) disposes of it.
-    fn requeue(&self, job: Job) {
-        let mut guard = self.lock();
-        guard.0.push_front(job);
-        drop(guard);
-        self.ready.notify_all();
-    }
-
     /// Closes the mailbox for new pushes. Jobs already queued stay for the
     /// replica to drain and answer (the normal-shutdown path).
     fn close(&self) {
-        self.lock().1 = true;
+        self.lock().closed = true;
         self.ready.notify_all();
     }
 
@@ -1056,50 +989,53 @@ impl Mailbox {
     fn close_and_fail(&self) {
         let drained: VecDeque<Job> = {
             let mut guard = self.lock();
-            guard.1 = true;
-            std::mem::take(&mut guard.0)
+            guard.closed = true;
+            std::mem::take(&mut guard.jobs)
         };
         self.ready.notify_all();
-        for job in &drained {
-            PendingReply::of(job).fail();
+        for job in drained {
+            job.fail();
         }
     }
 
-    /// Waits up to `timeout` for the next job.
-    fn pop_timeout(&self, timeout: Duration) -> PopVerdict {
-        let deadline = Instant::now() + timeout;
+    /// A worker is dying: wake the control thread to end the life.
+    fn wound(&self) {
+        self.lock().wounded = true;
+        self.ready.notify_all();
+    }
+
+    /// A new life starts serving.
+    fn heal(&self) {
+        self.lock().wounded = false;
+    }
+
+    /// Blocks for the control thread's next event. A wound comes first —
+    /// the life ends before anything else runs on it, and queued jobs wait
+    /// for the next life — then jobs in order, then `Closed` once closed
+    /// and drained.
+    fn pop(&self) -> Mail {
         let mut guard = self.lock();
         loop {
-            if let Some(job) = guard.0.pop_front() {
-                return PopVerdict::Job(job);
+            if guard.wounded {
+                return Mail::Wounded;
             }
-            if guard.1 {
-                return PopVerdict::Closed;
+            if let Some(job) = guard.jobs.pop_front() {
+                return Mail::Job(job);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return PopVerdict::TimedOut;
+            if guard.closed {
+                return Mail::Closed;
             }
-            let (g, _) = self
+            guard = self
                 .ready
-                .wait_timeout(guard, deadline - now)
+                .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
         }
     }
 }
 
 /// State shared between the pool handle and the replica threads.
-struct PoolShared {
-    mailboxes: Vec<Mailbox>,
-    /// Per replica: requests submitted through the pool and not yet
-    /// resolved (the `LeastQueued` signal).
-    outstanding: Vec<Arc<AtomicUsize>>,
-    /// Per replica: temporarily out of routing rotation (mid-rollout).
-    draining: Vec<AtomicBool>,
-    /// Per replica: the health ledger (also held by the replica thread and
-    /// outstanding tickets, hence the `Arc`).
-    health: Vec<Arc<ReplicaHealth>>,
+struct PoolShared<'a> {
+    replicas: Vec<Replica<'a>>,
     /// Requests resubmitted to another replica after a failure/timeout.
     failovers: AtomicU64,
     /// Requests whose end-to-end deadline elapsed (shared with tickets,
@@ -1114,59 +1050,62 @@ struct PoolShared {
 /// closure. `Sync`: the closure may fan submissions out over its own
 /// scoped threads.
 pub struct ReplicaSetHandle<'p> {
-    pool: &'p PoolShared,
-    registries: &'p [ModelRegistry],
+    pool: &'p PoolShared<'p>,
     policy: RoutingPolicy,
     fault: FaultToleranceConfig,
 }
 
+/// A pool's ticket: the one [`Ticket`] type, carrying its replica.
+pub type ReplicaTicket = Ticket;
+
 impl ReplicaSetHandle<'_> {
     /// Number of replicas in the pool.
     pub fn replicas(&self) -> usize {
-        self.pool.mailboxes.len()
+        self.pool.replicas.len()
     }
 
     /// Outstanding requests on one replica: submitted (or mid-submission —
-    /// routing reserves the slot before the mailbox push) and unresolved.
+    /// routing reserves the slot before admission) and unresolved.
     pub fn outstanding(&self, replica: usize) -> usize {
-        self.pool.outstanding[replica].load(Ordering::Relaxed)
+        self.pool.replicas[replica]
+            .health
+            .outstanding
+            .load(Ordering::Relaxed)
     }
 
     /// `true` while `replica` is out of routing rotation (mid-rollout).
     pub fn is_draining(&self, replica: usize) -> bool {
-        self.pool.draining[replica].load(Ordering::Relaxed)
+        self.pool.replicas[replica].draining.load(Ordering::Relaxed)
     }
 
     /// The replica's current [`HealthState`].
     pub fn health(&self, replica: usize) -> HealthState {
-        self.pool.health[replica].state()
+        self.pool.replicas[replica].health.state()
     }
 
-    /// How many times `replica`'s serving thread has been restarted after
-    /// a panic.
+    /// How many times `replica` has been restarted after a worker panic.
     pub fn restarts(&self, replica: usize) -> u32 {
-        self.pool.health[replica].restarts.load(Ordering::Relaxed)
+        self.pool.replicas[replica]
+            .health
+            .restarts
+            .load(Ordering::Relaxed)
     }
 
     /// The current model version a replica serves.
     pub fn version(&self, replica: usize) -> u64 {
-        self.registries[replica]
-            .current(0)
-            // LINT-ALLOW(R2): slot 0 is created for every replica at pool construction
-            .expect("every replica registry holds slot 0")
-            .version()
+        self.serving(replica).version()
     }
 
     /// Routes a request to a replica per the pool's [`RoutingPolicy`] and
-    /// submits it there.
+    /// admits it there, on the caller's thread.
     ///
     /// # Errors
     ///
     /// The chosen replica's typed [`SubmitError`] — backpressure is per
     /// replica, so `QueueFull` names the queue that pushed back.
     pub fn submit(&self, request: Request) -> Result<ReplicaTicket, SubmitError> {
-        let (replica, guard) = self.pick_and_reserve(request.tenant);
-        self.submit_reserved(replica, request, guard)
+        let reservation = self.pick_and_reserve(request.tenant);
+        self.submit_reserved(request, reservation)
     }
 
     /// Submits to a specific replica, bypassing the routing policy (used
@@ -1180,8 +1119,7 @@ impl ReplicaSetHandle<'_> {
         replica: usize,
         request: Request,
     ) -> Result<ReplicaTicket, SubmitError> {
-        let guard = self.reserve(replica);
-        self.submit_reserved(replica, request, guard)
+        self.submit_reserved(request, self.reserve(replica))
     }
 
     /// Submits with routing **and failover**: on a replica failure
@@ -1216,8 +1154,7 @@ impl ReplicaSetHandle<'_> {
                 }));
             }
             attempts += 1;
-            let (replica, guard) = self.pick_and_reserve(request.tenant);
-            match self.submit_reserved(replica, request.clone(), guard) {
+            match self.submit(request.clone()) {
                 Ok(ticket) => match ticket.wait() {
                     Ok(response) => return Ok(response),
                     Err(e @ ServeError::DeadlineExceeded { .. }) => {
@@ -1230,11 +1167,6 @@ impl ReplicaSetHandle<'_> {
                     }
                     Err(e) => return Err(CallError::Serve(e)),
                 },
-                Err(SubmitError::ReplicaUnresponsive { .. }) => {
-                    // Already waited a full rendezvous bound — retry
-                    // elsewhere immediately.
-                    self.pool.failovers.fetch_add(1, Ordering::Relaxed);
-                }
                 Err(SubmitError::ShuttingDown) => {
                     self.pool.failovers.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(budget.backoff);
@@ -1249,74 +1181,45 @@ impl ReplicaSetHandle<'_> {
         }
     }
 
-    /// Reserves one outstanding slot on `replica` **before** any job is
-    /// pushed. Reservation-first is what makes `LeastQueued` routing sound
-    /// under concurrency: a submitter's pick is visible to every other
-    /// submitter immediately, not only after its mailbox rendezvous
-    /// completes — otherwise a burst of concurrent submitters all read the
-    /// same stale counts and herd onto one replica. The guard releases the
-    /// slot on drop, so a rejected submission never leaks a reservation.
-    fn reserve(&self, replica: usize) -> OutstandingGuard {
-        let counter = Arc::clone(&self.pool.outstanding[replica]);
-        counter.fetch_add(1, Ordering::Relaxed);
-        OutstandingGuard { counter }
+    /// Reserves one outstanding slot on `replica` **before** admission.
+    /// Reservation-first is what makes `LeastQueued` routing sound under
+    /// concurrency: a submitter's pick is visible to every other submitter
+    /// immediately — otherwise a burst of concurrent submitters all read
+    /// the same stale counts and herd onto one replica. The reservation
+    /// releases the slot on drop, so a rejected submission never leaks it.
+    fn reserve(&self, replica: usize) -> Reservation {
+        let health = &self.pool.replicas[replica].health;
+        health.outstanding.fetch_add(1, Ordering::Relaxed);
+        Reservation(Arc::clone(health))
     }
 
-    /// The submit path proper: push the job, rendezvous for the replica's
-    /// verdict. `guard` already holds this replica's reservation; any
-    /// early return drops it, releasing the slot. The rendezvous wait is
-    /// bounded by the request's deadline and the pool's
-    /// [`FaultToleranceConfig::replica_timeout`], whichever is sooner.
+    /// The submit path proper: admission into the reserved replica's
+    /// scheduler, in front of its current life's cache. Blocks on nothing
+    /// but that scheduler's lock (and the cache slot's, for one `Arc`
+    /// clone); any early return drops the reservation.
     fn submit_reserved(
         &self,
-        replica: usize,
         request: Request,
-        guard: OutstandingGuard,
-    ) -> Result<ReplicaTicket, SubmitError> {
-        let deadline = request.deadline;
-        let reply = ReplySlot::new();
-        if !self.pool.mailboxes[replica].push(Job::Submit {
-            request,
-            reply: Arc::clone(&reply),
-        }) {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let submitted_at = Instant::now();
-        let bound = min_instant(
-            deadline,
-            self.fault.replica_timeout.map(|t| submitted_at + t),
-        );
-        match reply.take_deadline(bound) {
-            Some(verdict) => {
-                let ticket = verdict?;
-                Ok(ReplicaTicket {
-                    ticket,
-                    replica,
-                    deadline,
-                    replica_timeout: self.fault.replica_timeout,
-                    health: Arc::clone(&self.pool.health[replica]),
-                    deadline_misses: Arc::clone(&self.pool.deadline_misses),
-                    _guard: guard,
-                })
-            }
-            None => {
-                let waited = submitted_at.elapsed();
-                // Only a replica_timeout-bounded miss is evidence against
-                // the replica; the caller's own deadline expiring is not.
-                if self.fault.replica_timeout.is_some_and(|t| waited >= t) {
-                    self.pool.health[replica].record_failure();
-                } else {
-                    self.pool.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(SubmitError::ReplicaUnresponsive {
-                    replica,
-                    waited_us: waited.as_micros() as u64,
-                })
-            }
-        }
+        reservation: Reservation,
+    ) -> Result<Ticket, SubmitError> {
+        let replica = &self.pool.replicas[reservation.0.replica];
+        let cache = replica
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        let ticket = replica.sched.submit(request, cache.as_deref())?;
+        Ok(ticket.pooled(PoolLink {
+            reservation,
+            deadline_misses: Arc::clone(&self.pool.deadline_misses),
+        }))
     }
 
-    /// Picks a replica and atomically reserves its outstanding slot.
+    /// Picks a replica per the pool's [`RoutingPolicy`] and reserves its
+    /// outstanding slot. Out-of-rotation replicas are skipped; if the
+    /// whole fleet is out the policy's first pick stands (a draining
+    /// replica still serves correctly — it is only *preferably* avoided —
+    /// and a dead one rejects typed).
     ///
     /// For [`RoutingPolicy::LeastQueued`] the pick and the reservation
     /// must be one atomic step: read all counts, then `compare_exchange`
@@ -1325,28 +1228,45 @@ impl ReplicaSetHandle<'_> {
     /// re-pick. The committed invariant is that the chosen replica's count
     /// was `<=` every other's at commit time, so concurrent bursts spread
     /// instead of herding.
-    fn pick_and_reserve(&self, tenant: usize) -> (usize, OutstandingGuard) {
-        if self.policy != RoutingPolicy::LeastQueued {
-            let replica = self.pick_replica(tenant);
-            return (replica, self.reserve(replica));
-        }
+    fn pick_and_reserve(&self, tenant: usize) -> Reservation {
         let n = self.replicas();
-        let in_rotation = |i: usize| self.in_rotation(i);
-        loop {
-            let load = |i: usize| (self.pool.outstanding[i].load(Ordering::Relaxed), i);
-            let (count, replica) = (0..n)
-                .filter(|&i| in_rotation(i))
-                .map(load)
-                .min()
-                .unwrap_or_else(|| (0..n).map(load).min().expect("replicas >= 1")); // LINT-ALLOW(R2): pool construction rejects zero replicas
-            if self.pool.outstanding[replica]
-                .compare_exchange(count, count + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                let counter = Arc::clone(&self.pool.outstanding[replica]);
-                return (replica, OutstandingGuard { counter });
+        let in_rotation = |i: &usize| self.in_rotation(*i);
+        let replica = match self.policy {
+            RoutingPolicy::RoundRobin => {
+                let next = || self.pool.rr.fetch_add(1, Ordering::Relaxed) % n;
+                (0..n)
+                    .map(|_| next())
+                    .find(in_rotation)
+                    .unwrap_or_else(next)
             }
-        }
+            RoutingPolicy::TenantPinned => {
+                let h = splitmix(tenant as u64) as usize;
+                (0..n)
+                    .map(|k| (h + k) % n)
+                    .find(in_rotation)
+                    .unwrap_or(h % n)
+            }
+            RoutingPolicy::LeastQueued => loop {
+                let load = |i: usize| {
+                    let health = &self.pool.replicas[i].health;
+                    (health.outstanding.load(Ordering::Relaxed), i)
+                };
+                let (count, replica) = (0..n)
+                    .filter(in_rotation)
+                    .map(load)
+                    .min()
+                    .unwrap_or_else(|| (0..n).map(load).min().expect("replicas >= 1")); // LINT-ALLOW(R2): pool construction rejects zero replicas
+                let health = &self.pool.replicas[replica].health;
+                if health
+                    .outstanding
+                    .compare_exchange(count, count + 1, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return Reservation(Arc::clone(health));
+                }
+            },
+        };
+        self.reserve(replica)
     }
 
     /// Runs one cross-replica cache digest-sync round **now** (the
@@ -1368,24 +1288,26 @@ impl ReplicaSetHandle<'_> {
     /// still reaches it). For the irreversible variant see
     /// [`Self::decommission`].
     pub fn quarantine(&self, replica: usize) {
-        self.pool.health[replica].force_quarantine();
+        self.pool.replicas[replica].health.force_quarantine();
     }
 
     /// Permanently decommissions a replica mid-window: takes it out of
-    /// routing rotation **and** closes its mailbox, so every later job —
-    /// submits and swaps alike — is rejected as shutting down. The
-    /// replica's server drains its admitted queue and exits normally; its
-    /// metrics still appear in the final report. There is no way back
-    /// within the window.
+    /// routing rotation **and** closes its scheduler and mailbox, so every
+    /// later submit and swap is rejected as shutting down. The replica
+    /// drains its admitted queue and exits normally; its metrics still
+    /// appear in the final report. There is no way back within the
+    /// window.
     pub fn decommission(&self, replica: usize) {
         self.set_draining(replica, true);
-        self.pool.mailboxes[replica].close();
+        let replica = &self.pool.replicas[replica];
+        replica.sched.close();
+        replica.mailbox.close();
     }
 
-    /// Atomically hot-swaps one replica to the model in `artifact`
-    /// (through the replica's own [`crate::ServerHandle::swap_shared`], so
-    /// its forming reservation drains first). Returns the replica's new
-    /// version.
+    /// Atomically hot-swaps one replica to the model in `artifact`: the
+    /// network is rebuilt over the shared mapping on the caller's thread,
+    /// then swapped in by the replica's control thread, which drains the
+    /// forming reservation first. Returns the replica's new version.
     ///
     /// Prefer [`crate::rollout`]'s rolling rollout for fleet-wide version
     /// changes — it sequences drains and canaries; this is the single-
@@ -1394,20 +1316,13 @@ impl ReplicaSetHandle<'_> {
     /// # Errors
     ///
     /// [`ServeError::Load`] when the artifact does not rebuild, or
-    /// [`ServeError::InvalidConfig`] when the pool is shutting down.
+    /// [`ServeError::InvalidConfig`] when the replica is shut down.
     pub fn swap_replica_shared(
         &self,
         replica: usize,
         artifact: &SharedArtifact,
     ) -> Result<u64, ServeError> {
-        let reply = ReplySlot::new();
-        if !self.pool.mailboxes[replica].push(Job::SwapShared {
-            artifact: artifact.clone(),
-            reply: Arc::clone(&reply),
-        }) {
-            return Err(ServeError::InvalidConfig("pool is shutting down".into()));
-        }
-        reply.take()
+        self.swap_replica_net(replica, rebuild_shared(artifact)?)
     }
 
     /// [`ReplicaSetHandle::swap_replica_shared`] with an in-memory network
@@ -1417,76 +1332,45 @@ impl ReplicaSetHandle<'_> {
     ///
     /// See [`ReplicaSetHandle::swap_replica_shared`].
     pub fn swap_replica_net(&self, replica: usize, net: CapsNet) -> Result<u64, ServeError> {
-        let reply = ReplySlot::new();
-        if !self.pool.mailboxes[replica].push(Job::SwapNet {
+        let reply = Slot::new(None);
+        let job = Job::Swap {
             net: Box::new(net),
             reply: Arc::clone(&reply),
-        }) {
+        };
+        if !self.pool.replicas[replica].mailbox.push(job) {
             return Err(ServeError::InvalidConfig("pool is shutting down".into()));
         }
         reply.take()
     }
 
-    /// A clone of the network replica `replica` currently serves (cheap —
-    /// reference-count bumps — when the weights are shared-storage views).
-    pub(crate) fn current_net(&self, replica: usize) -> CapsNet {
-        self.registries[replica]
+    /// The model handle replica `replica` currently serves.
+    fn serving(&self, replica: usize) -> Arc<ModelHandle> {
+        self.pool.replicas[replica]
+            .sched
+            .models
             .current(0)
             // LINT-ALLOW(R2): slot 0 is created for every replica at pool construction
             .expect("every replica registry holds slot 0")
-            .net()
-            .clone()
+    }
+
+    /// A clone of the network replica `replica` currently serves (cheap —
+    /// reference-count bumps — when the weights are shared-storage views).
+    pub(crate) fn current_net(&self, replica: usize) -> CapsNet {
+        self.serving(replica).net().clone()
     }
 
     /// Takes a replica out of (or returns it to) routing rotation.
     pub(crate) fn set_draining(&self, replica: usize, draining: bool) {
-        self.pool.draining[replica].store(draining, Ordering::Relaxed);
+        self.pool.replicas[replica]
+            .draining
+            .store(draining, Ordering::Relaxed);
     }
 
     /// Routing eligibility: not draining (rollout) and routable
     /// (health — quarantined/dead replicas are skipped).
     fn in_rotation(&self, replica: usize) -> bool {
-        !self.pool.draining[replica].load(Ordering::Relaxed)
-            && self.pool.health[replica].is_routable()
-    }
-
-    /// Policy dispatch. Out-of-rotation replicas are skipped; if the whole
-    /// fleet is out the policy's first pick stands (a draining replica
-    /// still serves correctly — it is only *preferably* avoided — and a
-    /// dead one rejects typed).
-    fn pick_replica(&self, tenant: usize) -> usize {
-        let n = self.replicas();
-        let in_rotation = |i: usize| self.in_rotation(i);
-        match self.policy {
-            RoutingPolicy::RoundRobin => {
-                for _ in 0..n {
-                    let i = self.pool.rr.fetch_add(1, Ordering::Relaxed) % n;
-                    if in_rotation(i) {
-                        return i;
-                    }
-                }
-                self.pool.rr.fetch_add(1, Ordering::Relaxed) % n
-            }
-            RoutingPolicy::LeastQueued => (0..n)
-                .filter(|&i| in_rotation(i))
-                .min_by_key(|&i| self.pool.outstanding[i].load(Ordering::Relaxed))
-                .unwrap_or_else(|| {
-                    (0..n)
-                        .min_by_key(|&i| self.pool.outstanding[i].load(Ordering::Relaxed))
-                        // LINT-ALLOW(R2): pool construction rejects zero replicas
-                        .expect("replicas >= 1")
-                }),
-            RoutingPolicy::TenantPinned => {
-                let h = splitmix(tenant as u64) as usize;
-                for k in 0..n {
-                    let i = (h + k) % n;
-                    if in_rotation(i) {
-                        return i;
-                    }
-                }
-                h % n
-            }
-        }
+        let replica = &self.pool.replicas[replica];
+        !replica.draining.load(Ordering::Relaxed) && replica.health.is_routable()
     }
 }
 
@@ -1498,144 +1382,17 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The earlier of two optional deadlines.
-fn min_instant(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-/// Decrements a replica's outstanding count when its ticket resolves (or
-/// is dropped unresolved).
-struct OutstandingGuard {
-    counter: Arc<AtomicUsize>,
-}
-
-impl Drop for OutstandingGuard {
-    fn drop(&mut self) {
-        self.counter.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// A [`Ticket`] plus the replica that holds it. Fully owned: it may
-/// outlive the closure that submitted it (the pool drains before
-/// [`ReplicaSet::run`] returns, so every ticket still resolves).
-pub struct ReplicaTicket {
-    ticket: Ticket,
-    replica: usize,
-    deadline: Option<Instant>,
-    replica_timeout: Option<Duration>,
-    health: Arc<ReplicaHealth>,
-    deadline_misses: Arc<AtomicU64>,
-    _guard: OutstandingGuard,
-}
-
-impl ReplicaTicket {
-    /// The replica serving this request.
-    pub fn replica(&self) -> usize {
-        self.replica
-    }
-
-    /// Blocks until the response (or the batch's error) is available —
-    /// bounded by the request's deadline and the pool's
-    /// [`FaultToleranceConfig::replica_timeout`], whichever is sooner
-    /// (unbounded when neither is set). The outcome feeds the replica's
-    /// circuit breaker: successes heal, failures and stall timeouts count
-    /// against it. A deadline miss does **not** — it is the caller's
-    /// budget, not the replica's fault.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Forward`] when inference failed for the dispatched
-    /// batch; [`ServeError::DeadlineExceeded`] when the request's deadline
-    /// elapsed first; [`ServeError::ReplicaTimeout`] when the per-attempt
-    /// stall bound elapsed first.
-    pub fn wait(self) -> Result<Response, ServeError> {
-        let started = Instant::now();
-        let bound = min_instant(self.deadline, self.replica_timeout.map(|t| started + t));
-        let outcome = match bound {
-            None => Some(self.ticket.wait()),
-            Some(deadline) => self.ticket.wait_until(deadline),
-        };
-        match outcome {
-            Some(result) => {
-                match &result {
-                    Ok(_) => self.health.record_success(),
-                    Err(_) => self.health.record_failure(),
-                }
-                result
-            }
-            None => {
-                let waited_us = started.elapsed().as_micros() as u64;
-                if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::DeadlineExceeded { waited_us })
-                } else {
-                    self.health.record_failure();
-                    Err(ServeError::ReplicaTimeout {
-                        replica: self.replica,
-                        waited_us,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Non-blocking probe — see [`Ticket::try_wait`].
-    pub fn try_wait(&self) -> Option<Result<Response, ServeError>> {
-        self.ticket.try_wait()
-    }
-}
-
 // ── aggregated metrics ──────────────────────────────────────────────────
-
-/// Fault-tolerance counters collected from the pool after the window
-/// closes.
-struct PoolStats {
-    restarts_per_replica: Vec<u32>,
-    health: Vec<HealthState>,
-    quarantines: u64,
-    probes: u64,
-    failovers: u64,
-    deadline_misses: u64,
-}
-
-impl PoolStats {
-    fn collect(pool: &PoolShared) -> Self {
-        PoolStats {
-            restarts_per_replica: pool
-                .health
-                .iter()
-                .map(|h| h.restarts.load(Ordering::Relaxed))
-                .collect(),
-            health: pool.health.iter().map(|h| h.state()).collect(),
-            quarantines: pool
-                .health
-                .iter()
-                .map(|h| u64::from(h.quarantines.load(Ordering::Relaxed)))
-                .sum(),
-            probes: pool
-                .health
-                .iter()
-                .map(|h| u64::from(h.probes.load(Ordering::Relaxed)))
-                .sum(),
-            failovers: pool.failovers.load(Ordering::Relaxed),
-            deadline_misses: pool.deadline_misses.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// Cross-replica metrics for one [`ReplicaSet::run`] window: the
 /// per-replica [`MetricsReport`]s plus fleet-wide sums and the
 /// fault-tolerance ledger.
 #[derive(Debug, Clone)]
 pub struct ReplicaSetReport {
-    /// Each replica's own serve-window report, in replica order. A replica
-    /// that was restarted reports its **last** life's serving metrics
-    /// (earlier lives unwound with their panics); a permanently dead
-    /// replica reports empty.
+    /// Each replica's serve-window report, in replica order. A replica's
+    /// scheduler — and so its metrics recorder — spans the whole window:
+    /// a restarted replica reports the work of every life, a permanently
+    /// dead one what it served before dying.
     pub per_replica: Vec<MetricsReport>,
     /// Completed requests across the fleet.
     pub requests: u64,
@@ -1676,8 +1433,16 @@ pub struct ReplicaSetReport {
 }
 
 impl ReplicaSetReport {
-    fn from_replicas(per_replica: Vec<MetricsReport>, stats: PoolStats) -> Self {
+    fn collect(pool: &PoolShared<'_>) -> Self {
+        let per_replica: Vec<MetricsReport> =
+            pool.replicas.iter().map(|r| r.sched.report()).collect();
         let sum = |f: fn(&MetricsReport) -> u64| per_replica.iter().map(f).sum();
+        let healths = || pool.replicas.iter().map(|r| &*r.health);
+        let count = |f: fn(&ReplicaHealth) -> &AtomicU32| {
+            healths()
+                .map(|h| u64::from(f(h).load(Ordering::Relaxed)))
+                .sum()
+        };
         ReplicaSetReport {
             requests: sum(|r| r.requests),
             cache_hits: sum(|r| r.cache_hits),
@@ -1690,33 +1455,15 @@ impl ReplicaSetReport {
             shed: sum(|r| r.shed_total()),
             swaps: sum(|r| r.swaps),
             per_replica,
-            restarts: stats
-                .restarts_per_replica
-                .iter()
-                .map(|&r| u64::from(r))
-                .sum(),
-            restarts_per_replica: stats.restarts_per_replica,
-            health: stats.health,
-            quarantines: stats.quarantines,
-            probes: stats.probes,
-            failovers: stats.failovers,
-            deadline_misses: stats.deadline_misses,
-        }
-    }
-
-    /// Fleet throughput: completed samples over the longest replica
-    /// window (replica windows open and close together, so the max is the
-    /// pool's wall-clock).
-    pub fn samples_per_s(&self) -> f64 {
-        let elapsed = self
-            .per_replica
-            .iter()
-            .map(|r| r.elapsed_s)
-            .fold(0.0f64, f64::max);
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.samples as f64 / elapsed
+            restarts_per_replica: healths()
+                .map(|h| h.restarts.load(Ordering::Relaxed))
+                .collect(),
+            health: healths().map(|h| h.state()).collect(),
+            restarts: count(|h| &h.restarts),
+            quarantines: count(|h| &h.quarantines),
+            probes: count(|h| &h.probes),
+            failovers: pool.failovers.load(Ordering::Relaxed),
+            deadline_misses: pool.deadline_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -1724,12 +1471,10 @@ impl ReplicaSetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_tensor::Tensor;
 
-    fn submit_job() -> (Job, Arc<ReplySlot<Result<Ticket, SubmitError>>>) {
-        let reply = ReplySlot::new();
-        let job = Job::Submit {
-            request: Request::new(0, 0, Tensor::zeros(&[1, 1, 2, 2])),
+    fn probe_job() -> (Job, VersionReply) {
+        let reply = Slot::new(None);
+        let job = Job::Probe {
             reply: Arc::clone(&reply),
         };
         (job, reply)
@@ -1739,13 +1484,13 @@ mod tests {
     fn push_after_close_fails_typed_instead_of_dropping() {
         let mailbox = Mailbox::new();
         mailbox.close();
-        let (job, reply) = submit_job();
+        let (job, reply) = probe_job();
         assert!(!mailbox.push(job));
         // The reply resolved typed — a bounded take returns it at once.
         let verdict = reply
-            .take_deadline(Some(Instant::now()))
+            .take_until(Instant::now())
             .expect("push-after-close must resolve the reply");
-        assert!(matches!(verdict, Err(SubmitError::ShuttingDown)));
+        assert!(matches!(verdict, Err(ServeError::Load(_))));
     }
 
     #[test]
@@ -1753,7 +1498,7 @@ mod tests {
         let mailbox = Mailbox::new();
         let replies: Vec<_> = (0..3)
             .map(|_| {
-                let (job, reply) = submit_job();
+                let (job, reply) = probe_job();
                 assert!(mailbox.push(job));
                 reply
             })
@@ -1761,38 +1506,34 @@ mod tests {
         mailbox.close_and_fail();
         for reply in replies {
             let verdict = reply
-                .take_deadline(Some(Instant::now()))
+                .take_until(Instant::now())
                 .expect("close_and_fail must resolve every queued reply");
-            assert!(matches!(verdict, Err(SubmitError::ShuttingDown)));
+            assert!(matches!(verdict, Err(ServeError::Load(_))));
         }
         // And the mailbox is closed for business.
-        let (job, _reply) = submit_job();
+        let (job, _reply) = probe_job();
         assert!(!mailbox.push(job));
     }
 
     #[test]
-    fn pop_timeout_times_out_then_pops_then_closes() {
+    fn pop_reports_a_wound_before_jobs_then_closes() {
         let mailbox = Mailbox::new();
-        assert!(matches!(
-            mailbox.pop_timeout(Duration::from_millis(1)),
-            PopVerdict::TimedOut
-        ));
-        let (job, _reply) = submit_job();
+        let (job, _reply) = probe_job();
         assert!(mailbox.push(job));
-        assert!(matches!(
-            mailbox.pop_timeout(Duration::from_millis(1)),
-            PopVerdict::Job(_)
-        ));
+        // A dying worker ends the life before the queued job runs on it…
+        mailbox.wound();
+        assert!(matches!(mailbox.pop(), Mail::Wounded));
+        assert!(matches!(mailbox.pop(), Mail::Wounded), "until healed");
+        // …and the next life gets the job, then the close.
+        mailbox.heal();
+        assert!(matches!(mailbox.pop(), Mail::Job(_)));
         mailbox.close();
-        assert!(matches!(
-            mailbox.pop_timeout(Duration::from_millis(1)),
-            PopVerdict::Closed
-        ));
+        assert!(matches!(mailbox.pop(), Mail::Closed));
     }
 
     #[test]
     fn poisoned_reply_slot_still_resolves_typed() {
-        let (job, reply) = submit_job();
+        let (job, reply) = probe_job();
         // Poison the slot's mutex: a holder panics mid-critical-section.
         let hostage = Arc::clone(&reply);
         std::thread::spawn(move || {
@@ -1802,10 +1543,10 @@ mod tests {
         .join()
         .unwrap_err();
         assert!(reply.value.is_poisoned());
-        // The unwind path still resolves the reply, and the waiter still
+        // The failure path still resolves the reply, and the waiter still
         // reads it — typed error, no cascade.
-        PendingReply::of(&job).fail();
-        assert!(matches!(reply.take(), Err(SubmitError::ShuttingDown)));
+        job.fail();
+        assert!(matches!(reply.take(), Err(ServeError::Load(_))));
     }
 
     #[test]
@@ -1821,17 +1562,18 @@ mod tests {
                 .unwrap_err();
         });
         assert!(mailbox.queue.is_poisoned());
-        let (job, _reply) = submit_job();
+        let (job, _reply) = probe_job();
         assert!(mailbox.push(job));
-        assert!(matches!(
-            mailbox.pop_timeout(Duration::from_millis(1)),
-            PopVerdict::Job(_)
-        ));
+        assert!(matches!(mailbox.pop(), Mail::Job(_)));
     }
 
     #[test]
     fn health_state_machine_trips_probates_and_heals() {
-        let health = ReplicaHealth::new(3);
+        let fault = FaultToleranceConfig {
+            breaker_threshold: 3,
+            ..FaultToleranceConfig::default()
+        };
+        let health = ReplicaHealth::new(0, &fault);
         assert_eq!(health.state(), HealthState::Healthy);
         assert!(health.is_routable());
 

@@ -6,9 +6,8 @@
 //! 1. **drain** — take the replica out of routing rotation (new traffic
 //!    flows to its siblings; its queued work keeps draining normally);
 //! 2. **swap** — hot-swap it to the new artifact through the replica's own
-//!    scheduler (`ServerHandle::swap_shared` waits out the forming
-//!    reservation, so in-flight batches finish on the old version and zero
-//!    tickets drop);
+//!    scheduler (the swap waits out the forming reservation, so in-flight
+//!    batches finish on the old version and zero tickets drop);
 //! 3. **canary** — run one forward on the swapped replica and compare its
 //!    class-norm outputs against the *old* fleet's output on the same
 //!    input;

@@ -1,9 +1,11 @@
 //! The batched inference server: bounded queue with SLO-aware admission,
 //! priority-tiered latency-aware coalescing, scoped worker threads,
-//! ticket-based responses.
+//! ticket-based responses. Its [`Scheduler`] is also what every replica of
+//! a [`crate::ReplicaSet`] runs: one request lifecycle for both.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -16,6 +18,7 @@ use crate::config::ServeConfig;
 use crate::error::{ServeError, SubmitError};
 use crate::metrics::{MetricsRecorder, MetricsReport};
 use crate::registry::{ModelHandle, ModelRegistry};
+use crate::replica::PoolLink;
 
 /// A registered model: a name plus the network that serves it. Only
 /// requests naming the same model coalesce into a batch.
@@ -97,7 +100,7 @@ impl Request {
     }
 
     /// Builder: gives the request an end-to-end deadline of `budget` from
-    /// now. Ticket waits on the replica-pool path resolve with
+    /// now. Waits on its ticket resolve with
     /// [`ServeError::DeadlineExceeded`] once the deadline elapses.
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(Instant::now() + budget);
@@ -151,76 +154,143 @@ pub struct Response {
     pub service_us: u64,
 }
 
-/// Completion slot shared between a [`Ticket`] and the worker that
-/// eventually fulfills it.
+/// A one-shot completion slot: a [`Ticket`]'s outcome, or the reply to a
+/// replica control job. Poison-tolerant throughout: the state is a plain
+/// `Option`, valid at every point, so a peer that panics while holding the
+/// lock must not cascade into its waiters.
 #[derive(Debug)]
-struct TicketSlot {
-    state: Mutex<Option<Result<Response, ServeError>>>,
+pub(crate) struct Slot<T> {
+    pub(crate) value: Mutex<Option<T>>,
     ready: Condvar,
 }
 
-/// Handle to one admitted request; [`Ticket::wait`] blocks until the
-/// request's batch completes. Every admitted request is fulfilled, even
-/// under shutdown (the workers drain the queue before exiting).
-#[derive(Debug)]
-pub struct Ticket {
-    slot: Arc<TicketSlot>,
-}
+/// What a [`Ticket`] resolves with.
+type ResponseSlot = Slot<Result<Response, ServeError>>;
 
-impl Ticket {
-    /// Blocks until the response (or the batch's error) is available.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Forward`] when inference failed for the
-    /// dispatched batch.
-    pub fn wait(self) -> Result<Response, ServeError> {
-        // Tolerate a poisoned slot: a waiter that panicked while holding
-        // the lock does not invalidate the plain `Option` inside, and one
-        // panic must not cascade into every sibling ticket.
-        let mut st = self
-            .slot
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+impl<T> Slot<T> {
+    /// A slot already holding `value` (`None`: not yet fulfilled).
+    pub(crate) fn new(value: Option<T>) -> Arc<Self> {
+        Arc::new(Slot {
+            value: Mutex::new(value),
+            ready: Condvar::new(),
+        })
+    }
+
+    /// Fulfills the slot and wakes its waiter.
+    pub(crate) fn put(&self, value: T) {
+        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        self.ready.notify_all();
+    }
+
+    /// Blocks until the slot is fulfilled, then takes the value.
+    pub(crate) fn take(&self) -> T {
+        let mut value = self.value.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(outcome) = st.take() {
-                return outcome;
+            if let Some(v) = value.take() {
+                return v;
             }
-            st = self
-                .slot
+            value = self
                 .ready
-                .wait(st)
+                .wait(value)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Bounded wait: blocks until the outcome is available or `deadline`
-    /// passes. `None` means the deadline fired first — the ticket is still
-    /// live and a later wait can observe the outcome. `Some` **consumes**
-    /// the outcome, like [`Ticket::wait`].
-    pub fn wait_until(&self, deadline: Instant) -> Option<Result<Response, ServeError>> {
-        let mut st = self
-            .slot
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+    /// [`Slot::take`] bounded by `deadline`: `None` once it passes with the
+    /// slot unfulfilled (a value arriving later is simply never taken).
+    pub(crate) fn take_until(&self, deadline: Instant) -> Option<T> {
+        let mut value = self.value.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(outcome) = st.take() {
-                return Some(outcome);
+            if let Some(v) = value.take() {
+                return Some(v);
             }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (guard, timeout) = self
-                .slot
+            value = self
                 .ready
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            if timeout.timed_out() {
-                return st.take();
+                .wait_timeout(value, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+}
+
+/// Handle to one admitted request; [`Ticket::wait`] blocks until the
+/// request's batch completes. Every admitted request is fulfilled, even
+/// under shutdown (the workers drain the queue before exiting) and across
+/// a pool replica's restart (its queue outlives the life that admitted
+/// it). Fully owned: it may outlive the window that issued it.
+#[derive(Debug)]
+pub struct Ticket {
+    slot: Arc<ResponseSlot>,
+    /// The request's end-to-end deadline: bounds every wait.
+    deadline: Option<Instant>,
+    /// Set when a replica pool issued the ticket.
+    pool: Option<PoolLink>,
+}
+
+impl Ticket {
+    /// A replica pool's ticket: waits feed the replica's circuit breaker
+    /// and are bounded by its stall timeout, and dropping the ticket
+    /// releases the replica's outstanding slot.
+    pub(crate) fn pooled(self, link: PoolLink) -> Ticket {
+        Ticket {
+            pool: Some(link),
+            ..self
+        }
+    }
+
+    /// The replica serving this request (0 on a bare [`Server`]).
+    pub fn replica(&self) -> usize {
+        self.pool.as_ref().map_or(0, PoolLink::replica)
+    }
+
+    /// Blocks until the response (or the batch's error) is available —
+    /// bounded by the request's deadline and, on a pool ticket, the pool's
+    /// [`crate::FaultToleranceConfig::replica_timeout`], whichever is
+    /// sooner (unbounded when neither is set). On a pool ticket the
+    /// outcome feeds the replica's circuit breaker: successes heal,
+    /// failures and stall timeouts count against it. A deadline miss does
+    /// **not** — it is the caller's budget, not the replica's fault.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Forward`] when inference failed for the dispatched
+    /// batch; [`ServeError::DeadlineExceeded`] when the request's deadline
+    /// elapsed first; [`ServeError::ReplicaTimeout`] when the per-attempt
+    /// stall bound elapsed first.
+    pub fn wait(self) -> Result<Response, ServeError> {
+        let stall = self.pool.as_ref().and_then(PoolLink::replica_timeout);
+        let outcome = if self.deadline.is_none() && stall.is_none() {
+            self.slot.take()
+        } else {
+            let started = Instant::now();
+            let bound = self.deadline.into_iter().chain(stall.map(|t| started + t));
+            match bound.min().and_then(|b| self.slot.take_until(b)) {
+                Some(outcome) => outcome,
+                None => return Err(self.abandon(started)),
+            }
+        };
+        if let Some(pool) = &self.pool {
+            pool.settle(&outcome);
+        }
+        outcome
+    }
+
+    /// The wait bound fired before the outcome: a deadline miss, or (only
+    /// on a pool ticket) a stall timeout.
+    fn abandon(&self, started: Instant) -> ServeError {
+        let waited_us = duration_us(started.elapsed());
+        let missed = self.deadline.is_some_and(|d| Instant::now() >= d);
+        match &self.pool {
+            Some(pool) if !missed => pool.stalled(waited_us),
+            pool => {
+                if let Some(pool) = pool {
+                    pool.missed_deadline();
+                }
+                ServeError::DeadlineExceeded { waited_us }
             }
         }
     }
@@ -230,7 +300,7 @@ impl Ticket {
     /// [`Ticket::wait`] still returns it.
     pub fn try_wait(&self) -> Option<Result<Response, ServeError>> {
         self.slot
-            .state
+            .value
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
@@ -246,7 +316,7 @@ struct Pending {
     images: Tensor,
     samples: usize,
     enqueued_at: Instant,
-    slot: Arc<TicketSlot>,
+    slot: Arc<ResponseSlot>,
     /// Input-content digest, computed once at submit when a response cache
     /// is attached (the lookup that missed); `run_batch` fills the cache
     /// under this key so the hash is never recomputed.
@@ -266,7 +336,12 @@ struct SchedState {
     /// Queued samples per tenant (the admission layer's fairness-quota
     /// input). Entries are removed when they reach zero.
     tenant_queued: HashMap<usize, usize>,
+    /// No more admissions; workers drain the queue and exit.
     closed: bool,
+    /// The life serving this scheduler is ending (one of its workers
+    /// died): workers exit as soon as nothing is dispatchable, leaving the
+    /// queue to the next life's workers. Pool replicas only.
+    retiring: bool,
     next_batch_seq: u64,
     /// Per-model count of batches currently being *formed*. While one
     /// worker holds a forming batch for model `m` open across a coalescing
@@ -300,10 +375,14 @@ impl SchedState {
     }
 }
 
-/// Everything the workers and the handle share.
-struct Shared<'a, B: MathBackend + Sync + ?Sized> {
-    models: &'a ModelRegistry,
-    backend: &'a B,
+/// One serve window's scheduler: admission, the priority queues, batch
+/// formation, the service-time estimate and the window's metrics. A bare
+/// [`Server`] owns one for the length of [`Server::run`]; a replica pool
+/// owns one per replica for the whole window, so queued requests and
+/// metrics outlive a replica's restarts. The workers over it — and the
+/// response cache they fill — belong to whoever spawned them.
+pub(crate) struct Scheduler<'a> {
+    pub(crate) models: &'a ModelRegistry,
     cfg: ServeConfig,
     state: Mutex<SchedState>,
     work_ready: Condvar,
@@ -311,14 +390,6 @@ struct Shared<'a, B: MathBackend + Sync + ?Sized> {
     /// EWMA of per-sample service time, nanoseconds; 0 = cold. Feeds the
     /// admission layer's queue-delay prediction.
     est_ns_per_sample: AtomicU64,
-    /// Set when a worker died of a panic: the window is closed, every
-    /// queued ticket has been failed, and the scope join will re-raise the
-    /// panic once the run closure returns. The replica pool's control loop
-    /// polls this to stop feeding a dying server.
-    wounded: AtomicBool,
-    /// Content-addressed response cache, consulted before admission: a hit
-    /// bypasses queueing and shedding entirely. `None` = caching off.
-    cache: Option<Arc<ServeCache>>,
 }
 
 /// The batched inference server. Construct with [`Server::new`], then open
@@ -361,8 +432,8 @@ impl<'a, B: MathBackend + Sync + ?Sized> Server<'a, B> {
     /// cache before admission — a hit is fulfilled immediately as a typed
     /// fast-path completion ([`MetricsReport::cache_hits`]), bypassing the
     /// queue, the admission policy, and the workers entirely. The cache is
-    /// shared: replicas of one logical service may hold clones of the same
-    /// `Arc`, or per-replica caches reconciled via digest sync.
+    /// shared: servers of one logical service may hold clones of the same
+    /// `Arc`.
     ///
     /// # Panics
     ///
@@ -384,64 +455,46 @@ impl<'a, B: MathBackend + Sync + ?Sized> Server<'a, B> {
     /// requests through, and on return from `f` shuts down — no new
     /// admissions, queued requests drained, workers joined. Returns `f`'s
     /// result plus the window's [`MetricsReport`].
+    ///
+    /// A worker that dies of a panic fails its batch and every queued
+    /// request typed and closes the window (there is no supervisor to
+    /// restart it); the panic re-raises once `f` returns.
     pub fn run<R>(&self, f: impl FnOnce(&ServerHandle<'_, 'a, B>) -> R) -> (R, MetricsReport) {
-        let shared = Shared {
-            models: self.models,
-            backend: self.backend,
-            cfg: self.cfg,
-            state: Mutex::new(SchedState {
-                queues: std::array::from_fn(|_| VecDeque::new()),
-                tier_samples: [0; TIERS],
-                tenant_queued: HashMap::new(),
-                closed: false,
-                next_batch_seq: 0,
-                forming: vec![0; self.models.len()],
-            }),
-            work_ready: Condvar::new(),
-            metrics: Mutex::new(MetricsRecorder::new(self.cfg.max_batch)),
-            est_ns_per_sample: AtomicU64::new(0),
-            wounded: AtomicBool::new(false),
-            cache: self.cache.clone(),
-        };
+        let sched = Scheduler::new(self.models, self.cfg);
+        let cache = self.cache.as_deref();
+        let fail_queue = || sched.close_and_fail();
         let result = std::thread::scope(|scope| {
             for _ in 0..self.cfg.workers {
-                scope.spawn(|| worker_loop(&shared));
+                scope.spawn(|| worker_loop(&sched, self.backend, cache, &fail_queue));
             }
-            let handle = ServerHandle { shared: &shared };
             // Close the window on *every* exit from `f`, including an
             // unwind: otherwise a panicking closure would leave the
             // workers parked on the queue condvar and the scope would
             // deadlock joining them instead of propagating the panic.
-            struct CloseOnDrop<'s, 'a, B: MathBackend + Sync + ?Sized>(&'s Shared<'a, B>);
-            impl<B: MathBackend + Sync + ?Sized> Drop for CloseOnDrop<'_, '_, B> {
+            struct CloseOnDrop<'s, 'a>(&'s Scheduler<'a>);
+            impl Drop for CloseOnDrop<'_, '_> {
                 fn drop(&mut self) {
-                    // Tolerate a poisoned lock: this may run mid-unwind.
-                    let mut st = self
-                        .0
-                        .state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    st.closed = true;
-                    drop(st);
-                    self.0.work_ready.notify_all();
+                    self.0.close();
                 }
             }
-            let _closer = CloseOnDrop(&shared);
-            f(&handle)
+            let _closer = CloseOnDrop(&sched);
+            f(&ServerHandle {
+                sched: &sched,
+                cache,
+                backend: PhantomData,
+            })
         });
-        let report = shared
-            .metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .report();
-        (result, report)
+        (result, sched.report())
     }
 }
 
 /// Submission handle passed to the [`Server::run`] closure; `Sync`, so the
 /// closure may fan submissions out over its own scoped threads.
 pub struct ServerHandle<'s, 'a, B: MathBackend + Sync + ?Sized> {
-    shared: &'s Shared<'a, B>,
+    sched: &'s Scheduler<'a>,
+    cache: Option<&'s ServeCache>,
+    /// The backend the window's workers run; the handle never calls it.
+    backend: PhantomData<&'a B>,
 }
 
 impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
@@ -460,176 +513,16 @@ impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
     /// shed, tenant over quota, unknown model, geometry mismatch, or
     /// shutdown — without ever blocking or panicking.
     pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        let shared = self.shared;
-        let model = shared.models.current(request.model).ok_or({
-            SubmitError::UnknownModel {
-                model: request.model,
-                registered: shared.models.len(),
-            }
-        })?;
-        let spec = model.net().spec();
-        let dims = request.images.shape().dims();
-        let geometry_ok = dims.len() == 4
-            && dims[1] == spec.input_channels
-            && dims[2] == spec.input_hw.0
-            && dims[3] == spec.input_hw.1;
-        if !geometry_ok || dims[0] == 0 || dims[0] > shared.cfg.max_batch {
-            return Err(SubmitError::ShapeMismatch {
-                expected: format!(
-                    "[1..={}, {}, {}, {}]",
-                    shared.cfg.max_batch, spec.input_channels, spec.input_hw.0, spec.input_hw.1
-                ),
-                actual: dims.to_vec(),
-            });
-        }
-        let samples = dims[0];
-
-        // Content-addressed fast path: hash the request tensor's bytes
-        // zero-copy and consult the cache *before admission*. A hit never
-        // touches the scheduler lock, cannot be queued, shed, or rejected,
-        // and resolves its ticket immediately with the bit-exact payload a
-        // fresh dispatch on this version would produce. The version comes
-        // from the handle resolved above, so a post-swap submit can only
-        // hit post-swap fills — invalidation by version, for free.
-        let digest = if shared.cache.is_some() {
-            Some(hash::hash_f32(request.images.as_slice()))
-        } else {
-            None
-        };
-        if let (Some(cache), Some(digest)) = (&shared.cache, digest) {
-            if let Some(cached) = cache.get(request.model, model.version(), digest) {
-                let slot = Arc::new(TicketSlot {
-                    state: Mutex::new(None),
-                    ready: Condvar::new(),
-                });
-                fulfill(
-                    &slot,
-                    Ok(Response {
-                        predictions: cached.predictions,
-                        model_version: model.version(),
-                        class_norms_sq: cached.class_norms_sq,
-                        batch_samples: samples,
-                        // A hit rode no batch: placement and timing are
-                        // reported as zero, not inherited from the fill.
-                        batch_seq: 0,
-                        batch_offset: 0,
-                        queue_us: 0,
-                        service_us: 0,
-                    }),
-                );
-                shared
-                    .metrics
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .record_cache_hit(request.priority);
-                return Ok(Ticket { slot });
-            }
-        }
-
-        let slot = Arc::new(TicketSlot {
-            state: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        {
-            let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            if st.closed {
-                return Err(SubmitError::ShuttingDown);
-            }
-            let tier = request.priority.index();
-            // A request waits behind the backlog at its tier and above
-            // (workers always serve higher tiers first).
-            let backlog: usize = st.tier_samples[..=tier].iter().sum();
-            let predicted_wait_us = admission::predicted_wait_us(
-                backlog,
-                shared.est_ns_per_sample.load(Ordering::Relaxed),
-                shared.cfg.workers,
-            );
-            let tenant_queued = st.tenant_queued.get(&request.tenant).copied().unwrap_or(0);
-            match admission::decide(
-                &shared.cfg.admission,
-                shared.cfg.queue_capacity,
-                st.queued_samples(),
-                samples,
-                tenant_queued,
-                predicted_wait_us,
-                request.priority,
-            ) {
-                AdmissionVerdict::Admit => {}
-                AdmissionVerdict::Full => {
-                    let queued = st.queued_samples();
-                    drop(st);
-                    shared
-                        .metrics
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .record_reject_full();
-                    return Err(SubmitError::QueueFull {
-                        capacity: shared.cfg.queue_capacity,
-                        queued,
-                        requested: samples,
-                    });
-                }
-                AdmissionVerdict::Quota { quota } => {
-                    drop(st);
-                    shared
-                        .metrics
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .record_reject_quota();
-                    return Err(SubmitError::TenantQuotaExceeded {
-                        tenant: request.tenant,
-                        queued: tenant_queued,
-                        quota,
-                        requested: samples,
-                    });
-                }
-                AdmissionVerdict::Shed { limit_us } => {
-                    drop(st);
-                    shared
-                        .metrics
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .record_shed(request.priority);
-                    return Err(SubmitError::Shed {
-                        tenant: request.tenant,
-                        priority: request.priority,
-                        predicted_wait_us,
-                        limit_us,
-                    });
-                }
-            }
-            st.tier_samples[tier] += samples;
-            *st.tenant_queued.entry(request.tenant).or_insert(0) += samples;
-            st.queues[tier].push_back(Pending {
-                tenant: request.tenant,
-                model: request.model,
-                priority: request.priority,
-                images: request.images,
-                samples,
-                enqueued_at: Instant::now(),
-                slot: Arc::clone(&slot),
-                digest,
-            });
-        }
-        shared.work_ready.notify_all();
-        Ok(Ticket { slot })
+        self.sched.submit(request, self.cache)
     }
 
     /// Samples currently queued (admitted, not yet dispatched).
     pub fn queued_samples(&self) -> usize {
-        self.shared
+        self.sched
             .state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .queued_samples()
-    }
-
-    /// `true` once a worker has died of a panic: the window is closed and
-    /// every queued ticket has been failed. The replica pool's control
-    /// loop polls this so it can stop feeding a dying server and let the
-    /// supervisor restart the replica.
-    pub(crate) fn is_wounded(&self) -> bool {
-        self.shared.wounded.load(Ordering::SeqCst)
     }
 
     /// Atomically hot-swaps model slot `model` to `net`, returning the new
@@ -658,33 +551,7 @@ impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
     ///
     /// [`SubmitError::UnknownModel`] for an out-of-range slot.
     pub fn swap_model(&self, model: usize, net: CapsNet) -> Result<u64, SubmitError> {
-        let shared = self.shared;
-        if model >= shared.models.len() {
-            return Err(SubmitError::UnknownModel {
-                model,
-                registered: shared.models.len(),
-            });
-        }
-        let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while st.forming[model] > 0 {
-            st = shared
-                .work_ready
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let version = shared
-            .models
-            .swap_model(model, net)
-            // LINT-ALLOW(R2): the bounds check at fn entry makes this infallible
-            .expect("index checked above");
-        drop(st);
-        shared
-            .metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record_swap();
-        shared.work_ready.notify_all();
-        Ok(version)
+        self.sched.swap_model(model, net)
     }
 
     /// [`ServerHandle::swap_model`] from an artifact on disk: loads and
@@ -700,159 +567,388 @@ impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
     pub fn swap_from_path(&self, model: usize, path: &std::path::Path) -> Result<u64, ServeError> {
         let artifact = pim_store::SharedArtifact::open(path)
             .map_err(|e| ServeError::Load(format!("{}: {e}", path.display())))?;
-        self.swap_shared(model, &artifact)
-    }
-
-    /// [`ServerHandle::swap_model`] from an already-open shared artifact:
-    /// the replica-pool path, where one [`pim_store::SharedArtifact`] is
-    /// opened (and checksum-verified) once and every replica swaps to a
-    /// network borrowing that single mapping.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Load`] when the network cannot be rebuilt from the
-    /// artifact or the slot is out of range.
-    pub fn swap_shared(
-        &self,
-        model: usize,
-        artifact: &pim_store::SharedArtifact,
-    ) -> Result<u64, ServeError> {
-        let net = crate::registry::rebuild_shared(artifact)?;
+        let net = crate::registry::rebuild_shared(&artifact)?;
         self.swap_model(model, net)
             .map_err(|e| ServeError::Load(e.to_string()))
     }
 }
 
-/// One worker: form a batch under the latency budget, run it, fulfill its
-/// tickets; exit once the server closed *and* the queue drained.
-fn worker_loop<B: MathBackend + Sync + ?Sized>(shared: &Shared<'_, B>) {
-    // A worker dying of a panic (a panicking backend) must not leave
-    // admitted tickets unresolvable: the guard marks the server wounded,
-    // closes the window, and fails every queued request before the panic
-    // continues into the scope join.
-    struct WoundedGuard<'s, 'a, B: MathBackend + Sync + ?Sized>(&'s Shared<'a, B>);
-    impl<B: MathBackend + Sync + ?Sized> Drop for WoundedGuard<'_, '_, B> {
-        fn drop(&mut self) {
-            if !std::thread::panicking() {
-                return;
-            }
-            let shared = self.0;
-            shared.wounded.store(true, Ordering::SeqCst);
-            let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            st.closed = true;
-            let mut failed = 0usize;
-            for tier in 0..TIERS {
-                while !st.queues[tier].is_empty() {
-                    let p = st.take(tier, 0);
-                    failed += 1;
-                    fulfill(
-                        &p.slot,
-                        Err(ServeError::Forward("serving worker panicked".into())),
-                    );
-                }
-            }
-            drop(st);
-            if failed > 0 {
-                shared
-                    .metrics
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .record_failed_batch(failed);
-            }
-            shared.work_ready.notify_all();
+impl<'a> Scheduler<'a> {
+    pub(crate) fn new(models: &'a ModelRegistry, cfg: ServeConfig) -> Self {
+        Scheduler {
+            models,
+            cfg,
+            state: Mutex::new(SchedState {
+                queues: std::array::from_fn(|_| VecDeque::new()),
+                tier_samples: [0; TIERS],
+                tenant_queued: HashMap::new(),
+                closed: false,
+                retiring: false,
+                next_batch_seq: 0,
+                forming: vec![0; models.len()],
+            }),
+            work_ready: Condvar::new(),
+            metrics: Mutex::new(MetricsRecorder::new(cfg.max_batch)),
+            est_ns_per_sample: AtomicU64::new(0),
         }
     }
-    let _guard = WoundedGuard(shared);
-    let mut arena = ForwardArena::new();
-    loop {
-        let Some((batch, batch_seq, handle)) = form_batch(shared) else {
-            return;
+
+    /// [`ServerHandle::submit`] in front of `cache`: the one admission
+    /// path of a bare server and of every pool replica.
+    pub(crate) fn submit(
+        &self,
+        request: Request,
+        cache: Option<&ServeCache>,
+    ) -> Result<Ticket, SubmitError> {
+        let model = self.models.current(request.model).ok_or({
+            SubmitError::UnknownModel {
+                model: request.model,
+                registered: self.models.len(),
+            }
+        })?;
+        let spec = model.net().spec();
+        let dims = request.images.shape().dims();
+        let geometry_ok = dims.len() == 4
+            && dims[1] == spec.input_channels
+            && dims[2] == spec.input_hw.0
+            && dims[3] == spec.input_hw.1;
+        if !geometry_ok || dims[0] == 0 || dims[0] > self.cfg.max_batch {
+            return Err(SubmitError::ShapeMismatch {
+                expected: format!(
+                    "[1..={}, {}, {}, {}]",
+                    self.cfg.max_batch, spec.input_channels, spec.input_hw.0, spec.input_hw.1
+                ),
+                actual: dims.to_vec(),
+            });
+        }
+        let samples = dims[0];
+        let deadline = request.deadline;
+
+        // Content-addressed fast path: hash the request tensor's bytes
+        // zero-copy and consult the cache *before admission*. A hit never
+        // touches the scheduler lock, cannot be queued, shed, or rejected,
+        // and resolves its ticket immediately with the bit-exact payload a
+        // fresh dispatch on this version would produce. The version comes
+        // from the handle resolved above, so a post-swap submit can only
+        // hit post-swap fills — invalidation by version, for free.
+        let digest = cache.map(|_| hash::hash_f32(request.images.as_slice()));
+        if let (Some(cache), Some(digest)) = (cache, digest) {
+            if let Some(cached) = cache.get(request.model, model.version(), digest) {
+                let slot = Slot::new(Some(Ok(Response {
+                    predictions: cached.predictions,
+                    model_version: model.version(),
+                    class_norms_sq: cached.class_norms_sq,
+                    batch_samples: samples,
+                    // A hit rode no batch: placement and timing are
+                    // reported as zero, not inherited from the fill.
+                    batch_seq: 0,
+                    batch_offset: 0,
+                    queue_us: 0,
+                    service_us: 0,
+                })));
+                self.metrics
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .record_cache_hit(request.priority);
+                return Ok(Ticket {
+                    slot,
+                    deadline,
+                    pool: None,
+                });
+            }
+        }
+
+        let slot = Slot::new(None);
+        {
+            let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            if st.closed {
+                return Err(SubmitError::ShuttingDown);
+            }
+            let tier = request.priority.index();
+            // A request waits behind the backlog at its tier and above
+            // (workers always serve higher tiers first).
+            let backlog: usize = st.tier_samples[..=tier].iter().sum();
+            let predicted_wait_us = admission::predicted_wait_us(
+                backlog,
+                self.est_ns_per_sample.load(Ordering::Relaxed),
+                self.cfg.workers,
+            );
+            let tenant_queued = st.tenant_queued.get(&request.tenant).copied().unwrap_or(0);
+            match admission::decide(
+                &self.cfg.admission,
+                self.cfg.queue_capacity,
+                st.queued_samples(),
+                samples,
+                tenant_queued,
+                predicted_wait_us,
+                request.priority,
+            ) {
+                AdmissionVerdict::Admit => {}
+                AdmissionVerdict::Full => {
+                    let queued = st.queued_samples();
+                    drop(st);
+                    self.metrics
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .record_reject_full();
+                    return Err(SubmitError::QueueFull {
+                        capacity: self.cfg.queue_capacity,
+                        queued,
+                        requested: samples,
+                    });
+                }
+                AdmissionVerdict::Quota { quota } => {
+                    drop(st);
+                    self.metrics
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .record_reject_quota();
+                    return Err(SubmitError::TenantQuotaExceeded {
+                        tenant: request.tenant,
+                        queued: tenant_queued,
+                        quota,
+                        requested: samples,
+                    });
+                }
+                AdmissionVerdict::Shed { limit_us } => {
+                    drop(st);
+                    self.metrics
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .record_shed(request.priority);
+                    return Err(SubmitError::Shed {
+                        tenant: request.tenant,
+                        priority: request.priority,
+                        predicted_wait_us,
+                        limit_us,
+                    });
+                }
+            }
+            st.tier_samples[tier] += samples;
+            *st.tenant_queued.entry(request.tenant).or_insert(0) += samples;
+            st.queues[tier].push_back(Pending {
+                tenant: request.tenant,
+                model: request.model,
+                priority: request.priority,
+                images: request.images,
+                samples,
+                enqueued_at: Instant::now(),
+                slot: Arc::clone(&slot),
+                digest,
+            });
+        }
+        self.work_ready.notify_all();
+        Ok(Ticket {
+            slot,
+            deadline,
+            pool: None,
+        })
+    }
+
+    /// [`ServerHandle::swap_model`].
+    pub(crate) fn swap_model(&self, model: usize, net: CapsNet) -> Result<u64, SubmitError> {
+        if model >= self.models.len() {
+            return Err(SubmitError::UnknownModel {
+                model,
+                registered: self.models.len(),
+            });
+        }
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while st.forming[model] > 0 {
+            st = self
+                .work_ready
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let version = self
+            .models
+            .swap_model(model, net)
+            // LINT-ALLOW(R2): the bounds check at fn entry makes this infallible
+            .expect("index checked above");
+        drop(st);
+        self.metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record_swap();
+        self.work_ready.notify_all();
+        Ok(version)
+    }
+
+    /// Stops admitting (later submits get [`SubmitError::ShuttingDown`]);
+    /// the workers drain the queue and exit.
+    pub(crate) fn close(&self) {
+        // Tolerate a poisoned lock: this may run mid-unwind.
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.work_ready.notify_all();
+    }
+
+    /// [`Scheduler::close`] for a scheduler no worker will serve again:
+    /// every queued request fails typed instead of waiting forever.
+    pub(crate) fn close_and_fail(&self) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.closed = true;
+        let mut failed = 0usize;
+        for tier in 0..TIERS {
+            while !st.queues[tier].is_empty() {
+                let p = st.take(tier, 0);
+                failed += 1;
+                p.slot
+                    .put(Err(ServeError::Forward("serving worker panicked".into())));
+            }
+        }
+        drop(st);
+        if failed > 0 {
+            self.metrics
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .record_failed_batch(failed);
+        }
+        self.work_ready.notify_all();
+    }
+
+    /// Ends the current life: its workers exit once nothing is
+    /// dispatchable, while admission goes on and the queue waits for the
+    /// next life's workers.
+    pub(crate) fn retire(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retiring = true;
+        self.work_ready.notify_all();
+    }
+
+    /// Starts a life: clears [`Scheduler::retire`] and restarts the
+    /// service-time estimate cold, as a restarted process would. Called
+    /// while no worker runs.
+    pub(crate) fn begin_life(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retiring = false;
+        self.est_ns_per_sample.store(0, Ordering::Relaxed);
+    }
+
+    /// The window's metrics so far, over every life.
+    pub(crate) fn report(&self) -> MetricsReport {
+        self.metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .report()
+    }
+
+    /// Blocks until a batch can be formed; `None` means closed-and-drained
+    /// (or the life retired).
+    fn form_batch(&self) -> Option<(Vec<Pending>, u64, Arc<ModelHandle>)> {
+        let cfg = &self.cfg;
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        // Wait for a dispatchable request (or closed + drained): scan tiers
+        // in priority order, and within a tier pick the oldest request of a
+        // model no other worker is currently forming a batch for. Skipping
+        // models with an open batch keeps per-(tenant, model, priority)
+        // dispatch order intact: that open batch must close (and take its
+        // batch_seq) before a later same-model batch may form.
+        let first = loop {
+            let pick = {
+                let state = &*st;
+                Priority::ALL.iter().find_map(|p| {
+                    let tier = p.index();
+                    state.queues[tier]
+                        .iter()
+                        .position(|r| state.forming[r.model] == 0)
+                        .map(|i| (tier, i))
+                })
+            };
+            if let Some((tier, i)) = pick {
+                break st.take(tier, i);
+            }
+            if st.retiring || (st.closed && st.queues.iter().all(|q| q.is_empty())) {
+                return None;
+            }
+            st = self
+                .work_ready
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         };
-        run_batch(shared, batch, batch_seq, &handle, &mut arena);
+        let model = first.model;
+        st.forming[model] += 1;
+        // Resolve the model handle *while holding the scheduler lock*: a
+        // hot-swap also runs under this lock (after draining the forming
+        // reservation), so every batch observes exactly one version, and
+        // versions are monotone in batch-formation order.
+        let handle = self
+            .models
+            .current(model)
+            // LINT-ALLOW(R2): submit rejects unknown models; slots are append-only
+            .expect("validated at submit; registry slots are append-only");
+        let coalescable = handle.coalescable();
+        let deadline = first.enqueued_at + cfg.max_wait;
+        let mut samples = first.samples;
+        let mut batch = vec![first];
+
+        while coalescable && samples < cfg.max_batch {
+            if sweep_coalesce(&mut st, model, cfg.max_batch, &mut samples, &mut batch) {
+                samples = cfg.max_batch; // close the batch
+            }
+            if samples >= cfg.max_batch || st.closed {
+                break;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            let (guard, timeout) = self
+                .work_ready
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
+            st = guard;
+            if timeout.timed_out() {
+                // One last sweep below the loop condition, then dispatch.
+                sweep_coalesce(&mut st, model, cfg.max_batch, &mut samples, &mut batch);
+                break;
+            }
+        }
+        let batch_seq = st.next_batch_seq;
+        st.next_batch_seq += 1;
+        st.forming[model] -= 1;
+        drop(st);
+        // Another worker may be waiting for queued work this one skipped over,
+        // for this model's forming reservation to clear, or a swap may be
+        // draining that reservation.
+        self.work_ready.notify_all();
+        Some((batch, batch_seq, handle))
     }
 }
 
-/// Blocks until a batch can be formed; `None` means closed-and-drained.
-fn form_batch<B: MathBackend + Sync + ?Sized>(
-    shared: &Shared<'_, B>,
-) -> Option<(Vec<Pending>, u64, Arc<ModelHandle>)> {
-    let cfg = &shared.cfg;
-    let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-    // Wait for a dispatchable request (or closed + drained): scan tiers in
-    // priority order, and within a tier pick the oldest request of a model
-    // no other worker is currently forming a batch for. Skipping models
-    // with an open batch keeps per-(tenant, model, priority) dispatch
-    // order intact: that open batch must close (and take its batch_seq)
-    // before a later same-model batch may form.
-    let first = loop {
-        let pick = {
-            let state = &*st;
-            Priority::ALL.iter().find_map(|p| {
-                let tier = p.index();
-                state.queues[tier]
-                    .iter()
-                    .position(|r| state.forming[r.model] == 0)
-                    .map(|i| (tier, i))
-            })
-        };
-        if let Some((tier, i)) = pick {
-            break st.take(tier, i);
-        }
-        if st.closed && st.queues.iter().all(|q| q.is_empty()) {
-            return None;
-        }
-        st = shared
-            .work_ready
-            .wait(st)
-            .unwrap_or_else(PoisonError::into_inner);
-    };
-    let model = first.model;
-    st.forming[model] += 1;
-    // Resolve the model handle *while holding the scheduler lock*: a
-    // hot-swap also runs under this lock (after draining the forming
-    // reservation), so every batch observes exactly one version, and
-    // versions are monotone in batch-formation order.
-    let handle = shared
-        .models
-        .current(model)
-        // LINT-ALLOW(R2): submit rejects unknown models; slots are append-only
-        .expect("validated at submit; registry slots are append-only");
-    let coalescable = handle.coalescable();
-    let deadline = first.enqueued_at + cfg.max_wait;
-    let mut samples = first.samples;
-    let mut batch = vec![first];
-
-    while coalescable && samples < cfg.max_batch {
-        if sweep_coalesce(&mut st, model, cfg.max_batch, &mut samples, &mut batch) {
-            samples = cfg.max_batch; // close the batch
-        }
-        if samples >= cfg.max_batch || st.closed {
-            break;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let (guard, timeout) = shared
-            .work_ready
-            .wait_timeout(st, deadline - now)
-            .unwrap_or_else(PoisonError::into_inner);
-        st = guard;
-        if timeout.timed_out() {
-            // One last sweep below the loop condition, then dispatch.
-            sweep_coalesce(&mut st, model, cfg.max_batch, &mut samples, &mut batch);
-            break;
+/// One worker: form a batch under the latency budget, run it, fulfill its
+/// tickets; exit once the scheduler closed *and* the queue drained (or its
+/// life retired). Fills `cache`, when given, with every response.
+///
+/// A worker dying of a panic (a panicking backend) has already failed the
+/// batch it held typed; `on_death` decides what becomes of everything
+/// still queued — a bare server fails it, a pool replica hands it to its
+/// next life.
+pub(crate) fn worker_loop<B: MathBackend + Sync + ?Sized>(
+    sched: &Scheduler<'_>,
+    backend: &B,
+    cache: Option<&ServeCache>,
+    on_death: &(dyn Fn() + Sync),
+) {
+    struct DeathGuard<'f>(&'f (dyn Fn() + Sync));
+    impl Drop for DeathGuard<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                (self.0)();
+            }
         }
     }
-    let batch_seq = st.next_batch_seq;
-    st.next_batch_seq += 1;
-    st.forming[model] -= 1;
-    drop(st);
-    // Another worker may be waiting for queued work this one skipped over,
-    // for this model's forming reservation to clear, or a swap may be
-    // draining that reservation.
-    shared.work_ready.notify_all();
-    Some((batch, batch_seq, handle))
+    let _guard = DeathGuard(on_death);
+    let mut arena = ForwardArena::new();
+    while let Some((batch, batch_seq, handle)) = sched.form_batch() {
+        run_batch(sched, backend, cache, batch, batch_seq, &handle, &mut arena);
+    }
 }
 
 /// One coalescing sweep: takes fitting same-model requests in FIFO order,
@@ -890,7 +986,9 @@ fn sweep_coalesce(
 
 /// Runs one formed batch and fulfills its tickets.
 fn run_batch<B: MathBackend + Sync + ?Sized>(
-    shared: &Shared<'_, B>,
+    sched: &Scheduler<'_>,
+    backend: &B,
+    cache: Option<&ServeCache>,
     batch: Vec<Pending>,
     batch_seq: u64,
     handle: &ModelHandle,
@@ -904,7 +1002,7 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
     let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if batch.len() == 1 {
             // A lone request's tensor is already batch-shaped: zero-copy.
-            forward_batch(shared, handle, &batch[0].images, arena)
+            forward_batch(backend, handle, &batch[0].images, arena)
         } else {
             let mut assembly = Vec::with_capacity(batch_samples * spec.input_pixels());
             for p in &batch {
@@ -918,7 +1016,7 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
             ];
             Tensor::from_vec(assembly, &dims)
                 .map_err(|e| ServeError::Forward(e.to_string()))
-                .and_then(|images| forward_batch(shared, handle, &images, arena))
+                .and_then(|images| forward_batch(backend, handle, &images, arena))
         }
     }));
     let outcome = match forward {
@@ -926,17 +1024,15 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
         Err(payload) => {
             // A panicking forward must not take the batch's tickets down
             // with it: resolve every rider with a typed error first, then
-            // let the panic continue — the worker dies, its WoundedGuard
-            // closes the window, and (under a replica pool) the supervisor
-            // restarts the replica.
+            // let the panic continue — the worker dies and its death guard
+            // decides the queue's fate (under a replica pool the
+            // supervisor restarts the replica).
             let failed_requests = batch.len();
             for p in batch {
-                fulfill(
-                    &p.slot,
-                    Err(ServeError::Forward("forward pass panicked".into())),
-                );
+                p.slot
+                    .put(Err(ServeError::Forward("forward pass panicked".into())));
             }
-            shared
+            sched
                 .metrics
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -961,8 +1057,8 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
             // workers: a lost update is one skipped EWMA step on an
             // estimate, not an accounting error.
             let observed_ns = service_us.saturating_mul(1_000) / batch_samples.max(1) as u64;
-            let old = shared.est_ns_per_sample.load(Ordering::Relaxed);
-            shared
+            let old = sched.est_ns_per_sample.load(Ordering::Relaxed);
+            sched
                 .est_ns_per_sample
                 .store(admission::ewma_ns(old, observed_ns), Ordering::Relaxed);
             let mut offset = 0usize;
@@ -984,7 +1080,7 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
                 // hot-swap, an in-flight batch on the old Arc fills the
                 // old version, which current-version lookups can never
                 // match — stale fills are orphans from birth.
-                if let (Some(cache), Some(digest)) = (&shared.cache, p.digest) {
+                if let (Some(cache), Some(digest)) = (cache, p.digest) {
                     cache.insert(
                         model_index,
                         handle.version(),
@@ -996,9 +1092,9 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
                     );
                 }
                 offset += p.samples;
-                fulfill(&p.slot, Ok(response));
+                p.slot.put(Ok(response));
             }
-            shared
+            sched
                 .metrics
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -1011,9 +1107,9 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
             // successful-work counters stay untouched.
             let failed_requests = batch.len();
             for p in batch {
-                fulfill(&p.slot, Err(e.clone()));
+                p.slot.put(Err(e.clone()));
             }
-            shared
+            sched
                 .metrics
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -1025,28 +1121,20 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
 /// Runs the batch through the worker's warm arena. Returns
 /// `(predictions, class_norms_sq, h_caps)`.
 fn forward_batch<B: MathBackend + Sync + ?Sized>(
-    shared: &Shared<'_, B>,
+    backend: &B,
     handle: &ModelHandle,
     images: &Tensor,
     arena: &mut ForwardArena,
 ) -> Result<(Vec<usize>, Vec<f32>, usize), ServeError> {
     let view = handle
         .net()
-        .forward_with(images, shared.backend, arena)
+        .forward_with(images, backend, arena)
         .map_err(|e| ServeError::Forward(e.to_string()))?;
     let h = view.class_norms_sq().len() / view.batch().max(1);
     Ok((view.predictions(), view.class_norms_sq().to_vec(), h))
 }
 
-fn fulfill(slot: &TicketSlot, outcome: Result<Response, ServeError>) {
-    // Poison-tolerant: fulfillment may run from a panicking worker's drop
-    // guard, and a waiter's own panic must never block its siblings.
-    let mut st = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-    *st = Some(outcome);
-    slot.ready.notify_all();
-}
-
-fn duration_us(d: Duration) -> u64 {
+pub(crate) fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 

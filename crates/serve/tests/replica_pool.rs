@@ -2,12 +2,13 @@
 //! residency, and the rolling rollout state machine (update + rollback).
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::time::{Duration, Instant};
 
-use capsnet::{CapsNet, CapsNetSpec, ExactMath};
+use capsnet::{CapsNet, CapsNetSpec, ExactMath, MathBackend};
 use pim_serve::{
     ReplicaOutcome, ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RoutingPolicy,
-    ServeConfig,
+    ServeConfig, ServeError,
 };
 use pim_store::{ModelWriter, SharedArtifact};
 use pim_tensor::Tensor;
@@ -217,6 +218,97 @@ fn least_queued_spreads_concurrent_bursts_exactly() {
     });
     assert_eq!(report.requests as usize, REPLICAS * PER_REPLICA);
     assert_eq!(report.failed_requests, 0);
+}
+
+/// Regression: a pool submit is admitted into the replica's scheduler on
+/// the caller's thread, so it never queues behind a control job. Here the
+/// control thread is blocked in a hot swap that waits for the worker's
+/// forming batch (held open by a 500 ms coalescing wait) to close, and a
+/// concurrent submit must still return at once.
+#[test]
+fn pool_submit_never_waits_on_the_control_thread() {
+    let net = tiny_net(12);
+    let mut cfg = pool_cfg(1, RoutingPolicy::RoundRobin);
+    cfg.serve.max_batch = 8;
+    cfg.serve.max_wait = Duration::from_millis(500);
+    let set = ReplicaSet::from_net("busy", &net, &ExactMath, cfg).unwrap();
+    set.run(|pool| {
+        // The worker takes this request and holds its batch open.
+        let first = pool.submit_to(0, Request::new(0, 0, images(1, 1))).unwrap();
+        std::thread::scope(|scope| {
+            let swap = scope.spawn(|| pool.swap_replica_net(0, tiny_net(13)));
+            std::thread::sleep(Duration::from_millis(50));
+            let started = Instant::now();
+            let second = pool.submit_to(0, Request::new(1, 0, images(1, 2)));
+            let waited = started.elapsed();
+            let second = second.expect("admitted while the control thread is busy");
+            assert!(
+                waited < Duration::from_millis(50),
+                "submit waited {waited:?} behind the control thread"
+            );
+            assert_eq!(swap.join().unwrap().unwrap(), 2);
+            first.wait().unwrap();
+            second.wait().unwrap();
+        });
+    });
+}
+
+/// The next forward after arming panics; every other one is exact.
+struct PanicOnce {
+    armed: AtomicBool,
+}
+
+impl MathBackend for PanicOnce {
+    fn name(&self) -> &'static str {
+        "panic-once-exact"
+    }
+    fn exp(&self, x: f32) -> f32 {
+        if self.armed.swap(false, SeqCst) {
+            panic!("scripted fault: forward panic");
+        }
+        ExactMath.exp(x)
+    }
+    fn inv_sqrt(&self, x: f32) -> f32 {
+        ExactMath.inv_sqrt(x)
+    }
+    fn div(&self, a: f32, b: f32) -> f32 {
+        ExactMath.div(a, b)
+    }
+}
+
+/// Regression: a replica's metrics recorder lives in its scheduler, which
+/// outlives a restart, so its report counts the work of every life — not
+/// only the last one's.
+#[test]
+fn restarted_replica_report_keeps_its_earlier_lives() {
+    const BEFORE: u64 = 5;
+    const AFTER: u64 = 4;
+    let net = tiny_net(14);
+    let math = PanicOnce {
+        armed: AtomicBool::new(false),
+    };
+    let cfg = pool_cfg(1, RoutingPolicy::RoundRobin);
+    let set = ReplicaSet::from_net("lives", &net, &math, cfg).unwrap();
+    let ((), report) = set.run(|pool| {
+        let serve = |seed| {
+            let request = Request::new(0, 0, images(1, seed));
+            pool.submit_to(0, request).unwrap().wait()
+        };
+        for i in 0..BEFORE {
+            serve(i).unwrap();
+        }
+        math.armed.store(true, SeqCst);
+        let killed = serve(100).expect_err("the scripted forward panics");
+        assert!(matches!(killed, ServeError::Forward(_)), "{killed}");
+        for i in 0..AFTER {
+            serve(200 + i).unwrap();
+        }
+        assert_eq!(pool.restarts(0), 1);
+    });
+    let replica = &report.per_replica[0];
+    assert_eq!(replica.requests, BEFORE + AFTER, "every life's completions");
+    assert_eq!(replica.failed_requests, 1, "the killed batch");
+    assert_eq!(report.restarts, 1);
 }
 
 #[test]

@@ -13,14 +13,13 @@ use std::time::{Duration, Instant};
 
 use capsnet::MathBackend;
 use pim_serve::{
-    ReplicaSetHandle, ReplicaTicket, Request, Response, ServeError, ServerHandle, SubmitError,
-    Ticket, TIERS,
+    ReplicaSetHandle, Request, Response, ServeError, ServerHandle, SubmitError, Ticket, TIERS,
 };
 
 use crate::traffic::Arrival;
 
-/// Where a serve window accepts requests. The one place outside
-/// `pim-serve` that knows there are two ticket types.
+/// Where a serve window accepts requests: a bare server or a replica
+/// pool, both resolving through one [`Ticket`] type.
 pub trait Endpoint {
     /// The handle an accepted submission resolves through.
     type Ticket: Send;
@@ -58,17 +57,17 @@ impl<B: MathBackend + Sync + ?Sized> Endpoint for ServerHandle<'_, '_, B> {
 }
 
 impl Endpoint for ReplicaSetHandle<'_> {
-    type Ticket = ReplicaTicket;
+    type Ticket = Ticket;
 
-    fn submit(&self, request: Request) -> Result<ReplicaTicket, SubmitError> {
+    fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
         ReplicaSetHandle::submit(self, request)
     }
 
-    fn wait(ticket: ReplicaTicket) -> Result<Response, ServeError> {
+    fn wait(ticket: Ticket) -> Result<Response, ServeError> {
         ticket.wait()
     }
 
-    fn replica(ticket: &ReplicaTicket) -> usize {
+    fn replica(ticket: &Ticket) -> usize {
         ticket.replica()
     }
 }
@@ -98,9 +97,6 @@ pub struct Ledger {
     pub rejected_full: u64,
     /// Submissions rejected by the per-tenant fairness quota.
     pub rejected_quota: u64,
-    /// Submissions whose replica never answered the submission rendezvous
-    /// (it was mid-restart).
-    pub rejected_unresponsive: u64,
     /// Submissions rejected because the window was shutting down.
     pub rejected_shutdown: u64,
 }
@@ -122,7 +118,6 @@ impl Ledger {
             SubmitError::Shed { .. } => self.shed[tier] += 1,
             SubmitError::QueueFull { .. } => self.rejected_full += 1,
             SubmitError::TenantQuotaExceeded { .. } => self.rejected_quota += 1,
-            SubmitError::ReplicaUnresponsive { .. } => self.rejected_unresponsive += 1,
             SubmitError::ShuttingDown => self.rejected_shutdown += 1,
             // An unknown model or a shape mismatch is a bug in the scenario.
             other => panic!("unexpected rejection: {other}"),
@@ -138,7 +133,6 @@ impl Ledger {
                 + self.shed_total()
                 + self.rejected_full
                 + self.rejected_quota
-                + self.rejected_unresponsive
                 + self.rejected_shutdown
     }
 }
