@@ -314,6 +314,9 @@ mod tests {
                 probes: u64::from(faulty) * 3,
                 failovers: 0,
                 deadline_misses: 2,
+                p50_us: 400,
+                p95_us: 900,
+                p99_us: 1_200,
             },
             injected_panics: panics,
             injected_stalls: stalls,

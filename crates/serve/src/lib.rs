@@ -24,9 +24,11 @@
 //!   ([`Priority`]), per-tenant fairness quotas, and predicted-wait
 //!   overload shedding ([`SubmitError::Shed`]) so high-priority p99 stays
 //!   bounded while best-effort load is shed under sustained overload;
-//! * per-request and per-batch **metrics**: p50/p95/p99 latency,
-//!   throughput, failure counters, per-priority-tier latency/shed
-//!   accounting, and a batch-occupancy histogram;
+//! * per-request and per-batch **metrics** in fixed memory: p50/p95/p99
+//!   latency from one log-bucketed histogram per priority tier (at most
+//!   1/64 above the exact value, never below it), throughput, failure
+//!   counters, per-tier shed accounting and a batch-occupancy histogram,
+//!   readable mid-run ([`ServerHandle::snapshot`]);
 //! * **replicated serving** ([`replica`]): a [`ReplicaSet`] supervisor
 //!   running N thread-isolated replicas that share one mapped `pim-store`
 //!   artifact (one physical copy of the weights), with pluggable routing
@@ -83,6 +85,7 @@
 pub mod admission;
 mod config;
 mod error;
+mod histogram;
 mod metrics;
 mod registry;
 pub mod replica;

@@ -1,21 +1,29 @@
 //! Service metrics: request latencies, batch occupancy, throughput,
 //! per-priority-tier latency/shed accounting, and per-(model, version)
 //! dispatch counters for hot-swap observability.
+//!
+//! The recorder's memory is fixed when it is created: latencies go into
+//! one [`LatencyHistogram`] per priority tier (≈ 30 KB each), never into
+//! a per-request buffer, and the window-wide percentiles come from
+//! merging the three. A report therefore costs O(buckets), not a sort of
+//! every sample, so it can be taken mid-run
+//! ([`crate::ServerHandle::snapshot`]). Percentiles are bucketed: never
+//! below the exact nearest-rank value and at most 1/64 above it (exact
+//! below 128 µs). Counts, the mean and the maximum are exact.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::admission::{Priority, TIERS};
+use crate::histogram::LatencyHistogram;
 
 /// Mutable recorder the workers feed; lives behind a mutex in the server.
 #[derive(Debug)]
 pub(crate) struct MetricsRecorder {
     started: Instant,
-    /// Total (queue + service) latency per completed request, microseconds.
-    latencies_us: Vec<u64>,
-    /// Per-tier completed-request latencies (same samples as
-    /// `latencies_us`, attributed to the request's priority tier).
-    tier_latencies_us: [Vec<u64>; TIERS],
+    /// Per-tier total (queue + service) latency of completed requests,
+    /// microseconds; each sample is recorded once, in its request's tier.
+    tier_latencies_us: [LatencyHistogram; TIERS],
     /// `occupancy[s]` = number of dispatched batches holding `s` samples.
     occupancy: Vec<u64>,
     samples: u64,
@@ -26,10 +34,10 @@ pub(crate) struct MetricsRecorder {
     shed: [u64; TIERS],
     /// Per-tier fast-path completions served from the response cache: the
     /// request never entered the queue, so it contributes no latency
-    /// sample and no batch. Disjoint from `latencies_us`.
+    /// sample and no batch. Disjoint from `tier_latencies_us`.
     cache_hits: [u64; TIERS],
     /// Requests whose dispatched batch failed (tickets resolved with an
-    /// error). Disjoint from `latencies_us`.
+    /// error). Disjoint from `tier_latencies_us`.
     failed_requests: u64,
     /// Dispatched batches that failed. Disjoint from `occupancy`.
     failed_batches: u64,
@@ -42,8 +50,7 @@ impl MetricsRecorder {
     pub(crate) fn new(max_batch: usize) -> Self {
         MetricsRecorder {
             started: Instant::now(),
-            latencies_us: Vec::new(),
-            tier_latencies_us: [Vec::new(), Vec::new(), Vec::new()],
+            tier_latencies_us: std::array::from_fn(|_| LatencyHistogram::new()),
             occupancy: vec![0; max_batch + 1],
             samples: 0,
             rejected_full: 0,
@@ -76,8 +83,7 @@ impl MetricsRecorder {
         self.occupancy[slot] += 1;
         self.samples += batch_samples as u64;
         for &(priority, latency_us) in request_latencies_us {
-            self.latencies_us.push(latency_us);
-            self.tier_latencies_us[priority.index()].push(latency_us);
+            self.tier_latencies_us[priority.index()].record(latency_us);
         }
         let entry = self.versions.entry((model, version)).or_insert((0, 0));
         entry.0 += request_latencies_us.len() as u64;
@@ -116,30 +122,32 @@ impl MetricsRecorder {
         self.swaps += 1;
     }
 
+    /// Adds this window's latency samples, all tiers, to `window`.
+    pub(crate) fn merge_latencies_into(&self, window: &mut LatencyHistogram) {
+        for tier in &self.tier_latencies_us {
+            window.merge(tier);
+        }
+    }
+
     pub(crate) fn report(&self) -> MetricsReport {
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let elapsed_s = self.started.elapsed().as_secs_f64();
-        let mean_us = if sorted.is_empty() {
-            0.0
-        } else {
-            sorted.iter().sum::<u64>() as f64 / sorted.len() as f64
-        };
+        let mut all = LatencyHistogram::new();
+        self.merge_latencies_into(&mut all);
+        let [p50_us, p95_us, p99_us] = all.quantiles(PERCENTILES);
         let tiers = Priority::ALL.map(|priority| {
-            let mut tier_sorted = self.tier_latencies_us[priority.index()].clone();
-            tier_sorted.sort_unstable();
+            let latencies = &self.tier_latencies_us[priority.index()];
+            let [p50_us, p95_us, p99_us] = latencies.quantiles(PERCENTILES);
             TierReport {
                 priority,
-                requests: tier_sorted.len() as u64,
+                requests: latencies.count(),
                 shed: self.shed[priority.index()],
                 cache_hits: self.cache_hits[priority.index()],
-                p50_us: percentile(&tier_sorted, 0.50),
-                p95_us: percentile(&tier_sorted, 0.95),
-                p99_us: percentile(&tier_sorted, 0.99),
+                p50_us,
+                p95_us,
+                p99_us,
             }
         });
         MetricsReport {
-            requests: sorted.len() as u64,
+            requests: all.count(),
             samples: self.samples,
             batches: self.occupancy.iter().sum(),
             cache_hits: self.cache_hits.iter().sum(),
@@ -147,12 +155,12 @@ impl MetricsRecorder {
             rejected_quota: self.rejected_quota,
             failed_requests: self.failed_requests,
             failed_batches: self.failed_batches,
-            p50_us: percentile(&sorted, 0.50),
-            p95_us: percentile(&sorted, 0.95),
-            p99_us: percentile(&sorted, 0.99),
-            mean_us,
+            p50_us,
+            p95_us,
+            p99_us,
+            mean_us: all.mean(),
             batch_occupancy: self.occupancy.clone(),
-            elapsed_s,
+            elapsed_s: self.started.elapsed().as_secs_f64(),
             tiers,
             version_counts: self
                 .versions
@@ -170,6 +178,9 @@ impl MetricsRecorder {
         }
     }
 }
+
+/// The percentiles every report carries: p50, p95, p99.
+pub(crate) const PERCENTILES: [f64; 3] = [0.50, 0.95, 0.99];
 
 /// Dispatch volume attributed to one `(model, version)` epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,26 +211,19 @@ pub struct TierReport {
     /// [`TierReport::requests`]; a tier's total completions are
     /// `requests + cache_hits`.
     pub cache_hits: u64,
-    /// Median total latency of the tier's completed requests, µs.
+    /// Median total latency of the tier's completed requests, µs. Like
+    /// every reported percentile it is bucketed: never below the exact
+    /// nearest-rank value, at most 1/64 above it, exact below 128 µs.
     pub p50_us: u64,
-    /// 95th-percentile latency, µs.
+    /// 95th-percentile latency, µs (bucketed as [`TierReport::p50_us`]).
     pub p95_us: u64,
-    /// 99th-percentile latency, µs.
+    /// 99th-percentile latency, µs (bucketed as [`TierReport::p50_us`]).
     pub p99_us: u64,
 }
 
-/// Nearest-rank percentile (`ceil(q·n) − 1`) over an ascending-sorted
-/// slice (0 when empty).
-pub(crate) fn percentile(sorted_us: &[u64], q: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted_us.len() as f64).ceil() as usize;
-    sorted_us[rank.clamp(1, sorted_us.len()) - 1]
-}
-
 /// Immutable snapshot of the service's behavior over one [`crate::Server::run`]
-/// window.
+/// window — or, from [`crate::ServerHandle::snapshot`], over the window so
+/// far.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
     /// Completed requests.
@@ -242,13 +246,17 @@ pub struct MetricsReport {
     pub failed_requests: u64,
     /// Dispatched batches that failed. Disjoint from [`MetricsReport::batches`].
     pub failed_batches: u64,
-    /// Median total (queue + service) request latency, microseconds.
+    /// Median total (queue + service) request latency, microseconds, from
+    /// the merged per-tier histograms: never below the exact nearest-rank
+    /// value, at most 1/64 above it, exact below 128 µs.
     pub p50_us: u64,
-    /// 95th-percentile latency, microseconds.
+    /// 95th-percentile latency, microseconds (bucketed as
+    /// [`MetricsReport::p50_us`]).
     pub p95_us: u64,
-    /// 99th-percentile latency, microseconds.
+    /// 99th-percentile latency, microseconds (bucketed as
+    /// [`MetricsReport::p50_us`]).
     pub p99_us: u64,
-    /// Mean latency, microseconds.
+    /// Mean latency, microseconds (exact).
     pub mean_us: f64,
     /// `batch_occupancy[s]` = dispatched batches that held `s` samples
     /// (length `max_batch + 1`; index 0 is always 0).
@@ -316,12 +324,128 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), 50);
-        assert_eq!(percentile(&v, 0.95), 95);
-        assert_eq!(percentile(&v, 0.99), 99);
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[7], 0.99), 7);
+        let mut r = MetricsRecorder::new(100);
+        let v: Vec<_> = (1..=100u64).collect();
+        r.record_batch(0, 1, 100, &normal(&v));
+        let rep = r.report();
+        assert_eq!((rep.p50_us, rep.p95_us, rep.p99_us), (50, 95, 99));
+        let empty = MetricsRecorder::new(1).report();
+        assert_eq!((empty.p50_us, empty.p99_us, empty.mean_us), (0, 0, 0.0));
+        let mut one = MetricsRecorder::new(1);
+        one.record_batch(0, 1, 1, &normal(&[7]));
+        assert_eq!(one.report().p99_us, 7);
+    }
+
+    /// Counts the bytes this thread allocates, so a test can see what a
+    /// recorder holds on the heap.
+    mod heap {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static LIVE: Cell<isize> = const { Cell::new(0) };
+            static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+        }
+
+        fn note(grown: usize, freed: usize) {
+            // `try_with`: the counters may be gone while a thread exits.
+            let _ = LIVE.try_with(|l| l.set(l.get() + grown as isize - freed as isize));
+            let _ = ALLOCATED.try_with(|a| a.set(a.get() + grown));
+        }
+
+        /// `(live, allocated)` bytes on this thread: live is net of frees,
+        /// allocated counts every allocation and growth.
+        pub(super) fn bytes() -> (isize, usize) {
+            (LIVE.with(Cell::get), ALLOCATED.with(Cell::get))
+        }
+
+        struct Counting;
+
+        // SAFETY: every method forwards to `System` with the caller's own
+        // arguments, so `System`'s guarantees are the caller's; the
+        // counters are thread-local `Cell`s that never allocate.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size(), 0);
+                // SAFETY: forwarded unchanged (see the impl).
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size(), 0);
+                // SAFETY: forwarded unchanged (see the impl).
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                note(0, layout.size());
+                // SAFETY: forwarded unchanged (see the impl).
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size, layout.size());
+                // SAFETY: forwarded unchanged (see the impl).
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static COUNTING: Counting = Counting;
+    }
+
+    #[test]
+    fn recorder_memory_does_not_grow_with_traffic() {
+        const SAMPLES: u64 = 2_000_000;
+        let mut batch = [(Priority::High, 0u64); 8];
+        let fill = |batch: &mut [(Priority, u64)], i: u64| {
+            for (k, entry) in batch.iter_mut().enumerate() {
+                let n = i * 8 + k as u64;
+                // Every tier; µs-scale hits and ms-scale misses.
+                let latency = if n.is_multiple_of(5) {
+                    1_000 + n % 9_000
+                } else {
+                    n % 40
+                };
+                *entry = (Priority::ALL[k % 3], latency);
+            }
+        };
+        let (before_new, _) = heap::bytes();
+        let mut r = MetricsRecorder::new(batch.len());
+        let (when_new, _) = heap::bytes();
+        let footprint = when_new - before_new;
+        assert!(footprint < 128 * 1024, "fixed footprint: {footprint} B");
+        // The first batch on a (model, version) adds that epoch's dispatch
+        // counter: the one allocation a batch may make.
+        fill(&mut batch, 0);
+        r.record_batch(0, 1, batch.len(), &batch);
+        let (warm, _) = heap::bytes();
+        assert!(
+            warm - when_new < 1024,
+            "one epoch counter: {} B",
+            warm - when_new
+        );
+        for i in 1..SAMPLES / batch.len() as u64 {
+            fill(&mut batch, i);
+            r.record_batch(0, 1, batch.len(), &batch);
+        }
+        let (after, _) = heap::bytes();
+        assert_eq!(after, warm, "{SAMPLES} samples grew the recorder");
+
+        // A report allocates the same whatever the sample count: no
+        // per-sample copy, no sort.
+        let mut small = MetricsRecorder::new(batch.len());
+        small.record_batch(0, 1, 1, &[(Priority::Normal, 42)]);
+        let report_bytes = |rec: &MetricsRecorder| {
+            let (_, before) = heap::bytes();
+            let rep = rec.report();
+            let (_, after) = heap::bytes();
+            (rep.requests, after - before)
+        };
+        let (n_big, big_bytes) = report_bytes(&r);
+        let (n_small, small_bytes) = report_bytes(&small);
+        assert_eq!((n_big, n_small), (SAMPLES, 1));
+        assert_eq!(big_bytes, small_bytes);
     }
 
     #[test]
@@ -527,6 +651,43 @@ mod tests {
                         + rep.rejected_full + rep.rejected_quota,
                     submissions
                 );
+            }
+
+            /// Merging per-tier histograms equals recording every sample
+            /// into one, in whichever order the tiers are merged — what
+            /// lets a report (and a replica pool) take window-wide
+            /// percentiles from per-tier stores.
+            #[test]
+            fn merged_tier_histograms_equal_one_histogram(
+                samples in proptest::collection::vec(
+                    (0usize..3, 0u32..64, 0u64..u64::MAX)
+                        .prop_map(|(tier, shift, bits)| (tier, bits >> shift)),
+                    0..300),
+            ) {
+                let mut one = LatencyHistogram::new();
+                let mut tiers: [LatencyHistogram; 3] =
+                    std::array::from_fn(|_| LatencyHistogram::new());
+                for &(tier, value) in &samples {
+                    one.record(value);
+                    tiers[tier].record(value);
+                }
+                for order in [[0, 1, 2], [2, 0, 1], [1, 2, 0]] {
+                    let mut merged = LatencyHistogram::new();
+                    for t in order {
+                        merged.merge(&tiers[t]);
+                    }
+                    prop_assert_eq!(&merged, &one);
+                }
+                // Associativity: (t0 + t1) + t2 == t0 + (t1 + t2).
+                let mut left = tiers[0].clone();
+                left.merge(&tiers[1]);
+                left.merge(&tiers[2]);
+                let mut right = tiers[1].clone();
+                right.merge(&tiers[2]);
+                let mut grouped = tiers[0].clone();
+                grouped.merge(&right);
+                prop_assert_eq!(&left, &grouped);
+                prop_assert_eq!(one.quantiles(PERCENTILES), left.quantiles(PERCENTILES));
             }
         }
     }

@@ -82,7 +82,8 @@ use pim_store::SharedArtifact;
 
 use crate::config::ServeConfig;
 use crate::error::{CallError, ServeError, SubmitError};
-use crate::metrics::MetricsReport;
+use crate::histogram::LatencyHistogram;
+use crate::metrics::{MetricsReport, PERCENTILES};
 use crate::registry::{rebuild_shared, ModelHandle, ModelRegistry};
 use crate::rollout::RetryBudget;
 use crate::server::{
@@ -1091,6 +1092,14 @@ impl ReplicaSetHandle<'_> {
             .load(Ordering::Relaxed)
     }
 
+    /// The window's [`ReplicaSetReport`] so far, while every replica keeps
+    /// serving: per-replica reports plus window-wide percentiles merged
+    /// from their histograms. Each replica's metrics lock is taken in
+    /// turn, and nothing else; counts only grow between snapshots.
+    pub fn snapshot(&self) -> ReplicaSetReport {
+        ReplicaSetReport::collect(self.pool)
+    }
+
     /// The current model version a replica serves.
     pub fn version(&self, replica: usize) -> u64 {
         self.serving(replica).version()
@@ -1430,12 +1439,25 @@ pub struct ReplicaSetReport {
     pub failovers: u64,
     /// Requests whose end-to-end deadline elapsed before a response.
     pub deadline_misses: u64,
+    /// Window-wide median latency of completed requests, µs, from the
+    /// replicas' merged histograms (not an average of their medians);
+    /// bucketed as [`MetricsReport::p50_us`].
+    pub p50_us: u64,
+    /// Window-wide 95th-percentile latency, µs (as [`Self::p50_us`]).
+    pub p95_us: u64,
+    /// Window-wide 99th-percentile latency, µs (as [`Self::p50_us`]).
+    pub p99_us: u64,
 }
 
 impl ReplicaSetReport {
     fn collect(pool: &PoolShared<'_>) -> Self {
-        let per_replica: Vec<MetricsReport> =
-            pool.replicas.iter().map(|r| r.sched.report()).collect();
+        let mut window = LatencyHistogram::new();
+        let per_replica: Vec<MetricsReport> = pool
+            .replicas
+            .iter()
+            .map(|r| r.sched.report_into(&mut window))
+            .collect();
+        let [p50_us, p95_us, p99_us] = window.quantiles(PERCENTILES);
         let sum = |f: fn(&MetricsReport) -> u64| per_replica.iter().map(f).sum();
         let healths = || pool.replicas.iter().map(|r| &*r.health);
         let count = |f: fn(&ReplicaHealth) -> &AtomicU32| {
@@ -1464,6 +1486,9 @@ impl ReplicaSetReport {
             probes: count(|h| &h.probes),
             failovers: pool.failovers.load(Ordering::Relaxed),
             deadline_misses: pool.deadline_misses.load(Ordering::Relaxed),
+            p50_us,
+            p95_us,
+            p99_us,
         }
     }
 }

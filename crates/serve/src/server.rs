@@ -16,6 +16,7 @@ use pim_tensor::Tensor;
 use crate::admission::{self, AdmissionVerdict, Priority, TIERS};
 use crate::config::ServeConfig;
 use crate::error::{ServeError, SubmitError};
+use crate::histogram::LatencyHistogram;
 use crate::metrics::{MetricsRecorder, MetricsReport};
 use crate::registry::{ModelHandle, ModelRegistry};
 use crate::replica::PoolLink;
@@ -516,6 +517,15 @@ impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
         self.sched.submit(request, self.cache)
     }
 
+    /// The window's metrics so far, while the workers keep serving: the
+    /// same report [`Server::run`] returns at the end, taken under the
+    /// metrics lock alone. Counts only grow between snapshots. A batch is
+    /// recorded just after its tickets resolve, so a snapshot taken as a
+    /// wait returns may not count that request yet.
+    pub fn snapshot(&self) -> MetricsReport {
+        self.sched.report()
+    }
+
     /// Samples currently queued (admitted, not yet dispatched).
     pub fn queued_samples(&self) -> usize {
         self.sched
@@ -837,6 +847,15 @@ impl<'a> Scheduler<'a> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .report()
+    }
+
+    /// [`Scheduler::report`], adding the window's latency samples to
+    /// `window` under the same lock, so a pool's merged percentiles cover
+    /// exactly the requests its per-replica reports count.
+    pub(crate) fn report_into(&self, window: &mut LatencyHistogram) -> MetricsReport {
+        let metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
+        metrics.merge_latencies_into(window);
+        metrics.report()
     }
 
     /// Blocks until a batch can be formed; `None` means closed-and-drained
@@ -1744,6 +1763,49 @@ mod tests {
         }
         fn div(&self, a: f32, b: f32) -> f32 {
             ExactMath.div(a, b)
+        }
+    }
+
+    /// A snapshot answers while the only worker is held inside a forward,
+    /// and successive snapshots, then the final report, never count less.
+    #[test]
+    fn snapshots_are_live_and_monotone() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let models = ModelRegistry::from_models([tiny_model().clone()]);
+        let gate = GatedMath {
+            entered: std::sync::atomic::AtomicBool::new(false),
+            release: std::sync::atomic::AtomicBool::new(false),
+        };
+        let server = Server::new(&models, &gate, server_cfg()).unwrap();
+        let ((held, served), last) = server.run(|h| {
+            let first = h.submit(Request::new(0, 0, images(1, 1))).unwrap();
+            while !gate.entered.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            let held = h.snapshot();
+            gate.release.store(true, SeqCst);
+            first.wait().unwrap();
+            for i in 0..5 {
+                let request = Request::new(1, 0, images(1, 10 + i)).with_priority(Priority::High);
+                h.submit(request).unwrap().wait().unwrap();
+            }
+            (held, h.snapshot())
+        });
+        assert_eq!(held.requests, 0, "the held forward has not completed");
+        // A batch is recorded just after its tickets resolve, so a
+        // snapshot may trail the last waits; the final report does not.
+        assert!(served.requests <= 6);
+        assert_eq!(last.requests, 6);
+        assert_eq!(last.tier(Priority::High).requests, 5);
+        assert!(last.p50_us <= last.p99_us);
+        for (earlier, later) in [(&held, &served), (&served, &last)] {
+            assert!(earlier.requests <= later.requests);
+            assert!(earlier.samples <= later.samples);
+            assert!(earlier.batches <= later.batches);
+            assert!(earlier.elapsed_s <= later.elapsed_s);
+            for (a, b) in earlier.tiers.iter().zip(&later.tiers) {
+                assert!(a.requests <= b.requests);
+            }
         }
     }
 

@@ -92,10 +92,12 @@ impl ScriptedMath {
 }
 
 /// Blocks until `pool.restarts(replica)` reaches `n` — i.e. the dying
-/// life has fully unwound and the supervisor has respawned it. Jobs
-/// submitted *before* this point race the dying life's teardown and may
-/// resolve typed (`Forward("serving worker panicked")`) instead of being
-/// served; jobs submitted after it rendezvous with the fresh life.
+/// life has fully unwound and the supervisor has begun the next one (cold
+/// cache, cold service-time estimate, `Healthy`). A pool submit enqueues
+/// straight into the replica's scheduler, which outlives a life, so a
+/// request submitted before this point is not lost: it waits in the queue
+/// for the fresh life. Tests wait here to assert on the fresh life's own
+/// state — its restart count, its health, its cold estimator.
 fn await_restart(pool: &pim_serve::ReplicaSetHandle<'_>, replica: usize, n: u32) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while pool.restarts(replica) < n {
@@ -267,8 +269,6 @@ fn panicked_replica_restarts_from_shared_artifact_and_preserves_version() {
             .expect_err("the poisoned forward fails typed");
         assert!(matches!(err, ServeError::Forward(_)), "{err}");
         // The respawned life serves the same registry: version 2 stands.
-        // (Submitting before the old life finishes unwinding would race
-        // its teardown and could resolve typed instead of being served.)
         await_restart(pool, 0, 1);
         pool.submit(Request::new(0, 0, images(1, 3)))
             .unwrap()

@@ -311,6 +311,116 @@ fn restarted_replica_report_keeps_its_earlier_lives() {
     assert_eq!(report.restarts, 1);
 }
 
+/// Holds every forward while `hold` is set, so a test can look at the
+/// pool while a worker is provably busy.
+struct Holdable {
+    hold: AtomicBool,
+    entered: AtomicBool,
+}
+
+impl MathBackend for Holdable {
+    fn name(&self) -> &'static str {
+        "holdable-exact"
+    }
+    fn exp(&self, x: f32) -> f32 {
+        while self.hold.load(SeqCst) {
+            self.entered.store(true, SeqCst);
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        ExactMath.exp(x)
+    }
+    fn inv_sqrt(&self, x: f32) -> f32 {
+        ExactMath.inv_sqrt(x)
+    }
+    fn div(&self, a: f32, b: f32) -> f32 {
+        ExactMath.div(a, b)
+    }
+}
+
+/// `ReplicaSetHandle::snapshot` answers while a replica's worker is held
+/// inside a forward; successive snapshots, then the final report, never
+/// count less; and the window-wide percentiles come from the replicas'
+/// merged histograms, so they lie between the replicas' own.
+#[test]
+fn pool_snapshots_are_live_monotone_and_merged() {
+    let net = tiny_net(15);
+    let math = Holdable {
+        hold: AtomicBool::new(false),
+        entered: AtomicBool::new(false),
+    };
+    let cfg = pool_cfg(2, RoutingPolicy::RoundRobin);
+    let set = ReplicaSet::from_net("snap", &net, &math, cfg).unwrap();
+    let serve = |pool: &pim_serve::ReplicaSetHandle<'_>, seed| {
+        let request = Request::new(0, 0, images(1, seed));
+        pool.submit(request).unwrap().wait().unwrap();
+    };
+    let ((held, served), last) = set.run(|pool| {
+        for i in 0..8 {
+            serve(pool, i);
+        }
+        math.hold.store(true, SeqCst);
+        let busy = pool
+            .submit_to(0, Request::new(1, 0, images(1, 100)))
+            .unwrap();
+        while !math.entered.load(SeqCst) {
+            std::thread::yield_now();
+        }
+        let held = pool.snapshot();
+        math.hold.store(false, SeqCst);
+        busy.wait().unwrap();
+        for i in 0..8 {
+            serve(pool, 200 + i);
+        }
+        (held, pool.snapshot())
+    });
+    // A batch is recorded just after its tickets resolve, so a snapshot
+    // may trail the last waits; the final report counts everything.
+    assert!(held.requests <= 8, "the held forward has not completed");
+    assert!(served.requests <= 17);
+    assert_eq!(last.requests, 17);
+    let counts = |r: &pim_serve::ReplicaSetReport| {
+        let per_replica: Vec<_> = r
+            .per_replica
+            .iter()
+            .map(|m| (m.requests, m.batches))
+            .collect();
+        (
+            r.requests,
+            r.samples,
+            r.batches,
+            r.failed_requests,
+            per_replica,
+        )
+    };
+    for (earlier, later) in [(&held, &served), (&served, &last)] {
+        let (earlier, later) = (counts(earlier), counts(later));
+        assert!(earlier.0 <= later.0 && earlier.1 <= later.1 && earlier.2 <= later.2);
+        assert!(earlier.3 <= later.3);
+        for (a, b) in earlier.4.iter().zip(&later.4) {
+            assert!(a.0 <= b.0 && a.1 <= b.1, "{a:?} then {b:?}");
+        }
+    }
+    for report in [&held, &served, &last] {
+        assert!(report.p50_us <= report.p95_us && report.p95_us <= report.p99_us);
+        let replicas = &report.per_replica;
+        for (window, per_replica) in [
+            (
+                report.p50_us,
+                replicas.iter().map(|r| r.p50_us).collect::<Vec<_>>(),
+            ),
+            (report.p99_us, replicas.iter().map(|r| r.p99_us).collect()),
+        ] {
+            let lo = *per_replica.iter().min().unwrap();
+            let hi = *per_replica.iter().max().unwrap();
+            // Within the replicas' range, up to one bucket (1/64) above it.
+            assert!(
+                lo <= window && window * 64 <= hi * 65,
+                "{window} vs {per_replica:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn artifact_pool_shares_one_mapping_across_replicas() {
     let dir = tmp_dir("share");
