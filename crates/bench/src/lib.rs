@@ -1,14 +1,17 @@
-//! Shared infrastructure for the figure/table regeneration benches.
+//! The paper's figures and tables ([`paper`], run by `--bin paper`), the
+//! recorders and checkers behind `bench_results/BENCH_*.json`, and their
+//! shared output helpers.
 //!
-//! Every bench target in `benches/` prints the paper's rows/series to
-//! stdout and writes a CSV into `bench_results/` (override the directory
-//! with the `PIM_BENCH_OUT` environment variable).
+//! Every table is printed to stdout and written as a CSV into
+//! `bench_results/` (override the directory with the `PIM_BENCH_OUT`
+//! environment variable).
 
 pub mod cache_bench;
 pub mod chaos_bench;
 pub mod check;
 pub mod emit;
 pub mod jsonlite;
+pub mod paper;
 pub mod quant_bench;
 pub mod replica_bench;
 pub mod soak_bench;
@@ -18,10 +21,10 @@ use std::path::{Path, PathBuf};
 use capsnet::NetworkCensus;
 use capsnet_workloads::report::Table;
 use capsnet_workloads::{benchmarks, Benchmark};
-use pim_capsnet::{evaluate, DesignVariant, EvalResult, Platform};
+use pim_capsnet::Platform;
 
-/// Evaluation context shared by all benches: the paper platform plus the
-/// Table 1 suite.
+/// What the paper's tables are evaluated on: a platform plus the Table 1
+/// suite.
 pub struct BenchContext {
     /// Table 4 platform (P100 + HMC Gen3).
     pub platform: Platform,
@@ -45,11 +48,6 @@ impl BenchContext {
     /// Panics if the spec is invalid — covered by workload tests.
     pub fn census(&self, b: &Benchmark) -> NetworkCensus {
         NetworkCensus::from_spec(&b.spec(), b.batch_size).expect("table-1 spec valid")
-    }
-
-    /// Evaluates one benchmark on one design variant.
-    pub fn eval(&self, b: &Benchmark, variant: DesignVariant) -> EvalResult {
-        evaluate(&self.census(b), &self.platform, variant)
     }
 }
 
@@ -76,10 +74,10 @@ pub fn results_dir() -> PathBuf {
     root.join("bench_results")
 }
 
-/// Prints a bench header.
-pub fn header(id: &str, caption: &str) {
+/// Prints a table's title.
+pub fn header(title: &str) {
     println!();
-    println!("=== {id} — {caption} ===");
+    println!("=== {title} ===");
 }
 
 /// Prints the table and writes it as `bench_results/<name>.csv`.
@@ -97,25 +95,9 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats a float with 3 decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// Formats a fraction as a percentage with 2 decimals.
 pub fn pct(x: f64) -> String {
     format!("{:.2}%", 100.0 * x)
-}
-
-/// Convenience: the path of a CSV artifact for a bench name (used by
-/// integration tests).
-pub fn csv_path(name: &str) -> PathBuf {
-    results_dir().join(format!("{name}.csv"))
-}
-
-/// `true` when `p` looks like one of our CSV artifacts.
-pub fn is_csv_artifact(p: &Path) -> bool {
-    p.extension().is_some_and(|e| e == "csv")
 }
 
 /// The count following `flag` on the command line, or `default`.
@@ -197,14 +179,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(f2(1.234), "1.23");
-        assert_eq!(f3(1.2345), "1.234");
         assert_eq!(pct(0.5), "50.00%");
-    }
-
-    #[test]
-    fn csv_path_shape() {
-        let p = csv_path("fig04");
-        assert!(is_csv_artifact(&p));
-        assert!(p.to_string_lossy().contains("fig04"));
     }
 }

@@ -11,7 +11,7 @@
 //! * the first positional argument is the real crate's `FILTER`: only ids
 //!   containing it run;
 //! * [`Criterion::take_results`] exposes the measurements programmatically
-//!   so harnesses (e.g. `suite_summary`) can persist machine-readable JSON.
+//!   so a harness (e.g. `micro_kernels`) can read back what it measured.
 
 use std::time::{Duration, Instant};
 

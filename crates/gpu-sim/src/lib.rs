@@ -14,7 +14,9 @@
 //! [`capsnet::census`] lowered to a realistic kernel sequence (unfused
 //! PyTorch-style broadcast/reduce kernels for the RP, im2col+GEMM for the
 //! convolutions) and a small set of device coefficients documented on
-//! [`GpuModelParams`]. Calibration choices are recorded in EXPERIMENTS.md.
+//! [`GpuModelParams`], held constant across every figure. The figures it
+//! reproduces, beside the paper's numbers, are printed by `cargo run
+//! --release -p pim-bench --bin paper`.
 //!
 //! # Example
 //!

@@ -193,7 +193,7 @@ impl GpuSpec {
 /// These are the only "fit" quantities in the GPU model; everything else is
 /// derived from the op census. Values are chosen from public
 /// microbenchmarking literature for Pascal-class GPUs and held constant
-/// across all experiments (see EXPERIMENTS.md §calibration).
+/// across all experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GpuModelParams {
     /// Fraction of peak FLOPs a tuned GEMM/conv kernel achieves.

@@ -1,8 +1,8 @@
 //! The Table 5 accuracy harness: Origin vs "w/o Accuracy Recovery" vs
 //! "w/ Accuracy Recovery".
 //!
-//! Construction (substitution for the paper's trained models + real
-//! datasets; see DESIGN.md §1):
+//! Construction (a substitution for the paper's trained models and real
+//! datasets, which are not redistributable):
 //!
 //! 1. build the benchmark's scaled functional CapsNet with seeded weights;
 //! 2. generate a synthetic image set and let the *exact-math* network label

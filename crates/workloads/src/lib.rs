@@ -9,7 +9,7 @@
 //! and calibrated label noise reproduces each benchmark's reported baseline
 //! ("Origin") accuracy. The quantity Table 5 actually studies — the
 //! accuracy perturbation caused by the PE's approximate special functions,
-//! and its recovery — is genuinely emergent (see DESIGN.md §1).
+//! and its recovery — is genuinely emergent.
 
 pub mod accuracy;
 pub mod chaos;

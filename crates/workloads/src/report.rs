@@ -113,16 +113,7 @@ fn csv_row(cells: &[String]) -> String {
         .join(",")
 }
 
-/// Geometric mean of a slice (the paper's cross-benchmark averages).
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.max(1e-300).ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
-/// Arithmetic mean.
+/// Arithmetic mean (every cross-benchmark average the paper reports).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -174,9 +165,7 @@ mod tests {
 
     #[test]
     fn means() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert_eq!(geomean(&[]), 0.0);
         assert_eq!(mean(&[]), 0.0);
     }
 }

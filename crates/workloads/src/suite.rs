@@ -92,8 +92,8 @@ impl Benchmark {
     /// A scaled-down functional variant preserving the routing structure
     /// (`H` capsules, iterations, capsule dimensions, batch-shared
     /// coefficients) with a small conv front-end, runnable on a laptop-class
-    /// CPU for the Table 5 accuracy experiments (substitution documented in
-    /// DESIGN.md §1).
+    /// CPU for the Table 5 accuracy experiments (it stands in for the
+    /// paper's trained models, which are not redistributable).
     pub fn functional_spec(&self) -> CapsNetSpec {
         let (in_c, _) = self.dataset.input_geometry();
         // 12×12 input → conv 5×5/s1 → 8×8 → primary 3×3/s2 → 3×3 grid.
