@@ -20,6 +20,8 @@ pub enum Rule {
     /// No wall-clock (`Instant::now` / `SystemTime`) inside the
     /// deterministic simulation twins.
     R5Determinism,
+    /// A `pub` fn / const / static that no other source file names.
+    R6DeadSurface,
     /// Meta rule: a `LINT-ALLOW` entry without a reason, or one that names
     /// no known rule.
     RAllow,
@@ -33,6 +35,7 @@ impl Rule {
             Rule::R3Ordering => "R3",
             Rule::R4LockOrder => "R4",
             Rule::R5Determinism => "R5",
+            Rule::R6DeadSurface => "R6",
             Rule::RAllow => "RA",
         }
     }
@@ -44,6 +47,7 @@ impl Rule {
             "R3" => Some(Rule::R3Ordering),
             "R4" => Some(Rule::R4LockOrder),
             "R5" => Some(Rule::R5Determinism),
+            "R6" => Some(Rule::R6DeadSurface),
             _ => None,
         }
     }

@@ -204,7 +204,7 @@ impl Sched {
 
     /// A scheduling point: records the op label, lets the scheduler choose
     /// who proceeds, and returns once this thread is chosen again.
-    pub fn yield_point(&self, tid: usize, label: &str) {
+    fn yield_point(&self, tid: usize, label: &str) {
         let mut inner = lock_inner(&self.inner);
         if inner.aborted {
             drop(inner);
@@ -655,7 +655,7 @@ pub fn replay<S: Send + Sync + 'static>(model: &Model<S>, choices: &[usize]) -> 
 }
 
 /// splitmix64: tiny, seedable, statistically solid for schedule sampling.
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

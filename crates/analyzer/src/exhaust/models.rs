@@ -348,7 +348,7 @@ pub fn reserve(variant: Variant) -> Model<ReserveState> {
 
 impl ShadowAtomic {
     /// Post-quiescence read for final-invariant checks (no scheduler).
-    pub fn load_quiesced(&self) -> i64 {
+    fn load_quiesced(&self) -> i64 {
         self.v.load(Ordering::SeqCst)
     }
 }

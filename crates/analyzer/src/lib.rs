@@ -4,7 +4,7 @@
 //!
 //! 1. **Invariant linter** ([`rules`]) — a comment- and string-aware token
 //!    scanner ([`scan`]) over every workspace crate, enforcing the rules
-//!    R1–R5 against the declared [`manifest`]. Run as
+//!    R1–R6 against the declared [`manifest`]. Run as
 //!    `pim-analyzer -- lint` (or as part of `check`).
 //! 2. **Interleaving checker** ([`exhaust`]) — a miniature model checker
 //!    that exhaustively enumerates schedules of shadow models mirroring
@@ -26,36 +26,34 @@ use manifest::Manifest;
 use rules::FileCtx;
 
 /// Path of the protocol manifest, relative to the workspace root.
-pub const MANIFEST_PATH: &str = "crates/analyzer/protocol.manifest";
+const MANIFEST_PATH: &str = "crates/analyzer/protocol.manifest";
 
-/// Directories under the workspace root whose `.rs` files are linted.
-/// Library source only: `tests/`, `benches/`, and `examples/` trees hold
-/// test code by definition and are out of scope for the library rules.
-fn lint_roots(root: &Path) -> Vec<(String, PathBuf)> {
+/// Directories whose `.rs` files are read, with their crate and whether
+/// they are library source (linted by R1–R5; under `crates/`, checked by
+/// R6). All are searched for R6 uses; `crates/compat` has no `src/`.
+fn source_roots(root: &Path) -> Vec<(String, PathBuf, bool)> {
     let mut roots = Vec::new();
-    let crates = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates) {
-        let mut dirs: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        for dir in dirs {
-            let krate = dir
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_string();
-            let src = dir.join("src");
-            if src.is_dir() {
-                roots.push((krate, src));
-            }
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    dirs.sort();
+    for dir in dirs {
+        let krate = dir
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default()
+            .to_string();
+        for (sub, library) in [("src", true), ("tests", false), ("benches", false)] {
+            roots.push((krate.clone(), dir.join(sub), library));
         }
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        roots.push(("suite".to_string(), root_src));
+    roots.push(("suite".to_string(), root.join("src"), true));
+    for dir in ["tests", "examples", "benchmark/src"] {
+        roots.push(("suite".to_string(), root.join(dir), false));
     }
     roots
 }
@@ -88,36 +86,45 @@ fn rel(root: &Path, path: &Path) -> String {
 }
 
 /// Loads the protocol manifest from the workspace root.
-pub fn load_manifest(root: &Path) -> Result<Manifest, String> {
+fn load_manifest(root: &Path) -> Result<Manifest, String> {
     let path = root.join(MANIFEST_PATH);
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     Manifest::parse(&text).map_err(|(line, msg)| format!("{MANIFEST_PATH}:{line}: {msg}"))
 }
 
-/// Lints every library source file in the workspace. Returns the sorted
-/// diagnostic list (empty ⇒ clean).
+/// Lints every library source file (R1–R5), then every file read (R6).
+/// Returns the sorted diagnostic list (empty ⇒ clean).
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let manifest = load_manifest(root)?;
     let mut diags = Vec::new();
-    for (krate, src) in lint_roots(root) {
+    let mut sources = Vec::new();
+    for (krate, dir, library) in source_roots(root) {
         let mut files = Vec::new();
-        collect_rs(&src, &mut files);
+        collect_rs(&dir, &mut files);
         for file in files {
             let text = std::fs::read_to_string(&file)
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
             let scanned = scan::scan(&text);
             let path = rel(root, &file);
-            diags.extend(rules::lint_file(
-                &FileCtx {
-                    path: &path,
-                    krate: &krate,
-                    scanned: &scanned,
-                },
-                &manifest,
-            ));
+            if library {
+                diags.extend(rules::lint_file(
+                    &FileCtx {
+                        path: &path,
+                        krate: &krate,
+                        scanned: &scanned,
+                    },
+                    &manifest,
+                ));
+            }
+            sources.push(rules::Source {
+                path,
+                scanned,
+                declares: library && krate != "suite",
+            });
         }
     }
+    diags.extend(rules::dead_surface(&sources));
     diag::sort(&mut diags);
     Ok(diags)
 }

@@ -62,7 +62,7 @@ fn main() -> ExitCode {
         };
         match pim_analyzer::lint_workspace(&root) {
             Ok(diags) if diags.is_empty() => {
-                println!("lint: clean ({} rules, 0 diagnostics)", 5);
+                println!("lint: clean ({} rules, 0 diagnostics)", 6);
             }
             Ok(diags) => {
                 for d in &diags {

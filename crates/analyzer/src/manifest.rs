@@ -172,7 +172,7 @@ impl Manifest {
     }
 
     /// Rank of a lock class by name.
-    pub fn rank_of(&self, class: &str) -> Option<u32> {
+    fn rank_of(&self, class: &str) -> Option<u32> {
         self.locks.iter().find(|c| c.name == class).map(|c| c.rank)
     }
 

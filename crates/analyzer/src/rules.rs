@@ -1,6 +1,7 @@
 //! The rule engine: walks a scanned token stream once, tracking brace
 //! depth, `#[cfg(test)]` regions, function extents, attribute lines, held
-//! lock guards, and paren/call nesting — then applies rules R1–R5.
+//! lock guards, and paren/call nesting — then applies rules R1–R5; R6 is
+//! one pass over the whole workspace ([`dead_surface`]).
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -9,20 +10,21 @@
 //! | R3   | `Ordering::Relaxed` on a protocol-manifest atomic needs an audited justification |
 //! | R4   | nested lock acquisitions follow the declared partial order |
 //! | R5   | no wall clock inside the deterministic workload twins |
+//! | R6   | a `pub` fn / const / static outside test code is named in some other file |
 //!
 //! Site-level escape hatch: `// LINT-ALLOW(R2): reason` on the flagged
 //! line or the line above suppresses that rule there. The reason is
 //! mandatory; an allow without one (or naming no known rule) is itself a
 //! diagnostic (`RA`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::diag::{Diagnostic, Rule};
 use crate::manifest::{AtomicPolicy, Manifest};
 use crate::scan::{Scanned, Tok, TokKind};
 
 /// Crates whose non-test library code falls under R2.
-pub const R2_CRATES: &[&str] = &["serve", "cache", "store", "tensor"];
+const R2_CRATES: &[&str] = &["serve", "cache", "store", "tensor"];
 
 /// Atomic RMW / load / store method names whose ordering arguments R3
 /// inspects.
@@ -471,6 +473,105 @@ pub fn lint_file(ctx: &FileCtx<'_>, manifest: &Manifest) -> Vec<Diagnostic> {
     diags
 }
 
+/// One scanned file as R6 sees it: every file is a user, and the `pub`
+/// items of one that `declares` (`crates/*/src`) are checked.
+pub struct Source {
+    pub path: String,
+    pub scanned: Scanned,
+    pub declares: bool,
+}
+
+/// R6: every `pub` / `pub(crate)` / `pub(super)` fn, const or static
+/// outside test code in a declaring file is named in some other file.
+/// Names in comments, strings and `use` items do not count (a re-export
+/// alone keeps nothing alive), save a renamed import (`NAME as ALIAS`).
+pub fn dead_surface(files: &[Source]) -> Vec<Diagnostic> {
+    let mut users: HashMap<&str, BTreeSet<usize>> = HashMap::new();
+    for (f, file) in files.iter().enumerate() {
+        let toks = &file.scanned.tokens;
+        let mut in_use = false;
+        for (i, t) in toks.iter().enumerate() {
+            in_use = (in_use || t.is_ident("use")) && !t.is_punct(';');
+            let renamed = toks.get(i + 1).is_some_and(|n| n.is_ident("as"));
+            if let Some(name) = t.ident().filter(|_| !in_use || renamed) {
+                users.entry(name).or_default().insert(f);
+            }
+        }
+    }
+    let mut diags = Vec::new();
+    for (f, file) in files.iter().enumerate().filter(|(_, file)| file.declares) {
+        for (line, kind, name) in pub_items(&file.scanned.tokens) {
+            let elsewhere = users.get(name).is_some_and(|s| s.iter().any(|&g| g != f));
+            if !elsewhere && !allows_r6(&file.scanned, line) {
+                let msg = format!("`pub {kind} {name}` is named in no other file — drop `pub`, delete it, or LINT-ALLOW(R6) with a reason");
+                diags.push(Diagnostic::new(Rule::R6DeadSurface, &file.path, line, msg));
+            }
+        }
+    }
+    diags
+}
+
+/// `(line, kind, name)` of every `pub` fn / const / static outside the
+/// items gated by a `#[cfg(test)]` / `#[test]` attribute.
+fn pub_items(toks: &[Tok]) -> Vec<(u32, &str, &str)> {
+    let mut items = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        let t = &toks[i];
+        i += 1;
+        if t.is_punct('#') && toks.get(i).is_some_and(|t| t.is_punct('[')) {
+            let attr = i..match_group(toks, i);
+            i = attr.end;
+            if toks[attr].iter().any(|t| t.is_ident("test")) {
+                // Skip the gated item: through its `;` or its `{ … }` body.
+                let end = toks[i..]
+                    .iter()
+                    .position(|t| t.is_punct(';') || t.is_punct('{'))
+                    .map_or(toks.len(), |k| i + k);
+                i = match toks.get(end) {
+                    Some(t) if t.is_punct('{') => match_group(toks, end),
+                    _ => end + 1,
+                };
+            }
+        } else if t.is_ident("pub") {
+            if toks.get(i).is_some_and(|t| t.is_punct('(')) {
+                i = match_group(toks, i);
+            }
+            // `[const|unsafe|async|extern "C"]* (fn|const|static [mut]) NAME`:
+            // the kind is the last of those keywords, the name the last word.
+            let (mut kind, mut name) = (None, None);
+            while let Some(w) = toks
+                .get(i)
+                .filter(|t| t.kind == TokKind::Literal || t.ident().is_some())
+            {
+                match w.ident() {
+                    Some(k @ ("fn" | "const" | "static")) => kind = Some(k),
+                    Some(word) => name = Some((w.line, word)),
+                    None => {}
+                }
+                i += 1;
+            }
+            if let (Some(kind), Some((line, name))) = (kind, name.filter(|(_, n)| *n != "_")) {
+                items.push((line, kind, name));
+            }
+        }
+    }
+    items
+}
+
+/// A `LINT-ALLOW(R6): reason` on `line` or the line above it. A
+/// reason-less allow suppresses nothing ([`lint_file`] reports it as `RA`).
+fn allows_r6(scanned: &Scanned, line: u32) -> bool {
+    let allows = |text: &str| {
+        let (codes, reason) = text.split_once("LINT-ALLOW(")?.1.split_once(')')?;
+        let reason = reason.trim_start_matches(':').trim();
+        Some(codes.split(',').any(|c| c.trim() == "R6") && !reason.is_empty())
+    };
+    [line, line.saturating_sub(1)]
+        .into_iter()
+        .any(|l| scanned.comment_on(l).and_then(allows) == Some(true))
+}
+
 /// `" (in fn …)"` context suffix.
 fn in_fn(fn_stack: &[(String, i32)]) -> String {
     match fn_stack.last() {
@@ -524,20 +625,23 @@ fn acquire(
     });
 }
 
-/// Index just past the `)` matching the `(` at `open`.
+/// Index just past the `)` / `]` / `}` matching the opener at `open`.
 fn match_group(toks: &[Tok], open: usize) -> usize {
+    let (o, c) = match toks[open].kind {
+        TokKind::Punct('[') => ('[', ']'),
+        TokKind::Punct('{') => ('{', '}'),
+        _ => ('(', ')'),
+    };
     let mut depth = 0i32;
     let mut j = open;
     while j < toks.len() {
-        match &toks[j].kind {
-            TokKind::Punct('(') => depth += 1,
-            TokKind::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
+        if toks[j].is_punct(o) {
+            depth += 1;
+        } else if toks[j].is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
             }
-            _ => {}
         }
         j += 1;
     }

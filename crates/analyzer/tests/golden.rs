@@ -2,12 +2,12 @@
 //! known violations; the linter must report exactly these `(rule, line)`
 //! pairs — no more, no fewer. Fixture paths are remapped onto synthetic
 //! workspace paths so crate gating (R2) and manifest suffix matching
-//! (R4/R5) behave as they do in a real run.
+//! (R4/R5) behave as they do in a real run; R6 runs over a two-file pair.
 
 use pim_analyzer::diag::{Diagnostic, Rule};
 use pim_analyzer::exhaust::{self, models, Options};
 use pim_analyzer::manifest::Manifest;
-use pim_analyzer::rules::{lint_file, FileCtx};
+use pim_analyzer::rules::{dead_surface, lint_file, FileCtx, Source};
 use pim_analyzer::scan::scan;
 
 /// The manifest the fixtures are linted against — a miniature of the real
@@ -19,13 +19,16 @@ lock mailbox 2 queue
 det-file serve/src/det_twin.rs
 ";
 
-fn lint_fixture(name: &str, synthetic_path: &str, krate: &str) -> Vec<Diagnostic> {
+fn read_fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")
         .join(name);
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-    let scanned = scan(&src);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
+}
+
+fn lint_fixture(name: &str, synthetic_path: &str, krate: &str) -> Vec<Diagnostic> {
+    let scanned = scan(&read_fixture(name));
     let manifest = Manifest::parse(FIXTURE_MANIFEST).expect("fixture manifest parses");
     let ctx = FileCtx {
         path: synthetic_path,
@@ -113,6 +116,40 @@ fn det_twin_fixture_flags_wall_clock() {
     // The same file outside the declared det suffix is fine.
     let diags = lint_fixture("det_twin.rs", "crates/serve/src/other.rs", "serve");
     assert!(diags.is_empty(), "{diags:#?}");
+}
+
+#[test]
+fn dead_surface_fixture_pair_reports_at_golden_lines() {
+    // Used in the other file: silent. Used only in its own file, or named
+    // elsewhere only by a `pub use`: reported. A reasoned allow
+    // suppresses; a bare one suppresses nothing and is itself `RA`.
+    let sources: Vec<Source> = ["r6_decl.rs", "r6_user.rs"]
+        .into_iter()
+        .map(|name| Source {
+            path: format!("crates/serve/src/{name}"),
+            scanned: scan(&read_fixture(name)),
+            declares: true,
+        })
+        .collect();
+    let mut diags = dead_surface(&sources);
+    diags.extend(lint_fixture(
+        "r6_decl.rs",
+        "crates/serve/src/r6_decl.rs",
+        "serve",
+    ));
+    pim_analyzer::diag::sort(&mut diags);
+    assert_eq!(
+        pairs(&diags),
+        vec![
+            (Rule::R6DeadSurface, 8),
+            (Rule::R6DeadSurface, 12),
+            (Rule::RAllow, 17),
+            (Rule::R6DeadSurface, 18),
+        ],
+        "{diags:#?}"
+    );
+    assert!(diags[0].message.contains("`pub fn used_only_here`"));
+    assert!(diags[1].message.contains("`pub const REEXPORTED_ONLY`"));
 }
 
 #[test]
