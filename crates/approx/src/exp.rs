@@ -19,10 +19,10 @@
 ///
 /// `1/ln2 − 3/2 = −0.057 304 96…` — computed offline exactly as §5.2.2
 /// prescribes (integrating the polynomial over the fraction interval).
-pub const EXP_MANTISSA_AVG: f32 = -0.057_304_96;
+const EXP_MANTISSA_AVG: f32 = -0.057_304_96;
 
 /// The combined shift constant `b − 1 + (1 + Avg) = 127 + Avg` of Eq 14.
-pub const EXP_BIAS_CONSTANT: f32 = 127.0 + EXP_MANTISSA_AVG;
+const EXP_BIAS_CONSTANT: f32 = 127.0 + EXP_MANTISSA_AVG;
 
 const LOG2_E: f32 = std::f32::consts::LOG2_E;
 /// 2^23 — the bit-shift distance that aligns `y` with the exponent field.
@@ -33,17 +33,8 @@ const MANTISSA_SCALE: f32 = 8_388_608.0;
 /// Inputs are clamped to the representable exponent range `[-126, 127]`;
 /// values below underflow toward 0 and values above saturate at the clamp,
 /// mirroring what the PE's fixed-width exponent field would produce.
-///
-/// # Examples
-///
-/// ```
-/// use pim_approx::fast_exp2;
-///
-/// let y = fast_exp2(2.5);
-/// assert!((y - 2f32.powf(2.5)).abs() / 2f32.powf(2.5) < 0.03);
-/// ```
 #[inline]
-pub fn fast_exp2(y: f32) -> f32 {
+fn fast_exp2(y: f32) -> f32 {
     let y = y.clamp(-126.0, 127.0);
     // Eq 14: BS(y + Avg + b - 1): the FP32 addition aligns exponent and
     // fraction representations; multiplying by 2^23 *is* the bit shift.

@@ -3,7 +3,7 @@
 //! "Fast inverse square root" technical report).
 
 /// Lomont's optimized magic constant for the initial bit-level guess.
-pub const INV_SQRT_MAGIC: u32 = 0x5f37_59df;
+const INV_SQRT_MAGIC: u32 = 0x5f37_59df;
 
 /// Approximate `1/sqrt(x)` with the bit hack plus `refinements` Newton
 /// steps (`y ← y·(1.5 − 0.5·x·y²)`), each costing three multiplies and one
@@ -35,25 +35,6 @@ pub fn fast_inv_sqrt(x: f32, refinements: u32) -> f32 {
         y *= 1.5 - half * y * y;
     }
     y
-}
-
-/// Approximate `sqrt(x)` as `x * fast_inv_sqrt(x)`, with `sqrt(0) = 0`.
-///
-/// # Examples
-///
-/// ```
-/// use pim_approx::fast_sqrt;
-///
-/// assert!((fast_sqrt(9.0, 1) - 3.0).abs() < 0.02);
-/// assert_eq!(fast_sqrt(0.0, 1), 0.0);
-/// ```
-#[inline]
-pub fn fast_sqrt(x: f32, refinements: u32) -> f32 {
-    if x == 0.0 {
-        0.0
-    } else {
-        x * fast_inv_sqrt(x, refinements)
-    }
 }
 
 #[cfg(test)]
@@ -94,18 +75,6 @@ mod tests {
         assert!(fast_inv_sqrt(-1.0, 1).is_nan());
         assert!(fast_inv_sqrt(f32::NAN, 1).is_nan());
         assert!(fast_inv_sqrt(f32::INFINITY, 1).is_nan());
-    }
-
-    #[test]
-    fn sqrt_roundtrip() {
-        for x in [0.25f32, 1.0, 2.0, 100.0, 12345.0] {
-            let s = fast_sqrt(x, 2);
-            assert!(
-                ((s * s - x) / x).abs() < 1e-3,
-                "sqrt({x}) = {s}, squared back {}",
-                s * s
-            );
-        }
     }
 
     #[test]

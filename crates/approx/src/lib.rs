@@ -44,8 +44,8 @@ mod recovery;
 mod stats;
 
 pub use div::{fast_div, fast_recip};
-pub use exp::{fast_exp, fast_exp2, EXP_BIAS_CONSTANT, EXP_MANTISSA_AVG};
-pub use inv_sqrt::{fast_inv_sqrt, fast_sqrt, INV_SQRT_MAGIC};
+pub use exp::fast_exp;
+pub use inv_sqrt::fast_inv_sqrt;
 pub use recovery::Recovery;
 pub use stats::ErrorStats;
 

@@ -73,7 +73,7 @@ impl Recovery {
     /// # Panics
     ///
     /// Panics if the slices are empty or of different lengths.
-    pub fn from_samples(exact: &[f32], approx: &[f32]) -> Self {
+    fn from_samples(exact: &[f32], approx: &[f32]) -> Self {
         assert_eq!(exact.len(), approx.len(), "sample slices must align");
         assert!(!exact.is_empty(), "need at least one calibration sample");
         let mut sum_r = 0.0f64;
