@@ -243,7 +243,8 @@ pub fn ledger_json(ledger: &Ledger) -> String {
 ///
 /// # Panics
 ///
-/// Panics when `check` rejects the document.
+/// Panics when `check` rejects the document, or when the file cannot be
+/// written.
 pub fn write_json_artifact(file_name: &str, json: &str, check: fn(&Value) -> Verdict) {
     let verdict = crate::jsonlite::parse(json).and_then(|doc| check(&doc));
     if let Err(why) = verdict {
@@ -251,10 +252,10 @@ pub fn write_json_artifact(file_name: &str, json: &str, check: fn(&Value) -> Ver
     }
     let dir = results_dir();
     let path = dir.join(file_name);
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
-        Ok(()) => println!("[json] {}", path.display()),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
+    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        panic!("[json] failed to write {}: {e}", path.display());
     }
+    println!("[json] {}", path.display());
 }
 
 #[cfg(test)]

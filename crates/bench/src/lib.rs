@@ -81,13 +81,18 @@ pub fn header(title: &str) {
 }
 
 /// Prints the table and writes it as `bench_results/<name>.csv`.
+///
+/// # Panics
+///
+/// Panics when the CSV cannot be written, so a run that leaves no output
+/// exits non-zero.
 pub fn finish(name: &str, table: &Table) {
     table.print();
     let path = results_dir().join(format!("{name}.csv"));
-    match table.write_csv(&path) {
-        Ok(()) => println!("[csv] {}", path.display()),
-        Err(e) => eprintln!("[csv] failed to write {}: {e}", path.display()),
+    if let Err(e) = table.write_csv(&path) {
+        panic!("[csv] failed to write {}: {e}", path.display());
     }
+    println!("[csv] {}", path.display());
 }
 
 /// Formats a float with 2 decimals.

@@ -1,6 +1,8 @@
 //! The reproduction gate: every gated row of `pim_bench::paper` holds at
 //! the paper's platform, and a perturbed platform trips it.
 
+use std::process::{Command, Stdio};
+
 use pim_bench::paper::{check, nets, outcomes};
 use pim_bench::BenchContext;
 
@@ -38,4 +40,19 @@ fn fig17_average_band_lies_inside_the_old_integration_band() {
         .expect("Fig 17 average row");
     let (paper, tol) = (row.paper.unwrap(), row.tol.unwrap());
     assert!(1.8 <= paper * (1.0 - tol) && paper * (1.0 + tol) < 3.6);
+}
+
+#[test]
+fn a_run_that_cannot_write_its_csvs_fails() {
+    // The output directory's parent is a regular file: no CSV can land.
+    let blocker = std::env::temp_dir().join(format!("pim_bench_blocker_{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let status = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .env("PIM_BENCH_OUT", blocker.join("out"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    std::fs::remove_file(&blocker).unwrap();
+    assert!(!status.success(), "paper exited 0 with no CSV written");
 }
