@@ -25,7 +25,7 @@ use crate::check::check_cache;
 use crate::emit::{ledger_json, write_json_artifact, BenchHost};
 
 /// Gate: minimum fraction of requests served from cache at `skew ≈ 1.0`.
-pub const GATE_HIT_RATE_MIN: f64 = 0.5;
+const GATE_HIT_RATE_MIN: f64 = 0.5;
 
 /// Everything one cache-bench run measured.
 pub struct CacheBenchResult {
@@ -56,7 +56,7 @@ pub struct CacheBenchResult {
 
 /// The scheduler configuration both passes share — pinned field by field
 /// so recorded numbers stay comparable across PRs.
-pub fn bench_cache_serve_config() -> ServeConfig {
+fn bench_cache_serve_config() -> ServeConfig {
     ServeConfig {
         max_batch: 16,
         max_wait: Duration::from_millis(2),
@@ -69,14 +69,14 @@ pub fn bench_cache_serve_config() -> ServeConfig {
 /// The cache configuration the on-pass serves under. The watchdog-driven
 /// digest sync is a replica-pool concern; a single server ignores
 /// `sync_interval`.
-pub fn bench_cache_config() -> CacheConfig {
+fn bench_cache_config() -> CacheConfig {
     CacheConfig::default()
 }
 
 /// The Zipf stream for `requests` arrivals: single streaming model, the
 /// classic `s = 1.0` skew, and a catalog that scales with the stream so
 /// the achievable hit rate stays put when CI runs a reduced count.
-pub fn bench_cache_traffic(requests: usize) -> ZipfConfig {
+fn bench_cache_traffic(requests: usize) -> ZipfConfig {
     ZipfConfig {
         rate_hz: 50_000.0, // timestamps unused: the stream is windowed
         requests,

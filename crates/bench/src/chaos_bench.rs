@@ -39,10 +39,10 @@ pub const REPLICAS: usize = 4;
 pub const TENANTS: usize = 200;
 
 /// Scripted worker panics in the plan.
-pub const PANICS: usize = 2;
+const PANICS: usize = 2;
 
 /// Scripted stalls in the plan.
-pub const STALLS: usize = 1;
+const STALLS: usize = 1;
 
 /// Scripted stall duration — longer than the pool's 50 ms
 /// `replica_timeout`, so the stalled request is abandoned typed and its
@@ -53,7 +53,7 @@ pub const STALL: Duration = Duration::from_millis(150);
 /// saturation, so the chaos dent — not steady-state overload — dominates
 /// the tail, and the Poisson pacing stays honest (arrivals are never
 /// systematically behind schedule).
-pub const RATE_FRACTION: f64 = 0.6;
+const RATE_FRACTION: f64 = 0.6;
 
 /// Ceiling, microseconds, the clean-replica high-tier p99 may never
 /// exceed even when 10x the baseline is smaller.

@@ -135,18 +135,6 @@ pub fn load(path: &std::path::Path) -> Result<Value, String> {
     crate::jsonlite::parse(&text).map_err(|e| format!("{shown} is not valid JSON: {e}"))
 }
 
-/// `simd=…, threads=…` of a document's host block, for gate logs.
-pub fn host_summary(doc: &Value) -> String {
-    let host = doc.get("host");
-    let simd = host.and_then(|h| h.get("simd")).and_then(Value::as_str);
-    let threads = host.and_then(|h| h.get("threads")).and_then(Value::as_f64);
-    format!(
-        "simd={}, threads={}",
-        simd.unwrap_or("unknown"),
-        threads.unwrap_or(0.0)
-    )
-}
-
 /// The measurement host: numbers are only interpretable knowing which SIMD
 /// path ran and how many threads the kernels could use. Returns
 /// `host.threads`.

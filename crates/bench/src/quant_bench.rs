@@ -208,7 +208,7 @@ pub fn run_quant_bench(requests: usize, gate_benchmark: &Benchmark) -> QuantBenc
 
 impl QuantBenchResult {
     /// Assembles the `BENCH_quant.json` inputs.
-    pub fn to_inputs(&self) -> QuantBenchInputs {
+    fn to_inputs(&self) -> QuantBenchInputs {
         QuantBenchInputs {
             model: self.model.clone(),
             caps_weight_bytes: self.caps_weight_bytes,

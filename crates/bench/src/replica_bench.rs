@@ -22,7 +22,7 @@ use crate::check::check_replica;
 use crate::emit::{ledger_json, write_json_artifact, BenchHost};
 
 /// Fleet size the shared-mapping accounting is taken over.
-pub const SHARING_REPLICAS: usize = 4;
+const SHARING_REPLICAS: usize = 4;
 
 /// Where the fleet's weight bytes physically live.
 pub struct SharedBytesAccounting {
@@ -109,7 +109,7 @@ fn account_sharing(
 
 /// The rollout scenario configuration the bench pins (streaming model,
 /// three replicas, modest Poisson stream).
-pub fn bench_rollout_config() -> RolloutScenarioConfig {
+fn bench_rollout_config() -> RolloutScenarioConfig {
     RolloutScenarioConfig {
         replicas: 3,
         requests: 36,

@@ -32,7 +32,7 @@ use crate::check::check_soak;
 use crate::emit::{ledger_json, write_json_artifact, BenchHost};
 
 /// Phase rates as multiples of the measured capacity.
-pub const MULTIPLIERS: [f64; 3] = [0.8, 1.0, 1.2];
+const MULTIPLIERS: [f64; 3] = [0.8, 1.0, 1.2];
 
 /// Tenants issuing soak traffic (tiers split 20/50/30 by
 /// [`capsnet_workloads::soak::tier_for_tenant`]).
@@ -51,14 +51,14 @@ pub const HIGH_P99_FLOOR_US: u64 = 100_000;
 /// Sweeps [`run_soak_bench`] takes at most: one the host disturbed
 /// ([`SoakBenchResult::disturbed`]) is discarded and taken again from the
 /// capacity probe; the last is judged by the gates whatever it met.
-pub const SWEEPS: usize = 3;
+const SWEEPS: usize = 3;
 
 /// Milliseconds of one sweep the hypervisor may steal. A quiet sweep
 /// loses 0–10; a pause of tens of milliseconds inside one batch inflates
 /// the server's service estimate a thousandfold for the next few batches,
 /// and whatever arrives then is shed, high tier included (measured: 380 ms
 /// stolen, high-tier p99 189 ms at 1.2x).
-pub const STOLEN_MS: u64 = 50;
+const STOLEN_MS: u64 = 50;
 
 /// Milliseconds the hypervisor has kept this guest's runnable vCPUs off
 /// the host: `steal` on the `cpu` line of `/proc/stat`, in 10 ms ticks.
@@ -152,7 +152,7 @@ impl SoakBenchResult {
     /// capacity estimate behind (0.8x was no under-capacity baseline, or
     /// the server kept up with 1.2x). Blind to what the gates judge: which
     /// tiers shed, the high tier's p99, the reconciliation.
-    pub fn disturbed(&self, stolen_ms: u64) -> Option<String> {
+    fn disturbed(&self, stolen_ms: u64) -> Option<String> {
         let shed = |phase: usize| self.phases[phase].counts.shed_total();
         let calm = CALM_SHED_SHARE * self.requests_per_phase as f64;
         if stolen_ms > STOLEN_MS {
