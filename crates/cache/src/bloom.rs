@@ -104,14 +104,6 @@ impl AtomicBloom {
             }
         }
     }
-
-    /// Number of set bits (diagnostic; drives saturation stats).
-    pub fn popcount(&self) -> u64 {
-        self.words
-            .iter()
-            .map(|w| u64::from(w.load(Ordering::Relaxed).count_ones()))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +151,8 @@ mod tests {
         a.merge_words(&b.snapshot());
         assert!(a.contains(7) && a.contains(13));
         // Geometry mismatch is a no-op, not a panic.
+        let before = a.snapshot();
         a.merge_words(&[u64::MAX; 3]);
-        assert!(a.popcount() < 64);
+        assert_eq!(a.snapshot(), before);
     }
 }

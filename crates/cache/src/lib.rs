@@ -430,15 +430,9 @@ impl<V: CacheValue> ResponseCache<V> {
         true
     }
 
-    /// The newest version observed for `model` (via lookups, fills, or
-    /// peer digests) — the invalidation watermark.
-    pub fn latest_version(&self, model: usize) -> u64 {
-        self.models[model].latest_version.load(Ordering::Relaxed)
-    }
-
     /// `true` when a peer advertised `digest` hot for `model`'s current
     /// epoch; such fills start CLOCK-protected.
-    pub fn is_remote_hot(&self, model: usize, digest: u64) -> bool {
+    fn is_remote_hot(&self, model: usize, digest: u64) -> bool {
         match self.models[model].remote_hot.lock() {
             Ok(hot) => hot.contains(&digest),
             Err(poisoned) => poisoned.into_inner().contains(&digest),
@@ -727,7 +721,7 @@ mod tests {
         }
         // The swap is observed via a lookup at the new version.
         assert_eq!(cache.get(0, 2, 0), None);
-        assert_eq!(cache.latest_version(0), 2);
+        assert_eq!(cache.models[0].latest_version.load(Ordering::Relaxed), 2);
         // Old-version entries still exist (lazy reclamation) but byte
         // pressure reclaims them first, before any live entry.
         for d in 0..5u64 {
@@ -787,7 +781,7 @@ mod tests {
         assert_eq!(d.hot.first(), Some(&11), "hottest key leads: {:?}", d.hot);
         assert!(b.apply_digest(&d));
         assert!(b.is_remote_hot(0, 11));
-        assert_eq!(b.latest_version(0), 3);
+        assert_eq!(b.models[0].latest_version.load(Ordering::Relaxed), 3);
         // The hint does not conjure a value — it biases retention only.
         assert_eq!(b.get(0, 3, 11), None);
         let rep = b.report();
