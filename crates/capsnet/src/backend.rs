@@ -322,16 +322,6 @@ impl ApproxMath {
             recovery: false,
         }
     }
-
-    /// Builds from an explicit profile.
-    pub fn from_profile(profile: ApproxProfile, recovery: bool) -> Self {
-        ApproxMath { profile, recovery }
-    }
-
-    /// Whether accuracy recovery is applied.
-    pub fn recovery_enabled(&self) -> bool {
-        self.recovery
-    }
 }
 
 impl MathBackend for ApproxMath {
@@ -400,7 +390,6 @@ mod tests {
     fn names_distinguish_recovery() {
         assert_eq!(ApproxMath::with_recovery().name(), "approx+recovery");
         assert_eq!(ApproxMath::without_recovery().name(), "approx");
-        assert!(ApproxMath::with_recovery().recovery_enabled());
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl EquationProfile {
         2 * self.macs + self.adds + self.muls + self.divs + self.exps + self.isqrts
     }
 
-    /// Total special-function invocations.
-    pub fn special_ops(&self) -> u64 {
-        self.divs + self.exps + self.isqrts
-    }
-
     /// Total memory traffic.
     pub fn traffic_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
@@ -441,28 +436,12 @@ impl RpCensus {
             .sum()
     }
 
-    /// Total special-function invocations across iterations.
-    pub fn total_special_ops(&self) -> u64 {
-        self.equations
-            .iter()
-            .map(|p| p.special_ops() * self.multiplier(p))
-            .sum()
-    }
-
     /// Total memory traffic across iterations (the quantity that swamps the
     /// GPU: û is re-read in Eq 2 *and* Eq 4 every iteration).
     pub fn total_traffic_bytes(&self) -> u64 {
         self.equations
             .iter()
             .map(|p| p.traffic_bytes() * self.multiplier(p))
-            .sum()
-    }
-
-    /// Total synchronization groups (aggregations) across iterations.
-    pub fn total_reduction_groups(&self) -> u64 {
-        self.equations
-            .iter()
-            .map(|p| p.reduction_groups * self.multiplier(p))
             .sum()
     }
 
@@ -582,11 +561,6 @@ impl NetworkCensus {
         })
     }
 
-    /// Total FLOPs of the non-RP layers.
-    pub fn non_rp_flops(&self) -> u64 {
-        self.conv.flops + self.primary.flops + self.fc.iter().map(|l| l.flops).sum::<u64>()
-    }
-
     /// All non-RP layer profiles in execution order.
     pub fn non_rp_layers(&self) -> Vec<&LayerProfile> {
         let mut v = vec![&self.conv, &self.primary];
@@ -659,8 +633,10 @@ mod tests {
     #[test]
     fn special_ops_live_in_eq3_and_eq5() {
         let c = mn1();
-        assert_eq!(c.equation(RpEquation::Eq1).special_ops(), 0);
-        assert_eq!(c.equation(RpEquation::Eq2).special_ops(), 0);
+        for eq in [RpEquation::Eq1, RpEquation::Eq2] {
+            let p = c.equation(eq);
+            assert_eq!(p.divs + p.exps + p.isqrts, 0, "{eq:?}");
+        }
         assert!(c.equation(RpEquation::Eq3).isqrts > 0);
         assert!(c.equation(RpEquation::Eq5).exps > 0);
         assert_eq!(c.equation(RpEquation::Eq5).exps, 1152 * 10);

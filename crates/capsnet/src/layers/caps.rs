@@ -151,7 +151,7 @@ impl CapsLayer {
     /// # Errors
     ///
     /// Returns a shape error when the input does not match the layer.
-    pub fn prediction_vectors<B: MathBackend + ?Sized>(
+    fn prediction_vectors<B: MathBackend + ?Sized>(
         &self,
         u: &Tensor,
         backend: &B,
@@ -161,7 +161,7 @@ impl CapsLayer {
         Ok(out)
     }
 
-    /// Allocation-free [`Self::prediction_vectors`]: writes `û` into `out`
+    /// Computes the prediction vectors `û` (Eq 1) into `out`
     /// (resized in place, every element overwritten) through
     /// [`pim_tensor::uhat_project`] — one register-tiled pass over `W`,
     /// dense or dequantized on the fly, sharded over the `L` capsules.
@@ -215,7 +215,7 @@ impl CapsLayer {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from [`Self::prediction_vectors`].
+    /// Returns a shape error when the input does not match the layer.
     pub fn forward<B: MathBackend + ?Sized>(
         &self,
         u: &Tensor,
@@ -262,11 +262,6 @@ impl CapsLayer {
     /// `true` when routing coefficients are shared across the batch.
     pub fn batch_shared(&self) -> bool {
         self.batch_shared
-    }
-
-    /// The routing algorithm this layer uses.
-    pub fn routing_algorithm(&self) -> RoutingAlgorithm {
-        self.routing
     }
 }
 

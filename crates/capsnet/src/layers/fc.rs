@@ -88,7 +88,7 @@ impl DenseLayer {
     }
 
     /// Input width.
-    pub fn input_dim(&self) -> usize {
+    fn input_dim(&self) -> usize {
         self.weight.dims()[0]
     }
 

@@ -75,11 +75,6 @@ impl PrimaryCapsLayer {
         &self.conv
     }
 
-    /// Number of capsule channel groups.
-    pub fn caps_channels(&self) -> usize {
-        self.caps_channels
-    }
-
     /// Capsule dimension `C_L`.
     pub fn cl_dim(&self) -> usize {
         self.cl_dim

@@ -59,7 +59,7 @@ pub use routing::{
     dynamic_routing, dynamic_routing_parallel, dynamic_routing_with, em_routing,
     em_routing_parallel, em_routing_with, RoutingArena, RoutingScratch,
 };
-pub use squash::{squash_in_place, squash_into, squash_scale};
+pub use squash::{squash_in_place, squash_into};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, CapsNetError>;

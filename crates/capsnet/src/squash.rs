@@ -22,7 +22,7 @@ use crate::backend::MathBackend;
 /// works): concrete backends monomorphize and inline, which is what keeps
 /// the routing hot loop free of virtual calls.
 #[inline]
-pub fn squash_scale<B: MathBackend + ?Sized>(norm_sq: f32, backend: &B) -> f32 {
+fn squash_scale<B: MathBackend + ?Sized>(norm_sq: f32, backend: &B) -> f32 {
     // Non-positive, NaN, or overflowed (∞) norm squares all clamp to a zero
     // scale: capsule norm-squares are non-negative and finite by
     // construction, so anything else is numerical noise, and the raw
