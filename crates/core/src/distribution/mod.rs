@@ -15,7 +15,7 @@ mod score;
 mod snippets;
 
 pub use model::DistributionModel;
-pub use parallelism::{parallelizable, parallelizable_dimensions, parallelizable_em, table2};
+pub use parallelism::{parallelizable, parallelizable_em, table2};
 pub use score::{choose_dimension, execution_score, score_all, DeviceCoeffs};
 pub use snippets::{vault_shares, SnippetPlan};
 

@@ -72,14 +72,14 @@ impl DistributionModel {
 
     /// Eq 8: inter-vault data movement under **B**-dimension distribution —
     /// gathering pre-aggregated `b_ij` and scattering `c_ij`.
-    pub fn m_b(&self) -> f64 {
+    fn m_b(&self) -> f64 {
         self.i
             * ((self.nvault - 1.0) * self.nl * self.nh * (SIZE_SCALAR + SIZE_PKT)
                 + (self.nvault - 1.0) * self.nl * self.nh * (SIZE_SCALAR + SIZE_PKT))
     }
 
     /// Eq 9: largest per-vault workload under **L**-dimension distribution.
-    pub fn e_l(&self) -> f64 {
+    fn e_l(&self) -> f64 {
         self.nb
             * Self::ceil_div(self.nl, self.nvault)
             * self.nh
@@ -88,7 +88,7 @@ impl DistributionModel {
 
     /// Eq 10: inter-vault movement under **L** — all-reducing `s_j` and
     /// broadcasting `v_j` (capsule vectors of `C_H` scalars).
-    pub fn m_l(&self) -> f64 {
+    fn m_l(&self) -> f64 {
         let size_s = self.ch * SIZE_SCALAR;
         let size_v = self.ch * SIZE_SCALAR;
         self.i
@@ -98,7 +98,7 @@ impl DistributionModel {
 
     /// Eq 11: largest per-vault workload under **H**-dimension
     /// distribution.
-    pub fn e_h(&self) -> f64 {
+    fn e_h(&self) -> f64 {
         self.nb
             * self.nl
             * Self::ceil_div(self.nh, self.nvault)
@@ -108,7 +108,7 @@ impl DistributionModel {
 
     /// Eq 12: inter-vault movement under **H** — all-reducing `b_ij` and
     /// broadcasting `c_ij`.
-    pub fn m_h(&self) -> f64 {
+    fn m_h(&self) -> f64 {
         self.i
             * ((self.nvault - 1.0) * self.nl * (SIZE_SCALAR + SIZE_PKT)
                 + self.nl * (SIZE_SCALAR + SIZE_PKT))

@@ -46,11 +46,6 @@ impl SnippetPlan {
         self.shares.iter().copied().max().unwrap_or(0)
     }
 
-    /// Number of vaults that received non-zero work.
-    pub fn active_vaults(&self) -> usize {
-        self.shares.iter().filter(|&&s| s > 0).count()
-    }
-
     /// Disables pre-aggregation (ablation).
     pub fn without_preaggregation(mut self) -> Self {
         self.pre_aggregate = false;
@@ -95,7 +90,6 @@ mod tests {
     fn plan_properties() {
         let plan = SnippetPlan::new(Dimension::B, 100, 32);
         assert_eq!(plan.max_share(), 4);
-        assert_eq!(plan.active_vaults(), 32);
         assert_eq!(plan.aggregation_depth, 5);
         assert!(plan.pre_aggregate);
         let ablated = plan.without_preaggregation();
@@ -107,6 +101,6 @@ mod tests {
         // H = 10 < 32 vaults: only 10 active vaults — the scenario where
         // intra-vault fallback to another dimension matters (§5.2.1).
         let plan = SnippetPlan::new(Dimension::H, 10, 32);
-        assert_eq!(plan.active_vaults(), 10);
+        assert_eq!(plan.shares.iter().filter(|&&s| s > 0).count(), 10);
     }
 }

@@ -50,5 +50,4 @@ pub use distribution::{
 pub use engine::{evaluate, evaluate_with_dimension, DesignVariant, EvalResult, Platform};
 pub use intra::AddressingMode;
 pub use overhead::{AreaReport, OverheadModel, PowerReport};
-pub use pipeline::pipeline_batch_time;
 pub use rmas::{RmasInputs, RmasPolicy};

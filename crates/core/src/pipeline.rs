@@ -5,30 +5,6 @@
 //! steady state the per-batch latency is the slower stage; fill/drain add
 //! one traversal of the faster stages.
 
-/// Steady-state pipelined time for `batches` batches through a two-stage
-/// pipeline with per-batch stage times `gpu_s` (all non-RP layers) and
-/// `hmc_s` (the RP).
-///
-/// # Examples
-///
-/// ```
-/// use pim_capsnet::pipeline_batch_time;
-///
-/// // A perfectly balanced pipeline halves the serial time asymptotically.
-/// let serial = 10.0 * (2.0 + 2.0);
-/// let piped = pipeline_batch_time(2.0, 2.0, 10);
-/// assert!(piped < serial * 0.6);
-/// ```
-pub fn pipeline_batch_time(gpu_s: f64, hmc_s: f64, batches: usize) -> f64 {
-    if batches == 0 {
-        return 0.0;
-    }
-    let bottleneck = gpu_s.max(hmc_s);
-    // Fill: the first batch traverses both stages; every further batch
-    // adds one bottleneck interval.
-    gpu_s + hmc_s + (batches as f64 - 1.0) * bottleneck
-}
-
 /// Per-batch amortized time in an infinite stream (the number the paper's
 /// per-benchmark speedups reflect).
 pub fn steady_state_batch_time(gpu_s: f64, hmc_s: f64) -> f64 {
@@ -40,31 +16,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_batch_is_serial() {
-        assert_eq!(pipeline_batch_time(3.0, 2.0, 1), 5.0);
-    }
-
-    #[test]
-    fn zero_batches_cost_nothing() {
-        assert_eq!(pipeline_batch_time(3.0, 2.0, 0), 0.0);
-    }
-
-    #[test]
     fn bottleneck_dominates_long_streams() {
-        let t = pipeline_batch_time(1.0, 4.0, 100);
-        // 1 + 4 + 99·4 = 401.
-        assert!((t - 401.0).abs() < 1e-12);
         assert_eq!(steady_state_batch_time(1.0, 4.0), 4.0);
-    }
-
-    #[test]
-    fn pipelining_never_slower_than_serial() {
-        for (g, h) in [(1.0, 1.0), (0.1, 5.0), (7.0, 2.0)] {
-            for n in [1usize, 2, 10, 1000] {
-                let piped = pipeline_batch_time(g, h, n);
-                let serial = (g + h) * n as f64;
-                assert!(piped <= serial + 1e-9);
-            }
-        }
+        assert_eq!(steady_state_batch_time(7.0, 2.0), 7.0);
     }
 }

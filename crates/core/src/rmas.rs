@@ -49,7 +49,7 @@ impl RmasInputs {
     /// `n_h → 0⁺` limit via a large constant, matching the paper's
     /// definition domain `n_h ∈ [0, n_max]` where 0 defers all GPU
     /// requests behind the PE queues.
-    pub fn kappa(&self, n_h: f64) -> f64 {
+    fn kappa(&self, n_h: f64) -> f64 {
         let gpu_term = if n_h <= 0.0 {
             // All target vaults drain PE queues first: the GPU waits the
             // full queue depth in every vault.
@@ -61,7 +61,7 @@ impl RmasInputs {
     }
 
     /// The κ-minimizing `n_h*` (continuous, clamped to `[0, n_max]`).
-    pub fn optimal_nh(&self) -> f64 {
+    fn optimal_nh(&self) -> f64 {
         if self.gamma_v <= 0.0 || self.queue_depth <= 0.0 {
             return self.n_max;
         }
@@ -71,7 +71,7 @@ impl RmasInputs {
     }
 
     /// κ for a policy.
-    pub fn kappa_for(&self, policy: RmasPolicy) -> f64 {
+    fn kappa_for(&self, policy: RmasPolicy) -> f64 {
         match policy {
             RmasPolicy::Optimal => self.kappa(self.optimal_nh()),
             RmasPolicy::AlwaysPim => self.kappa(0.0),
