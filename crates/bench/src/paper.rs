@@ -33,8 +33,16 @@ use pim_tensor::Tensor;
 
 use crate::{f2, finish, header, pct, BenchContext};
 
-/// Fig 6's on-chip storage: K40m, P100, RTX2080Ti, V100 (bytes).
-const ONCHIP: [u64; 4] = [1_730_000, 5_310_000, 9_750_000, 16_000_000];
+/// Fig 6's on-chip storage points A–D (bytes): K40m, P100, RTX2080Ti, V100.
+fn onchip(point: usize) -> u64 {
+    [
+        GpuSpec::k40m,
+        GpuSpec::p100,
+        GpuSpec::rtx2080ti,
+        GpuSpec::v100,
+    ][point]()
+    .onchip_bytes
+}
 /// Fig 16's designs, one row each per network.
 const FIG16: [DesignVariant; 3] = [PimIntra, PimInter, PimCapsNet];
 /// Fig 18's PE clocks (GHz), one row each per network.
@@ -244,7 +252,7 @@ const FIGURES: &[Figure] = &[
         csv: "fig06a_onchip_ratio",
         rows: 1,
         row: |n, _| {
-            let ratio = |i: usize| Times(n.census.rp.sizes.ratio_to_onchip(ONCHIP[i]));
+            let ratio = |i: usize| Times(n.census.rp.sizes.ratio_to_onchip(onchip(i)));
             vec![
                 ("ratio_A", ratio(0)),
                 ("ratio_B", ratio(1)),
@@ -259,7 +267,7 @@ const FIGURES: &[Figure] = &[
         csv: "fig06b_onchip_perf",
         rows: 1,
         row: |n, _| {
-            let t = |i: usize| n.rp_s(GpuSpec::p100().with_onchip(ONCHIP[i]));
+            let t = |i: usize| n.rp_s(GpuSpec::p100().with_onchip(onchip(i)));
             let perf = |i| F2(t(0) / t(i));
             vec![
                 ("perf_A", perf(0)),

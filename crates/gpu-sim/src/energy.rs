@@ -40,7 +40,7 @@ impl GpuEnergyModel {
     }
 
     /// Energy for one non-RP layer.
-    pub fn layer_energy(&self, layer: &LayerProfile) -> LayerEnergy {
+    fn layer_energy(&self, layer: &LayerProfile) -> LayerEnergy {
         let timing = GpuTimingModel::with_params(self.spec.clone(), self.params);
         let t = timing.layer_time(layer);
         let dynamic = layer.flops as f64 * self.params.energy_per_flop

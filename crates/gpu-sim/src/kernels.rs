@@ -50,7 +50,7 @@ impl Operand {
         }
     }
     /// A read of a tensor the previous kernel just produced.
-    pub fn read_fresh(bytes: u64) -> Self {
+    fn read_fresh(bytes: u64) -> Self {
         Operand {
             bytes,
             is_write: false,
@@ -68,7 +68,7 @@ impl Operand {
         }
     }
     /// A multi-pass read (e.g. GEMM weight re-streaming).
-    pub fn read_passes(bytes: u64, passes: f64) -> Self {
+    fn read_passes(bytes: u64, passes: f64) -> Self {
         Operand {
             bytes,
             is_write: false,
@@ -154,7 +154,7 @@ pub fn lower_layer(layer: &LayerProfile) -> Vec<KernelProfile> {
 /// Lowers the routing procedure to a kernel stream, dispatching on the
 /// census's routing algorithm: the dynamic-routing path uses the exact
 /// PyTorch unfused chain; other algorithms use the structural generic
-/// lowering ([`lower_rp_generic`]).
+/// lowering.
 pub fn lower_rp(rp: &RpCensus) -> Vec<KernelProfile> {
     match rp.routing {
         RoutingAlgorithm::Dynamic => lower_rp_dynamic(rp),
@@ -167,7 +167,7 @@ pub fn lower_rp(rp: &RpCensus) -> Vec<KernelProfile> {
 /// (when the slot aggregates) one reduction kernel, both sized from the
 /// census profile. Temporaries materialize at the size of the dominant
 /// operand, matching eager-framework behaviour.
-pub fn lower_rp_generic(rp: &RpCensus) -> Vec<KernelProfile> {
+fn lower_rp_generic(rp: &RpCensus) -> Vec<KernelProfile> {
     let mut kernels = Vec::new();
     let eq1 = rp.equation(capsnet::RpEquation::Eq1);
     kernels.push(KernelProfile {

@@ -64,7 +64,7 @@ impl MemorySpec {
         }
     }
     /// HBM at 320 GB/s — the paper's baseline memory (Table 4).
-    pub fn hbm320() -> Self {
+    fn hbm320() -> Self {
         MemorySpec {
             kind: MemoryKind::Hbm320,
             bandwidth_gbps: 320.0,
@@ -115,20 +115,6 @@ impl GpuSpec {
             memory: MemorySpec::gddr5(),
             tdp_watts: 235.0,
             idle_watts: 62.0,
-        }
-    }
-
-    /// GTX 1080 Ti: the GDDR5X bandwidth point.
-    pub fn gtx1080ti() -> Self {
-        GpuSpec {
-            name: "GTX 1080Ti".into(),
-            sm_count: 28,
-            cores_per_sm: 128,
-            clock_ghz: 1.48,
-            onchip_bytes: 5_500_000,
-            memory: MemorySpec::gddr5x(),
-            tdp_watts: 250.0,
-            idle_watts: 55.0,
         }
     }
 
