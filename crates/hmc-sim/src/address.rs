@@ -31,7 +31,7 @@ pub struct BlockLocation {
 }
 
 /// DRAM row size used for row-hit accounting.
-pub const ROW_BYTES: u64 = 2048;
+const ROW_BYTES: u64 = 2048;
 
 /// An address-mapping scheme.
 pub trait AddressMapping {
@@ -83,7 +83,7 @@ impl DefaultMapping {
     ///
     /// Panics if `subpage_bytes` is not a power-of-two multiple of the
     /// block size.
-    pub fn with_subpage(cfg: &HmcConfig, subpage_bytes: u64) -> Self {
+    fn with_subpage(cfg: &HmcConfig, subpage_bytes: u64) -> Self {
         assert!(subpage_bytes >= cfg.block_bytes);
         assert!(subpage_bytes.is_power_of_two());
         DefaultMapping {

@@ -23,14 +23,9 @@ impl Default for DramTiming {
 
 impl DramTiming {
     /// Average ns per block at a given row-hit rate.
-    pub fn ns_per_block(&self, row_hit_rate: f64) -> f64 {
+    fn ns_per_block(&self, row_hit_rate: f64) -> f64 {
         let h = row_hit_rate.clamp(0.0, 1.0);
         h * self.t_row_hit_ns + (1.0 - h) * self.t_row_miss_ns
-    }
-
-    /// Effective bank bandwidth (bytes/s) at a given row-hit rate.
-    pub fn bank_rate(&self, block_bytes: u64, row_hit_rate: f64) -> f64 {
-        block_bytes as f64 / (self.ns_per_block(row_hit_rate) * 1e-9)
     }
 }
 
@@ -72,18 +67,11 @@ mod tests {
     }
 
     #[test]
-    fn bank_rate_at_full_hits() {
-        let t = DramTiming::default();
-        // 16 B / 5 ns = 3.2 GB/s.
-        assert!((t.bank_rate(16, 1.0) - 3.2e9).abs() / 3.2e9 < 1e-9);
-    }
-
-    #[test]
     fn sixteen_streaming_banks_exceed_tsv() {
         // Sanity: with good mapping, a vault's 16 banks can feed the TSV
         // link (16 GB/s), so banks are not the bottleneck — conflicts are.
         let t = DramTiming::default();
-        let aggregate = 16.0 * t.bank_rate(16, 0.95);
+        let aggregate = 16.0 * 16.0 / (t.ns_per_block(0.95) * 1e-9);
         assert!(aggregate > 16e9, "aggregate bank rate {aggregate}");
     }
 

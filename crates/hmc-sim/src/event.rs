@@ -54,11 +54,6 @@ impl EventSim {
         }
     }
 
-    /// Creates with explicit DRAM timing.
-    pub fn with_dram(cfg: HmcConfig, dram: DramTiming) -> Self {
-        EventSim { cfg, dram }
-    }
-
     /// Simulates a request stream against one vault's banks.
     ///
     /// Requests must be sorted by `issue_cycle`; each bank serves FCFS with

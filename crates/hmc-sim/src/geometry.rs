@@ -60,12 +60,6 @@ impl HmcConfig {
         self.vaults * self.pes_per_vault
     }
 
-    /// Peak MAC throughput of all PEs (MACs per second); a MAC costs two
-    /// unit traversals on the mux-steered PE.
-    pub fn peak_macs_per_s(&self) -> f64 {
-        self.total_pes() as f64 * self.pe_lanes as f64 * self.pe_clock_ghz * 1e9 / 2.0
-    }
-
     /// Returns a copy with a different PE clock (Fig 18's frequency sweep:
     /// 312.5 / 625 / 937.5 MHz).
     pub fn with_pe_clock_ghz(mut self, ghz: f64) -> Self {
@@ -106,13 +100,12 @@ mod tests {
         let c = HmcConfig::gen3();
         assert_eq!(c.per_vault_gbps(), 16.0);
         assert_eq!(c.total_pes(), 512);
-        // 512 PEs × 312.5 MHz / 2 cycles per MAC = 80 GMAC/s.
-        assert!((c.peak_macs_per_s() - 80e9).abs() / 80e9 < 1e-12);
     }
 
     #[test]
     fn clock_sweep_builder() {
         let c = HmcConfig::gen3().with_pe_clock_ghz(0.9375);
-        assert!((c.peak_macs_per_s() - 240e9).abs() / 240e9 < 1e-12);
+        assert_eq!(c.pe_clock_ghz, 0.9375);
+        assert_eq!(c.total_pes(), HmcConfig::gen3().total_pes());
     }
 }

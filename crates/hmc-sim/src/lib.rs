@@ -47,14 +47,9 @@ mod geometry;
 mod pe;
 mod phase;
 
-pub use address::{
-    AddressMapping, BlockLocation, DefaultMapping, NaiveVaultMapping, PimMapping, ROW_BYTES,
-};
+pub use address::{AddressMapping, BlockLocation, DefaultMapping, NaiveVaultMapping, PimMapping};
 pub use dram::{BankModel, DramTiming};
 pub use energy::{EnergyBreakdown, EnergyParams};
 pub use geometry::HmcConfig;
-pub use pe::{
-    PeOp, PeProgram, PE_CYCLES_ADD, PE_CYCLES_DIV, PE_CYCLES_EXP, PE_CYCLES_ISQRT, PE_CYCLES_MAC,
-    PE_CYCLES_MUL, PE_CYCLES_SHIFT,
-};
+pub use pe::{PeOp, PeProgram};
 pub use phase::{Phase, PhaseEngine, PhaseResult, VaultWork};

@@ -17,19 +17,19 @@ use crate::geometry::HmcConfig;
 
 /// PE unit traversals per MAC (flow `1→2`: the mux-steered multiplier then
 /// adder; the PE serializes unit traversals rather than pipelining them).
-pub const PE_CYCLES_MAC: u64 = 2;
+const PE_CYCLES_MAC: u64 = 2;
 /// PE unit traversals per standalone add.
-pub const PE_CYCLES_ADD: u64 = 1;
+const PE_CYCLES_ADD: u64 = 1;
 /// PE unit traversals per standalone multiply.
-pub const PE_CYCLES_MUL: u64 = 1;
+const PE_CYCLES_MUL: u64 = 1;
 /// PE unit traversals per bit shift.
-pub const PE_CYCLES_SHIFT: u64 = 1;
+const PE_CYCLES_SHIFT: u64 = 1;
 /// PE unit traversals per approximated exponential (flow `1 2 2 3`).
-pub const PE_CYCLES_EXP: u64 = 4;
+const PE_CYCLES_EXP: u64 = 4;
 /// PE unit traversals per approximated inverse sqrt (flow `3 2 1 2 1`).
-pub const PE_CYCLES_ISQRT: u64 = 5;
+const PE_CYCLES_ISQRT: u64 = 5;
 /// PE unit traversals per approximated division.
-pub const PE_CYCLES_DIV: u64 = 4;
+const PE_CYCLES_DIV: u64 = 4;
 
 /// One class of PE operation with a repeat count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -74,7 +74,7 @@ impl PeOp {
     ///
     /// `DenseMac` is not expressible per-op (it packs 4 MACs per cycle);
     /// see [`PeOp::lane_cycles`].
-    pub fn cycles_each(&self) -> u64 {
+    fn cycles_each(&self) -> u64 {
         match self {
             PeOp::Mac(_) => PE_CYCLES_MAC,
             PeOp::DenseMac(_) => 1,
@@ -88,7 +88,7 @@ impl PeOp {
     }
 
     /// Total lane-cycles for this op batch.
-    pub fn lane_cycles(&self) -> u64 {
+    fn lane_cycles(&self) -> u64 {
         match self {
             // Four parallel banks, one MAC each per cycle.
             PeOp::DenseMac(n) => n.div_ceil(4),
@@ -123,13 +123,13 @@ impl PeProgram {
     }
 
     /// Total lane-cycles across all ops.
-    pub fn lane_cycles(&self) -> u64 {
+    fn lane_cycles(&self) -> u64 {
         self.ops.iter().map(|o| o.lane_cycles()).sum()
     }
 
     /// Cycles for the vault's whole PE array to retire this program
     /// (lane-cycles spread over `pes_per_vault × pe_lanes` lanes).
-    pub fn array_cycles(&self, cfg: &HmcConfig) -> u64 {
+    fn array_cycles(&self, cfg: &HmcConfig) -> u64 {
         let lanes = (cfg.pes_per_vault * cfg.pe_lanes) as u64;
         self.lane_cycles().div_ceil(lanes)
     }

@@ -20,7 +20,7 @@ use crate::pe::PeProgram;
 
 /// Usable fraction of crossbar bandwidth under block-granularity
 /// arbitration (the PIM-Intra access pattern).
-pub const FINE_GRAIN_XBAR_EFFICIENCY: f64 = 0.5;
+const FINE_GRAIN_XBAR_EFFICIENCY: f64 = 0.5;
 
 /// Work assigned to one vault for a phase.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -121,19 +121,9 @@ impl PhaseEngine {
         }
     }
 
-    /// Engine with explicit DRAM timing and energy parameters.
-    pub fn with_models(cfg: HmcConfig, dram: DramTiming, energy: EnergyParams) -> Self {
-        PhaseEngine { cfg, dram, energy }
-    }
-
     /// The cube configuration.
     pub fn config(&self) -> &HmcConfig {
         &self.cfg
-    }
-
-    /// The energy parameters.
-    pub fn energy_params(&self) -> &EnergyParams {
-        &self.energy
     }
 
     /// Runs one phase.
