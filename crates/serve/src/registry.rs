@@ -89,23 +89,6 @@ impl ModelRegistry {
         self.slots.len() - 1
     }
 
-    /// Loads a model artifact from `path` (zero-copy mmap where the layout
-    /// allows — see `pim_store::MappedModel`) and registers it under
-    /// `name` at the next free index.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Load`] when the artifact cannot be opened, fails
-    /// verification, or does not rebuild into a network.
-    pub fn load_from_path(
-        &mut self,
-        name: impl Into<String>,
-        path: &Path,
-    ) -> Result<usize, ServeError> {
-        let net = load_net(path)?;
-        Ok(self.register(ServedModel::new(name, net)))
-    }
-
     /// Registers a model backed by an already-open [`SharedArtifact`]: the
     /// replica-pool path. Every registry (one per replica) wrapping clones
     /// of the same handle serves networks whose weights are windows into
@@ -185,20 +168,6 @@ impl ModelRegistry {
         let net = load_net(path)?;
         self.swap_model(model, net)
     }
-
-    /// [`Self::swap_model`] from an already-open [`SharedArtifact`] (see
-    /// [`Self::load_shared`] for the sharing semantics). Like
-    /// [`Self::swap_model`], this is the raw registry operation — inside a
-    /// pool's window use [`crate::ReplicaSetHandle::swap_replica_shared`],
-    /// which drains the forming reservation first.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Load`] on rebuild failure or bad index.
-    pub fn swap_shared(&self, model: usize, artifact: &SharedArtifact) -> Result<u64, ServeError> {
-        let net = rebuild_shared(artifact)?;
-        self.swap_model(model, net)
-    }
 }
 
 fn load_net(path: &Path) -> Result<CapsNet, ServeError> {
@@ -254,16 +223,16 @@ mod tests {
     }
 
     #[test]
-    fn load_from_path_roundtrips_through_the_store() {
+    fn swap_from_path_roundtrips_through_the_store() {
         let dir = std::env::temp_dir().join(format!("pim_serve_reg_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.pimcaps");
         let original = net(9);
         ModelWriter::vault_aligned().save(&original, &path).unwrap();
 
-        let mut registry = ModelRegistry::new();
-        let idx = registry.load_from_path("from-disk", &path).unwrap();
-        let handle = registry.current(idx).unwrap();
+        let registry = ModelRegistry::from_models([ServedModel::new("from-disk", net(1))]);
+        assert_eq!(registry.swap_from_path(0, &path).unwrap(), 2);
+        let handle = registry.current(0).unwrap();
         assert_eq!(handle.name(), "from-disk");
         let images = Tensor::uniform(&[2, 1, 12, 12], 0.0, 1.0, 5);
         let a = original.forward(&images, &ExactMath).unwrap();
@@ -277,13 +246,11 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
 
-        // Swap from a new artifact.
+        // Swap from a new artifact; a missing one is a typed error.
         let replacement = net(10);
         ModelWriter::new().save(&replacement, &path).unwrap();
-        assert_eq!(registry.swap_from_path(idx, &path).unwrap(), 2);
-        assert!(registry
-            .load_from_path("nope", &dir.join("missing"))
-            .is_err());
+        assert_eq!(registry.swap_from_path(0, &path).unwrap(), 3);
+        assert!(registry.swap_from_path(0, &dir.join("missing")).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -26,10 +26,7 @@
 //!
 //! * [`RoutingPolicy::RoundRobin`] — uniform rotation;
 //! * [`RoutingPolicy::LeastQueued`] — the replica with the fewest
-//!   outstanding (submitted, unresolved) requests;
-//! * [`RoutingPolicy::TenantPinned`] — consistent per-tenant pinning
-//!   (a tenant's requests always land on the same replica while the fleet
-//!   is stable, preserving per-tenant FIFO across the whole pool).
+//!   outstanding (submitted, unresolved) requests.
 //!
 //! All policies skip replicas that are out of rotation — drained by a
 //! rolling rollout (see [`crate::rollout`]) or quarantined by the health
@@ -98,10 +95,6 @@ pub enum RoutingPolicy {
     RoundRobin,
     /// The replica with the fewest outstanding requests.
     LeastQueued,
-    /// Consistent per-tenant pinning: a tenant's stream always targets the
-    /// same replica (while that replica is in rotation), so per-tenant
-    /// FIFO holds pool-wide, not just per replica.
-    TenantPinned,
 }
 
 /// Fault-tolerance knobs: per-attempt stall bounds, the circuit breaker,
@@ -1074,11 +1067,6 @@ impl ReplicaSetHandle<'_> {
             .load(Ordering::Relaxed)
     }
 
-    /// `true` while `replica` is out of routing rotation (mid-rollout).
-    pub fn is_draining(&self, replica: usize) -> bool {
-        self.pool.replicas[replica].draining.load(Ordering::Relaxed)
-    }
-
     /// The replica's current [`HealthState`].
     pub fn health(&self, replica: usize) -> HealthState {
         self.pool.replicas[replica].health.state()
@@ -1113,7 +1101,7 @@ impl ReplicaSetHandle<'_> {
     /// The chosen replica's typed [`SubmitError`] — backpressure is per
     /// replica, so `QueueFull` names the queue that pushed back.
     pub fn submit(&self, request: Request) -> Result<ReplicaTicket, SubmitError> {
-        let reservation = self.pick_and_reserve(request.tenant);
+        let reservation = self.pick_and_reserve();
         self.submit_reserved(request, reservation)
     }
 
@@ -1237,7 +1225,7 @@ impl ReplicaSetHandle<'_> {
     /// re-pick. The committed invariant is that the chosen replica's count
     /// was `<=` every other's at commit time, so concurrent bursts spread
     /// instead of herding.
-    fn pick_and_reserve(&self, tenant: usize) -> Reservation {
+    fn pick_and_reserve(&self) -> Reservation {
         let n = self.replicas();
         let in_rotation = |i: &usize| self.in_rotation(*i);
         let replica = match self.policy {
@@ -1247,13 +1235,6 @@ impl ReplicaSetHandle<'_> {
                     .map(|_| next())
                     .find(in_rotation)
                     .unwrap_or_else(next)
-            }
-            RoutingPolicy::TenantPinned => {
-                let h = splitmix(tenant as u64) as usize;
-                (0..n)
-                    .map(|k| (h + k) % n)
-                    .find(in_rotation)
-                    .unwrap_or(h % n)
             }
             RoutingPolicy::LeastQueued => loop {
                 let load = |i: usize| {
@@ -1381,14 +1362,6 @@ impl ReplicaSetHandle<'_> {
         let replica = &self.pool.replicas[replica];
         !replica.draining.load(Ordering::Relaxed) && replica.health.is_routable()
     }
-}
-
-/// SplitMix64 finalizer — spreads consecutive tenant ids across replicas.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // ── aggregated metrics ──────────────────────────────────────────────────

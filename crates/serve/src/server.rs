@@ -1153,7 +1153,7 @@ fn forward_batch<B: MathBackend + Sync + ?Sized>(
     Ok((view.predictions(), view.class_norms_sq().to_vec(), h))
 }
 
-pub(crate) fn duration_us(d: Duration) -> u64 {
+fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 

@@ -108,43 +108,6 @@ fn round_robin_spreads_traffic_and_stays_bitwise() {
 }
 
 #[test]
-fn tenant_pinning_is_sticky() {
-    let net = tiny_net(2);
-    let set = ReplicaSet::from_net(
-        "pin",
-        &net,
-        &ExactMath,
-        pool_cfg(3, RoutingPolicy::TenantPinned),
-    )
-    .unwrap();
-    let (placements, _) = set.run(|pool| {
-        let mut placements: Vec<(usize, usize)> = Vec::new();
-        for round in 0..4u64 {
-            for tenant in 0..6 {
-                let t = pool
-                    .submit(Request::new(
-                        tenant,
-                        0,
-                        images(1, round * 10 + tenant as u64),
-                    ))
-                    .unwrap();
-                placements.push((tenant, t.replica()));
-                t.wait().unwrap();
-            }
-        }
-        placements
-    });
-    let mut pinned: BTreeMap<usize, usize> = BTreeMap::new();
-    for (tenant, replica) in placements {
-        let slot = pinned.entry(tenant).or_insert(replica);
-        assert_eq!(*slot, replica, "tenant {tenant} moved replicas");
-    }
-    // 6 tenants over 3 replicas: the hash must not collapse to one.
-    let distinct: std::collections::BTreeSet<usize> = pinned.values().copied().collect();
-    assert!(distinct.len() >= 2, "pinning degenerated: {pinned:?}");
-}
-
-#[test]
 fn least_queued_routes_and_completes() {
     let net = tiny_net(3);
     let set = ReplicaSet::from_net(
