@@ -66,8 +66,8 @@ mod writer;
 
 pub use error::StoreError;
 pub use format::{
-    Layout, Partition, QuantParams, SectionDtype, TensorRecord, DATA_ALIGN, DEFAULT_VAULT_WAYS,
-    FORMAT_VERSION, FORMAT_VERSION_F32,
+    Layout, Partition, QuantParams, SectionDtype, TensorRecord, DEFAULT_VAULT_WAYS, FORMAT_VERSION,
+    FORMAT_VERSION_F32,
 };
 pub use reader::{MappedModel, SharedArtifact, StoredModel, VaultPartition};
 pub use writer::{ModelWriter, QuantSpec, SaveReport};

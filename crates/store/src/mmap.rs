@@ -94,23 +94,18 @@ mod sys {
         Ok(Mmap { ptr, len })
     }
 
-    pub(super) fn unmap(ptr: *mut core::ffi::c_void, len: usize) {
-        if len > 0 {
-            // SAFETY: ptr/len came from a successful mmap owned by the
-            // dropping Mmap; munmap failure on a valid mapping is
-            // unreachable, and there is nothing useful to do with it in
-            // Drop anyway.
-            unsafe {
-                let _ = munmap(ptr, len);
+    impl Drop for Mmap {
+        fn drop(&mut self) {
+            if self.len > 0 {
+                // SAFETY: ptr/len came from a successful mmap owned by the
+                // dropping Mmap; munmap failure on a valid mapping is
+                // unreachable, and there is nothing useful to do with it in
+                // Drop anyway.
+                unsafe {
+                    let _ = munmap(self.ptr, self.len);
+                }
             }
         }
-    }
-}
-
-impl Drop for Mmap {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        sys::unmap(self.ptr, self.len);
     }
 }
 
@@ -136,7 +131,7 @@ impl Drop for Mmap {
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] when the lengths disagree.
-pub(crate) fn ensure_len_stable(mapped_len: usize, len_after_map: u64) -> Result<(), StoreError> {
+fn ensure_len_stable(mapped_len: usize, len_after_map: u64) -> Result<(), StoreError> {
     if mapped_len as u64 != len_after_map {
         return Err(StoreError::Corrupt(format!(
             "file resized during mapping: mapped {mapped_len} bytes, file now {len_after_map} \

@@ -480,11 +480,6 @@ impl MappedModel {
         }
     }
 
-    /// Stored tensor names, in table order.
-    pub fn tensor_names(&self) -> impl Iterator<Item = &str> {
-        self.records.iter().map(|r| r.name.as_str())
-    }
-
     fn record(&self, name: &str) -> Result<&TensorRecord, StoreError> {
         self.by_name
             .get(name)

@@ -138,7 +138,7 @@ impl ModelWriter {
     }
 
     /// Overrides the layout.
-    pub fn with_layout(mut self, layout: Layout) -> Self {
+    fn with_layout(mut self, layout: Layout) -> Self {
         self.layout = layout;
         self
     }
@@ -362,7 +362,7 @@ fn plan_partitions(dims: &[usize], layout: Layout) -> Vec<Partition> {
 /// The little-endian byte image of an `f32` slice. Borrowed (zero-copy)
 /// on little-endian hosts; converted on big-endian ones so artifacts are
 /// portable.
-pub(crate) fn f32_le_bytes(data: &[f32]) -> Cow<'_, [u8]> {
+fn f32_le_bytes(data: &[f32]) -> Cow<'_, [u8]> {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: f32 and [u8; 4] have the same size; u8 has alignment 1,
