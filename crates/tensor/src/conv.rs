@@ -183,8 +183,8 @@ impl Conv2dScratch {
     }
 }
 
-/// Allocation-free convolution core: same math as [`conv2d`] but the weight
-/// arrives already reshaped+transposed to `[in_c*k*k, out_c]` (layers cache
+/// Allocation-free 2D convolution: the weight arrives already
+/// reshaped+transposed to `[in_c*k*k, out_c]` (layers cache
 /// this at construction) and the output/scratch buffers are caller-owned.
 ///
 /// `out` is resized in place to `[batch, out_c, out_h, out_w]`.
@@ -245,58 +245,33 @@ pub fn conv2d_pretransposed_into(
     Ok(())
 }
 
-/// 2D convolution forward pass.
-///
-/// * `input`: `[batch, in_c, h, w]`
-/// * `weight`: `[out_c, in_c, k, k]`
-/// * `bias`: optional `[out_c]`
-///
-/// Returns `[batch, out_c, out_h, out_w]`.
-///
-/// # Errors
-///
-/// Propagates shape errors from [`im2col`] and validates the weight/bias
-/// shapes against the input.
-pub fn conv2d(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: Conv2dSpec,
-) -> Result<Tensor, TensorError> {
-    let in_dims = input.shape().dims();
-    let w_dims = weight.shape().dims();
-    if w_dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: w_dims.len(),
-        });
-    }
-    if in_dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: in_dims.len(),
-        });
-    }
-    let in_c = in_dims[1];
-    let (out_c, w_in_c, k, k2) = (w_dims[0], w_dims[1], w_dims[2], w_dims[3]);
-    if w_in_c != in_c || k != k2 || k != spec.kernel {
-        return Err(TensorError::InvalidConv(format!(
-            "weight shape {w_dims:?} incompatible with input channels {in_c} / kernel {}",
-            spec.kernel
-        )));
-    }
-    let ckk = in_c * k * k;
-    // cols [b·oh·ow, ckk] x weight^T [ckk, out_c]; the bias is checked there.
-    let wt = weight.reshape(&[out_c, ckk])?.transpose()?; // [ckk, out_c]
-    let mut out = Tensor::zeros(&[0]);
-    let mut scratch = Conv2dScratch::default();
-    conv2d_pretransposed_into(input, &wt, bias, spec, &mut out, &mut scratch)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Convolution with an `[out_c, in_c, k, k]` weight, through the
+    /// production path (`conv2d_pretransposed_into`).
+    fn conv2d(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        spec: Conv2dSpec,
+    ) -> Result<Tensor, TensorError> {
+        let out_c = weight.shape().dims()[0];
+        let wt = weight
+            .reshape(&[out_c, weight.len() / out_c.max(1)])?
+            .transpose()?;
+        let mut out = Tensor::zeros(&[0]);
+        conv2d_pretransposed_into(
+            input,
+            &wt,
+            bias,
+            spec,
+            &mut out,
+            &mut Conv2dScratch::default(),
+        )?;
+        Ok(out)
+    }
 
     /// Direct (naive) convolution used as a test oracle.
     fn conv2d_naive(

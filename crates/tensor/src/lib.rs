@@ -37,12 +37,12 @@ mod tensor;
 mod tile;
 mod uhat;
 
-pub use conv::{conv2d, conv2d_pretransposed_into, im2col, im2col_into, Conv2dScratch, Conv2dSpec};
+pub use conv::{conv2d_pretransposed_into, im2col, im2col_into, Conv2dScratch, Conv2dSpec};
 pub use error::TensorError;
-pub use matmul::{batched_matmul_into, matmul_into, matvec_into};
+pub use matmul::matmul_into;
 pub use quant::{
-    dequantize_i8, encode_block_f16, f16_to_f32, f32_to_f16, i8_block_params, quantize_block_i8,
-    quantize_i8, ByteBuf, QuantBlock, QuantDType, QuantTensor,
+    encode_block_f16, f16_to_f32, f32_to_f16, quantize_block_i8, ByteBuf, QuantBlock, QuantDType,
+    QuantTensor,
 };
 pub use shape::Shape;
 pub use simd::SimdLevel;

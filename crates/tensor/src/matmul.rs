@@ -79,114 +79,6 @@ impl Tensor {
         matmul_into(self.as_slice(), other.as_slice(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
-
-    /// Batched matrix product: `[b,m,k] x [b,k,n] -> [b,m,n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] / [`TensorError::MatmulDims`] /
-    /// [`TensorError::ShapeMismatch`] on malformed inputs.
-    pub fn batched_matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        let (a_dims, b_dims) = (self.shape().dims(), other.shape().dims());
-        if a_dims.len() != 3 || b_dims.len() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                actual: if a_dims.len() != 3 {
-                    a_dims.len()
-                } else {
-                    b_dims.len()
-                },
-            });
-        }
-        if a_dims[0] != b_dims[0] {
-            return Err(TensorError::ShapeMismatch {
-                left: a_dims.to_vec(),
-                right: b_dims.to_vec(),
-            });
-        }
-        let (b, m, k) = (a_dims[0], a_dims[1], a_dims[2]);
-        let (k2, n) = (b_dims[1], b_dims[2]);
-        if k != k2 {
-            return Err(TensorError::MatmulDims {
-                left: (m, k),
-                right: (k2, n),
-            });
-        }
-        let mut out = vec![0.0f32; b * m * n];
-        batched_matmul_into(self.as_slice(), other.as_slice(), &mut out, b, m, k, n);
-        Tensor::from_vec(out, &[b, m, n])
-    }
-
-    /// Matrix-vector product: `[m,k] x [k] -> [m]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::MatmulDims`] when dimensions disagree.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor, TensorError> {
-        let a_dims = self.shape().dims();
-        if a_dims.len() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: a_dims.len(),
-            });
-        }
-        let (m, k) = (a_dims[0], a_dims[1]);
-        if v.len() != k {
-            return Err(TensorError::MatmulDims {
-                left: (m, k),
-                right: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0f32; m];
-        matvec_into(self.as_slice(), v.as_slice(), &mut out, m, k);
-        Tensor::from_vec(out, &[m])
-    }
-}
-
-/// Batched GEMM into a caller-owned buffer:
-/// `out[b,m,n] = a[b,m,k] × bmat[b,k,n]` with no allocation.
-///
-/// # Panics
-///
-/// Panics when a slice length does not match the dimensions.
-pub fn batched_matmul_into(
-    a: &[f32],
-    bmat: &[f32],
-    out: &mut [f32],
-    b: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), b * m * k, "a must be [b, m, k]");
-    assert_eq!(bmat.len(), b * k * n, "bmat must be [b, k, n]");
-    assert_eq!(out.len(), b * m * n, "out must be [b, m, n]");
-    for bi in 0..b {
-        matmul_into(
-            &a[bi * m * k..(bi + 1) * m * k],
-            &bmat[bi * k * n..(bi + 1) * k * n],
-            &mut out[bi * m * n..(bi + 1) * m * n],
-            m,
-            k,
-            n,
-        );
-    }
-}
-
-/// GEMV into a caller-owned buffer: `out[m] = a[m,k] × x[k]` with no
-/// allocation. Rows are contiguous, so each output element is one
-/// SIMD-dispatched dot product.
-///
-/// # Panics
-///
-/// Debug-asserts the slice lengths match the dimensions.
-pub fn matvec_into(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(x.len(), k);
-    debug_assert_eq!(out.len(), m);
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = simd::dot(&a[i * k..(i + 1) * k], x);
-    }
 }
 
 /// Core GEMM: `out[m,n] = a[m,k] * b[k,n]`, writing into the provided slice
@@ -724,60 +616,5 @@ mod tests {
             Tensor::zeros(&[2]).matmul(&b),
             Err(TensorError::RankMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn matvec_into_and_batched_into_match_owned() {
-        let a = Tensor::uniform(&[3, 6, 4], -1.0, 1.0, 41);
-        let b = Tensor::uniform(&[3, 4, 5], -1.0, 1.0, 42);
-        let owned = a.batched_matmul(&b).unwrap();
-        let mut buf = vec![0.0f32; 3 * 6 * 5];
-        batched_matmul_into(a.as_slice(), b.as_slice(), &mut buf, 3, 6, 4, 5);
-        assert_eq!(owned.as_slice(), &buf[..]);
-
-        let m = Tensor::uniform(&[6, 4], -1.0, 1.0, 43);
-        let v = Tensor::uniform(&[4], -1.0, 1.0, 44);
-        let owned = m.matvec(&v).unwrap();
-        let mut out = vec![0.0f32; 6];
-        matvec_into(m.as_slice(), v.as_slice(), &mut out, 6, 4);
-        assert_eq!(owned.as_slice(), &out[..]);
-    }
-
-    #[test]
-    fn batched_matmul_matches_loop() {
-        let a = Tensor::uniform(&[3, 4, 5], -1.0, 1.0, 21);
-        let b = Tensor::uniform(&[3, 5, 2], -1.0, 1.0, 22);
-        let c = a.batched_matmul(&b).unwrap();
-        assert_eq!(c.shape().dims(), &[3, 4, 2]);
-        for bi in 0..3 {
-            let am =
-                Tensor::from_vec(a.as_slice()[bi * 20..(bi + 1) * 20].to_vec(), &[4, 5]).unwrap();
-            let bm =
-                Tensor::from_vec(b.as_slice()[bi * 10..(bi + 1) * 10].to_vec(), &[5, 2]).unwrap();
-            let cm = am.matmul(&bm).unwrap();
-            for (i, &v) in cm.as_slice().iter().enumerate() {
-                assert!((c.as_slice()[bi * 8 + i] - v).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_requires_same_batch() {
-        let a = Tensor::zeros(&[2, 3, 4]);
-        let b = Tensor::zeros(&[3, 4, 5]);
-        assert!(a.batched_matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::uniform(&[6, 4], -1.0, 1.0, 31);
-        let v = Tensor::uniform(&[4], -1.0, 1.0, 32);
-        let mv = a.matvec(&v).unwrap();
-        let vm = v.reshape(&[4, 1]).unwrap();
-        let full = a.matmul(&vm).unwrap();
-        for (x, y) in mv.as_slice().iter().zip(full.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-        assert!(a.matvec(&Tensor::zeros(&[5])).is_err());
     }
 }

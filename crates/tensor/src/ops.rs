@@ -23,15 +23,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// Elementwise multiplication (Hadamard product).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Multiplies every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|x| x * s)
@@ -65,19 +56,6 @@ impl Tensor {
             .iter()
             .copied()
             .fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Index of the maximum element (first occurrence). Returns `None` for
-    /// empty tensors.
-    pub fn argmax(&self) -> Option<usize> {
-        let mut best: Option<(usize, f32)> = None;
-        for (i, &x) in self.as_slice().iter().enumerate() {
-            match best {
-                Some((_, bx)) if bx >= x => {}
-                _ => best = Some((i, x)),
-            }
-        }
-        best.map(|(i, _)| i)
     }
 
     /// Squared L2 norm of all elements (one SIMD-dispatched dot product).
@@ -238,7 +216,8 @@ mod tests {
         let b = t(&[4.0, 5.0, 6.0], &[3]);
         assert_eq!(a.add(&b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
+        let product = a.zip_with(&b, |x, y| x * y).unwrap();
+        assert_eq!(product.as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]
@@ -254,7 +233,6 @@ mod tests {
         let a = t(&[1.0, -2.0, 3.0], &[3]);
         assert_eq!(a.sum(), 2.0);
         assert_eq!(a.max(), 3.0);
-        assert_eq!(a.argmax(), Some(2));
         assert_eq!(a.norm_sq(), 14.0);
         assert!((a.norm() - 14.0f32.sqrt()).abs() < 1e-6);
     }
@@ -270,14 +248,6 @@ mod tests {
         let e2 = Tensor::zeros(&[3, 0]);
         assert_eq!(e2.norm_sq(), 0.0);
         assert_eq!(e2.dot(&Tensor::zeros(&[3, 0])).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn argmax_empty_and_ties() {
-        let e = Tensor::zeros(&[0]);
-        assert_eq!(e.argmax(), None);
-        let tie = t(&[5.0, 5.0, 1.0], &[3]);
-        assert_eq!(tie.argmax(), Some(0), "first occurrence wins");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 /// the register tile retires ~25 G multiply-adds/s on one thread, so two
 /// shards beat one thread once a job is above 2 × 75 µs × 25 G/s ≈ 3.75 M
 /// multiply-adds.
-pub const PAR_MIN_WORK: usize = 1 << 22;
+const PAR_MIN_WORK: usize = 1 << 22;
 
 /// Number of worker threads the machine offers (1 when unknown).
 ///

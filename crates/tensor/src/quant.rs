@@ -141,7 +141,7 @@ pub struct QuantBlock {
 /// min/max fit over the finite values, with the range widened to include
 /// zero so `x = 0` quantizes to exactly `zero_point` (and dequantizes to
 /// exactly `0.0` — the capsule kernels skip zero coefficients).
-pub fn i8_block_params(values: &[f32]) -> (f32, i32) {
+fn i8_block_params(values: &[f32]) -> (f32, i32) {
     let mut lo = 0.0f32;
     let mut hi = 0.0f32;
     for &v in values {
@@ -170,7 +170,7 @@ pub fn i8_block_params(values: &[f32]) -> (f32, i32) {
 /// Quantizes one value with the block's affine parameters. NaN maps to the
 /// zero point (dequantizes to exactly `0.0`); ±∞ saturate.
 #[inline]
-pub fn quantize_i8(x: f32, scale: f32, zero_point: i32) -> i8 {
+fn quantize_i8(x: f32, scale: f32, zero_point: i32) -> i8 {
     if x.is_nan() {
         return zero_point as i8;
     }
@@ -187,7 +187,7 @@ pub fn quantize_i8(x: f32, scale: f32, zero_point: i32) -> i8 {
 /// bit-exact to): an exact integer subtract, an exact int→f32 convert, and
 /// one IEEE multiply.
 #[inline]
-pub fn dequantize_i8(q: i8, scale: f32, zero_point: i32) -> f32 {
+fn dequantize_i8(q: i8, scale: f32, zero_point: i32) -> f32 {
     (i32::from(q) - zero_point) as f32 * scale
 }
 

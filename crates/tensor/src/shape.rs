@@ -13,7 +13,6 @@ use crate::error::TensorError;
 ///
 /// let s = Shape::new(&[2, 3, 4]);
 /// assert_eq!(s.volume(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Shape {
@@ -54,15 +53,6 @@ impl Shape {
         self.dims.iter().product()
     }
 
-    /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
     /// Extent of dimension `axis`.
     ///
     /// # Errors
@@ -95,11 +85,6 @@ impl Shape {
             let _ = i;
         }
         off
-    }
-
-    /// `true` when any extent is zero.
-    pub fn has_zero_dim(&self) -> bool {
-        self.dims.contains(&0)
     }
 }
 
@@ -136,7 +121,6 @@ mod tests {
     fn volume_and_strides() {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.volume(), 24);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
         assert_eq!(s.rank(), 3);
     }
 
@@ -145,7 +129,6 @@ mod tests {
         let s = Shape::new(&[]);
         assert_eq!(s.volume(), 1);
         assert_eq!(s.rank(), 0);
-        assert!(s.strides().is_empty());
     }
 
     #[test]
@@ -169,8 +152,6 @@ mod tests {
 
     #[test]
     fn zero_dim_detection() {
-        assert!(Shape::new(&[2, 0, 3]).has_zero_dim());
-        assert!(!Shape::new(&[2, 1, 3]).has_zero_dim());
         assert_eq!(Shape::new(&[2, 0, 3]).volume(), 0);
     }
 

@@ -357,35 +357,11 @@ impl Tensor {
         }
     }
 
-    /// In-place reshape (no data copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the volumes differ.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) -> Result<(), TensorError> {
-        let shape = Shape::new(dims);
-        if shape.volume() != self.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             data: Storage::Owned(self.as_slice().iter().map(|&x| f(x)).collect()),
             shape: self.shape.clone(),
-        }
-    }
-
-    /// Applies `f` to every element in place (copy-on-write when shared).
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.as_mut_slice() {
-            *x = f(*x);
         }
     }
 
