@@ -166,8 +166,8 @@ impl AccuracyExperiment {
     ///
     /// Generic over the backend, so the concrete backends used by
     /// [`Self::run`] monomorphize the whole forward path; `&dyn
-    /// MathBackend` callers go through [`Self::accuracy_boxed`] or pass the
-    /// object directly (`B = dyn MathBackend`).
+    /// MathBackend` callers pass the object directly
+    /// (`B = dyn MathBackend + Sync`).
     ///
     /// Evaluation batches are independent (routing only couples samples
     /// *within* a batch), so they shard across cores via the same
@@ -238,12 +238,6 @@ impl AccuracyExperiment {
     /// Number of (margin-filtered) harness samples.
     pub fn samples(&self) -> usize {
         self.labels.len()
-    }
-
-    /// Thin object-safe wrapper over [`Self::accuracy`] for callers holding
-    /// a boxed backend.
-    pub fn accuracy_boxed(&self, backend: &dyn MathBackend) -> f64 {
-        self.accuracy(backend)
     }
 
     /// Correct predictions within one evaluation batch (arena-backed
@@ -345,7 +339,7 @@ mod tests {
         let b = &benchmarks()[0];
         let exp = AccuracyExperiment::new(b, 40, 9);
         let generic = exp.accuracy(&ExactMath);
-        let boxed = exp.accuracy_boxed(&ExactMath);
+        let boxed = exp.accuracy(&ExactMath as &(dyn MathBackend + Sync));
         assert_eq!(generic, boxed);
     }
 

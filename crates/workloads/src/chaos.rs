@@ -203,12 +203,12 @@ impl<'a, B: MathBackend + ?Sized> ChaosBackend<'a, B> {
     }
 
     /// Panic points that actually fired.
-    pub fn fired_panics(&self) -> u64 {
+    fn fired_panics(&self) -> u64 {
         self.fired_panics.load(Ordering::Relaxed)
     }
 
     /// Stall points that actually fired.
-    pub fn fired_stalls(&self) -> u64 {
+    fn fired_stalls(&self) -> u64 {
         self.fired_stalls.load(Ordering::Relaxed)
     }
 

@@ -19,17 +19,17 @@ use crate::suite::Benchmark;
 /// the f32 network, per dtype. fp16 carries ~11 bits of mantissa — it is
 /// expected to be classification-identical; int8 affine (8 bits per
 /// vault partition) is allowed a sliver of knife-edge flips.
-pub const I8_MIN_AGREEMENT: f64 = 0.97;
+const I8_MIN_AGREEMENT: f64 = 0.97;
 /// See [`I8_MIN_AGREEMENT`].
-pub const F16_MIN_AGREEMENT: f64 = 0.995;
+const F16_MIN_AGREEMENT: f64 = 0.995;
 
 /// Max |Δ| on squared class norms (which live in [0, 1]) vs f32.
-pub const I8_MAX_NORM_DIVERGENCE: f32 = 0.10;
+const I8_MAX_NORM_DIVERGENCE: f32 = 0.10;
 /// See [`I8_MAX_NORM_DIVERGENCE`].
-pub const F16_MAX_NORM_DIVERGENCE: f32 = 0.01;
+const F16_MAX_NORM_DIVERGENCE: f32 = 0.01;
 
 /// Max |Δ| on the calibrated harness accuracy score vs f32.
-pub const MAX_ACCURACY_DELTA: f64 = 0.03;
+const MAX_ACCURACY_DELTA: f64 = 0.03;
 
 /// What the gate measured for one benchmark × dtype.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +50,7 @@ pub struct QuantGateResult {
 
 impl QuantGateResult {
     /// The declared (agreement, divergence) bounds for a dtype.
-    pub fn bounds(dtype: QuantDType) -> (f64, f32) {
+    fn bounds(dtype: QuantDType) -> (f64, f32) {
         match dtype {
             QuantDType::I8 => (I8_MIN_AGREEMENT, I8_MAX_NORM_DIVERGENCE),
             QuantDType::F16 => (F16_MIN_AGREEMENT, F16_MAX_NORM_DIVERGENCE),
@@ -102,7 +102,7 @@ pub fn run_quant_gate(
 /// # Errors
 ///
 /// [`StoreError`] if the artifact cannot be written or read back.
-pub fn quantized_reload(net: &CapsNet, dtype: QuantDType) -> Result<CapsNet, StoreError> {
+fn quantized_reload(net: &CapsNet, dtype: QuantDType) -> Result<CapsNet, StoreError> {
     let dir = std::env::temp_dir().join(format!("pim_quant_gate_{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{}_{:?}.pimcaps", net.spec().name, dtype));
@@ -115,7 +115,7 @@ pub fn quantized_reload(net: &CapsNet, dtype: QuantDType) -> Result<CapsNet, Sto
 }
 
 /// Scores an already-reloaded quantized network against an experiment.
-pub fn gate_against(
+fn gate_against(
     exp: &AccuracyExperiment,
     quantized: &CapsNet,
     dtype: QuantDType,

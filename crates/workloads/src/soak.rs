@@ -12,8 +12,8 @@
 //!   one [`Server::run`] window by [`crate::drive`] (tallying every typed
 //!   rejection, harvesting on a side thread), every submission accounted
 //!   into one [`Ledger`] (the "zero dropped tickets" reconciliation);
-//! * [`simulate_soak`] — a **deterministic** discrete-event twin that
-//!   calls the *same* pure [`pim_serve::admission::decide`] the live
+//! * the tests' `simulate_soak` — a **deterministic** discrete-event twin
+//!   that calls the *same* pure [`pim_serve::admission::decide`] the live
 //!   server calls, so shed/quota policy behavior can be property-tested
 //!   (same seed ⇒ identical counts) without wall-clock noise.
 //!
@@ -25,10 +25,9 @@
 use std::time::Duration;
 
 use capsnet::{CapsNet, CapsNetSpec, MathBackend, RoutingAlgorithm};
-use pim_serve::admission::{decide, predicted_wait_us, AdmissionVerdict};
 use pim_serve::{
     AdmissionPolicy, MetricsReport, ModelRegistry, Priority, Request, ServeConfig, ServedModel,
-    Server, SloConfig, TIERS,
+    Server, SloConfig,
 };
 use pim_tensor::Tensor;
 
@@ -64,7 +63,7 @@ pub fn soak_spec() -> CapsNetSpec {
 /// Deterministic tenant → tier assignment used by every soak: 20% of
 /// tenants are [`Priority::High`], 50% [`Priority::Normal`], 30%
 /// [`Priority::Low`].
-pub fn tier_for_tenant(tenant: usize) -> Priority {
+fn tier_for_tenant(tenant: usize) -> Priority {
     match tenant % 10 {
         0 | 1 => Priority::High,
         2..=6 => Priority::Normal,
@@ -255,156 +254,158 @@ pub fn saturated_hz<B: MathBackend + Sync + ?Sized>(
     run_soak_phase(registry, backend, &overload).achieved_hz
 }
 
-/// Configuration of the deterministic discrete-event soak twin.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimSoakConfig {
-    /// Requests in the stream.
-    pub requests: usize,
-    /// Tenants (tiers assigned by [`tier_for_tenant`]).
-    pub tenants: usize,
-    /// Offered arrival rate, requests per second.
-    pub rate_hz: f64,
-    /// Deterministic per-sample service time, nanoseconds.
-    pub service_ns: u64,
-    /// Queue bound, samples.
-    pub queue_capacity: usize,
-    /// The SLO policy under test.
-    pub slo: SloConfig,
-    /// Arrival-stream seed.
-    pub seed: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use capsnet::ExactMath;
+    use pim_serve::admission::{decide, predicted_wait_us, AdmissionVerdict};
+    use pim_serve::TIERS;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-impl Default for SimSoakConfig {
-    fn default() -> Self {
-        SimSoakConfig {
-            requests: 50_000,
-            tenants: 300,
-            rate_hz: 50_000.0,
-            service_ns: 20_000,
-            queue_capacity: 1 << 20,
-            slo: SloConfig::default(),
-            seed: 0x50AC,
+    /// Configuration of the deterministic discrete-event soak twin.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct SimSoakConfig {
+        /// Requests in the stream.
+        requests: usize,
+        /// Tenants (tiers assigned by [`tier_for_tenant`]).
+        tenants: usize,
+        /// Offered arrival rate, requests per second.
+        rate_hz: f64,
+        /// Deterministic per-sample service time, nanoseconds.
+        service_ns: u64,
+        /// Queue bound, samples.
+        queue_capacity: usize,
+        /// The SLO policy under test.
+        slo: SloConfig,
+        /// Arrival-stream seed.
+        seed: u64,
+    }
+
+    impl Default for SimSoakConfig {
+        fn default() -> Self {
+            SimSoakConfig {
+                requests: 50_000,
+                tenants: 300,
+                rate_hz: 50_000.0,
+                service_ns: 20_000,
+                queue_capacity: 1 << 20,
+                slo: SloConfig::default(),
+                seed: 0x50AC,
+            }
         }
     }
-}
 
-/// Deterministic discrete-event soak: one worker serving single-sample
-/// requests in priority order, admission decided by the **same**
-/// [`pim_serve::admission::decide`] the live server runs, over the same
-/// seeded Poisson arrivals the live driver paces. A pure function of its
-/// config — same seed, same counts, every time — which is what makes the
-/// shed/quota policy property-testable.
-///
-/// The estimator is modeled faithfully: predicted waits are zero (admit
-/// everything) until the first simulated completion, after which the
-/// estimate is the exact `service_ns`.
-pub fn simulate_soak(cfg: &SimSoakConfig) -> Ledger {
-    let arrivals = phase_arrivals(cfg.rate_hz, cfg.requests, cfg.tenants, cfg.seed);
+    /// Deterministic discrete-event soak: one worker serving single-sample
+    /// requests in priority order, admission decided by the **same**
+    /// [`pim_serve::admission::decide`] the live server runs, over the same
+    /// seeded Poisson arrivals the live driver paces. A pure function of its
+    /// config — same seed, same counts, every time — which is what makes the
+    /// shed/quota policy property-testable.
+    ///
+    /// The estimator is modeled faithfully: predicted waits are zero (admit
+    /// everything) until the first simulated completion, after which the
+    /// estimate is the exact `service_ns`.
+    fn simulate_soak(cfg: &SimSoakConfig) -> Ledger {
+        let arrivals = phase_arrivals(cfg.rate_hz, cfg.requests, cfg.tenants, cfg.seed);
 
-    // Waiting requests: (arrival_ns, tenant), FIFO per tier.
-    let mut queues: [std::collections::VecDeque<(u64, usize)>; TIERS] =
-        std::array::from_fn(|_| std::collections::VecDeque::new());
-    let mut tenant_queued: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    let mut counts = Ledger::default();
-    let mut free_ns: u64 = 0; // when the worker next idles
-    let mut first_completion_ns: Option<u64> = None;
+        // Waiting requests: (arrival_ns, tenant), FIFO per tier.
+        let mut queues: [std::collections::VecDeque<(u64, usize)>; TIERS] =
+            std::array::from_fn(|_| std::collections::VecDeque::new());
+        let mut tenant_queued: std::collections::HashMap<usize, usize> =
+            std::collections::HashMap::new();
+        let mut counts = Ledger::default();
+        let mut free_ns: u64 = 0; // when the worker next idles
+        let mut first_completion_ns: Option<u64> = None;
 
-    // Dispatches everything the worker would have started before `now_ns`:
-    // at each point it frees up, it takes the highest-priority request
-    // that had already arrived, or idles forward to the next queued
-    // arrival. Dispatched requests leave the queue (the live server's
-    // `queued_samples` also counts only *waiting* samples).
-    let drain = |now_ns: u64,
-                 queues: &mut [std::collections::VecDeque<(u64, usize)>; TIERS],
-                 tenant_queued: &mut std::collections::HashMap<usize, usize>,
-                 free_ns: &mut u64,
-                 first_completion_ns: &mut Option<u64>,
-                 completed: &mut u64| {
-        loop {
-            if *free_ns >= now_ns {
-                return;
-            }
-            let visible =
-                (0..TIERS).find(|&t| queues[t].front().is_some_and(|&(at, _)| at <= *free_ns));
-            match visible {
-                Some(tier) => {
-                    let (_, tenant) = queues[tier].pop_front().expect("front just checked");
-                    *tenant_queued.get_mut(&tenant).expect("tenant counted") -= 1;
-                    *free_ns += cfg.service_ns;
-                    first_completion_ns.get_or_insert(*free_ns);
-                    *completed += 1;
+        // Dispatches everything the worker would have started before `now_ns`:
+        // at each point it frees up, it takes the highest-priority request
+        // that had already arrived, or idles forward to the next queued
+        // arrival. Dispatched requests leave the queue (the live server's
+        // `queued_samples` also counts only *waiting* samples).
+        let drain = |now_ns: u64,
+                     queues: &mut [std::collections::VecDeque<(u64, usize)>; TIERS],
+                     tenant_queued: &mut std::collections::HashMap<usize, usize>,
+                     free_ns: &mut u64,
+                     first_completion_ns: &mut Option<u64>,
+                     completed: &mut u64| {
+            loop {
+                if *free_ns >= now_ns {
+                    return;
                 }
-                None => {
-                    // Idle forward to the earliest queued arrival, if any
-                    // lands before `now_ns`.
-                    let next = (0..TIERS)
-                        .filter_map(|t| queues[t].front().map(|&(at, _)| at))
-                        .min();
-                    match next {
-                        Some(at) if at < now_ns => *free_ns = (*free_ns).max(at),
-                        _ => return,
+                let visible =
+                    (0..TIERS).find(|&t| queues[t].front().is_some_and(|&(at, _)| at <= *free_ns));
+                match visible {
+                    Some(tier) => {
+                        let (_, tenant) = queues[tier].pop_front().expect("front just checked");
+                        *tenant_queued.get_mut(&tenant).expect("tenant counted") -= 1;
+                        *free_ns += cfg.service_ns;
+                        first_completion_ns.get_or_insert(*free_ns);
+                        *completed += 1;
+                    }
+                    None => {
+                        // Idle forward to the earliest queued arrival, if any
+                        // lands before `now_ns`.
+                        let next = (0..TIERS)
+                            .filter_map(|t| queues[t].front().map(|&(at, _)| at))
+                            .min();
+                        match next {
+                            Some(at) if at < now_ns => *free_ns = (*free_ns).max(at),
+                            _ => return,
+                        }
                     }
                 }
             }
-        }
-    };
+        };
 
-    for arrival in &arrivals {
-        let now_ns = arrival.at_us.saturating_mul(1_000);
+        for arrival in &arrivals {
+            let now_ns = arrival.at_us.saturating_mul(1_000);
+            drain(
+                now_ns,
+                &mut queues,
+                &mut tenant_queued,
+                &mut free_ns,
+                &mut first_completion_ns,
+                &mut counts.completed,
+            );
+            let est_ns = match first_completion_ns {
+                Some(t) if t <= now_ns => cfg.service_ns,
+                _ => 0, // estimator still cold: warm-up admits everything
+            };
+            let tier = tier_for_tenant(arrival.tenant);
+            let queued_total: usize = queues.iter().map(|q| q.len()).sum();
+            let backlog_at_or_above: usize = (0..=tier.index()).map(|t| queues[t].len()).sum();
+            let verdict = decide(
+                &AdmissionPolicy::SloAware(cfg.slo),
+                cfg.queue_capacity,
+                queued_total,
+                1,
+                tenant_queued.get(&arrival.tenant).copied().unwrap_or(0),
+                predicted_wait_us(backlog_at_or_above, est_ns, 1),
+                tier,
+            );
+            counts.submitted += 1;
+            match verdict {
+                AdmissionVerdict::Admit => {
+                    queues[tier.index()].push_back((now_ns, arrival.tenant));
+                    *tenant_queued.entry(arrival.tenant).or_insert(0) += 1;
+                }
+                AdmissionVerdict::Shed { .. } => counts.shed[tier.index()] += 1,
+                AdmissionVerdict::Full => counts.rejected_full += 1,
+                AdmissionVerdict::Quota { .. } => counts.rejected_quota += 1,
+            }
+        }
+        // Window close: the live server drains everything still queued.
         drain(
-            now_ns,
+            u64::MAX,
             &mut queues,
             &mut tenant_queued,
             &mut free_ns,
             &mut first_completion_ns,
             &mut counts.completed,
         );
-        let est_ns = match first_completion_ns {
-            Some(t) if t <= now_ns => cfg.service_ns,
-            _ => 0, // estimator still cold: warm-up admits everything
-        };
-        let tier = tier_for_tenant(arrival.tenant);
-        let queued_total: usize = queues.iter().map(|q| q.len()).sum();
-        let backlog_at_or_above: usize = (0..=tier.index()).map(|t| queues[t].len()).sum();
-        let verdict = decide(
-            &AdmissionPolicy::SloAware(cfg.slo),
-            cfg.queue_capacity,
-            queued_total,
-            1,
-            tenant_queued.get(&arrival.tenant).copied().unwrap_or(0),
-            predicted_wait_us(backlog_at_or_above, est_ns, 1),
-            tier,
-        );
-        counts.submitted += 1;
-        match verdict {
-            AdmissionVerdict::Admit => {
-                queues[tier.index()].push_back((now_ns, arrival.tenant));
-                *tenant_queued.entry(arrival.tenant).or_insert(0) += 1;
-            }
-            AdmissionVerdict::Shed { .. } => counts.shed[tier.index()] += 1,
-            AdmissionVerdict::Full => counts.rejected_full += 1,
-            AdmissionVerdict::Quota { .. } => counts.rejected_quota += 1,
-        }
+        counts
     }
-    // Window close: the live server drains everything still queued.
-    drain(
-        u64::MAX,
-        &mut queues,
-        &mut tenant_queued,
-        &mut free_ns,
-        &mut first_completion_ns,
-        &mut counts.completed,
-    );
-    counts
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use capsnet::ExactMath;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn soak_spec_is_valid_and_micro() {

@@ -19,7 +19,7 @@ pub enum Dataset {
 
 impl Dataset {
     /// Input channels and spatial extent.
-    pub fn input_geometry(&self) -> (usize, (usize, usize)) {
+    fn input_geometry(&self) -> (usize, (usize, usize)) {
         match self {
             Dataset::Mnist | Dataset::Emnist => (1, (28, 28)),
             Dataset::Cifar10 | Dataset::Svhn => (3, (32, 32)),

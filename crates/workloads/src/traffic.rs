@@ -139,16 +139,6 @@ pub fn streaming_spec() -> CapsNetSpec {
     }
 }
 
-/// Functional serving shapes for scheduler tests and benches: one small
-/// spec per named Table 1 benchmark (per-sample routing, laptop-sized).
-pub fn serving_specs(names: &[&str]) -> Vec<CapsNetSpec> {
-    crate::benchmarks()
-        .iter()
-        .filter(|b| names.contains(&b.name))
-        .map(|b| b.functional_spec())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,16 +218,5 @@ mod tests {
             "caps weight only {} MB",
             weight_bytes >> 20
         );
-    }
-
-    #[test]
-    fn serving_specs_filter_by_name() {
-        let specs = serving_specs(&["Caps-MN1", "Caps-SV1"]);
-        assert_eq!(specs.len(), 2);
-        for s in &specs {
-            s.validate().unwrap();
-            assert!(!s.batch_shared_routing);
-        }
-        assert!(serving_specs(&["nope"]).is_empty());
     }
 }

@@ -59,7 +59,7 @@ impl Default for ZipfConfig {
 /// The image seed shared by every request for `(model, rank)` under
 /// `seed`: the determinism that turns rank popularity into cache hits.
 /// SplitMix64-style finalizer so nearby ranks land on far-apart seeds.
-pub fn key_seed(seed: u64, model: usize, rank: usize) -> u64 {
+fn key_seed(seed: u64, model: usize, rank: usize) -> u64 {
     let mut z = seed
         ^ (model as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (rank as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
