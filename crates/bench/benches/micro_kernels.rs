@@ -94,7 +94,7 @@ fn bench_routing(c: &mut Criterion) {
 /// derived from. These are plain `[m, n]` products, which shard between
 /// rows; inside a convolution a batch-1 product is one sample and shards
 /// between column strips instead, so the `stream` batch-1 row (`m` = 9:
-/// an uneven two row blocks against one) reads worse here than there.
+/// two short row blocks, of five and four rows) reads worse here than there.
 fn bench_gemm(c: &mut Criterion) {
     let threads = pim_tensor::par::available_threads();
     println!(

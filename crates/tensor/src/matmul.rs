@@ -1,14 +1,18 @@
 //! Matrix products on the crate's one GEMM kernel: the `R × 16` register
-//! tile of [`crate::tile`], walked in `k` panels.
+//! tile of [`crate::tile`], walked in `k` panels over packed strips.
 //!
-//! **Walk.** For each panel of [`PANEL`] reduction steps, each 16-column
-//! strip of `b` and each block of four rows of `a`, the tile's accumulators
-//! are read back from the output (zero on the first panel), advanced over
-//! the panel and stored (plus the bias on the last). A panel of a strip
-//! stays in L1 for every row block; holding the accumulators across all of
-//! `k` instead walks `k` lines `n` floats apart per row block, which at the
-//! CapsNet-MNIST primary convolution (`k` = 20 736, `n` = 256) thrashes L1
-//! and the TLB: 16.7–20 GFLOP/s against 37 with panels on one thread.
+//! **Walk.** For each panel of [`PANEL`] reduction steps and each 16-column
+//! strip of `b`, the AVX2 walk first copies the strip's panel into a
+//! contiguous `[steps, 16]` stack buffer (the scalar walk and the column
+//! tail read `b` in place). Then, for each block of at most six rows of `a`
+//! ([`tile::row_blocks`]), the tile's accumulators are read back from the
+//! output (zero on the first panel), advanced over the panel and stored
+//! (plus the bias on the last). In `b` a strip's rows sit `n` floats apart:
+//! on the reference host's 64-set, 12-way L1 a 1 KB stride (`n` = 256, the
+//! CapsNet-MNIST primary convolution) maps a panel onto 4 sets and a stride
+//! of 4 KB or more onto one, so unpacked every row block re-read the panel
+//! from L2. On one thread its batch-8 product measures 48–62 GFLOP/s
+//! packed with six-row blocks, against 44–49 unpacked with four.
 //!
 //! **Arithmetic contract.** Every output element accumulates its `k`
 //! products in ascending `p` from `+0.0`: one fused multiply-add per step
@@ -27,6 +31,7 @@
 //! shard between samples, one sample between column strips — a contiguous
 //! output window either way — as [`plan_threads`] grants.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 use crate::error::TensorError;
@@ -35,14 +40,12 @@ use crate::simd::{self, SimdLevel};
 use crate::tensor::Tensor;
 use crate::tile::{self, F32Strip, Lhs, ROWS, STRIP};
 
-/// Reduction steps per panel. A panel of one strip is `PANEL` 64-byte lines
-/// of `b` (32 KB) plus four `PANEL`-float runs of `a` (8 KB), which every
-/// row block of the strip reuses from the reference host's 48 KB L1 (the
-/// strip's tail from L2 on a 32 KB part), and the accumulators' round trip
-/// is 128 loads and stores against the tile's 4 096 FMAs. Measured at `k` =
-/// 20 736, `n` = 256: 128 is 25% slower, 256 7% slower, 1 024 level, and
-/// 2 048 was 25% slower in the sizing runs.
-const PANEL: usize = 512;
+/// Reduction steps per panel: a packed panel is 64 KB (the stack buffer),
+/// and the accumulators' round trip is 192 loads and stores against the
+/// tile's 12 288 FMAs. Against the unpacked walk at `k` = 20 736, `n` = 256,
+/// batch 8 / batch 1: 512 measured 1.19x / 1.08x, 1 024 1.18–1.28x /
+/// 1.05–1.11x and 2 048 1.26x / 0.92x.
+const PANEL: usize = 1024;
 
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
@@ -200,9 +203,10 @@ impl Gemm<'_> {
 
     /// Columns `cols` of every row into `window`, the `[m / pixels,
     /// cols.len(), pixels]` part of the output they own: panels, then
-    /// strips, then row blocks. `VECTOR` runs whole strips through the
-    /// AVX2 tile and fuses every step; the scalar tile is its column tail
-    /// and the whole kernel at [`SimdLevel::Scalar`].
+    /// strips, then row blocks. `VECTOR` packs each whole strip's panel and
+    /// runs it through the AVX2 tile, fusing every step; the scalar tile
+    /// reads `b` in place, as the column tail and as the whole kernel at
+    /// [`SimdLevel::Scalar`].
     ///
     /// # Safety
     ///
@@ -214,15 +218,28 @@ impl Gemm<'_> {
         let ((m, k, n), pixels) = (self.dims, self.pixels);
         debug_assert_eq!(window.len(), m * cols.len());
         let strip = F32Strip::<VECTOR>(self.b);
+        // One strip's panel, `[steps, 16]`: written before it is read, so
+        // never zeroed.
+        #[cfg(target_arch = "x86_64")]
+        let mut pack = [MaybeUninit::<f32>::uninit(); PANEL * STRIP];
         for p0 in (0..k.max(1)).step_by(PANEL) {
             let steps = p0..(p0 + PANEL).min(k);
             let bias = self.bias.filter(|_| steps.end == k);
             for j in cols.clone().step_by(STRIP) {
                 let width = STRIP.min(cols.end - j);
                 let vector = cfg!(target_arch = "x86_64") && VECTOR && width == STRIP;
-                for r0 in (0..m).step_by(ROWS) {
+                #[cfg(target_arch = "x86_64")]
+                let packed = if vector {
+                    // SAFETY: AVX2 per this function's contract; `j + 16 ≤
+                    // n`, `steps.end ≤ k` and `steps.len() ≤ PANEL`.
+                    Some(unsafe { pack_panel(self.b, (n, j), &steps, &mut pack) })
+                } else {
+                    None
+                };
+                for block in tile::row_blocks(m) {
+                    let r0 = block.start;
                     let mut acc = [[0.0f32; STRIP]; ROWS];
-                    let live = &mut acc[..ROWS.min(m - r0)];
+                    let live = &mut acc[..block.len()];
                     // Column `j` of row `r0 + r`; columns are `pixels` apart.
                     let at = |r: usize| {
                         let row = r0 + r;
@@ -242,16 +259,19 @@ impl Gemm<'_> {
                         stride: k,
                     };
                     #[cfg(target_arch = "x86_64")]
-                    if vector {
-                        // A strip's rows sit `n` floats apart, a stride the
-                        // hardware prefetcher does not follow: the first row
-                        // block hints the lines of the panel's next strip.
-                        let hint = (r0 == 0).then_some(j + STRIP);
-                        // SAFETY: AVX2+FMA and the operand extents per this
-                        // function's contract; `r0 + live.len() ≤ m`,
-                        // `j + 16 ≤ n` and `steps.end ≤ k`.
+                    if let Some(packed) = packed {
+                        // The copy's step `d` is `a`'s column `p0 + d`.
+                        let lhs = Lhs {
+                            off: r0 * k + p0,
+                            ..lhs
+                        };
+                        // SAFETY: AVX2+FMA per this function's contract;
+                        // `packed` is `[steps.len(), 16]` and `r0 +
+                        // live.len() ≤ m`, so the last row's run ends at
+                        // `(r0 + live.len() − 1)·k + steps.end ≤ m·k`.
                         unsafe {
-                            tile::tile_vector_rows(&strip, (n, j), lhs, steps.clone(), hint, live);
+                            let packed = F32Strip::<true>(packed);
+                            tile::tile_vector_rows(&packed, (STRIP, 0), lhs, 0..steps.len(), live);
                         }
                     }
                     if !vector {
@@ -266,6 +286,41 @@ impl Gemm<'_> {
                 }
             }
         }
+    }
+}
+
+/// Copies rows `steps` of `b`'s 16-column strip at column `j` into `pack`
+/// and returns them as a `[steps.len(), 16]` matrix. In the AVX2 walk this
+/// loop is the only reader of `b` at its `n`-float stride, which the
+/// hardware prefetcher does not follow, so each row also hints the same row
+/// of the next strip.
+///
+/// # Safety
+///
+/// Requires AVX2, `j + 16 ≤ n`, `steps.end·n ≤ b.len()` and `steps.len() ≤
+/// PANEL`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn pack_panel<'p>(
+    b: &[f32],
+    (n, j): (usize, usize),
+    steps: &Range<usize>,
+    pack: &'p mut [MaybeUninit<f32>; PANEL * STRIP],
+) -> &'p [f32] {
+    use std::arch::x86_64::*;
+    debug_assert!(j + STRIP <= n && steps.end * n <= b.len() && steps.len() <= PANEL);
+    let dst = pack.as_mut_ptr().cast::<f32>();
+    // SAFETY: per the contract, strip row `p` (`b[p·n + j..][..16]`) and
+    // copy row `d < PANEL` are in bounds, the hint is never dereferenced,
+    // and the slice covers only the `steps.len()·16` floats written.
+    unsafe {
+        for (d, p) in steps.clone().enumerate() {
+            let src = b.as_ptr().add(p * n + j);
+            _mm_prefetch::<_MM_HINT_T0>(src.wrapping_add(STRIP).cast());
+            _mm256_storeu_ps(dst.add(d * STRIP), _mm256_loadu_ps(src));
+            _mm256_storeu_ps(dst.add(d * STRIP + 8), _mm256_loadu_ps(src.add(8)));
+        }
+        std::slice::from_raw_parts(dst, steps.len() * STRIP)
     }
 }
 
@@ -376,7 +431,8 @@ mod tests {
 
     #[test]
     fn tile_walk_matches_the_ikj_kernels_bitwise() {
-        let ms = [1usize, 3, 4, 5, 9, 36, 288];
+        // Every block height, alone and in balanced splits.
+        let ms = [1usize, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 36, 288];
         let ns = [1usize, 4, 5, 16, 31, 33, 256];
         for (mi, &m) in ms.iter().enumerate() {
             for (ni, &n) in ns.iter().enumerate() {
@@ -526,6 +582,84 @@ mod tests {
                     &format!("row {r} {level:?}"),
                 );
             }
+        }
+    }
+
+    /// Counts the bytes this thread allocates, so a test can see that a
+    /// walk allocates nothing.
+    mod heap {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+        }
+
+        fn note(grown: usize) {
+            // `try_with`: the counter may be gone while a thread exits.
+            let _ = ALLOCATED.try_with(|a| a.set(a.get() + grown));
+        }
+
+        /// Bytes this thread has allocated, every allocation and growth.
+        pub(super) fn allocated() -> usize {
+            ALLOCATED.with(Cell::get)
+        }
+
+        struct Counting;
+
+        // SAFETY: every method forwards to `System` with the caller's own
+        // arguments, so `System`'s guarantees are the caller's; the
+        // counter is a thread-local `Cell` that never allocates.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: forwarded unchanged (see the impl).
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: forwarded unchanged (see the impl).
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: forwarded unchanged (see the impl).
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                // SAFETY: forwarded unchanged (see the impl).
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static COUNTING: Counting = Counting;
+    }
+
+    #[test]
+    fn a_warm_walk_allocates_nothing() {
+        // Four panels, two packed strips and a column tail, three row
+        // blocks and the bias store.
+        let (m, k, n) = (13usize, 3 * PANEL + 7, 40usize);
+        let a = lhs(m, k, true);
+        let b = Tensor::uniform(&[k, n], -1.0, 1.0, 9).into_vec();
+        let bias = Tensor::uniform(&[n], -1.0, 1.0, 10).into_vec();
+        let mut out = vec![0.0f32; m * n];
+        for level in levels() {
+            let g = Gemm {
+                a: &a,
+                b: &b,
+                bias: Some(&bias),
+                dims: (m, k, n),
+                pixels: 1,
+            };
+            g.run_on(&mut out, Some(1), level);
+            let before = heap::allocated();
+            g.run_on(&mut out, Some(1), level);
+            assert_eq!(heap::allocated() - before, 0, "{level:?}");
         }
     }
 

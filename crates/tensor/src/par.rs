@@ -8,9 +8,9 @@
 /// Minimum total work (in multiply-add-equivalents) before threads are
 /// worth spawning at all. Derived from two measurements on the 2-core
 /// reference host: a scoped spawn and join costs ~75 µs (median of 200) and
-/// the register tile retires ~25 G multiply-adds/s on one thread, so two
-/// shards beat one thread once a job is above 2 × 75 µs × 25 G/s ≈ 3.75 M
-/// multiply-adds.
+/// the register tile retires 24–31 G multiply-adds/s on one thread (packed
+/// panels), so two shards beat one thread above 2 × 75 µs × 24–31 G/s ≈
+/// 3.6–4.7 M multiply-adds.
 const PAR_MIN_WORK: usize = 1 << 22;
 
 /// Number of worker threads the machine offers (1 when unknown).

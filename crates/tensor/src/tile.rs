@@ -1,13 +1,14 @@
 //! The `R × 16` register tile under both dense kernels of this crate: the
 //! û projection ([`crate::uhat`]) and the GEMM ([`crate::matmul`]).
 //!
-//! A tile is `R ≤ 4` rows of a broadcast operand ([`Lhs`]) against one
+//! A tile is `R ≤ 6` rows of a broadcast operand ([`Lhs`]) against one
 //! 16-column strip of a streamed operand ([`Strip`]): two 8-lane
-//! accumulators per row, advanced over a range of reduction steps. The
-//! caller supplies the accumulators' initial value and stores the result,
-//! so the same tile serves û (from zero, whole reduction, one store) and
-//! the GEMM (one `k` panel at a time, accumulators round-tripping through
-//! the output between panels).
+//! accumulators per row, advanced over a range of reduction steps. Six rows
+//! hold twelve accumulators, two weight loads and one broadcast: 15 of
+//! AVX2's 16 vector registers. The caller supplies the accumulators'
+//! initial value and stores the result, so the same tile serves û (from
+//! zero, whole reduction, one store) and the GEMM (one `k` panel at a
+//! time, accumulators round-tripping through the output between panels).
 //!
 //! [`tile_scalar`] is the same walk in scalar code — the whole kernel at
 //! [`crate::SimdLevel::Scalar`] and the column tail of the vector walk — with
@@ -18,7 +19,38 @@ use std::ops::Range;
 /// Columns per strip: two 8-lane vectors.
 pub(crate) const STRIP: usize = 16;
 /// Rows per register block.
-pub(crate) const ROWS: usize = 4;
+pub(crate) const ROWS: usize = 6;
+
+/// `0..m` cut into `⌈m / ROWS⌉` blocks whose heights differ by at most one:
+/// a short remainder block holds too few accumulators to cover the FMA
+/// latency, so 9 rows run as 4 + 5 rather than 6 + 3.
+pub(crate) fn row_blocks(m: usize) -> impl Iterator<Item = Range<usize>> {
+    let blocks = m.div_ceil(ROWS);
+    (0..blocks).map(move |b| b * m / blocks..(b + 1) * m / blocks)
+}
+
+/// Evaluates `$body` with `$rows` a `const usize` equal to `$count`, which
+/// must lie in `1..=ROWS`: one arm per height, so a short row block never
+/// runs a taller tile. Both kernels dispatch through it.
+macro_rules! with_rows {
+    ($count:expr, $rows:ident => $body:expr) => {
+        $crate::tile::with_rows!(@arms $count, $rows, $body, 1 2 3 4 5 6)
+    };
+    (@arms $count:expr, $rows:ident, $body:expr, $($arm:literal)*) => {{
+        const _: () = assert!(
+            [$($arm),*].len() == $crate::tile::ROWS,
+            "`with_rows!` needs one arm per count in 1..=ROWS"
+        );
+        match $count {
+            $($arm => {
+                const $rows: usize = $arm;
+                $body
+            })*
+            count => unreachable!("a row block has 1..=ROWS rows, not {count}"),
+        }
+    }};
+}
+pub(crate) use with_rows;
 
 /// A row-major `[steps, n]` streamed operand, read as `f32`.
 pub(crate) trait Strip {
@@ -108,10 +140,36 @@ pub(crate) type Acc<const R: usize> = [[std::arch::x86_64::__m256; 2]; R];
 #[inline(always)]
 pub(crate) unsafe fn tile_vector<S: Strip, const R: usize>(
     strip: &S,
-    (n, j): (usize, usize),
+    at: (usize, usize),
     lhs: Lhs<'_>,
     steps: Range<usize>,
     hint: Option<usize>,
+    acc: Acc<R>,
+) -> Acc<R> {
+    // Two loops, not a test per step: with the test inside, the one-row û
+    // loop rotated a dozen registers around every prefetch (0.86–0.93x).
+    // SAFETY: forwarded contract.
+    unsafe {
+        match hint {
+            Some(ahead) => advance::<S, R, true>(strip, at, lhs, steps, ahead, acc),
+            None => advance::<S, R, false>(strip, at, lhs, steps, 0, acc),
+        }
+    }
+}
+
+/// [`tile_vector`] with the hint fixed at compile time.
+///
+/// # Safety
+///
+/// As [`tile_vector`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn advance<S: Strip, const R: usize, const HINT: bool>(
+    strip: &S,
+    (n, j): (usize, usize),
+    lhs: Lhs<'_>,
+    steps: Range<usize>,
+    ahead: usize,
     mut acc: Acc<R>,
 ) -> Acc<R> {
     use std::arch::x86_64::*;
@@ -126,7 +184,7 @@ pub(crate) unsafe fn tile_vector<S: Strip, const R: usize>(
         for d in steps {
             let w0 = strip.load8(d * n + j);
             let w1 = strip.load8(d * n + j + 8);
-            if let Some(ahead) = hint {
+            if HINT {
                 _mm_prefetch::<_MM_HINT_T0>(strip.hint(d * n + ahead));
             }
             for (r, a) in acc.iter_mut().enumerate() {
@@ -145,8 +203,8 @@ pub(crate) unsafe fn tile_vector<S: Strip, const R: usize>(
 }
 
 /// [`tile_vector`] on accumulators in memory, as [`tile_scalar`] takes
-/// them: the `1 ≤ acc.len() ≤ 4` rows are loaded into registers, advanced
-/// over `steps` and stored back.
+/// them: the `1 ≤ acc.len() ≤ ROWS` rows are loaded into registers,
+/// advanced over `steps` and stored back.
 ///
 /// # Safety
 ///
@@ -158,7 +216,6 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip>(
     at: (usize, usize),
     lhs: Lhs<'_>,
     steps: Range<usize>,
-    hint: Option<usize>,
     acc: &mut [[f32; STRIP]],
 ) {
     /// The first `R` rows of `acc`.
@@ -172,7 +229,6 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip>(
         at: (usize, usize),
         lhs: Lhs<'_>,
         steps: Range<usize>,
-        hint: Option<usize>,
         acc: &mut [[f32; STRIP]],
     ) {
         use std::arch::x86_64::*;
@@ -184,7 +240,7 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip>(
                 let row = acc[r].as_ptr();
                 [_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8))]
             });
-            let regs = tile_vector::<S, R>(strip, at, lhs, steps, hint, regs);
+            let regs = tile_vector::<S, R>(strip, at, lhs, steps, None, regs);
             for (row, v) in acc.iter_mut().zip(&regs) {
                 _mm256_storeu_ps(row.as_mut_ptr(), v[0]);
                 _mm256_storeu_ps(row.as_mut_ptr().add(8), v[1]);
@@ -192,14 +248,7 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip>(
         }
     }
     // SAFETY: forwarded contract, `R = acc.len()`.
-    unsafe {
-        match acc.len() {
-            1 => rows::<S, 1>(strip, at, lhs, steps, hint, acc),
-            2 => rows::<S, 2>(strip, at, lhs, steps, hint, acc),
-            3 => rows::<S, 3>(strip, at, lhs, steps, hint, acc),
-            _ => rows::<S, ROWS>(strip, at, lhs, steps, hint, acc),
-        }
-    }
+    unsafe { with_rows!(acc.len(), R => rows::<S, R>(strip, at, lhs, steps, acc)) }
 }
 
 /// The scalar twin of [`tile_vector`]: advances `acc` (one entry per row of

@@ -4,9 +4,10 @@
 //! For every low-level capsule `i` the projection is a small GEMM
 //! `[B, C_L] × [C_L, N]` (`N = H·C_H`) against that capsule's own weight
 //! block, so the whole layer streams `W` exactly once. The kernel walks
-//! `W_i` in 16-column strips and, per strip, the batch in blocks of four
-//! rows: the 4 × 16 outputs live in eight 8-lane accumulators across the
-//! whole `d = 0..C_L` reduction and are stored once. Nothing is read back
+//! `W_i` in 16-column strips and, per strip, the batch in balanced blocks
+//! of at most six rows: the 6 × 16 outputs live in twelve 8-lane
+//! accumulators across the whole `d = 0..C_L` reduction and are stored
+//! once. Nothing is read back
 //! from `out`, so the caller does not need to zero it.
 //!
 //! The strip loader is generic — plain `f32` loads, int8 affine
@@ -318,20 +319,15 @@ unsafe fn capsule_vector<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f32]]
         } else {
             at.cl * at.n + ahead - full
         });
-        let mut r0 = 0;
-        while r0 < rows.len() {
+        for block in tile::row_blocks(rows.len()) {
             // SAFETY: features per this function's contract; `j + 16 ≤ n`
-            // and `r0 + R ≤ rows.len()`.
+            // and `block.end ≤ rows.len()`.
             unsafe {
-                match rows.len() - r0 {
-                    1 => tile_vector::<S, 1>(strip, u, rows, at, r0, j, hint),
-                    2 => tile_vector::<S, 2>(strip, u, rows, at, r0, j, hint),
-                    3 => tile_vector::<S, 3>(strip, u, rows, at, r0, j, hint),
-                    _ => tile_vector::<S, ROWS>(strip, u, rows, at, r0, j, hint),
-                }
+                tile::with_rows!(block.len(), R => {
+                    tile_vector::<S, R>(strip, u, rows, at, block.start, j, hint)
+                })
             }
             hint = None;
-            r0 += ROWS;
         }
         j += STRIP;
     }
@@ -499,7 +495,8 @@ mod tests {
                 ("int8", UhatWeights::Quant(&quantized[0])),
                 ("fp16", UhatWeights::Quant(&quantized[1])),
             ];
-            for &b in &[1usize, 3, 4, 5, 16] {
+            // Every block height, alone and in balanced splits.
+            for b in (1usize..=7).chain([12, 13, 16]) {
                 let dims = (b, l, cl, n);
                 let u = inputs(b, l, cl, (n * 31 + b) as u64);
                 for (name, w) in weights {
