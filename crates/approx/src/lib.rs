@@ -135,13 +135,6 @@ impl ApproxProfile {
         }
     }
 
-    /// [`Self::inv_sqrt`] applied to every element of `xs` in place.
-    pub fn inv_sqrt_slice(&self, xs: &mut [f32]) {
-        for x in xs {
-            *x = self.inv_sqrt(*x);
-        }
-    }
-
     /// [`Self::div`] of every element of `xs` by `denom`, in place.
     pub fn div_slice(&self, xs: &mut [f32], denom: f32) {
         for x in xs {
@@ -223,12 +216,6 @@ mod tests {
         p.exp_slice(&mut got);
         for (g, &x) in got.iter().zip(&xs) {
             assert_eq!(g.to_bits(), p.exp(x).to_bits());
-        }
-
-        let mut got = xs.clone();
-        p.inv_sqrt_slice(&mut got);
-        for (g, &x) in got.iter().zip(&xs) {
-            assert_eq!(g.to_bits(), p.inv_sqrt(x).to_bits());
         }
 
         let mut got = xs.clone();

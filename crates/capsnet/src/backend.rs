@@ -39,12 +39,6 @@ pub trait MathBackend: Send + Sync {
             *x = self.exp(*x);
         }
     }
-    /// `xs[i] = 1/sqrt(xs[i])` for every element.
-    fn inv_sqrt_slice(&self, xs: &mut [f32]) {
-        for x in xs {
-            *x = self.inv_sqrt(*x);
-        }
-    }
     /// `xs[i] = xs[i] / denom` for every element.
     fn div_slice(&self, xs: &mut [f32], denom: f32) {
         for x in xs {
@@ -217,10 +211,6 @@ impl MathBackend for ExactMath {
         simd::exp_slice(xs);
     }
     #[inline]
-    fn inv_sqrt_slice(&self, xs: &mut [f32]) {
-        simd::inv_sqrt_slice(xs);
-    }
-    #[inline]
     fn div_slice(&self, xs: &mut [f32], denom: f32) {
         simd::div_slice(xs, denom);
     }
@@ -346,10 +336,6 @@ impl MathBackend for ApproxMath {
         self.profile.exp_slice(xs);
     }
     #[inline]
-    fn inv_sqrt_slice(&self, xs: &mut [f32]) {
-        self.profile.inv_sqrt_slice(xs);
-    }
-    #[inline]
     fn div_slice(&self, xs: &mut [f32], denom: f32) {
         self.profile.div_slice(xs, denom);
     }
@@ -453,12 +439,6 @@ mod tests {
         b.exp_slice(&mut got);
         for (g, &x) in got.iter().zip(&xs) {
             assert_eq!(g.to_bits(), b.exp(x).to_bits());
-        }
-
-        let mut got = xs.clone();
-        b.inv_sqrt_slice(&mut got);
-        for (g, &x) in got.iter().zip(&xs) {
-            assert_eq!(g.to_bits(), b.inv_sqrt(x).to_bits());
         }
 
         let mut got = xs.clone();

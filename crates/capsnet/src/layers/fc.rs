@@ -1,6 +1,6 @@
 //! Fully-connected decoder layers (Fig 2's reconstruction stack).
 
-use pim_tensor::{matmul_into, simd, QuantDType, Tensor};
+use pim_tensor::{matmul_into, uhat_project, Tensor, UhatWeights};
 
 use crate::error::CapsNetError;
 use crate::layers::conv::Activation;
@@ -108,10 +108,19 @@ impl DenseLayer {
         Ok(out)
     }
 
-    /// Allocation-free [`Self::forward`]: writes the activations into `out`
-    /// (resized in place), with the GEMM running through
-    /// [`pim_tensor::matmul_into`] so a warm buffer makes the whole layer
+    /// [`Self::forward`] into a caller buffer: writes the activations into
+    /// `out` (resized in place). An `f32` weight runs the GEMM through
+    /// [`pim_tensor::matmul_into`], so a warm buffer makes the layer
     /// zero-allocation.
+    ///
+    /// A quantized weight runs through [`pim_tensor::uhat_project`] as one
+    /// capsule instead. Each output accumulates `fma(x, w, acc)` over the
+    /// `in` rows in ascending order from `+0.0`, with `w` dequantized by the
+    /// tile's strip loaders, so the result does not depend on the SIMD
+    /// level. Zero inputs are not skipped: an fp16 weight of ±Inf or NaN
+    /// makes a `x == 0.0` term NaN, as it does in û. That path allocates
+    /// the projection's per-call window list; the decoder runs only in
+    /// `CapsNet::reconstruct`, so it is not held to zero allocation.
     ///
     /// # Errors
     ///
@@ -138,39 +147,14 @@ impl DenseLayer {
                     output_dim,
                 );
             }
-            WeightRef::Quant(q) => {
-                // Row-major W [in, out]: accumulate x[r][k] · W[k, :] into
-                // out[r, :] through the fused dequantize kernels — the
-                // quantized rows stream straight from the stored bytes.
-                let bytes = q.bytes();
-                let eb = q.dtype().elem_bytes();
-                let x = input.as_slice();
-                let data = out.as_mut_slice();
-                data.fill(0.0);
-                for r in 0..rows {
-                    let orow = &mut data[r * output_dim..(r + 1) * output_dim];
-                    for k in 0..input_dim {
-                        let xv = x[r * input_dim + k];
-                        if xv == 0.0 {
-                            continue;
-                        }
-                        let block = q.block_at(k * output_dim);
-                        let off = k * output_dim * eb;
-                        match q.dtype() {
-                            QuantDType::I8 => simd::axpy_i8(
-                                xv,
-                                &bytes[off..off + output_dim],
-                                block.scale,
-                                block.zero_point,
-                                orow,
-                            ),
-                            QuantDType::F16 => {
-                                simd::axpy_f16(xv, &bytes[off..off + output_dim * 2], orow)
-                            }
-                        }
-                    }
-                }
-            }
+            // The weight as one capsule (`L = 1`, `C_L = in`, `N = out`)
+            // on the û tile: its strip loaders decode the stored bytes.
+            WeightRef::Quant(q) => uhat_project(
+                input.as_slice(),
+                UhatWeights::Quant(q),
+                out.as_mut_slice(),
+                (rows, 1, input_dim, output_dim),
+            ),
         }
         let bias = self.bias.as_slice();
         let data = out.as_mut_slice();
@@ -187,6 +171,7 @@ impl DenseLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_tensor::{f16_to_f32, QuantDType, QuantTensor};
 
     #[test]
     fn forward_shape() {
@@ -224,7 +209,6 @@ mod tests {
 
     #[test]
     fn quantized_weight_forward_tracks_dequantized_f32() {
-        use pim_tensor::QuantTensor;
         let layer = DenseLayer::seeded(8, 4, Activation::Sigmoid, 5);
         let x = Tensor::uniform(&[3, 8], -1.0, 1.0, 6);
         let w = layer.weight().expect_f32();
@@ -253,8 +237,73 @@ mod tests {
     }
 
     #[test]
+    fn quantized_forward_matches_the_row_axpy_loop_bitwise() {
+        // Three unequal affine blocks over the 11 input rows.
+        let (input, block_rows) = (11usize, [2usize, 5, 4]);
+        for out_dim in [1usize, 15, 16, 17, 40] {
+            let w = Tensor::uniform(&[input, out_dim], -0.7, 0.7, out_dim as u64);
+            let bias = Tensor::uniform(&[out_dim], -0.1, 0.1, 3);
+            for dtype in [QuantDType::I8, QuantDType::F16] {
+                let q = QuantTensor::quantize(dtype, w.as_slice(), &[input, out_dim], &block_rows)
+                    .unwrap();
+                let layer = DenseLayer::from_weight_view(
+                    crate::WeightView::Quant(q.clone()),
+                    bias.clone(),
+                    Activation::Linear,
+                )
+                .unwrap();
+                let bytes = q.bytes();
+                let deq = |e: usize| match dtype {
+                    QuantDType::I8 => {
+                        let p = q.block_at(e);
+                        (i32::from(bytes[e] as i8) - p.zero_point) as f32 * p.scale
+                    }
+                    QuantDType::F16 => {
+                        f16_to_f32(u16::from_le_bytes([bytes[2 * e], bytes[2 * e + 1]]))
+                    }
+                };
+                for batch in [1usize, 5, 6, 7, 13] {
+                    let mut x = Tensor::uniform(&[batch, input], -1.0, 1.0, batch as u64);
+                    for (k, v) in x.as_mut_slice().iter_mut().enumerate() {
+                        match k % 5 {
+                            1 => *v = 0.0,
+                            3 => *v = -0.0,
+                            _ => {}
+                        }
+                    }
+                    // The old decoder loop: per sample and input row, skip
+                    // `x == 0.0`, else one fused multiply-add per output.
+                    let mut want = vec![0.0f32; batch * out_dim];
+                    for r in 0..batch {
+                        let orow = &mut want[r * out_dim..(r + 1) * out_dim];
+                        for k in 0..input {
+                            let xv = x.as_slice()[r * input + k];
+                            if xv == 0.0 {
+                                continue;
+                            }
+                            for (c, o) in orow.iter_mut().enumerate() {
+                                *o = xv.mul_add(deq(k * out_dim + c), *o);
+                            }
+                        }
+                        for (o, b) in orow.iter_mut().zip(bias.as_slice()) {
+                            *o += b;
+                        }
+                    }
+                    let got = layer.forward(&x).unwrap();
+                    for (k, (g, w_)) in got.as_slice().iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w_.to_bits(),
+                            "{dtype:?} out={out_dim} batch={batch} element {k}: {g} vs {w_}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn quantized_weight_rejects_bias_mismatch() {
-        use pim_tensor::QuantTensor;
         let q = QuantTensor::quantize(QuantDType::F16, &[0.25; 32], &[8, 4], &[8]).unwrap();
         assert!(DenseLayer::from_weight_view(
             crate::WeightView::Quant(q),

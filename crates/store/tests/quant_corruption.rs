@@ -2,11 +2,12 @@
 //! inside the per-partition affine-parameter block, flipped bytes in int8
 //! and fp16 payloads, forged dtype tags with *valid* table checksums, and
 //! a valid-checksum artifact declaring an unknown future dtype — all
-//! typed [`StoreError`]s, never a panic.
+//! typed [`StoreError`]s, never a panic. An int8 partition boundary moved
+//! inside a capsule is rejected too, even with every checksum recomputed.
 
 use capsnet::{CapsNet, CapsNetSpec};
 use pim_store::format::Header;
-use pim_store::hash::hash64;
+use pim_store::hash::{hash64, Hasher};
 use pim_store::{MappedModel, ModelWriter, QuantSpec, StoreError, StoredModel};
 use pim_tensor::QuantDType;
 
@@ -50,6 +51,13 @@ struct RecordSpan {
     /// Offset of the first partition's affine scale bytes (int8 records
     /// only), relative to the table start.
     first_params_at: Option<usize>,
+    /// Offset of the first partition's `(offset, elems)` pair, relative to
+    /// the table start.
+    first_part_at: usize,
+    /// Bytes per partition entry.
+    part_len: usize,
+    /// Partition count.
+    parts: usize,
 }
 
 fn find_record(table: &[u8], want: &str) -> RecordSpan {
@@ -68,6 +76,9 @@ fn find_record(table: &[u8], want: &str) -> RecordSpan {
             return RecordSpan {
                 dtype_at,
                 first_params_at,
+                first_part_at: parts_at + 4,
+                part_len,
+                parts,
             };
         }
         pos = parts_at + 4 + parts * part_len + 8;
@@ -86,6 +97,61 @@ fn forge_table(bytes: &mut [u8], patch: impl FnOnce(&mut [u8], &RecordSpan), wan
     patch(&mut bytes[start..end - 8], &span);
     let sum = hash64(&bytes[start..end - 8]);
     bytes[end - 8..end].copy_from_slice(&sum.to_le_bytes());
+}
+
+fn u64_at(table: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(table[at..at + 8].try_into().unwrap())
+}
+
+#[test]
+fn an_int8_partition_boundary_inside_a_capsule_is_rejected() {
+    let dir = tmp_dir("split_capsule");
+    let (path, bytes) = quant_artifact_bytes(&dir, QuantDType::I8);
+    // Move the first boundary 4 elements (4 bytes, keeping the offset
+    // word-aligned) into the second capsule: partition 0 grows, partition
+    // 1 starts later. Element counts still sum to the volume.
+    let mut forged = bytes.clone();
+    forge_table(
+        &mut forged,
+        |table, span| {
+            assert!(span.parts >= 2, "caps.weight must be vault-partitioned");
+            let p0 = span.first_part_at;
+            let p1 = p0 + span.part_len;
+            let (e0, o1, e1) = (
+                u64_at(table, p0 + 8),
+                u64_at(table, p1),
+                u64_at(table, p1 + 8),
+            );
+            table[p0 + 8..p0 + 16].copy_from_slice(&(e0 + 4).to_le_bytes());
+            table[p1..p1 + 8].copy_from_slice(&(o1 + 4).to_le_bytes());
+            table[p1 + 8..p1 + 16].copy_from_slice(&(e1 - 4).to_le_bytes());
+            // Recompute the record's data checksum over the moved
+            // partitions, as the writer does.
+            let mut hasher = Hasher::new();
+            for k in 0..span.parts {
+                let at = span.first_part_at + k * span.part_len;
+                let (off, elems) = (u64_at(table, at) as usize, u64_at(table, at + 8) as usize);
+                hasher.update(&bytes[off..off + elems]);
+            }
+            let sum_at = span.first_part_at + span.parts * span.part_len;
+            table[sum_at..sum_at + 8].copy_from_slice(&hasher.finish().to_le_bytes());
+        },
+        "caps.weight",
+    );
+    std::fs::write(&path, &forged).unwrap();
+    // The owned loader builds the quantized weight at open; the mapped
+    // one when it hands the network out.
+    match StoredModel::open(&path) {
+        Err(StoreError::Tensor(_)) => {}
+        other => panic!("StoredModel accepted a split capsule: {other:?}"),
+    }
+    let mapped = MappedModel::open(&path).unwrap();
+    assert!(matches!(
+        mapped.weight_view("caps.weight"),
+        Err(StoreError::Tensor(_))
+    ));
+    assert!(mapped.capsnet().is_err());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -6,14 +6,15 @@
 //! module provides the storage side of that trade: a [`QuantTensor`] that
 //! keeps weights in their quantized byte form (owned, or shared zero-copy
 //! over an mmapped artifact via [`ByteBuf`]) plus the scalar reference
-//! codecs. The matching fused dequantize-and-accumulate kernels live in
-//! [`crate::simd`]; quantized weights are never materialized as an `f32`
-//! copy on the forward path.
+//! codecs. The register tile's strip loaders under [`crate::uhat_project`]
+//! dequantize as they accumulate; quantized weights are never materialized
+//! as an `f32` copy on the forward path.
 //!
 //! Quantization granularity is one affine `(scale, zero_point)` pair per
 //! **vault partition** (the stored split of a weight's leading dimension),
 //! mirroring the paper's per-vault weight distribution so every vault
-//! shard stays self-contained.
+//! shard stays self-contained. A block always covers whole rows of that
+//! leading dimension.
 
 use std::sync::Arc;
 
@@ -183,7 +184,7 @@ fn quantize_i8(x: f32, scale: f32, zero_point: i32) -> i8 {
     ((x / scale).round() as i64 + i64::from(zero_point)).clamp(-128, 127) as i8
 }
 
-/// Dequantizes one int8 value (the scalar reference the fused kernels are
+/// Dequantizes one int8 value (the scalar reference the strip loaders are
 /// bit-exact to): an exact integer subtract, an exact int→f32 convert, and
 /// one IEEE multiply.
 #[inline]
@@ -250,7 +251,7 @@ impl std::fmt::Debug for QuantStorage {
 }
 
 /// A tensor stored in quantized byte form, dequantized on the fly by the
-/// fused [`crate::simd`] kernels — the "typed quant view" the model layers
+/// strip loaders under [`crate::uhat_project`] — the "typed quant view" the model layers
 /// and the artifact readers exchange. Clones of shared-backed tensors are
 /// `Arc` bumps, never byte copies (mirroring [`Tensor`]).
 #[derive(Debug, Clone)]
@@ -276,13 +277,24 @@ impl QuantTensor {
                 actual: payload_len,
             });
         }
-        // Blocks must tile 0..volume contiguously.
+        // Blocks must tile 0..volume contiguously, in whole rows of the
+        // leading dimension (so every start is a row boundary too): the
+        // kernels read each row with one block's parameters.
+        let row: usize = dims
+            .get(1..)
+            .map_or(1, |d| d.iter().product::<usize>().max(1));
         let mut next = 0usize;
         for b in blocks {
             if b.start != next || b.elems == 0 {
                 return Err(TensorError::LengthMismatch {
                     expected: next,
                     actual: b.start,
+                });
+            }
+            if b.elems % row != 0 {
+                return Err(TensorError::LengthMismatch {
+                    expected: b.elems.next_multiple_of(row),
+                    actual: b.elems,
                 });
             }
             next += b.elems;
@@ -301,7 +313,8 @@ impl QuantTensor {
     /// # Errors
     ///
     /// [`TensorError::LengthMismatch`] when the payload length does not
-    /// match `dims` × element size, or the blocks do not tile the volume.
+    /// match `dims` × element size, or the blocks do not tile the volume
+    /// in whole rows of the leading dimension.
     pub fn from_bytes(
         dtype: QuantDType,
         bytes: Vec<u8>,
@@ -323,7 +336,8 @@ impl QuantTensor {
     /// # Errors
     ///
     /// [`TensorError::LengthMismatch`] when the window exceeds the buffer
-    /// or the blocks do not tile the volume.
+    /// or the blocks do not tile the volume in whole rows of the leading
+    /// dimension.
     pub fn from_shared(
         dtype: QuantDType,
         buf: Arc<dyn ByteBuf>,
@@ -670,6 +684,36 @@ mod tests {
             }],
         )
         .is_err());
+    }
+
+    #[test]
+    fn blocks_splitting_a_leading_row_are_rejected() {
+        // A [2, 3, 4] weight has 12-element rows; a block boundary at 10
+        // would give the first row's last two elements the second block's
+        // parameters.
+        let block = |start, elems| QuantBlock {
+            start,
+            elems,
+            scale: 0.5,
+            zero_point: 3,
+        };
+        let split = vec![block(0, 10), block(10, 14)];
+        let whole = vec![block(0, 12), block(12, 12)];
+        let dims = [2, 3, 4];
+        assert!(
+            QuantTensor::from_bytes(QuantDType::I8, vec![0; 24], &dims, split.clone()).is_err()
+        );
+        assert!(QuantTensor::from_bytes(QuantDType::I8, vec![0; 24], &dims, whole.clone()).is_ok());
+        let buf: Arc<dyn ByteBuf> = Arc::new(vec![0u8; 48]);
+        for (dtype, blocks, ok) in [
+            (QuantDType::I8, split.clone(), false),
+            (QuantDType::F16, split, false),
+            (QuantDType::I8, whole.clone(), true),
+            (QuantDType::F16, whole, true),
+        ] {
+            let got = QuantTensor::from_shared(dtype, Arc::clone(&buf), 0, &dims, blocks);
+            assert_eq!(got.is_ok(), ok, "{dtype:?}");
+        }
     }
 
     #[test]

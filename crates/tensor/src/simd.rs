@@ -16,6 +16,10 @@
 //!   equivalence suite pins the drift at ≤1e-5 relative error.
 //!
 //! Dispatch is decided once (first use) and cached; see [`SimdLevel`].
+//!
+//! Nothing here decodes quantized weights: int8 and fp16 are read only by
+//! the register tile's strip loaders under [`crate::uhat_project`], which serve
+//! both the capsule projection and the quantized dense layer.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64 as arch;
@@ -107,8 +111,9 @@ pub fn hardware_supports_avx2_fma() -> bool {
 }
 
 /// Whether the host CPU additionally offers F16C half-precision converts
-/// (the [`axpy_f16`] fast path; `is_x86_feature_detected!` caches the
-/// answer, so this is a load after the first call).
+/// (the fp16 strip loader's vector path under [`crate::uhat_project`];
+/// `is_x86_feature_detected!` caches the answer, so this is a load after
+/// the first call).
 pub fn hardware_supports_f16c() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -178,15 +183,6 @@ pub fn div_slice(xs: &mut [f32], denom: f32) {
 #[inline]
 pub fn exp_slice(xs: &mut [f32]) {
     dispatch!(scalar::exp_slice(xs), avx2::exp_slice(xs))
-}
-
-/// `xs[i] = 1 / sqrt(xs[i])` for every element.
-///
-/// Both paths compute an IEEE-rounded divide of an IEEE-rounded square
-/// root, so AVX2 results are bitwise identical to scalar here.
-#[inline]
-pub fn inv_sqrt_slice(xs: &mut [f32]) {
-    dispatch!(scalar::inv_sqrt_slice(xs), avx2::inv_sqrt_slice(xs))
 }
 
 /// Fused, numerically-stable softmax of one row:
@@ -299,42 +295,6 @@ pub fn mahalanobis_block(u: &[f32], m: &[f32], s: &[f32], out: &mut [f32], ch: u
     )
 }
 
-/// Fused int8-dequantize accumulate over the common prefix:
-/// `y[i] += alpha · dequant(q[i])` with
-/// `dequant(q) = (q as i8 − zero_point) · scale`.
-///
-/// This is the quantized-artifact hot-path kernel: the stored bytes stream
-/// straight from the (mmapped) payload and are never materialized as an
-/// `f32` copy. Both paths compute an exact integer subtract, an exact
-/// int→f32 convert, one IEEE multiply and one fused multiply-add per
-/// element, so scalar and AVX2 results are **bitwise identical**.
-#[inline]
-pub fn axpy_i8(alpha: f32, q: &[u8], scale: f32, zero_point: i32, y: &mut [f32]) {
-    dispatch!(
-        scalar::axpy_i8(alpha, q, scale, zero_point, y),
-        avx2::axpy_i8(alpha, q, scale, zero_point, y)
-    )
-}
-
-/// Fused fp16-dequantize accumulate: `y[i] += alpha · f16(h[2i..2i+2])`
-/// over little-endian binary16 bytes (`h.len() ≥ 2 · y.len()`; a byte
-/// slice because gathered vault partitions need not be 2-aligned).
-///
-/// Dispatches to `VCVTPH2PS` + FMA when the active level is AVX2+FMA *and*
-/// the CPU has F16C; the scalar reference decodes with
-/// [`crate::quant::f16_to_f32`]. Half→single conversion is exact in both
-/// paths, so results are **bitwise identical**.
-#[inline]
-pub fn axpy_f16(alpha: f32, h: &[u8], y: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma && hardware_supports_f16c() {
-        // SAFETY: Avx2Fma is only selected after feature detection, and
-        // F16C was just confirmed.
-        return unsafe { avx2::axpy_f16(alpha, h, y) };
-    }
-    scalar::axpy_f16(alpha, h, y)
-}
-
 /// The scalar reference kernels.
 ///
 /// These are public so equivalence tests can compare the dispatched path
@@ -381,14 +341,6 @@ pub mod scalar {
     pub fn exp_slice(xs: &mut [f32]) {
         for x in xs {
             *x = x.exp();
-        }
-    }
-
-    /// Scalar [`super::inv_sqrt_slice`].
-    #[inline]
-    pub fn inv_sqrt_slice(xs: &mut [f32]) {
-        for x in xs {
-            *x = 1.0 / x.sqrt();
         }
     }
 
@@ -490,26 +442,6 @@ pub mod scalar {
                 quad += diff * diff / s[base + d];
             }
             *o = quad;
-        }
-    }
-
-    /// Scalar [`super::axpy_i8`] (bit-exact reference: the `mul_add` is
-    /// what keeps it identical to the AVX2 FMA path).
-    #[inline]
-    pub fn axpy_i8(alpha: f32, q: &[u8], scale: f32, zero_point: i32, y: &mut [f32]) {
-        for (yv, &qb) in y.iter_mut().zip(q) {
-            let deq = (i32::from(qb as i8) - zero_point) as f32 * scale;
-            *yv = alpha.mul_add(deq, *yv);
-        }
-    }
-
-    /// Scalar [`super::axpy_f16`] (bit-exact reference).
-    #[inline]
-    pub fn axpy_f16(alpha: f32, h: &[u8], y: &mut [f32]) {
-        let n = (h.len() / 2).min(y.len());
-        for (i, yv) in y.iter_mut().take(n).enumerate() {
-            let x = crate::quant::f16_to_f32(u16::from_le_bytes([h[2 * i], h[2 * i + 1]]));
-            *yv = alpha.mul_add(x, *yv);
         }
     }
 }
@@ -663,31 +595,6 @@ pub mod avx2 {
         }
         while i < n {
             xs[i] /= denom;
-            i += 1;
-        }
-    }
-
-    /// AVX2 [`super::inv_sqrt_slice`] — IEEE `sqrt` + divide, bitwise equal
-    /// to scalar.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn inv_sqrt_slice(xs: &mut [f32]) {
-        let ones = _mm256_set1_ps(1.0);
-        let n = xs.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let v = _mm256_loadu_ps(xs.as_ptr().add(i));
-            _mm256_storeu_ps(
-                xs.as_mut_ptr().add(i),
-                _mm256_div_ps(ones, _mm256_sqrt_ps(v)),
-            );
-            i += LANES;
-        }
-        while i < n {
-            xs[i] = 1.0 / xs[i].sqrt();
             i += 1;
         }
     }
@@ -1123,63 +1030,6 @@ pub mod avx2 {
             *o = quad;
         }
     }
-
-    /// AVX2 [`super::axpy_i8`]: 8 bytes sign-extended with
-    /// `VPMOVSXBD`, integer zero-point subtract, exact int→float convert,
-    /// then `fma(alpha, deq, y)` — bitwise identical to the scalar
-    /// reference (`mul_add` tail).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy_i8(alpha: f32, q: &[u8], scale: f32, zero_point: i32, y: &mut [f32]) {
-        let n = q.len().min(y.len());
-        let va = _mm256_set1_ps(alpha);
-        let vs = _mm256_set1_ps(scale);
-        let vzp = _mm256_set1_epi32(zero_point);
-        let mut i = 0;
-        while i + LANES <= n {
-            let raw = _mm_loadl_epi64(q.as_ptr().add(i).cast());
-            let ints = _mm256_sub_epi32(_mm256_cvtepi8_epi32(raw), vzp);
-            let deq = _mm256_mul_ps(_mm256_cvtepi32_ps(ints), vs);
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_fmadd_ps(va, deq, yv));
-            i += LANES;
-        }
-        while i < n {
-            let deq = (i32::from(q[i] as i8) - zero_point) as f32 * scale;
-            y[i] = alpha.mul_add(deq, y[i]);
-            i += 1;
-        }
-    }
-
-    /// AVX2+F16C [`super::axpy_f16`]: 8 halves converted with `VCVTPH2PS`
-    /// (exact, like the scalar decode) then `fma(alpha, x, y)` — bitwise
-    /// identical to the scalar reference. Unaligned loads throughout
-    /// because gathered partition bytes need not be 2-aligned.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA **and** F16C.
-    #[target_feature(enable = "avx2,fma,f16c")]
-    pub unsafe fn axpy_f16(alpha: f32, h: &[u8], y: &mut [f32]) {
-        let n = (h.len() / 2).min(y.len());
-        let va = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + LANES <= n {
-            let raw = _mm_loadu_si128(h.as_ptr().add(2 * i).cast());
-            let xv = _mm256_cvtph_ps(raw);
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_fmadd_ps(va, xv, yv));
-            i += LANES;
-        }
-        while i < n {
-            let x = crate::quant::f16_to_f32(u16::from_le_bytes([h[2 * i], h[2 * i + 1]]));
-            y[i] = alpha.mul_add(x, y[i]);
-            i += 1;
-        }
-    }
 }
 
 /// Stub so `simd::avx2` paths compile out cleanly on non-x86 targets (the
@@ -1241,59 +1091,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_axpy_i8_bitwise_matches_scalar() {
-        for n in [0, 1, 5, 8, 13, 16, 31, 127] {
-            let q: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
-            let mut y1 = seq(n, 0.4);
-            let mut y2 = y1.clone();
-            axpy_i8(0.73, &q, 0.031, -17, &mut y1);
-            scalar::axpy_i8(0.73, &q, 0.031, -17, &mut y2);
-            assert_eq!(y1, y2, "n={n}");
-        }
-    }
-
-    #[test]
-    fn dispatched_axpy_f16_bitwise_matches_scalar() {
-        use crate::quant::f32_to_f16;
-        for n in [0, 1, 5, 8, 13, 16, 31, 127] {
-            let h: Vec<u8> = seq(n, 0.8)
-                .iter()
-                .flat_map(|&x| f32_to_f16(x * 40.0).to_le_bytes())
-                .collect();
-            let mut y1 = seq(n, 0.2);
-            let mut y2 = y1.clone();
-            axpy_f16(-0.41, &h, &mut y1);
-            scalar::axpy_f16(-0.41, &h, &mut y2);
-            assert_eq!(y1, y2, "n={n}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn hardware_f16_convert_matches_scalar_codec() {
-        // The scalar f16 codec must agree with VCVTPH2PS on every bit
-        // pattern our encoder can emit (all non-NaN halves plus the
-        // canonical NaN), so artifacts dequantize identically everywhere.
-        if !(hardware_supports_avx2_fma() && hardware_supports_f16c()) {
-            return;
-        }
-        for bits in 0..=u16::MAX {
-            let h = bits.to_le_bytes();
-            let padded = [h[0], h[1], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
-            let mut hw = [0.25f32; 8];
-            let mut sw = [0.25f32; 8];
-            // SAFETY: guarded by the feature checks above.
-            unsafe { avx2::axpy_f16(1.0, &padded, &mut hw) };
-            scalar::axpy_f16(1.0, &padded, &mut sw);
-            if crate::quant::f16_to_f32(bits).is_nan() {
-                assert!(hw[0].is_nan() && sw[0].is_nan(), "0x{bits:04X}");
-            } else {
-                assert_eq!(hw[0].to_bits(), sw[0].to_bits(), "0x{bits:04X}");
-            }
-        }
-    }
-
-    #[test]
     fn scale_add_beta_zero_ignores_stale_values() {
         let x = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
         let mut y = [f32::NAN; 9];
@@ -1340,17 +1137,6 @@ mod tests {
         assert_eq!(xs[4], 0.0);
         assert!((xs[5] - 1.0).abs() < 1e-6);
         assert_eq!(xs[6], f32::INFINITY);
-    }
-
-    #[test]
-    fn inv_sqrt_slice_bitwise_matches_scalar() {
-        let mut a: Vec<f32> = vec![1.0, 4.0, 0.25, 9.0, 1e-8, 1e8, 2.0, 3.0, 5.0, 7.0];
-        let mut b = a.clone();
-        inv_sqrt_slice(&mut a);
-        scalar::inv_sqrt_slice(&mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-        }
     }
 
     #[test]

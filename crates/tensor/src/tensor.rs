@@ -128,11 +128,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a one-filled tensor.
-    pub fn ones(dims: &[usize]) -> Self {
-        Self::full(dims, 1.0)
-    }
-
     /// Creates a tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
@@ -439,7 +434,6 @@ mod tests {
     #[test]
     fn constructors_fill_correctly() {
         assert!(Tensor::zeros(&[3]).as_slice().iter().all(|&x| x == 0.0));
-        assert!(Tensor::ones(&[3]).as_slice().iter().all(|&x| x == 1.0));
         assert!(Tensor::full(&[3], 2.5).as_slice().iter().all(|&x| x == 2.5));
     }
 

@@ -7,22 +7,35 @@
 //! `W_i` in 16-column strips and, per strip, the batch in balanced blocks
 //! of at most six rows: the 6 × 16 outputs live in twelve 8-lane
 //! accumulators across the whole `d = 0..C_L` reduction and are stored
-//! once. Nothing is read back
-//! from `out`, so the caller does not need to zero it.
+//! once. The caller does not need to zero `out`.
 //!
 //! The strip loader is generic — plain `f32` loads, int8 affine
 //! dequantize, fp16 convert — so the quantized arms decode a strip once per
-//! row block rather than once per sample.
+//! row block rather than once per sample. These loaders are the crate's
+//! only int8 / fp16 decode: the quantized dense layer runs here too, as one
+//! capsule (`L = 1`, `C_L = in`, `N = out`).
+//!
+//! An int8 capsule may overlap several affine blocks, as that dense weight
+//! does (one block per vault partition of its rows). The walk then runs
+//! once per block, over that block's run of `d` with its scale and zero
+//! point, and each later run starts its accumulators from the output the
+//! run before stored, as the GEMM's `k` panels do. The order of the steps
+//! is unchanged. Every capsule of a stored `[L, C_L, N]` weight lies inside
+//! one block (blocks cover whole rows of `L`), so it runs once, from zero,
+//! and never reads `out`.
 //!
 //! **Arithmetic contract.** Every output element accumulates its `C_L`
-//! products in ascending `d` from `+0.0`, with the step the previous
-//! row-`axpy` loops used: an unfused multiply then add for `f32`
-//! (`o += u·w`), one fused multiply-add for int8/fp16 (the
-//! [`simd::axpy_i8`] / [`simd::axpy_f16`] step). Results are therefore
-//! bitwise independent of SIMD level, batch size, row position and shard
-//! count. The old loops skipped `u == 0.0` terms; the tile does not.
-//! Dropping the skip is bit-safe for finite weights: the skipped term is
-//! `±0`, and an accumulator that starts at `+0.0` can never become `−0.0`.
+//! products in ascending `d` from `+0.0`. The `f32` step is an unfused
+//! multiply then add, `o += u·w`. The int8 step is one fused multiply-add
+//! `o = fma(u, (q − zero_point)·scale, o)`, where the subtract and convert
+//! are exact and the dequantizing multiply rounds once. The fp16 step is
+//! `o = fma(u, h, o)` with `h` the exact half-to-single convert. Results are
+//! therefore bitwise independent of SIMD level, batch size, row position
+//! and shard count. Terms with `u == 0.0` are not skipped, which is
+//! bit-safe against a loop that skips them as long as the weight is
+//! finite: the skipped term is `±0`, and an accumulator that starts at
+//! `+0.0` can never become `−0.0`. An fp16 weight of ±Inf or NaN turns a
+//! `u == 0.0` term into NaN.
 //!
 //! **Sharding** is over the `L` capsules — the paper's inter-vault
 //! L-dimension distribution (§5.1): each sample's `[L, N]` output row is
@@ -45,8 +58,9 @@ const LOOKAHEAD: usize = 4 * STRIP;
 pub enum UhatWeights<'a> {
     /// Dense `f32`.
     F32(&'a [f32]),
-    /// Quantized bytes; every affine block must cover whole capsules (the
-    /// store's vault partitioning splits the leading dimension).
+    /// Quantized bytes; every affine block must start on a row of `W`
+    /// (a multiple of `N` elements), as [`QuantTensor`] guarantees for a
+    /// `[L, C_L, N]` or `[C_L, N]` shape.
     Quant(&'a QuantTensor),
 }
 
@@ -58,7 +72,8 @@ pub enum UhatWeights<'a> {
 ///
 /// # Panics
 ///
-/// Panics when a slice length does not match `dims`.
+/// Panics when a slice length does not match `dims`, or when an int8
+/// block of `W` starts inside a row of `N` elements.
 pub fn uhat_project(
     u: &[f32],
     w: UhatWeights<'_>,
@@ -90,6 +105,11 @@ fn project(
     assert_eq!(w_len, l * cl * n, "W must be [L, C_L, N]");
     assert_eq!(out.len(), b * l * n, "out must be [B, L, N]");
     if out.is_empty() {
+        return;
+    }
+    if cl == 0 {
+        // An empty sum, and a quantized `W` with no blocks to run.
+        out.fill(0.0);
         return;
     }
     // Split every sample's [L, N] row at capsule boundaries: shard `t`
@@ -138,27 +158,42 @@ fn project_shard(
         match w {
             // The `f32` step is unfused: multiply, round, then add.
             UhatWeights::F32(w) => {
-                project_capsule(&F32Strip::<false>(&w[block]), u, rows, at, level)
+                project_capsule::<_, false>(&F32Strip::<false>(&w[block]), u, rows, at, level)
             }
             UhatWeights::Quant(q) => {
                 let bytes = q.bytes();
                 match q.dtype() {
                     QuantDType::I8 => {
-                        let params = q.block_at(block.start);
-                        debug_assert!(
-                            block.end <= params.start + params.elems,
-                            "partition split must fall on capsule boundaries"
-                        );
-                        let strip = I8Strip {
-                            q: &bytes[block],
-                            scale: params.scale,
-                            zero_point: params.zero_point,
-                        };
-                        project_capsule(&strip, u, rows, at, level);
+                        let blocks = q.blocks();
+                        let lo = blocks.partition_point(|p| p.start + p.elems <= block.start);
+                        let overlap = blocks[lo..].iter().take_while(|p| p.start < block.end);
+                        for (k, p) in overlap.enumerate() {
+                            let from = p.start.max(block.start);
+                            let to = (p.start + p.elems).min(block.end);
+                            assert!(
+                                from % n == 0 && to % n == 0,
+                                "an int8 block must start on a row of W"
+                            );
+                            let strip = I8Strip {
+                                q: &bytes[from..to],
+                                scale: p.scale,
+                                zero_point: p.zero_point,
+                            };
+                            let run = Capsule {
+                                u_off: at.u_off + (from - block.start) / n,
+                                cl: (to - from) / n,
+                                ..at
+                            };
+                            if k == 0 {
+                                project_capsule::<_, false>(&strip, u, rows, run, level);
+                            } else {
+                                project_capsule::<_, true>(&strip, u, rows, run, level);
+                            }
+                        }
                     }
                     QuantDType::F16 => {
                         let strip = F16Strip(&bytes[block.start * 2..block.end * 2]);
-                        project_capsule(&strip, u, rows, at, f16_level);
+                        project_capsule::<_, false>(&strip, u, rows, at, f16_level);
                     }
                 }
             }
@@ -166,8 +201,9 @@ fn project_shard(
     }
 }
 
-/// Where one capsule's operands sit: sample `k`'s input row starts at
-/// `u[k·u_stride + u_off]`, its output row at `rows[k][out_off]`.
+/// Where one capsule's operands (or one run's) sit: sample `k`'s input row
+/// starts at `u[k·u_stride + u_off]`, its output row at `rows[k][out_off]`;
+/// the reduction has `cl` steps.
 #[derive(Clone, Copy)]
 struct Capsule {
     u_off: usize,
@@ -200,7 +236,7 @@ impl Strip for I8Strip<'_> {
         // SAFETY: the caller keeps `idx + 8` inside the block, so the
         // 8-byte load is in bounds; the rest is register arithmetic — the
         // exact integer subtract, exact convert and one multiply of
-        // `simd::axpy_i8`.
+        // [`Strip::at`].
         unsafe {
             let raw = _mm_loadl_epi64(self.q.as_ptr().add(idx).cast());
             let ints = _mm256_sub_epi32(
@@ -247,8 +283,10 @@ impl Strip for F16Strip<'_> {
     }
 }
 
-/// Projects one capsule for every sample at `level`.
-fn project_capsule<S: Strip>(
+/// Projects one capsule for every sample at `level`. With `ACC` the
+/// accumulators start from the values in `rows` (a later run of an int8
+/// capsule that spans affine blocks) instead of from zero.
+fn project_capsule<S: Strip, const ACC: bool>(
     strip: &S,
     u: &[f32],
     rows: &mut [&mut [f32]],
@@ -262,14 +300,14 @@ fn project_capsule<S: Strip>(
         // strip only reaches here when F16C was detected too.
         return unsafe {
             if S::F16C {
-                capsule_avx2_f16c(strip, u, rows, at)
+                capsule_avx2_f16c::<S, ACC>(strip, u, rows, at)
             } else {
-                capsule_avx2(strip, u, rows, at)
+                capsule_avx2::<S, ACC>(strip, u, rows, at)
             }
         };
     }
     let _ = level;
-    capsule_tiles(strip, u, rows, at, 0);
+    capsule_tiles::<S, ACC>(strip, u, rows, at, 0);
 }
 
 /// The AVX2+FMA instantiation of the tile walk.
@@ -279,9 +317,14 @@ fn project_capsule<S: Strip>(
 /// Requires AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn capsule_avx2<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f32]], at: Capsule) {
+unsafe fn capsule_avx2<S: Strip, const ACC: bool>(
+    strip: &S,
+    u: &[f32],
+    rows: &mut [&mut [f32]],
+    at: Capsule,
+) {
     // SAFETY: forwarded — the caller guarantees AVX2+FMA.
-    unsafe { capsule_vector(strip, u, rows, at) }
+    unsafe { capsule_vector::<S, ACC>(strip, u, rows, at) }
 }
 
 /// The AVX2+FMA+F16C instantiation, for the fp16 strip's vector convert.
@@ -291,9 +334,14 @@ unsafe fn capsule_avx2<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f32]], 
 /// Requires AVX2+FMA and F16C.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma,f16c")]
-unsafe fn capsule_avx2_f16c<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f32]], at: Capsule) {
+unsafe fn capsule_avx2_f16c<S: Strip, const ACC: bool>(
+    strip: &S,
+    u: &[f32],
+    rows: &mut [&mut [f32]],
+    at: Capsule,
+) {
     // SAFETY: forwarded — the caller guarantees the features.
-    unsafe { capsule_vector(strip, u, rows, at) }
+    unsafe { capsule_vector::<S, ACC>(strip, u, rows, at) }
 }
 
 /// Full 16-column strips through the vector tile, the column tail (and
@@ -305,7 +353,12 @@ unsafe fn capsule_avx2_f16c<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f3
 /// `#[target_feature]` caller.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn capsule_vector<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f32]], at: Capsule) {
+unsafe fn capsule_vector<S: Strip, const ACC: bool>(
+    strip: &S,
+    u: &[f32],
+    rows: &mut [&mut [f32]],
+    at: Capsule,
+) {
     let full = at.n / STRIP * STRIP;
     let mut j = 0;
     while j < full {
@@ -324,18 +377,18 @@ unsafe fn capsule_vector<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f32]]
             // and `block.end ≤ rows.len()`.
             unsafe {
                 tile::with_rows!(block.len(), R => {
-                    tile_vector::<S, R>(strip, u, rows, at, block.start, j, hint)
+                    tile_vector::<S, R, ACC>(strip, u, rows, at, block.start, j, hint)
                 })
             }
             hint = None;
         }
         j += STRIP;
     }
-    capsule_tiles(strip, u, rows, at, full);
+    capsule_tiles::<S, ACC>(strip, u, rows, at, full);
 }
 
-/// `R` rows × 16 columns: the shared tile from zero across the whole
-/// `d = 0..C_L` reduction, stored once.
+/// `R` rows × 16 columns: the shared tile from zero (or, with `ACC`, from
+/// the outputs) across the whole `d = 0..C_L` reduction, stored once.
 ///
 /// # Safety
 ///
@@ -343,7 +396,7 @@ unsafe fn capsule_vector<S: Strip>(strip: &S, u: &[f32], rows: &mut [&mut [f32]]
 /// `r0 + R ≤ rows.len()`, and the operand extents [`project`] asserts.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile_vector<S: Strip, const R: usize>(
+unsafe fn tile_vector<S: Strip, const R: usize, const ACC: bool>(
     strip: &S,
     u: &[f32],
     rows: &mut [&mut [f32]],
@@ -361,11 +414,18 @@ unsafe fn tile_vector<S: Strip, const R: usize>(
     };
     // SAFETY: `project` asserted `u` is [B, L, C_L] and `rows` holds B
     // windows of [caps, N], so for k < B the tile's reads `u[k·u_stride +
-    // u_off + d]` (d < C_L) and the 16-float stores at `rows[k][out_off +
-    // j]` (j + 16 ≤ N) are in bounds, and `C_L·N` is the strip's length.
+    // u_off + d]` (d < C_L) and the 16-float loads and stores at
+    // `rows[k][out_off + j]` (j + 16 ≤ N) are in bounds, and `C_L·N` is the
+    // strip's length.
     unsafe {
-        let zero = [[_mm256_setzero_ps(); 2]; R];
-        let acc = tile::tile_vector::<S, R>(strip, (at.n, j), lhs, 0..at.cl, hint, zero);
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        if ACC {
+            for (r, a) in acc.iter_mut().enumerate() {
+                let src = rows[r0 + r].as_ptr().add(at.out_off + j);
+                *a = [_mm256_loadu_ps(src), _mm256_loadu_ps(src.add(8))];
+            }
+        }
+        let acc = tile::tile_vector::<S, R>(strip, (at.n, j), lhs, 0..at.cl, hint, acc);
         for (r, a) in acc.iter().enumerate() {
             let dst = rows[r0 + r].as_mut_ptr().add(at.out_off + j);
             _mm256_storeu_ps(dst, a[0]);
@@ -378,7 +438,7 @@ unsafe fn tile_vector<S: Strip, const R: usize>(
 /// blocks, same per-element step as the vector tile. It is the whole
 /// kernel at [`SimdLevel::Scalar`] and the column tail of the vector walk.
 #[inline(always)]
-fn capsule_tiles<S: Strip>(
+fn capsule_tiles<S: Strip, const ACC: bool>(
     strip: &S,
     u: &[f32],
     rows: &mut [&mut [f32]],
@@ -389,6 +449,7 @@ fn capsule_tiles<S: Strip>(
     let mut j = from;
     while j < n {
         let width = STRIP.min(n - j);
+        let cols = at.out_off + j..at.out_off + j + width;
         for (r0, block) in rows.chunks_mut(ROWS).enumerate() {
             let lhs = Lhs {
                 data: u,
@@ -396,10 +457,15 @@ fn capsule_tiles<S: Strip>(
                 stride: at.u_stride,
             };
             let mut acc = [[0.0f32; STRIP]; ROWS];
+            if ACC {
+                for (a, row) in acc.iter_mut().zip(block.iter()) {
+                    a[..width].copy_from_slice(&row[cols.clone()]);
+                }
+            }
             let live = &mut acc[..block.len()];
             tile::tile_scalar(strip, (n, j, width), lhs, 0..at.cl, live);
             for (row, a) in block.iter_mut().zip(&acc) {
-                row[at.out_off + j..at.out_off + j + width].copy_from_slice(&a[..width]);
+                row[cols.clone()].copy_from_slice(&a[..width]);
             }
         }
         j += width;
@@ -438,11 +504,17 @@ mod tests {
                         UhatWeights::Quant(q) => match q.dtype() {
                             QuantDType::I8 => {
                                 let p = q.block_at(off);
-                                let bytes = &q.bytes()[off..off + n];
-                                simd::axpy_i8(uv, bytes, p.scale, p.zero_point, orow);
+                                for (o, &qb) in orow.iter_mut().zip(&q.bytes()[off..off + n]) {
+                                    let deq = (i32::from(qb as i8) - p.zero_point) as f32 * p.scale;
+                                    *o = uv.mul_add(deq, *o);
+                                }
                             }
                             QuantDType::F16 => {
-                                simd::axpy_f16(uv, &q.bytes()[off * 2..(off + n) * 2], orow);
+                                let halves = q.bytes()[off * 2..(off + n) * 2].chunks_exact(2);
+                                for (o, h) in orow.iter_mut().zip(halves) {
+                                    let deq = f16_to_f32(u16::from_le_bytes([h[0], h[1]]));
+                                    *o = uv.mul_add(deq, *o);
+                                }
                             }
                         },
                     }
@@ -490,10 +562,16 @@ mod tests {
             // store's vault partitioning does.
             let quantized = [QuantDType::I8, QuantDType::F16]
                 .map(|dtype| QuantTensor::quantize(dtype, &w, &[l, cl, n], &[3, 4]).unwrap());
+            // Blocks of rows that end inside capsules, as the quantized
+            // dense layer's weight (one capsule) has: capsule 2 spans rows
+            // 18..27 and all three blocks.
+            let rows =
+                QuantTensor::quantize(QuantDType::I8, &w, &[l * cl, n], &[20, 4, 39]).unwrap();
             let weights = [
                 ("f32", UhatWeights::F32(&w)),
                 ("int8", UhatWeights::Quant(&quantized[0])),
                 ("fp16", UhatWeights::Quant(&quantized[1])),
+                ("int8 row blocks", UhatWeights::Quant(&rows)),
             ];
             // Every block height, alone and in balanced splits.
             for b in (1usize..=7).chain([12, 13, 16]) {
@@ -510,6 +588,104 @@ mod tests {
                             assert_bits(&got, &want, &what);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "an int8 block must start on a row of W")]
+    fn an_int8_block_inside_a_row_panics() {
+        // A flat weight admits any block boundary; 0..6 ends mid-row.
+        let blocks = [(0, 6), (6, 6)].map(|(start, elems)| crate::quant::QuantBlock {
+            start,
+            elems,
+            scale: 1.0,
+            zero_point: 0,
+        });
+        let q =
+            QuantTensor::from_bytes(QuantDType::I8, vec![1; 12], &[12], blocks.to_vec()).unwrap();
+        let mut out = vec![0.0f32; 4];
+        uhat_project(&[1.0; 3], UhatWeights::Quant(&q), &mut out, (1, 1, 3, 4));
+    }
+
+    #[test]
+    fn quantized_levels_agree_bitwise_on_special_payloads() {
+        let (l, cl, n) = (3usize, 6usize, 21usize);
+        let len = l * cl * n;
+        let blocks = |scale: f32| {
+            (0..l)
+                .map(|i| crate::quant::QuantBlock {
+                    start: i * cl * n,
+                    elems: cl * n,
+                    scale: scale * (i + 1) as f32,
+                    zero_point: i as i32 * 40 - 40,
+                })
+                .collect::<Vec<_>>()
+        };
+        // Every byte value, and halves that mix ordinary values with ±Inf,
+        // quiet and signalling NaNs, ±subnormals and ±0.
+        let i8_bytes: Vec<u8> = (0..len).map(|k| (k * 37 + 11) as u8).collect();
+        let specials = [
+            0x7C00u16, 0xFC00, 0x7E00, 0x7C01, 0xFE55, 0x0001, 0x83FF, 0x8000,
+        ];
+        let f16_bytes: Vec<u8> = (0..len)
+            .map(|k| match k % 4 {
+                0 => specials[(k / 4) % specials.len()],
+                _ => crate::quant::f32_to_f16(((k as f32) * 0.37).sin() * 3.0),
+            })
+            .flat_map(u16::to_le_bytes)
+            .collect();
+        let weights = [
+            QuantTensor::from_bytes(QuantDType::I8, i8_bytes, &[l, cl, n], blocks(0.03)),
+            QuantTensor::from_bytes(QuantDType::F16, f16_bytes, &[l, cl, n], blocks(1.0)),
+        ]
+        .map(Result::unwrap);
+        for q in &weights {
+            for b in [1usize, 6, 7] {
+                let dims = (b, l, cl, n);
+                let u = inputs(b, l, cl, b as u64);
+                let mut want = vec![0.0f32; b * l * n];
+                project(
+                    &u,
+                    UhatWeights::Quant(q),
+                    &mut want,
+                    dims,
+                    1,
+                    SimdLevel::Scalar,
+                );
+                for level in levels() {
+                    for shards in 1..=3 {
+                        let mut got = vec![0.0f32; b * l * n];
+                        project(&u, UhatWeights::Quant(q), &mut got, dims, shards, level);
+                        let what = format!("{:?} b={b} {level:?} shards={shards}", q.dtype());
+                        assert_bits(&got, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// VCVTPH2PS and the scalar codec agree on every half; NaNs stay NaN.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn hardware_f16_convert_matches_scalar_codec() {
+        if !(simd::hardware_supports_avx2_fma() && simd::hardware_supports_f16c()) {
+            return;
+        }
+        let bytes: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        let strip = F16Strip(&bytes);
+        for idx in (0..=u16::MAX as usize).step_by(8) {
+            let mut hw = [0.0f32; 8];
+            // SAFETY: AVX2 and F16C were detected above, and `idx + 8`
+            // halves lie inside the 65 536-half strip.
+            unsafe { std::arch::x86_64::_mm256_storeu_ps(hw.as_mut_ptr(), strip.load8(idx)) };
+            for (k, h) in hw.iter().enumerate() {
+                let sw = strip.at(idx + k);
+                if sw.is_nan() {
+                    assert!(h.is_nan(), "0x{:04X}", idx + k);
+                } else {
+                    assert_eq!(h.to_bits(), sw.to_bits(), "0x{:04X}", idx + k);
                 }
             }
         }
