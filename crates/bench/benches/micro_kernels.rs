@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks: wall-clock performance of the library's hot
-//! paths (exact vs approximate special functions, routing, GEMM, û, address
-//! mapping, the phase-level HMC engine).
+//! paths (exact vs approximate special functions, routing, GEMM, the
+//! convolutions, û, address mapping, the phase-level HMC engine).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -10,7 +10,10 @@ use hmc_sim::{AddressMapping, DefaultMapping, HmcConfig, PhaseEngine, PimMapping
 use pim_approx::{fast_div, fast_exp, fast_inv_sqrt};
 use pim_capsnet::distribution::Dimension;
 use pim_capsnet::intra::{build_rp_phases, AddressingMode};
-use pim_tensor::{matmul_into, uhat_project, Tensor, UhatWeights};
+use pim_tensor::{
+    conv2d_pretransposed_into, matmul_into, uhat_project, Conv2dScratch, Conv2dSpec, Tensor,
+    UhatWeights,
+};
 
 fn bench_special_funcs(c: &mut Criterion) {
     let mut g = c.benchmark_group("special_funcs");
@@ -87,7 +90,9 @@ fn bench_routing(c: &mut Criterion) {
 
 /// The GEMM at the serve benchmark's convolution shapes (`m` = batch ×
 /// output pixels, `k` = `C·k·k`, `n` = output channels), at `max_batch` and
-/// at batch 1. Rows run as [`pim_tensor::par::plan_threads`] shards them;
+/// at batch 1. These rows are plain `[m, k]` × `[k, n]` products from an
+/// explicit matrix; the forward's convolutions read the image instead and
+/// are the `conv/` rows. Rows run as [`pim_tensor::par::plan_threads`] shards them;
 /// on a multi-core host the table is printed again from a child pinned to
 /// one core by `taskset` (the thread count is cached from the affinity
 /// mask at first use), which is the pair the shared `PAR_MIN_WORK` is
@@ -149,6 +154,66 @@ fn bench_gemm(c: &mut Criterion) {
         if !pinned.is_ok_and(|status| status.success()) {
             println!("gemm rows on one thread: `taskset -c 0` could not run this bench");
         }
+    }
+}
+
+/// `conv2d_pretransposed_into`, what the forward runs for Conv and
+/// PrimaryCaps: one GEMM whose rows are read from the input feature map in
+/// place. GFLOP/s counts the same `2·m·k·n` as the `gemm/` rows.
+fn bench_conv(c: &mut Criterion) {
+    println!(
+        "conv rows: GFLOP/s = 2·(B·oh·ow)·(C·k·k)·out_c / time (simd: {}, threads: {})",
+        pim_tensor::simd::active_level().name(),
+        pim_tensor::par::available_threads()
+    );
+    // (name, [B, C, H, W], kernel, stride, out_c)
+    for (shape, dims, kernel, stride, out_c) in [
+        (
+            "mnist_primary_b8",
+            [8usize, 256, 20, 20],
+            9usize,
+            2usize,
+            256usize,
+        ),
+        ("mnist_primary_b1", [1, 256, 20, 20], 9, 2, 256),
+        ("mnist_conv1_b8", [8, 1, 28, 28], 9, 1, 256),
+        ("stream_primary_b16", [16, 16, 8, 8], 3, 2, 8_192),
+        ("stream_primary_b1", [1, 16, 8, 8], 3, 2, 8_192),
+    ] {
+        let spec = Conv2dSpec::new(kernel, stride, 0);
+        let ckk = dims[1] * kernel * kernel;
+        // ReLU-sparse, as conv1 hands its map to the primary convolution.
+        let input = Tensor::uniform(&dims, -1.0, 1.0, 2).relu();
+        let weight_t = Tensor::uniform(&[ckk, out_c], -1.0, 1.0, 3);
+        let bias = Tensor::uniform(&[out_c], -0.1, 0.1, 4);
+        let (mut out, mut scratch) = (Tensor::zeros(&[0]), Conv2dScratch::default());
+        let mut g = c.benchmark_group("conv");
+        g.sample_size(10);
+        g.bench_function(shape, |bch| {
+            bch.iter(|| {
+                conv2d_pretransposed_into(
+                    black_box(&input),
+                    &weight_t,
+                    Some(&bias),
+                    spec,
+                    &mut out,
+                    &mut scratch,
+                )
+                .unwrap()
+            })
+        });
+        g.finish();
+        // Nothing is measured in `--test` mode or when filtered out.
+        let Some(ns) = c.take_results().last().map(|r| r.ns_per_iter) else {
+            continue;
+        };
+        let pixels = out.len() / out_c;
+        let flops = 2.0 * (pixels * ckk * out_c) as f64;
+        println!(
+            "conv/{shape}: {:.3} ms, {:.1} GFLOP/s",
+            ns / 1e6,
+            flops / ns
+        );
     }
 }
 
@@ -237,6 +302,7 @@ criterion_group!(
     bench_special_funcs,
     bench_routing,
     bench_gemm,
+    bench_conv,
     bench_uhat_project,
     bench_addressing,
     bench_phase_engine

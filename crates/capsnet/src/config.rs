@@ -137,29 +137,16 @@ impl CapsNetSpec {
 
     /// Spatial size after the first convolution.
     pub fn conv1_out_hw(&self) -> Result<(usize, usize), CapsNetError> {
-        let f = |d: usize| -> Result<usize, CapsNetError> {
-            if d < self.conv1_kernel {
-                return Err(CapsNetError::InvalidSpec(format!(
-                    "conv1 kernel {} larger than input {d}",
-                    self.conv1_kernel
-                )));
-            }
-            Ok((d - self.conv1_kernel) / self.conv1_stride + 1)
-        };
+        let f = |d| conv_extent("conv1", "input", d, self.conv1_kernel, self.conv1_stride);
         Ok((f(self.input_hw.0)?, f(self.input_hw.1)?))
     }
 
     /// Spatial grid of the PrimaryCaps layer.
     pub fn primary_grid(&self) -> Result<(usize, usize), CapsNetError> {
         let (h, w) = self.conv1_out_hw()?;
-        let f = |d: usize| -> Result<usize, CapsNetError> {
-            if d < self.primary_kernel {
-                return Err(CapsNetError::InvalidSpec(format!(
-                    "primary kernel {} larger than conv1 output {d}",
-                    self.primary_kernel
-                )));
-            }
-            Ok((d - self.primary_kernel) / self.primary_stride + 1)
+        let f = |d| {
+            let (kernel, stride) = (self.primary_kernel, self.primary_stride);
+            conv_extent("primary", "conv1 output", d, kernel, stride)
         };
         Ok((f(h)?, f(w)?))
     }
@@ -211,6 +198,33 @@ impl CapsNetSpec {
     }
 }
 
+/// Output extent of the `layer` convolution (no padding) over an input
+/// extent `d`, the `input` of the message.
+///
+/// # Errors
+///
+/// [`CapsNetError::InvalidSpec`] for a zero kernel or stride, or a kernel
+/// wider than `d`.
+fn conv_extent(
+    layer: &str,
+    input: &str,
+    d: usize,
+    kernel: usize,
+    stride: usize,
+) -> Result<usize, CapsNetError> {
+    if kernel == 0 || stride == 0 {
+        return Err(CapsNetError::InvalidSpec(format!(
+            "{layer} kernel and stride must be > 0, not {kernel} and {stride}"
+        )));
+    }
+    if d < kernel {
+        return Err(CapsNetError::InvalidSpec(format!(
+            "{layer} kernel {kernel} larger than {input} {d}"
+        )));
+    }
+    Ok((d - kernel) / stride + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +261,28 @@ mod tests {
         let mut s = CapsNetSpec::tiny_for_tests();
         s.decoder_dims.clear();
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn zero_kernels_and_strides_are_invalid_specs() {
+        type Field = fn(&mut CapsNetSpec) -> &mut usize;
+        let fields: [(&str, Field); 4] = [
+            ("conv1_kernel", |s| &mut s.conv1_kernel),
+            ("conv1_stride", |s| &mut s.conv1_stride),
+            ("primary_kernel", |s| &mut s.primary_kernel),
+            ("primary_stride", |s| &mut s.primary_stride),
+        ];
+        for (name, field) in fields {
+            let mut s = CapsNetSpec::tiny_for_tests();
+            *field(&mut s) = 0;
+            match s.validate() {
+                Err(CapsNetError::InvalidSpec(msg)) => {
+                    assert!(msg.contains("must be > 0"), "{name}: {msg}")
+                }
+                other => panic!("{name} = 0: expected InvalidSpec, got {other:?}"),
+            }
+            assert!(s.l_caps().is_err(), "{name} = 0");
+        }
     }
 
     #[test]

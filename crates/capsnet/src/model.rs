@@ -77,16 +77,15 @@ fn argmax_rows_into(data: &[f32], b: usize, h: usize, out: &mut Vec<usize>) {
 /// problem seen). All buffers are resized in place, so after the first
 /// call at a given geometry, forward passes allocate no buffer.
 ///
-/// Storage is shared by lifetime: both convolutions unfold into one
-/// im2col slab, and `û` is written into that same slab. The slab is dead
-/// once the primary capsules exist, and at the MNIST geometry it is four
-/// times the size of `û`, so a separate `û` buffer would raise peak memory
-/// for nothing.
+/// Both convolutions read their input feature map in place (no im2col
+/// matrix; the conv scratch stays empty for CapsNet's unpadded layers), so
+/// the largest buffers are the feature maps and `û`, each held once.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardArena {
     conv1_out: Tensor,
     primary_conv: Tensor,
     primary_caps: Tensor,
+    u_hat: Tensor,
     conv_scratch: Conv2dScratch,
     routing: RoutingArena,
     norms: Vec<f32>,
@@ -104,6 +103,7 @@ impl ForwardArena {
         let tensors = self.conv1_out.capacity()
             + self.primary_conv.capacity()
             + self.primary_caps.capacity()
+            + self.u_hat.capacity()
             + self.norms.capacity();
         tensors * std::mem::size_of::<f32>()
             + self.conv_scratch.capacity_bytes()
@@ -515,11 +515,10 @@ impl CapsNet {
             &mut arena.primary_conv,
             &mut arena.conv_scratch,
         )?;
-        // The im2col slab is dead from here on: û takes it over.
         self.caps.forward_into(
             &arena.primary_caps,
             backend,
-            arena.conv_scratch.slab_mut(),
+            &mut arena.u_hat,
             &mut arena.routing,
         )?;
 

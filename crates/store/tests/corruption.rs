@@ -2,8 +2,9 @@
 //! wrong format versions must all be rejected with typed errors — never a
 //! panic, never a silently-wrong model.
 
-use capsnet::{CapsNet, CapsNetSpec};
+use capsnet::{CapsNet, CapsNetError, CapsNetSpec};
 use pim_store::format::{Header, FORMAT_VERSION, HEADER_LEN};
+use pim_store::hash::hash64;
 use pim_store::{MappedModel, ModelWriter, StoreError, StoredModel};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -159,6 +160,43 @@ fn crafted_headers_with_huge_fields_are_typed_errors_not_panics() {
     std::fs::write(&path, &crafted).unwrap();
     assert_both_loaders_reject(&path, "a header with table_off near u64::MAX");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_checksum_valid_spec_with_a_zero_kernel_or_stride_is_a_typed_error() {
+    // The spec section's fields in order after the name: input_channels,
+    // input_h, input_w, conv1_channels, conv1_kernel (4), conv1_stride (5),
+    // primary_channels, cl_dim, primary_kernel (8), primary_stride (9), …
+    let dir = tmp_dir("zero_geometry");
+    let (path, bytes) = artifact_bytes(&dir);
+    let header = Header::decode(&bytes).unwrap();
+    let spec_end = HEADER_LEN + header.spec_len as usize;
+    let name_len = u32::from_le_bytes(bytes[HEADER_LEN..HEADER_LEN + 4].try_into().unwrap());
+    let fields = HEADER_LEN + 4 + name_len as usize;
+    for (field, name) in [
+        (4, "conv1_kernel"),
+        (5, "conv1_stride"),
+        (8, "primary_kernel"),
+        (9, "primary_stride"),
+    ] {
+        let mut forged = bytes.clone();
+        let at = fields + 4 * field;
+        forged[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        // Recompute the spec checksum, as anyone rewriting the file can.
+        let sum = hash64(&forged[HEADER_LEN..spec_end]);
+        forged[spec_end..spec_end + 8].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &forged).unwrap();
+        for result in [
+            StoredModel::open(&path).map(|_| ()),
+            MappedModel::open(&path).map(|_| ()),
+        ] {
+            match result {
+                Err(StoreError::CapsNet(CapsNetError::InvalidSpec(_))) => {}
+                other => panic!("{name} = 0: expected InvalidSpec, got {other:?}"),
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

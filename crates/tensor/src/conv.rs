@@ -1,9 +1,15 @@
-//! 2D convolution as im2col + one GEMM over all `batch · out_h · out_w` rows
-//! (the lowering CuDNN-era GPU kernels use for CapsNet's Conv and PrimaryCaps
-//! layers), whose store writes `[batch, out_c, out_h, out_w]` directly.
+//! 2D convolution as one GEMM over all `batch · out_h · out_w` rows whose
+//! broadcast operand is the feature map itself: the tile reads each
+//! unfolded row's taps from the image in place ([`crate::matmul`]'s image
+//! operand), so no im2col matrix is materialized, and the store writes
+//! `[batch, out_c, out_h, out_w]` directly. It is the im2col + GEMM
+//! lowering CuDNN-era GPU kernels use for CapsNet's Conv and PrimaryCaps
+//! layers, bitwise: the same operand values in the same reduction order.
+//! [`im2col_into`] remains as the explicit unfold.
 
 use crate::error::TensorError;
-use crate::matmul::Gemm;
+use crate::matmul::{Gemm, Image, Operand};
+use crate::simd::{self, SimdLevel};
 use crate::tensor::Tensor;
 
 /// Static description of a 2D convolution.
@@ -57,29 +63,16 @@ impl Conv2dSpec {
     }
 }
 
-/// Unfolds an input image batch into convolution columns.
-///
-/// Input layout `[batch, channels, height, width]`; output layout
-/// `[batch, out_h * out_w, channels * kernel * kernel]`, i.e. one GEMM row
-/// per output pixel.
+/// Unfolds an input image batch into convolution columns, the matrix the
+/// convolution's GEMM reads in place from the image: `out` is resized in
+/// place to `[batch, out_h * out_w, channels * kernel * kernel]`, one GEMM
+/// row per output pixel, from input `[batch, channels, height, width]` — a
+/// warm buffer incurs no heap traffic.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] for non-rank-4 input and
 /// [`TensorError::InvalidConv`] when the kernel does not fit.
-pub fn im2col(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::zeros(&[0]);
-    im2col_into(input, spec, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-reusing [`im2col`]: unfolds into `out`, which is resized in
-/// place to `[batch, out_h * out_w, channels * kernel * kernel]` — a warm
-/// buffer incurs no heap traffic.
-///
-/// # Errors
-///
-/// Same conditions as [`im2col`].
 pub fn im2col_into(input: &Tensor, spec: Conv2dSpec, out: &mut Tensor) -> Result<(), TensorError> {
     let geometry = Im2colGeometry::of(input, spec)?;
     let Im2colGeometry { b, c, oh, ow, .. } = geometry;
@@ -119,12 +112,7 @@ impl Im2colGeometry {
         Ok(Im2colGeometry { b, c, h, w, oh, ow })
     }
 
-    /// Elements of the unfolded `[b, oh·ow, c·k·k]` matrix.
-    fn cols_len(&self, spec: Conv2dSpec) -> usize {
-        self.b * self.oh * self.ow * self.c * spec.kernel * spec.kernel
-    }
-
-    /// Writes the columns into `dst` (`cols_len` elements, contents
+    /// Writes the columns into `dst` (`[b, oh·ow, c·k·k]`, contents
     /// unspecified on entry). Without padding every element is written;
     /// with padding the out-of-image taps are the zeros filled here first.
     /// Each kernel row is one copy of its in-image run of up to `k` taps.
@@ -156,30 +144,37 @@ impl Im2colGeometry {
     }
 }
 
-/// Reusable buffer for [`conv2d_pretransposed_into`]: the im2col columns.
-/// After warm-up no further heap allocation occurs for same-or-smaller
-/// problem sizes.
-///
-/// The column storage is a slab: a convolution unfolds into a prefix of
-/// it and never shrinks it, so one scratch can serve convolutions of
-/// different geometries back to back.
+/// Reusable buffer for [`conv2d_pretransposed_into`]: a padded
+/// convolution's zero-padded copy of its input. An unpadded convolution
+/// reads its input in place and leaves the scratch empty. After warm-up no
+/// further heap allocation occurs for same-or-smaller problem sizes.
 #[derive(Debug, Clone, Default)]
 pub struct Conv2dScratch {
-    cols: Tensor,
+    padded: Tensor,
 }
 
 impl Conv2dScratch {
-    /// The column slab. It is dead between convolutions, so the scratch's
-    /// owner may lend it to a later stage as a temporary of any shape (the
-    /// capsnet forward arena writes `û` here); the next convolution
-    /// overwrites whatever it finds.
-    pub fn slab_mut(&mut self) -> &mut Tensor {
-        &mut self.cols
-    }
-
     /// Bytes of heap capacity the scratch holds.
     pub fn capacity_bytes(&self) -> usize {
-        self.cols.capacity() * std::mem::size_of::<f32>()
+        self.padded.capacity() * std::mem::size_of::<f32>()
+    }
+
+    /// `src` (`[b, c, h, w]` per `geometry`) copied into the middle of a
+    /// zeroed `[b, c, h + 2·pad, w + 2·pad]` image, returned with its dims.
+    fn pad(&mut self, src: &[f32], geometry: Im2colGeometry, pad: usize) -> ([usize; 4], &[f32]) {
+        let Im2colGeometry { b, c, h, w, .. } = geometry;
+        let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+        self.padded.resize_for(&[b, c, ph, pw]);
+        let dst = self.padded.as_mut_slice();
+        if h * w > 0 {
+            for (plane, src) in src.chunks_exact(h * w).enumerate() {
+                for (y, row) in src.chunks_exact(w).enumerate() {
+                    let at = (plane * ph + y + pad) * pw + pad;
+                    dst[at..at + w].copy_from_slice(row);
+                }
+            }
+        }
+        ([b, c, ph, pw], self.padded.as_slice())
     }
 }
 
@@ -191,7 +186,7 @@ impl Conv2dScratch {
 ///
 /// # Errors
 ///
-/// Propagates shape errors from [`im2col_into`] and validates the
+/// Returns the shape errors of [`im2col_into`] and validates the
 /// transposed-weight/bias shapes against the input.
 pub fn conv2d_pretransposed_into(
     input: &Tensor,
@@ -200,6 +195,26 @@ pub fn conv2d_pretransposed_into(
     spec: Conv2dSpec,
     out: &mut Tensor,
     scratch: &mut Conv2dScratch,
+) -> Result<(), TensorError> {
+    conv_on(
+        input,
+        (weight_t, bias),
+        spec,
+        (out, scratch),
+        None,
+        simd::active_level(),
+    )
+}
+
+/// [`conv2d_pretransposed_into`] with the GEMM's shard count (`None`:
+/// planned) and SIMD level pinned.
+fn conv_on(
+    input: &Tensor,
+    (weight_t, bias): (&Tensor, Option<&Tensor>),
+    spec: Conv2dSpec,
+    (out, scratch): (&mut Tensor, &mut Conv2dScratch),
+    shards: Option<usize>,
+    level: SimdLevel,
 ) -> Result<(), TensorError> {
     let wt_dims = weight_t.shape().dims();
     if wt_dims.len() != 2 {
@@ -210,7 +225,7 @@ pub fn conv2d_pretransposed_into(
     }
     let (ckk, out_c) = (wt_dims[0], wt_dims[1]);
     let geometry = Im2colGeometry::of(input, spec)?;
-    let Im2colGeometry { b, c, oh, ow, .. } = geometry;
+    let Im2colGeometry { b, c, h, w, oh, ow } = geometry;
     if ckk != c * spec.kernel * spec.kernel {
         return Err(TensorError::InvalidConv(format!(
             "transposed weight rows {ckk} != in_c*k*k = {}",
@@ -225,23 +240,22 @@ pub fn conv2d_pretransposed_into(
             )));
         }
     }
-    let cols_len = geometry.cols_len(spec);
-    if scratch.cols.len() < cols_len {
-        scratch.cols.resize_for_overwrite(&[cols_len]);
-    }
-    let cols_slice = &mut scratch.cols.as_mut_slice()[..cols_len];
-    geometry.unfold(input.as_slice(), spec, cols_slice);
-    // One GEMM over all `b·oh·ow` rows; its store writes `[b, out_c,
-    // oh, ow]` directly and adds the bias.
+    let (dims, image) = if spec.padding == 0 {
+        ([b, c, h, w], input.as_slice())
+    } else {
+        scratch.pad(input.as_slice(), geometry, spec.padding)
+    };
+    // One GEMM over all `b·oh·ow` rows, read from the image; its store
+    // writes `[b, out_c, oh, ow]` directly and adds the bias.
     out.resize_for_overwrite(&[b, out_c, oh, ow]);
     let product = Gemm {
-        a: cols_slice,
+        a: Operand::Image(Image::new(image, dims, spec.kernel, spec.stride)),
         b: weight_t.as_slice(),
         bias: bias.map(Tensor::as_slice),
         dims: (b * oh * ow, ckk, out_c),
         pixels: oh * ow,
     };
-    product.run(out.as_mut_slice());
+    product.run_on(out.as_mut_slice(), shards, level);
     Ok(())
 }
 
@@ -335,7 +349,8 @@ mod tests {
             &[1, 1, 3, 3],
         )
         .unwrap();
-        let cols = im2col(&input, Conv2dSpec::new(2, 1, 0)).unwrap();
+        let mut cols = Tensor::zeros(&[0]);
+        im2col_into(&input, Conv2dSpec::new(2, 1, 0), &mut cols).unwrap();
         assert_eq!(cols.shape().dims(), &[1, 4, 4]);
         // First output pixel sees the top-left 2x2 patch.
         assert_eq!(&cols.as_slice()[0..4], &[1.0, 2.0, 4.0, 5.0]);
@@ -372,15 +387,16 @@ mod tests {
 
     #[test]
     fn one_gemm_over_all_samples_matches_naive_on_a_warm_scratch() {
-        // Output pixels per sample: 36 (row blocks tile a sample), 9 (they
-        // straddle samples), 1 (every row is a sample), 9 with padding.
-        // The largest geometry runs first and the slab is poisoned between
-        // runs, as when the arena lends it to û: nothing stale may reach the
-        // fused store, and padded taps must be re-zeroed.
+        // Output pixels per sample: 49 with padding, 36 (row blocks tile a
+        // sample), 9 (they straddle samples), 1 (every row is a sample), 9
+        // with padding. The larger padded image comes first and the
+        // scratch is poisoned between runs: nothing stale may reach the
+        // fused store, and a padded border must be re-zeroed.
         let mut scratch = Conv2dScratch::default();
         let mut out = Tensor::zeros(&[0]);
         for (seed, &(b, c, hw, oc, k, stride, pad)) in [
-            (8usize, 3usize, 8usize, 20usize, 3usize, 1usize, 0usize),
+            (2usize, 3usize, 5usize, 7usize, 3usize, 1usize, 2usize),
+            (8, 3, 8, 20, 3, 1, 0),
             (3, 4, 7, 33, 3, 2, 0),
             (5, 2, 3, 17, 3, 1, 0),
             (2, 2, 5, 6, 3, 2, 1),
@@ -398,13 +414,110 @@ mod tests {
                 .unwrap()
                 .transpose()
                 .unwrap();
-            scratch.slab_mut().as_mut_slice().fill(f32::NAN);
+            scratch.padded.as_mut_slice().fill(f32::NAN);
             conv2d_pretransposed_into(&input, &wt, Some(&bias), spec, &mut out, &mut scratch)
                 .unwrap();
             let slow = conv2d_naive(&input, &weight, Some(&bias), spec);
             assert_eq!(out.shape(), slow.shape());
             for (a, b) in out.as_slice().iter().zip(slow.as_slice()) {
                 assert!((a - b).abs() < 1e-4, "geometry {seed}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// The levels this host can run.
+    fn levels() -> Vec<SimdLevel> {
+        let mut levels = vec![SimdLevel::Scalar];
+        if simd::hardware_supports_avx2_fma() {
+            levels.push(SimdLevel::Avx2Fma);
+        }
+        levels
+    }
+
+    /// The unfold this module replaced, as the bitwise reference: the
+    /// explicit columns of [`im2col_into`] through the dense GEMM walk.
+    fn unfolded_conv(
+        level: SimdLevel,
+        input: &Tensor,
+        weight_t: &Tensor,
+        bias: &Tensor,
+        spec: Conv2dSpec,
+    ) -> Vec<f32> {
+        let mut cols = Tensor::zeros(&[0]);
+        im2col_into(input, spec, &mut cols).unwrap();
+        let dims = cols.shape().dims();
+        let (m, pixels, ckk) = (dims[0] * dims[1], dims[1], dims[2]);
+        let n = weight_t.shape().dims()[1];
+        let mut out = vec![0.0f32; m * n];
+        let product = Gemm {
+            a: Operand::Matrix(cols.as_slice()),
+            b: weight_t.as_slice(),
+            bias: Some(bias.as_slice()),
+            dims: (m, ckk, n),
+            pixels,
+        };
+        product.run_on(&mut out, Some(1), level);
+        out
+    }
+
+    #[test]
+    fn the_image_operand_matches_im2col_and_the_dense_walk_bitwise() {
+        // (batches, c, hw, k, stride, pad): c·k² of 1 023, 1 024, 1 025
+        // and 20 736 (CapsNet-MNIST's primary convolution) around the
+        // 1 024-step panel; 1, 9 and 36 pixels a sample, so that row
+        // blocks of every height from 1 to 6 tile or straddle samples;
+        // stride 1 and 2, padding 0, 1 and 2.
+        let geometries = [
+            (&[1, 2, 3, 4, 5, 6, 7][..], 1023, 1, 1, 1, 0),
+            (&[1, 3][..], 16, 10, 8, 1, 0),
+            (&[1, 2][..], 41, 13, 5, 2, 1),
+            (&[2][..], 256, 11, 9, 2, 0),
+            (&[2][..], 3, 5, 3, 1, 2),
+            (&[4][..], 2, 7, 3, 2, 0),
+            (&[3][..], 4, 2, 3, 1, 1),
+        ];
+        let mut scratch = Conv2dScratch::default();
+        let mut out = Tensor::zeros(&[0]);
+        for (g, &(batches, c, hw, k, stride, pad)) in geometries.iter().enumerate() {
+            let spec = Conv2dSpec::new(k, stride, pad);
+            let oc = [20, 17, 33][g % 3];
+            let weight_t = Tensor::uniform(&[c * k * k, oc], -0.5, 0.5, 100 + g as u64);
+            let bias = Tensor::uniform(&[oc], -0.1, 0.1, 200 + g as u64);
+            for &b in batches {
+                let mut input = Tensor::uniform(&[b, c, hw, hw], -1.0, 1.0, (g * 10 + b) as u64);
+                if b % 2 == 1 {
+                    // Exact zeros, as a ReLU leaves them.
+                    input
+                        .as_mut_slice()
+                        .iter_mut()
+                        .for_each(|v| *v = v.max(0.0));
+                }
+                for level in levels() {
+                    let want = unfolded_conv(level, &input, &weight_t, &bias, spec);
+                    for shards in 1..=3 {
+                        out.as_mut_slice().fill(f32::NAN);
+                        scratch.padded.as_mut_slice().fill(f32::NAN);
+                        conv_on(
+                            &input,
+                            (&weight_t, Some(&bias)),
+                            spec,
+                            (&mut out, &mut scratch),
+                            Some(shards),
+                            level,
+                        )
+                        .unwrap();
+                        let got = out.as_slice();
+                        assert_eq!(got.len(), want.len());
+                        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "c={c} hw={hw} k={k} s={stride} pad={pad} b={b} \
+                                 {level:?} shards={shards}: element {i}: {x} vs {y}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

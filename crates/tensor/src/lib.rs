@@ -3,8 +3,9 @@
 //! This crate provides the small amount of linear algebra the functional
 //! CapsNet implementation needs: an owned, contiguous, row-major [`Tensor`]
 //! with shape/stride bookkeeping, elementwise operations, reductions,
-//! (optionally threaded) matrix multiplication and an im2col-based 2D
-//! convolution.
+//! (optionally threaded) matrix multiplication and a 2D convolution that
+//! runs the same GEMM with its rows read from the input image (implicit
+//! im2col).
 //!
 //! It is deliberately *not* a general-purpose array library: shapes are
 //! validated eagerly ([`TensorError`] on mismatch), all data is `f32` (the
@@ -37,7 +38,7 @@ mod tensor;
 mod tile;
 mod uhat;
 
-pub use conv::{conv2d_pretransposed_into, im2col, im2col_into, Conv2dScratch, Conv2dSpec};
+pub use conv::{conv2d_pretransposed_into, im2col_into, Conv2dScratch, Conv2dSpec};
 pub use error::TensorError;
 pub use matmul::matmul_into;
 pub use quant::{

@@ -14,6 +14,15 @@
 //! from L2. On one thread its batch-8 product measures 48–62 GFLOP/s
 //! packed with six-row blocks, against 44–49 unpacked with four.
 //!
+//! **Operand `a`.** Either an `[m, k]` matrix ([`Operand::Matrix`]) or a
+//! convolution's `[B, C, H, W]` input ([`Operand::Image`]), read in place
+//! as the rows im2col would unfold from it: per panel the walk fills a
+//! stack table of the steps' tap offsets, per row block it computes the
+//! rows' window starts, and the tile reads `image[start + tap]`. Either
+//! way the tile sees the same values in the same order, so a convolution
+//! is bitwise the product over its unfolded matrix. Row shards pass their
+//! first row rather than a slice of `a`.
+//!
 //! **Arithmetic contract.** Every output element accumulates its `k`
 //! products in ascending `p` from `+0.0`: one fused multiply-add per step
 //! at [`SimdLevel::Avx2Fma`] (column tails use scalar `mul_add`, the same
@@ -38,7 +47,7 @@ use crate::error::TensorError;
 use crate::par::{for_each_shard, plan_threads};
 use crate::simd::{self, SimdLevel};
 use crate::tensor::Tensor;
-use crate::tile::{self, F32Strip, Lhs, ROWS, STRIP};
+use crate::tile::{self, F32Strip, ImageRows, Lhs, Rows, ROWS, STRIP};
 
 /// Reduction steps per panel: a packed panel is 64 KB (the stack buffer),
 /// and the accumulators' round trip is 192 loads and stores against the
@@ -93,7 +102,7 @@ impl Tensor {
 /// Panics when a slice length does not match `m`/`k`/`n`.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let product = Gemm {
-        a,
+        a: Operand::Matrix(a),
         b,
         bias: None,
         dims: (m, k, n),
@@ -108,11 +117,139 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 /// row % pixels`.
 #[derive(Clone, Copy)]
 pub(crate) struct Gemm<'a> {
-    pub(crate) a: &'a [f32],
+    pub(crate) a: Operand<'a>,
     pub(crate) b: &'a [f32],
     pub(crate) bias: Option<&'a [f32]>,
     pub(crate) dims: (usize, usize, usize),
     pub(crate) pixels: usize,
+}
+
+/// Where a [`Gemm`] reads its broadcast operand `a`.
+#[derive(Clone, Copy)]
+pub(crate) enum Operand<'a> {
+    /// A row-major `[m, k]` matrix.
+    Matrix(&'a [f32]),
+    /// A convolution's input, read in place as its unfolded rows.
+    Image(Image<'a>),
+}
+
+/// A `[B, C, H, W]` image read as the `[B·oh·ow, C·kernel²]` matrix that
+/// im2col would unfold from it (no padding): row `(b, oy, ox)`, step
+/// `(ci, ky, kx)` is `data[base + tap]` with `base = b·CHW + oy·s·W + ox·s`
+/// and `tap = (ci·H + ky)·W + kx`, both ascending in their index.
+#[derive(Clone, Copy)]
+pub(crate) struct Image<'a> {
+    data: &'a [f32],
+    /// `[B, C, H, W]`.
+    dims: [usize; 4],
+    kernel: usize,
+    stride: usize,
+    /// Output extents `(oh, ow)`.
+    grid: (usize, usize),
+}
+
+impl<'a> Image<'a> {
+    /// `data` as a `[B, C, H, W]` image under a `kernel`-wide, `stride`-step
+    /// convolution without padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data` is not `dims`, `kernel` or `stride` is zero or
+    /// the kernel does not fit.
+    pub(crate) fn new(data: &'a [f32], dims: [usize; 4], kernel: usize, stride: usize) -> Self {
+        let [b, c, h, w] = dims;
+        let len = b.checked_mul(c).and_then(|v| v.checked_mul(h * w));
+        assert_eq!(Some(data.len()), len, "the image must be [B, C, H, W]");
+        assert!(
+            kernel > 0 && stride > 0,
+            "kernel and stride must be positive"
+        );
+        assert!(kernel <= h && kernel <= w, "the kernel must fit the image");
+        let out = |d: usize| (d - kernel) / stride + 1;
+        Image {
+            data,
+            dims,
+            kernel,
+            stride,
+            grid: (out(h), out(w)),
+        }
+    }
+
+    /// Asserts that this image is an `[m, k]` operand and that every read
+    /// of the walk lies inside `data`. The tile reads unchecked; this is
+    /// the check its SAFETY comments cite. `base` and `tap` each peak at
+    /// their last index, so the largest read is the sum of the two.
+    fn check(&self, m: usize, k: usize) {
+        let ([b, c, h, w], (oh, ow), (kk, s)) = (self.dims, self.grid, (self.kernel, self.stride));
+        assert_eq!(m, b * oh * ow, "a must be the image's [B·oh·ow] rows");
+        assert_eq!(k, c * kk * kk, "a must be the image's [C·kernel²] steps");
+        if m > 0 && k > 0 {
+            let max_base = (b - 1) * c * h * w + (oh - 1) * s * w + (ow - 1) * s;
+            let max_tap = ((c - 1) * h + kk - 1) * w + kk - 1;
+            assert!(
+                max_base
+                    .checked_add(max_tap)
+                    .is_some_and(|end| end < self.data.len()),
+                "the image's windows must lie inside it"
+            );
+        }
+    }
+
+    /// Unfolded row `row` as its output position `(b, oy, ox)`.
+    fn position(&self, row: usize) -> (usize, usize, usize) {
+        let (oh, ow) = self.grid;
+        (row / (oh * ow), row / ow % oh, row % ow)
+    }
+
+    /// The window starts of the `count ≤ ROWS` unfolded rows from position
+    /// `next` on, which is left at the row after them: the blocks of a
+    /// strip walk the rows in order, so no block divides.
+    #[inline(always)]
+    fn bases(&self, next: &mut (usize, usize, usize), count: usize) -> [usize; ROWS] {
+        let ([_, c, h, w], (oh, ow), s) = (self.dims, self.grid, self.stride);
+        let mut base = [0; ROWS];
+        for slot in &mut base[..count] {
+            let (b, oy, ox) = *next;
+            *slot = b * c * h * w + oy * s * w + ox * s;
+            *next = if ox + 1 < ow {
+                (b, oy, ox + 1)
+            } else if oy + 1 < oh {
+                (b, oy + 1, 0)
+            } else {
+                (b + 1, 0, 0)
+            };
+        }
+        base
+    }
+
+    /// The tap offsets of reduction steps `steps` (at most [`PANEL`]),
+    /// written into `table` and returned from its front.
+    #[inline(always)]
+    fn taps<'t>(
+        &self,
+        steps: &Range<usize>,
+        table: &'t mut [MaybeUninit<usize>; PANEL],
+    ) -> &'t [usize] {
+        let ([_, _, h, w], kk) = (self.dims, self.kernel);
+        let mut at = (
+            steps.start / (kk * kk),
+            steps.start / kk % kk,
+            steps.start % kk,
+        );
+        for slot in &mut table[..steps.len()] {
+            let (ci, ky, kx) = at;
+            slot.write((ci * h + ky) * w + kx);
+            at = if kx + 1 < kk {
+                (ci, ky, kx + 1)
+            } else if ky + 1 < kk {
+                (ci, ky + 1, 0)
+            } else {
+                (ci + 1, 0, 0)
+            };
+        }
+        // SAFETY: the loop initialized the first `steps.len()` entries.
+        unsafe { std::slice::from_raw_parts(table.as_ptr().cast(), steps.len()) }
+    }
 }
 
 impl Gemm<'_> {
@@ -130,11 +267,14 @@ impl Gemm<'_> {
 
     /// [`Self::run`] with the shard count (`None`: planned) and SIMD level
     /// pinned.
-    fn run_on(self, out: &mut [f32], shards: Option<usize>, level: SimdLevel) {
+    pub(crate) fn run_on(self, out: &mut [f32], shards: Option<usize>, level: SimdLevel) {
         let ((m, k, n), pixels) = (self.dims, self.pixels);
         // The AVX2 tile indexes with unchecked pointers; these are the
         // checks its SAFETY comments cite.
-        assert_eq!(Some(self.a.len()), m.checked_mul(k), "a must be [m, k]");
+        match self.a {
+            Operand::Matrix(a) => assert_eq!(Some(a.len()), m.checked_mul(k), "a must be [m, k]"),
+            Operand::Image(image) => image.check(m, k),
+        }
         assert_eq!(Some(self.b.len()), k.checked_mul(n), "b must be [k, n]");
         assert_eq!(Some(out.len()), m.checked_mul(n), "out must be [m, n]");
         assert!(
@@ -169,21 +309,16 @@ impl Gemm<'_> {
                 } else {
                     (0..m, t * cols_per..((t + 1) * cols_per).min(n))
                 };
-                let shard = Gemm {
-                    a: &self.a[rows.start * k..rows.end * k],
-                    dims: (rows.len(), k, n),
-                    ..self
-                };
                 #[cfg(target_arch = "x86_64")]
                 if level == SimdLevel::Avx2Fma {
                     // SAFETY: Avx2Fma is only selected after runtime feature
                     // detection (tests guard with
                     // `hardware_supports_avx2_fma`).
-                    return unsafe { shard.walk_avx2(window, cols) };
+                    return unsafe { self.walk_avx2(window, rows, cols) };
                 }
                 let _ = level;
                 // SAFETY: the scalar walk has no CPU requirement.
-                unsafe { shard.walk::<false>(window, cols) };
+                unsafe { self.walk::<false>(window, rows, cols) };
             },
         );
     }
@@ -196,91 +331,101 @@ impl Gemm<'_> {
     /// Requires AVX2+FMA.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn walk_avx2(&self, window: &mut [f32], cols: Range<usize>) {
+    unsafe fn walk_avx2(&self, window: &mut [f32], rows: Range<usize>, cols: Range<usize>) {
         // SAFETY: the caller's contract is `walk::<true>`'s.
-        unsafe { self.walk::<true>(window, cols) };
+        unsafe { self.walk::<true>(window, rows, cols) };
     }
 
-    /// Columns `cols` of every row into `window`, the `[m / pixels,
-    /// cols.len(), pixels]` part of the output they own: panels, then
-    /// strips, then row blocks. `VECTOR` packs each whole strip's panel and
-    /// runs it through the AVX2 tile, fusing every step; the scalar tile
-    /// reads `b` in place, as the column tail and as the whole kernel at
-    /// [`SimdLevel::Scalar`].
+    /// Columns `cols` of rows `rows` into `window`, the `[rows.len() /
+    /// pixels, cols.len(), pixels]` part of the output they own: panels,
+    /// then strips, then row blocks. `rows` starts at a sample boundary.
+    /// `VECTOR` packs each whole strip's panel and runs it through the
+    /// AVX2 tile, fusing every step; the scalar tile reads `b` in place, as
+    /// the column tail and as the whole kernel at [`SimdLevel::Scalar`].
     ///
     /// # Safety
     ///
     /// `VECTOR` requires AVX2+FMA and inlining into a `#[target_feature]`
-    /// caller; `a` is `[m, k]` and `b` is `[k, n]`, as [`Self::run_on`]
-    /// asserts.
+    /// caller; `a` reads as `[m, k]` (a matrix of that shape, or an image
+    /// whose windows lie inside it) and `b` is `[k, n]`, as
+    /// [`Self::run_on`] asserts.
     #[inline(always)]
-    unsafe fn walk<const VECTOR: bool>(&self, window: &mut [f32], cols: Range<usize>) {
-        let ((m, k, n), pixels) = (self.dims, self.pixels);
-        debug_assert_eq!(window.len(), m * cols.len());
-        let strip = F32Strip::<VECTOR>(self.b);
-        // One strip's panel, `[steps, 16]`: written before it is read, so
-        // never zeroed.
+    unsafe fn walk<const VECTOR: bool>(
+        &self,
+        window: &mut [f32],
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) {
+        let (_, k, n) = self.dims;
+        debug_assert_eq!(window.len(), rows.len() * cols.len());
+        // One strip's panel, `[steps, 16]`, and an image's taps for one
+        // panel: written before they are read, so never zeroed.
         #[cfg(target_arch = "x86_64")]
-        let mut pack = [MaybeUninit::<f32>::uninit(); PANEL * STRIP];
+        let mut pack = Pack([MaybeUninit::uninit(); PANEL * STRIP]);
+        let mut taps = [MaybeUninit::<usize>::uninit(); PANEL];
+        // An image's first row as `(b, oy, ox)`: every strip's blocks walk
+        // the rows from there.
+        let first = match self.a {
+            Operand::Matrix(_) => (0, 0, 0),
+            Operand::Image(image) => image.position(rows.start),
+        };
         for p0 in (0..k.max(1)).step_by(PANEL) {
             let steps = p0..(p0 + PANEL).min(k);
-            let bias = self.bias.filter(|_| steps.end == k);
+            let taps: &[usize] = match self.a {
+                Operand::Matrix(_) => &[],
+                Operand::Image(image) => image.taps(&steps, &mut taps),
+            };
             for j in cols.clone().step_by(STRIP) {
                 let width = STRIP.min(cols.end - j);
-                let vector = cfg!(target_arch = "x86_64") && VECTOR && width == STRIP;
                 #[cfg(target_arch = "x86_64")]
-                let packed = if vector {
+                let packed = if VECTOR && width == STRIP {
                     // SAFETY: AVX2 per this function's contract; `j + 16 ≤
                     // n`, `steps.end ≤ k` and `steps.len() ≤ PANEL`.
                     Some(unsafe { pack_panel(self.b, (n, j), &steps, &mut pack) })
                 } else {
                     None
                 };
-                for block in tile::row_blocks(m) {
-                    let r0 = block.start;
-                    let mut acc = [[0.0f32; STRIP]; ROWS];
-                    let live = &mut acc[..block.len()];
-                    // Column `j` of row `r0 + r`; columns are `pixels` apart.
+                #[cfg(not(target_arch = "x86_64"))]
+                let packed = None;
+                let tile = Tile {
+                    strip: F32Strip::<VECTOR>(&self.b[p0 * n..]),
+                    packed,
+                    steps: steps.len(),
+                    resume: p0 > 0,
+                    bias: self.bias.filter(|_| steps.end == k),
+                    cols: (n, j, width),
+                    pixels: self.pixels,
+                };
+                let mut next = first;
+                for block in tile::row_blocks(rows.len()) {
+                    let block = rows.start + block.start..rows.start + block.end;
+                    // Column `j` of row `block.start + r`; columns are
+                    // `pixels` apart.
                     let at = |r: usize| {
-                        let row = r0 + r;
+                        let (row, pixels) = (block.start + r - rows.start, self.pixels);
                         (row / pixels * cols.len() + j - cols.start) * pixels + row % pixels
                     };
-                    if p0 > 0 {
-                        for (r, a) in live.iter_mut().enumerate() {
-                            let base = at(r);
-                            for (c, av) in a[..width].iter_mut().enumerate() {
-                                *av = window[base + c * pixels];
+                    // SAFETY: forwarded contract; each operand below is
+                    // `a`'s rows `block`, steps `steps`, which `run_on`
+                    // asserted lie inside it.
+                    unsafe {
+                        match self.a {
+                            Operand::Matrix(a) => {
+                                let lhs = Lhs {
+                                    data: a,
+                                    off: block.start * k + p0,
+                                    stride: k,
+                                };
+                                tile.run(lhs, block.len(), window, at);
                             }
-                        }
-                    }
-                    let lhs = Lhs {
-                        data: self.a,
-                        off: r0 * k,
-                        stride: k,
-                    };
-                    #[cfg(target_arch = "x86_64")]
-                    if let Some(packed) = packed {
-                        // The copy's step `d` is `a`'s column `p0 + d`.
-                        let lhs = Lhs {
-                            off: r0 * k + p0,
-                            ..lhs
-                        };
-                        // SAFETY: AVX2+FMA per this function's contract;
-                        // `packed` is `[steps.len(), 16]` and `r0 +
-                        // live.len() ≤ m`, so the last row's run ends at
-                        // `(r0 + live.len() − 1)·k + steps.end ≤ m·k`.
-                        unsafe {
-                            let packed = F32Strip::<true>(packed);
-                            tile::tile_vector_rows(&packed, (STRIP, 0), lhs, 0..steps.len(), live);
-                        }
-                    }
-                    if !vector {
-                        tile::tile_scalar(&strip, (n, j, width), lhs, steps.clone(), live);
-                    }
-                    for (r, a) in live.iter().enumerate() {
-                        let base = at(r);
-                        for (c, &av) in a[..width].iter().enumerate() {
-                            window[base + c * pixels] = bias.map_or(av, |bias| av + bias[j + c]);
+                            Operand::Image(image) => {
+                                let lhs = ImageRows {
+                                    data: image.data,
+                                    base: image.bases(&mut next, block.len()),
+                                    tap: taps,
+                                };
+                                tile.run(lhs, block.len(), window, at);
+                            }
                         }
                     }
                 }
@@ -288,6 +433,80 @@ impl Gemm<'_> {
         }
     }
 }
+
+/// One strip over one panel, for every row block of a walk.
+struct Tile<'p, const VECTOR: bool> {
+    /// `b` from the panel's first step on, read in place.
+    strip: F32Strip<'p, VECTOR>,
+    /// The strip's panel packed `[steps, 16]`, when the AVX2 tile runs it.
+    packed: Option<&'p [f32]>,
+    steps: usize,
+    /// `p0 > 0`: the accumulators resume from the output.
+    resume: bool,
+    /// Added at the store, on the last panel only.
+    bias: Option<&'p [f32]>,
+    /// `(n, j, width)`: the strip is columns `j..j + width` of `b`'s `n`.
+    cols: (usize, usize, usize),
+    /// Output columns are this many floats apart.
+    pixels: usize,
+}
+
+impl<const VECTOR: bool> Tile<'_, VECTOR> {
+    /// One row block: its `rows` accumulators are read back from `window`
+    /// (zero on the first panel), advanced over the panel's steps of `lhs`
+    /// and stored (plus the bias on the last). Row `r`'s column `c` lives
+    /// at `window[at(r) + c·pixels]`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Gemm::walk`], with `rows ≤ ROWS` and `lhs` covering rows
+    /// `..rows` and steps `..self.steps`.
+    #[inline(always)]
+    unsafe fn run<L: Rows>(
+        &self,
+        lhs: L,
+        rows: usize,
+        window: &mut [f32],
+        at: impl Fn(usize) -> usize,
+    ) {
+        let ((_, j, width), pixels) = (self.cols, self.pixels);
+        let mut acc = [[0.0f32; STRIP]; ROWS];
+        let live = &mut acc[..rows];
+        if self.resume {
+            for (r, a) in live.iter_mut().enumerate() {
+                let base = at(r);
+                for (c, av) in a[..width].iter_mut().enumerate() {
+                    *av = window[base + c * pixels];
+                }
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(packed) = self.packed {
+            // SAFETY: AVX2+FMA per this function's contract; `packed` is
+            // `[steps, 16]` and `lhs` covers the block's rows and steps.
+            unsafe {
+                let packed = F32Strip::<true>(packed);
+                tile::tile_vector_rows(&packed, (STRIP, 0), lhs, 0..self.steps, live);
+            }
+        }
+        if self.packed.is_none() {
+            tile::tile_scalar(&self.strip, self.cols, lhs, 0..self.steps, live);
+        }
+        for (r, a) in live.iter().enumerate() {
+            let base = at(r);
+            for (c, &av) in a[..width].iter().enumerate() {
+                window[base + c * pixels] = self.bias.map_or(av, |bias| av + bias[j + c]);
+            }
+        }
+    }
+}
+
+/// One strip's packed panel, `[PANEL, 16]`. Cache-line aligned: a step's
+/// 16 floats are one line, so neither of its two 8-float loads splits a
+/// line, wherever the walk's stack frame happens to sit.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+struct Pack([MaybeUninit<f32>; PANEL * STRIP]);
 
 /// Copies rows `steps` of `b`'s 16-column strip at column `j` into `pack`
 /// and returns them as a `[steps.len(), 16]` matrix. In the AVX2 walk this
@@ -305,11 +524,11 @@ unsafe fn pack_panel<'p>(
     b: &[f32],
     (n, j): (usize, usize),
     steps: &Range<usize>,
-    pack: &'p mut [MaybeUninit<f32>; PANEL * STRIP],
+    pack: &'p mut Pack,
 ) -> &'p [f32] {
     use std::arch::x86_64::*;
     debug_assert!(j + STRIP <= n && steps.end * n <= b.len() && steps.len() <= PANEL);
-    let dst = pack.as_mut_ptr().cast::<f32>();
+    let dst = pack.0.as_mut_ptr().cast::<f32>();
     // SAFETY: per the contract, strip row `p` (`b[p·n + j..][..16]`) and
     // copy row `d < PANEL` are in bounds, the hint is never dereferenced,
     // and the slice covers only the `steps.len()·16` floats written.
@@ -514,7 +733,7 @@ mod tests {
         dims: (usize, usize, usize),
     ) {
         let g = Gemm {
-            a,
+            a: Operand::Matrix(a),
             b,
             bias: None,
             dims,
@@ -551,7 +770,7 @@ mod tests {
                 for shards in 1..=3 {
                     let mut got = vec![f32::NAN; m * n];
                     let g = Gemm {
-                        a: &a,
+                        a: Operand::Matrix(&a),
                         b: &b,
                         bias: Some(&bias),
                         dims: (m, k, n),
@@ -642,24 +861,40 @@ mod tests {
     #[test]
     fn a_warm_walk_allocates_nothing() {
         // Four panels, two packed strips and a column tail, three row
-        // blocks and the bias store.
+        // blocks and the bias store; then the same walk over an image,
+        // whose per-panel tap table lives on the stack.
         let (m, k, n) = (13usize, 3 * PANEL + 7, 40usize);
         let a = lhs(m, k, true);
         let b = Tensor::uniform(&[k, n], -1.0, 1.0, 9).into_vec();
         let bias = Tensor::uniform(&[n], -1.0, 1.0, 10).into_vec();
+        // 343 channels of 5 × 5 under a 3 × 3 kernel, stride 2: 4 pixels a
+        // sample, 3 087 steps.
+        let image_dims = [3usize, 343, 5, 5];
+        let image: Vec<f32> = Tensor::uniform(&image_dims, -1.0, 1.0, 11).into_vec();
+        let image_b = Tensor::uniform(&[343 * 9, n], -1.0, 1.0, 12).into_vec();
         let mut out = vec![0.0f32; m * n];
+        let mut image_out = vec![0.0f32; 12 * n];
         for level in levels() {
             let g = Gemm {
-                a: &a,
+                a: Operand::Matrix(&a),
                 b: &b,
                 bias: Some(&bias),
                 dims: (m, k, n),
                 pixels: 1,
             };
-            g.run_on(&mut out, Some(1), level);
-            let before = heap::allocated();
-            g.run_on(&mut out, Some(1), level);
-            assert_eq!(heap::allocated() - before, 0, "{level:?}");
+            let implicit = Gemm {
+                a: Operand::Image(Image::new(&image, image_dims, 3, 2)),
+                b: &image_b,
+                bias: Some(&bias),
+                dims: (12, 343 * 9, n),
+                pixels: 4,
+            };
+            for (g, out) in [(g, &mut out), (implicit, &mut image_out)] {
+                g.run_on(out, Some(1), level);
+                let before = heap::allocated();
+                g.run_on(out, Some(1), level);
+                assert_eq!(heap::allocated() - before, 0, "{level:?}");
+            }
         }
     }
 
@@ -696,7 +931,7 @@ mod tests {
         for level in levels() {
             let mut out = vec![f32::NAN; 6 * 20];
             let g = Gemm {
-                a: &[],
+                a: Operand::Matrix(&[]),
                 b: &[],
                 bias: Some(&bias),
                 dims: (6, 0, 20),

@@ -1,8 +1,10 @@
 //! The `R × 16` register tile under both dense kernels of this crate: the
 //! û projection ([`crate::uhat`]) and the GEMM ([`crate::matmul`]).
 //!
-//! A tile is `R ≤ 6` rows of a broadcast operand ([`Lhs`]) against one
-//! 16-column strip of a streamed operand ([`Strip`]): two 8-lane
+//! A tile is `R ≤ 6` rows of a broadcast operand ([`Rows`]: a matrix's
+//! rows, [`Lhs`], or a convolution's receptive fields read from the image,
+//! [`ImageRows`]) against one 16-column strip of a streamed operand
+//! ([`Strip`]): two 8-lane
 //! accumulators per row, advanced over a range of reduction steps. Six rows
 //! hold twelve accumulators, two weight loads and one broadcast: 15 of
 //! AVX2's 16 vector registers. The caller supplies the accumulators'
@@ -104,13 +106,75 @@ impl<const FUSED: bool> Strip for F32Strip<'_, FUSED> {
     }
 }
 
-/// The broadcast operand of one row block: row `r`, step `p` is
-/// `data[off + r·stride + p]`.
+/// The broadcast operand of one row block, read as `f32`: the tile walks
+/// it by (row, step). Each impl is monomorphized into the tile's loop.
+pub(crate) trait Rows: Copy {
+    /// Row `r`, step `d`.
+    fn at(&self, r: usize, d: usize) -> f32;
+
+    /// [`Self::at`] without a bounds check.
+    ///
+    /// # Safety
+    ///
+    /// `(r, d)` must be an index [`Self::at`] would accept.
+    unsafe fn at_unchecked(&self, r: usize, d: usize) -> f32;
+}
+
+/// Rows of a row-major matrix: row `r`, step `d` is
+/// `data[off + r·stride + d]`.
 #[derive(Clone, Copy)]
 pub(crate) struct Lhs<'a> {
     pub(crate) data: &'a [f32],
     pub(crate) off: usize,
     pub(crate) stride: usize,
+}
+
+impl Rows for Lhs<'_> {
+    #[inline(always)]
+    fn at(&self, r: usize, d: usize) -> f32 {
+        self.data[self.off + r * self.stride + d]
+    }
+
+    // SAFETY: the trait contract — `(r, d)` is an index `at` accepts.
+    #[inline(always)]
+    unsafe fn at_unchecked(&self, r: usize, d: usize) -> f32 {
+        debug_assert!(self.off + r * self.stride + d < self.data.len());
+        // SAFETY: the caller keeps `(r, d)` inside the operand. The block's
+        // start is its own pointer: indexed by the one sum
+        // `off + r·stride + d`, the û tile measured up to 6% slower.
+        unsafe { *self.data.as_ptr().add(self.off).add(r * self.stride + d) }
+    }
+}
+
+/// Receptive fields read from the image itself, the implicit form of a
+/// convolution's unfolded rows: row `r`, step `d` is
+/// `data[base[r] + tap[d]]`, where `base[r]` is where row `r`'s window
+/// starts and `tap[d]` is step `d`'s offset inside any window.
+#[derive(Clone, Copy)]
+pub(crate) struct ImageRows<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) base: [usize; ROWS],
+    pub(crate) tap: &'a [usize],
+}
+
+impl Rows for ImageRows<'_> {
+    #[inline(always)]
+    fn at(&self, r: usize, d: usize) -> f32 {
+        self.data[self.base[r] + self.tap[d]]
+    }
+
+    // SAFETY: the trait contract — `(r, d)` is an index `at` accepts.
+    #[inline(always)]
+    unsafe fn at_unchecked(&self, r: usize, d: usize) -> f32 {
+        debug_assert!(r < ROWS && d < self.tap.len());
+        debug_assert!(self.base[r] + self.tap[d] < self.data.len());
+        // SAFETY: the caller keeps `(r, d)` inside the operand: `r < ROWS`,
+        // `d < tap.len()` and the sum inside `data`, so both offsets are.
+        unsafe {
+            let row = self.data.as_ptr().add(*self.base.get_unchecked(r));
+            *row.add(*self.tap.get_unchecked(d))
+        }
+    }
 }
 
 /// One accumulation step of a kernel's arithmetic contract.
@@ -134,14 +198,14 @@ pub(crate) type Acc<const R: usize> = [[std::arch::x86_64::__m256; 2]; R];
 /// # Safety
 ///
 /// Requires the CPU features of [`Strip::load8`], `j + 16 ≤ n`,
-/// `steps.end · n` within the strip and `off + (R − 1)·stride + steps.end`
-/// within `lhs.data`.
+/// `steps.end · n` within the strip and every `(r, d)` with `r < R`,
+/// `d < steps.end` a valid [`Rows::at`] index of `lhs`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) unsafe fn tile_vector<S: Strip, const R: usize>(
+pub(crate) unsafe fn tile_vector<S: Strip, L: Rows, const R: usize>(
     strip: &S,
     at: (usize, usize),
-    lhs: Lhs<'_>,
+    lhs: L,
     steps: Range<usize>,
     hint: Option<usize>,
     acc: Acc<R>,
@@ -151,8 +215,8 @@ pub(crate) unsafe fn tile_vector<S: Strip, const R: usize>(
     // SAFETY: forwarded contract.
     unsafe {
         match hint {
-            Some(ahead) => advance::<S, R, true>(strip, at, lhs, steps, ahead, acc),
-            None => advance::<S, R, false>(strip, at, lhs, steps, 0, acc),
+            Some(ahead) => advance::<S, L, R, true>(strip, at, lhs, steps, ahead, acc),
+            None => advance::<S, L, R, false>(strip, at, lhs, steps, 0, acc),
         }
     }
 }
@@ -164,23 +228,21 @@ pub(crate) unsafe fn tile_vector<S: Strip, const R: usize>(
 /// As [`tile_vector`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn advance<S: Strip, const R: usize, const HINT: bool>(
+unsafe fn advance<S: Strip, L: Rows, const R: usize, const HINT: bool>(
     strip: &S,
     (n, j): (usize, usize),
-    lhs: Lhs<'_>,
+    lhs: L,
     steps: Range<usize>,
     ahead: usize,
     mut acc: Acc<R>,
 ) -> Acc<R> {
     use std::arch::x86_64::*;
     debug_assert!(j + STRIP <= n);
-    debug_assert!(lhs.off + (R - 1) * lhs.stride + steps.end <= lhs.data.len());
-    // SAFETY: per the contract, the broadcast reads `off + r·stride + d`
-    // (r < R, d < steps.end) are inside `lhs.data` and `load8` reads
-    // `d·n + j + 16 ≤ steps.end·n` elements of the strip; the prefetch
-    // address is never dereferenced.
+    // SAFETY: per the contract, the broadcast reads `(r, d)` (r < R,
+    // d < steps.end) are inside `lhs` and `load8` reads `d·n + j + 16 ≤
+    // steps.end·n` elements of the strip; the prefetch address is never
+    // dereferenced.
     unsafe {
-        let base = lhs.data.as_ptr().add(lhs.off);
         for d in steps {
             let w0 = strip.load8(d * n + j);
             let w1 = strip.load8(d * n + j + 8);
@@ -188,7 +250,7 @@ unsafe fn advance<S: Strip, const R: usize, const HINT: bool>(
                 _mm_prefetch::<_MM_HINT_T0>(strip.hint(d * n + ahead));
             }
             for (r, a) in acc.iter_mut().enumerate() {
-                let uv = _mm256_set1_ps(*base.add(r * lhs.stride + d));
+                let uv = _mm256_set1_ps(lhs.at_unchecked(r, d));
                 if S::FUSED {
                     a[0] = _mm256_fmadd_ps(uv, w0, a[0]);
                     a[1] = _mm256_fmadd_ps(uv, w1, a[1]);
@@ -211,10 +273,10 @@ unsafe fn advance<S: Strip, const R: usize, const HINT: bool>(
 /// As [`tile_vector`] with `R = acc.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) unsafe fn tile_vector_rows<S: Strip>(
+pub(crate) unsafe fn tile_vector_rows<S: Strip, L: Rows>(
     strip: &S,
     at: (usize, usize),
-    lhs: Lhs<'_>,
+    lhs: L,
     steps: Range<usize>,
     acc: &mut [[f32; STRIP]],
 ) {
@@ -224,10 +286,10 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip>(
     ///
     /// As [`tile_vector`].
     #[inline(always)]
-    unsafe fn rows<S: Strip, const R: usize>(
+    unsafe fn rows<S: Strip, L: Rows, const R: usize>(
         strip: &S,
         at: (usize, usize),
-        lhs: Lhs<'_>,
+        lhs: L,
         steps: Range<usize>,
         acc: &mut [[f32; STRIP]],
     ) {
@@ -240,7 +302,7 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip>(
                 let row = acc[r].as_ptr();
                 [_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8))]
             });
-            let regs = tile_vector::<S, R>(strip, at, lhs, steps, None, regs);
+            let regs = tile_vector::<S, L, R>(strip, at, lhs, steps, None, regs);
             for (row, v) in acc.iter_mut().zip(&regs) {
                 _mm256_storeu_ps(row.as_mut_ptr(), v[0]);
                 _mm256_storeu_ps(row.as_mut_ptr().add(8), v[1]);
@@ -248,7 +310,7 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip>(
         }
     }
     // SAFETY: forwarded contract, `R = acc.len()`.
-    unsafe { with_rows!(acc.len(), R => rows::<S, R>(strip, at, lhs, steps, acc)) }
+    unsafe { with_rows!(acc.len(), R => rows::<S, L, R>(strip, at, lhs, steps, acc)) }
 }
 
 /// The scalar twin of [`tile_vector`]: advances `acc` (one entry per row of
@@ -258,18 +320,18 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip>(
 /// a zero weight: fixed-length loops the compiler vectorizes, lanes nobody
 /// stores, and no more of them than a narrow strip needs.
 #[inline(always)]
-pub(crate) fn tile_scalar<S: Strip>(
+pub(crate) fn tile_scalar<S: Strip, L: Rows>(
     strip: &S,
     at: (usize, usize, usize),
-    lhs: Lhs<'_>,
+    lhs: L,
     steps: Range<usize>,
     acc: &mut [[f32; STRIP]],
 ) {
     #[inline(always)]
-    fn lanes<S: Strip, const W: usize>(
+    fn lanes<S: Strip, L: Rows, const W: usize>(
         strip: &S,
         (n, j, width): (usize, usize, usize),
-        lhs: Lhs<'_>,
+        lhs: L,
         steps: Range<usize>,
         acc: &mut [[f32; STRIP]],
     ) {
@@ -279,7 +341,7 @@ pub(crate) fn tile_scalar<S: Strip>(
                 *wv = strip.at(d * n + j + c);
             }
             for (r, a) in acc.iter_mut().enumerate() {
-                let uv = lhs.data[lhs.off + r * lhs.stride + d];
+                let uv = lhs.at(r, d);
                 for (av, &wv) in a[..W].iter_mut().zip(&w) {
                     *av = step::<S>(*av, uv, wv);
                 }
@@ -287,8 +349,8 @@ pub(crate) fn tile_scalar<S: Strip>(
         }
     }
     match at.2 {
-        0..=4 => lanes::<S, 4>(strip, at, lhs, steps, acc),
-        5..=8 => lanes::<S, 8>(strip, at, lhs, steps, acc),
-        _ => lanes::<S, STRIP>(strip, at, lhs, steps, acc),
+        0..=4 => lanes::<S, L, 4>(strip, at, lhs, steps, acc),
+        5..=8 => lanes::<S, L, 8>(strip, at, lhs, steps, acc),
+        _ => lanes::<S, L, STRIP>(strip, at, lhs, steps, acc),
     }
 }

@@ -425,7 +425,7 @@ unsafe fn tile_vector<S: Strip, const R: usize, const ACC: bool>(
                 *a = [_mm256_loadu_ps(src), _mm256_loadu_ps(src.add(8))];
             }
         }
-        let acc = tile::tile_vector::<S, R>(strip, (at.n, j), lhs, 0..at.cl, hint, acc);
+        let acc = tile::tile_vector::<S, _, R>(strip, (at.n, j), lhs, 0..at.cl, hint, acc);
         for (r, a) in acc.iter().enumerate() {
             let dst = rows[r0 + r].as_mut_ptr().add(at.out_off + j);
             _mm256_storeu_ps(dst, a[0]);
