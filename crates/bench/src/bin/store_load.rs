@@ -6,8 +6,8 @@
 //! 1. `rebuild_rng` — construct the network from seeded RNG (what every
 //!    process start paid before `pim-store` existed);
 //! 2. `save_cold`  — write the vault-aligned artifact (temp dir);
-//! 3. `load_owned` — `StoredModel::open` + rebuild (full read + verify +
-//!    materialize);
+//! 3. `load_owned` — `MappedModel::read` + rebuild (full read + verify
+//!    into an owned image);
 //! 4. `load_mmap`  — `MappedModel::open` + rebuild (verify + zero-copy
 //!    views);
 //! 5. a short serve window off the mapped weights, cross-checked bitwise
@@ -30,7 +30,7 @@ use pim_bench::emit::{
     store_json, write_json_artifact, BenchHost, QuantArtifactRow, StoreBenchInputs,
     StoreMeasurement,
 };
-use pim_store::{MappedModel, ModelWriter, QuantSpec, StoredModel};
+use pim_store::{MappedModel, ModelWriter, QuantSpec};
 use pim_tensor::QuantDType;
 
 fn ms(t: Instant) -> f64 {
@@ -71,8 +71,8 @@ fn main() {
     );
 
     let t = Instant::now();
-    let owned = StoredModel::open(&path)
-        .and_then(StoredModel::into_capsnet)
+    let owned = MappedModel::read(&path)
+        .and_then(|model| model.capsnet())
         .expect("owned load");
     let owned_ms = ms(t);
     drop(owned);

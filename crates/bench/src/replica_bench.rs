@@ -16,7 +16,7 @@ use capsnet::ExactMath;
 use capsnet_workloads::rollout::{rolling_rollout, RolloutScenarioConfig, RolloutScenarioReport};
 use capsnet_workloads::traffic::streaming_spec;
 use pim_serve::{ReplicaSet, ReplicaSetConfig, ServeConfig};
-use pim_store::SharedArtifact;
+use pim_store::MappedModel;
 
 use crate::check::check_replica;
 use crate::emit::{ledger_json, write_json_artifact, BenchHost};
@@ -56,11 +56,7 @@ pub struct ReplicaBenchResult {
 }
 
 /// Takes the shared-bytes accounting over an `n`-replica pool.
-fn account_sharing(
-    artifact: &SharedArtifact,
-    artifact_bytes: u64,
-    n: usize,
-) -> SharedBytesAccounting {
+fn account_sharing(artifact: &MappedModel, artifact_bytes: u64, n: usize) -> SharedBytesAccounting {
     let spec = streaming_spec();
     let caps_weight_bytes = (spec.l_caps().expect("valid")
         * spec.cl_dim
@@ -139,7 +135,7 @@ pub fn run_replica_bench(dir: &Path) -> ReplicaBenchResult {
         .save(&net, &path)
         .expect("save streaming artifact");
     drop(net); // the fleet serves off the mapping, not this copy
-    let artifact = SharedArtifact::open(&path).expect("open shared artifact");
+    let artifact = MappedModel::open(&path).expect("open shared artifact");
 
     let sharing = account_sharing(&artifact, save.bytes, SHARING_REPLICAS);
     println!(

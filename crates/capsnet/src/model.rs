@@ -202,15 +202,15 @@ pub trait WeightSource {
     /// biases are only requested when present).
     fn contains(&self, name: &str) -> bool;
 
-    /// The tensor stored under `name`, which must have exactly `dims`.
-    /// Sources holding quantized storage dequantize here (this is the
-    /// path for small tensors — conv kernels and biases — where an `f32`
-    /// copy is cheap).
+    /// The tensor stored under `name`; `dims` is the shape the model
+    /// needs ([`CapsNet::from_views`] rejects any other, so sources need
+    /// not check). Sources holding quantized storage dequantize here (this
+    /// is the path for small tensors — conv kernels and biases — where an
+    /// `f32` copy is cheap).
     ///
     /// # Errors
     ///
-    /// Implementations return an error for unknown names or shape
-    /// mismatches.
+    /// Implementations return an error for unknown names.
     fn tensor(&mut self, name: &str, dims: &[usize]) -> Result<Tensor, CapsNetError>;
 
     /// The weight stored under `name` as a typed [`WeightView`] — the path
@@ -234,18 +234,43 @@ impl WeightSource for std::collections::BTreeMap<String, Tensor> {
         self.contains_key(name)
     }
 
-    fn tensor(&mut self, name: &str, dims: &[usize]) -> Result<Tensor, CapsNetError> {
-        let t = self
-            .get(name)
-            .ok_or_else(|| CapsNetError::InvalidSpec(format!("missing weight {name:?}")))?;
-        if t.shape().dims() != dims {
-            return Err(CapsNetError::InvalidSpec(format!(
-                "weight {name:?} has shape {:?}, expected {dims:?}",
-                t.shape().dims()
-            )));
-        }
-        Ok(t.clone())
+    fn tensor(&mut self, name: &str, _dims: &[usize]) -> Result<Tensor, CapsNetError> {
+        self.get(name)
+            .cloned()
+            .ok_or_else(|| CapsNetError::InvalidSpec(format!("missing weight {name:?}")))
     }
+}
+
+/// A [`WeightSource`] whose every tensor is checked against the shape the
+/// model asked for — the one shape check [`CapsNet::from_views`] applies to
+/// any source.
+struct Checked<'s, S: ?Sized>(&'s mut S);
+
+impl<S: WeightSource + ?Sized> Checked<'_, S> {
+    fn contains(&self, name: &str) -> bool {
+        self.0.contains(name)
+    }
+
+    fn tensor(&mut self, name: &str, dims: &[usize]) -> Result<Tensor, CapsNetError> {
+        let t = self.0.tensor(name, dims)?;
+        check_shape(name, t.shape().dims(), dims)?;
+        Ok(t)
+    }
+
+    fn weight(&mut self, name: &str, dims: &[usize]) -> Result<WeightView, CapsNetError> {
+        let view = self.0.weight(name, dims)?;
+        check_shape(name, view.dims(), dims)?;
+        Ok(view)
+    }
+}
+
+fn check_shape(name: &str, got: &[usize], dims: &[usize]) -> Result<(), CapsNetError> {
+    if got != dims {
+        return Err(CapsNetError::InvalidSpec(format!(
+            "weight {name:?} has shape {got:?}, model needs {dims:?}"
+        )));
+    }
+    Ok(())
 }
 
 /// How a network's weight bytes are stored — see
@@ -342,12 +367,14 @@ impl CapsNet {
     /// # Errors
     ///
     /// Returns [`CapsNetError::InvalidSpec`] if the spec fails validation,
-    /// and propagates source errors (missing tensors, shape mismatches).
+    /// when a source tensor's shape is not the one the spec needs, and
+    /// propagates source errors (missing tensors).
     pub fn from_views<S: WeightSource + ?Sized>(
         spec: &CapsNetSpec,
         source: &mut S,
     ) -> Result<Self, CapsNetError> {
         spec.validate()?;
+        let source = &mut Checked(source);
         let k1 = spec.conv1_kernel;
         let conv1_w = source.tensor(
             "conv1.weight",

@@ -16,7 +16,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use capsnet::CapsNet;
-use pim_store::{MappedModel, SharedArtifact};
+use pim_store::{MappedModel, StoreError};
 
 use crate::error::ServeError;
 use crate::server::ServedModel;
@@ -89,9 +89,9 @@ impl ModelRegistry {
         self.slots.len() - 1
     }
 
-    /// Registers a model backed by an already-open [`SharedArtifact`]: the
-    /// replica-pool path. Every registry (one per replica) wrapping clones
-    /// of the same handle serves networks whose weights are windows into
+    /// Registers a model backed by an already-open [`MappedModel`]: the
+    /// replica-pool path. Every registry (one per replica) built from the
+    /// same `MappedModel` serves networks whose weights are windows into
     /// **one** mapping — N replicas, one physical copy of the weights,
     /// instead of N owned copies (or even N separate mappings).
     ///
@@ -102,9 +102,9 @@ impl ModelRegistry {
     pub fn load_shared(
         &mut self,
         name: impl Into<String>,
-        artifact: &SharedArtifact,
+        artifact: &MappedModel,
     ) -> Result<usize, ServeError> {
-        let net = rebuild_shared(artifact)?;
+        let net = load(artifact.path(), || artifact.capsnet())?;
         Ok(self.register(ServedModel::new(name, net)))
     }
 
@@ -165,27 +165,20 @@ impl ModelRegistry {
     ///
     /// [`ServeError::Load`] on load failure or bad index.
     pub fn swap_from_path(&self, model: usize, path: &Path) -> Result<u64, ServeError> {
-        let net = load_net(path)?;
+        let net = load(path, || MappedModel::open(path)?.capsnet())?;
         self.swap_model(model, net)
     }
 }
 
-fn load_net(path: &Path) -> Result<CapsNet, ServeError> {
-    let mapped = MappedModel::open(path)
-        .map_err(|e| ServeError::Load(format!("{}: {e}", path.display())))?;
-    mapped
-        .capsnet()
-        .map_err(|e| ServeError::Load(format!("{}: {e}", path.display())))
-}
-
-/// Rebuilds a network from a shared artifact, wrapping failures as
-/// [`ServeError::Load`] with the artifact's path — the one place this
-/// mapping lives (registry, server and pool swap paths all route through
-/// it).
-pub(crate) fn rebuild_shared(artifact: &SharedArtifact) -> Result<CapsNet, ServeError> {
-    artifact
-        .capsnet()
-        .map_err(|e| ServeError::Load(format!("{}: {e}", artifact.path().display())))
+/// Runs one store step on the artifact at `path` — opening it, building
+/// its network, or both — wrapping a failure as [`ServeError::Load`] with
+/// the path: the one place an artifact becomes a network or a load error
+/// (registry, server and pool paths all route through it).
+pub(crate) fn load<T>(
+    path: &Path,
+    step: impl FnOnce() -> Result<T, StoreError>,
+) -> Result<T, ServeError> {
+    step().map_err(|e| ServeError::Load(format!("{}: {e}", path.display())))
 }
 
 #[cfg(test)]

@@ -8,10 +8,9 @@
 //! not hold N owned copies of the weights. A [`ReplicaSet`] therefore runs
 //! N **independent** replicas — each with its own [`ModelRegistry`], its
 //! own scheduler (queue, admission, metrics), workers and response cache,
-//! sharing *nothing* with its siblings except a
-//! [`pim_store::SharedArtifact`] handle — and the artifact's single mapping
-//! backs every replica's weight tensors (one physical copy via the page
-//! cache).
+//! sharing *nothing* with its siblings except one
+//! [`pim_store::MappedModel`] — and that artifact's single mapping backs
+//! every replica's weight tensors (one physical copy via the page cache).
 //!
 //! A replica is a supervised shell around the same scheduler a bare
 //! [`crate::Server`] runs. [`ReplicaSetHandle::submit`] picks a replica and
@@ -50,7 +49,7 @@
 //! cache, a cold service-time estimate — takes over the **same**
 //! scheduler: requests queued meanwhile are served by it, and the
 //! replica's metrics span every life. The registry survives too; on the
-//! artifact path it wraps the shared [`SharedArtifact`] mapping, so the
+//! artifact path its networks borrow the one shared mapping, so the
 //! restart serves the *current* version (rollout monotonicity holds)
 //! without copying any weights. After
 //! [`FaultToleranceConfig::max_restarts`] restarts the replica is `Dead`:
@@ -75,13 +74,13 @@ use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, MathBackend};
 use pim_cache::{CacheConfig, CacheDigest};
-use pim_store::SharedArtifact;
+use pim_store::MappedModel;
 
 use crate::config::ServeConfig;
 use crate::error::{CallError, ServeError, SubmitError};
 use crate::histogram::LatencyHistogram;
 use crate::metrics::{MetricsReport, PERCENTILES};
-use crate::registry::{rebuild_shared, ModelHandle, ModelRegistry};
+use crate::registry::{load, ModelHandle, ModelRegistry};
 use crate::rollout::RetryBudget;
 use crate::server::{
     worker_loop, Request, Response, Scheduler, ServeCache, ServedModel, Slot, Ticket,
@@ -486,8 +485,8 @@ pub struct ReplicaSet<'a, B: MathBackend + Sync + ?Sized> {
 impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
     /// Builds a pool whose replicas all serve the model in `artifact`.
     ///
-    /// The artifact is **not** re-opened per replica: every registry wraps
-    /// a clone of the one [`SharedArtifact`] handle, so all replicas'
+    /// The artifact is **not** re-opened per replica: every registry's
+    /// network is built from the one [`MappedModel`], so all replicas'
     /// weight tensors are windows into a single mapping — the pool holds
     /// one physical copy of the eligible weights no matter how many
     /// replicas serve them. This is also what makes replica *restart*
@@ -500,7 +499,7 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
     /// when the artifact does not rebuild into a network.
     pub fn from_shared(
         name: impl Into<String>,
-        artifact: &SharedArtifact,
+        artifact: &MappedModel,
         backend: &'a B,
         cfg: ReplicaSetConfig,
     ) -> Result<Self, ServeError> {
@@ -532,8 +531,7 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
         backend: &'a B,
         cfg: ReplicaSetConfig,
     ) -> Result<Self, ServeError> {
-        let artifact = SharedArtifact::open(path)
-            .map_err(|e| ServeError::Load(format!("{}: {e}", path.display())))?;
+        let artifact = load(path, || MappedModel::open(path))?;
         Self::from_shared(name, &artifact, backend, cfg)
     }
 
@@ -1310,9 +1308,9 @@ impl ReplicaSetHandle<'_> {
     pub fn swap_replica_shared(
         &self,
         replica: usize,
-        artifact: &SharedArtifact,
+        artifact: &MappedModel,
     ) -> Result<u64, ServeError> {
-        self.swap_replica_net(replica, rebuild_shared(artifact)?)
+        self.swap_replica_net(replica, load(artifact.path(), || artifact.capsnet())?)
     }
 
     /// [`ReplicaSetHandle::swap_replica_shared`] with an in-memory network

@@ -37,7 +37,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use capsnet::CapsNet;
-use pim_store::SharedArtifact;
+use pim_store::MappedModel;
 use pim_tensor::Tensor;
 
 use crate::admission::Priority;
@@ -296,7 +296,7 @@ impl ReplicaSetHandle<'_> {
     /// was attempted, failed reverts included.
     pub fn rolling_rollout(
         &self,
-        new: &SharedArtifact,
+        new: &MappedModel,
         cfg: &RolloutConfig,
     ) -> Result<RolloutReport, RolloutError> {
         self.rolling_rollout_observed(new, cfg, |_| {})
@@ -308,7 +308,7 @@ impl ReplicaSetHandle<'_> {
     /// and for fault-injection tests that need to act mid-rollout.
     pub fn rolling_rollout_observed(
         &self,
-        new: &SharedArtifact,
+        new: &MappedModel,
         cfg: &RolloutConfig,
         mut observe: impl FnMut(&ReplicaRollout),
     ) -> Result<RolloutReport, RolloutError> {

@@ -575,9 +575,7 @@ impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
     /// [`ServeError::Load`] when the artifact cannot be loaded or the slot
     /// is out of range.
     pub fn swap_from_path(&self, model: usize, path: &std::path::Path) -> Result<u64, ServeError> {
-        let artifact = pim_store::SharedArtifact::open(path)
-            .map_err(|e| ServeError::Load(format!("{}: {e}", path.display())))?;
-        let net = crate::registry::rebuild_shared(&artifact)?;
+        let net = crate::registry::load(path, || pim_store::MappedModel::open(path)?.capsnet())?;
         self.swap_model(model, net)
             .map_err(|e| ServeError::Load(e.to_string()))
     }

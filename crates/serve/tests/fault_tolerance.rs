@@ -11,7 +11,7 @@ use pim_serve::{
     AdmissionPolicy, FaultToleranceConfig, HealthState, Priority, ReplicaSet, ReplicaSetConfig,
     Request, RetryBudget, RoutingPolicy, ServeConfig, ServeError, SloConfig, SubmitError,
 };
-use pim_store::{ModelWriter, SharedArtifact};
+use pim_store::{MappedModel, ModelWriter};
 use pim_tensor::Tensor;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -244,7 +244,7 @@ fn panicked_replica_restarts_from_shared_artifact_and_preserves_version() {
     let v1 = tiny_net(3);
     let v1_path = dir.join("v1.pimcaps");
     ModelWriter::vault_aligned().save(&v1, &v1_path).unwrap();
-    let artifact = SharedArtifact::open(&v1_path).unwrap();
+    let artifact = MappedModel::open(&v1_path).unwrap();
     let math = ScriptedMath::new();
     let set = ReplicaSet::from_shared(
         "caps",

@@ -10,7 +10,7 @@ use pim_serve::{
     ReplicaOutcome, ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RoutingPolicy,
     ServeConfig, ServeError,
 };
-use pim_store::{ModelWriter, SharedArtifact};
+use pim_store::{MappedModel, ModelWriter};
 use pim_tensor::Tensor;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -460,7 +460,7 @@ fn rolling_rollout_updates_every_replica() {
     )
     .unwrap();
     let (report, metrics) = set.run(|pool| {
-        let new = SharedArtifact::open(&v2_path).unwrap();
+        let new = MappedModel::open(&v2_path).unwrap();
         let cfg = RolloutConfig::new(images(1, 99), 0.05);
         let report = pool.rolling_rollout(&new, &cfg).unwrap();
         // Post-rollout traffic serves the new weights.
@@ -515,7 +515,7 @@ fn canary_divergence_rolls_the_fleet_back() {
     )
     .unwrap();
     let (report, _) = set.run(|pool| {
-        let new = SharedArtifact::open(&bad_path).unwrap();
+        let new = MappedModel::open(&bad_path).unwrap();
         let cfg = RolloutConfig::new(images(2, 55), 0.05);
         let report = pool.rolling_rollout(&new, &cfg).unwrap();
         // The fleet still serves v1's *weights* (versions moved forward:
@@ -582,7 +582,7 @@ fn geometry_changing_rollout_is_caught_by_the_canary() {
     )
     .unwrap();
     let (report, _) = set.run(|pool| {
-        let new = SharedArtifact::open(&other_path).unwrap();
+        let new = MappedModel::open(&other_path).unwrap();
         let cfg = RolloutConfig::new(images(1, 1), 0.5);
         pool.rolling_rollout(&new, &cfg).unwrap()
     });

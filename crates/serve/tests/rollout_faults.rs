@@ -10,7 +10,7 @@ use pim_serve::{
     AdmissionPolicy, FaultToleranceConfig, ReplicaOutcome, ReplicaSet, ReplicaSetConfig, Request,
     RetryBudget, RolloutConfig, RoutingPolicy, ServeConfig, ServeError, SubmitError,
 };
-use pim_store::{ModelWriter, SharedArtifact};
+use pim_store::{MappedModel, ModelWriter};
 use pim_tensor::Tensor;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -110,7 +110,7 @@ fn canary_against_saturated_replica_fails_typed_not_livelocked() {
             }
         }
 
-        let new = SharedArtifact::open(&v2_path).unwrap();
+        let new = MappedModel::open(&v2_path).unwrap();
         let mut rollout_cfg = RolloutConfig::new(images(1, 99), 0.05);
         rollout_cfg.canary_retry = RetryBudget {
             attempts: 4,
@@ -165,7 +165,7 @@ fn failed_reverts_are_recorded_not_silently_dropped() {
     };
     let set = ReplicaSet::from_net("stuck", &v1, &ExactMath, cfg).unwrap();
     let (err, _report) = set.run(|pool| {
-        let new = SharedArtifact::open(&v2_path).unwrap();
+        let new = MappedModel::open(&v2_path).unwrap();
         let rollout_cfg = RolloutConfig::new(images(1, 7), 0.05);
         // Fault injection: the moment replica 1 is updated, decommission
         // replicas 0 and 2. Replica 2's forward swap then fails (its

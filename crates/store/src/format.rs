@@ -51,7 +51,7 @@ pub const HEADER_LEN: usize = 64;
 /// Alignment of every tensor-partition data offset (and of the total file
 /// length). 64 bytes covers a cache line and any SIMD load the kernels
 /// use, and divides the 4 KiB pages mmap hands back.
-const DATA_ALIGN: usize = 64;
+pub(crate) const DATA_ALIGN: usize = 64;
 /// The number of weight partitions the vault-aligned layout produces per
 /// eligible tensor: one per vault, matching the 16 PEs/banks per vault of
 /// the paper's intra-vault design (`hmc-sim` geometry, §5.2.1).

@@ -8,17 +8,21 @@
 //! This crate is the serving-tier analogue of that discipline. Instead of
 //! rebuilding multi-hundred-MB weight tensors from an RNG on every process
 //! start, models are persisted once as a **versioned, checksummed binary
-//! artifact** and loaded back either
+//! artifact** and loaded back through one reader, [`MappedModel`], over
+//! one of two backings:
 //!
-//! * **owned** ([`StoredModel`]): read + verify + materialize, or
-//! * **zero-copy** ([`MappedModel`]): `mmap` the artifact and run the
+//! * **mapped** ([`MappedModel::open`]): `mmap` the artifact and run the
 //!   network off [`pim_tensor::Tensor::from_shared`] views borrowing the
 //!   page cache — cold loads are bounded by checksum bandwidth rather than
 //!   RNG throughput, warm loads by page-table work, and N processes
-//!   serving the same model share one physical copy of the weights, or
-//! * **shared** ([`SharedArtifact`]): a cheaply cloneable handle over one
-//!   [`MappedModel`], so N in-process serve replicas wrap a *single*
-//!   mapping (verified once) instead of N mappings of the same file.
+//!   serving the same model share one physical copy of the weights;
+//! * **owned** ([`MappedModel::read`]): read + verify the file image into
+//!   owned memory once (the portable path, and `open`'s fallback where the
+//!   platform has no mmap).
+//!
+//! Either way every network [`MappedModel::capsnet`] builds borrows the
+//! one backing buffer, so N in-process serve replicas built from one
+//! `MappedModel` share a *single* verified image.
 //!
 //! The optional **vault-aligned layout** ([`Layout::VaultAligned`]) stores
 //! eligible weight tensors pre-partitioned along their leading dimension
@@ -69,7 +73,7 @@ pub use format::{
     Layout, Partition, QuantParams, SectionDtype, TensorRecord, DEFAULT_VAULT_WAYS, FORMAT_VERSION,
     FORMAT_VERSION_F32,
 };
-pub use reader::{MappedModel, SharedArtifact, StoredModel, VaultPartition};
+pub use reader::{MappedModel, VaultPartition};
 pub use writer::{ModelWriter, QuantSpec, SaveReport};
 
 /// Convenience alias for results produced by this crate.

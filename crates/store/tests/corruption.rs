@@ -5,7 +5,7 @@
 use capsnet::{CapsNet, CapsNetError, CapsNetSpec};
 use pim_store::format::{Header, FORMAT_VERSION, HEADER_LEN};
 use pim_store::hash::hash64;
-use pim_store::{MappedModel, ModelWriter, StoreError, StoredModel};
+use pim_store::{MappedModel, ModelWriter, StoreError};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("pim_store_corrupt_{tag}_{}", std::process::id()));
@@ -21,15 +21,15 @@ fn artifact_bytes(dir: &std::path::Path) -> (std::path::PathBuf, Vec<u8>) {
     (path, bytes)
 }
 
-/// Both loaders must reject the on-disk bytes at `path`.
-fn assert_both_loaders_reject(path: &std::path::Path, what: &str) {
-    match StoredModel::open(path) {
+/// Both backings must reject the on-disk bytes at `path`.
+fn assert_both_backings_reject(path: &std::path::Path, what: &str) {
+    match MappedModel::read(path) {
         Err(_) => {}
-        Ok(_) => panic!("StoredModel accepted {what}"),
+        Ok(_) => panic!("MappedModel::read accepted {what}"),
     }
     match MappedModel::open(path) {
         Err(_) => {}
-        Ok(_) => panic!("MappedModel accepted {what}"),
+        Ok(_) => panic!("MappedModel::open accepted {what}"),
     }
 }
 
@@ -49,7 +49,7 @@ fn truncation_at_every_region_is_rejected() {
         bytes.len() - 1,
     ] {
         std::fs::write(&path, &bytes[..keep]).unwrap();
-        assert_both_loaders_reject(&path, &format!("a file truncated to {keep} bytes"));
+        assert_both_backings_reject(&path, &format!("a file truncated to {keep} bytes"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -74,7 +74,7 @@ fn every_flipped_byte_is_detected() {
             continue;
         }
         std::fs::write(&path, &corrupt).unwrap();
-        assert_both_loaders_reject(&path, &format!("a byte flip at offset {pos}"));
+        assert_both_backings_reject(&path, &format!("a byte flip at offset {pos}"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -86,7 +86,7 @@ fn bad_magic_is_a_typed_error() {
     bytes[0] = b'X';
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        StoredModel::open(&path),
+        MappedModel::read(&path),
         Err(StoreError::BadMagic)
     ));
     assert!(matches!(
@@ -95,9 +95,9 @@ fn bad_magic_is_a_typed_error() {
     ));
     // Arbitrary non-artifact files too.
     std::fs::write(&path, b"not an artifact at all").unwrap();
-    assert_both_loaders_reject(&path, "a random file");
+    assert_both_backings_reject(&path, "a random file");
     std::fs::write(&path, b"").unwrap();
-    assert_both_loaders_reject(&path, "an empty file");
+    assert_both_backings_reject(&path, "an empty file");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -112,7 +112,7 @@ fn wrong_version_is_a_typed_error() {
     bytes[..HEADER_LEN].copy_from_slice(&header.encode());
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        StoredModel::open(&path),
+        MappedModel::read(&path),
         Err(StoreError::UnsupportedVersion { found }) if found == header.version
     ));
     assert!(matches!(
@@ -139,7 +139,7 @@ fn crafted_headers_with_huge_fields_are_typed_errors_not_panics() {
         let mut crafted = bytes.clone();
         crafted[..HEADER_LEN].copy_from_slice(&header.encode());
         std::fs::write(&path, &crafted).unwrap();
-        assert_both_loaders_reject(&path, &format!("a header with spec_len {spec_len}"));
+        assert_both_backings_reject(&path, &format!("a header with spec_len {spec_len}"));
     }
 
     // tensor_count = u32::MAX would be a ~380 GB Vec pre-allocation if
@@ -149,7 +149,7 @@ fn crafted_headers_with_huge_fields_are_typed_errors_not_panics() {
     let mut crafted = bytes.clone();
     crafted[..HEADER_LEN].copy_from_slice(&header.encode());
     std::fs::write(&path, &crafted).unwrap();
-    assert_both_loaders_reject(&path, "a header with tensor_count u32::MAX");
+    assert_both_backings_reject(&path, "a header with tensor_count u32::MAX");
 
     // table_off/table_len near the end of the address space.
     let mut header = base;
@@ -158,7 +158,7 @@ fn crafted_headers_with_huge_fields_are_typed_errors_not_panics() {
     let mut crafted = bytes.clone();
     crafted[..HEADER_LEN].copy_from_slice(&header.encode());
     std::fs::write(&path, &crafted).unwrap();
-    assert_both_loaders_reject(&path, "a header with table_off near u64::MAX");
+    assert_both_backings_reject(&path, "a header with table_off near u64::MAX");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -188,7 +188,7 @@ fn a_checksum_valid_spec_with_a_zero_kernel_or_stride_is_a_typed_error() {
         forged[spec_end..spec_end + 8].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &forged).unwrap();
         for result in [
-            StoredModel::open(&path).map(|_| ()),
+            MappedModel::read(&path).map(|_| ()),
             MappedModel::open(&path).map(|_| ()),
         ] {
             match result {
@@ -206,13 +206,38 @@ fn trailing_garbage_is_rejected() {
     let (path, mut bytes) = artifact_bytes(&dir);
     bytes.extend_from_slice(&[0xAB; 64]);
     std::fs::write(&path, &bytes).unwrap();
-    assert_both_loaders_reject(&path, "a file with trailing garbage");
+    assert_both_backings_reject(&path, "a file with trailing garbage");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_committed_length_off_the_data_alignment_is_corrupt() {
+    // Every writer pads the image to a multiple of 64 bytes. A file grown
+    // by one byte whose header commits to the new length (checksum
+    // recomputed, as anyone rewriting the file can) must be refused, not
+    // copied into an owned image in place of the mapping.
+    let dir = tmp_dir("odd_len");
+    let (path, mut bytes) = artifact_bytes(&dir);
+    let mut header = Header::decode(&bytes).unwrap();
+    header.file_len += 1;
+    bytes.push(0);
+    bytes[..HEADER_LEN].copy_from_slice(&header.encode());
+    std::fs::write(&path, &bytes).unwrap();
+    for result in [
+        MappedModel::read(&path).map(|_| ()),
+        MappedModel::open(&path).map(|_| ()),
+    ] {
+        match result {
+            Err(StoreError::Corrupt(_)) => {}
+            other => panic!("a {}-byte committed length: {other:?}", header.file_len),
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn missing_file_is_io() {
     let path = std::path::Path::new("/nonexistent/pim_store_missing.pimcaps");
-    assert!(matches!(StoredModel::open(path), Err(StoreError::Io(_))));
+    assert!(matches!(MappedModel::read(path), Err(StoreError::Io(_))));
     assert!(matches!(MappedModel::open(path), Err(StoreError::Io(_))));
 }

@@ -2,7 +2,7 @@
 //! mmap → forward on randomized weights — including NaN, ±∞, negative
 //! zero and subnormals. Quantization is deliberately lossy, so the
 //! invariants are determinism ones: the stored payload matches an
-//! in-memory quantization of the same weights bit-for-bit, both readers
+//! in-memory quantization of the same weights bit-for-bit, both backings
 //! rebuild bit-identical networks, and for ordinary finite weights the
 //! end-to-end divergence from f32 stays inside the declared bound. (That
 //! the two SIMD levels decode stored payloads alike is `pim-tensor`'s
@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
-use pim_store::{MappedModel, ModelWriter, QuantSpec, StoredModel};
+use pim_store::{MappedModel, ModelWriter, QuantSpec};
 use pim_tensor::{QuantDType, Tensor};
 use proptest::prelude::*;
 
@@ -124,10 +124,10 @@ proptest! {
             prop_assert_eq!(a.zero_point, b.zero_point);
         }
 
-        // Both readers rebuild the same network: forward is bit-identical
+        // Both backings rebuild the same network: forward is bit-identical
         // between them (even if outputs are NaN/∞), and never panics.
         let from_map = mapped.capsnet().unwrap();
-        let from_owned = StoredModel::open(&path).unwrap().into_capsnet().unwrap();
+        let from_owned = MappedModel::read(&path).unwrap().capsnet().unwrap();
         let images = Tensor::uniform(&[2, 1, 12, 12], 0.0, 1.0, seed ^ 0xF00D);
         let a = from_map.forward(&images, &ExactMath).unwrap();
         let b = from_owned.forward(&images, &ExactMath).unwrap();

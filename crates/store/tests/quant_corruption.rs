@@ -8,7 +8,7 @@
 use capsnet::{CapsNet, CapsNetSpec};
 use pim_store::format::Header;
 use pim_store::hash::{hash64, Hasher};
-use pim_store::{MappedModel, ModelWriter, QuantSpec, StoreError, StoredModel};
+use pim_store::{MappedModel, ModelWriter, QuantSpec, StoreError};
 use pim_tensor::QuantDType;
 
 const DTYPE_F32: u8 = 1;
@@ -32,14 +32,14 @@ fn quant_artifact_bytes(dir: &std::path::Path, dtype: QuantDType) -> (std::path:
     (path, bytes)
 }
 
-fn assert_both_loaders_reject(path: &std::path::Path, what: &str) {
-    match StoredModel::open(path) {
+fn assert_both_backings_reject(path: &std::path::Path, what: &str) {
+    match MappedModel::read(path) {
         Err(_) => {}
-        Ok(_) => panic!("StoredModel accepted {what}"),
+        Ok(_) => panic!("MappedModel::read accepted {what}"),
     }
     match MappedModel::open(path) {
         Err(_) => {}
-        Ok(_) => panic!("MappedModel accepted {what}"),
+        Ok(_) => panic!("MappedModel::open accepted {what}"),
     }
 }
 
@@ -139,18 +139,18 @@ fn an_int8_partition_boundary_inside_a_capsule_is_rejected() {
         "caps.weight",
     );
     std::fs::write(&path, &forged).unwrap();
-    // The owned loader builds the quantized weight at open; the mapped
-    // one when it hands the network out.
-    match StoredModel::open(&path) {
-        Err(StoreError::Tensor(_)) => {}
-        other => panic!("StoredModel accepted a split capsule: {other:?}"),
+    // Both backings verify the checksums at open and refuse the weight
+    // when they hand it out.
+    for model in [
+        MappedModel::read(&path).unwrap(),
+        MappedModel::open(&path).unwrap(),
+    ] {
+        assert!(matches!(
+            model.weight_view("caps.weight"),
+            Err(StoreError::Tensor(_))
+        ));
+        assert!(model.capsnet().is_err());
     }
-    let mapped = MappedModel::open(&path).unwrap();
-    assert!(matches!(
-        mapped.weight_view("caps.weight"),
-        Err(StoreError::Tensor(_))
-    ));
-    assert!(mapped.capsnet().is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -168,7 +168,7 @@ fn truncation_inside_affine_params_is_rejected() {
     // Cut mid-scale, mid-zero-point, and right before the params.
     for keep in [params - 1, params + 2, params + 4, params + 6] {
         std::fs::write(&path, &bytes[..keep]).unwrap();
-        assert_both_loaders_reject(
+        assert_both_backings_reject(
             &path,
             &format!("a file cut at {keep}, inside affine params"),
         );
@@ -188,7 +188,7 @@ fn flipped_bytes_in_quant_payloads_are_rejected() {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x01;
             std::fs::write(&path, &corrupt).unwrap();
-            assert_both_loaders_reject(&path, &format!("{tag}: a payload flip at {pos}"));
+            assert_both_backings_reject(&path, &format!("{tag}: a payload flip at {pos}"));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -211,7 +211,7 @@ fn forged_dtype_tags_with_valid_table_checksum_are_rejected() {
         "conv1.weight",
     );
     std::fs::write(&path, &forged).unwrap();
-    assert_both_loaders_reject(&path, "an f32 section re-tagged as f16");
+    assert_both_backings_reject(&path, "an f32 section re-tagged as f16");
 
     // f16 → f32 forge on the genuinely-quantized section: claims twice
     // the payload bytes that exist at that offset.
@@ -225,14 +225,14 @@ fn forged_dtype_tags_with_valid_table_checksum_are_rejected() {
         "caps.weight",
     );
     std::fs::write(&path, &forged).unwrap();
-    assert_both_loaders_reject(&path, "an f16 section re-tagged as f32");
+    assert_both_backings_reject(&path, "an f16 section re-tagged as f32");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn unknown_future_dtype_with_valid_checksums_is_typed() {
     // A checksum-valid artifact declaring a dtype this reader has never
-    // heard of is a *future format*, not corruption: the loaders must say
+    // heard of is a *future format*, not corruption: both backings must say
     // so with `UnsupportedDtype`, naming the tensor and the code.
     let dir = tmp_dir("future_dtype");
     let (path, mut bytes) = quant_artifact_bytes(&dir, QuantDType::F16);
@@ -245,7 +245,7 @@ fn unknown_future_dtype_with_valid_checksums_is_typed() {
     );
     std::fs::write(&path, &bytes).unwrap();
     for result in [
-        StoredModel::open(&path).map(|_| ()),
+        MappedModel::read(&path).map(|_| ()),
         MappedModel::open(&path).map(|_| ()),
     ] {
         match result {

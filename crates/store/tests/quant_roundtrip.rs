@@ -1,11 +1,11 @@
-//! Quantized artifact roundtrips: quantize → save → (owned | mmap) load →
+//! Quantized artifact roundtrips: quantize → save → (`read` | `open`) →
 //! forward, in both layouts and both quantized dtypes. Also pins the
 //! version-emission contract (unquantized artifacts stay byte-identical
 //! v1) and the refuse-to-requantize writer guard.
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use pim_store::format::{Header, FORMAT_VERSION, FORMAT_VERSION_F32};
-use pim_store::{Layout, MappedModel, ModelWriter, QuantSpec, StoreError, StoredModel};
+use pim_store::{Layout, MappedModel, ModelWriter, QuantSpec, StoreError};
 use pim_tensor::{QuantDType, Tensor};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -113,10 +113,10 @@ fn packed_roundtrip(dtype: QuantDType, tag: &str, max_div: f32) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
 
-    // Both readers rebuild the same network (bit-identical forward), and
+    // Both backings rebuild the same network (bit-identical forward), and
     // the quantized model stays close to the f32 source.
     let from_map = mapped.capsnet().unwrap();
-    let from_owned = StoredModel::open(&path).unwrap().into_capsnet().unwrap();
+    let from_owned = MappedModel::read(&path).unwrap().capsnet().unwrap();
     assert_forward_bitwise(&from_map, &from_owned);
     let div = norm_divergence(&net, &from_map);
     assert!(

@@ -1,9 +1,9 @@
-//! End-to-end artifact roundtrips: save → (owned | mmap) load → forward,
-//! bit-identical to the in-memory network, in both layouts.
+//! End-to-end artifact roundtrips: save → (owned `read` | mapped `open`)
+//! → forward, bit-identical to the in-memory network, in both layouts.
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
-use pim_store::{Layout, MappedModel, ModelWriter, StoredModel};
-use pim_tensor::Tensor;
+use pim_store::{Layout, MappedModel, ModelWriter, QuantSpec};
+use pim_tensor::{QuantDType, Tensor};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("pim_store_{tag}_{}", std::process::id()));
@@ -61,11 +61,12 @@ fn packed_roundtrip_owned_and_mapped() {
         "packed: 1 partition each"
     );
 
-    // Owned load.
-    let stored = StoredModel::open(&path).unwrap();
-    assert_eq!(stored.spec(), net.spec());
-    assert_eq!(stored.layout(), Layout::Packed);
-    assert_forward_bitwise(&net, &stored.into_capsnet().unwrap());
+    // Owned image.
+    let owned = MappedModel::read(&path).unwrap();
+    assert!(!owned.is_mapped());
+    assert_eq!(owned.spec(), net.spec());
+    assert_eq!(owned.layout(), Layout::Packed);
+    assert_forward_bitwise(&net, &owned.capsnet().unwrap());
 
     // Zero-copy mapped load.
     let mapped = MappedModel::open(&path).unwrap();
@@ -211,30 +212,55 @@ fn larger_model_with_uneven_vault_shares() {
 }
 
 #[test]
+fn read_and_open_give_bitwise_identical_forwards_over_layouts_and_dtypes() {
+    let dir = tmp_dir("read_vs_open");
+    let net = tiny_net(23);
+    for (layout, writer) in [
+        ("packed", ModelWriter::new()),
+        ("vault", ModelWriter::vault_aligned()),
+    ] {
+        for (dtype, quant) in [
+            ("f32", None),
+            ("int8", Some(QuantDType::I8)),
+            ("fp16", Some(QuantDType::F16)),
+        ] {
+            let path = dir.join(format!("{layout}_{dtype}.pimcaps"));
+            let writer = match quant {
+                Some(q) => writer.clone().with_quant(QuantSpec::weights(q)),
+                None => writer.clone(),
+            };
+            writer.save(&net, &path).unwrap();
+            let owned = MappedModel::read(&path).unwrap();
+            let mapped = MappedModel::open(&path).unwrap();
+            assert!(!owned.is_mapped(), "{layout}/{dtype}: read never maps");
+            assert!(
+                mapped.is_mapped(),
+                "{layout}/{dtype}: unix hosts must really mmap"
+            );
+            assert_eq!(owned.image_len(), mapped.image_len());
+            assert_forward_bitwise(&mapped.capsnet().unwrap(), &owned.capsnet().unwrap());
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn shared_artifact_backs_many_networks_with_one_mapping() {
     let dir = tmp_dir("shared_artifact");
     let path = dir.join("shared.pimcaps");
     let net = tiny_net(31);
     ModelWriter::new().save(&net, &path).unwrap();
 
-    let artifact = pim_store::SharedArtifact::open(&path).unwrap();
+    let artifact = MappedModel::open(&path).unwrap();
     assert_eq!(artifact.path(), path.as_path());
     assert!(artifact.image_len() > 0);
     #[cfg(unix)]
     assert!(artifact.is_mapped());
 
-    // Clones share the one mapping (no re-open, no re-verify).
-    let replica_handles: Vec<pim_store::SharedArtifact> =
-        (0..3).map(|_| artifact.clone()).collect();
-    assert_eq!(artifact.handles(), 1 + replica_handles.len());
-
-    // Every network built from any handle reads the caps weight from the
-    // same physical bytes: identical backing pointers, zero owned copies
-    // of the packed-layout tensors.
-    let nets: Vec<CapsNet> = replica_handles
-        .iter()
-        .map(|h| h.capsnet().unwrap())
-        .collect();
+    // Every network built from the one artifact (one per replica, say)
+    // reads the caps weight from the same physical bytes: identical
+    // backing pointers, zero owned copies of the packed-layout tensors.
+    let nets: Vec<CapsNet> = (0..3).map(|_| artifact.capsnet().unwrap()).collect();
     let base_ptr = nets[0]
         .named_weights()
         .iter()
@@ -279,9 +305,8 @@ fn in_place_truncation_is_a_typed_error_not_a_crash() {
         Err(pim_store::StoreError::Truncated { .. })
     ));
     assert!(matches!(
-        StoredModel::open(&path),
+        MappedModel::read(&path),
         Err(pim_store::StoreError::Truncated { .. })
     ));
-    assert!(pim_store::SharedArtifact::open(&path).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }

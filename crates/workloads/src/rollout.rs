@@ -25,7 +25,7 @@ use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use pim_serve::{
     ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RolloutReport, RoutingPolicy, ServeConfig,
 };
-use pim_store::{ModelWriter, SharedArtifact, StoreError};
+use pim_store::{MappedModel, ModelWriter, StoreError};
 use pim_tensor::Tensor;
 
 use crate::drive::{bitwise_eq, drive, Arrivals, Backpressure, Drive, Ledger};
@@ -201,14 +201,14 @@ pub fn rolling_rollout(
             wait_until(cfg.requests / 3);
             let good = pool
                 .rolling_rollout(
-                    &SharedArtifact::open(&v2_path).expect("v2 artifact opens"),
+                    &MappedModel::open(&v2_path).expect("v2 artifact opens"),
                     &RolloutConfig::new(canary.clone(), cfg.tolerance),
                 )
                 .expect("healthy rollout completes");
             wait_until(2 * cfg.requests / 3);
             let bad = pool
                 .rolling_rollout(
-                    &SharedArtifact::open(&bad_path).expect("poisoned artifact opens"),
+                    &MappedModel::open(&bad_path).expect("poisoned artifact opens"),
                     &RolloutConfig::new(canary, cfg.tolerance),
                 )
                 .expect("poisoned rollout completes (by rolling back)");

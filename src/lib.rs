@@ -61,7 +61,7 @@ pub mod prelude {
         Request, Response, RolloutConfig, RoutingPolicy, ServeCache, ServeConfig, ServedModel,
         Server, SloConfig, SubmitError,
     };
-    pub use pim_store::{MappedModel, ModelWriter, SharedArtifact, StoredModel};
+    pub use pim_store::{MappedModel, ModelWriter};
     pub use pim_tensor::Tensor;
 }
 
