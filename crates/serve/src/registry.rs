@@ -165,8 +165,7 @@ impl ModelRegistry {
     ///
     /// [`ServeError::Load`] on load failure or bad index.
     pub fn swap_from_path(&self, model: usize, path: &Path) -> Result<u64, ServeError> {
-        let net = load(path, || MappedModel::open(path)?.capsnet())?;
-        self.swap_model(model, net)
+        self.swap_model(model, load_path(path)?)
     }
 }
 
@@ -179,6 +178,12 @@ pub(crate) fn load<T>(
     step: impl FnOnce() -> Result<T, StoreError>,
 ) -> Result<T, ServeError> {
     step().map_err(|e| ServeError::Load(format!("{}: {e}", path.display())))
+}
+
+/// Maps the artifact at `path` and builds its network: the path-to-network
+/// step of both `swap_from_path`s.
+pub(crate) fn load_path(path: &Path) -> Result<CapsNet, ServeError> {
+    load(path, || MappedModel::open(path)?.capsnet())
 }
 
 #[cfg(test)]

@@ -575,8 +575,7 @@ impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
     /// [`ServeError::Load`] when the artifact cannot be loaded or the slot
     /// is out of range.
     pub fn swap_from_path(&self, model: usize, path: &std::path::Path) -> Result<u64, ServeError> {
-        let net = crate::registry::load(path, || pim_store::MappedModel::open(path)?.capsnet())?;
-        self.swap_model(model, net)
+        self.swap_model(model, crate::registry::load_path(path)?)
             .map_err(|e| ServeError::Load(e.to_string()))
     }
 }
