@@ -66,9 +66,7 @@ fn bench_cache_serve_config() -> ServeConfig {
     }
 }
 
-/// The cache configuration the on-pass serves under. The watchdog-driven
-/// digest sync is a replica-pool concern; a single server ignores
-/// `sync_interval`.
+/// The cache configuration the on-pass serves under.
 fn bench_cache_config() -> CacheConfig {
     CacheConfig::default()
 }
@@ -175,7 +173,7 @@ impl CacheBenchResult {
                 "  \"host\": {{\"simd\": \"{simd}\", \"threads\": {threads}}},\n",
                 "  \"model\": {{\"name\": \"{name}\", \"caps_weight_mb\": {wmb:.1}}},\n",
                 "  \"cache\": {{\"byte_budget\": {budget}, \"shards\": {shards}, ",
-                "\"bloom_bits\": {bbits}, \"bloom_hashes\": {bhash}, \"hot_keys\": {hot}}},\n",
+                "\"bloom_bits\": {bbits}, \"bloom_hashes\": {bhash}}},\n",
                 "  \"traffic\": {{\"requests\": {req}, \"tenants\": {ten}, \"keys\": {keys}, ",
                 "\"skew\": {skew:.2}, \"distinct_content\": {distinct}, ",
                 "\"achievable_hits\": {achievable}}},\n",
@@ -198,7 +196,6 @@ impl CacheBenchResult {
             shards = self.cache_cfg.shards,
             bbits = self.cache_cfg.bloom_bits,
             bhash = self.cache_cfg.bloom_hashes,
-            hot = self.cache_cfg.hot_keys,
             req = self.traffic.requests,
             ten = self.traffic.tenants,
             keys = self.traffic.keys,
@@ -279,8 +276,6 @@ mod tests {
                 insertions: 14,
                 evictions: 0,
                 orphan_evictions: 0,
-                digests_applied: 0,
-                digests_ignored: 0,
                 entries: 14,
                 bytes: 700,
             },

@@ -337,13 +337,7 @@ pub fn check_cache(doc: &Value) -> Verdict {
     text(model, "name")?;
     let streams = num(model, "caps_weight_mb")? > 100.0;
     ensure!(streams, "the cache must front the weight-streaming model");
-    let knobs = [
-        "byte_budget",
-        "shards",
-        "bloom_bits",
-        "bloom_hashes",
-        "hot_keys",
-    ];
+    let knobs = ["byte_budget", "shards", "bloom_bits", "bloom_hashes"];
     at_least(member(doc, "cache")?, 1.0, &knobs)?;
     let traffic = member(doc, "traffic")?;
     let requests = num(traffic, "requests")?;

@@ -6,11 +6,8 @@
 //! cache-shard mutex. Bits are set with `fetch_or` and never cleared —
 //! version-keyed membership (see [`crate::ResponseCache`]) means stale
 //! epochs decay into harmless false-positive noise instead of requiring a
-//! rebuild.
-//!
-//! The word array doubles as the filter's wire format: [`AtomicBloom::snapshot`]
-//! serializes it for a cross-replica [`crate::CacheDigest`], and
-//! [`AtomicBloom::merge_words`] ORs a peer's snapshot back in.
+//! rebuild. One filter per model serves every replica of a pool, since
+//! the pool shares one cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,27 +80,6 @@ impl AtomicBloom {
             self.words[(bit / 64) as usize].load(Ordering::Relaxed) & (1 << (bit % 64)) != 0
         })
     }
-
-    /// The raw word array — the digest-sync wire format.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// ORs a peer snapshot in. Snapshots of a different geometry are
-    /// ignored (peers are expected to share one [`crate::CacheConfig`]).
-    pub fn merge_words(&self, words: &[u64]) {
-        if words.len() != self.words.len() {
-            return;
-        }
-        for (mine, theirs) in self.words.iter().zip(words) {
-            if *theirs != 0 {
-                mine.fetch_or(*theirs, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,19 +116,5 @@ mod tests {
             .count();
         // 256 keys × 3 bits in 65536 bits → fp rate well under 1%.
         assert!(false_positives < 100, "{false_positives} false positives");
-    }
-
-    #[test]
-    fn merge_unions_memberships() {
-        let a = AtomicBloom::new(1 << 10, 2);
-        let b = AtomicBloom::new(1 << 10, 2);
-        a.insert(7);
-        b.insert(13);
-        a.merge_words(&b.snapshot());
-        assert!(a.contains(7) && a.contains(13));
-        // Geometry mismatch is a no-op, not a panic.
-        let before = a.snapshot();
-        a.merge_words(&[u64::MAX; 3]);
-        assert_eq!(a.snapshot(), before);
     }
 }

@@ -23,14 +23,11 @@
 //!   them, and the clock hand fast-tracks their reclamation
 //!   (`orphan_evictions`). In-flight batches still holding the old model
 //!   `Arc` may keep filling their own epoch — harmless, lazily reclaimed.
-//! * **Cross-replica digest sync** ([`CacheDigest`]): a compact serialized
-//!   bloom + hot-key summary per `(model, version)`. Applying a peer digest
-//!   does not copy values (they are cheap to recompute relative to moving
-//!   them); it biases **retention**: locally-filled entries whose digest a
-//!   peer reported hot start CLOCK-protected, so the working set converges
-//!   fleet-wide. A restarted replica starts cold (empty cache, empty
-//!   digest) and applying a cold digest is a no-op, so reconciliation is
-//!   safe under restart.
+//! * **One cache per replica pool.** The cache is `Sync` and its keys
+//!   carry the version, so every replica of a `pim-serve` pool shares one
+//!   instance: a response one replica filled is a hit on every other. This
+//!   is sound because a pool numbers its versions from one counter — one
+//!   `(model, version)` names one network on every replica.
 //!
 //! The crate is value-agnostic: anything `Clone + Send + Sync` with a
 //! byte-cost estimate ([`CacheValue`]) can be cached.
@@ -41,7 +38,6 @@ use bloom::AtomicBloom;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Re-export of the shared digest implementation so callers hash with the
 /// exact machinery the artifact store uses — one implementation, no copy.
@@ -51,7 +47,8 @@ pub use pim_store::hash;
 /// serve tier's `Copy` config structs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
-    /// Total cached-value byte budget across all shards.
+    /// Total cached-value byte budget across all shards — for a replica
+    /// pool, the budget of the one cache every replica shares.
     pub byte_budget: usize,
     /// Number of independently locked shards.
     pub shards: usize,
@@ -59,12 +56,6 @@ pub struct CacheConfig {
     pub bloom_bits: usize,
     /// Probes per key in the bloom filter.
     pub bloom_hashes: u32,
-    /// Maximum hot keys advertised per [`CacheDigest`] (and retained from
-    /// peer digests).
-    pub hot_keys: usize,
-    /// Cross-replica digest-sync cadence (consumed by `pim-serve`'s
-    /// replica supervisor; the cache itself is cadence-agnostic).
-    pub sync_interval: Duration,
 }
 
 impl Default for CacheConfig {
@@ -74,8 +65,6 @@ impl Default for CacheConfig {
             shards: 8,
             bloom_bits: 1 << 16,
             bloom_hashes: 3,
-            hot_keys: 32,
-            sync_interval: Duration::from_millis(50),
         }
     }
 }
@@ -96,12 +85,6 @@ impl CacheConfig {
         if self.bloom_hashes == 0 || self.bloom_hashes > 16 {
             return Err("bloom_hashes must be in 1..=16".into());
         }
-        if self.hot_keys == 0 {
-            return Err("hot_keys must be >= 1".into());
-        }
-        if self.sync_interval.is_zero() {
-            return Err("sync_interval must be positive".into());
-        }
         Ok(())
     }
 }
@@ -111,23 +94,6 @@ pub trait CacheValue: Clone + Send + Sync {
     /// Approximate heap footprint, charged against
     /// [`CacheConfig::byte_budget`].
     fn cost_bytes(&self) -> usize;
-}
-
-/// Compact per-`(model, version)` cache summary exchanged between replicas:
-/// the serialized bloom word array plus the hottest exact keys. Values
-/// never travel — a digest is a pre-warm *hint*, not a transfer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheDigest {
-    /// Model index the summary describes.
-    pub model: usize,
-    /// Version the summary describes (stale versions are ignored on apply).
-    pub version: u64,
-    /// Serialized bloom filter (word array; geometry fixed by config).
-    pub bloom: Vec<u64>,
-    /// Hottest digests by hit count, most-hit first.
-    pub hot: Vec<u64>,
-    /// Cached entries behind the summary (0 ⇒ a cold/no-op digest).
-    pub entries: u64,
 }
 
 /// Counter snapshot from [`ResponseCache::report`].
@@ -145,10 +111,6 @@ pub struct CacheReport {
     pub evictions: u64,
     /// Entries reclaimed because a hot-swap orphaned their version.
     pub orphan_evictions: u64,
-    /// Peer digests merged.
-    pub digests_applied: u64,
-    /// Peer digests dropped as stale (older version than already seen).
-    pub digests_ignored: u64,
     /// Current entry count.
     pub entries: u64,
     /// Current charged bytes.
@@ -178,14 +140,13 @@ struct Entry<V> {
     value: V,
     cost: usize,
     /// CLOCK reference counter: decremented as the hand passes, evicted at
-    /// zero. Fresh inserts start at 1; remote-hot inserts start protected.
+    /// zero. Fresh inserts start at 1; hits raise it to protected.
     clock: u8,
-    hits: u64,
 }
 
-/// Clock credit for a fresh local insert.
+/// Clock credit for a fresh insert.
 const CLOCK_FRESH: u8 = 1;
-/// Clock credit for an entry a peer advertised hot, and for local re-hits.
+/// Clock credit for an entry that was hit.
 const CLOCK_PROTECTED: u8 = 3;
 
 struct Shard<V> {
@@ -220,14 +181,11 @@ impl<V> Shard<V> {
     }
 }
 
-/// Per-model shared state: local + remote bloom membership, the newest
-/// version observed (the invalidation watermark), and the peer-advertised
-/// hot set.
+/// Per-model shared state: bloom membership and the newest version
+/// observed (the invalidation watermark).
 struct ModelState {
     bloom: AtomicBloom,
-    remote_bloom: AtomicBloom,
     latest_version: AtomicU64,
-    remote_hot: Mutex<Vec<u64>>,
 }
 
 #[derive(Default)]
@@ -238,8 +196,6 @@ struct Stats {
     insertions: AtomicU64,
     evictions: AtomicU64,
     orphan_evictions: AtomicU64,
-    digests_applied: AtomicU64,
-    digests_ignored: AtomicU64,
 }
 
 /// Mixes `(version, digest)` into the bloom key so a hot-swap's new epoch
@@ -276,9 +232,7 @@ impl<V: CacheValue> ResponseCache<V> {
         let model_states = (0..models)
             .map(|_| ModelState {
                 bloom: AtomicBloom::new(cfg.bloom_bits, cfg.bloom_hashes),
-                remote_bloom: AtomicBloom::new(cfg.bloom_bits, cfg.bloom_hashes),
                 latest_version: AtomicU64::new(0),
-                remote_hot: Mutex::new(Vec::new()),
             })
             .collect();
         let shards = (0..cfg.shards).map(|_| Mutex::new(Shard::new())).collect();
@@ -334,7 +288,6 @@ impl<V: CacheValue> ResponseCache<V> {
         match shard.map.get_mut(&key) {
             Some(entry) => {
                 entry.clock = CLOCK_PROTECTED;
-                entry.hits += 1;
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.value.clone())
             }
@@ -358,7 +311,6 @@ impl<V: CacheValue> ResponseCache<V> {
         if cost > self.shard_budget {
             return false;
         }
-        let protected = self.is_remote_hot(model, digest);
         let key = Key {
             model,
             version,
@@ -417,104 +369,11 @@ impl<V: CacheValue> ResponseCache<V> {
             Entry {
                 value,
                 cost,
-                clock: if protected {
-                    CLOCK_PROTECTED
-                } else {
-                    CLOCK_FRESH
-                },
-                hits: 0,
+                clock: CLOCK_FRESH,
             },
         );
         drop(shard);
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// `true` when a peer advertised `digest` hot for `model`'s current
-    /// epoch; such fills start CLOCK-protected.
-    fn is_remote_hot(&self, model: usize, digest: u64) -> bool {
-        match self.models[model].remote_hot.lock() {
-            Ok(hot) => hot.contains(&digest),
-            Err(poisoned) => poisoned.into_inner().contains(&digest),
-        }
-    }
-
-    /// This replica's compact summary for `model`: serialized local bloom,
-    /// hottest current-epoch keys, entry count. A cold cache produces a
-    /// cold digest (`entries == 0`, empty hot set) — a no-op for peers.
-    pub fn digest(&self, model: usize) -> CacheDigest {
-        let state = &self.models[model];
-        let version = state.latest_version.load(Ordering::Relaxed);
-        let mut hot: Vec<(u64, u64)> = Vec::new();
-        let mut entries = 0u64;
-        for shard in &self.shards {
-            let shard = match shard.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for (key, entry) in &shard.map {
-                if key.model == model && key.version == version {
-                    entries += 1;
-                    hot.push((key.digest, entry.hits));
-                }
-            }
-        }
-        hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        hot.truncate(self.cfg.hot_keys);
-        CacheDigest {
-            model,
-            version,
-            bloom: state.bloom.snapshot(),
-            hot: hot.into_iter().map(|(digest, _)| digest).collect(),
-            entries,
-        }
-    }
-
-    /// Summaries for every model.
-    pub fn digests(&self) -> Vec<CacheDigest> {
-        (0..self.models.len()).map(|m| self.digest(m)).collect()
-    }
-
-    /// Merges a peer digest: remote bloom bits are ORed in and the peer's
-    /// hot keys join the protected set. Digests for an unknown model or a
-    /// **stale version** (older than this replica has already seen) are
-    /// dropped — a restarted peer's cold digest merges as a no-op, so
-    /// reconciliation never wedges on restart. Returns whether the digest
-    /// was applied.
-    pub fn apply_digest(&self, digest: &CacheDigest) -> bool {
-        let Some(state) = self.models.get(digest.model) else {
-            self.stats.digests_ignored.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        let prev = state
-            .latest_version
-            .fetch_max(digest.version, Ordering::Relaxed);
-        if digest.version < prev {
-            self.stats.digests_ignored.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        state.remote_bloom.merge_words(&digest.bloom);
-        let mut hot = match state.remote_hot.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if digest.version > prev {
-            // New epoch: yesterday's hot set is today's orphan set.
-            hot.clear();
-        }
-        for &d in &digest.hot {
-            if !hot.contains(&d) {
-                hot.push(d);
-            }
-        }
-        // Bound the protected set; oldest hints age out first.
-        let cap = self.cfg.hot_keys * 4;
-        if hot.len() > cap {
-            let excess = hot.len() - cap;
-            hot.drain(..excess);
-        }
-        drop(hot);
-        self.stats.digests_applied.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -537,8 +396,6 @@ impl<V: CacheValue> ResponseCache<V> {
             insertions: self.stats.insertions.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             orphan_evictions: self.stats.orphan_evictions.load(Ordering::Relaxed),
-            digests_applied: self.stats.digests_applied.load(Ordering::Relaxed),
-            digests_ignored: self.stats.digests_ignored.load(Ordering::Relaxed),
             entries,
             bytes,
         }
@@ -561,8 +418,6 @@ mod tests {
             shards: 1,
             bloom_bits: 1 << 12,
             bloom_hashes: 3,
-            hot_keys: 4,
-            ..CacheConfig::default()
         }
     }
 
@@ -580,14 +435,6 @@ mod tests {
             },
             CacheConfig {
                 bloom_hashes: 0,
-                ..CacheConfig::default()
-            },
-            CacheConfig {
-                hot_keys: 0,
-                ..CacheConfig::default()
-            },
-            CacheConfig {
-                sync_interval: Duration::ZERO,
                 ..CacheConfig::default()
             },
         ] {
@@ -612,8 +459,6 @@ mod tests {
             shards: 1,
             bloom_bits: 1 << 16,
             bloom_hashes: 3,
-            hot_keys: 4,
-            ..CacheConfig::default()
         };
         let cache: std::sync::Arc<ResponseCache<Vec<u8>>> =
             std::sync::Arc::new(ResponseCache::new(cfg, 1));
@@ -765,91 +610,6 @@ mod tests {
         let colliding = colliding.expect("a 64-bit bloom collides quickly");
         assert_ne!(colliding, 0xDEAD_BEEF);
         assert!(cache.get(0, 1, colliding).is_none());
-    }
-
-    #[test]
-    fn digest_roundtrip_and_hot_protection() {
-        let a: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
-        let b: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
-        a.insert(0, 3, 11, vec![1]);
-        a.insert(0, 3, 12, vec![2]);
-        a.get(0, 3, 11);
-        a.get(0, 3, 11);
-        let d = a.digest(0);
-        assert_eq!(d.version, 3);
-        assert_eq!(d.entries, 2);
-        assert_eq!(d.hot.first(), Some(&11), "hottest key leads: {:?}", d.hot);
-        assert!(b.apply_digest(&d));
-        assert!(b.is_remote_hot(0, 11));
-        assert_eq!(b.models[0].latest_version.load(Ordering::Relaxed), 3);
-        // The hint does not conjure a value — it biases retention only.
-        assert_eq!(b.get(0, 3, 11), None);
-        let rep = b.report();
-        assert_eq!(rep.digests_applied, 1);
-    }
-
-    #[test]
-    fn stale_and_cold_digests_are_safe() {
-        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
-        cache.insert(0, 5, 1, vec![1]);
-        // Stale epoch: dropped.
-        let stale = CacheDigest {
-            model: 0,
-            version: 4,
-            bloom: vec![u64::MAX; 64],
-            hot: vec![9],
-            entries: 3,
-        };
-        assert!(!cache.apply_digest(&stale));
-        assert!(!cache.is_remote_hot(0, 9));
-        // Unknown model: dropped.
-        let foreign = CacheDigest {
-            model: 7,
-            ..stale.clone()
-        };
-        assert!(!cache.apply_digest(&foreign));
-        // Cold digest from a restarted replica (version 0): dropped as
-        // stale without disturbing anything — peers never wedge on it.
-        let cold: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
-        let cold_digest = cold.digest(0);
-        assert_eq!(cold_digest.entries, 0);
-        assert!(!cache.apply_digest(&cold_digest));
-        assert!(cache.get(0, 5, 1).is_some(), "cold digest disturbed state");
-        // A current-epoch empty digest merges as a pure no-op.
-        let empty = CacheDigest {
-            model: 0,
-            version: 5,
-            bloom: Vec::new(),
-            hot: Vec::new(),
-            entries: 0,
-        };
-        assert!(cache.apply_digest(&empty));
-        assert!(cache.get(0, 5, 1).is_some());
-        let rep = cache.report();
-        assert_eq!(rep.digests_ignored, 3);
-        assert_eq!(rep.digests_applied, 1);
-    }
-
-    #[test]
-    fn new_epoch_digest_clears_stale_hot_hints() {
-        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
-        cache.apply_digest(&CacheDigest {
-            model: 0,
-            version: 1,
-            bloom: Vec::new(),
-            hot: vec![5],
-            entries: 1,
-        });
-        assert!(cache.is_remote_hot(0, 5));
-        cache.apply_digest(&CacheDigest {
-            model: 0,
-            version: 2,
-            bloom: Vec::new(),
-            hot: vec![6],
-            entries: 1,
-        });
-        assert!(!cache.is_remote_hot(0, 5), "old epoch hint survived swap");
-        assert!(cache.is_remote_hot(0, 6));
     }
 
     #[test]

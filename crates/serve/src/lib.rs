@@ -36,14 +36,15 @@
 //!   rollback ([`rollout`]). A replica runs the same scheduler as a bare
 //!   [`Server`]: pool submits enqueue straight into it and resolve through
 //!   the same [`Ticket`]; a per-replica mailbox carries control traffic
-//!   only (swaps, probes, digest sync);
+//!   only (swaps, probes);
 //! * **content-addressed response caching** (`pim-cache`, attached via
 //!   [`Server::with_cache`]): requests are keyed by a zero-copy XXH64
 //!   digest of their input tensor; a hit bypasses queueing and shedding
 //!   entirely and is recorded as a typed fast-path completion
 //!   ([`MetricsReport::cache_hits`]). Hot-swaps invalidate by version for
-//!   free, and replicas reconcile their caches by exchanging compact
-//!   bloom + hot-key digests over the mailbox transport.
+//!   free. A replica pool keeps one cache for all its replicas, and its
+//!   versions come from one counter, so a hit is the response of the very
+//!   network the version names.
 //!
 //! Batched execution is **bit-identical** to calling [`capsnet::CapsNet::forward`]
 //! per request (models route per sample, so no information crosses request
@@ -96,7 +97,7 @@ pub use admission::{AdmissionPolicy, AdmissionVerdict, Priority, SloConfig, TIER
 pub use config::ServeConfig;
 pub use error::{CallError, ServeError, SubmitError};
 pub use metrics::{MetricsReport, ModelVersionCount, TierReport};
-pub use pim_cache::{CacheConfig, CacheDigest, CacheReport};
+pub use pim_cache::{CacheConfig, CacheReport};
 pub use registry::{ModelHandle, ModelRegistry};
 pub use replica::{
     FaultToleranceConfig, HealthState, ReplicaSet, ReplicaSetConfig, ReplicaSetHandle,

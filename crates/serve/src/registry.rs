@@ -11,8 +11,14 @@
 //! scheduler's per-model forming reservation
 //! ([`crate::ServerHandle::swap_model`] drains it before swapping), version
 //! order along any `(tenant, model)` stream is strictly monotone.
+//!
+//! Versions come from a counter per slot. The registries of one
+//! [`crate::ReplicaSet`] share their slot's counter, so a version number
+//! names one network on every replica — which is what lets the pool's
+//! replicas share one response cache keyed by version.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use capsnet::CapsNet;
@@ -36,8 +42,9 @@ impl ModelHandle {
         &self.name
     }
 
-    /// The version this handle serves (1 for the initial registration,
-    /// bumped by one per swap).
+    /// The version this handle serves: 1 for the initial registration,
+    /// then the next number of the slot's counter at each swap (shared by
+    /// every replica of a pool).
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -61,6 +68,8 @@ impl ModelHandle {
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
     slots: Vec<Mutex<Arc<ModelHandle>>>,
+    /// Each slot's version counter: the last number it handed out.
+    versions: Vec<Arc<AtomicU64>>,
 }
 
 impl ModelRegistry {
@@ -80,32 +89,22 @@ impl ModelRegistry {
 
     /// Registers a model at the next free index, version 1.
     pub fn register(&mut self, model: ServedModel) -> usize {
+        self.register_on(model, &Arc::new(AtomicU64::new(1)))
+    }
+
+    /// [`Self::register`] with versions drawn from `versions`: a replica
+    /// pool registers the same network on every replica's registry over
+    /// one counter, so each later swap anywhere in the pool takes a number
+    /// no other network carries.
+    pub(crate) fn register_on(&mut self, model: ServedModel, versions: &Arc<AtomicU64>) -> usize {
         let (name, net) = model.into_parts();
         self.slots.push(Mutex::new(Arc::new(ModelHandle {
             name,
             version: 1,
             net,
         })));
+        self.versions.push(Arc::clone(versions));
         self.slots.len() - 1
-    }
-
-    /// Registers a model backed by an already-open [`MappedModel`]: the
-    /// replica-pool path. Every registry (one per replica) built from the
-    /// same `MappedModel` serves networks whose weights are windows into
-    /// **one** mapping — N replicas, one physical copy of the weights,
-    /// instead of N owned copies (or even N separate mappings).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Load`] when the artifact does not rebuild into a
-    /// network.
-    pub fn load_shared(
-        &mut self,
-        name: impl Into<String>,
-        artifact: &MappedModel,
-    ) -> Result<usize, ServeError> {
-        let net = load(artifact.path(), || artifact.capsnet())?;
-        Ok(self.register(ServedModel::new(name, net)))
     }
 
     /// Registered model count.
@@ -130,10 +129,10 @@ impl ModelRegistry {
             .map(|slot| Arc::clone(&slot.lock().unwrap_or_else(PoisonError::into_inner)))
     }
 
-    /// Replaces slot `model`'s network, bumping the version. This is the
-    /// raw registry operation — safe at any time (in-flight holders keep
-    /// their `Arc`), but it does **not** coordinate with a running
-    /// scheduler; inside a serve window use
+    /// Replaces slot `model`'s network under its counter's next version.
+    /// This is the raw registry operation — safe at any time (in-flight
+    /// holders keep their `Arc`), but it does **not** coordinate with a
+    /// running scheduler; inside a serve window use
     /// [`crate::ServerHandle::swap_model`], which drains the slot's
     /// forming reservation first so version order stays monotone per
     /// dispatch order.
@@ -142,6 +141,19 @@ impl ModelRegistry {
     ///
     /// [`ServeError::Load`] when `model` is out of range.
     pub fn swap_model(&self, model: usize, net: CapsNet) -> Result<u64, ServeError> {
+        self.install(model, net, None)
+    }
+
+    /// [`Self::swap_model`] under version `at` when it is above the slot's
+    /// current one (a rolling rollout installs one network under one number
+    /// on every replica), else under the counter's next number — so the
+    /// slot's versions only ever increase.
+    pub(crate) fn install(
+        &self,
+        model: usize,
+        net: CapsNet,
+        at: Option<u64>,
+    ) -> Result<u64, ServeError> {
         let slot = self.slots.get(model).ok_or_else(|| {
             ServeError::Load(format!(
                 "swap_model: no slot {model} (registered: {})",
@@ -149,13 +161,15 @@ impl ModelRegistry {
             ))
         })?;
         let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let next = ModelHandle {
+        let version = at
+            .filter(|&v| v > guard.version)
+            .unwrap_or_else(|| self.versions[model].fetch_add(1, Ordering::Relaxed) + 1);
+        *guard = Arc::new(ModelHandle {
             name: guard.name.clone(),
-            version: guard.version + 1,
+            version,
             net,
-        };
-        *guard = Arc::new(next);
-        Ok(guard.version)
+        });
+        Ok(version)
     }
 
     /// [`Self::swap_model`] from an artifact path (load + verify, then

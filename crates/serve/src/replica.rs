@@ -7,17 +7,20 @@
 //! consumer; the serving-tier analogue is that N replicas of a model must
 //! not hold N owned copies of the weights. A [`ReplicaSet`] therefore runs
 //! N **independent** replicas — each with its own [`ModelRegistry`], its
-//! own scheduler (queue, admission, metrics), workers and response cache,
-//! sharing *nothing* with its siblings except one
-//! [`pim_store::MappedModel`] — and that artifact's single mapping backs
-//! every replica's weight tensors (one physical copy via the page cache).
+//! own scheduler (queue, admission, metrics) and workers. They share one
+//! [`pim_store::MappedModel`], whose single mapping backs every replica's
+//! weight tensors (one physical copy via the page cache), and, when the
+//! pool is cached, one response cache: a forward any replica ran is a hit
+//! on all of them. The cache is keyed by version, and the pool's
+//! registries draw their versions from one counter, so a version names one
+//! network on every replica.
 //!
 //! A replica is a supervised shell around the same scheduler a bare
 //! [`crate::Server`] runs. [`ReplicaSetHandle::submit`] picks a replica and
 //! enqueues straight into its scheduler on the caller's thread, through the
 //! same admission / cache / queue path as [`crate::ServerHandle::submit`].
-//! Each replica's **mailbox** carries control traffic only — hot swaps,
-//! watchdog probes, digest-sync rounds — to the replica's control thread.
+//! Each replica's **mailbox** carries control traffic only — hot swaps and
+//! watchdog probes — to the replica's control thread.
 //! It is the one seam a process transport would implement when a replica
 //! becomes a real process.
 //!
@@ -45,13 +48,14 @@
 //!
 //! A replica whose worker panics is restarted in place. The panicking
 //! batch fails typed, the dying worker wakes the replica's control thread
-//! through its mailbox, and a new *life* — fresh workers, a cold response
-//! cache, a cold service-time estimate — takes over the **same**
-//! scheduler: requests queued meanwhile are served by it, and the
-//! replica's metrics span every life. The registry survives too; on the
-//! artifact path its networks borrow the one shared mapping, so the
-//! restart serves the *current* version (rollout monotonicity holds)
-//! without copying any weights. After
+//! through its mailbox, and a new *life* — fresh workers and a cold
+//! service-time estimate — takes over the **same** scheduler: requests
+//! queued meanwhile are served by it, and the replica's metrics span every
+//! life. The pool's response cache survives: an entry is a response a
+//! forward returned, which a later panic cannot make wrong. The registry
+//! survives too; on the artifact path its networks borrow the one shared
+//! mapping, so the restart serves the *current* version (rollout
+//! monotonicity holds) without copying any weights. After
 //! [`FaultToleranceConfig::max_restarts`] restarts the replica is `Dead`:
 //! its scheduler closes, queued requests fail typed, and later submits
 //! get [`SubmitError::ShuttingDown`].
@@ -73,7 +77,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, MathBackend};
-use pim_cache::{CacheConfig, CacheDigest};
+use pim_cache::CacheConfig;
 use pim_store::MappedModel;
 
 use crate::config::ServeConfig;
@@ -180,11 +184,11 @@ pub struct ReplicaSetConfig {
     pub serve: ServeConfig,
     /// Fault-tolerance knobs (timeouts, breaker, watchdog, restarts).
     pub fault: FaultToleranceConfig,
-    /// Per-replica content-addressed response cache. `Some` gives every
-    /// replica its own [`ServeCache`] (rebuilt cold on panic restart) and
-    /// has the watchdog drive cross-replica digest-sync rounds every
-    /// [`CacheConfig::sync_interval`]. `None` (the default) serves
-    /// uncached.
+    /// The pool's content-addressed response cache. `Some` builds one
+    /// [`ServeCache`] per [`ReplicaSet::run`] window that every replica
+    /// submits through and fills — [`CacheConfig::byte_budget`] is the
+    /// pool's budget, not a replica's — and that survives panic restarts.
+    /// `None` (the default) serves uncached.
     pub cache: Option<CacheConfig>,
 }
 
@@ -503,18 +507,8 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
         backend: &'a B,
         cfg: ReplicaSetConfig,
     ) -> Result<Self, ServeError> {
-        cfg.validate()?;
-        let name = name.into();
-        let mut registries = Vec::with_capacity(cfg.replicas);
-        for _ in 0..cfg.replicas {
-            let mut registry = ModelRegistry::new();
-            registry.load_shared(name.clone(), artifact)?;
-            registries.push(registry);
-        }
-        Ok(ReplicaSet {
-            backend,
-            cfg,
-            registries,
+        Self::build(name, backend, cfg, || {
+            load(artifact.path(), || artifact.capsnet())
         })
     }
 
@@ -549,14 +543,27 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
         backend: &'a B,
         cfg: ReplicaSetConfig,
     ) -> Result<Self, ServeError> {
+        Self::build(name, backend, cfg, || Ok(net.clone()))
+    }
+
+    /// One registry per replica, each serving a network from `net`, all
+    /// drawing versions from one counter.
+    fn build(
+        name: impl Into<String>,
+        backend: &'a B,
+        cfg: ReplicaSetConfig,
+        mut net: impl FnMut() -> Result<CapsNet, ServeError>,
+    ) -> Result<Self, ServeError> {
         cfg.validate()?;
         let name = name.into();
-        let mut registries = Vec::with_capacity(cfg.replicas);
-        for _ in 0..cfg.replicas {
-            let mut registry = ModelRegistry::new();
-            registry.register(ServedModel::new(name.clone(), net.clone()));
-            registries.push(registry);
-        }
+        let versions = Arc::new(AtomicU64::new(1));
+        let registries = (0..cfg.replicas)
+            .map(|_| {
+                let mut registry = ModelRegistry::new();
+                registry.register_on(ServedModel::new(name.clone(), net()?), &versions);
+                Ok(registry)
+            })
+            .collect::<Result<_, ServeError>>()?;
         Ok(ReplicaSet {
             backend,
             cfg,
@@ -581,15 +588,16 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
         self.registries.get(replica)
     }
 
-    /// Opens a serving window: creates each replica's scheduler, spawns
-    /// one supervisor thread per replica (running the replica's lives and
-    /// serving its mailbox) plus the health watchdog, hands `f` a
-    /// [`ReplicaSetHandle`] that routes submissions across the fleet, and
-    /// on return shuts every replica down (queues drained, zero tickets
-    /// dropped). Returns `f`'s result plus the pool's
-    /// [`ReplicaSetReport`].
+    /// Opens a serving window: creates each replica's scheduler and the
+    /// pool's response cache, spawns one supervisor thread per replica
+    /// (running the replica's lives and serving its mailbox) plus the
+    /// health watchdog, hands `f` a [`ReplicaSetHandle`] that routes
+    /// submissions across the fleet, and on return shuts every replica
+    /// down (queues drained, zero tickets dropped). Returns `f`'s result
+    /// plus the pool's [`ReplicaSetReport`].
     pub fn run<R>(&self, f: impl FnOnce(&ReplicaSetHandle<'_>) -> R) -> (R, ReplicaSetReport) {
         let fault = self.cfg.fault;
+        let models = self.registries[0].len();
         let pool = PoolShared {
             replicas: self
                 .registries
@@ -597,19 +605,20 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
                 .enumerate()
                 .map(|(i, registry)| Replica::new(i, registry, &self.cfg))
                 .collect(),
+            cache: self.cfg.cache.map(|cfg| ServeCache::new(cfg, models)),
             failovers: AtomicU64::new(0),
             deadline_misses: Arc::new(AtomicU64::new(0)),
             rr: AtomicUsize::new(0),
         };
         let pool = &pool;
-        let cache_sync = self.cfg.cache.map(|c| c.sync_interval);
         // Dropping `stop` (the window closing) wakes the watchdog at once.
         let (stop, stopped) = mpsc::channel::<()>();
         let result = std::thread::scope(|scope| {
             for replica in &pool.replicas {
-                scope.spawn(move || replica_main(replica, self.backend, &self.cfg));
+                let cache = pool.cache.as_ref();
+                scope.spawn(move || replica_main(replica, self.backend, cache, &self.cfg));
             }
-            scope.spawn(move || watchdog_loop(pool, &stopped, &fault, cache_sync));
+            scope.spawn(move || watchdog_loop(pool, &stopped, &fault));
             // Stop the watchdog and close the mailboxes on *every* exit
             // from `f` — including an unwind. Without this, a panic inside
             // the closure would leave the replica threads blocked in their
@@ -630,7 +639,6 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
             f(&ReplicaSetHandle {
                 pool,
                 policy: self.cfg.policy,
-                fault,
             })
         });
         (result, ReplicaSetReport::collect(pool))
@@ -647,44 +655,23 @@ struct Replica<'a> {
     health: Arc<ReplicaHealth>,
     /// Out of routing rotation (mid-rollout or decommissioned).
     draining: AtomicBool,
-    /// The current life's response cache, which pool submits probe.
-    cache: Mutex<Option<Arc<ServeCache>>>,
 }
 
 impl<'a> Replica<'a> {
-    /// A replica ready for its first life — cache included, so a submit
-    /// that arrives before the replica's thread starts is cached too.
     fn new(index: usize, registry: &'a ModelRegistry, cfg: &ReplicaSetConfig) -> Self {
-        let replica = Replica {
+        Replica {
             sched: Scheduler::new(registry, cfg.serve),
             mailbox: Mailbox::new(),
             health: Arc::new(ReplicaHealth::new(index, &cfg.fault)),
             draining: AtomicBool::new(false),
-            cache: Mutex::new(None),
-        };
-        replica.new_life(cfg.cache);
-        replica
-    }
-
-    /// Prepares a life: a cold response cache (installed for pool submits
-    /// to probe), a cold service-time estimate and a healed mailbox — what
-    /// a restarted process would start from. Peers drop the cold cache's
-    /// digest as stale, so a restarted replica rejoins sync without
-    /// wedging anyone.
-    fn new_life(&self, cache: Option<CacheConfig>) -> Option<Arc<ServeCache>> {
-        self.sched.begin_life();
-        self.mailbox.heal();
-        let models = self.sched.models.len().max(1);
-        let cache = cache.map(|cfg| Arc::new(ServeCache::new(cfg, models)));
-        *self.cache.lock().unwrap_or_else(PoisonError::into_inner) = cache.clone();
-        cache
+        }
     }
 }
 
 /// One replica's supervisor and control thread: runs lives until the
 /// window closes or the restart budget is spent. A life is the configured
-/// workers over the replica's scheduler plus the life's response cache;
-/// this thread serves the mailbox meanwhile. A worker's panic fails its
+/// workers over the replica's scheduler, filling the pool's `cache`; this
+/// thread serves the mailbox meanwhile. A worker's panic fails its
 /// batch typed, retires the life's other workers and wakes this thread
 /// through the mailbox; the scope then re-raises the panic, which the
 /// `catch_unwind` below turns into a restart. Whatever is still queued —
@@ -693,28 +680,22 @@ impl<'a> Replica<'a> {
 fn replica_main<B: MathBackend + Sync + ?Sized>(
     replica: &Replica<'_>,
     backend: &B,
+    cache: Option<&ServeCache>,
     cfg: &ReplicaSetConfig,
 ) {
     let on_death = || {
         replica.sched.retire();
         replica.mailbox.wound();
     };
-    let mut cache = replica
-        .cache
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
     let mut lives: u32 = 0;
     loop {
         lives += 1;
         let life = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
                 for _ in 0..cfg.serve.workers {
-                    scope.spawn(|| {
-                        worker_loop(&replica.sched, backend, cache.as_deref(), &on_death)
-                    });
+                    scope.spawn(|| worker_loop(&replica.sched, backend, cache, &on_death));
                 }
-                if serve_mailbox(replica, cache.as_deref()) {
+                if serve_mailbox(replica) {
                     replica.sched.close();
                 }
             });
@@ -730,17 +711,20 @@ fn replica_main<B: MathBackend + Sync + ?Sized>(
             replica.mailbox.close_and_fail();
             return;
         }
-        cache = replica.new_life(cfg.cache);
+        // The next life starts as a restarted process would: a healed
+        // mailbox and a cold service-time estimate.
+        replica.sched.begin_life();
+        replica.mailbox.heal();
         replica.health.on_respawn();
     }
 }
 
 /// Serves control jobs until the mailbox closes (`true`: shut the life
 /// down) or a worker of the life dies (`false`).
-fn serve_mailbox(replica: &Replica<'_>, cache: Option<&ServeCache>) -> bool {
+fn serve_mailbox(replica: &Replica<'_>) -> bool {
     loop {
         match replica.mailbox.pop() {
-            Mail::Job(job) => job.run(&replica.sched, cache),
+            Mail::Job(job) => job.run(&replica.sched),
             Mail::Closed => return true,
             Mail::Wounded => return false,
         }
@@ -751,25 +735,11 @@ fn serve_mailbox(replica: &Replica<'_>, cache: Option<&ServeCache>) -> bool {
 /// quarantined replicas past their cooldown and re-admits the ones that
 /// answer. Probes go through the ordinary mailbox, so a responding probe
 /// proves the replica's control thread (not just the health flag) is
-/// live. With caching enabled it also drives a cross-replica digest-sync
-/// round every `cache_sync` interval. Returns as soon as the window
-/// closes (`stop` disconnects).
-fn watchdog_loop(
-    pool: &PoolShared<'_>,
-    stop: &mpsc::Receiver<()>,
-    fault: &FaultToleranceConfig,
-    cache_sync: Option<Duration>,
-) {
+/// live. Returns as soon as the window closes (`stop` disconnects).
+fn watchdog_loop(pool: &PoolShared<'_>, stop: &mpsc::Receiver<()>, fault: &FaultToleranceConfig) {
     let cooldown_us = fault.probe_cooldown.as_micros() as u64;
     let probe_bound = fault.replica_timeout.unwrap_or(fault.probe_cooldown);
-    let mut last_sync = Instant::now();
     while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(fault.watchdog_interval) {
-        if let Some(interval) = cache_sync {
-            if last_sync.elapsed() >= interval {
-                sync_round(pool, sync_reply_bound(fault));
-                last_sync = Instant::now();
-            }
-        }
         for replica in &pool.replicas {
             let health = &replica.health;
             if health.state() != HealthState::Quarantined
@@ -794,68 +764,6 @@ fn watchdog_loop(
     }
 }
 
-/// Fallback bound on one digest-sync reply when no
-/// [`FaultToleranceConfig::replica_timeout`] is configured: sync must
-/// never wait unboundedly on a wedged replica.
-const SYNC_REPLY_BOUND: Duration = Duration::from_millis(250);
-
-fn sync_reply_bound(fault: &FaultToleranceConfig) -> Duration {
-    fault.replica_timeout.unwrap_or(SYNC_REPLY_BOUND)
-}
-
-/// One cross-replica digest-sync round: **gather** every live replica's
-/// per-model [`CacheDigest`]s (bounded wait — a stalled or mid-restart
-/// replica is simply skipped this round), then **scatter** each replica
-/// its peers' digests. Values never travel; replicas merge the summaries
-/// per [`pim_cache::ResponseCache::apply_digest`], which drops stale and
-/// cold (restarted-peer) digests, so the round is safe at any point of a
-/// replica's lifecycle. Returns what was gathered, in replica order
-/// (empty for uncached pools and unresponsive replicas).
-fn sync_round(pool: &PoolShared<'_>, bound: Duration) -> Vec<Vec<CacheDigest>> {
-    let exchange = |replica: &Replica<'_>, incoming: Vec<CacheDigest>| {
-        let reply = Slot::new(None);
-        let job = Job::SyncCache {
-            incoming,
-            reply: Arc::clone(&reply),
-        };
-        replica.mailbox.push(job).then_some(reply)
-    };
-    let gather: Vec<_> = pool
-        .replicas
-        .iter()
-        .map(|replica| exchange(replica, Vec::new()))
-        .collect();
-    let deadline = Instant::now() + bound;
-    let gathered: Vec<Vec<CacheDigest>> = gather
-        .into_iter()
-        .map(|reply| match reply.and_then(|r| r.take_until(deadline)) {
-            Some(Ok(digests)) => digests,
-            _ => Vec::new(),
-        })
-        .collect();
-    let scatter: Vec<_> = pool
-        .replicas
-        .iter()
-        .enumerate()
-        .filter_map(|(i, replica)| {
-            let incoming: Vec<CacheDigest> = gathered
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .flat_map(|(_, digests)| digests.iter().cloned())
-                .collect();
-            (!incoming.is_empty()).then(|| exchange(replica, incoming))?
-        })
-        .collect();
-    // Wait (bounded) for the scatter to land so a caller returning from
-    // a sync round knows live replicas have merged their peers' digests.
-    let deadline = Instant::now() + bound;
-    for reply in scatter {
-        let _ = reply.take_until(deadline);
-    }
-    gathered
-}
-
 // ── supervisor ⇄ replica transport ──────────────────────────────────────
 
 /// The reply to a control job that answers with a model version.
@@ -863,54 +771,37 @@ type VersionReply = Arc<Slot<Result<u64, ServeError>>>;
 
 /// A control message to one replica's control thread.
 enum Job {
-    /// Drained hot swap of the replica's model slot 0.
+    /// Drained hot swap of the replica's model slot 0, under version `at`
+    /// when the registry takes it ([`ModelRegistry::install`]).
     Swap {
         net: Box<CapsNet>,
+        at: Option<u64>,
         reply: VersionReply,
     },
     /// Watchdog liveness probe; answered with the replica's current model
     /// version.
     Probe { reply: VersionReply },
-    /// One digest-sync exchange: the replica merges the peer digests in
-    /// `incoming` into its cache and answers with its own per-model
-    /// digests (empty when the pool runs uncached).
-    SyncCache {
-        incoming: Vec<CacheDigest>,
-        reply: Arc<Slot<Result<Vec<CacheDigest>, ServeError>>>,
-    },
 }
 
 impl Job {
-    /// Runs the job against the replica's scheduler and current cache.
-    fn run(self, sched: &Scheduler<'_>, cache: Option<&ServeCache>) {
+    /// Runs the job against the replica's scheduler.
+    fn run(self, sched: &Scheduler<'_>) {
         match self {
-            Job::Swap { net, reply } => reply.put(
+            Job::Swap { net, at, reply } => reply.put(
                 sched
-                    .swap_model(0, *net)
+                    .swap_model(0, *net, at)
                     .map_err(|e| ServeError::Load(e.to_string())),
             ),
             Job::Probe { reply } => {
                 reply.put(Ok(sched.models.current(0).map_or(0, |m| m.version())));
-            }
-            Job::SyncCache { incoming, reply } => {
-                let digests = cache.map_or_else(Vec::new, |cache| {
-                    for digest in &incoming {
-                        cache.apply_digest(digest);
-                    }
-                    cache.digests()
-                });
-                reply.put(Ok(digests));
             }
         }
     }
 
     /// Resolves the job's reply typed: no replica life will ever run it.
     fn fail(self) {
-        let died = || ServeError::Load("replica serving thread died".into());
-        match self {
-            Job::Swap { reply, .. } | Job::Probe { reply } => reply.put(Err(died())),
-            Job::SyncCache { reply, .. } => reply.put(Err(died())),
-        }
+        let (Job::Swap { reply, .. } | Job::Probe { reply }) = self;
+        reply.put(Err(ServeError::Load("replica serving thread died".into())));
     }
 }
 
@@ -1028,6 +919,8 @@ impl Mailbox {
 /// State shared between the pool handle and the replica threads.
 struct PoolShared<'a> {
     replicas: Vec<Replica<'a>>,
+    /// The pool's one response cache, built per window.
+    cache: Option<ServeCache>,
     /// Requests resubmitted to another replica after a failure/timeout.
     failovers: AtomicU64,
     /// Requests whose end-to-end deadline elapsed (shared with tickets,
@@ -1044,7 +937,6 @@ struct PoolShared<'a> {
 pub struct ReplicaSetHandle<'p> {
     pool: &'p PoolShared<'p>,
     policy: RoutingPolicy,
-    fault: FaultToleranceConfig,
 }
 
 /// A pool's ticket: the one [`Ticket`] type, carrying its replica.
@@ -1100,7 +992,7 @@ impl ReplicaSetHandle<'_> {
     /// replica, so `QueueFull` names the queue that pushed back.
     pub fn submit(&self, request: Request) -> Result<ReplicaTicket, SubmitError> {
         let reservation = self.pick_and_reserve();
-        self.submit_reserved(request, reservation)
+        self.submit_reserved(request, reservation, self.pool.cache.as_ref())
     }
 
     /// Submits to a specific replica, bypassing the routing policy (used
@@ -1114,7 +1006,17 @@ impl ReplicaSetHandle<'_> {
         replica: usize,
         request: Request,
     ) -> Result<ReplicaTicket, SubmitError> {
-        self.submit_reserved(request, self.reserve(replica))
+        self.submit_reserved(request, self.reserve(replica), self.pool.cache.as_ref())
+    }
+
+    /// [`Self::submit_to`] past the response cache, neither probing nor
+    /// filling it: a rollout canary must run a forward on its replica.
+    pub(crate) fn submit_uncached(
+        &self,
+        replica: usize,
+        request: Request,
+    ) -> Result<ReplicaTicket, SubmitError> {
+        self.submit_reserved(request, self.reserve(replica), None)
     }
 
     /// Submits with routing **and failover**: on a replica failure
@@ -1189,21 +1091,16 @@ impl ReplicaSetHandle<'_> {
     }
 
     /// The submit path proper: admission into the reserved replica's
-    /// scheduler, in front of its current life's cache. Blocks on nothing
-    /// but that scheduler's lock (and the cache slot's, for one `Arc`
-    /// clone); any early return drops the reservation.
+    /// scheduler, in front of `cache`. Blocks on nothing but that
+    /// scheduler's lock; any early return drops the reservation.
     fn submit_reserved(
         &self,
         request: Request,
         reservation: Reservation,
+        cache: Option<&ServeCache>,
     ) -> Result<Ticket, SubmitError> {
         let replica = &self.pool.replicas[reservation.0.replica];
-        let cache = replica
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let ticket = replica.sched.submit(request, cache.as_deref())?;
+        let ticket = replica.sched.submit(request, cache)?;
         Ok(ticket.pooled(PoolLink {
             reservation,
             deadline_misses: Arc::clone(&self.pool.deadline_misses),
@@ -1257,19 +1154,6 @@ impl ReplicaSetHandle<'_> {
         self.reserve(replica)
     }
 
-    /// Runs one cross-replica cache digest-sync round **now** (the
-    /// watchdog also runs rounds on [`CacheConfig::sync_interval`] when
-    /// the pool is cached): gathers every replica's per-model
-    /// [`CacheDigest`]s, then scatters each replica its peers'. Waits are
-    /// bounded by [`FaultToleranceConfig::replica_timeout`] (with a
-    /// conservative fallback), so a wedged or mid-restart replica skips a
-    /// round instead of stalling it. Returns the gathered digests in
-    /// replica order — empty entries for uncached pools and replicas that
-    /// did not answer in time.
-    pub fn sync_cache_digests(&self) -> Vec<Vec<CacheDigest>> {
-        sync_round(self.pool, sync_reply_bound(&self.fault))
-    }
-
     /// Trips `replica`'s circuit breaker: out of routing rotation until a
     /// watchdog probe re-admits it (soft quarantine — the replica keeps
     /// serving what it already admitted, and direct [`Self::submit_to`]
@@ -1292,37 +1176,37 @@ impl ReplicaSetHandle<'_> {
         replica.mailbox.close();
     }
 
-    /// Atomically hot-swaps one replica to the model in `artifact`: the
-    /// network is rebuilt over the shared mapping on the caller's thread,
-    /// then swapped in by the replica's control thread, which drains the
-    /// forming reservation first. Returns the replica's new version.
+    /// Atomically hot-swaps one replica to `net`: the replica's control
+    /// thread drains the forming reservation first, then swaps. Returns the
+    /// replica's new version: the pool's next number, so no other network
+    /// in the pool carries it. An artifact's network is
+    /// [`MappedModel::capsnet`], a window into its mapping.
     ///
     /// Prefer [`crate::rollout`]'s rolling rollout for fleet-wide version
     /// changes — it sequences drains and canaries; this is the single-
-    /// replica primitive underneath it.
+    /// replica primitive underneath it (the rollback path restores a
+    /// replica's previous network this way).
     ///
     /// # Errors
     ///
-    /// [`ServeError::Load`] when the artifact does not rebuild, or
     /// [`ServeError::InvalidConfig`] when the replica is shut down.
-    pub fn swap_replica_shared(
-        &self,
-        replica: usize,
-        artifact: &MappedModel,
-    ) -> Result<u64, ServeError> {
-        self.swap_replica_net(replica, load(artifact.path(), || artifact.capsnet())?)
+    pub fn swap_replica_net(&self, replica: usize, net: CapsNet) -> Result<u64, ServeError> {
+        self.install(replica, net, None)
     }
 
-    /// [`ReplicaSetHandle::swap_replica_shared`] with an in-memory network
-    /// (the rollback path restores a replica's previous network this way).
-    ///
-    /// # Errors
-    ///
-    /// See [`ReplicaSetHandle::swap_replica_shared`].
-    pub fn swap_replica_net(&self, replica: usize, net: CapsNet) -> Result<u64, ServeError> {
+    /// [`Self::swap_replica_net`] under version `at` when the replica's
+    /// registry takes it ([`ModelRegistry::install`]): how a rollout puts
+    /// one network on every replica under one number.
+    pub(crate) fn install(
+        &self,
+        replica: usize,
+        net: CapsNet,
+        at: Option<u64>,
+    ) -> Result<u64, ServeError> {
         let reply = Slot::new(None);
         let job = Job::Swap {
             net: Box::new(net),
+            at,
             reply: Arc::clone(&reply),
         };
         if !self.pool.replicas[replica].mailbox.push(job) {

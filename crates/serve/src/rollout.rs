@@ -5,12 +5,13 @@
 //!
 //! 1. **drain** — take the replica out of routing rotation (new traffic
 //!    flows to its siblings; its queued work keeps draining normally);
-//! 2. **swap** — hot-swap it to the new artifact through the replica's own
+//! 2. **swap** — hot-swap it to the new network through the replica's own
 //!    scheduler (the swap waits out the forming reservation, so in-flight
 //!    batches finish on the old version and zero tickets drop);
 //! 3. **canary** — run one forward on the swapped replica and compare its
 //!    class-norm outputs against the *old* fleet's output on the same
-//!    input;
+//!    input (canaries bypass the pool's response cache, so each one is a
+//!    forward on its replica);
 //! 4. **verdict** — within [`RolloutConfig::tolerance`], return the
 //!    replica to rotation and move to the next one; beyond it (or if the
 //!    canary outright fails — the failed-batch/reject signals the metrics
@@ -18,9 +19,12 @@
 //!    already updated* to the version they served before the rollout, and
 //!    stop.
 //!
-//! Version numbers are per replica and only ever increase (a rollback is
-//! itself a forward swap to the old *weights*), so every replica's
-//! response stream stays version-monotone in dispatch order throughout.
+//! The new network is built from the artifact once and installed on every
+//! replica under one version number. Version numbers come from one counter
+//! per pool and only ever increase on a replica (a rollback is itself a
+//! forward swap to the old *weights*, under a fresh number), so every
+//! replica's response stream stays version-monotone in dispatch order, and
+//! one number never names two networks.
 //!
 //! Infrastructure failures (a swap that does not complete, a canary that
 //! exhausts its [`RetryBudget`] against a saturated replica) surface as
@@ -42,6 +46,7 @@ use pim_tensor::Tensor;
 
 use crate::admission::Priority;
 use crate::error::{ServeError, SubmitError};
+use crate::registry::load;
 use crate::replica::ReplicaSetHandle;
 use crate::server::Request;
 
@@ -251,6 +256,8 @@ impl ReplicaSetHandle<'_> {
     /// sleeping backoff. (Regression: this used to be an unbounded
     /// `yield_now` loop, which pegged a core and could spin forever
     /// against a saturated replica — the exact soak scenario.)
+    /// The canary never consults the response cache: every replica the
+    /// rollout visits runs the canary forward itself.
     fn canary_forward(&self, replica: usize, cfg: &RolloutConfig) -> Result<Vec<f32>, ServeError> {
         let started = Instant::now();
         let mut attempts = 0u32;
@@ -258,7 +265,7 @@ impl ReplicaSetHandle<'_> {
             attempts += 1;
             let request = Request::new(cfg.canary_tenant, 0, cfg.canary.clone())
                 .with_priority(Priority::High);
-            match self.submit_to(replica, request) {
+            match self.submit_uncached(replica, request) {
                 Ok(t) => break t,
                 Err(
                     SubmitError::QueueFull { .. }
@@ -290,10 +297,11 @@ impl ReplicaSetHandle<'_> {
     ///
     /// [`RolloutError`] only for *infrastructure* failures — the baseline
     /// canary not serving (e.g. [`ServeError::Overloaded`] after the
-    /// retry budget), the new artifact not rebuilding, or a rollback swap
-    /// failing. A failing canary on the new version is not an error; it
-    /// is the rollback path. The error's `report` records every step that
-    /// was attempted, failed reverts included.
+    /// retry budget), the new artifact not rebuilding (no replica is
+    /// touched then), a swap failing, or a rollback swap failing. A
+    /// failing canary on the new version is not an error; it is the
+    /// rollback path. The error's `report` records every step that was
+    /// attempted, failed reverts included.
     pub fn rolling_rollout(
         &self,
         new: &MappedModel,
@@ -322,18 +330,18 @@ impl ReplicaSetHandle<'_> {
         // replica stuck), replica 0's output is not a valid baseline for
         // its siblings and the canary verdicts would be meaningless;
         // resolve the mixed state first.
-        let baseline = match self.canary_forward(0, cfg) {
-            Ok(b) => b,
-            Err(error) => {
-                return Err(RolloutError {
-                    error,
-                    report: RolloutReport {
-                        steps: Vec::new(),
-                        rolled_back: false,
-                    },
-                })
-            }
+        let untouched = |error| RolloutError {
+            error,
+            report: RolloutReport {
+                steps: Vec::new(),
+                rolled_back: false,
+            },
         };
+        let baseline = self.canary_forward(0, cfg).map_err(untouched)?;
+        let new_net = load(new.path(), || new.capsnet()).map_err(untouched)?;
+        // The version the new network carries on every replica: the pool's
+        // next number, taken by the first install.
+        let mut rollout_version = None;
 
         let mut steps: Vec<ReplicaRollout> = Vec::with_capacity(self.replicas());
         // Old networks of successfully-updated replicas, kept for a
@@ -351,8 +359,11 @@ impl ReplicaSetHandle<'_> {
             // that produced it. Every path yields a recorded step — a
             // failed swap must not vanish from the report.
             let (step, infra) = (|| {
-                let new_version = match self.swap_replica_shared(replica, new) {
-                    Ok(v) => v,
+                let new_version = match self.install(replica, new_net.clone(), rollout_version) {
+                    Ok(v) => {
+                        rollout_version.get_or_insert(v);
+                        v
+                    }
                     Err(e) => {
                         // Swap failed: the replica still serves its old
                         // weights. Record it, then let the caller revert

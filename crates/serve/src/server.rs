@@ -561,7 +561,7 @@ impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
     ///
     /// [`SubmitError::UnknownModel`] for an out-of-range slot.
     pub fn swap_model(&self, model: usize, net: CapsNet) -> Result<u64, SubmitError> {
-        self.sched.swap_model(model, net)
+        self.sched.swap_model(model, net, None)
     }
 
     /// [`ServerHandle::swap_model`] from an artifact on disk: loads and
@@ -752,8 +752,14 @@ impl<'a> Scheduler<'a> {
         })
     }
 
-    /// [`ServerHandle::swap_model`].
-    pub(crate) fn swap_model(&self, model: usize, net: CapsNet) -> Result<u64, SubmitError> {
+    /// [`ServerHandle::swap_model`], under version `at` when the registry
+    /// takes it ([`ModelRegistry::install`]).
+    pub(crate) fn swap_model(
+        &self,
+        model: usize,
+        net: CapsNet,
+        at: Option<u64>,
+    ) -> Result<u64, SubmitError> {
         if model >= self.models.len() {
             return Err(SubmitError::UnknownModel {
                 model,
@@ -769,7 +775,7 @@ impl<'a> Scheduler<'a> {
         }
         let version = self
             .models
-            .swap_model(model, net)
+            .install(model, net, at)
             // LINT-ALLOW(R2): the bounds check at fn entry makes this infallible
             .expect("index checked above");
         drop(st);
@@ -1701,13 +1707,23 @@ mod tests {
             }),
             ..server_cfg()
         };
-        let server = Server::new(&models, &ExactMath, cfg).unwrap();
+        let gate = GatedMath {
+            entered: std::sync::atomic::AtomicBool::new(false),
+            release: std::sync::atomic::AtomicBool::new(false),
+        };
+        let server = Server::new(&models, &gate, cfg).unwrap();
         let ((), metrics) = server.run(|h| {
-            // One tenant bursts 8 single-sample requests. The worker can
-            // pull at most one forming batch (2 samples) out of the queue
-            // before its ms-scale forward, so the burst (µs) drives the
-            // tenant's queued count to the quota and beyond.
-            let mut admitted = Vec::new();
+            use std::sync::atomic::Ordering::SeqCst;
+            // Hold the single worker inside its first forward, so nothing
+            // leaves the queue while the tenant bursts — whatever the build
+            // profile or the host's speed.
+            let first = h.submit(Request::new(7, 0, images(1, 100))).unwrap();
+            while !gate.entered.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            // The tenant bursts 8 single-sample requests: 2 fill its quota
+            // and the other 6 are refused.
+            let mut admitted = vec![first];
             let mut over_quota = 0u64;
             for i in 0..8 {
                 match h.submit(Request::new(7, 0, images(1, i))) {
@@ -1720,13 +1736,14 @@ mod tests {
                     Err(e) => panic!("unexpected reject {e}"),
                 }
             }
-            assert!(over_quota > 0, "the burst must exceed the tenant quota");
+            assert_eq!(over_quota, 6, "the burst must exceed the tenant quota");
             // A different tenant is unaffected — that is the fairness
             // property the quota exists for.
-            h.submit(Request::new(8, 0, images(1, 50)))
-                .expect("other tenants keep their own quota")
-                .wait()
-                .unwrap();
+            admitted.push(
+                h.submit(Request::new(8, 0, images(1, 50)))
+                    .expect("other tenants keep their own quota"),
+            );
+            gate.release.store(true, SeqCst);
             for t in admitted {
                 t.wait().unwrap();
             }

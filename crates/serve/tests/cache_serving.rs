@@ -1,8 +1,8 @@
 //! Content-addressed response cache, end to end through the serve tier:
 //! hit responses bitwise-identical to dispatched ones, typed fast-path
 //! metrics, hot-swap staleness (a post-swap request must never see a
-//! pre-swap response), and cross-replica digest sync surviving a replica
-//! panic-restart.
+//! pre-swap response), one cache shared by a replica pool's replicas and
+//! kept across a panic restart, and rollout canaries that bypass it.
 
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
@@ -10,9 +10,10 @@ use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath, MathBackend};
 use pim_serve::{
-    CacheConfig, ModelRegistry, Priority, ReplicaSet, ReplicaSetConfig, Request, RoutingPolicy,
-    ServeCache, ServeConfig, ServedModel, Server,
+    CacheConfig, ModelRegistry, Priority, ReplicaOutcome, ReplicaSet, ReplicaSetConfig, Request,
+    RolloutConfig, RoutingPolicy, ServeCache, ServeConfig, ServedModel, Server,
 };
+use pim_store::{MappedModel, ModelWriter};
 use pim_tensor::Tensor;
 
 fn versioned_net(version: u64) -> CapsNet {
@@ -41,8 +42,16 @@ fn small_cache() -> CacheConfig {
         shards: 2,
         bloom_bits: 1 << 12,
         bloom_hashes: 3,
-        hot_keys: 8,
-        sync_interval: Duration::from_millis(10),
+    }
+}
+
+fn pool_cfg(replicas: usize) -> ReplicaSetConfig {
+    ReplicaSetConfig {
+        replicas,
+        policy: RoutingPolicy::RoundRobin,
+        serve: serve_cfg(),
+        fault: pim_serve::FaultToleranceConfig::default(),
+        cache: Some(small_cache()),
     }
 }
 
@@ -183,50 +192,48 @@ impl MathBackend for PanicOnceMath {
     }
 }
 
-/// Digest sync across a replica pool: warm replicas advertise their
-/// entries, a panicked-and-restarted replica rejoins from cold (empty
-/// digest) without wedging its peers, and the pool keeps serving.
+/// One cache per pool: a response filled through replica 0 is a hit
+/// through replica 1, and it still hits after replica 0 panics and
+/// restarts — an entry is a response a forward returned, which the panic
+/// cannot make wrong.
 #[test]
-fn replica_digest_sync_survives_restart_from_cold() {
+fn pool_replicas_share_one_cache_that_survives_a_restart() {
     let net = versioned_net(1);
     let math = PanicOnceMath {
         armed: AtomicBool::new(false),
     };
-    let cfg = ReplicaSetConfig {
-        replicas: 2,
-        policy: RoutingPolicy::RoundRobin,
-        serve: serve_cfg(),
-        fault: pim_serve::FaultToleranceConfig::default(),
-        // Long interval: the test drives sync rounds explicitly so the
-        // watchdog's own rounds cannot race the assertions.
-        cache: Some(CacheConfig {
-            sync_interval: Duration::from_secs(3600),
-            ..small_cache()
-        }),
+    let set = ReplicaSet::from_net("shared", &net, &math, pool_cfg(2)).unwrap();
+    let fresh = net.forward(&images(1, 42), &math).unwrap();
+    let bitwise = |r: &pim_serve::Response| {
+        r.predictions == fresh.predictions()
+            && r.class_norms_sq
+                .iter()
+                .zip(fresh.class_norms_sq.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     };
-    let set = ReplicaSet::from_net("sync", &net, &math, cfg).unwrap();
 
     let ((), report) = set.run(|pool| {
-        // Warm both replicas on the same content; the repeat on each
-        // replica is a local hit.
-        for replica in 0..2 {
-            for _ in 0..2 {
-                pool.submit_to(replica, Request::new(0, 0, images(1, 42)))
-                    .unwrap()
-                    .wait()
-                    .unwrap();
-            }
-        }
-        let digests = pool.sync_cache_digests();
-        assert_eq!(digests.len(), 2);
-        for (replica, per_model) in digests.iter().enumerate() {
-            assert_eq!(per_model.len(), 1, "one model per replica");
-            assert_eq!(per_model[0].entries, 1, "replica {replica} not warm");
-            assert!(!per_model[0].hot.is_empty());
-        }
+        let fill = pool
+            .submit_to(0, Request::new(0, 0, images(1, 42)))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(bitwise(&fill));
+        let hit = pool
+            .submit_to(1, Request::new(1, 0, images(1, 42)))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(bitwise(&hit));
+        let seen = pool.snapshot();
+        assert_eq!(
+            (seen.per_replica[1].cache_hits, seen.per_replica[1].requests),
+            (1, 0),
+            "replica 0's fill must be a hit through replica 1"
+        );
 
         // Panic replica 0's next dispatched forward; its life dies and the
-        // supervisor respawns it with a cold cache.
+        // supervisor starts the next one.
         math.armed.store(true, SeqCst);
         if let Ok(ticket) = pool.submit_to(0, Request::new(0, 0, images(1, 43))) {
             let _ = ticket.wait(); // resolves typed (the batch panicked)
@@ -237,29 +244,61 @@ fn replica_digest_sync_survives_restart_from_cold() {
             std::thread::sleep(Duration::from_micros(200));
         }
 
-        // The restarted replica answers sync from cold; the warm peer is
-        // undisturbed and the round completes instead of wedging.
-        let digests = pool.sync_cache_digests();
-        assert_eq!(digests[0][0].entries, 0, "restart must start cold");
-        assert_eq!(digests[0][0].version, 0);
-        assert_eq!(digests[1][0].entries, 1, "peer lost its cache");
-
-        // The pool still serves end to end on both replicas.
-        for replica in 0..2 {
-            pool.submit_to(replica, Request::new(0, 0, images(1, 42)))
-                .unwrap()
-                .wait()
-                .unwrap();
-        }
+        let after = pool
+            .submit_to(0, Request::new(0, 0, images(1, 42)))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(bitwise(&after));
+        let seen = pool.snapshot();
+        assert_eq!(
+            seen.per_replica[0].cache_hits, 1,
+            "the restart must keep the pool's cache"
+        );
     });
 
     assert_eq!(report.restarts_per_replica, vec![1, 0]);
-    // Replica 1 never restarted, so its hits survive into the report: one
-    // from warming plus one from the final round-trip.
-    assert!(
-        report.per_replica[1].cache_hits >= 2,
-        "replica 1 hits: {}",
-        report.per_replica[1].cache_hits
-    );
-    assert!(report.cache_hits >= 2);
+    // Replica 0 ran the one forward that filled, and the one that
+    // panicked; replica 1 never ran one.
+    assert_eq!(report.per_replica[0].requests, 1);
+    assert_eq!(report.per_replica[0].failed_requests, 1);
+    assert_eq!(report.per_replica[1].requests, 0);
+    assert_eq!(report.cache_hits, 2);
+}
+
+/// A rollout on a cached pool still runs its canary forward on every
+/// replica it visits: the canary bypasses the pool's cache, where the
+/// first updated replica's canary would otherwise answer the rest.
+#[test]
+fn rollout_canaries_bypass_the_pool_cache() {
+    let dir = std::env::temp_dir().join(format!("pim_cache_rollout_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1_path = dir.join("v1.pimcaps");
+    let v2_path = dir.join("v2.pimcaps");
+    ModelWriter::vault_aligned()
+        .save(&versioned_net(1), &v1_path)
+        .unwrap();
+    ModelWriter::vault_aligned()
+        .save(&versioned_net(2), &v2_path)
+        .unwrap();
+
+    let set = ReplicaSet::from_artifact("canary", &v1_path, &ExactMath, pool_cfg(3)).unwrap();
+    let (rollout, report) = set.run(|pool| {
+        let new = MappedModel::open(&v2_path).unwrap();
+        // Any finite divergence passes: the verdict is not under test.
+        let cfg = RolloutConfig::new(images(1, 99), f32::INFINITY);
+        pool.rolling_rollout(&new, &cfg).unwrap()
+    });
+
+    assert!(!rollout.rolled_back);
+    for step in &rollout.steps {
+        assert_eq!(step.outcome, ReplicaOutcome::Updated);
+        assert_eq!((step.from_version, step.to_version), (1, 2));
+    }
+    // Replica 0 ran the baseline and its own canary; every other replica
+    // its own canary — none of them was answered by the cache.
+    let forwards: Vec<u64> = report.per_replica.iter().map(|r| r.requests).collect();
+    assert_eq!(forwards, vec![2, 1, 1]);
+    assert_eq!(report.cache_hits, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

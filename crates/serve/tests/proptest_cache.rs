@@ -10,15 +10,20 @@
 //!    observe a pre-swap payload;
 //! 3. **exact hit accounting**: the number of fast-path completions equals
 //!    a replayed model of the cache (same-content repeat within the same
-//!    version epoch ⇔ hit), and `completions == requests + cache_hits`.
+//!    version epoch ⇔ hit), and `completions == requests + cache_hits`;
+//! 4. **one cache per replica pool**: with replicas swapped one at a time
+//!    between two networks, every response — filled or hit, through either
+//!    replica — is bitwise the forward of the network its version names,
+//!    and hits follow the pool-wide replay model.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath};
 use pim_serve::{
-    CacheConfig, ModelRegistry, Request, ServeCache, ServeConfig, ServedModel, Server,
+    CacheConfig, ModelRegistry, ReplicaSet, ReplicaSetConfig, Request, ServeCache, ServeConfig,
+    ServedModel, Server,
 };
 use pim_tensor::{QuantDType, Tensor};
 use proptest::prelude::*;
@@ -86,6 +91,34 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
+fn serve_cfg() -> ServeConfig {
+    ServeConfig {
+        max_batch: 4,
+        max_wait: Duration::ZERO,
+        queue_capacity: 16,
+        workers: 1,
+        admission: pim_serve::AdmissionPolicy::QueueBound,
+    }
+}
+
+/// One generated step on a two-replica pool: a submission to one replica,
+/// or a swap of one replica to the next of two alternating networks.
+#[derive(Debug, Clone, Copy)]
+enum PoolOp {
+    Submit { replica: usize, seed: u64 },
+    Swap { replica: usize },
+}
+
+fn pool_op_strategy() -> impl Strategy<Value = PoolOp> {
+    (0u8..4, 0usize..2, 0u64..3).prop_map(|(kind, replica, seed)| {
+        if kind == 3 {
+            PoolOp::Swap { replica }
+        } else {
+            PoolOp::Submit { replica, seed }
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -97,21 +130,8 @@ proptest! {
         let nets = &dtype_nets()[dtype];
         let registry =
             ModelRegistry::from_models([ServedModel::new("prop", nets[0].clone())]);
-        let cache = Arc::new(ServeCache::new(
-            CacheConfig {
-                sync_interval: Duration::from_secs(3600),
-                ..CacheConfig::default()
-            },
-            1,
-        ));
-        let cfg = ServeConfig {
-            max_batch: 4,
-            max_wait: Duration::ZERO,
-            queue_capacity: 16,
-            workers: 1,
-            admission: pim_serve::AdmissionPolicy::QueueBound,
-        };
-        let server = Server::new(&registry, &ExactMath, cfg)
+        let cache = Arc::new(ServeCache::new(CacheConfig::default(), 1));
+        let server = Server::new(&registry, &ExactMath, serve_cfg())
             .unwrap()
             .with_cache(Arc::clone(&cache));
 
@@ -168,5 +188,70 @@ proptest! {
         prop_assert_eq!(metrics.completions(), submitted);
         prop_assert_eq!(metrics.requests, submitted - expected_hits);
         prop_assert_eq!(cache.report().hits, expected_hits);
+    }
+
+    #[test]
+    fn pool_cache_serves_the_network_each_version_names(
+        ops in proptest::collection::vec(pool_op_strategy(), 1..32),
+    ) {
+        let nets = &dtype_nets()[0];
+        let cfg = ReplicaSetConfig {
+            replicas: 2,
+            serve: serve_cfg(),
+            cache: Some(CacheConfig::default()),
+            ..ReplicaSetConfig::default()
+        };
+        let set = ReplicaSet::from_net("prop-pool", &nets[0], &ExactMath, cfg).unwrap();
+
+        // The swaps alternate the two networks across the pool, whichever
+        // replica they land on, so the replicas' networks drift apart.
+        let mut swaps = 0usize;
+        let mut serving = [(1u64, 0usize); 2];
+        let mut named: HashMap<u64, usize> = HashMap::from([(1, 0)]);
+        let mut filled: HashSet<(u64, u64)> = HashSet::new();
+        let mut expected_hits = 0u64;
+        let mut submitted = 0u64;
+
+        let (outcome, report) = set.run(|pool| {
+            for op in &ops {
+                match *op {
+                    PoolOp::Swap { replica } => {
+                        swaps += 1;
+                        let net = swaps % 2;
+                        let version = pool.swap_replica_net(replica, nets[net].clone()).unwrap();
+                        prop_assert!(version > serving[replica].0, "versions went backwards");
+                        named.entry(version).or_insert(net);
+                        serving[replica] = (version, net);
+                    }
+                    PoolOp::Submit { replica, seed } => {
+                        submitted += 1;
+                        let (version, net) = serving[replica];
+                        if !filled.insert((version, seed)) {
+                            expected_hits += 1;
+                        }
+                        let r = pool
+                            .submit_to(replica, Request::new(0, 0, images(1, seed)))
+                            .unwrap()
+                            .wait()
+                            .unwrap();
+                        prop_assert_eq!(r.model_version, version);
+                        // The version names one network pool-wide, and it
+                        // is the one this replica serves.
+                        prop_assert_eq!(named.get(&version), Some(&net));
+                        let fresh = nets[net].forward(&images(1, seed), &ExactMath).unwrap();
+                        prop_assert_eq!(&r.predictions, &fresh.predictions());
+                        for (a, b) in
+                            r.class_norms_sq.iter().zip(fresh.class_norms_sq.as_slice())
+                        {
+                            prop_assert_eq!(a.to_bits(), b.to_bits(), "response != its net's forward");
+                        }
+                    }
+                }
+            }
+            Ok(())
+        });
+        outcome?;
+        prop_assert_eq!(report.cache_hits, expected_hits);
+        prop_assert_eq!(report.requests, submitted - expected_hits);
     }
 }
