@@ -14,7 +14,7 @@
 //! and interleaving* bugs (check-then-act races, lost updates, stranded
 //! jobs, publication-order windows), not weak-memory reordering, which is
 //! the right level for the serve-tier protocols modeled in
-//! [`models`](crate::exhaust::models).
+//! [`models`].
 
 pub mod models;
 

@@ -1,5 +1,5 @@
 //! Shadow models of the three serve-tier concurrency protocols, checked
-//! exhaustively by [`explore`](super::explore).
+//! exhaustively by [`explore`].
 //!
 //! Each protocol comes in two variants: the **correct** one mirroring the
 //! workspace implementation (must pass every interleaving) and a

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use capsnet::routing::{dynamic_routing, dynamic_routing_parallel, dynamic_routing_with};
+use capsnet::routing::dynamic_routing_with;
 use capsnet::{ApproxMath, ExactMath, MathBackend, RoutingScratch};
 use hmc_sim::{AddressMapping, DefaultMapping, HmcConfig, PhaseEngine, PimMapping};
 use pim_approx::{fast_div, fast_exp, fast_inv_sqrt};
@@ -53,13 +53,17 @@ fn bench_routing(c: &mut Criterion) {
     let u_hat = Tensor::uniform(&[8, 128, 10, 16], -0.5, 0.5, 1);
     let exact = ExactMath;
     let approx = ApproxMath::with_recovery();
+    // Every row is the serial reference, `dynamic_routing_with`; all but
+    // `dynamic_exact_arena` start from a fresh scratch. The sharded layer
+    // path is timed end to end by the benchmark's `capsnet.routing_ms`.
+    let fresh = || RoutingScratch::new();
     // Monomorphized: the backend type is statically known, special
     // functions inline into the RP loop.
     g.bench_function("dynamic_exact", |b| {
-        b.iter(|| dynamic_routing(black_box(&u_hat), 3, true, &exact).unwrap())
+        b.iter(|| dynamic_routing_with(black_box(&u_hat), 3, true, &exact, &mut fresh()).unwrap())
     });
     g.bench_function("dynamic_approx", |b| {
-        b.iter(|| dynamic_routing(black_box(&u_hat), 3, true, &approx).unwrap())
+        b.iter(|| dynamic_routing_with(black_box(&u_hat), 3, true, &approx, &mut fresh()).unwrap())
     });
     // Boxed: the seed-style `&dyn MathBackend` path — every exp/div/inv_sqrt
     // is a virtual call. Kept benched so the monomorphization win stays
@@ -67,10 +71,14 @@ fn bench_routing(c: &mut Criterion) {
     let dyn_exact: &dyn MathBackend = &exact;
     let dyn_approx: &dyn MathBackend = &approx;
     g.bench_function("dynamic_exact_boxed", |b| {
-        b.iter(|| dynamic_routing(black_box(&u_hat), 3, true, dyn_exact).unwrap())
+        b.iter(|| {
+            dynamic_routing_with(black_box(&u_hat), 3, true, dyn_exact, &mut fresh()).unwrap()
+        })
     });
     g.bench_function("dynamic_approx_boxed", |b| {
-        b.iter(|| dynamic_routing(black_box(&u_hat), 3, true, dyn_approx).unwrap())
+        b.iter(|| {
+            dynamic_routing_with(black_box(&u_hat), 3, true, dyn_approx, &mut fresh()).unwrap()
+        })
     });
     // Arena: monomorphized plus a warm reused scratch — the zero-allocation
     // steady state of the forward engine.
@@ -78,12 +86,9 @@ fn bench_routing(c: &mut Criterion) {
     g.bench_function("dynamic_exact_arena", |b| {
         b.iter(|| dynamic_routing_with(black_box(&u_hat), 3, true, &exact, &mut scratch).unwrap())
     });
-    // Batch-parallel: per-sample coefficients shard the batch across cores.
+    // Per-sample coefficients, on one thread.
     g.bench_function("dynamic_exact_per_sample", |b| {
-        b.iter(|| dynamic_routing(black_box(&u_hat), 3, false, &exact).unwrap())
-    });
-    g.bench_function("dynamic_exact_batch_parallel", |b| {
-        b.iter(|| dynamic_routing_parallel(black_box(&u_hat), 3, &exact).unwrap())
+        b.iter(|| dynamic_routing_with(black_box(&u_hat), 3, false, &exact, &mut fresh()).unwrap())
     });
     g.finish();
 }
@@ -122,7 +127,9 @@ fn bench_gemm(c: &mut Criterion) {
         ("micro_pool_conv1_b1", 16, 9, 4),
     ] {
         // ReLU-sparse rows, as conv1 hands them to the primary convolution.
-        let a = Tensor::uniform(&[m, k], -1.0, 1.0, 2).relu().into_vec();
+        let a = Tensor::uniform(&[m, k], -1.0, 1.0, 2)
+            .map(|x| x.max(0.0))
+            .into_vec();
         let b_ = Tensor::uniform(&[k, n], -1.0, 1.0, 3).into_vec();
         let mut out = vec![0.0f32; m * n];
         let mut g = c.benchmark_group("gemm");
@@ -183,7 +190,7 @@ fn bench_conv(c: &mut Criterion) {
         let spec = Conv2dSpec::new(kernel, stride, 0);
         let ckk = dims[1] * kernel * kernel;
         // ReLU-sparse, as conv1 hands its map to the primary convolution.
-        let input = Tensor::uniform(&dims, -1.0, 1.0, 2).relu();
+        let input = Tensor::uniform(&dims, -1.0, 1.0, 2).map(|x| x.max(0.0));
         let weight_t = Tensor::uniform(&[ckk, out_c], -1.0, 1.0, 3);
         let bias = Tensor::uniform(&[out_c], -0.1, 0.1, 4);
         let (mut out, mut scratch) = (Tensor::zeros(&[0]), Conv2dScratch::default());

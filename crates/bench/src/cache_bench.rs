@@ -224,7 +224,7 @@ impl CacheBenchResult {
     /// # Panics
     ///
     /// Panics (before writing) when a gate fails: bitwise divergence, hit
-    /// rate below [`GATE_HIT_RATE_MIN`], completions that do not partition
+    /// rate below `GATE_HIT_RATE_MIN`, completions that do not partition
     /// into dispatched + cache hits, or a lost ticket.
     pub fn report_and_write(&self) {
         println!(

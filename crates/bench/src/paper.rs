@@ -17,7 +17,7 @@
 
 use std::cell::OnceCell;
 
-use capsnet::routing::dynamic_routing;
+use capsnet::routing::{dynamic_routing_with, RoutingScratch};
 use capsnet::{CapsNetSpec, ExactMath, NetworkCensus, RoutingAlgorithm};
 use capsnet_workloads::accuracy::{AccuracyExperiment, AccuracyResult};
 use capsnet_workloads::report::{mean, Table};
@@ -665,8 +665,10 @@ pub fn ablation_batch_routing() {
     ]);
     for batch in [1usize, 8, 32, 64] {
         let u_hat = Tensor::uniform(&[batch, 64, 10, 16], -0.5, 0.5, 42);
-        let [shared, per] = [true, false]
-            .map(|s| dynamic_routing(&u_hat, 3, s, &ExactMath).expect("valid routing input"));
+        let [shared, per] = [true, false].map(|s| {
+            dynamic_routing_with(&u_hat, 3, s, &ExactMath, &mut RoutingScratch::new())
+                .expect("valid routing input")
+        });
         let diffs = shared
             .v
             .as_slice()

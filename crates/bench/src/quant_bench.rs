@@ -85,7 +85,7 @@ fn max_divergence(a: &[Vec<f32>], b: &[Vec<f32>]) -> f32 {
 /// Runs the full measurement: artifact sizes + streaming throughput for
 /// f32/int8/fp16, and the accuracy gate on `gate_benchmark`.
 ///
-/// `requests` batch-1 forwards are timed per dtype per pass; [`PASSES`]
+/// `requests` batch-1 forwards are timed per dtype per pass; `PASSES`
 /// interleaved passes are run and the median samples/s recorded, so a
 /// noisy neighbor on a shared host skews every dtype equally.
 pub fn run_quant_bench(requests: usize, gate_benchmark: &Benchmark) -> QuantBenchResult {

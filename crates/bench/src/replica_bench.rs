@@ -49,7 +49,7 @@ pub struct SharedBytesAccounting {
 
 /// Everything one `replica_scale` run measured.
 pub struct ReplicaBenchResult {
-    /// Shared-mapping accounting over [`SHARING_REPLICAS`] replicas.
+    /// Shared-mapping accounting over `SHARING_REPLICAS` replicas.
     pub sharing: SharedBytesAccounting,
     /// The rolling-rollout scenario's observations (streaming model).
     pub rollout: RolloutScenarioReport,

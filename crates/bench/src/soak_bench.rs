@@ -35,7 +35,7 @@ use crate::emit::{ledger_json, write_json_artifact, BenchHost};
 const MULTIPLIERS: [f64; 3] = [0.8, 1.0, 1.2];
 
 /// Tenants issuing soak traffic (tiers split 20/50/30 by
-/// [`capsnet_workloads::soak::tier_for_tenant`]).
+/// `capsnet_workloads::soak`'s `tier_for_tenant`).
 pub const TENANTS: usize = 300;
 
 /// Share of its requests the 0.8x phase may shed and still count as the
@@ -81,12 +81,12 @@ pub struct SoakBenchResult {
     pub capacity_hz: f64,
     /// Requests offered per phase.
     pub requests_per_phase: usize,
-    /// One report per entry of [`MULTIPLIERS`], same order.
+    /// One report per entry of `MULTIPLIERS`, same order.
     pub phases: Vec<SoakPhaseReport>,
 }
 
 /// Runs the capacity probe and the three open-loop phases — again, up to
-/// [`SWEEPS`] times, while the host disturbs them; the gates are applied
+/// `SWEEPS` times, while the host disturbs them; the gates are applied
 /// when the record is written. `requests_per_phase` scales the run: ~340k
 /// for the committed ≥1M-request artifact, tens of thousands for the CI
 /// leg.

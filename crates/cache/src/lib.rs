@@ -20,9 +20,12 @@
 //! * **Version-keyed invalidation, free under hot-swap.** The serving
 //!   registry's versions are strictly monotone, so a swap simply orphans
 //!   the old version's entries: lookups for the new version cannot match
-//!   them, and the clock hand fast-tracks their reclamation
-//!   (`orphan_evictions`). In-flight batches still holding the old model
-//!   `Arc` may keep filling their own epoch — harmless, lazily reclaimed.
+//!   them. Once no user of the cache serves the old version any more, the
+//!   swapper says so ([`ResponseCache::retire_below`]) and the clock hand
+//!   fast-tracks their reclamation (`orphan_evictions`). In-flight batches
+//!   still holding the old model `Arc` may keep filling their own epoch —
+//!   harmless, lazily reclaimed. A version some replica still serves is
+//!   never an orphan, however new the versions other replicas serve.
 //! * **One cache per replica pool.** The cache is `Sync` and its keys
 //!   carry the version, so every replica of a `pim-serve` pool shares one
 //!   instance: a response one replica filled is a hit on every other. This
@@ -181,11 +184,12 @@ impl<V> Shard<V> {
     }
 }
 
-/// Per-model shared state: bloom membership and the newest version
-/// observed (the invalidation watermark).
+/// Per-model shared state: bloom membership and the oldest version any
+/// user of the cache still serves (the invalidation watermark: entries of
+/// older versions are orphans).
 struct ModelState {
     bloom: AtomicBloom,
-    latest_version: AtomicU64,
+    oldest_served: AtomicU64,
 }
 
 #[derive(Default)]
@@ -232,7 +236,7 @@ impl<V: CacheValue> ResponseCache<V> {
         let model_states = (0..models)
             .map(|_| ModelState {
                 bloom: AtomicBloom::new(cfg.bloom_bits, cfg.bloom_hashes),
-                latest_version: AtomicU64::new(0),
+                oldest_served: AtomicU64::new(0),
             })
             .collect();
         let shards = (0..cfg.shards).map(|_| Mutex::new(Shard::new())).collect();
@@ -273,7 +277,6 @@ impl<V: CacheValue> ResponseCache<V> {
     /// exact-key check (bloom false positives miss correctly there).
     pub fn get(&self, model: usize, version: u64, digest: u64) -> Option<V> {
         let state = &self.models[model];
-        state.latest_version.fetch_max(version, Ordering::Relaxed);
         if !state.bloom.contains(bloom_key(version, digest)) {
             self.stats.bloom_negatives.fetch_add(1, Ordering::Relaxed);
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -306,7 +309,6 @@ impl<V: CacheValue> ResponseCache<V> {
     /// entry is fast-tracked for reclamation.
     pub fn insert(&self, model: usize, version: u64, digest: u64, value: V) -> bool {
         let state = &self.models[model];
-        state.latest_version.fetch_max(version, Ordering::Relaxed);
         let cost = value.cost_bytes().max(1);
         if cost > self.shard_budget {
             return false;
@@ -343,7 +345,7 @@ impl<V: CacheValue> ResponseCache<V> {
             let candidate = shard.ring[hand];
             let orphaned = candidate.version
                 < self.models[candidate.model]
-                    .latest_version
+                    .oldest_served
                     .load(Ordering::Relaxed);
             let lap_guard = shard.ring.len() * (CLOCK_PROTECTED as usize + 1);
             if orphaned {
@@ -375,6 +377,18 @@ impl<V: CacheValue> ResponseCache<V> {
         drop(shard);
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
         true
+    }
+
+    /// Declares that no user of the cache serves a version of `model`
+    /// below `version` any more, so entries of those versions are orphans
+    /// that byte pressure reclaims first. Call it after a swap with the
+    /// lowest version still served: for one server, the version it swapped
+    /// in; for a replica pool, the minimum over its replicas. The watermark
+    /// only rises (a lower `version` than before is ignored).
+    pub fn retire_below(&self, model: usize, version: u64) {
+        self.models[model]
+            .oldest_served
+            .fetch_max(version, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
@@ -564,9 +578,10 @@ mod tests {
         for d in 0..10u64 {
             cache.insert(0, 1, d, vec![0u8; 100]);
         }
-        // The swap is observed via a lookup at the new version.
+        // The swap: version 2 is served from now on, version 1 no more.
+        cache.retire_below(0, 2);
         assert_eq!(cache.get(0, 2, 0), None);
-        assert_eq!(cache.models[0].latest_version.load(Ordering::Relaxed), 2);
+        assert_eq!(cache.models[0].oldest_served.load(Ordering::Relaxed), 2);
         // Old-version entries still exist (lazy reclamation) but byte
         // pressure reclaims them first, before any live entry.
         for d in 0..5u64 {
@@ -579,6 +594,24 @@ mod tests {
         }
         // An in-flight batch on the old Arc may still fill its epoch.
         assert!(cache.insert(0, 1, 99, vec![0u8; 10]));
+    }
+
+    #[test]
+    fn a_newer_version_elsewhere_does_not_orphan_a_served_one() {
+        // A pool mid-rollout: one replica already serves v3, the others
+        // still serve v1. Their v1 lookups and fills must evict by CLOCK
+        // as usual, not as orphans of v3.
+        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
+        for d in 0..10u64 {
+            cache.insert(0, 1, d, vec![0u8; 100]);
+        }
+        assert_eq!(cache.get(0, 3, 0), None);
+        for d in 10..20u64 {
+            cache.insert(0, 1, d, vec![0u8; 100]);
+        }
+        let survivors = (10..20u64).filter(|&d| cache.get(0, 1, d).is_some());
+        assert_eq!(survivors.count(), 10, "{:?}", cache.report());
+        assert_eq!(cache.report().orphan_evictions, 0);
     }
 
     #[test]

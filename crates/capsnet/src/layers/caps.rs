@@ -6,7 +6,7 @@ use pim_tensor::{uhat_project, Tensor, UhatWeights};
 use crate::backend::MathBackend;
 use crate::config::RoutingAlgorithm;
 use crate::error::CapsNetError;
-use crate::routing::{Procedure, RoutingArena, RoutingOutput};
+use crate::routing::{Procedure, RoutingArena};
 use crate::weights::{WeightRef, WeightView};
 
 /// The Caps layer connecting `L` low-level capsules (dimension `C_L`) to
@@ -146,23 +146,8 @@ impl CapsLayer {
     }
 
     /// Computes the prediction vectors `û_{j|i} = u_i · W_{ij}` (Eq 1) for a
-    /// batch: `[B, L, C_L] -> [B, L, H, C_H]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when the input does not match the layer.
-    fn prediction_vectors<B: MathBackend + ?Sized>(
-        &self,
-        u: &Tensor,
-        backend: &B,
-    ) -> Result<Tensor, CapsNetError> {
-        let mut out = Tensor::zeros(&[0]);
-        self.prediction_vectors_into(u, backend, &mut out, &mut Vec::new())?;
-        Ok(out)
-    }
-
-    /// Computes the prediction vectors `û` (Eq 1) into `out`
-    /// (resized in place, every element overwritten) through
+    /// batch, `[B, L, C_L] -> [B, L, H, C_H]`, into `out` (resized in
+    /// place, every element overwritten) through
     /// [`pim_tensor::uhat_project`] — one register-tiled pass over `W`,
     /// dense or dequantized on the fly, sharded over the `L` capsules.
     ///
@@ -210,23 +195,9 @@ impl CapsLayer {
         }
     }
 
-    /// Full forward pass into freshly allocated tensors: prediction
-    /// vectors then routing, same math as [`Self::forward_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when the input does not match the layer.
-    pub fn forward<B: MathBackend + ?Sized>(
-        &self,
-        u: &Tensor,
-        backend: &B,
-    ) -> Result<RoutingOutput, CapsNetError> {
-        let u_hat = self.prediction_vectors(u, backend)?;
-        self.procedure().route_owned(&u_hat, backend)
-    }
-
-    /// Allocation-free forward pass for the arena-backed model path: `û`
-    /// lands in `u_hat`, the routed capsules and coefficients in `routing`
+    /// Forward pass — prediction vectors then routing — for the
+    /// arena-backed model path, allocation-free once warm: `û` lands in
+    /// `u_hat`, the routed capsules and coefficients in `routing`
     /// (read them via [`RoutingArena::v`] and
     /// [`RoutingArena::coefficients`]).
     ///
@@ -274,11 +245,27 @@ mod tests {
         CapsLayer::seeded(5, 4, 3, 6, RoutingAlgorithm::Dynamic, 3, 1.0, 17)
     }
 
+    /// The layer's prediction vectors for `u`, in a fresh tensor.
+    fn project(l: &CapsLayer, u: &Tensor) -> Result<Tensor, CapsNetError> {
+        let mut out = Tensor::default();
+        l.prediction_vectors_into(u, &ExactMath, &mut out, &mut Vec::new())?;
+        Ok(out)
+    }
+
+    /// Runs the layer's forward into a fresh arena, returning the routed
+    /// capsules `[B, H, C_H]`.
+    fn forward(l: &CapsLayer, u: &Tensor) -> Vec<f32> {
+        let mut routing = RoutingArena::default();
+        l.forward_into(u, &ExactMath, &mut Tensor::default(), &mut routing)
+            .unwrap();
+        routing.v().to_vec()
+    }
+
     #[test]
     fn prediction_vector_shape() {
         let l = layer();
         let u = Tensor::uniform(&[2, 5, 4], -1.0, 1.0, 1);
-        let u_hat = l.prediction_vectors(&u, &ExactMath).unwrap();
+        let u_hat = project(&l, &u).unwrap();
         assert_eq!(u_hat.shape().dims(), &[2, 5, 3, 6]);
     }
 
@@ -286,7 +273,7 @@ mod tests {
     fn prediction_vectors_match_manual_matvec() {
         let l = layer();
         let u = Tensor::uniform(&[1, 5, 4], -1.0, 1.0, 2);
-        let u_hat = l.prediction_vectors(&u, &ExactMath).unwrap();
+        let u_hat = project(&l, &u).unwrap();
         // Manually compute û for capsule i=2, H capsule j=1.
         let i = 2;
         let w = l.weight.as_slice();
@@ -306,19 +293,18 @@ mod tests {
     #[test]
     fn input_mismatch_is_rejected() {
         let l = layer();
-        let e = &ExactMath;
-        assert!(l.prediction_vectors(&Tensor::zeros(&[2, 5, 3]), e).is_err());
-        assert!(l.prediction_vectors(&Tensor::zeros(&[2, 4, 4]), e).is_err());
-        assert!(l.prediction_vectors(&Tensor::zeros(&[2, 5]), e).is_err());
+        assert!(project(&l, &Tensor::zeros(&[2, 5, 3])).is_err());
+        assert!(project(&l, &Tensor::zeros(&[2, 4, 4])).is_err());
+        assert!(project(&l, &Tensor::zeros(&[2, 5])).is_err());
     }
 
     #[test]
     fn forward_produces_squashed_capsules() {
         let l = layer();
         let u = Tensor::uniform(&[2, 5, 4], -1.0, 1.0, 3);
-        let out = l.forward(&u, &ExactMath).unwrap();
-        assert_eq!(out.v.shape().dims(), &[2, 3, 6]);
-        for cap in out.v.as_slice().chunks(6) {
+        let v = forward(&l, &u);
+        assert_eq!(v.len(), 2 * 3 * 6);
+        for cap in v.chunks(6) {
             let n: f32 = cap.iter().map(|&x| x * x).sum::<f32>().sqrt();
             assert!(n < 1.0);
         }
@@ -329,7 +315,7 @@ mod tests {
         use pim_tensor::{QuantDType, QuantTensor};
         let l = layer();
         let u = Tensor::uniform(&[2, 5, 4], -1.0, 1.0, 9);
-        let base = l.prediction_vectors(&u, &ExactMath).unwrap();
+        let base = project(&l, &u).unwrap();
         let w = l.weight().expect_f32();
         for dtype in [QuantDType::I8, QuantDType::F16] {
             // Two blocks splitting the leading (capsule) dim, as the
@@ -350,8 +336,8 @@ mod tests {
                 3,
             )
             .unwrap();
-            let want = deq.prediction_vectors(&u, &ExactMath).unwrap();
-            let got = ql.prediction_vectors(&u, &ExactMath).unwrap();
+            let want = project(&deq, &u).unwrap();
+            let got = project(&ql, &u).unwrap();
             assert_eq!(got.shape().dims(), base.shape().dims());
             for (g, w_) in got.as_slice().iter().zip(want.as_slice()) {
                 assert!(
@@ -387,8 +373,8 @@ mod tests {
     fn em_routing_also_runs() {
         let l = CapsLayer::seeded(5, 4, 3, 6, RoutingAlgorithm::Em, 3, 1.0, 17);
         let u = Tensor::uniform(&[2, 5, 4], -1.0, 1.0, 3);
-        let out = l.forward(&u, &ExactMath).unwrap();
-        assert_eq!(out.v.shape().dims(), &[2, 3, 6]);
-        assert!(out.v.as_slice().iter().all(|x| x.is_finite()));
+        let v = forward(&l, &u);
+        assert_eq!(v.len(), 2 * 3 * 6);
+        assert!(v.iter().all(|x| x.is_finite()));
     }
 }

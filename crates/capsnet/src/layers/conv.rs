@@ -19,17 +19,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to a tensor.
-    pub fn apply(&self, t: Tensor) -> Tensor {
-        match self {
-            Activation::Linear => t,
-            Activation::Relu => t.relu(),
-            Activation::Sigmoid => t.sigmoid(),
-        }
-    }
-
-    /// Applies the activation elementwise in place (the allocation-free
-    /// counterpart of [`Activation::apply`], same math).
+    /// Applies the activation elementwise in place.
     pub fn apply_in_place(&self, data: &mut [f32]) {
         match self {
             Activation::Linear => {}
@@ -141,20 +131,9 @@ impl Conv2dLayer {
         self.activation
     }
 
-    /// Forward pass: `[B, in, H, W] -> [B, out, H', W']`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor shape errors.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, CapsNetError> {
-        let mut out = Tensor::zeros(&[0]);
-        let mut scratch = Conv2dScratch::default();
-        self.forward_into(input, &mut out, &mut scratch)?;
-        Ok(out)
-    }
-
-    /// Allocation-free forward pass: writes into `out` (resized in place)
-    /// using caller-owned scratch. Same math as [`Self::forward`].
+    /// Forward pass, `[B, in, H, W] -> [B, out, H', W']`: writes into `out`
+    /// (resized in place) using caller-owned scratch, allocation-free once
+    /// both are warm.
     ///
     /// # Errors
     ///
@@ -197,7 +176,10 @@ mod tests {
     fn forward_shapes() {
         let layer = Conv2dLayer::seeded(1, 4, 3, 1, Activation::Relu, 1);
         let input = Tensor::uniform(&[2, 1, 8, 8], 0.0, 1.0, 2);
-        let out = layer.forward(&input).unwrap();
+        let mut out = Tensor::default();
+        layer
+            .forward_into(&input, &mut out, &mut Conv2dScratch::default())
+            .unwrap();
         assert_eq!(out.shape().dims(), &[2, 4, 6, 6]);
         // ReLU guarantees non-negative outputs.
         assert!(out.as_slice().iter().all(|&x| x >= 0.0));
@@ -215,11 +197,15 @@ mod tests {
 
     #[test]
     fn activations_apply() {
-        let t = Tensor::from_vec(vec![-1.0, 2.0], &[2]).unwrap();
-        assert_eq!(Activation::Relu.apply(t.clone()).as_slice(), &[0.0, 2.0]);
-        assert_eq!(Activation::Linear.apply(t.clone()).as_slice(), &[-1.0, 2.0]);
-        let s = Activation::Sigmoid.apply(t);
-        assert!(s.as_slice()[0] < 0.5 && s.as_slice()[1] > 0.5);
+        let apply = |activation: Activation| {
+            let mut data = [-1.0f32, 2.0];
+            activation.apply_in_place(&mut data);
+            data
+        };
+        assert_eq!(apply(Activation::Relu), [0.0, 2.0]);
+        assert_eq!(apply(Activation::Linear), [-1.0, 2.0]);
+        let s = apply(Activation::Sigmoid);
+        assert!(s[0] < 0.5 && s[1] > 0.5);
     }
 
     #[test]

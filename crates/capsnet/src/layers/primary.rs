@@ -80,27 +80,10 @@ impl PrimaryCapsLayer {
         self.cl_dim
     }
 
-    /// Forward pass: `[B, in, H, W] -> [B, L, C_L]` with
-    /// `L = caps_channels · H' · W'`, squash applied per capsule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor shape errors.
-    pub fn forward<B: MathBackend + ?Sized>(
-        &self,
-        input: &Tensor,
-        backend: &B,
-    ) -> Result<Tensor, CapsNetError> {
-        let mut out = Tensor::zeros(&[0]);
-        let mut conv_buf = Tensor::zeros(&[0]);
-        let mut scratch = Conv2dScratch::default();
-        self.forward_into(input, backend, &mut out, &mut conv_buf, &mut scratch)?;
-        Ok(out)
-    }
-
-    /// Allocation-free forward pass: the convolution output lands in
-    /// `conv_buf`, the squashed capsules in `out` (both resized in place).
-    /// Same math as [`Self::forward`].
+    /// Forward pass, `[B, in, H, W] -> [B, L, C_L]` with
+    /// `L = caps_channels · H' · W'`, squash applied per capsule: the
+    /// convolution output lands in `conv_buf`, the squashed capsules in
+    /// `out` (both resized in place), allocation-free once warm.
     ///
     /// # Errors
     ///
@@ -149,11 +132,20 @@ mod tests {
     use super::*;
     use crate::backend::ExactMath;
 
+    fn forward(layer: &PrimaryCapsLayer, input: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        let (mut conv_buf, mut scratch) = (Tensor::default(), Conv2dScratch::default());
+        layer
+            .forward_into(input, &ExactMath, &mut out, &mut conv_buf, &mut scratch)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn forward_shape_and_norms() {
         let layer = PrimaryCapsLayer::seeded(2, 3, 4, 3, 2, 5);
         let input = Tensor::uniform(&[2, 2, 9, 9], -1.0, 1.0, 6);
-        let out = layer.forward(&input, &ExactMath).unwrap();
+        let out = forward(&layer, &input);
         // 9 -> (9-3)/2+1 = 4; L = 3*4*4 = 48.
         assert_eq!(out.shape().dims(), &[2, 48, 4]);
         // All capsule norms must be < 1 after squashing.
@@ -168,15 +160,9 @@ mod tests {
         // With identity-like behaviour hard to arrange through conv, at
         // least check determinism and that different seeds differ.
         let input = Tensor::uniform(&[1, 1, 7, 7], 0.0, 1.0, 1);
-        let a = PrimaryCapsLayer::seeded(1, 2, 2, 3, 2, 10)
-            .forward(&input, &ExactMath)
-            .unwrap();
-        let b = PrimaryCapsLayer::seeded(1, 2, 2, 3, 2, 10)
-            .forward(&input, &ExactMath)
-            .unwrap();
-        let c = PrimaryCapsLayer::seeded(1, 2, 2, 3, 2, 11)
-            .forward(&input, &ExactMath)
-            .unwrap();
+        let a = forward(&PrimaryCapsLayer::seeded(1, 2, 2, 3, 2, 10), &input);
+        let b = forward(&PrimaryCapsLayer::seeded(1, 2, 2, 3, 2, 10), &input);
+        let c = forward(&PrimaryCapsLayer::seeded(1, 2, 2, 3, 2, 11), &input);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

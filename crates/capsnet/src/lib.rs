@@ -52,13 +52,9 @@ pub use model::{
     CapsNet, ForwardArena, ForwardOutput, ForwardView, WeightSource, WeightStorageCensus,
 };
 pub use weights::{WeightRef, WeightView};
-// The routing drivers at the crate root: the serving layer (and any other
-// embedder) picks an execution strategy without reaching into the module
-// tree.
-pub use routing::{
-    dynamic_routing, dynamic_routing_parallel, dynamic_routing_with, em_routing,
-    em_routing_parallel, em_routing_with, RoutingArena, RoutingScratch,
-};
+// The serial routing reference and the routing state at the crate root,
+// for embedders that route without reaching into the module tree.
+pub use routing::{dynamic_routing_with, em_routing_with, RoutingArena, RoutingScratch};
 pub use squash::{squash_in_place, squash_into};
 
 /// Convenience alias for results produced by this crate.

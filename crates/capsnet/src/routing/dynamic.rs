@@ -23,40 +23,27 @@ use crate::routing::{validate_u_hat, Routed, RoutingOutput, RoutingScratch};
 use crate::squash::squash_into;
 
 /// Runs dynamic routing over prediction vectors `û` of shape
-/// `[B, L, H, C_H]`.
+/// `[B, L, H, C_H]` on one thread, with caller-owned scratch.
 ///
 /// Returns the high-level capsules `[B, H, C_H]` and the final routing
-/// coefficients (`[L, H]` if `batch_shared`, else `[B, L, H]`).
+/// coefficients (`[L, H]` if `batch_shared`, else `[B, L, H]`). A warm
+/// scratch makes the routing itself allocation-free (only the returned
+/// output tensors are materialized fresh).
+///
+/// This is the serial reference: the layer path
+/// ([`crate::layers::CapsLayer::forward_into`]) shards independent samples
+/// across cores and is checked bitwise against it.
 ///
 /// Generic over the backend: calling with a concrete type (`&ExactMath`,
 /// `&ApproxMath`) monomorphizes the whole RP with the special functions
 /// inlined; calling with `&dyn MathBackend` still works and produces
 /// bit-identical results through virtual dispatch.
 ///
-/// Allocates its scratch internally; steady-state callers should hold a
-/// [`RoutingScratch`] and use [`dynamic_routing_with`].
-///
 /// # Errors
 ///
-/// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4, or
-/// [`CapsNetError::InvalidSpec`] for zero iterations.
-pub fn dynamic_routing<B: MathBackend + ?Sized>(
-    u_hat: &Tensor,
-    iterations: usize,
-    batch_shared: bool,
-    backend: &B,
-) -> Result<RoutingOutput, CapsNetError> {
-    let mut scratch = RoutingScratch::new();
-    dynamic_routing_with(u_hat, iterations, batch_shared, backend, &mut scratch)
-}
-
-/// [`dynamic_routing`] with caller-owned scratch: a warm scratch makes the
-/// routing itself allocation-free (only the returned output tensors are
-/// materialized fresh).
-///
-/// # Errors
-///
-/// Same conditions as [`dynamic_routing`].
+/// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4 or has
+/// a zero-sized `L` / `H` / `C_H`, or [`CapsNetError::InvalidSpec`] for
+/// zero iterations.
 pub fn dynamic_routing_with<B: MathBackend + ?Sized>(
     u_hat: &Tensor,
     iterations: usize,
@@ -171,6 +158,22 @@ mod tests {
     use super::*;
     use crate::backend::{ApproxMath, ExactMath};
 
+    /// [`dynamic_routing_with`] on a fresh scratch.
+    fn route<B: MathBackend + ?Sized>(
+        u: &Tensor,
+        iterations: usize,
+        batch_shared: bool,
+        backend: &B,
+    ) -> Result<RoutingOutput, CapsNetError> {
+        dynamic_routing_with(
+            u,
+            iterations,
+            batch_shared,
+            backend,
+            &mut RoutingScratch::new(),
+        )
+    }
+
     fn uhat(nb: usize, nl: usize, nh: usize, ch: usize, seed: u64) -> Tensor {
         Tensor::uniform(&[nb, nl, nh, ch], -0.5, 0.5, seed)
     }
@@ -178,17 +181,17 @@ mod tests {
     #[test]
     fn output_shapes() {
         let u = uhat(2, 6, 3, 4, 1);
-        let out = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
+        let out = route(&u, 3, true, &ExactMath).unwrap();
         assert_eq!(out.v.shape().dims(), &[2, 3, 4]);
         assert_eq!(out.coefficients.shape().dims(), &[6, 3]);
-        let per_sample = dynamic_routing(&u, 3, false, &ExactMath).unwrap();
+        let per_sample = route(&u, 3, false, &ExactMath).unwrap();
         assert_eq!(per_sample.coefficients.shape().dims(), &[2, 6, 3]);
     }
 
     #[test]
     fn coefficients_are_distributions_over_h() {
         let u = uhat(2, 6, 3, 4, 2);
-        let out = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
+        let out = route(&u, 3, true, &ExactMath).unwrap();
         for row in out.coefficients.as_slice().chunks(3) {
             let sum: f32 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row sum {sum}");
@@ -200,7 +203,7 @@ mod tests {
     fn first_iteration_coefficients_are_uniform_before_update() {
         // With a single iteration, c comes from b=0, i.e. uniform 1/H.
         let u = uhat(1, 4, 5, 3, 3);
-        let out = dynamic_routing(&u, 1, true, &ExactMath).unwrap();
+        let out = route(&u, 1, true, &ExactMath).unwrap();
         for &cv in out.coefficients.as_slice() {
             assert!((cv - 0.2).abs() < 1e-6);
         }
@@ -220,7 +223,7 @@ mod tests {
             }
         }
         let u = Tensor::from_vec(data, &[nb, nl, nh, ch]).unwrap();
-        let out = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
+        let out = route(&u, 3, true, &ExactMath).unwrap();
         let c = out.coefficients.as_slice();
         for i in 0..nl {
             assert!(
@@ -234,7 +237,7 @@ mod tests {
     #[test]
     fn v_norms_below_one() {
         let u = uhat(3, 10, 4, 8, 5);
-        let out = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
+        let out = route(&u, 3, true, &ExactMath).unwrap();
         for cap in out.v.as_slice().chunks(8) {
             let n: f32 = cap.iter().map(|&x| x * x).sum::<f32>().sqrt();
             assert!(n < 1.0);
@@ -244,8 +247,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let u = uhat(2, 6, 3, 4, 6);
-        let a = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
-        let b = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
+        let a = route(&u, 3, true, &ExactMath).unwrap();
+        let b = route(&u, 3, true, &ExactMath).unwrap();
         assert_eq!(a.v, b.v);
         assert_eq!(a.coefficients, b.coefficients);
     }
@@ -253,8 +256,8 @@ mod tests {
     #[test]
     fn approx_backend_close_to_exact() {
         let u = uhat(2, 12, 5, 8, 7);
-        let exact = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
-        let approx = dynamic_routing(&u, 3, true, &ApproxMath::with_recovery()).unwrap();
+        let exact = route(&u, 3, true, &ExactMath).unwrap();
+        let approx = route(&u, 3, true, &ApproxMath::with_recovery()).unwrap();
         let mut max_diff = 0.0f32;
         for (a, e) in approx.v.as_slice().iter().zip(exact.v.as_slice()) {
             max_diff = max_diff.max((a - e).abs());
@@ -268,17 +271,17 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         let u3 = Tensor::zeros(&[2, 3, 4]);
-        assert!(dynamic_routing(&u3, 3, true, &ExactMath).is_err());
+        assert!(route(&u3, 3, true, &ExactMath).is_err());
         let u = uhat(1, 2, 2, 2, 8);
-        assert!(dynamic_routing(&u, 0, true, &ExactMath).is_err());
+        assert!(route(&u, 0, true, &ExactMath).is_err());
     }
 
     #[test]
     fn batch_shared_differs_from_per_sample() {
         // With >1 samples the two coefficient schemes route differently.
         let u = uhat(4, 6, 3, 4, 9);
-        let shared = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
-        let per = dynamic_routing(&u, 3, false, &ExactMath).unwrap();
+        let shared = route(&u, 3, true, &ExactMath).unwrap();
+        let per = route(&u, 3, false, &ExactMath).unwrap();
         let diff: f32 = shared
             .v
             .as_slice()

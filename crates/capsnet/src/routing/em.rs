@@ -26,38 +26,26 @@ const LAMBDA: f32 = 1.0;
 const BETA_A: f32 = 2.0;
 
 /// Runs EM routing over prediction vectors (votes) `û` of shape
-/// `[B, L, H, C_H]`.
+/// `[B, L, H, C_H]` on one thread, with caller-owned scratch.
 ///
 /// Returns high-level capsules `[B, H, C_H]` (mean scaled by activation) and
-/// per-sample assignment coefficients `[B, L, H]`.
+/// per-sample assignment coefficients `[B, L, H]`. A warm scratch makes the
+/// routing itself allocation-free (only the returned output tensors are
+/// materialized fresh).
+///
+/// This is the serial reference: the layer path
+/// ([`crate::layers::CapsLayer::forward_into`]) shards the batch across
+/// cores and is checked bitwise against it.
 ///
 /// Generic over the backend: concrete backends monomorphize the E/M steps
 /// with the special functions inlined; `&dyn MathBackend` still works and
 /// produces bit-identical results.
 ///
-/// Allocates its scratch internally; steady-state callers should hold a
-/// [`RoutingScratch`] and use [`em_routing_with`].
-///
 /// # Errors
 ///
-/// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4, or
-/// [`CapsNetError::InvalidSpec`] for zero iterations.
-pub fn em_routing<B: MathBackend + ?Sized>(
-    u_hat: &Tensor,
-    iterations: usize,
-    backend: &B,
-) -> Result<RoutingOutput, CapsNetError> {
-    let mut scratch = RoutingScratch::new();
-    em_routing_with(u_hat, iterations, backend, &mut scratch)
-}
-
-/// [`em_routing`] with caller-owned scratch: a warm scratch makes the
-/// routing itself allocation-free (only the returned output tensors are
-/// materialized fresh).
-///
-/// # Errors
-///
-/// Same conditions as [`em_routing`].
+/// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4 or has
+/// a zero-sized `L` / `H` / `C_H`, or [`CapsNetError::InvalidSpec`] for
+/// zero iterations.
 pub fn em_routing_with<B: MathBackend + ?Sized>(
     u_hat: &Tensor,
     iterations: usize,
@@ -258,6 +246,15 @@ mod tests {
     use super::*;
     use crate::backend::{ApproxMath, ExactMath};
 
+    /// [`em_routing_with`] on a fresh scratch.
+    fn route<B: MathBackend + ?Sized>(
+        u: &Tensor,
+        iterations: usize,
+        backend: &B,
+    ) -> Result<RoutingOutput, CapsNetError> {
+        em_routing_with(u, iterations, backend, &mut RoutingScratch::new())
+    }
+
     fn votes(nb: usize, nl: usize, nh: usize, ch: usize, seed: u64) -> Tensor {
         Tensor::uniform(&[nb, nl, nh, ch], -0.5, 0.5, seed)
     }
@@ -265,7 +262,7 @@ mod tests {
     #[test]
     fn shapes_and_finiteness() {
         let u = votes(2, 8, 3, 4, 1);
-        let out = em_routing(&u, 3, &ExactMath).unwrap();
+        let out = route(&u, 3, &ExactMath).unwrap();
         assert_eq!(out.v.shape().dims(), &[2, 3, 4]);
         assert_eq!(out.coefficients.shape().dims(), &[2, 8, 3]);
         assert!(out.v.as_slice().iter().all(|x| x.is_finite()));
@@ -274,7 +271,7 @@ mod tests {
     #[test]
     fn responsibilities_are_distributions() {
         let u = votes(1, 6, 4, 3, 2);
-        let out = em_routing(&u, 3, &ExactMath).unwrap();
+        let out = route(&u, 3, &ExactMath).unwrap();
         for row in out.coefficients.as_slice().chunks(4) {
             let sum: f32 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-4, "row sum {sum}");
@@ -294,7 +291,7 @@ mod tests {
             }
         }
         let u = Tensor::from_vec(data, &[nb, nl, nh, ch]).unwrap();
-        let out = em_routing(&u, 3, &ExactMath).unwrap();
+        let out = route(&u, 3, &ExactMath).unwrap();
         let r = out.coefficients.as_slice();
         let mean_r0: f32 = (0..nl).map(|i| r[i * nh]).sum::<f32>() / nl as f32;
         assert!(mean_r0 > 0.5, "tight cluster got mean R {mean_r0}");
@@ -303,16 +300,16 @@ mod tests {
     #[test]
     fn deterministic() {
         let u = votes(2, 5, 3, 4, 4);
-        let a = em_routing(&u, 3, &ExactMath).unwrap();
-        let b = em_routing(&u, 3, &ExactMath).unwrap();
+        let a = route(&u, 3, &ExactMath).unwrap();
+        let b = route(&u, 3, &ExactMath).unwrap();
         assert_eq!(a.v, b.v);
     }
 
     #[test]
     fn approx_backend_stays_close() {
         let u = votes(1, 12, 4, 6, 5);
-        let exact = em_routing(&u, 3, &ExactMath).unwrap();
-        let approx = em_routing(&u, 3, &ApproxMath::with_recovery()).unwrap();
+        let exact = route(&u, 3, &ExactMath).unwrap();
+        let approx = route(&u, 3, &ApproxMath::with_recovery()).unwrap();
         for (a, e) in approx.v.as_slice().iter().zip(exact.v.as_slice()) {
             assert!((a - e).abs() < 0.08, "approx {a} vs exact {e}");
         }
@@ -320,8 +317,8 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(em_routing(&Tensor::zeros(&[2, 3, 4]), 3, &ExactMath).is_err());
+        assert!(route(&Tensor::zeros(&[2, 3, 4]), 3, &ExactMath).is_err());
         let u = votes(1, 2, 2, 2, 6);
-        assert!(em_routing(&u, 0, &ExactMath).is_err());
+        assert!(route(&u, 0, &ExactMath).is_err());
     }
 }

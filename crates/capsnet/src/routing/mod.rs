@@ -4,22 +4,28 @@
 //! capsules without the information loss of pooling. Two algorithms are
 //! provided behind one interface:
 //!
-//! * [`dynamic_routing`] — Algorithm 1 (Sabour et al. 2017) with the paper's
-//!   batch-shared routing coefficients (`b_{ij}` accumulates agreement over
-//!   the whole batch, Eq 4);
-//! * [`em_routing`] — a simplified Expectation-Maximization routing
+//! * [`dynamic_routing_with`] — Algorithm 1 (Sabour et al. 2017) with the
+//!   paper's batch-shared routing coefficients (`b_{ij}` accumulates
+//!   agreement over the whole batch, Eq 4);
+//! * [`em_routing_with`] — a simplified Expectation-Maximization routing
 //!   (Hinton et al. 2018), demonstrating that the in-memory optimizations
 //!   apply to "different RP algorithms with simple adjustment".
+//!
+//! Both run on one thread: they are the serial reference. Every forward
+//! routes through the layer instead
+//! ([`crate::layers::CapsLayer::forward_into`] into a [`RoutingArena`]),
+//! which shards independent samples across cores and is checked bitwise
+//! against them.
 
 mod dynamic;
 mod em;
 mod parallel;
 mod scratch;
 
-pub use dynamic::{dynamic_routing, dynamic_routing_with};
-pub use em::{em_routing, em_routing_with};
+pub use dynamic::dynamic_routing_with;
+pub use em::em_routing_with;
 pub(crate) use parallel::Procedure;
-pub use parallel::{dynamic_routing_parallel, em_routing_parallel, RoutingArena};
+pub use parallel::RoutingArena;
 pub use scratch::RoutingScratch;
 
 use pim_tensor::Tensor;

@@ -10,19 +10,18 @@
 //! to the serial path because per-sample routing never mixes information
 //! across samples (the equivalence suite asserts this).
 //!
-//! One routine, [`Procedure::route`], serves every caller: the layer's
-//! arena path ([`RoutingArena`]), the layer's owning path and the public
-//! `*_parallel` entry points.
+//! One routine, [`Procedure::route`], serves every forward: the layer's
+//! arena path ([`RoutingArena`]). The public `dynamic_routing_with` /
+//! `em_routing_with` are the unsharded serial reference it is checked
+//! against.
 
 use pim_tensor::par::{for_each_shard, plan_threads};
-use pim_tensor::Tensor;
 
 use crate::backend::MathBackend;
 use crate::config::RoutingAlgorithm;
-use crate::error::CapsNetError;
 use crate::routing::dynamic::dynamic_routing_core;
 use crate::routing::em::em_routing_core;
-use crate::routing::{validate_u_hat, Routed, RoutingOutput, RoutingScratch};
+use crate::routing::{Routed, RoutingScratch};
 
 /// Which routing procedure to run, as a Caps layer configures it.
 #[derive(Debug, Clone, Copy)]
@@ -116,18 +115,6 @@ impl Procedure {
             self.core(uh, (samples, nl, nh, ch), backend, scratch, out);
         });
     }
-
-    /// [`Self::route`] into freshly allocated output tensors.
-    pub fn route_owned<B: MathBackend + ?Sized>(
-        &self,
-        u_hat: &Tensor,
-        backend: &B,
-    ) -> Result<RoutingOutput, CapsNetError> {
-        let dims = validate_u_hat(u_hat, self.iterations)?;
-        RoutingOutput::routed(dims, self.shared_coefficients(), self.iterations, |out| {
-            self.route(u_hat.as_slice(), dims, backend, &mut Vec::new(), out);
-        })
-    }
 }
 
 /// Caller-owned routing state for the allocation-free layer path: one
@@ -188,62 +175,46 @@ impl RoutingArena {
     }
 }
 
-/// Dynamic routing with **per-sample** coefficients, sharded across cores.
-///
-/// Equivalent to `dynamic_routing(u_hat, iterations, false, backend)` —
-/// bit-identical outputs, including the `[B, L, H]` coefficient layout —
-/// but independent samples run on separate threads when the batch is large
-/// enough to amortize spawning (otherwise it falls through to the serial
-/// core).
-///
-/// # Errors
-///
-/// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4, or
-/// [`CapsNetError::InvalidSpec`] for zero iterations.
-pub fn dynamic_routing_parallel<B: MathBackend + ?Sized>(
-    u_hat: &Tensor,
-    iterations: usize,
-    backend: &B,
-) -> Result<RoutingOutput, CapsNetError> {
-    Procedure {
-        algorithm: RoutingAlgorithm::Dynamic,
-        iterations,
-        batch_shared: false,
-    }
-    .route_owned(u_hat, backend)
-}
-
-/// EM routing sharded across cores.
-///
-/// Equivalent to `em_routing(u_hat, iterations, backend)` — bit-identical
-/// outputs — but independent samples run on separate threads when the
-/// batch is large enough to amortize spawning.
-///
-/// # Errors
-///
-/// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4, or
-/// [`CapsNetError::InvalidSpec`] for zero iterations.
-pub fn em_routing_parallel<B: MathBackend + ?Sized>(
-    u_hat: &Tensor,
-    iterations: usize,
-    backend: &B,
-) -> Result<RoutingOutput, CapsNetError> {
-    Procedure {
-        algorithm: RoutingAlgorithm::Em,
-        iterations,
-        batch_shared: false,
-    }
-    .route_owned(u_hat, backend)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{ApproxMath, ExactMath};
-    use crate::routing::{dynamic_routing, em_routing};
+    use crate::routing::{dynamic_routing_with, em_routing_with, RoutingOutput};
+    use pim_tensor::par::available_threads;
+    use pim_tensor::Tensor;
 
     fn uhat(nb: usize, nl: usize, nh: usize, ch: usize, seed: u64) -> Tensor {
         Tensor::uniform(&[nb, nl, nh, ch], -0.5, 0.5, seed)
+    }
+
+    fn per_sample(algorithm: RoutingAlgorithm, iterations: usize) -> Procedure {
+        Procedure {
+            algorithm,
+            iterations,
+            batch_shared: false,
+        }
+    }
+
+    /// Routes `u` through a fresh arena — the path every forward takes —
+    /// and asserts it matches the serial reference bitwise.
+    fn assert_arena_matches<B: MathBackend + ?Sized>(
+        procedure: Procedure,
+        u: &Tensor,
+        backend: &B,
+        serial: &RoutingOutput,
+    ) {
+        let d = u.shape().dims();
+        let mut arena = RoutingArena::default();
+        arena.route(procedure, u.as_slice(), (d[0], d[1], d[2], d[3]), backend);
+        assert_eq!(arena.v(), serial.v.as_slice());
+        assert_eq!(arena.coefficients(), serial.coefficients.as_slice());
+    }
+
+    /// On a multicore host, `plan_threads` really shards `u`'s batch.
+    fn assert_shards(procedure: Procedure, u: &Tensor) {
+        let d = u.shape().dims();
+        let work = procedure.work_per_sample(d[1], d[2], d[3]);
+        assert!(available_threads() == 1 || plan_threads(d[0], work) > 1);
     }
 
     #[test]
@@ -251,62 +222,77 @@ mod tests {
         // Large enough that plan_threads actually shards on multicore hosts
         // (total work exceeds PAR_MIN_WORK).
         let u = uhat(32, 208, 8, 12, 1);
-        let serial = dynamic_routing(&u, 3, false, &ExactMath).unwrap();
-        let parallel = dynamic_routing_parallel(&u, 3, &ExactMath).unwrap();
-        assert_eq!(serial.v, parallel.v);
-        assert_eq!(serial.coefficients, parallel.coefficients);
+        let procedure = per_sample(RoutingAlgorithm::Dynamic, 3);
+        assert_shards(procedure, &u);
+        let serial =
+            dynamic_routing_with(&u, 3, false, &ExactMath, &mut RoutingScratch::new()).unwrap();
+        assert_arena_matches(procedure, &u, &ExactMath, &serial);
     }
 
     #[test]
     fn em_parallel_matches_serial_bitwise() {
         let u = uhat(32, 144, 6, 8, 2);
-        let serial = em_routing(&u, 3, &ExactMath).unwrap();
-        let parallel = em_routing_parallel(&u, 3, &ExactMath).unwrap();
-        assert_eq!(serial.v, parallel.v);
-        assert_eq!(serial.coefficients, parallel.coefficients);
+        let procedure = per_sample(RoutingAlgorithm::Em, 3);
+        assert_shards(procedure, &u);
+        let serial = em_routing_with(&u, 3, &ExactMath, &mut RoutingScratch::new()).unwrap();
+        assert_arena_matches(procedure, &u, &ExactMath, &serial);
     }
 
     #[test]
     fn small_batches_fall_through_to_serial() {
         let u = uhat(2, 4, 3, 4, 3);
-        let serial = dynamic_routing(&u, 2, false, &ExactMath).unwrap();
-        let parallel = dynamic_routing_parallel(&u, 2, &ExactMath).unwrap();
-        assert_eq!(serial.v, parallel.v);
-        assert_eq!(serial.coefficients, parallel.coefficients);
+        let procedure = per_sample(RoutingAlgorithm::Dynamic, 2);
+        assert_eq!(plan_threads(2, procedure.work_per_sample(4, 3, 4)), 1);
+        let serial =
+            dynamic_routing_with(&u, 2, false, &ExactMath, &mut RoutingScratch::new()).unwrap();
+        assert_arena_matches(procedure, &u, &ExactMath, &serial);
     }
 
     #[test]
     fn parallel_works_through_dyn_backend() {
-        let u = uhat(8, 32, 5, 8, 4);
-        let boxed: &dyn MathBackend = &ApproxMath::with_recovery();
-        let via_dyn = dynamic_routing_parallel(&u, 3, boxed).unwrap();
-        let via_mono = dynamic_routing_parallel(&u, 3, &ApproxMath::with_recovery()).unwrap();
-        assert_eq!(via_dyn.v, via_mono.v);
+        let u = uhat(32, 208, 8, 12, 4);
+        let approx = ApproxMath::with_recovery();
+        let boxed: &dyn MathBackend = &approx;
+        for algorithm in [RoutingAlgorithm::Dynamic, RoutingAlgorithm::Em] {
+            let procedure = per_sample(algorithm, 3);
+            assert_shards(procedure, &u);
+            let scratch = &mut RoutingScratch::new();
+            let serial = match algorithm {
+                RoutingAlgorithm::Dynamic => dynamic_routing_with(&u, 3, false, &approx, scratch),
+                RoutingAlgorithm::Em => em_routing_with(&u, 3, &approx, scratch),
+            }
+            .unwrap();
+            assert_arena_matches(procedure, &u, boxed, &serial);
+        }
     }
 
     #[test]
     fn zero_sized_dimensions_error_instead_of_panicking() {
         // L*H work is large enough to request threads, but C_H = 0 makes
-        // the per-sample stride zero — every driver must reject it with a
+        // the per-sample stride zero — the serial entries reject it with a
         // typed error (the inner loops cannot traverse zero-sized chunks).
         let u = Tensor::zeros(&[16, 512, 128, 0]);
-        assert!(dynamic_routing(&u, 3, false, &ExactMath).is_err());
-        assert!(dynamic_routing_parallel(&u, 3, &ExactMath).is_err());
-        assert!(em_routing_parallel(&u, 3, &ExactMath).is_err());
-        // Empty batches are fine and produce empty outputs.
+        let scratch = &mut RoutingScratch::new();
+        assert!(dynamic_routing_with(&u, 3, false, &ExactMath, scratch).is_err());
+        assert!(em_routing_with(&u, 3, &ExactMath, scratch).is_err());
+        // Empty batches are fine and produce empty outputs, on both paths.
         let empty = Tensor::zeros(&[0, 4, 3, 2]);
-        let out = dynamic_routing_parallel(&empty, 3, &ExactMath).unwrap();
-        assert_eq!(out.v.shape().dims(), &[0, 3, 2]);
-        assert_eq!(
-            out.v,
-            dynamic_routing(&empty, 3, false, &ExactMath).unwrap().v
+        let serial = dynamic_routing_with(&empty, 3, false, &ExactMath, scratch).unwrap();
+        assert_eq!(serial.v.shape().dims(), &[0, 3, 2]);
+        assert_arena_matches(
+            per_sample(RoutingAlgorithm::Dynamic, 3),
+            &empty,
+            &ExactMath,
+            &serial,
         );
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(dynamic_routing_parallel(&Tensor::zeros(&[2, 3, 4]), 3, &ExactMath).is_err());
+        let scratch = &mut RoutingScratch::new();
+        let rank3 = Tensor::zeros(&[2, 3, 4]);
+        assert!(dynamic_routing_with(&rank3, 3, false, &ExactMath, scratch).is_err());
         let u = uhat(1, 2, 2, 2, 5);
-        assert!(em_routing_parallel(&u, 0, &ExactMath).is_err());
+        assert!(em_routing_with(&u, 0, &ExactMath, scratch).is_err());
     }
 }

@@ -9,8 +9,8 @@
 //! routed capsules and coefficients are not scratch — the cores write them
 //! straight into the caller's output windows (see [`super::Routed`]).
 
-/// Scratch buffers for [`dynamic_routing`](crate::routing::dynamic_routing)
-/// and [`em_routing`](crate::routing::em_routing).
+/// Scratch buffers for [`dynamic_routing_with`](crate::routing::dynamic_routing_with)
+/// and [`em_routing_with`](crate::routing::em_routing_with).
 ///
 /// One scratch serves both algorithms (buffers are disjoint per algorithm
 /// but reuse is harmless); keep one per thread — the buffers are the reason

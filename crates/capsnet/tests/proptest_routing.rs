@@ -1,7 +1,7 @@
 //! Property-based tests for the routing procedure and squash invariants.
 
-use capsnet::routing::{dynamic_routing, em_routing};
-use capsnet::{squash_in_place, ApproxMath, ExactMath};
+use capsnet::routing::{dynamic_routing_with, em_routing_with, RoutingOutput, RoutingScratch};
+use capsnet::{squash_in_place, ApproxMath, ExactMath, MathBackend};
 use pim_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -13,12 +13,17 @@ fn u_hat_strategy() -> impl Strategy<Value = (Tensor, usize, usize, usize, usize
     })
 }
 
+/// Batch-shared dynamic routing on a fresh scratch.
+fn dynamic<B: MathBackend>(u_hat: &Tensor, iterations: usize, backend: &B) -> RoutingOutput {
+    dynamic_routing_with(u_hat, iterations, true, backend, &mut RoutingScratch::new()).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn routing_coefficients_always_distributions((u_hat, _b, l, h, _ch) in u_hat_strategy()) {
-        let out = dynamic_routing(&u_hat, 3, true, &ExactMath).unwrap();
+        let out = dynamic(&u_hat, 3, &ExactMath);
         prop_assert_eq!(out.coefficients.shape().dims(), &[l, h]);
         for row in out.coefficients.as_slice().chunks(h) {
             let sum: f32 = row.iter().sum();
@@ -29,7 +34,7 @@ proptest! {
 
     #[test]
     fn output_capsule_norms_below_one((u_hat, b, _l, h, ch) in u_hat_strategy()) {
-        let out = dynamic_routing(&u_hat, 2, true, &ExactMath).unwrap();
+        let out = dynamic(&u_hat, 2, &ExactMath);
         prop_assert_eq!(out.v.shape().dims(), &[b, h, ch]);
         for cap in out.v.as_slice().chunks(ch) {
             let norm: f32 = cap.iter().map(|&x| x * x).sum::<f32>().sqrt();
@@ -51,8 +56,8 @@ proptest! {
             }
         }
         let rev_t = Tensor::from_vec(rev, &[b, l, h, ch]).unwrap();
-        let out_a = dynamic_routing(&u_hat, 3, true, &ExactMath).unwrap();
-        let out_b = dynamic_routing(&rev_t, 3, true, &ExactMath).unwrap();
+        let out_a = dynamic(&u_hat, 3, &ExactMath);
+        let out_b = dynamic(&rev_t, 3, &ExactMath);
         for (x, y) in out_a.v.as_slice().iter().zip(out_b.v.as_slice()) {
             prop_assert!((x - y).abs() < 1e-4, "{} vs {}", x, y);
         }
@@ -67,9 +72,9 @@ proptest! {
         // exactly. (With more iterations the agreement feedback makes
         // routing genuinely scale-sensitive — that is the point of the
         // algorithm, so no such property holds there.)
-        let scaled = u_hat.scale(2.0);
-        let a = dynamic_routing(&u_hat, 1, true, &ExactMath).unwrap();
-        let b2 = dynamic_routing(&scaled, 1, true, &ExactMath).unwrap();
+        let scaled = u_hat.map(|x| x * 2.0);
+        let a = dynamic(&u_hat, 1, &ExactMath);
+        let b2 = dynamic(&scaled, 1, &ExactMath);
         for (x, y) in a.v.as_slice().chunks(ch).zip(b2.v.as_slice().chunks(ch)) {
             let dot: f32 = x.iter().zip(y).map(|(p, q)| p * q).sum();
             let nx: f32 = x.iter().map(|p| p * p).sum::<f32>().sqrt();
@@ -86,8 +91,8 @@ proptest! {
 
     #[test]
     fn approx_and_exact_routing_stay_close((u_hat, _b, _l, _h, _ch) in u_hat_strategy()) {
-        let exact = dynamic_routing(&u_hat, 3, true, &ExactMath).unwrap();
-        let approx = dynamic_routing(&u_hat, 3, true, &ApproxMath::with_recovery()).unwrap();
+        let exact = dynamic(&u_hat, 3, &ExactMath);
+        let approx = dynamic(&u_hat, 3, &ApproxMath::with_recovery());
         for (a, e) in approx.v.as_slice().iter().zip(exact.v.as_slice()) {
             prop_assert!((a - e).abs() < 0.1, "approx {} vs exact {}", a, e);
         }
@@ -95,7 +100,7 @@ proptest! {
 
     #[test]
     fn em_responsibilities_are_distributions((u_hat, b, l, h, _ch) in u_hat_strategy()) {
-        let out = em_routing(&u_hat, 2, &ExactMath).unwrap();
+        let out = em_routing_with(&u_hat, 2, &ExactMath, &mut RoutingScratch::new()).unwrap();
         prop_assert_eq!(out.coefficients.shape().dims(), &[b, l, h]);
         for row in out.coefficients.as_slice().chunks(h) {
             let sum: f32 = row.iter().sum();

@@ -1,4 +1,4 @@
-//! Equivalence suite for the monomorphized / boxed / arena / parallel
+//! Equivalence suite for the monomorphized / boxed / arena / sharded
 //! routing paths.
 //!
 //! The refactor away from `&dyn MathBackend` + per-call allocation is only
@@ -7,18 +7,17 @@
 //!
 //! * generic (monomorphized) calls vs `&dyn MathBackend` calls;
 //! * fresh-scratch calls vs warm reused-scratch calls;
-//! * batch-parallel sharded routing vs single-threaded routing;
+//! * the layer's batch-sharded routing (`CapsLayer::forward_into`) vs the
+//!   serial `*_routing_with` reference;
 //! * `CapsNet::forward_with` on a warm, reused arena vs `CapsNet::forward`
 //!   (the same pass on a fresh arena);
 //! * a sharded batch-16 pass vs sixteen batch-1 passes.
 
-use capsnet::routing::{
-    dynamic_routing, dynamic_routing_parallel, dynamic_routing_with, em_routing,
-    em_routing_parallel, em_routing_with,
-};
+use capsnet::layers::CapsLayer;
+use capsnet::routing::{dynamic_routing_with, em_routing_with, RoutingOutput};
 use capsnet::{
     ApproxMath, CapsNet, CapsNetSpec, ExactMath, ForwardArena, MathBackend, RoutingAlgorithm,
-    RoutingScratch,
+    RoutingArena, RoutingScratch,
 };
 use pim_tensor::Tensor;
 
@@ -39,14 +38,26 @@ fn dynamic_monomorphized_matches_boxed_bitwise() {
     let u = uhat(4, 24, 6, 8, 11);
     for batch_shared in [true, false] {
         // Monomorphized: B = ExactMath / ApproxMath.
-        let mono_exact = dynamic_routing(&u, 3, batch_shared, &ExactMath).unwrap();
-        let mono_approx =
-            dynamic_routing(&u, 3, batch_shared, &ApproxMath::with_recovery()).unwrap();
+        let mono_exact =
+            dynamic_routing_with(&u, 3, batch_shared, &ExactMath, &mut RoutingScratch::new())
+                .unwrap();
+        let mono_approx = dynamic_routing_with(
+            &u,
+            3,
+            batch_shared,
+            &ApproxMath::with_recovery(),
+            &mut RoutingScratch::new(),
+        )
+        .unwrap();
         // Boxed: B = dyn MathBackend, virtual dispatch.
         let dyn_exact: &dyn MathBackend = &ExactMath;
         let dyn_approx: &dyn MathBackend = &ApproxMath::with_recovery();
-        let boxed_exact = dynamic_routing(&u, 3, batch_shared, dyn_exact).unwrap();
-        let boxed_approx = dynamic_routing(&u, 3, batch_shared, dyn_approx).unwrap();
+        let boxed_exact =
+            dynamic_routing_with(&u, 3, batch_shared, dyn_exact, &mut RoutingScratch::new())
+                .unwrap();
+        let boxed_approx =
+            dynamic_routing_with(&u, 3, batch_shared, dyn_approx, &mut RoutingScratch::new())
+                .unwrap();
         assert_eq!(
             mono_exact.v, boxed_exact.v,
             "exact v (shared={batch_shared})"
@@ -64,11 +75,23 @@ fn dynamic_monomorphized_matches_boxed_bitwise() {
 fn em_monomorphized_matches_boxed_bitwise() {
     let u = uhat(3, 20, 5, 6, 12);
     for (name, boxed) in backends() {
-        let via_dyn = em_routing(&u, 3, boxed.as_ref()).unwrap();
+        let via_dyn = em_routing_with(&u, 3, boxed.as_ref(), &mut RoutingScratch::new()).unwrap();
         let via_mono = match name {
-            "exact" => em_routing(&u, 3, &ExactMath).unwrap(),
-            "approx+recovery" => em_routing(&u, 3, &ApproxMath::with_recovery()).unwrap(),
-            _ => em_routing(&u, 3, &ApproxMath::without_recovery()).unwrap(),
+            "exact" => em_routing_with(&u, 3, &ExactMath, &mut RoutingScratch::new()).unwrap(),
+            "approx+recovery" => em_routing_with(
+                &u,
+                3,
+                &ApproxMath::with_recovery(),
+                &mut RoutingScratch::new(),
+            )
+            .unwrap(),
+            _ => em_routing_with(
+                &u,
+                3,
+                &ApproxMath::without_recovery(),
+                &mut RoutingScratch::new(),
+            )
+            .unwrap(),
         };
         assert_eq!(via_mono.v, via_dyn.v, "{name} v");
         assert_eq!(via_mono.coefficients, via_dyn.coefficients, "{name} r");
@@ -87,12 +110,20 @@ fn warm_scratch_matches_fresh_allocations_bitwise() {
     {
         let u = uhat(nb, nl, nh, ch, seed);
         for batch_shared in [true, false] {
-            let fresh = dynamic_routing(&u, 3, batch_shared, &ExactMath).unwrap();
+            let fresh =
+                dynamic_routing_with(&u, 3, batch_shared, &ExactMath, &mut RoutingScratch::new())
+                    .unwrap();
             let warm = dynamic_routing_with(&u, 3, batch_shared, &ExactMath, &mut scratch).unwrap();
             assert_eq!(fresh.v, warm.v);
             assert_eq!(fresh.coefficients, warm.coefficients);
         }
-        let fresh = em_routing(&u, 2, &ApproxMath::with_recovery()).unwrap();
+        let fresh = em_routing_with(
+            &u,
+            2,
+            &ApproxMath::with_recovery(),
+            &mut RoutingScratch::new(),
+        )
+        .unwrap();
         let warm = em_routing_with(&u, 2, &ApproxMath::with_recovery(), &mut scratch).unwrap();
         assert_eq!(fresh.v, warm.v);
         assert_eq!(fresh.coefficients, warm.coefficients);
@@ -101,22 +132,41 @@ fn warm_scratch_matches_fresh_allocations_bitwise() {
 
 #[test]
 fn batch_parallel_matches_single_threaded_bitwise() {
-    // Big enough to clear the PAR_MIN_WORK gate so sharding really happens
-    // on multicore machines.
-    let u = uhat(24, 192, 10, 16, 13);
-    for (name, backend) in backends() {
-        let serial_dyn = dynamic_routing(&u, 3, false, backend.as_ref()).unwrap();
-        let par_dyn = dynamic_routing_parallel(&u, 3, backend.as_ref()).unwrap();
-        assert_eq!(serial_dyn.v, par_dyn.v, "{name} dynamic v");
-        assert_eq!(
-            serial_dyn.coefficients, par_dyn.coefficients,
-            "{name} dynamic c"
-        );
+    // Big enough to clear the PAR_MIN_WORK gate so the layer's routing
+    // really shards the batch on multicore machines.
+    let (nb, nl, cl, nh, ch) = (24, 192, 8, 10, 16);
+    let u = Tensor::uniform(&[nb, nl, cl], -1.0, 1.0, 13);
+    for (algorithm, iterations) in [(RoutingAlgorithm::Dynamic, 3), (RoutingAlgorithm::Em, 2)] {
+        let layer = CapsLayer::seeded(nl, cl, nh, ch, algorithm, iterations, 1.0, 14)
+            .with_batch_shared(false);
+        for (name, backend) in backends() {
+            let backend = backend.as_ref();
+            let mut u_hat = Tensor::default();
+            let mut arena = RoutingArena::default();
+            layer
+                .forward_into(&u, backend, &mut u_hat, &mut arena)
+                .unwrap();
 
-        let serial_em = em_routing(&u, 2, backend.as_ref()).unwrap();
-        let par_em = em_routing_parallel(&u, 2, backend.as_ref()).unwrap();
-        assert_eq!(serial_em.v, par_em.v, "{name} em v");
-        assert_eq!(serial_em.coefficients, par_em.coefficients, "{name} em r");
+            let mut reference = Tensor::default();
+            layer
+                .prediction_vectors_into(&u, backend, &mut reference, &mut Vec::new())
+                .unwrap();
+            assert_eq!(u_hat, reference, "{name} {algorithm:?} u_hat");
+            let scratch = &mut RoutingScratch::new();
+            let serial: RoutingOutput = match algorithm {
+                RoutingAlgorithm::Dynamic => {
+                    dynamic_routing_with(&reference, iterations, false, backend, scratch)
+                }
+                RoutingAlgorithm::Em => em_routing_with(&reference, iterations, backend, scratch),
+            }
+            .unwrap();
+            assert_eq!(arena.v(), serial.v.as_slice(), "{name} {algorithm:?} v");
+            assert_eq!(
+                arena.coefficients(),
+                serial.coefficients.as_slice(),
+                "{name} {algorithm:?} coefficients"
+            );
+        }
     }
 }
 

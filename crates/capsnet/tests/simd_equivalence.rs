@@ -12,7 +12,7 @@
 //! `PIM_SIMD=scalar`. Comparing the two inside one process needs no global
 //! dispatch mutation.
 
-use capsnet::routing::{dynamic_routing, em_routing};
+use capsnet::routing::{dynamic_routing_with, em_routing_with, RoutingScratch};
 use capsnet::{CapsNet, CapsNetSpec, ExactMath, MathBackend, RoutingAlgorithm};
 use pim_tensor::simd::{self, SimdLevel};
 use pim_tensor::Tensor;
@@ -69,8 +69,10 @@ fn dynamic_routing_simd_within_1e5_of_scalar_reference() {
         (1, 5, 3, 4, false),
     ] {
         let u = Tensor::uniform(&[nb, nl, nh, ch], -0.5, 0.5, 42);
-        let vec_out = dynamic_routing(&u, 3, shared, &ExactMath).unwrap();
-        let ref_out = dynamic_routing(&u, 3, shared, &ScalarRef).unwrap();
+        let vec_out =
+            dynamic_routing_with(&u, 3, shared, &ExactMath, &mut RoutingScratch::new()).unwrap();
+        let ref_out =
+            dynamic_routing_with(&u, 3, shared, &ScalarRef, &mut RoutingScratch::new()).unwrap();
         let v_err = max_rel_err(vec_out.v.as_slice(), ref_out.v.as_slice(), ch);
         let c_err = max_rel_err(
             vec_out.coefficients.as_slice(),
@@ -92,8 +94,8 @@ fn dynamic_routing_simd_within_1e5_of_scalar_reference() {
 fn em_routing_simd_within_1e5_of_scalar_reference() {
     for (nb, nl, nh, ch) in [(4usize, 48usize, 6usize, 16usize), (2, 21, 5, 9)] {
         let u = Tensor::uniform(&[nb, nl, nh, ch], -0.5, 0.5, 7);
-        let vec_out = em_routing(&u, 3, &ExactMath).unwrap();
-        let ref_out = em_routing(&u, 3, &ScalarRef).unwrap();
+        let vec_out = em_routing_with(&u, 3, &ExactMath, &mut RoutingScratch::new()).unwrap();
+        let ref_out = em_routing_with(&u, 3, &ScalarRef, &mut RoutingScratch::new()).unwrap();
         let v_err = max_rel_err(vec_out.v.as_slice(), ref_out.v.as_slice(), ch);
         let r_err = max_rel_err(
             vec_out.coefficients.as_slice(),
@@ -144,12 +146,12 @@ fn scalar_dispatch_is_bitwise_identical_to_reference() {
         return;
     }
     let u = Tensor::uniform(&[2, 32, 8, 12], -0.5, 0.5, 3);
-    let a = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
-    let b = dynamic_routing(&u, 3, true, &ScalarRef).unwrap();
+    let a = dynamic_routing_with(&u, 3, true, &ExactMath, &mut RoutingScratch::new()).unwrap();
+    let b = dynamic_routing_with(&u, 3, true, &ScalarRef, &mut RoutingScratch::new()).unwrap();
     assert_eq!(a.v, b.v);
     assert_eq!(a.coefficients, b.coefficients);
-    let ea = em_routing(&u, 3, &ExactMath).unwrap();
-    let eb = em_routing(&u, 3, &ScalarRef).unwrap();
+    let ea = em_routing_with(&u, 3, &ExactMath, &mut RoutingScratch::new()).unwrap();
+    let eb = em_routing_with(&u, 3, &ScalarRef, &mut RoutingScratch::new()).unwrap();
     assert_eq!(ea.v, eb.v);
     assert_eq!(ea.coefficients, eb.coefficients);
 }
@@ -159,8 +161,8 @@ fn boxed_simd_backend_matches_monomorphized_simd_backend_bitwise() {
     // Virtual dispatch must select the same overridden kernels.
     let u = Tensor::uniform(&[2, 40, 6, 10], -0.5, 0.5, 11);
     let boxed: &dyn MathBackend = &ExactMath;
-    let a = dynamic_routing(&u, 3, true, boxed).unwrap();
-    let b = dynamic_routing(&u, 3, true, &ExactMath).unwrap();
+    let a = dynamic_routing_with(&u, 3, true, boxed, &mut RoutingScratch::new()).unwrap();
+    let b = dynamic_routing_with(&u, 3, true, &ExactMath, &mut RoutingScratch::new()).unwrap();
     assert_eq!(a.v, b.v);
     assert_eq!(a.coefficients, b.coefficients);
 }

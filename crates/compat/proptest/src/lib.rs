@@ -240,7 +240,7 @@ tuple_strategy!(
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: a fixed size or a half-open range.
+    /// Length specification for [`vec()`]: a fixed size or a half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

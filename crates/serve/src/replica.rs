@@ -1212,7 +1212,14 @@ impl ReplicaSetHandle<'_> {
         if !self.pool.replicas[replica].mailbox.push(job) {
             return Err(ServeError::InvalidConfig("pool is shutting down".into()));
         }
-        reply.take()
+        let version = reply.take()?;
+        // Replicas serve different versions mid-rollout: only those below
+        // the oldest one still served anywhere in the pool are orphans.
+        if let Some(cache) = &self.pool.cache {
+            let oldest = (0..self.replicas()).map(|r| self.version(r)).min();
+            cache.retire_below(0, oldest.unwrap_or(version));
+        }
+        Ok(version)
     }
 
     /// The model handle replica `replica` currently serves.
@@ -1358,6 +1365,49 @@ mod tests {
             reply: Arc::clone(&reply),
         };
         (job, reply)
+    }
+
+    #[test]
+    fn a_swap_orphans_only_versions_no_replica_serves() {
+        use crate::server::CachedResponse;
+        use capsnet::{CapsNetSpec, ExactMath};
+
+        let net = CapsNet::seeded(&CapsNetSpec::tiny_for_tests(), 1).unwrap();
+        let entry = CachedResponse {
+            predictions: vec![0],
+            class_norms_sq: vec![0.0; 3],
+        };
+        let cfg = ReplicaSetConfig {
+            replicas: 2,
+            // Ten entries fit, so every later fill evicts one.
+            cache: Some(CacheConfig {
+                byte_budget: 10 * pim_cache::CacheValue::cost_bytes(&entry),
+                shards: 1,
+                ..CacheConfig::default()
+            }),
+            ..ReplicaSetConfig::default()
+        };
+        let set = ReplicaSet::from_net("m", &net, &ExactMath, cfg).unwrap();
+        set.run(|h| {
+            let cache = h.pool.cache.as_ref().unwrap();
+            let fill = |version: u64, digests: std::ops::Range<u64>| {
+                for d in digests {
+                    assert!(cache.insert(0, version, d, entry.clone()));
+                }
+            };
+            fill(1, 0..10);
+            // Mid-rollout: replica 0 serves (and looks up) the new version,
+            // replica 1 still serves v1, whose fills evict by CLOCK, not as
+            // orphans.
+            let new = h.swap_replica_net(0, net.clone()).unwrap();
+            assert!(cache.get(0, new, 0).is_none());
+            fill(1, 10..20);
+            assert_eq!(cache.report().orphan_evictions, 0);
+            // Once no replica serves v1, its entries are orphans.
+            h.swap_replica_net(1, net.clone()).unwrap();
+            fill(new, 0..5);
+            assert!(cache.report().orphan_evictions > 0);
+        });
     }
 
     #[test]

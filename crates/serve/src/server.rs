@@ -561,7 +561,13 @@ impl<B: MathBackend + Sync + ?Sized> ServerHandle<'_, '_, B> {
     ///
     /// [`SubmitError::UnknownModel`] for an out-of-range slot.
     pub fn swap_model(&self, model: usize, net: CapsNet) -> Result<u64, SubmitError> {
-        self.sched.swap_model(model, net, None)
+        let version = self.sched.swap_model(model, net, None)?;
+        // Every batch formed from here on dispatches on `version`, so the
+        // cached responses of older versions are orphans.
+        if let Some(cache) = self.cache {
+            cache.retire_below(model, version);
+        }
+        Ok(version)
     }
 
     /// [`ServerHandle::swap_model`] from an artifact on disk: loads and

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! All integers are little-endian. Data offsets are absolute file offsets
-//! and multiples of [`DATA_ALIGN`], so an mmapped file can hand out `&[f32]`
+//! and multiples of `DATA_ALIGN`, so an mmapped file can hand out `&[f32]`
 //! views directly (the mapping base is page-aligned). Checksums are the
 //! [`crate::hash`] 64-bit digest.
 //!
@@ -65,7 +65,7 @@ pub enum Layout {
     /// Tensors whose leading dimension holds at least `vaults` rows are
     /// split into `vaults` partitions along that dimension using the same
     /// even-shares rule as `pim_capsnet::distribution::vault_shares`, each
-    /// partition [`DATA_ALIGN`]-aligned — the stored image of the paper's
+    /// partition `DATA_ALIGN`-aligned — the stored image of the paper's
     /// per-vault weight partitioning, so per-vault slices can be carved
     /// out of the mapped file with zero copies.
     VaultAligned {
@@ -84,7 +84,7 @@ impl Layout {
     }
 }
 
-/// Rounds `offset` up to the next [`DATA_ALIGN`] boundary.
+/// Rounds `offset` up to the next `DATA_ALIGN` boundary.
 pub fn align_up(offset: usize) -> usize {
     offset.div_ceil(DATA_ALIGN) * DATA_ALIGN
 }
@@ -93,7 +93,7 @@ pub fn align_up(offset: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partition {
     /// Absolute file offset of the partition's first byte (multiple of
-    /// [`DATA_ALIGN`]).
+    /// `DATA_ALIGN`).
     pub offset: u64,
     /// Elements in the partition (element size per [`SectionDtype`]).
     pub elems: u64,

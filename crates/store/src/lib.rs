@@ -33,7 +33,7 @@
 //! the mapping with zero copies (e.g. to drive an `hmc-sim` workload
 //! straight from an artifact).
 //!
-//! Format details live in [`format`]; every artifact carries a magic,
+//! Format details live in [`format`](mod@format); every artifact carries a magic,
 //! a format version, and hand-rolled XXH64-style checksums ([`hash`])
 //! over the header, the section table, and each tensor's data, all
 //! verified on open. Writes are atomic (temp file + rename), so a serving

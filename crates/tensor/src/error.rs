@@ -16,20 +16,6 @@ pub enum TensorError {
         /// Elements actually provided.
         actual: usize,
     },
-    /// Two tensors that must share a shape do not.
-    ShapeMismatch {
-        /// Shape of the left-hand operand.
-        left: Vec<usize>,
-        /// Shape of the right-hand operand.
-        right: Vec<usize>,
-    },
-    /// The inner dimensions of a matrix product disagree.
-    MatmulDims {
-        /// `(rows, cols)` of the left matrix.
-        left: (usize, usize),
-        /// `(rows, cols)` of the right matrix.
-        right: (usize, usize),
-    },
     /// An axis index is out of range for the tensor's rank.
     AxisOutOfRange {
         /// The requested axis.
@@ -59,14 +45,6 @@ impl fmt::Display for TensorError {
                 f,
                 "data length {actual} does not match shape volume {expected}"
             ),
-            TensorError::ShapeMismatch { left, right } => {
-                write!(f, "shape mismatch: {left:?} vs {right:?}")
-            }
-            TensorError::MatmulDims { left, right } => write!(
-                f,
-                "matmul dimension mismatch: {}x{} * {}x{}",
-                left.0, left.1, right.0, right.1
-            ),
             TensorError::AxisOutOfRange { axis, rank } => {
                 write!(f, "axis {axis} out of range for rank {rank}")
             }
@@ -87,13 +65,13 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let err = TensorError::MatmulDims {
-            left: (2, 3),
-            right: (4, 5),
+        let err = TensorError::LengthMismatch {
+            expected: 6,
+            actual: 5,
         };
         let msg = err.to_string();
-        assert!(msg.contains("2x3"));
-        assert!(msg.contains("4x5"));
+        assert!(msg.contains('6'));
+        assert!(msg.contains('5'));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! This crate provides the small amount of linear algebra the functional
 //! CapsNet implementation needs: an owned, contiguous, row-major [`Tensor`]
-//! with shape/stride bookkeeping, elementwise operations, reductions,
-//! (optionally threaded) matrix multiplication and a 2D convolution that
-//! runs the same GEMM with its rows read from the input image (implicit
-//! im2col).
+//! with shape/stride bookkeeping, (optionally threaded) matrix
+//! multiplication into caller buffers ([`matmul_into`]), the capsule
+//! layer's prediction-vector projection ([`uhat_project`]) and a 2D
+//! convolution that runs the same GEMM with its rows read from the input
+//! image (implicit im2col).
 //!
 //! It is deliberately *not* a general-purpose array library: shapes are
 //! validated eagerly ([`TensorError`] on mismatch), all data is `f32` (the
@@ -15,13 +16,14 @@
 //! # Examples
 //!
 //! ```
-//! use pim_tensor::Tensor;
+//! use pim_tensor::{matmul_into, Tensor};
 //!
 //! # fn main() -> Result<(), pim_tensor::TensorError> {
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-//! let b = Tensor::eye(2);
-//! let c = a.matmul(&b)?;
-//! assert_eq!(c.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+//! let identity = [1.0, 0.0, 0.0, 1.0];
+//! let mut c = [0.0f32; 4];
+//! matmul_into(a.as_slice(), &identity, &mut c, 2, 2, 2);
+//! assert_eq!(c, [1.0, 2.0, 3.0, 4.0]);
 //! # Ok(())
 //! # }
 //! ```

@@ -43,10 +43,8 @@
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
-use crate::error::TensorError;
 use crate::par::{for_each_shard, plan_threads};
 use crate::simd::{self, SimdLevel};
-use crate::tensor::Tensor;
 use crate::tile::{self, F32Strip, ImageRows, Lhs, Rows, ROWS, STRIP};
 
 /// Reduction steps per panel: a packed panel is 64 KB (the stack buffer),
@@ -56,46 +54,10 @@ use crate::tile::{self, F32Strip, ImageRows, Lhs, Rows, ROWS, STRIP};
 /// 1.05–1.11x and 2 048 1.26x / 0.92x.
 const PANEL: usize = 1024;
 
-impl Tensor {
-    /// Matrix product of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
-    ///
-    /// One call of the crate's GEMM kernel (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices and
-    /// [`TensorError::MatmulDims`] when the inner dimensions disagree.
-    pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        let (a_dims, b_dims) = (self.shape().dims(), other.shape().dims());
-        if a_dims.len() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: a_dims.len(),
-            });
-        }
-        if b_dims.len() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: b_dims.len(),
-            });
-        }
-        let (m, k) = (a_dims[0], a_dims[1]);
-        let (k2, n) = (b_dims[0], b_dims[1]);
-        if k != k2 {
-            return Err(TensorError::MatmulDims {
-                left: (m, k),
-                right: (k2, n),
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        matmul_into(self.as_slice(), other.as_slice(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n])
-    }
-}
-
-/// Core GEMM: `out[m,n] = a[m,k] * b[k,n]`, writing into the provided slice
-/// (every element is overwritten, none is read). Public so allocation-free
-/// callers (the capsnet forward arena) can reuse their own output buffers.
+/// Matrix product `out[m,n] = a[m,k] * b[k,n]`, one call of the crate's
+/// GEMM kernel (see the module docs), written into the provided slice
+/// (every element is overwritten, none is read) so allocation-free callers
+/// (the capsnet forward arena) reuse their own output buffers.
 ///
 /// # Panics
 ///
@@ -546,9 +508,13 @@ unsafe fn pack_panel<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
 
-    fn t(data: &[f32], dims: &[usize]) -> Tensor {
-        Tensor::from_vec(data.to_vec(), dims).unwrap()
+    /// `a` `[m, k]` × `b` `[k, n]` through the public entry point.
+    fn product(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+        let mut out = vec![f32::NAN; m * n];
+        matmul_into(a, b, &mut out, m, k, n);
+        out
     }
 
     /// The i-k-j kernel the tile replaced, kept as the bitwise reference
@@ -900,19 +866,12 @@ mod tests {
 
     #[test]
     fn zero_columns_is_an_empty_product() {
-        let c = Tensor::zeros(&[3, 2])
-            .matmul(&Tensor::zeros(&[2, 0]))
-            .unwrap();
-        assert_eq!(c.shape().dims(), &[3, 0]);
+        assert!(product(&[0.0; 6], &[], (3, 2, 0)).is_empty());
     }
 
     #[test]
     fn zero_rows_is_an_empty_product() {
-        let c = Tensor::zeros(&[0, 2])
-            .matmul(&Tensor::zeros(&[2, 5]))
-            .unwrap();
-        assert_eq!(c.shape().dims(), &[0, 5]);
-        matmul_into(&[], &[0.0; 10], &mut [], 0, 2, 5);
+        assert!(product(&[], &[0.0; 10], (0, 2, 5)).is_empty());
     }
 
     #[test]
@@ -922,10 +881,7 @@ mod tests {
             matmul_with(level, 2, &[], &[], &mut out, (5, 0, 20));
             assert!(out.iter().all(|v| v.to_bits() == 0), "{level:?}");
         }
-        let c = Tensor::zeros(&[3, 0])
-            .matmul(&Tensor::zeros(&[0, 2]))
-            .unwrap();
-        assert_eq!(c.as_slice(), &[0.0; 6]);
+        assert_eq!(product(&[], &[], (3, 0, 2)), [0.0; 6]);
         // With a bias the store is the bias, in the sample-major layout.
         let bias: Vec<f32> = (0..20).map(|c| c as f32).collect();
         for level in levels() {
@@ -952,38 +908,41 @@ mod tests {
 
     #[test]
     fn small_matmul() {
-        let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = t(&[5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+        let c = product(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0], (2, 2, 2));
+        assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]
     fn identity_is_neutral() {
-        let a = Tensor::uniform(&[7, 7], -1.0, 1.0, 3);
-        let c = a.matmul(&Tensor::eye(7)).unwrap();
-        for (x, y) in a.as_slice().iter().zip(c.as_slice()) {
+        let a = Tensor::uniform(&[7, 7], -1.0, 1.0, 3).into_vec();
+        let mut eye = vec![0.0f32; 7 * 7];
+        eye.iter_mut().step_by(8).for_each(|d| *d = 1.0);
+        let c = product(&a, &eye, (7, 7, 7));
+        for (x, y) in a.iter().zip(&c) {
             assert!((x - y).abs() < 1e-6);
         }
     }
 
     #[test]
     fn rectangular_shapes() {
-        let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let b = t(&[1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.shape().dims(), &[2, 2]);
-        assert_eq!(c.as_slice(), &[4.0, 5.0, 10.0, 11.0]);
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let b = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
+        assert_eq!(product(&a, &b, (2, 3, 2)), [4.0, 5.0, 10.0, 11.0]);
     }
 
     #[test]
     fn dimension_errors() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[2, 3]);
-        assert!(matches!(a.matmul(&b), Err(TensorError::MatmulDims { .. })));
-        assert!(matches!(
-            Tensor::zeros(&[2]).matmul(&b),
-            Err(TensorError::RankMismatch { .. })
-        ));
+        // An operand whose length disagrees with the dims panics, named.
+        let message = |a: &[f32], b: &[f32]| {
+            let (a, b) = (a.to_vec(), b.to_vec());
+            let payload = std::panic::catch_unwind(move || product(&a, &b, (2, 3, 2)))
+                .expect_err("mismatched operands must panic");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        assert!(message(&[0.0; 4], &[0.0; 6]).contains("a must be [m, k]"));
+        assert!(message(&[0.0; 6], &[0.0; 4]).contains("b must be [k, n]"));
     }
 }

@@ -33,7 +33,7 @@ pub fn available_threads() -> usize {
 /// `work_per_item` multiply-add-equivalents each.
 ///
 /// Returns 1 (stay serial) when there is only one item, threading is
-/// unavailable, or the total work is below [`PAR_MIN_WORK`]; otherwise the
+/// unavailable, or the total work is below `PAR_MIN_WORK` (2²² multiply-adds); otherwise the
 /// smaller of the machine's parallelism and the item count, so no worker
 /// is ever idle.
 pub fn plan_threads(items: usize, work_per_item: usize) -> usize {

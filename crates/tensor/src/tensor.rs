@@ -128,24 +128,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a tensor filled with `value`.
-    pub fn full(dims: &[usize], value: f32) -> Self {
-        let shape = Shape::new(dims);
-        Tensor {
-            data: Storage::Owned(vec![value; shape.volume()]),
-            shape,
-        }
-    }
-
-    /// Creates an identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.as_mut_slice()[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Creates a tensor with elements drawn uniformly from `[lo, hi)`,
     /// seeded deterministically.
     ///
@@ -359,34 +341,6 @@ impl Tensor {
             shape: self.shape.clone(),
         }
     }
-
-    /// Combines two same-shaped tensors elementwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
-    pub fn zip_with(
-        &self,
-        other: &Tensor,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Tensor, TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.dims().to_vec(),
-                right: other.shape.dims().to_vec(),
-            });
-        }
-        Ok(Tensor {
-            data: Storage::Owned(
-                self.as_slice()
-                    .iter()
-                    .zip(other.as_slice())
-                    .map(|(&a, &b)| f(a, b))
-                    .collect(),
-            ),
-            shape: self.shape.clone(),
-        })
-    }
 }
 
 impl Default for Tensor {
@@ -434,17 +388,7 @@ mod tests {
     #[test]
     fn constructors_fill_correctly() {
         assert!(Tensor::zeros(&[3]).as_slice().iter().all(|&x| x == 0.0));
-        assert!(Tensor::full(&[3], 2.5).as_slice().iter().all(|&x| x == 2.5));
-    }
-
-    #[test]
-    fn eye_is_identity() {
-        let t = Tensor::eye(3);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(t.at(&[i, j]), if i == j { 1.0 } else { 0.0 });
-            }
-        }
+        assert_eq!(Tensor::default(), Tensor::zeros(&[0]));
     }
 
     #[test]
@@ -486,13 +430,6 @@ mod tests {
         t.set(&[1, 2], 9.0);
         assert_eq!(t.at(&[1, 2]), 9.0);
         assert_eq!(t.as_slice()[5], 9.0);
-    }
-
-    #[test]
-    fn zip_with_shape_mismatch() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[3, 2]);
-        assert!(a.zip_with(&b, |x, y| x + y).is_err());
     }
 
     #[test]
@@ -562,7 +499,7 @@ mod tests {
 
     #[test]
     fn resize_for_overwrite_keeps_capacity_and_reshapes_in_place() {
-        let mut t = Tensor::full(&[2, 3], 7.0);
+        let mut t = Tensor::from_vec(vec![7.0; 6], &[2, 3]).unwrap();
         t.resize_for_overwrite(&[3, 1]);
         assert_eq!(t.shape().dims(), &[3, 1]);
         assert_eq!(t.as_slice(), &[7.0; 3], "retained elements are not cleared");

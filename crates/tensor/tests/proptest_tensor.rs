@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use pim_tensor::Tensor;
+use pim_tensor::{matmul_into, Tensor};
 use proptest::prelude::*;
 
 fn finite_f32() -> impl Strategy<Value = f32> {
@@ -19,50 +19,6 @@ fn vec_and_dims(max: usize) -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
 
 proptest! {
     #[test]
-    fn add_commutes((data, r, c) in vec_and_dims(8), (data2,) in (proptest::collection::vec(finite_f32(), 64),)) {
-        let a = Tensor::from_vec(data, &[r, c]).unwrap();
-        let b = Tensor::from_vec(data2[..r * c].to_vec(), &[r, c]).unwrap();
-        let ab = a.add(&b).unwrap();
-        let ba = b.add(&a).unwrap();
-        prop_assert_eq!(ab.as_slice(), ba.as_slice());
-    }
-
-    #[test]
-    fn scale_is_linear((data, r, c) in vec_and_dims(8), s in -10.0f32..10.0f32) {
-        let a = Tensor::from_vec(data, &[r, c]).unwrap();
-        let scaled = a.scale(s);
-        for (x, y) in a.as_slice().iter().zip(scaled.as_slice()) {
-            prop_assert!((x * s - y).abs() <= 1e-5 * (1.0 + x.abs() * s.abs()));
-        }
-    }
-
-    #[test]
-    fn sum_axis_preserves_total((data, r, c) in vec_and_dims(8)) {
-        let a = Tensor::from_vec(data, &[r, c]).unwrap();
-        let total = a.sum();
-        let s0 = a.sum_axis(0).unwrap().sum();
-        let s1 = a.sum_axis(1).unwrap().sum();
-        let tol = 1e-3 * (1.0 + total.abs());
-        prop_assert!((s0 - total).abs() <= tol, "axis0 {} vs {}", s0, total);
-        prop_assert!((s1 - total).abs() <= tol, "axis1 {} vs {}", s1, total);
-    }
-
-    #[test]
-    fn softmax_rows_are_distributions((data, r, c) in vec_and_dims(8)) {
-        let a = Tensor::from_vec(data, &[r, c]).unwrap();
-        let s = a.softmax_axis(1).unwrap();
-        for row in 0..r {
-            let mut sum = 0.0f32;
-            for col in 0..c {
-                let v = s.at(&[row, col]);
-                prop_assert!((0.0..=1.0 + 1e-6).contains(&v));
-                sum += v;
-            }
-            prop_assert!((sum - 1.0).abs() < 1e-4, "row sum {}", sum);
-        }
-    }
-
-    #[test]
     fn transpose_is_involutive((data, r, c) in vec_and_dims(8)) {
         let a = Tensor::from_vec(data, &[r, c]).unwrap();
         let tt = a.transpose().unwrap().transpose().unwrap();
@@ -77,22 +33,18 @@ proptest! {
         c_data in proptest::collection::vec(finite_f32(), 12),
     ) {
         // a: [3,4], b/c: [4,3]  => a*(b+c) == a*b + a*c
-        let a = Tensor::from_vec(a_data, &[3, 4]).unwrap();
-        let b = Tensor::from_vec(b_data, &[4, 3]).unwrap();
-        let c = Tensor::from_vec(c_data, &[4, 3]).unwrap();
-        let lhs = a.matmul(&b.add(&c).unwrap()).unwrap();
-        let rhs = a.matmul(&b).unwrap().add(&a.matmul(&c).unwrap()).unwrap();
-        for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
+        let product = |rhs: &[f32]| {
+            let mut out = [0.0f32; 9];
+            matmul_into(&a_data, rhs, &mut out, 3, 4, 3);
+            out
+        };
+        let b_plus_c: Vec<f32> = b_data.iter().zip(&c_data).map(|(b, c)| b + c).collect();
+        let lhs = product(&b_plus_c);
+        let (ab, ac) = (product(&b_data), product(&c_data));
+        let rhs: Vec<f32> = ab.iter().zip(&ac).map(|(x, y)| x + y).collect();
+        for (x, y) in lhs.iter().zip(&rhs) {
             prop_assert!((x - y).abs() <= 1e-2 * (1.0 + x.abs()), "{} vs {}", x, y);
         }
-    }
-
-    #[test]
-    fn norm_is_homogeneous((data, r, c) in vec_and_dims(6), s in 0.0f32..10.0f32) {
-        let a = Tensor::from_vec(data, &[r, c]).unwrap();
-        let lhs = a.scale(s).norm();
-        let rhs = s * a.norm();
-        prop_assert!((lhs - rhs).abs() <= 1e-2 * (1.0 + rhs.abs()));
     }
 
     #[test]

@@ -258,7 +258,7 @@ pub struct ChaosConfig {
     /// Replicas in the pool.
     pub replicas: usize,
     /// Tenants issuing requests (tiers assigned by
-    /// [`crate::soak::tier_for_tenant`]).
+    /// [`crate::soak`]'s `tier_for_tenant`).
     pub tenants: usize,
     /// Requests in the phase.
     pub requests: usize,

@@ -75,7 +75,7 @@ fn tier_for_tenant(tenant: usize) -> Priority {
 /// runs against.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
-    /// Tenants issuing requests (tiers assigned by [`tier_for_tenant`]).
+    /// Tenants issuing requests (tiers assigned by `tier_for_tenant`).
     pub tenants: usize,
     /// Requests in the phase.
     pub requests: usize,
@@ -268,7 +268,7 @@ mod tests {
     struct SimSoakConfig {
         /// Requests in the stream.
         requests: usize,
-        /// Tenants (tiers assigned by [`tier_for_tenant`]).
+        /// Tenants (tiers assigned by `tier_for_tenant`).
         tenants: usize,
         /// Offered arrival rate, requests per second.
         rate_hz: f64,
