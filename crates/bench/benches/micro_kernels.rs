@@ -90,7 +90,32 @@ fn bench_routing(c: &mut Criterion) {
     g.bench_function("dynamic_exact_per_sample", |b| {
         b.iter(|| dynamic_routing_with(black_box(&u_hat), 3, false, &exact, &mut fresh()).unwrap())
     });
+    // The benchmark's `rp_heavy` routing at `max_batch`: 73 MB of û, far
+    // past the last-level cache, so this row shows whether û re-streams
+    // from DRAM every iteration (one sample's 4.6 MB need not). The rows
+    // above fit in L2. Built on first run so a filter that skips it
+    // allocates nothing; per-sample, warm scratch, one thread.
+    let mut rp_heavy: Option<(Tensor, RoutingScratch)> = None;
+    g.sample_size(10);
+    g.bench_function("dynamic_exact_per_sample_rp_heavy", |b| {
+        let (u_hat, scratch) = rp_heavy.get_or_insert_with(|| {
+            let u_hat = Tensor::uniform(&[16, 1152, 62, 16], -0.5, 0.5, 2);
+            (u_hat, RoutingScratch::new())
+        });
+        b.iter(|| dynamic_routing_with(black_box(&*u_hat), 9, false, &exact, scratch).unwrap())
+    });
     g.finish();
+}
+
+/// The median ns/iter of the row `id` if it was just measured — nothing
+/// is in `--test` mode or when the filter skipped it. Drains every result
+/// so far, so a row skipped by the filter never reports an earlier group's
+/// time.
+fn measured_ns(c: &mut Criterion, id: &str) -> Option<f64> {
+    c.take_results()
+        .into_iter()
+        .find(|r| r.id == id)
+        .map(|r| r.ns_per_iter)
 }
 
 /// The GEMM at the serve benchmark's convolution shapes (`m` = batch ×
@@ -138,8 +163,7 @@ fn bench_gemm(c: &mut Criterion) {
             bch.iter(|| matmul_into(black_box(&a), black_box(&b_), &mut out, m, k, n))
         });
         g.finish();
-        // Nothing is measured in `--test` mode or when filtered out.
-        let Some(ns) = c.take_results().last().map(|r| r.ns_per_iter) else {
+        let Some(ns) = measured_ns(c, &format!("gemm/{shape}")) else {
             continue;
         };
         measured = true;
@@ -210,8 +234,7 @@ fn bench_conv(c: &mut Criterion) {
             })
         });
         g.finish();
-        // Nothing is measured in `--test` mode or when filtered out.
-        let Some(ns) = c.take_results().last().map(|r| r.ns_per_iter) else {
+        let Some(ns) = measured_ns(c, &format!("conv/{shape}")) else {
             continue;
         };
         let pixels = out.len() / out_c;
@@ -253,8 +276,7 @@ fn bench_uhat_project(c: &mut Criterion) {
                 })
             });
             g.finish();
-            // Nothing is measured in `--test` mode.
-            let Some(ns) = c.take_results().last().map(|r| r.ns_per_iter) else {
+            let Some(ns) = measured_ns(c, &format!("uhat_project/{id}")) else {
                 continue;
             };
             let flops = 2.0 * (b * l * cl * n) as f64;

@@ -21,11 +21,13 @@
 //!   registry's versions are strictly monotone, so a swap simply orphans
 //!   the old version's entries: lookups for the new version cannot match
 //!   them. Once no user of the cache serves the old version any more, the
-//!   swapper says so ([`ResponseCache::retire_below`]) and the clock hand
-//!   fast-tracks their reclamation (`orphan_evictions`). In-flight batches
-//!   still holding the old model `Arc` may keep filling their own epoch —
-//!   harmless, lazily reclaimed. A version some replica still serves is
-//!   never an orphan, however new the versions other replicas serve.
+//!   swapper says so ([`ResponseCache::retire_below`]), which reclaims
+//!   every entry of the retired versions at once (`orphan_evictions`), so
+//!   byte pressure never evicts a live entry while an orphan is cached.
+//!   In-flight batches still holding the old model `Arc` may keep filling
+//!   their own epoch — harmless: such a fill is reclaimed on arrival. A
+//!   version some replica still serves is never an orphan, however new the
+//!   versions other replicas serve.
 //! * **One cache per replica pool.** The cache is `Sync` and its keys
 //!   carry the version, so every replica of a `pim-serve` pool shares one
 //!   instance: a response one replica filled is a hit on every other. This
@@ -40,7 +42,7 @@ pub mod bloom;
 use bloom::AtomicBloom;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Re-export of the shared digest implementation so callers hash with the
 /// exact machinery the artifact store uses — one implementation, no copy.
@@ -182,6 +184,31 @@ impl<V> Shard<V> {
         }
         key
     }
+
+    /// Evicts every entry of `model` below version `below`; returns how
+    /// many went.
+    fn evict_retired(&mut self, model: usize, below: u64) -> u64 {
+        let mut evicted = 0;
+        let mut i = 0;
+        while i < self.ring.len() {
+            let key = self.ring[i];
+            if key.model == model && key.version < below {
+                // `swap_remove` moves an unvisited key into slot `i`.
+                self.evict_at(i);
+                evicted += 1;
+            } else {
+                i += 1;
+            }
+        }
+        evicted
+    }
+}
+
+fn lock<V>(shard: &Mutex<Shard<V>>) -> MutexGuard<'_, Shard<V>> {
+    match shard.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
 }
 
 /// Per-model shared state: bloom membership and the oldest version any
@@ -265,11 +292,8 @@ impl<V: CacheValue> ResponseCache<V> {
         &self.shards[((digest ^ (digest >> 32)) % self.shards.len() as u64) as usize]
     }
 
-    fn lock_shard(&self, digest: u64) -> std::sync::MutexGuard<'_, Shard<V>> {
-        match self.shard_of(digest).lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    fn lock_shard(&self, digest: u64) -> MutexGuard<'_, Shard<V>> {
+        lock(self.shard_of(digest))
     }
 
     /// Looks up `(model, version, digest)`. The bloom filter answers the
@@ -304,9 +328,11 @@ impl<V: CacheValue> ResponseCache<V> {
     /// Admits a value under the byte budget, evicting via CLOCK as needed.
     /// Returns `false` when the value alone exceeds a shard's budget.
     ///
-    /// Inserting under an orphaned (pre-swap) version is allowed — an
-    /// in-flight batch on the old model `Arc` fills its own epoch and the
-    /// entry is fast-tracked for reclamation.
+    /// Inserting under a retired (pre-swap) version is allowed — an
+    /// in-flight batch on the old model `Arc` fills its own epoch — but no
+    /// user of the cache can look such an entry up, so it is reclaimed on
+    /// arrival: counted as an insertion and an orphan eviction, never
+    /// stored.
     pub fn insert(&self, model: usize, version: u64, digest: u64, value: V) -> bool {
         let state = &self.models[model];
         let cost = value.cost_bytes().max(1);
@@ -330,37 +356,38 @@ impl<V: CacheValue> ResponseCache<V> {
         // to have.
         state.bloom.insert(bloom_key(version, digest));
         let mut shard = self.lock_shard(digest);
+        // Read under the shard lock: `retire_below` raises the watermark
+        // before it sweeps this shard, so a retired fill is either swept
+        // there or seen here.
+        if version < state.oldest_served.load(Ordering::Relaxed) {
+            drop(shard);
+            self.stats.insertions.fetch_add(1, Ordering::Relaxed);
+            self.stats.orphan_evictions.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
         if let Some(entry) = shard.map.get_mut(&key) {
             // Concurrent fill of the same key: keep the existing entry
             // (values are bit-identical by construction), refresh credit.
             entry.clock = entry.clock.max(CLOCK_FRESH);
             return true;
         }
-        // CLOCK sweep until the new entry fits. Each full lap decrements
-        // every counter, so the loop terminates; the lap guard force-evicts
-        // if every survivor is somehow pinned.
+        // CLOCK sweep until the new entry fits. No orphan is cached (see
+        // `retire_below`), so every candidate is live. Each full lap
+        // decrements every counter, so the loop terminates; the lap guard
+        // force-evicts if every survivor is somehow pinned.
         let mut scanned = 0usize;
         while shard.bytes + cost > self.shard_budget && !shard.ring.is_empty() {
             let hand = shard.hand;
             let candidate = shard.ring[hand];
-            let orphaned = candidate.version
-                < self.models[candidate.model]
-                    .oldest_served
-                    .load(Ordering::Relaxed);
             let lap_guard = shard.ring.len() * (CLOCK_PROTECTED as usize + 1);
-            if orphaned {
-                shard.evict_at(hand);
-                self.stats.orphan_evictions.fetch_add(1, Ordering::Relaxed);
+            // LINT-ALLOW(R2): the candidate key was just read from this shard's ring under the same lock that guards both structures
+            let entry = shard.map.get_mut(&candidate).expect("ring key in map");
+            if entry.clock > 0 && scanned < lap_guard {
+                entry.clock -= 1;
+                shard.hand = (hand + 1) % shard.ring.len();
             } else {
-                // LINT-ALLOW(R2): the candidate key was just read from this shard's ring under the same lock that guards both structures
-                let entry = shard.map.get_mut(&candidate).expect("ring key in map");
-                if entry.clock > 0 && scanned < lap_guard {
-                    entry.clock -= 1;
-                    shard.hand = (hand + 1) % shard.ring.len();
-                } else {
-                    shard.evict_at(hand);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+                shard.evict_at(hand);
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
             scanned += 1;
         }
@@ -380,15 +407,27 @@ impl<V: CacheValue> ResponseCache<V> {
     }
 
     /// Declares that no user of the cache serves a version of `model`
-    /// below `version` any more, so entries of those versions are orphans
-    /// that byte pressure reclaims first. Call it after a swap with the
-    /// lowest version still served: for one server, the version it swapped
-    /// in; for a replica pool, the minimum over its replicas. The watermark
-    /// only rises (a lower `version` than before is ignored).
+    /// below `version` any more, and reclaims every cached entry of those
+    /// versions (orphans) at once, one shard lock at a time — so byte
+    /// pressure only ever evicts live entries. Call it after a swap with
+    /// the lowest version still served: for one server, the version it
+    /// swapped in; for a replica pool, the minimum over its replicas. The
+    /// watermark only rises (a lower `version` than before is ignored).
     pub fn retire_below(&self, model: usize, version: u64) {
-        self.models[model]
+        let before = self.models[model]
             .oldest_served
             .fetch_max(version, Ordering::Relaxed);
+        if version <= before {
+            // Nothing newly retired: earlier calls swept the lower
+            // versions, and `insert` drops fills under them.
+            return;
+        }
+        for shard in &self.shards {
+            let evicted = lock(shard).evict_retired(model, version);
+            self.stats
+                .orphan_evictions
+                .fetch_add(evicted, Ordering::Relaxed);
+        }
     }
 
     /// Counter snapshot.
@@ -396,10 +435,7 @@ impl<V: CacheValue> ResponseCache<V> {
         let mut entries = 0u64;
         let mut bytes = 0u64;
         for shard in &self.shards {
-            let shard = match shard.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let shard = lock(shard);
             entries += shard.map.len() as u64;
             bytes += shard.bytes as u64;
         }
@@ -594,6 +630,31 @@ mod tests {
         }
         // An in-flight batch on the old Arc may still fill its epoch.
         assert!(cache.insert(0, 1, 99, vec![0u8; 10]));
+    }
+
+    #[test]
+    fn retired_entries_go_before_live_ones_whatever_the_ring_order() {
+        // Twenty v1 fills leave the hand mid-ring after ten CLOCK
+        // evictions; the retired entries must still all go before any of
+        // the v2 entries that replace them.
+        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
+        for d in 0..20u64 {
+            cache.insert(0, 1, d, vec![0u8; 100]);
+        }
+        cache.retire_below(0, 2);
+        for d in 0..5u64 {
+            cache.insert(0, 2, d, vec![0u8; 100]);
+        }
+        let rep = cache.report();
+        let survivors = (0..5u64).filter(|&d| cache.get(0, 2, d).is_some());
+        assert_eq!(survivors.count(), 5, "{rep:?}");
+        assert_eq!((rep.evictions, rep.orphan_evictions), (10, 10), "{rep:?}");
+        // A late fill under the retired version is accepted and reclaimed
+        // on arrival: it displaces nothing.
+        assert!(cache.insert(0, 1, 0, vec![0u8; 100]));
+        assert_eq!(cache.get(0, 1, 0), None);
+        let rep = cache.report();
+        assert_eq!((rep.entries, rep.orphan_evictions), (5, 11), "{rep:?}");
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! (the paper cites [55]: batching avoids local optima of the routing
 //! coefficients); with `false` each sample routes independently (the
 //! original Sabour et al. formulation).
+//!
+//! Loop order: batch-shared routing is iteration-major (every iteration
+//! sweeps the batch). Per-sample routing is sample-major — all iterations
+//! of sample k, then sample k + 1 — so one sample's û is what each
+//! iteration streams, and it stays cache-resident across the iterations.
+//! Both fuse Eq 4 of one iteration with the softmax and Eq 2 of the next
+//! (see [`dynamic_routing_core`]), so û is streamed once per iteration.
 
 use pim_tensor::Tensor;
 
@@ -75,6 +82,17 @@ pub fn dynamic_routing_with<B: MathBackend + ?Sized>(
 /// contiguous `[H, C_H]` block per `(k, i)` pair. No virtual calls with a
 /// concrete backend, no heap allocation once `scratch` is warm, and every
 /// dot product / axpy runs over contiguous memory.
+///
+/// Pass fusion: Algorithm 1 runs softmax → Eq 2 → squash → Eq 4 per
+/// iteration, which streams û twice. But the Eq 4 update of coupling row
+/// `i` only feeds that same row's softmax in the *next* iteration, and the
+/// final iteration's Eq 4 output is discarded (v and c are already final).
+/// So iteration t ≥ 2 performs {Eq 4 with v(t−1) → softmax → Eq 2} per row
+/// while each û block is hot in cache — one û pass per iteration instead
+/// of two, and the dead final Eq 4 pass vanishes. Per-element accumulation
+/// order is unchanged (b row i still sums k ascending, s still sums i
+/// ascending), so results are bit-identical to the unfused loop for any
+/// backend.
 pub(crate) fn dynamic_routing_core<B: MathBackend + ?Sized>(
     uh: &[f32],
     (nb, nl, nh, ch): (usize, usize, usize, usize),
@@ -85,71 +103,79 @@ pub(crate) fn dynamic_routing_core<B: MathBackend + ?Sized>(
     out: Routed<'_>,
 ) {
     debug_assert_eq!(uh.len(), nb * nl * nh * ch);
-    let coeff_rows = if batch_shared { nl } else { nb * nl };
     let Routed { v, coeff: c } = out;
     debug_assert_eq!(v.len(), nb * nh * ch);
-    debug_assert_eq!(c.len(), coeff_rows * nh);
-    RoutingScratch::fill_buf(&mut scratch.b_logits, coeff_rows * nh, 0.0);
-    RoutingScratch::fill_buf(&mut scratch.s, nb * nh * ch, 0.0);
-    let (b_logits, s) = (&mut scratch.b_logits, &mut scratch.s);
+    debug_assert_eq!(c.len(), if batch_shared { 1 } else { nb } * nl * nh);
     let block = nh * ch;
+    RoutingScratch::fill_buf(&mut scratch.b_logits, nl * nh, 0.0);
+    let b_logits = &mut scratch.b_logits;
 
-    // Pass fusion: Algorithm 1 runs softmax → Eq 2 → squash → Eq 4 per
-    // iteration, which streams û twice. But the Eq 4 update of coupling row
-    // `i` only feeds that same row's softmax in the *next* iteration, and
-    // the final iteration's Eq 4 output is discarded (v and c are already
-    // final). So iteration t ≥ 2 performs {Eq 4 with v(t−1) → softmax →
-    // Eq 2} per row while each û block is hot in cache — one û pass per
-    // iteration instead of two, and the dead final Eq 4 pass vanishes.
-    // Per-element accumulation order is unchanged (b row i still sums k
-    // ascending, s still sums i ascending), so results are bit-identical
-    // to the unfused loop for any backend.
+    if !batch_shared {
+        // Per-sample coefficients, sample-major (module docs): sample k
+        // reads only its own û, logits and `s`, so `b_logits` and `s` are
+        // one sample's and are reset per sample. Row (k, i) is
+        // self-contained, so the whole Eq 4 → softmax → Eq 2 chain fuses
+        // per û block, streamed in storage order.
+        RoutingScratch::fill_buf(&mut scratch.s, block, 0.0);
+        let s = &mut scratch.s;
+        let samples = uh
+            .chunks_exact(nl * block)
+            .zip(v.chunks_exact_mut(block))
+            .zip(c.chunks_exact_mut(nl * nh));
+        for ((u_k, v_k), c_k) in samples {
+            b_logits.fill(0.0);
+            for iter in 0..iterations {
+                s.fill(0.0);
+                for ((u_block, b_row), c_row) in u_k
+                    .chunks_exact(block)
+                    .zip(b_logits.chunks_exact_mut(nh))
+                    .zip(c_k.chunks_exact_mut(nh))
+                {
+                    if iter > 0 {
+                        backend.agreement_block(u_block, v_k, b_row, ch);
+                    }
+                    backend.softmax_row(b_row, c_row);
+                    backend.weighted_sum_block(c_row, u_block, s, ch);
+                }
+                squash_all(s, v_k, ch, backend);
+            }
+        }
+        return;
+    }
+
+    // Batch-shared coefficients: one `[L, H]` logit matrix couples every
+    // sample, so each iteration sweeps the whole batch.
+    RoutingScratch::fill_buf(&mut scratch.s, nb * block, 0.0);
+    let s = &mut scratch.s;
+    let u_stride = nl * block;
     for iter in 0..iterations {
         s.fill(0.0);
-        if batch_shared {
-            let u_stride = nl * block;
-            for i in 0..nl {
-                // Eq 4 (previous iteration): b_ij += Σ_k <v_j^k, û_{j|i}^k>
-                // — one strided sweep over the batch. (`min` keeps the
-                // slice in-bounds for empty batches, where the sweeps are
-                // no-ops but the softmax still emits uniform coefficients.)
-                let u_i = &uh[(i * block).min(uh.len())..];
-                if iter > 0 {
-                    let b_row = &mut b_logits[i * nh..(i + 1) * nh];
-                    backend.agreement_blocks_strided(u_i, u_stride, v, nb, b_row, ch);
-                }
-                // Eq 5: c_ij = softmax over the H dimension of b_ij.
-                let b_row = &b_logits[i * nh..(i + 1) * nh];
-                let c_row = &mut c[i * nh..(i + 1) * nh];
-                backend.softmax_row(b_row, c_row);
-                // Eq 2: s_j^k += û·c for this L capsule, every sample.
-                backend.weighted_sum_blocks_strided(c_row, u_i, u_stride, s, nb, ch);
+        for i in 0..nl {
+            // Eq 4 (previous iteration): b_ij += Σ_k <v_j^k, û_{j|i}^k> —
+            // one strided sweep over the batch. (`min` keeps the slice
+            // in-bounds for empty batches, where the sweeps are no-ops but
+            // the softmax still emits uniform coefficients.)
+            let u_i = &uh[(i * block).min(uh.len())..];
+            if iter > 0 {
+                let b_row = &mut b_logits[i * nh..(i + 1) * nh];
+                backend.agreement_blocks_strided(u_i, u_stride, v, nb, b_row, ch);
             }
-        } else {
-            // Per-sample coefficients: row (k, i) is self-contained, so the
-            // whole Eq 4 → softmax → Eq 2 chain fuses per û block, streamed
-            // in storage order.
-            for k in 0..nb {
-                for i in 0..nl {
-                    let u_block = &uh[(k * nl + i) * block..(k * nl + i + 1) * block];
-                    let row = (k * nl + i) * nh;
-                    if iter > 0 {
-                        let v_block = &v[k * block..(k + 1) * block];
-                        backend.agreement_block(u_block, v_block, &mut b_logits[row..row + nh], ch);
-                    }
-                    let c_row = &mut c[row..row + nh];
-                    backend.softmax_row(&b_logits[row..row + nh], c_row);
-                    let s_block = &mut s[k * block..(k + 1) * block];
-                    backend.weighted_sum_block(c_row, u_block, s_block, ch);
-                }
-            }
+            // Eq 5: c_ij = softmax over the H dimension of b_ij.
+            let b_row = &b_logits[i * nh..(i + 1) * nh];
+            let c_row = &mut c[i * nh..(i + 1) * nh];
+            backend.softmax_row(b_row, c_row);
+            // Eq 2: s_j^k += û·c for this L capsule, every sample.
+            backend.weighted_sum_blocks_strided(c_row, u_i, u_stride, s, nb, ch);
         }
+        squash_all(s, v, ch, backend);
+    }
+}
 
-        // Eq 3: v = squash(s), capsule by capsule (dot for the norm
-        // square, one scale to write v — no intermediate copy).
-        for (s_cap, v_cap) in s.chunks(ch).zip(v.chunks_mut(ch)) {
-            squash_into(s_cap, v_cap, backend);
-        }
+/// Eq 3: v = squash(s), capsule by capsule (dot for the norm square, one
+/// scale to write v — no intermediate copy).
+fn squash_all<B: MathBackend + ?Sized>(s: &[f32], v: &mut [f32], ch: usize, backend: &B) {
+    for (s_cap, v_cap) in s.chunks(ch).zip(v.chunks_mut(ch)) {
+        squash_into(s_cap, v_cap, backend);
     }
 }
 

@@ -11,6 +11,11 @@
 //! execution pattern — all-to-all compute, per-iteration aggregations over
 //! L / H / batch, massive intermediates — so the PIM design applies across
 //! them. This implementation exhibits exactly those patterns.
+//!
+//! Every sample routes on its own responsibilities, so the core is
+//! sample-major: all M/E iterations, the final M-step and the output scale
+//! of one sample run before the next sample starts, while that sample's
+//! votes are cache-resident, and the Gaussian scratch holds one sample.
 
 use pim_tensor::Tensor;
 
@@ -62,6 +67,7 @@ pub fn em_routing_with<B: MathBackend + ?Sized>(
 /// row-major, pre-validated dims) into `out` — `v` (activation-scaled
 /// means) and the responsibilities (`[B, L, H]`) are written in full,
 /// their previous contents never read.
+/// Sample-major, as the module docs describe.
 pub(crate) fn em_routing_core<B: MathBackend + ?Sized>(
     uh: &[f32],
     (nb, nl, nh, ch): (usize, usize, usize, usize),
@@ -74,40 +80,56 @@ pub(crate) fn em_routing_core<B: MathBackend + ?Sized>(
     let Routed { v, coeff: r } = out;
     debug_assert_eq!(v.len(), nb * nh * ch);
     debug_assert_eq!(r.len(), nb * nl * nh);
-    r.fill(1.0 / nh as f32);
-    RoutingScratch::fill_buf(&mut scratch.mu, nb * nh * ch, 0.0);
-    RoutingScratch::fill_buf(&mut scratch.sigma_sq, nb * nh * ch, 1.0);
-    RoutingScratch::fill_buf(&mut scratch.act, nb * nh, 0.5);
+    let block = nh * ch;
+    // The M-step overwrites μ, σ² and a before the E-step reads them, so
+    // these fills only size the buffers.
+    RoutingScratch::fill_buf(&mut scratch.mu, block, 0.0);
+    RoutingScratch::fill_buf(&mut scratch.sigma_sq, block, 1.0);
+    RoutingScratch::fill_buf(&mut scratch.act, nh, 0.5);
     RoutingScratch::fill_buf(&mut scratch.log_p, nh, 0.0);
     RoutingScratch::fill_buf(&mut scratch.r_sum, nh, 0.0);
-    let (mu, sigma_sq, act, log_p, r_sum) = (
-        &mut scratch.mu,
-        &mut scratch.sigma_sq,
-        &mut scratch.act,
-        &mut scratch.log_p,
-        &mut scratch.r_sum,
-    );
+    let gaussians = &mut Gaussians {
+        mu: &mut scratch.mu,
+        sigma_sq: &mut scratch.sigma_sq,
+        act: &mut scratch.act,
+    };
+    let samples = uh
+        .chunks_exact(nl * block)
+        .zip(r.chunks_exact_mut(nl * nh))
+        .zip(v.chunks_exact_mut(block));
+    for ((u_k, r_k), v_k) in samples {
+        r_k.fill(1.0 / nh as f32);
+        for _ in 0..iterations {
+            m_step(u_k, r_k, gaussians, &mut scratch.r_sum, nl, ch, backend);
+            e_step(u_k, r_k, gaussians, &mut scratch.log_p, ch, backend);
+        }
+        // One final M-step so the output reflects the last responsibilities.
+        m_step(u_k, r_k, gaussians, &mut scratch.r_sum, nl, ch, backend);
 
-    for _ in 0..iterations {
-        m_step(uh, r, mu, sigma_sq, act, r_sum, nb, nl, nh, ch, backend);
-        e_step(uh, r, mu, sigma_sq, act, log_p, nb, nl, nh, ch, backend);
-    }
-    // One final M-step so the output reflects the last responsibilities.
-    m_step(uh, r, mu, sigma_sq, act, r_sum, nb, nl, nh, ch, backend);
-
-    // v_j = a_j * mu_j — activation-scaled mean, one scale per capsule.
-    for k in 0..nb {
-        for j in 0..nh {
-            let a = act[k * nh + j];
-            let base = (k * nh + j) * ch;
-            backend.scale_add(a, &mu[base..base + ch], 0.0, &mut v[base..base + ch]);
+        // v_j = a_j * mu_j — activation-scaled mean, one scale per capsule.
+        for ((&a, mu_j), v_j) in gaussians
+            .act
+            .iter()
+            .zip(gaussians.mu.chunks_exact(ch))
+            .zip(v_k.chunks_exact_mut(ch))
+        {
+            backend.scale_add(a, mu_j, 0.0, v_j);
         }
     }
 }
 
-/// M-step: refit each H capsule's Gaussian from its weighted votes.
+/// One sample's fitted Gaussians: means and variances (`[H, C_H]`) and
+/// activations (`[H]`), scratch-backed.
+struct Gaussians<'a> {
+    mu: &'a mut [f32],
+    sigma_sq: &'a mut [f32],
+    act: &'a mut [f32],
+}
+
+/// M-step: refit each H capsule's Gaussian from one sample's weighted
+/// votes `u` (`[L, H, C_H]`) and responsibilities `r` (`[L, H]`).
 ///
-/// Restructured around the backend's block kernels: per `(k, i)` pair the
+/// Restructured around the backend's block kernels: per L capsule `i` the
 /// responsibility-weighted mean and variance accumulations each stream one
 /// contiguous `[H, C_H]` block (`weighted_sum_block` / `sq_diff_axpy_block`
 /// — the same Eq 2-shaped GEMM pattern as dynamic routing), then the
@@ -115,124 +137,102 @@ pub(crate) fn em_routing_core<B: MathBackend + ?Sized>(
 /// the operations run in the same ascending-`i` order as the original
 /// scalar nest, so backends using the default (scalar) kernels produce
 /// bit-identical results.
-#[allow(clippy::too_many_arguments)]
 fn m_step<B: MathBackend + ?Sized>(
-    uh: &[f32],
+    u: &[f32],
     r: &[f32],
-    mu: &mut [f32],
-    sigma_sq: &mut [f32],
-    act: &mut [f32],
+    g: &mut Gaussians<'_>,
     r_sum: &mut [f32],
-    nb: usize,
     nl: usize,
-    nh: usize,
     ch: usize,
     backend: &B,
 ) {
+    let nh = r_sum.len();
     let block = nh * ch;
-    for k in 0..nb {
-        let mu_block = &mut mu[k * block..(k + 1) * block];
-        let sig_block = &mut sigma_sq[k * block..(k + 1) * block];
-        let r_sum_row = &mut r_sum[..nh];
+    let rows = || r.chunks_exact(nh).zip(u.chunks_exact(block));
 
-        // Σ_i r_ij per high-level capsule (one vector add per L row).
-        r_sum_row.fill(0.0);
-        for i in 0..nl {
-            backend.axpy(1.0, &r[(k * nl + i) * nh..(k * nl + i + 1) * nh], r_sum_row);
-        }
+    // Σ_i r_ij per high-level capsule (one vector add per L row).
+    r_sum.fill(0.0);
+    for r_row in r.chunks_exact(nh) {
+        backend.axpy(1.0, r_row, r_sum);
+    }
 
-        // Mean: accumulate r-weighted votes, then normalize row-wise.
-        mu_block.fill(0.0);
-        for i in 0..nl {
-            let r_row = &r[(k * nl + i) * nh..(k * nl + i + 1) * nh];
-            let u_block = &uh[(k * nl + i) * block..(k * nl + i + 1) * block];
-            backend.weighted_sum_block(r_row, u_block, mu_block, ch);
-        }
-        for j in 0..nh {
-            let denom = r_sum_row[j].max(1e-12);
-            backend.div_slice(&mut mu_block[j * ch..(j + 1) * ch], denom);
-        }
+    // Mean: accumulate r-weighted votes, then normalize row-wise.
+    g.mu.fill(0.0);
+    for (r_row, u_block) in rows() {
+        backend.weighted_sum_block(r_row, u_block, g.mu, ch);
+    }
+    for (mu_row, &sum) in g.mu.chunks_exact_mut(ch).zip(r_sum.iter()) {
+        backend.div_slice(mu_row, sum.max(1e-12));
+    }
 
-        // Variance: accumulate r-weighted squared deviations from the mean,
-        // normalize, floor — and fold the per-capsule cost on the way.
-        sig_block.fill(0.0);
-        for i in 0..nl {
-            let r_row = &r[(k * nl + i) * nh..(k * nl + i + 1) * nh];
-            let u_block = &uh[(k * nl + i) * block..(k * nl + i + 1) * block];
-            backend.sq_diff_axpy_block(r_row, u_block, mu_block, sig_block, ch);
+    // Variance: accumulate r-weighted squared deviations from the mean,
+    // normalize, floor — and fold the per-capsule cost on the way.
+    g.sigma_sq.fill(0.0);
+    for (r_row, u_block) in rows() {
+        backend.sq_diff_axpy_block(r_row, u_block, g.mu, g.sigma_sq, ch);
+    }
+    let fits = g
+        .sigma_sq
+        .chunks_exact_mut(ch)
+        .zip(g.act.iter_mut())
+        .zip(r_sum.iter());
+    for ((sig_row, act), &sum) in fits {
+        backend.div_slice(sig_row, sum.max(1e-12));
+        let mut cost = 0.0f32;
+        for var in sig_row.iter_mut() {
+            // cost_d ≈ (log σ_d) · r_sum; log via ln(x) = -ln(1/x) is
+            // not available on the PE, so the model uses 0.5·(var-1) as
+            // a smooth stand-in with the same minimum.
+            *var = var.max(SIGMA_FLOOR);
+            cost += 0.5 * (*var - 1.0);
         }
-        for j in 0..nh {
-            let denom = r_sum_row[j].max(1e-12);
-            let sig_row = &mut sig_block[j * ch..(j + 1) * ch];
-            backend.div_slice(sig_row, denom);
-            let mut cost = 0.0f32;
-            for var in sig_row.iter_mut() {
-                // cost_d ≈ (log σ_d) · r_sum; log via ln(x) = -ln(1/x) is
-                // not available on the PE, so the model uses 0.5·(var-1) as
-                // a smooth stand-in with the same minimum.
-                *var = var.max(SIGMA_FLOOR);
-                cost += 0.5 * (*var - 1.0);
-            }
-            // Activation: logistic of (benefit − cost), scaled by how much
-            // mass routed here relative to uniform.
-            let mass = backend.div(r_sum_row[j], nl as f32 / nh as f32);
-            let logit = LAMBDA * (BETA_A - cost) * mass - BETA_A;
-            act[k * nh + j] = logistic(logit, backend);
-        }
+        // Activation: logistic of (benefit − cost), scaled by how much
+        // mass routed here relative to uniform.
+        let mass = backend.div(sum, nl as f32 / nh as f32);
+        let logit = LAMBDA * (BETA_A - cost) * mass - BETA_A;
+        *act = logistic(logit, backend);
     }
 }
 
-/// E-step: recompute responsibilities from Gaussian likelihoods.
+/// E-step: recompute one sample's responsibilities `r` (`[L, H]`) from
+/// Gaussian likelihoods of its votes `u` (`[L, H, C_H]`).
 ///
-/// `log_p` is caller-owned scratch of length `nh` (so the step allocates
-/// nothing). Per `(k, i)` pair the quadratic forms stream one contiguous
+/// `log_p` is caller-owned scratch of length `H` (so the step allocates
+/// nothing). Per L capsule the quadratic forms stream one contiguous
 /// `[H, C_H]` block through the backend's `mahalanobis_block` kernel, the
 /// exponentials are one fused `exp_slice`, and the normalization one
 /// `div_slice` — per element the same operation sequence as the original
 /// scalar nest, so default-kernel backends are bit-identical.
-#[allow(clippy::too_many_arguments)]
 fn e_step<B: MathBackend + ?Sized>(
-    uh: &[f32],
+    u: &[f32],
     r: &mut [f32],
-    mu: &[f32],
-    sigma_sq: &[f32],
-    act: &[f32],
+    g: &Gaussians<'_>,
     log_p: &mut [f32],
-    nb: usize,
-    nl: usize,
-    nh: usize,
     ch: usize,
     backend: &B,
 ) {
-    let block = nh * ch;
-    for k in 0..nb {
-        let mu_block = &mu[k * block..(k + 1) * block];
-        let sig_block = &sigma_sq[k * block..(k + 1) * block];
-        let act_row = &act[k * nh..(k + 1) * nh];
-        for i in 0..nl {
-            // Unnormalized log posterior per j: one row-wise quadratic-form
-            // block, then shift by the max and exponentiate in one pass.
-            let u_block = &uh[(k * nl + i) * block..(k * nl + i + 1) * block];
-            backend.mahalanobis_block(u_block, mu_block, sig_block, log_p, ch);
-            // log(a_j) folded in multiplicatively after exp; keep the
-            // quadratic in log space for stability.
-            for lp in log_p.iter_mut() {
-                *lp *= -0.5;
-            }
-            let mx = log_p.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            for lp in log_p.iter_mut() {
-                *lp -= mx;
-            }
-            backend.exp_slice(log_p);
-            let row = &mut r[(k * nl + i) * nh..(k * nl + i + 1) * nh];
-            let mut denom = 0.0f32;
-            for ((x, &a), &e) in row.iter_mut().zip(act_row).zip(log_p.iter()) {
-                let p = a * e;
-                *x = p;
-                denom += p;
-            }
-            backend.div_slice(row, denom.max(1e-12));
+    let nh = log_p.len();
+    for (u_block, row) in u.chunks_exact(nh * ch).zip(r.chunks_exact_mut(nh)) {
+        // Unnormalized log posterior per j: one row-wise quadratic-form
+        // block, then shift by the max and exponentiate in one pass.
+        backend.mahalanobis_block(u_block, g.mu, g.sigma_sq, log_p, ch);
+        // log(a_j) folded in multiplicatively after exp; keep the
+        // quadratic in log space for stability.
+        for lp in log_p.iter_mut() {
+            *lp *= -0.5;
         }
+        let mx = log_p.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for lp in log_p.iter_mut() {
+            *lp -= mx;
+        }
+        backend.exp_slice(log_p);
+        let mut denom = 0.0f32;
+        for ((x, &a), &e) in row.iter_mut().zip(g.act.iter()).zip(log_p.iter()) {
+            let p = a * e;
+            *x = p;
+            denom += p;
+        }
+        backend.div_slice(row, denom.max(1e-12));
     }
 }
 
