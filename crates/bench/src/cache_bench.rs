@@ -22,7 +22,8 @@ use pim_serve::{
 };
 
 use crate::check::check_cache;
-use crate::emit::{ledger_json, write_json_artifact, BenchHost};
+use crate::emit::{ledger_value, write_json_artifact, BenchHost};
+use crate::jsonlite::{Object, Value};
 
 /// Gate: minimum fraction of requests served from cache at `skew ≈ 1.0`.
 const GATE_HIT_RATE_MIN: f64 = 0.5;
@@ -164,59 +165,53 @@ pub fn run_cache_bench(requests: usize) -> CacheBenchResult {
 }
 
 impl CacheBenchResult {
-    /// Renders `BENCH_cache.json`.
-    pub fn to_json(&self) -> String {
-        let spec = streaming_spec();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"host\": {{\"simd\": \"{simd}\", \"threads\": {threads}}},\n",
-                "  \"model\": {{\"name\": \"{name}\", \"caps_weight_mb\": {wmb:.1}}},\n",
-                "  \"cache\": {{\"byte_budget\": {budget}, \"shards\": {shards}, ",
-                "\"bloom_bits\": {bbits}, \"bloom_hashes\": {bhash}}},\n",
-                "  \"traffic\": {{\"requests\": {req}, \"tenants\": {ten}, \"keys\": {keys}, ",
-                "\"skew\": {skew:.2}, \"distinct_content\": {distinct}, ",
-                "\"achievable_hits\": {achievable}}},\n",
-                "  \"cache_off\": {{\"p50_us\": {op50}, \"p99_us\": {op99}, ",
-                "\"dispatched\": {oreq}}},\n",
-                "  \"cache_on\": {{\"p50_us\": {np50}, \"p99_us\": {np99}, ",
-                "\"dispatched\": {nreq}, \"cache_hits\": {hits}, ",
-                "\"hit_rate\": {hr:.4}, \"bloom_negatives\": {bneg}, ",
-                "\"insertions\": {ins}, \"evictions\": {ev}}},\n",
-                "  \"ledger\": {ledger},\n",
-                "  \"hit_responses_bitwise_equal\": {eq},\n",
-                "  \"hit_rate_min\": {ghr}\n",
-                "}}\n",
-            ),
-            simd = self.host.simd,
-            threads = self.host.threads,
-            name = spec.name,
-            wmb = self.caps_weight_bytes as f64 / (1 << 20) as f64,
-            budget = self.cache_cfg.byte_budget,
-            shards = self.cache_cfg.shards,
-            bbits = self.cache_cfg.bloom_bits,
-            bhash = self.cache_cfg.bloom_hashes,
-            req = self.traffic.requests,
-            ten = self.traffic.tenants,
-            keys = self.traffic.keys,
-            skew = self.traffic.skew,
-            distinct = self.distinct,
-            achievable = self.traffic.requests - self.distinct,
-            op50 = self.off_metrics.p50_us,
-            op99 = self.off_metrics.p99_us,
-            oreq = self.off_metrics.requests,
-            np50 = self.on_metrics.p50_us,
-            np99 = self.on_metrics.p99_us,
-            nreq = self.on_metrics.requests,
-            hits = self.on_metrics.cache_hits,
-            hr = self.hit_rate,
-            bneg = self.cache.bloom_negatives,
-            ins = self.cache.insertions,
-            ev = self.cache.evictions + self.cache.orphan_evictions,
-            ledger = ledger_json(&self.ledger),
-            eq = self.bitwise_equal,
-            ghr = GATE_HIT_RATE_MIN,
-        )
+    /// The `BENCH_cache.json` record.
+    pub fn to_value(&self) -> Value {
+        let cache = Object::new()
+            .with("byte_budget", self.cache_cfg.byte_budget)
+            .with("shards", self.cache_cfg.shards)
+            .with("bloom_bits", self.cache_cfg.bloom_bits)
+            .with("bloom_hashes", self.cache_cfg.bloom_hashes);
+        let traffic = Object::new()
+            .with("requests", self.traffic.requests)
+            .with("tenants", self.traffic.tenants)
+            .with("keys", self.traffic.keys)
+            .with("skew", self.traffic.skew)
+            .with("distinct_content", self.distinct)
+            .with("achievable_hits", self.traffic.requests - self.distinct);
+        let off = &self.off_metrics;
+        let cache_off = Object::new()
+            .with("p50_us", off.p50_us)
+            .with("p99_us", off.p99_us)
+            .with("dispatched", off.requests);
+        let on = &self.on_metrics;
+        let cache_on = Object::new()
+            .with("p50_us", on.p50_us)
+            .with("p99_us", on.p99_us)
+            .with("dispatched", on.requests)
+            .with("cache_hits", on.cache_hits)
+            .with("hit_rate", self.hit_rate)
+            .with("bloom_negatives", self.cache.bloom_negatives)
+            .with("insertions", self.cache.insertions)
+            .with(
+                "evictions",
+                self.cache.evictions + self.cache.orphan_evictions,
+            );
+        let model = Object::new().with("name", streaming_spec().name).with(
+            "caps_weight_mb",
+            self.caps_weight_bytes as f64 / (1 << 20) as f64,
+        );
+        Object::new()
+            .with("host", &self.host)
+            .with("model", model)
+            .with("cache", cache)
+            .with("traffic", traffic)
+            .with("cache_off", cache_off)
+            .with("cache_on", cache_on)
+            .with("ledger", ledger_value(&self.ledger))
+            .with("hit_responses_bitwise_equal", self.bitwise_equal)
+            .with("hit_rate_min", GATE_HIT_RATE_MIN)
+            .into()
     }
 
     /// Prints the human-readable summary and writes `BENCH_cache.json`.
@@ -248,7 +243,7 @@ impl CacheBenchResult {
             "  bitwise_equal {}   bloom_negatives {}",
             self.bitwise_equal, self.cache.bloom_negatives
         );
-        write_json_artifact("BENCH_cache.json", &self.to_json(), check_cache);
+        write_json_artifact("BENCH_cache.json", &self.to_value(), check_cache);
     }
 }
 
@@ -299,7 +294,7 @@ mod tests {
     fn cache_json_schema_is_stable() {
         // A synthetic result exercises the JSON shape and its checker
         // without running the (expensive) measurement.
-        let doc = |r: &CacheBenchResult| crate::jsonlite::parse(&r.to_json()).unwrap();
+        let doc = CacheBenchResult::to_value;
         let good = synthetic();
         assert_eq!(check_cache(&doc(&good)), Ok(()));
         let on = doc(&good);

@@ -30,7 +30,8 @@ use capsnet_workloads::chaos::{
 use capsnet_workloads::soak::{saturated_hz, soak_registry, soak_serve_config};
 
 use crate::check::check_chaos;
-use crate::emit::{ledger_json, write_json_artifact, BenchHost};
+use crate::emit::{ledger_value, write_json_artifact, BenchHost};
+use crate::jsonlite::{Object, Value};
 
 /// Replicas in the chaos pool.
 pub const REPLICAS: usize = 4;
@@ -172,61 +173,50 @@ fn print_phase(name: &str, p: &ChaosPhaseReport) {
 }
 
 impl ChaosBenchResult {
-    /// Renders `BENCH_chaos.json`.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_chaos.json` record.
+    pub fn to_value(&self) -> Value {
         let fault = chaos_fault_config();
-        let points: Vec<String> = self
-            .plan
-            .points
-            .iter()
-            .map(|p| {
-                let action = match p.action {
-                    FaultAction::Panic => "panic",
-                    FaultAction::Stall(_) => "stall",
-                };
-                format!(
-                    "{{\"at_arrival\": {}, \"action\": \"{action}\"}}",
-                    p.at_arrival
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"host\": {{\"simd\": \"{simd}\", \"threads\": {threads}}},\n",
-                "  \"model\": \"caps-soak-micro\",\n",
-                "  \"replicas\": {replicas},\n",
-                "  \"tenants\": {tenants},\n",
-                "  \"capacity_hz\": {cap:.2},\n",
-                "  \"pool_hz\": {pool:.2},\n",
-                "  \"requests_per_phase\": {rpp},\n",
-                "  \"high_p99_floor_us\": {floor},\n",
-                "  \"supervision\": {{\"replica_timeout_ms\": {rt}, ",
-                "\"breaker_threshold\": {bt}, \"probe_cooldown_ms\": {pc}, ",
-                "\"max_restarts\": {mr}}},\n",
-                "  \"plan\": {{\"panics\": {panics}, \"stalls\": {stalls}, ",
-                "\"stall_ms\": {stall_ms}, \"points\": [{points}]}},\n",
-                "  \"phases\": [\n{baseline},\n{chaos}\n  ]\n}}\n",
-            ),
-            simd = self.host.simd,
-            threads = self.host.threads,
-            replicas = REPLICAS,
-            tenants = TENANTS,
-            cap = self.capacity_hz,
-            pool = self.pool_hz,
-            rpp = self.requests_per_phase,
-            floor = HIGH_P99_FLOOR_US,
-            rt = fault.replica_timeout.map_or(0, |t| t.as_millis()),
-            bt = fault.breaker_threshold,
-            pc = fault.probe_cooldown.as_millis(),
-            mr = fault.max_restarts,
-            panics = self.plan.panics(),
-            stalls = self.plan.stalls(),
-            stall_ms = STALL.as_millis(),
-            points = points.join(", "),
-            baseline = phase_json("baseline", &self.baseline),
-            chaos = phase_json("chaos", &self.chaos),
-        )
+        let supervision = Object::new()
+            .with(
+                "replica_timeout_ms",
+                fault.replica_timeout.map_or(0, |t| t.as_millis()),
+            )
+            .with("breaker_threshold", fault.breaker_threshold)
+            .with("probe_cooldown_ms", fault.probe_cooldown.as_millis())
+            .with("max_restarts", fault.max_restarts);
+        let points = self.plan.points.iter().map(|p| {
+            let action = match p.action {
+                FaultAction::Panic => "panic",
+                FaultAction::Stall(_) => "stall",
+            };
+            Object::new()
+                .with("at_arrival", p.at_arrival)
+                .with("action", action)
+        });
+        let plan = Object::new()
+            .with("panics", self.plan.panics())
+            .with("stalls", self.plan.stalls())
+            .with("stall_ms", STALL.as_millis())
+            .with("points", points.collect::<Vec<_>>());
+        Object::new()
+            .with("host", &self.host)
+            .with("model", "caps-soak-micro")
+            .with("replicas", REPLICAS)
+            .with("tenants", TENANTS)
+            .with("capacity_hz", self.capacity_hz)
+            .with("pool_hz", self.pool_hz)
+            .with("requests_per_phase", self.requests_per_phase)
+            .with("high_p99_floor_us", HIGH_P99_FLOOR_US)
+            .with("supervision", supervision)
+            .with("plan", plan)
+            .with(
+                "phases",
+                vec![
+                    phase_value("baseline", &self.baseline),
+                    phase_value("chaos", &self.chaos),
+                ],
+            )
+            .into()
     }
 
     /// Writes `BENCH_chaos.json`.
@@ -239,37 +229,26 @@ impl ChaosBenchResult {
     /// back, or a clean-replica high-tier p99 that blew up (or no clean
     /// replica left to read it from).
     pub fn report_and_write(&self) {
-        write_json_artifact("BENCH_chaos.json", &self.to_json(), check_chaos);
+        write_json_artifact("BENCH_chaos.json", &self.to_value(), check_chaos);
     }
 }
 
-fn phase_json(name: &str, p: &ChaosPhaseReport) -> String {
-    format!(
-        concat!(
-            "    {{\"name\": \"{name}\", \"offered_hz\": {off:.2}, ",
-            "\"achieved_hz\": {ach:.2},\n     \"ledger\": {ledger},\n",
-            "     \"injected_panics\": {ip}, \"injected_stalls\": {is}, ",
-            "\"restarts\": {rst}, \"restarts_per_replica\": {rpr:?}, ",
-            "\"quarantines\": {qua}, \"probes\": {prb}, ",
-            "\"deadline_misses\": {dm},\n",
-            "     \"tainted\": {taint:?}, \"serving_at_end\": {serving:?}, ",
-            "\"clean_high_p99_us\": {p99}}}",
-        ),
-        name = name,
-        off = p.offered_hz,
-        ach = p.achieved_hz,
-        ledger = ledger_json(&p.counts),
-        ip = p.injected_panics,
-        is = p.injected_stalls,
-        rst = p.set.restarts,
-        rpr = p.set.restarts_per_replica,
-        qua = p.set.quarantines,
-        prb = p.set.probes,
-        dm = p.set.deadline_misses,
-        taint = p.tainted,
-        serving = p.serving_at_end,
-        p99 = p.clean_high_p99_us.unwrap_or(0),
-    )
+fn phase_value(name: &str, p: &ChaosPhaseReport) -> Object {
+    Object::new()
+        .with("name", name)
+        .with("offered_hz", p.offered_hz)
+        .with("achieved_hz", p.achieved_hz)
+        .with("ledger", ledger_value(&p.counts))
+        .with("injected_panics", p.injected_panics)
+        .with("injected_stalls", p.injected_stalls)
+        .with("restarts", p.set.restarts)
+        .with("restarts_per_replica", p.set.restarts_per_replica.clone())
+        .with("quarantines", p.set.quarantines)
+        .with("probes", p.set.probes)
+        .with("deadline_misses", p.set.deadline_misses)
+        .with("tainted", p.tainted.clone())
+        .with("serving_at_end", p.serving_at_end.clone())
+        .with("clean_high_p99_us", p.clean_high_p99_us.unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -364,17 +343,20 @@ mod tests {
     }
 
     fn verdict(result: &ChaosBenchResult) -> crate::check::Verdict {
-        check_chaos(&crate::jsonlite::parse(&result.to_json()).unwrap())
+        check_chaos(&result.to_value())
     }
 
     #[test]
     fn chaos_json_schema_is_stable() {
         let result = synthetic();
         assert_eq!(verdict(&result), Ok(()));
-        let v = crate::jsonlite::parse(&result.to_json()).unwrap();
+        let v = result.to_value();
         let chaos = &v.get("phases").and_then(|x| x.as_array()).unwrap()[1];
         let ledger = chaos.get("ledger").unwrap();
         assert_eq!(ledger.get("failed_forward").unwrap().as_f64(), Some(2.0));
+        // A CI-size chaos run passes the gates but is no committed record.
+        let why = crate::check::check_committed("BENCH_chaos.json", &v).unwrap_err();
+        assert!(why.contains("requests_per_phase 1000"), "{why}");
     }
 
     #[test]

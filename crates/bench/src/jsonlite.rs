@@ -1,14 +1,16 @@
-//! Minimal JSON reader for validating the perf-trajectory artifacts.
+//! Minimal JSON for the perf-trajectory records
+//! (`bench_results/BENCH_*.json`): one [`Value`] type, a strict reader
+//! ([`parse`]) and a writer ([`render`]).
 //!
-//! The workspace has no registry access (no `serde_json`), but the golden
-//! tests need to assert that `bench_results/BENCH_*.json` stay
-//! schema-shaped. This is a small, strict, recursive-descent parser for
-//! exactly that job — parse, navigate, assert — not a general-purpose
-//! serializer.
+//! The workspace has no registry access (no `serde_json`). A recorder
+//! builds its record once, as a [`Value`] (with [`Object`] and the `From`
+//! conversions), checks that value and renders it; the golden tests parse
+//! the committed files back into the same type. The reader takes JSON and
+//! nothing else: it refuses a duplicate key, a number JSON does not allow
+//! (`+1`, `.5`, `5.`, `01`) and one `f64` cannot hold (`1e999`). The
+//! writer refuses a non-finite number. Objects keep their key order.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -21,15 +23,15 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object; key order is not preserved.
-    Obj(BTreeMap<String, Value>),
+    /// An object: its members in document order, each key once.
+    Obj(Vec<(String, Value)>),
 }
 
 impl Value {
     /// Member of an object, if this is an object containing `key`.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(map) => map.get(key),
+            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -65,6 +67,148 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// An object built member by member, in order:
+/// `Object::new().with("simd", "scalar").with("threads", 2)`.
+#[derive(Debug, Default)]
+pub struct Object(Vec<(String, Value)>);
+
+impl Object {
+    /// An object with no members.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends the member `key: value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the object already has `key`: a record states each
+    /// fact once.
+    pub fn with(mut self, key: &str, value: impl Into<Value>) -> Self {
+        let fresh = self.0.iter().all(|(k, _)| k != key);
+        assert!(fresh, "duplicate key {key:?}");
+        self.0.push((key.to_owned(), value.into()));
+        self
+    }
+}
+
+/// `From` conversions for the leaves of a record; counts are held as
+/// `f64`, exact below 2^53.
+macro_rules! from_leaf {
+    ($($t:ty => |$x:ident| $value:expr,)+) => {$(
+        impl From<$t> for Value {
+            fn from($x: $t) -> Self {
+                $value
+            }
+        }
+    )+};
+}
+from_leaf! {
+    Object => |object| Value::Obj(object.0),
+    bool => |b| Value::Bool(b),
+    f64 => |x| Value::Num(x),
+    f32 => |x| Value::Num(f64::from(x)),
+    u32 => |n| Value::Num(f64::from(n)),
+    u64 => |n| Value::Num(n as f64),
+    usize => |n| Value::Num(n as f64),
+    u128 => |n| Value::Num(n as f64),
+    &str => |s| Value::Str(s.to_owned()),
+    String => |s| Value::Str(s),
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Self {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Renders `value` as JSON text, one line per member or element of a
+/// container that holds objects, everything else inline.
+///
+/// # Errors
+///
+/// Names the path of the first non-finite number: JSON has no NaN or
+/// infinity, and a record holding one measured nothing.
+pub fn render(value: &Value) -> Result<String, String> {
+    let mut out = String::new();
+    write_value(&mut out, value, 0).map_err(|e| format!("${e}"))?;
+    out.push('\n');
+    Ok(out)
+}
+
+/// Whether `value` holds an object anywhere below it.
+fn holds_objects(value: &Value) -> bool {
+    let nested = |v: &Value| matches!(v, Value::Obj(_)) || holds_objects(v);
+    match value {
+        Value::Arr(items) => items.iter().any(nested),
+        Value::Obj(members) => members.iter().any(|(_, v)| nested(v)),
+        _ => false,
+    }
+}
+
+fn write_value(out: &mut String, value: &Value, indent: usize) -> Result<(), String> {
+    let (open, close, members): (char, char, Vec<(Option<&str>, &Value)>) = match value {
+        Value::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+        Value::Obj(members) => (
+            '{',
+            '}',
+            members.iter().map(|(k, v)| (Some(&**k), v)).collect(),
+        ),
+        leaf => return write_leaf(out, leaf),
+    };
+    let (line, end) = if holds_objects(value) {
+        let at = |depth: usize| format!("\n{}", " ".repeat(depth));
+        (at(indent + 2), at(indent))
+    } else {
+        (String::new(), String::new())
+    };
+    out.push(open);
+    for (i, (key, member)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(if line.is_empty() { ", " } else { "," });
+        }
+        out.push_str(&line);
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        write_value(out, member, indent + 2).map_err(|e| match key {
+            Some(key) => format!(".{key}{e}"),
+            None => format!("[{i}]{e}"),
+        })?;
+    }
+    out.push_str(&end);
+    out.push(close);
+    Ok(())
+}
+
+fn write_leaf(out: &mut String, leaf: &Value) -> Result<(), String> {
+    match leaf {
+        Value::Num(x) if !x.is_finite() => return Err(format!(" is {x}, not a finite number")),
+        // The shortest text that reads back as `x`; exponent form far from 1.
+        Value::Num(x) if *x != 0.0 && !(1e-4..1e16).contains(&x.abs()) => {
+            out.push_str(&format!("{x:e}"));
+        }
+        Value::Num(x) => out.push_str(&x.to_string()),
+        Value::Bool(b) => out.push_str(&b.to_string()),
+        Value::Str(s) => write_str(out, s),
+        _ => out.push_str("null"),
+    }
+    Ok(())
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
@@ -127,17 +271,45 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Resu
     }
 }
 
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, finite as `f64`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+    let int = (*pos, digits(pos));
+    let mut json = int.1 == 1 || (int.1 > 1 && bytes[int.0] != b'0');
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        json &= digits(pos) > 0;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        json &= digits(pos) > 0;
+    }
+    if *pos == start {
+        let found = std::str::from_utf8(&bytes[start..]).ok();
+        let found = found.and_then(|s| s.chars().next()).unwrap_or('\u{FFFD}');
+        return Err(format!("unexpected {found:?} at byte {start}"));
+    }
+    let text = String::from_utf8_lossy(&bytes[start..*pos]);
+    if !json {
+        return Err(format!("number {text:?} at byte {start} is not JSON"));
+    }
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Value::Num(x)),
+        _ => Err(format!("number {text} at byte {start} is out of f64 range")),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -156,18 +328,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
                     Some(b'n') => out.push('\n'),
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        let hex = bytes.get(*pos + 1..*pos + 5);
+                        let hex = hex.and_then(|h| std::str::from_utf8(h).ok());
+                        let code = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
+                        let code = code.ok_or("bad \\u escape")?;
                         out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         *pos += 4;
                     }
@@ -175,19 +345,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&b) => {
-                // Multi-byte UTF-8 passes through unchanged.
-                let ch_len = match b {
-                    0x00..=0x7F => 1,
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    _ => 4,
-                };
-                let chunk = bytes
-                    .get(*pos..*pos + ch_len)
-                    .ok_or("truncated UTF-8 sequence")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                *pos += ch_len;
+            Some(&b) if b < 0x20 => {
+                return Err(format!(
+                    "unescaped control character at byte {pos}",
+                    pos = *pos
+                ))
+            }
+            Some(_) => {
+                // A run of plain text (multi-byte UTF-8 included) as is.
+                let rest = &bytes[*pos..];
+                let run = rest
+                    .iter()
+                    .position(|&b| matches!(b, b'"' | b'\\' | ..=0x1F));
+                let run = &rest[..run.unwrap_or(rest.len())];
+                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
+                *pos += run.len();
             }
         }
     }
@@ -217,25 +389,29 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
 
 fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
+    let mut members: Vec<(String, Value)> = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Value::Obj(map));
+        return Ok(Value::Obj(members));
     }
     loop {
         skip_ws(bytes, pos);
+        let at = *pos;
         let key = parse_string(bytes, pos)?;
+        if members.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate key {key:?} at byte {at}"));
+        }
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
         let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
+        members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Value::Obj(map));
+                return Ok(Value::Obj(members));
             }
             other => return Err(format!("expected ',' or '}}' in object, found {other:?}")),
         }
@@ -273,12 +449,102 @@ mod tests {
     #[test]
     fn empty_containers() {
         assert_eq!(parse("[]").unwrap(), Value::Arr(vec![]));
-        assert_eq!(parse("{}").unwrap(), Value::Obj(BTreeMap::new()));
+        assert_eq!(parse("{}").unwrap(), Value::Obj(vec![]));
     }
 
     #[test]
     fn unicode_and_escapes() {
         let v = parse(r#""café ✓""#).unwrap();
         assert_eq!(v.as_str(), Some("café ✓"));
+    }
+
+    #[test]
+    fn a_duplicate_key_is_refused_not_overwritten() {
+        let err = parse(r#"{"gate_passed": false, "gate_passed": true}"#).unwrap_err();
+        assert!(err.contains("duplicate key \"gate_passed\""), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate key \"threads\"")]
+    fn the_builder_refuses_a_duplicate_key() {
+        let _ = Object::new().with("threads", 2u32).with("threads", 1u32);
+    }
+
+    #[test]
+    fn a_leading_plus_is_refused() {
+        assert!(parse("+1").unwrap_err().contains("unexpected '+'"));
+    }
+
+    #[test]
+    fn a_bare_fraction_is_refused() {
+        assert!(parse(".5").unwrap_err().contains("is not JSON"));
+    }
+
+    #[test]
+    fn a_trailing_point_is_refused() {
+        assert!(parse("5.").unwrap_err().contains("is not JSON"));
+        assert!(parse("[5.e3]").unwrap_err().contains("is not JSON"));
+    }
+
+    #[test]
+    fn a_leading_zero_is_refused() {
+        assert!(parse("01").unwrap_err().contains("is not JSON"));
+        assert!(parse("-01.5").unwrap_err().contains("is not JSON"));
+        assert_eq!(parse("-0.5e+1").unwrap(), Value::Num(-5.0));
+        assert_eq!(parse("0").unwrap(), Value::Num(0.0));
+    }
+
+    #[test]
+    fn an_overflowing_number_is_refused() {
+        assert!(parse("1e999").unwrap_err().contains("out of f64 range"));
+        assert!(parse("-1e999").unwrap_err().contains("out of f64 range"));
+    }
+
+    #[test]
+    fn render_reads_back_as_the_same_value() {
+        let v: Value = Object::new()
+            .with(
+                "host",
+                Object::new().with("simd", "avx2+fma").with("threads", 2u32),
+            )
+            .with("escapes", "quote \" slash \\ / \n\r\t \u{1} \u{8}\u{c}")
+            .with("text", "café ✓ 容量 🚀")
+            .with(
+                "numbers",
+                vec![-3e-7, -0.5, 0.0, 6.02e23, 1e300, -2.5e-300, 0.1, 1e16],
+            )
+            .with("counts", vec![0u64, 1 << 52, u64::from(u32::MAX)])
+            .with(
+                "phases",
+                vec![
+                    Object::new().with("ledger", Object::new().with("shed", vec![0u64, 2, 20])),
+                    Object::new().with("tiers", vec![Value::Null, Value::Bool(false)]),
+                ],
+            )
+            .with(
+                "nested",
+                vec![
+                    Value::Arr(vec![]),
+                    Object::new().into(),
+                    vec![1.5f32].into(),
+                ],
+            )
+            .into();
+        let text = render(&v).unwrap();
+        assert_eq!(parse(&text).unwrap(), v, "{text}");
+        // Containers of objects take a line per member; the rest stay inline.
+        assert!(text.contains("\"host\": {\"simd\": \"avx2+fma\", \"threads\": 2},\n"));
+        assert!(text.contains("6.02e23"), "{text}");
+    }
+
+    #[test]
+    fn render_refuses_a_non_finite_number() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let phase = Object::new().with("offered_hz", bad);
+            let v: Value = Object::new().with("phases", vec![phase]).into();
+            let err = render(&v).unwrap_err();
+            assert!(err.starts_with("$.phases[0].offered_hz is "), "{err}");
+            assert!(render(&Value::Num(bad)).is_err());
+        }
     }
 }

@@ -19,7 +19,8 @@ use pim_serve::{ReplicaSet, ReplicaSetConfig, ServeConfig};
 use pim_store::MappedModel;
 
 use crate::check::check_replica;
-use crate::emit::{ledger_json, write_json_artifact, BenchHost};
+use crate::emit::{ledger_value, write_json_artifact, BenchHost};
+use crate::jsonlite::{Object, Value};
 
 /// Fleet size the shared-mapping accounting is taken over.
 const SHARING_REPLICAS: usize = 4;
@@ -161,45 +162,42 @@ pub fn run_replica_bench(dir: &Path) -> ReplicaBenchResult {
 }
 
 impl ReplicaBenchResult {
-    /// Renders `BENCH_replica.json`.
-    pub fn to_json(&self, host: &BenchHost) -> String {
+    /// The `BENCH_replica.json` record, measured on `host`.
+    pub fn to_value(&self, host: &BenchHost) -> Value {
         let (sharing, rollout) = (&self.sharing, &self.rollout);
-        format!(
-            concat!(
-                "{{\n  \"host\": {{\"simd\": \"{}\", \"threads\": {}}},\n",
-                "  \"model\": {{\"name\": \"{}\", \"artifact_bytes\": {}, ",
-                "\"caps_weight_bytes\": {}}},\n",
-                "  \"shared_mapping\": {{\"replicas\": {}, \"mapped_bytes_total\": {}, ",
-                "\"per_replica_shared_bytes\": {}, \"per_replica_owned_bytes\": {}, ",
-                "\"caps_weight_shared\": {}}},\n",
-                "  \"rollout\": {{\"replicas\": {}, \"ledger\": {}, ",
-                "\"failed_requests\": {}, \"versions_monotone\": {}, ",
-                "\"bitwise_attributed\": {}, \"rollback_exercised\": {}, ",
-                "\"invariants_hold\": {}, ",
-                "\"good_rollout_updated\": {}, \"good_rollout_max_pause_us\": {}, ",
-                "\"poisoned_rollout_max_pause_us\": {}}}\n}}\n",
-            ),
-            host.simd,
-            host.threads,
-            streaming_spec().name,
-            sharing.artifact_bytes,
-            sharing.caps_weight_bytes,
-            sharing.replicas,
-            sharing.mapped_bytes_total,
-            sharing.per_replica_shared_bytes,
-            sharing.per_replica_owned_bytes,
-            sharing.caps_weight_shared,
-            rollout.replicas,
-            ledger_json(&rollout.ledger),
-            rollout.metric_failed_requests,
-            rollout.versions_monotone,
-            rollout.bitwise_attributed,
-            rollout.poisoned_rollout.rolled_back,
-            rollout.holds(),
-            rollout.good_rollout.updated(),
-            rollout.good_rollout.max_pause_us(),
-            rollout.poisoned_rollout.max_pause_us(),
-        )
+        let model = Object::new()
+            .with("name", streaming_spec().name)
+            .with("artifact_bytes", sharing.artifact_bytes)
+            .with("caps_weight_bytes", sharing.caps_weight_bytes);
+        let shared_mapping = Object::new()
+            .with("replicas", sharing.replicas)
+            .with("mapped_bytes_total", sharing.mapped_bytes_total)
+            .with("per_replica_shared_bytes", sharing.per_replica_shared_bytes)
+            .with("per_replica_owned_bytes", sharing.per_replica_owned_bytes)
+            .with("caps_weight_shared", sharing.caps_weight_shared);
+        let rollout = Object::new()
+            .with("replicas", rollout.replicas)
+            .with("ledger", ledger_value(&rollout.ledger))
+            .with("failed_requests", rollout.metric_failed_requests)
+            .with("versions_monotone", rollout.versions_monotone)
+            .with("bitwise_attributed", rollout.bitwise_attributed)
+            .with("rollback_exercised", rollout.poisoned_rollout.rolled_back)
+            .with("invariants_hold", rollout.holds())
+            .with("good_rollout_updated", rollout.good_rollout.updated())
+            .with(
+                "good_rollout_max_pause_us",
+                rollout.good_rollout.max_pause_us(),
+            )
+            .with(
+                "poisoned_rollout_max_pause_us",
+                rollout.poisoned_rollout.max_pause_us(),
+            );
+        Object::new()
+            .with("host", host)
+            .with("model", model)
+            .with("shared_mapping", shared_mapping)
+            .with("rollout", rollout)
+            .into()
     }
 
     /// Writes `BENCH_replica.json`.
@@ -211,11 +209,8 @@ impl ReplicaBenchResult {
     /// version stream, an unattributed response, or a rollback that was
     /// not exercised.
     pub fn report_and_write(&self) {
-        write_json_artifact(
-            "BENCH_replica.json",
-            &self.to_json(&BenchHost::detect()),
-            check_replica,
-        );
+        let record = self.to_value(&BenchHost::detect());
+        write_json_artifact("BENCH_replica.json", &record, check_replica);
     }
 }
 
@@ -283,9 +278,7 @@ mod tests {
             simd: "avx2+fma",
             threads: 4,
         };
-        let verdict = |r: &ReplicaBenchResult| {
-            check_replica(&crate::jsonlite::parse(&r.to_json(&host)).unwrap())
-        };
+        let verdict = |r: &ReplicaBenchResult| check_replica(&r.to_value(&host));
         assert_eq!(verdict(&synthetic_result()), Ok(()));
 
         // Each kept gate fails the record when violated.

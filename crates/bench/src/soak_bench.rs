@@ -26,10 +26,11 @@ use capsnet_workloads::soak::{
     run_soak_phase, saturated_hz, soak_registry, soak_serve_config, SoakConfig, SoakPhaseReport,
     OVERDRIVE, PROBE_QUEUE,
 };
-use pim_serve::{AdmissionPolicy, Priority, SloConfig};
+use pim_serve::{AdmissionPolicy, Priority};
 
 use crate::check::check_soak;
-use crate::emit::{ledger_json, write_json_artifact, BenchHost};
+use crate::emit::{ledger_value, write_json_artifact, BenchHost};
+use crate::jsonlite::{Object, Value};
 
 /// Phase rates as multiples of the measured capacity.
 const MULTIPLIERS: [f64; 3] = [0.8, 1.0, 1.2];
@@ -166,102 +167,72 @@ impl SoakBenchResult {
         }
     }
 
-    /// Renders `BENCH_soak.json`.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_soak.json` record.
+    pub fn to_value(&self) -> Value {
         let serve = soak_serve_config();
         let AdmissionPolicy::SloAware(slo) = serve.admission else {
             unreachable!("soak serve config is SLO-aware");
         };
-        let SloConfig {
-            shed_wait_us,
-            tenant_quota,
-        } = slo;
-        let mut json = format!(
-            concat!(
-                "{{\n",
-                "  \"host\": {{\"simd\": \"{simd}\", \"threads\": {threads}}},\n",
-                "  \"model\": \"caps-soak-micro\",\n",
-                "  \"tenants\": {tenants},\n",
-                "  \"sweeps\": {sweeps},\n",
-                "  \"scheduler\": {{\"max_batch\": {mb}, \"max_wait_us\": {mw}, ",
-                "\"queue_capacity\": {qc}, \"workers\": {wk}, ",
-                "\"admission\": \"slo_aware\", ",
-                "\"shed_wait_us\": [{s0}, {s1}, {s2}], \"tenant_quota\": {tq}}},\n",
-                "  \"capacity\": {{\"hz\": {chz:.2}, \"requests\": {creq}, ",
-                "\"queue_bound\": {pq}, \"overdrive\": {od}, ",
-                "\"method\": \"completions/s of one phase paced at overdrive x the requests/s of ",
-                "one sprint (the phase's stream and side-thread harvester offered as a burst ",
-                "against a bounded queue, QueueFull retried), taken once before the first ",
-                "phase\"}},\n",
-                "  \"requests_per_phase\": {rpp},\n",
-                "  \"total_requests\": {total},\n",
-                "  \"high_p99_floor_us\": {floor},\n",
-                "  \"phases\": [\n",
-            ),
-            simd = self.host.simd,
-            threads = self.host.threads,
-            tenants = TENANTS,
-            sweeps = self.sweeps,
-            mb = serve.max_batch,
-            mw = serve.max_wait.as_micros(),
-            qc = serve.queue_capacity,
-            wk = serve.workers,
-            s0 = shed_wait_us[0],
-            s1 = shed_wait_us[1],
-            s2 = shed_wait_us[2],
-            tq = tenant_quota,
-            chz = self.capacity_hz,
-            od = OVERDRIVE,
-            creq = self.capacity_requests,
-            pq = PROBE_QUEUE,
-            rpp = self.requests_per_phase,
-            total = self.requests_per_phase * self.phases.len(),
-            floor = HIGH_P99_FLOOR_US,
-        );
-        let phases: Vec<String> = MULTIPLIERS
+        let scheduler = Object::new()
+            .with("max_batch", serve.max_batch)
+            .with("max_wait_us", serve.max_wait.as_micros())
+            .with("queue_capacity", serve.queue_capacity)
+            .with("workers", serve.workers)
+            .with("admission", "slo_aware")
+            .with("shed_wait_us", slo.shed_wait_us.to_vec())
+            .with("tenant_quota", slo.tenant_quota);
+        let capacity = Object::new()
+            .with("hz", self.capacity_hz)
+            .with("requests", self.capacity_requests)
+            .with("queue_bound", PROBE_QUEUE)
+            .with("overdrive", OVERDRIVE)
+            .with(
+                "method",
+                "completions/s of one phase paced at overdrive x the requests/s of one sprint \
+                 (the phase's stream and side-thread harvester offered as a burst against a \
+                 bounded queue, QueueFull retried), taken once before the first phase",
+            );
+        let phases = MULTIPLIERS
             .iter()
             .zip(&self.phases)
-            .map(|(multiplier, p)| {
-                let tiers: Vec<String> = p
-                    .metrics
-                    .tiers
-                    .iter()
-                    .map(|t| {
-                        format!(
-                            "       {{\"priority\": \"{}\", \"requests\": {}, \"shed\": {}, \
-                             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}",
-                            t.priority.label(),
-                            t.requests,
-                            t.shed,
-                            t.p50_us,
-                            t.p95_us,
-                            t.p99_us,
-                        )
-                    })
-                    .collect();
-                format!(
-                    concat!(
-                        "    {{\"multiplier\": {:.1}, \"offered_hz\": {:.2}, ",
-                        "\"achieved_hz\": {:.2},\n     \"ledger\": {},\n",
-                        "     \"server\": {{\"requests\": {}, \"failed_requests\": {}, ",
-                        "\"rejected_full\": {}, \"rejected_quota\": {}}},\n",
-                        "     \"tiers\": [\n{}\n     ]}}",
-                    ),
-                    multiplier,
-                    p.offered_hz,
-                    p.achieved_hz,
-                    ledger_json(&p.counts),
-                    p.metrics.requests,
-                    p.metrics.failed_requests,
-                    p.metrics.rejected_full,
-                    p.metrics.rejected_quota,
-                    tiers.join(",\n"),
-                )
-            })
-            .collect();
-        json.push_str(&phases.join(",\n"));
-        json.push_str("\n  ]\n}\n");
-        json
+            .map(|(&multiplier, p)| {
+                let tiers = p.metrics.tiers.iter().map(|t| {
+                    Object::new()
+                        .with("priority", t.priority.label())
+                        .with("requests", t.requests)
+                        .with("shed", t.shed)
+                        .with("p50_us", t.p50_us)
+                        .with("p95_us", t.p95_us)
+                        .with("p99_us", t.p99_us)
+                });
+                let server = Object::new()
+                    .with("requests", p.metrics.requests)
+                    .with("failed_requests", p.metrics.failed_requests)
+                    .with("rejected_full", p.metrics.rejected_full)
+                    .with("rejected_quota", p.metrics.rejected_quota);
+                Object::new()
+                    .with("multiplier", multiplier)
+                    .with("offered_hz", p.offered_hz)
+                    .with("achieved_hz", p.achieved_hz)
+                    .with("ledger", ledger_value(&p.counts))
+                    .with("server", server)
+                    .with("tiers", tiers.collect::<Vec<_>>())
+            });
+        Object::new()
+            .with("host", &self.host)
+            .with("model", "caps-soak-micro")
+            .with("tenants", TENANTS)
+            .with("sweeps", self.sweeps)
+            .with("scheduler", scheduler)
+            .with("capacity", capacity)
+            .with("requests_per_phase", self.requests_per_phase)
+            .with(
+                "total_requests",
+                self.requests_per_phase * self.phases.len(),
+            )
+            .with("high_p99_floor_us", HIGH_P99_FLOOR_US)
+            .with("phases", phases.collect::<Vec<_>>())
+            .into()
     }
 
     /// Writes `BENCH_soak.json`.
@@ -274,7 +245,7 @@ impl SoakBenchResult {
     /// phase that was not calm, a 1.2x phase that shed the wrong tiers, or
     /// a high-tier p99 that blew up under overload.
     pub fn report_and_write(&self) {
-        write_json_artifact("BENCH_soak.json", &self.to_json(), check_soak);
+        write_json_artifact("BENCH_soak.json", &self.to_value(), check_soak);
     }
 }
 
@@ -324,17 +295,20 @@ mod tests {
     }
 
     fn verdict(result: &SoakBenchResult) -> crate::check::Verdict {
-        check_soak(&crate::jsonlite::parse(&result.to_json()).unwrap())
+        check_soak(&result.to_value())
     }
 
     #[test]
     fn soak_json_schema_is_stable() {
         let result = synthetic();
         assert_eq!(verdict(&result), Ok(()));
-        let v = crate::jsonlite::parse(&result.to_json()).unwrap();
+        let v = result.to_value();
         let overload = &v.get("phases").and_then(|x| x.as_array()).unwrap()[2];
         let shed = overload.get("ledger").unwrap().get("shed").unwrap();
         assert_eq!(shed.as_array().unwrap()[2].as_f64(), Some(20.0));
+        // A CI-size soak passes the gates but is no committed record.
+        let why = crate::check::check_committed("BENCH_soak.json", &v).unwrap_err();
+        assert!(why.contains("total_requests 300"), "{why}");
     }
 
     #[test]
