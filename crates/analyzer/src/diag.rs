@@ -25,6 +25,9 @@ pub enum Rule {
     /// Meta rule: a `LINT-ALLOW` entry without a reason, or one that names
     /// no known rule.
     RAllow,
+    /// Meta rule: a protocol-manifest entry that names no code in the tree
+    /// (an atomic, file, helper or `fn` that is gone) and so checks nothing.
+    RManifest,
 }
 
 impl Rule {
@@ -37,6 +40,7 @@ impl Rule {
             Rule::R5Determinism => "R5",
             Rule::R6DeadSurface => "R6",
             Rule::RAllow => "RA",
+            Rule::RManifest => "RM",
         }
     }
 

@@ -12,7 +12,7 @@
 //!
 //! The shadow world is sequentially consistent — this checks *atomicity
 //! and interleaving* bugs (check-then-act races, lost updates, stranded
-//! jobs, publication-order windows), not weak-memory reordering, which is
+//! jobs), not weak-memory reordering, which is
 //! the right level for the serve-tier protocols modeled in
 //! [`models`].
 
@@ -392,11 +392,6 @@ impl ShadowAtomic {
     pub fn fetch_add(&self, sched: &Sched, tid: usize, delta: i64) -> i64 {
         sched.yield_point(tid, &format!("fetch_add({}, {delta})", self.label));
         self.v.fetch_add(delta, Ordering::SeqCst)
-    }
-
-    pub fn fetch_or(&self, sched: &Sched, tid: usize, bits: i64) -> i64 {
-        sched.yield_point(tid, &format!("fetch_or({}, {bits:#x})", self.label));
-        self.v.fetch_or(bits, Ordering::SeqCst)
     }
 
     pub fn compare_exchange(

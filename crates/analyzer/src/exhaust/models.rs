@@ -1,4 +1,4 @@
-//! Shadow models of the three serve-tier concurrency protocols, checked
+//! Shadow models of the two serve-tier concurrency protocols, checked
 //! exhaustively by [`explore`].
 //!
 //! Each protocol comes in two variants: the **correct** one mirroring the
@@ -10,7 +10,6 @@
 //! | model     | mirrors                                   | invariant |
 //! |-----------|-------------------------------------------|-----------|
 //! | `mailbox` | `serve::replica::Mailbox` push/wound/close | every job resolves exactly once |
-//! | `bloom`   | `cache` bloom insert vs. lock-free probe  | bloom negative ⇒ key absent |
 //! | `reserve` | `serve::replica` `pick_and_reserve` CAS-argmin | counts never negative; overlapping picks spread |
 
 use std::collections::VecDeque;
@@ -186,71 +185,7 @@ pub fn mailbox(variant: Variant) -> Model<MailboxState> {
     }
 }
 
-// ── model 2: bloom insert vs. lock-free probe ───────────────────────────
-
-/// Shadow of the cache's admission path: two bloom words (lock-free
-/// fetch_or / load) guarding a locked shard map.
-pub struct BloomState {
-    words: [ShadowAtomic; 2],
-    shard: ShadowMutex<bool>,
-}
-
-/// Threads: t0 inserts the key (bloom bits + shard entry), t1 probes
-/// lock-free and then inspects the shard.
-///
-/// Invariant: the filter never false-negatives — if the shard held the
-/// key *before* the prober read the bloom words, both bits must read set.
-/// The prober checks the shard first and the bloom second; bits are never
-/// cleared, so `present-then-unset-bits` proves a state in which a real
-/// `get` would have skipped the shard for a cached key.
-///
-/// `Broken`: the writer publishes the shard entry first and sets the
-/// bloom bits after — the publication-order bug (the exact shape fixed in
-/// `cache::ResponseCache::insert` in this change).
-pub fn bloom(variant: Variant) -> Model<BloomState> {
-    let broken = variant == Variant::Broken;
-    Model {
-        name: "bloom",
-        threads: 2,
-        make: Arc::new(|| {
-            Arc::new(BloomState {
-                words: [ShadowAtomic::new("w0", 0), ShadowAtomic::new("w1", 0)],
-                shard: ShadowMutex::new("shard", false),
-            })
-        }),
-        body: Arc::new(move |tid, sched, s: &BloomState| match tid {
-            0 => {
-                if broken {
-                    // BUG: shard entry visible before the bloom bits.
-                    *s.shard.lock(sched, tid) = true;
-                    s.words[0].fetch_or(sched, tid, 0b01);
-                    s.words[1].fetch_or(sched, tid, 0b10);
-                } else {
-                    // Correct: bits first (over-approximation is safe),
-                    // shard publication last.
-                    s.words[0].fetch_or(sched, tid, 0b01);
-                    s.words[1].fetch_or(sched, tid, 0b10);
-                    *s.shard.lock(sched, tid) = true;
-                }
-            }
-            1 => {
-                let present = *s.shard.lock(sched, tid);
-                let b0 = s.words[0].load(sched, tid) & 0b01 != 0;
-                let b1 = s.words[1].load(sched, tid) & 0b10 != 0;
-                if present && !(b0 && b1) {
-                    sched.fail(
-                        tid,
-                        format!("false negative: key in shard but bloom bits ({b0}, {b1}) unset"),
-                    );
-                }
-            }
-            _ => unreachable!(),
-        }),
-        check_final: Arc::new(|_| Ok(())),
-    }
-}
-
-// ── model 3: pick_and_reserve CAS-argmin vs. concurrent release ─────────
+// ── model 2: pick_and_reserve CAS-argmin vs. concurrent release ─────────
 
 /// Shadow of `serve::replica` least-queued dispatch: per-replica
 /// outstanding counters reserved via CAS-argmin, released via fetch_sub.
@@ -365,11 +300,6 @@ pub fn check_all(opts: Options) -> Vec<Report> {
             outcome: explore(&mailbox(variant), opts),
         });
         reports.push(Report {
-            name: "bloom",
-            variant,
-            outcome: explore(&bloom(variant), opts),
-        });
-        reports.push(Report {
             name: "reserve",
             variant,
             outcome: explore(&reserve(variant), opts),
@@ -411,20 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn bloom_correct_exhausts_clean() {
-        let out = explore(&bloom(Variant::Correct), Options::default());
-        assert!(out.failure.is_none(), "{:#?}", out.failure);
-        assert!(out.exhausted);
-    }
-
-    #[test]
-    fn bloom_broken_shows_false_negative_window() {
-        let out = explore(&bloom(Variant::Broken), Options::default());
-        let cex = out.failure.expect("shard-before-bits must false-negative");
-        assert!(cex.message.contains("false negative"), "{}", cex.message);
-    }
-
-    #[test]
     fn reserve_correct_exhausts_clean() {
         let out = explore(&reserve(Variant::Correct), Options::default());
         assert!(out.failure.is_none(), "{:#?}", out.failure);
@@ -446,9 +362,9 @@ mod tests {
 
     #[test]
     fn broken_counterexamples_replay() {
-        let out = explore(&bloom(Variant::Broken), Options::default());
+        let out = explore(&reserve(Variant::Broken), Options::default());
         let cex = out.failure.expect("counterexample");
-        let ops = super::super::replay(&bloom(Variant::Broken), &cex.choices);
+        let ops = super::super::replay(&reserve(Variant::Broken), &cex.choices);
         assert_eq!(ops, cex.ops, "replay must be deterministic");
     }
 }

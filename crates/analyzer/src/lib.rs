@@ -93,7 +93,8 @@ fn load_manifest(root: &Path) -> Result<Manifest, String> {
     Manifest::parse(&text).map_err(|(line, msg)| format!("{MANIFEST_PATH}:{line}: {msg}"))
 }
 
-/// Lints every library source file (R1–R5), then every file read (R6).
+/// Lints every library source file (R1–R5), then every file read (R6),
+/// then checks that every manifest entry still names code (`RM`).
 /// Returns the sorted diagnostic list (empty ⇒ clean).
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let manifest = load_manifest(root)?;
@@ -125,6 +126,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
         }
     }
     diags.extend(rules::dead_surface(&sources));
+    diags.extend(rules::stale_manifest(&manifest, MANIFEST_PATH, &sources));
     diag::sort(&mut diags);
     Ok(diags)
 }

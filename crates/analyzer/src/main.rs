@@ -121,14 +121,13 @@ fn main() -> ExitCode {
             );
         }
         if let Some((seed, iters)) = sample_args {
-            use pim_analyzer::exhaust::models::{bloom, mailbox, reserve};
+            use pim_analyzer::exhaust::models::{mailbox, reserve};
             let opts = Options::default();
             let outcomes = [
                 (
                     "mailbox",
                     sample(&mailbox(Variant::Correct), seed, iters, opts),
                 ),
-                ("bloom", sample(&bloom(Variant::Correct), seed, iters, opts)),
                 (
                     "reserve",
                     sample(&reserve(Variant::Correct), seed, iters, opts),

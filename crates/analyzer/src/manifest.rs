@@ -22,6 +22,10 @@
 //!   R5 flags any wall-clock use.
 //! * `det-fn <file-suffix> <fn-name>` — one function is deterministic.
 //!
+//! Every entry keeps its line: an entry that names code no longer in the
+//! tree checks nothing, and [`crate::rules::stale_manifest`] reports it
+//! there.
+//!
 //! The manifest lives at `crates/analyzer/protocol.manifest` and is part
 //! of the review surface: changing serve-tier concurrency means updating
 //! the declaration here, in the same diff.
@@ -49,6 +53,8 @@ pub struct LockClass {
 /// A guard-returning helper call that counts as a lock acquisition.
 #[derive(Debug, Clone)]
 pub struct LockFn {
+    /// Manifest line of the entry.
+    pub line: u32,
     pub file_suffix: String,
     /// Dotted chain suffix of the call, e.g. `["lock_shard"]`.
     pub chain: Vec<String>,
@@ -61,13 +67,14 @@ pub struct LockFn {
 /// Parsed manifest.
 #[derive(Debug, Default)]
 pub struct Manifest {
-    /// `(crate, atomic ident) -> policy`.
-    pub atomics: BTreeMap<(String, String), AtomicPolicy>,
+    /// `(crate, atomic ident) -> (line, policy)`.
+    pub atomics: BTreeMap<(String, String), (u32, AtomicPolicy)>,
     pub locks: Vec<LockClass>,
     pub lock_fns: Vec<LockFn>,
-    pub det_files: Vec<String>,
-    /// `(file suffix, fn name)`.
-    pub det_fns: Vec<(String, String)>,
+    /// `(line, file suffix)`.
+    pub det_files: Vec<(u32, String)>,
+    /// `(line, file suffix, fn name)`.
+    pub det_fns: Vec<(u32, String, String)>,
 }
 
 impl Manifest {
@@ -105,7 +112,7 @@ impl Manifest {
                     } else {
                         return Err((lineno, format!("unknown atomic policy `{policy}`")));
                     };
-                    m.atomics.insert((krate, ident), policy);
+                    m.atomics.insert((krate, ident), (lineno, policy));
                 }
                 "lock" => {
                     let mut it = rest.splitn(3, char::is_whitespace);
@@ -143,6 +150,7 @@ impl Manifest {
                         }
                     };
                     m.lock_fns.push(LockFn {
+                        line: lineno,
                         file_suffix: parts[0].to_string(),
                         chain: parts[1].split('.').map(str::to_string).collect(),
                         class: parts[2].to_string(),
@@ -153,7 +161,7 @@ impl Manifest {
                     if rest.is_empty() {
                         return Err((lineno, "det-file entry needs a file suffix".to_string()));
                     }
-                    m.det_files.push(rest.to_string());
+                    m.det_files.push((lineno, rest.to_string()));
                 }
                 "det-fn" => {
                     let parts: Vec<&str> = rest.split_whitespace().collect();
@@ -163,7 +171,8 @@ impl Manifest {
                             format!("det-fn entry needs `<file-suffix> <fn-name>`: `{line}`"),
                         ));
                     }
-                    m.det_fns.push((parts[0].to_string(), parts[1].to_string()));
+                    m.det_fns
+                        .push((lineno, parts[0].to_string(), parts[1].to_string()));
                 }
                 _ => return Err((lineno, format!("unknown manifest entry kind `{kind}`"))),
             }
@@ -214,15 +223,17 @@ impl Manifest {
 
     /// `true` when the whole file is a deterministic twin.
     pub fn is_det_file(&self, file: &str) -> bool {
-        self.det_files.iter().any(|s| file.ends_with(s.as_str()))
+        self.det_files
+            .iter()
+            .any(|(_, s)| file.ends_with(s.as_str()))
     }
 
     /// Deterministic function names declared for `file`.
     pub fn det_fns_for<'m>(&'m self, file: &str) -> Vec<&'m str> {
         self.det_fns
             .iter()
-            .filter(|(suffix, _)| file.ends_with(suffix.as_str()))
-            .map(|(_, name)| name.as_str())
+            .filter(|(_, suffix, _)| file.ends_with(suffix.as_str()))
+            .map(|(_, _, name)| name.as_str())
             .collect()
     }
 }
@@ -236,7 +247,7 @@ mod tests {
         let m = Manifest::parse(
             "# comment\n\
              atomic serve outstanding relaxed-ok: single-location RMW\n\
-             atomic cache words require-order\n\
+             atomic cache oldest_served require-order\n\
              lock scheduler 0 shared.state,0.state\n\
              lock shard 3 shard,shards\n\
              lockfn cache/src/lib.rs lock_shard shard\n\
@@ -246,8 +257,8 @@ mod tests {
         .expect("manifest parses");
         assert_eq!(m.atomics.len(), 2);
         assert!(matches!(
-            m.atomics[&("cache".to_string(), "words".to_string())],
-            AtomicPolicy::RequireOrder
+            m.atomics[&("cache".to_string(), "oldest_served".to_string())],
+            (3, AtomicPolicy::RequireOrder)
         ));
         let chain: Vec<String> = ["self", "shared", "state"].map(String::from).into();
         assert_eq!(m.classify_chain(&chain), Some(("scheduler", 0)));

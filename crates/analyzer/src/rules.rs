@@ -1,7 +1,8 @@
 //! The rule engine: walks a scanned token stream once, tracking brace
 //! depth, `#[cfg(test)]` regions, function extents, attribute lines, held
 //! lock guards, and paren/call nesting — then applies rules R1–R5; R6 is
-//! one pass over the whole workspace ([`dead_surface`]).
+//! one pass over the whole workspace ([`dead_surface`]), and so is `RM`
+//! ([`stale_manifest`]), which reports manifest entries that name nothing.
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -11,6 +12,7 @@
 //! | R4   | nested lock acquisitions follow the declared partial order |
 //! | R5   | no wall clock inside the deterministic workload twins |
 //! | R6   | a `pub` fn / const / static outside test code is named in some other file |
+//! | RM   | every protocol-manifest entry names code still in the tree |
 //!
 //! Site-level escape hatch: `// LINT-ALLOW(R2): reason` on the flagged
 //! line or the line above suppresses that rule there. The reason is
@@ -333,7 +335,7 @@ pub fn lint_file(ctx: &FileCtx<'_>, manifest: &Manifest) -> Vec<Diagnostic> {
                 {
                     if let Some(atomic) = enclosing_atomic(&calls) {
                         let key = (ctx.krate.to_string(), atomic.clone());
-                        if let Some(AtomicPolicy::RequireOrder) = manifest.atomics.get(&key) {
+                        if let Some((_, AtomicPolicy::RequireOrder)) = manifest.atomics.get(&key) {
                             if !allowed(&mut allows, Rule::R3Ordering, t.line) {
                                 diags.push(Diagnostic::new(
                                     Rule::R3Ordering,
@@ -570,6 +572,74 @@ fn allows_r6(scanned: &Scanned, line: u32) -> bool {
     [line, line.saturating_sub(1)]
         .into_iter()
         .any(|l| scanned.comment_on(l).and_then(allows) == Some(true))
+}
+
+/// `RM`: every entry of `manifest` (read from `path`) that names code
+/// still names something in `files`. An `atomic <crate> <ident>` needs a
+/// file under `crates/<crate>/src/` that names `<ident>`; a `lockfn` a file
+/// ending in its suffix that spells its helper's call chain; a `det-file`
+/// an existing file; a `det-fn` a file ending in its suffix that defines
+/// `fn <name>`. A stale entry is reported at its manifest line: it checks
+/// nothing while it reads as a declared discipline.
+pub fn stale_manifest(manifest: &Manifest, path: &str, files: &[Source]) -> Vec<Diagnostic> {
+    let ending = |suffix: &str| -> Vec<&[Tok]> {
+        let found = files.iter().filter(|f| f.path.ends_with(suffix));
+        found.map(|f| f.scanned.tokens.as_slice()).collect()
+    };
+    let mut stale: Vec<(u32, String)> = Vec::new();
+    for ((krate, ident), (line, _)) in &manifest.atomics {
+        let dir = format!("crates/{krate}/src/");
+        let mut toks = files.iter().filter(|f| f.path.starts_with(&dir));
+        if !toks.any(|f| f.scanned.tokens.iter().any(|t| t.is_ident(ident))) {
+            stale.push((
+                *line,
+                format!("atomic `{ident}`: no file under {dir} names it"),
+            ));
+        }
+    }
+    for lf in &manifest.lock_fns {
+        let (suffix, chain) = (&lf.file_suffix, &lf.chain);
+        let found = ending(suffix);
+        if found.is_empty() {
+            stale.push((lf.line, format!("lockfn: no file ends with `{suffix}`")));
+        } else if !found.iter().any(|toks| spells_chain(toks, chain)) {
+            let chain = chain.join(".");
+            stale.push((lf.line, format!("lockfn: `{suffix}` never calls `{chain}`")));
+        }
+    }
+    for (line, suffix) in &manifest.det_files {
+        if ending(suffix).is_empty() {
+            stale.push((*line, format!("det-file: no file ends with `{suffix}`")));
+        }
+    }
+    for (line, suffix, name) in &manifest.det_fns {
+        let defines = |toks: &&[Tok]| {
+            toks.windows(2)
+                .any(|w| w[0].is_ident("fn") && w[1].is_ident(name))
+        };
+        if !ending(suffix).iter().any(defines) {
+            stale.push((
+                *line,
+                format!("det-fn: no file ending with `{suffix}` defines `fn {name}`"),
+            ));
+        }
+    }
+    let names_nothing = |(line, why): (u32, String)| {
+        let msg = format!("{why} — the entry checks nothing: update or delete it");
+        Diagnostic::new(Rule::RManifest, path, line, msg)
+    };
+    stale.into_iter().map(names_nothing).collect()
+}
+
+/// `true` when the identifiers of `chain` occur in `toks` in a row, joined
+/// by `.` (`models.current` in `self.models.current(..)`).
+fn spells_chain(toks: &[Tok], chain: &[String]) -> bool {
+    (0..toks.len()).any(|i| {
+        chain.iter().enumerate().all(|(k, word)| {
+            toks.get(i + 2 * k).is_some_and(|t| t.is_ident(word))
+                && (k == 0 || toks[i + 2 * k - 1].is_punct('.'))
+        })
+    })
 }
 
 /// `" (in fn …)"` context suffix.

@@ -2,12 +2,13 @@
 //! known violations; the linter must report exactly these `(rule, line)`
 //! pairs — no more, no fewer. Fixture paths are remapped onto synthetic
 //! workspace paths so crate gating (R2) and manifest suffix matching
-//! (R4/R5) behave as they do in a real run; R6 runs over a two-file pair.
+//! (R4/R5) behave as they do in a real run; R6 runs over a two-file pair,
+//! and `RM` checks a fixture manifest against two of the fixtures.
 
 use pim_analyzer::diag::{Diagnostic, Rule};
 use pim_analyzer::exhaust::{self, models, Options};
 use pim_analyzer::manifest::Manifest;
-use pim_analyzer::rules::{dead_surface, lint_file, FileCtx, Source};
+use pim_analyzer::rules::{dead_surface, lint_file, stale_manifest, FileCtx, Source};
 use pim_analyzer::scan::scan;
 
 /// The manifest the fixtures are linted against — a miniature of the real
@@ -153,6 +154,46 @@ fn dead_surface_fixture_pair_reports_at_golden_lines() {
 }
 
 #[test]
+fn stale_manifest_entries_report_at_golden_lines() {
+    // Each kind of entry that names code, once live and once stale: an
+    // atomic no file of its crate names, a lockfn whose file is gone, a
+    // lockfn whose helper is gone, a det-file that does not exist and a
+    // det-fn whose file defines no such `fn`.
+    let sources: Vec<Source> = ["violations.rs", "det_twin.rs"]
+        .into_iter()
+        .map(|name| Source {
+            path: format!("crates/serve/src/{name}"),
+            scanned: scan(&read_fixture(name)),
+            declares: true,
+        })
+        .collect();
+    let manifest = Manifest::parse(&read_fixture("stale.manifest")).expect("fixture parses");
+    let mut diags = stale_manifest(&manifest, "stale.manifest", &sources);
+    pim_analyzer::diag::sort(&mut diags);
+    assert_eq!(
+        pairs(&diags),
+        vec![
+            (Rule::RManifest, 5),
+            (Rule::RManifest, 8),
+            (Rule::RManifest, 9),
+            (Rule::RManifest, 11),
+            (Rule::RManifest, 13),
+        ],
+        "{diags:#?}"
+    );
+    let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+    assert!(messages[0].contains("atomic `words`"), "{}", messages[0]);
+    assert!(messages[1].contains("no file ends with `serve/src/mailbox.rs`"));
+    assert!(messages[2].contains("never calls `self.lock_queue`"));
+    assert!(messages[3].contains("no file ends with `serve/src/gone_twin.rs`"));
+    assert!(messages[4].contains("defines `fn step_later`"));
+    assert_eq!(
+        diags[0].to_string(),
+        format!("RM: stale.manifest:5: {}", messages[0])
+    );
+}
+
+#[test]
 fn broken_models_replay_deterministically() {
     // End-to-end seeded-replay contract: a Broken model's counterexample,
     // replayed from its recorded choices, reproduces the identical op
@@ -172,7 +213,6 @@ fn broken_models_replay_deterministically() {
         assert_eq!(once, twice, "{}: replay must be deterministic", model.name);
     }
     assert_replays(&models::mailbox(models::Variant::Broken));
-    assert_replays(&models::bloom(models::Variant::Broken));
     assert_replays(&models::reserve(models::Variant::Broken));
 }
 

@@ -169,9 +169,7 @@ impl CacheBenchResult {
     pub fn to_value(&self) -> Value {
         let cache = Object::new()
             .with("byte_budget", self.cache_cfg.byte_budget)
-            .with("shards", self.cache_cfg.shards)
-            .with("bloom_bits", self.cache_cfg.bloom_bits)
-            .with("bloom_hashes", self.cache_cfg.bloom_hashes);
+            .with("shards", self.cache_cfg.shards);
         let traffic = Object::new()
             .with("requests", self.traffic.requests)
             .with("tenants", self.traffic.tenants)
@@ -191,7 +189,6 @@ impl CacheBenchResult {
             .with("dispatched", on.requests)
             .with("cache_hits", on.cache_hits)
             .with("hit_rate", self.hit_rate)
-            .with("bloom_negatives", self.cache.bloom_negatives)
             .with("insertions", self.cache.insertions)
             .with(
                 "evictions",
@@ -239,10 +236,7 @@ impl CacheBenchResult {
             self.on_metrics.cache_hits,
             100.0 * self.hit_rate
         );
-        println!(
-            "  bitwise_equal {}   bloom_negatives {}",
-            self.bitwise_equal, self.cache.bloom_negatives
-        );
+        println!("  bitwise_equal {}", self.bitwise_equal);
         write_json_artifact("BENCH_cache.json", &self.to_value(), check_cache);
     }
 }
@@ -267,12 +261,12 @@ mod tests {
             cache: CacheReport {
                 hits: 50,
                 misses: 14,
-                bloom_negatives: 10,
                 insertions: 14,
                 evictions: 0,
                 orphan_evictions: 0,
                 entries: 14,
                 bytes: 700,
+                ..CacheReport::default()
             },
             cache_cfg: bench_cache_config(),
             hit_rate: 50.0 / 64.0,
@@ -315,6 +309,15 @@ mod tests {
         let mut leaky = synthetic();
         leaky.on_metrics.cache_hits -= 1; // completions != requests + hits
         assert!(check_cache(&doc(&leaky)).is_err());
+        // A record naming a knob the cache no longer has is refused.
+        let mut stale = doc(&good);
+        if let Value::Obj(members) = &mut stale {
+            if let Some((_, Value::Obj(knobs))) = members.iter_mut().find(|(k, _)| k == "cache") {
+                knobs.push(("hot_keys".to_string(), Value::Num(32.0)));
+            }
+        }
+        let why = check_cache(&stale).unwrap_err();
+        assert!(why.contains("hot_keys"), "{why}");
     }
 
     #[test]

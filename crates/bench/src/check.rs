@@ -120,6 +120,13 @@ fn ledger(v: &Value) -> Result<&Value, String> {
     Ok(ledger)
 }
 
+/// A recorded ratio agrees with the one recomputed from the raw fields
+/// beside it, up to the rounding a committed record may carry (relative
+/// 1e-3).
+fn ratio_agrees(recorded: f64, recomputed: f64) -> bool {
+    (recorded - recomputed).abs() <= 1e-3 * recomputed.abs()
+}
+
 /// `clean` within 10x of `base`, or under the absolute `floor`.
 fn p99_bounded(base: f64, clean: f64, floor: f64) -> bool {
     base > 0.0 && clean > 0.0 && clean <= (10.0 * base).max(floor)
@@ -160,14 +167,16 @@ fn streaming_model(doc: &Value) -> Result<f64, String> {
 }
 
 /// `BENCH_store.json`: every timed step ran, the quantized artifacts
-/// shrink, the load was a mapping and serving off it was bitwise.
+/// shrink, `speedup_mmap_vs_rebuild` is `rebuild_rng` over `load_mmap`, the
+/// load was a mapping and serving off it was bitwise.
 pub fn check_store(doc: &Value) -> Verdict {
     check_host(doc)?;
     let f32_bytes = num(member(doc, "model")?, "artifact_bytes")?;
     let holds_weights = f32_bytes >= streaming_model(doc)?;
     ensure!(holds_weights, "artifact smaller than its caps weights");
     let steps = ["rebuild_rng", "save_cold", "load_owned", "load_mmap"];
-    for step in rows(doc, "measurements", "name", &steps)? {
+    let steps = rows(doc, "measurements", "name", &steps)?;
+    for step in steps {
         at_least(step, TINY, &["ms"])?;
     }
     for q in rows(doc, "quant_artifacts", "dtype", &["int8", "fp16"])? {
@@ -175,12 +184,18 @@ pub fn check_store(doc: &Value) -> Verdict {
         let smaller = num(q, "artifact_bytes")? < f32_bytes;
         ensure!(smaller, "a quantized artifact is not smaller than f32");
     }
-    at_least(doc, TINY, &["speedup_mmap_vs_rebuild"])?;
+    let (rebuild, mmap) = (num(&steps[0], "ms")?, num(&steps[3], "ms")?);
+    let speedup = num(doc, "speedup_mmap_vs_rebuild")?;
+    let agrees = ratio_agrees(speedup, rebuild / mmap);
+    ensure!(
+        agrees,
+        "speedup_mmap_vs_rebuild {speedup} but {rebuild} / {mmap} ms"
+    );
     all_true(doc, &["mapped", "bitwise_identical"])
 }
 
-/// `BENCH_quant.json`: artifact shrink, the f32 baseline and the accuracy
-/// gate.
+/// `BENCH_quant.json`: artifact shrink, each `speedup_vs_f32` recomputed
+/// from `samples_per_s` over the f32 row, and the accuracy gate.
 pub fn check_quant(doc: &Value) -> Verdict {
     check_host(doc)?;
     streaming_model(doc)?;
@@ -193,8 +208,15 @@ pub fn check_quant(doc: &Value) -> Verdict {
     let bytes = each(dtypes, "artifact_bytes", num)?;
     ensure!(bytes[1] < bytes[0] / 3.0, "int8 must shrink close to 4x");
     ensure!(bytes[2] < bytes[0] / 1.8, "fp16 must shrink close to 2x");
-    let baseline = num(&dtypes[0], "speedup_vs_f32")? == 1.0;
-    ensure!(baseline, "f32 is its own baseline");
+    let f32_rate = num(&dtypes[0], "samples_per_s")?;
+    for d in dtypes {
+        let (x, rate) = (num(d, "speedup_vs_f32")?, num(d, "samples_per_s")?);
+        let agrees = ratio_agrees(x, rate / f32_rate);
+        ensure!(
+            agrees,
+            "speedup_vs_f32 {x} but {rate} / {f32_rate} samples/s"
+        );
+    }
 
     let gate = member(doc, "accuracy_gate")?;
     text(gate, "benchmark")?;
@@ -323,7 +345,8 @@ pub fn check_soak(doc: &Value) -> Verdict {
     Ok(())
 }
 
-/// `BENCH_cache.json`: hit responses bitwise equal to the cache-off twin,
+/// `BENCH_cache.json`: the cache knobs are exactly `byte_budget` and
+/// `shards`, hit responses bitwise equal to the cache-off twin,
 /// `completions == requests + cache_hits`, hit rate ≥ 0.5, zero dropped.
 pub fn check_cache(doc: &Value) -> Verdict {
     check_host(doc)?;
@@ -331,8 +354,13 @@ pub fn check_cache(doc: &Value) -> Verdict {
     text(model, "name")?;
     let streams = num(model, "caps_weight_mb")? > 100.0;
     ensure!(streams, "the cache must front the weight-streaming model");
-    let knobs = ["byte_budget", "shards", "bloom_bits", "bloom_hashes"];
-    at_least(member(doc, "cache")?, 1.0, &knobs)?;
+    let cache = member(doc, "cache")?;
+    let knobs = match cache {
+        Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
+    };
+    ensure!(knobs == ["byte_budget", "shards"], "cache knobs {knobs:?}");
+    at_least(cache, 1.0, &knobs)?;
     let traffic = member(doc, "traffic")?;
     let requests = num(traffic, "requests")?;
     let web_skew = (0.8..=1.2).contains(&num(traffic, "skew")?);

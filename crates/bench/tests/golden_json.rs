@@ -45,20 +45,34 @@ golden! {
     bench_chaos_schema: "BENCH_chaos.json", check_chaos;
 }
 
-/// Sets the number at `path` (object keys, outermost first).
+/// Sets the number at `path` (object keys and array indices, outermost
+/// first).
 fn set(doc: &mut Value, path: &[&str], x: f64) {
     let slot = path.iter().fold(doc, |v, key| match v {
         Value::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == key).expect("key").1,
-        _ => panic!("{key} is not under an object"),
+        Value::Arr(items) => &mut items[key.parse::<usize>().expect("an index")],
+        _ => panic!("{key} is not under an object or an array"),
     });
     *slot = Value::Num(x);
+}
+
+/// The number at `path`.
+fn get(doc: &Value, path: &[&str]) -> f64 {
+    let slot = path.iter().fold(doc, |v, key| match v {
+        Value::Arr(items) => &items[key.parse::<usize>().expect("an index")],
+        _ => v.get(key).expect("key"),
+    });
+    slot.as_f64().expect("a number")
 }
 
 /// A record off a slow disk or a one-thread host passes its recorder's
 /// check — the recorder exits zero — and fails only as a committed record.
 #[test]
 fn host_speed_bars_fail_only_the_committed_check() {
+    // A 9.5x store record whose `load_mmap` time says so.
     let mut store = committed_record("BENCH_store.json");
+    let rebuild_ms = get(&store, &["measurements", "0", "ms"]);
+    set(&mut store, &["measurements", "3", "ms"], rebuild_ms / 9.5);
     set(&mut store, &["speedup_mmap_vs_rebuild"], 9.5);
     assert_eq!(check_store(&store), Ok(()));
     let why = check_committed("BENCH_store.json", &store).unwrap_err();
@@ -72,4 +86,19 @@ fn host_speed_bars_fail_only_the_committed_check() {
 
     let unknown = check_committed("BENCH_routing.json", &committed_record("BENCH_cache.json"));
     assert!(unknown.unwrap_err().contains("not a bench record"));
+}
+
+/// A ratio the recorder's check judges is recomputed from the timings
+/// beside it: a record whose ratio contradicts them is refused.
+#[test]
+fn a_ratio_that_contradicts_its_timings_is_refused() {
+    let mut store = committed_record("BENCH_store.json");
+    set(&mut store, &["speedup_mmap_vs_rebuild"], 9.5);
+    let why = check_store(&store).unwrap_err();
+    assert!(why.contains("speedup_mmap_vs_rebuild 9.5 but"), "{why}");
+
+    let mut quant = committed_record("BENCH_quant.json");
+    set(&mut quant, &["dtypes", "1", "speedup_vs_f32"], 1.5);
+    let why = check_quant(&quant).unwrap_err();
+    assert!(why.contains("speedup_vs_f32 1.5 but"), "{why}");
 }

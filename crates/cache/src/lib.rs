@@ -11,9 +11,8 @@
 //!   bytes (hashed zero-copy — no materialized byte copies). Two requests
 //!   with bit-identical input tensors collide onto one entry; anything else
 //!   cannot.
-//! * **Bloom-filter admission** ([`bloom::AtomicBloom`]): the
-//!   overwhelmingly-common negative lookup is answered by a handful of
-//!   relaxed atomic loads and never touches a cache-shard lock.
+//! * **Exact-key lookups.** Every lookup takes one shard lock and probes
+//!   the exact key; a miss costs the same lock as a hit.
 //! * **Sharded CLOCK eviction** under a byte budget: each shard keeps a
 //!   clock ring; referenced entries get a second chance, unreferenced ones
 //!   are evicted when the budget is exceeded.
@@ -37,9 +36,6 @@
 //! The crate is value-agnostic: anything `Clone + Send + Sync` with a
 //! byte-cost estimate ([`CacheValue`]) can be cached.
 
-pub mod bloom;
-
-use bloom::AtomicBloom;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -57,10 +53,6 @@ pub struct CacheConfig {
     pub byte_budget: usize,
     /// Number of independently locked shards.
     pub shards: usize,
-    /// Bloom filter size in bits per model (rounded up to a power of two).
-    pub bloom_bits: usize,
-    /// Probes per key in the bloom filter.
-    pub bloom_hashes: u32,
 }
 
 impl Default for CacheConfig {
@@ -68,8 +60,6 @@ impl Default for CacheConfig {
         CacheConfig {
             byte_budget: 64 << 20,
             shards: 8,
-            bloom_bits: 1 << 16,
-            bloom_hashes: 3,
         }
     }
 }
@@ -87,9 +77,6 @@ impl CacheConfig {
         if self.shards == 0 {
             return Err("shards must be >= 1".into());
         }
-        if self.bloom_hashes == 0 || self.bloom_hashes > 16 {
-            return Err("bloom_hashes must be in 1..=16".into());
-        }
         Ok(())
     }
 }
@@ -106,9 +93,11 @@ pub trait CacheValue: Clone + Send + Sync {
 pub struct CacheReport {
     /// Exact-key lookup hits.
     pub hits: u64,
-    /// Lookup misses (bloom negatives included).
+    /// Lookup misses.
     pub misses: u64,
-    /// Misses answered by the bloom filter alone — no shard lock touched.
+    /// Always 0: the cache has no bloom filter, so no miss is answered
+    /// without the shard lock. Kept because the benchmark's pinned API
+    /// surface reads it (`cache.bloom_negative_share`).
     pub bloom_negatives: u64,
     /// Values admitted.
     pub insertions: u64,
@@ -211,40 +200,22 @@ fn lock<V>(shard: &Mutex<Shard<V>>) -> MutexGuard<'_, Shard<V>> {
     }
 }
 
-/// Per-model shared state: bloom membership and the oldest version any
-/// user of the cache still serves (the invalidation watermark: entries of
-/// older versions are orphans).
-struct ModelState {
-    bloom: AtomicBloom,
-    oldest_served: AtomicU64,
-}
-
 #[derive(Default)]
 struct Stats {
     hits: AtomicU64,
     misses: AtomicU64,
-    bloom_negatives: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
     orphan_evictions: AtomicU64,
-}
-
-/// Mixes `(version, digest)` into the bloom key so a hot-swap's new epoch
-/// probes disjoint bits — old-epoch bits decay into false-positive noise
-/// instead of requiring a filter rebuild.
-fn bloom_key(version: u64, digest: u64) -> u64 {
-    let mut x = digest ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x ^ (x >> 31)
 }
 
 /// Bounded, sharded, content-addressed response cache. See the crate docs
 /// for the design; `pim-serve` owns the integration.
 pub struct ResponseCache<V> {
     cfg: CacheConfig,
-    models: Vec<ModelState>,
+    /// Per model, the oldest version any user of the cache still serves
+    /// (the invalidation watermark: entries of older versions are orphans).
+    oldest_served: Vec<AtomicU64>,
     shards: Vec<Mutex<Shard<V>>>,
     shard_budget: usize,
     stats: Stats,
@@ -260,17 +231,11 @@ impl<V: CacheValue> ResponseCache<V> {
         // LINT-ALLOW(R2): constructor contract: the `# Panics` doc requires a validated config; serving code builds configs from checked defaults
         cfg.validate().expect("valid cache config");
         assert!(models >= 1, "cache needs at least one model");
-        let model_states = (0..models)
-            .map(|_| ModelState {
-                bloom: AtomicBloom::new(cfg.bloom_bits, cfg.bloom_hashes),
-                oldest_served: AtomicU64::new(0),
-            })
-            .collect();
         let shards = (0..cfg.shards).map(|_| Mutex::new(Shard::new())).collect();
         ResponseCache {
             shard_budget: (cfg.byte_budget / cfg.shards).max(1),
             cfg,
-            models: model_states,
+            oldest_served: (0..models).map(|_| AtomicU64::new(0)).collect(),
             shards,
             stats: Stats::default(),
         }
@@ -283,7 +248,7 @@ impl<V: CacheValue> ResponseCache<V> {
 
     /// Number of models the cache tracks.
     pub fn models(&self) -> usize {
-        self.models.len()
+        self.oldest_served.len()
     }
 
     fn shard_of(&self, digest: u64) -> &Mutex<Shard<V>> {
@@ -296,16 +261,8 @@ impl<V: CacheValue> ResponseCache<V> {
         lock(self.shard_of(digest))
     }
 
-    /// Looks up `(model, version, digest)`. The bloom filter answers the
-    /// common negative without locking; a positive falls through to the
-    /// exact-key check (bloom false positives miss correctly there).
+    /// Looks up `(model, version, digest)` under its shard's lock.
     pub fn get(&self, model: usize, version: u64, digest: u64) -> Option<V> {
-        let state = &self.models[model];
-        if !state.bloom.contains(bloom_key(version, digest)) {
-            self.stats.bloom_negatives.fetch_add(1, Ordering::Relaxed);
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
         let key = Key {
             model,
             version,
@@ -334,7 +291,6 @@ impl<V: CacheValue> ResponseCache<V> {
     /// arrival: counted as an insertion and an orphan eviction, never
     /// stored.
     pub fn insert(&self, model: usize, version: u64, digest: u64, value: V) -> bool {
-        let state = &self.models[model];
         let cost = value.cost_bytes().max(1);
         if cost > self.shard_budget {
             return false;
@@ -344,22 +300,11 @@ impl<V: CacheValue> ResponseCache<V> {
             version,
             digest,
         };
-        // Bloom bits are set *before* the entry is published into the
-        // shard map. Lock-free probes read the filter without the shard
-        // lock, and the filter's contract is "negative ⇒ definitely
-        // absent": publishing the entry first would open a window where a
-        // racing probe sees the entry's key miss the filter and skips a
-        // present value. Setting bits first is the safe over-approximation
-        // (a transient false positive costs one locked lookup). Modeled as
-        // the `bloom` interleaving check in `pim_analyzer::exhaust`, whose
-        // Broken variant is exactly the publish-then-set order this used
-        // to have.
-        state.bloom.insert(bloom_key(version, digest));
         let mut shard = self.lock_shard(digest);
         // Read under the shard lock: `retire_below` raises the watermark
         // before it sweeps this shard, so a retired fill is either swept
         // there or seen here.
-        if version < state.oldest_served.load(Ordering::Relaxed) {
+        if version < self.oldest_served[model].load(Ordering::Relaxed) {
             drop(shard);
             self.stats.insertions.fetch_add(1, Ordering::Relaxed);
             self.stats.orphan_evictions.fetch_add(1, Ordering::Relaxed);
@@ -414,9 +359,7 @@ impl<V: CacheValue> ResponseCache<V> {
     /// swapped in; for a replica pool, the minimum over its replicas. The
     /// watermark only rises (a lower `version` than before is ignored).
     pub fn retire_below(&self, model: usize, version: u64) {
-        let before = self.models[model]
-            .oldest_served
-            .fetch_max(version, Ordering::Relaxed);
+        let before = self.oldest_served[model].fetch_max(version, Ordering::Relaxed);
         if version <= before {
             // Nothing newly retired: earlier calls swept the lower
             // versions, and `insert` drops fills under them.
@@ -442,12 +385,12 @@ impl<V: CacheValue> ResponseCache<V> {
         CacheReport {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
-            bloom_negatives: self.stats.bloom_negatives.load(Ordering::Relaxed),
             insertions: self.stats.insertions.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             orphan_evictions: self.stats.orphan_evictions.load(Ordering::Relaxed),
             entries,
             bytes,
+            ..CacheReport::default()
         }
     }
 }
@@ -466,8 +409,6 @@ mod tests {
         CacheConfig {
             byte_budget: 1024,
             shards: 1,
-            bloom_bits: 1 << 12,
-            bloom_hashes: 3,
         }
     }
 
@@ -483,68 +424,9 @@ mod tests {
                 shards: 0,
                 ..CacheConfig::default()
             },
-            CacheConfig {
-                bloom_hashes: 0,
-                ..CacheConfig::default()
-            },
         ] {
             assert!(cfg.validate().is_err(), "{cfg:?} should be invalid");
         }
-    }
-
-    #[test]
-    fn bloom_bits_published_before_shard_entry() {
-        // Regression for the insert publication order: the bloom filter
-        // must answer "maybe" for any key whose entry is visible in a
-        // shard, because lock-free probes treat a bloom negative as a
-        // definitive miss. The old order (shard entry first, bits after)
-        // had a window where a racing reader skipped a present value; the
-        // exhaustive interleaving proof lives in `pim_analyzer::exhaust`
-        // (`bloom` model) — this test races the real structures and pins
-        // the invariant on the production code path.
-        // Budget sized so no insert ever evicts: every published entry
-        // stays observable, and the reader's spin below always terminates.
-        let cfg = CacheConfig {
-            byte_budget: 64 * 1024,
-            shards: 1,
-            bloom_bits: 1 << 16,
-            bloom_hashes: 3,
-        };
-        let cache: std::sync::Arc<ResponseCache<Vec<u8>>> =
-            std::sync::Arc::new(ResponseCache::new(cfg, 1));
-        let writer = {
-            let cache = std::sync::Arc::clone(&cache);
-            std::thread::spawn(move || {
-                for digest in 0..2_000u64 {
-                    assert!(cache.insert(0, 1, digest, vec![0u8; 8]));
-                }
-            })
-        };
-        // Reader: the moment an entry becomes visible under the shard
-        // lock, the bloom bits must already be set — they are written
-        // before the shard lock is taken, and the lock acquisition orders
-        // them before our probe.
-        for digest in 0..2_000u64 {
-            loop {
-                let published = {
-                    let shard = cache.lock_shard(digest);
-                    shard.map.contains_key(&Key {
-                        model: 0,
-                        version: 1,
-                        digest,
-                    })
-                };
-                if published {
-                    assert!(
-                        cache.models[0].bloom.contains(bloom_key(1, digest)),
-                        "digest {digest} visible in shard but bloom still negative"
-                    );
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        writer.join().unwrap();
     }
 
     #[test]
@@ -560,21 +442,9 @@ mod tests {
         let rep = cache.report();
         assert_eq!(rep.hits, 1);
         assert_eq!(rep.misses, 4);
-        assert!(rep.bloom_negatives >= 2, "{rep:?}");
+        assert_eq!(rep.bloom_negatives, 0);
         assert_eq!(rep.entries, 1);
         assert_eq!(rep.bytes, 3);
-    }
-
-    #[test]
-    fn negative_lookups_are_bloom_answered() {
-        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
-        for d in 0..64u64 {
-            assert_eq!(cache.get(0, 1, d), None);
-        }
-        let rep = cache.report();
-        // An empty bloom answers every lookup without a false positive.
-        assert_eq!(rep.bloom_negatives, 64);
-        assert_eq!(rep.misses, 64);
     }
 
     #[test]
@@ -617,7 +487,7 @@ mod tests {
         // The swap: version 2 is served from now on, version 1 no more.
         cache.retire_below(0, 2);
         assert_eq!(cache.get(0, 2, 0), None);
-        assert_eq!(cache.models[0].oldest_served.load(Ordering::Relaxed), 2);
+        assert_eq!(cache.oldest_served[0].load(Ordering::Relaxed), 2);
         // Old-version entries still exist (lazy reclamation) but byte
         // pressure reclaims them first, before any live entry.
         for d in 0..5u64 {
@@ -673,37 +543,6 @@ mod tests {
         let survivors = (10..20u64).filter(|&d| cache.get(0, 1, d).is_some());
         assert_eq!(survivors.count(), 10, "{:?}", cache.report());
         assert_eq!(cache.report().orphan_evictions, 0);
-    }
-
-    #[test]
-    fn bloom_collision_still_misses_on_exact_key() {
-        // Adversarial: a tiny 64-bit bloom makes collisions easy to find.
-        let cfg = CacheConfig {
-            bloom_bits: 64,
-            bloom_hashes: 2,
-            ..small()
-        };
-        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(cfg, 1);
-        cache.insert(0, 1, 0xDEAD_BEEF, vec![1]);
-        // Find a distinct digest whose bloom probes all land on set bits:
-        // a bloom-positive miss does NOT increment bloom_negatives.
-        let mut colliding = None;
-        for d in 0..1_000_000u64 {
-            if d == 0xDEAD_BEEF {
-                continue;
-            }
-            let negatives_before = cache.report().bloom_negatives;
-            assert!(cache.get(0, 1, d).is_none(), "distinct input served value");
-            if cache.report().bloom_negatives == negatives_before {
-                colliding = Some(d);
-                break;
-            }
-        }
-        // The colliding digest passed the bloom but missed on the exact
-        // key — a false positive never serves a wrong value.
-        let colliding = colliding.expect("a 64-bit bloom collides quickly");
-        assert_ne!(colliding, 0xDEAD_BEEF);
-        assert!(cache.get(0, 1, colliding).is_none());
     }
 
     #[test]

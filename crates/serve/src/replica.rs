@@ -1383,7 +1383,6 @@ mod tests {
             cache: Some(CacheConfig {
                 byte_budget: 10 * pim_cache::CacheValue::cost_bytes(&entry),
                 shards: 1,
-                ..CacheConfig::default()
             }),
             ..ReplicaSetConfig::default()
         };

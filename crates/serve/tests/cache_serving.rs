@@ -40,8 +40,6 @@ fn small_cache() -> CacheConfig {
     CacheConfig {
         byte_budget: 1 << 20,
         shards: 2,
-        bloom_bits: 1 << 12,
-        bloom_hashes: 3,
     }
 }
 

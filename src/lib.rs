@@ -13,7 +13,7 @@
 //! | [`hmc`] | `hmc-sim` | HMC vaults/banks/crossbar/PE simulator |
 //! | [`pim`] | `pim-capsnet` | the paper's architecture: distributor, RMAS, engine |
 //! | [`workloads`] | `capsnet-workloads` | Table 1 suite, synthetic data, accuracy harness |
-//! | [`cache`] | `pim-cache` | content-addressed response cache (bloom + CLOCK) |
+//! | [`cache`] | `pim-cache` | content-addressed response cache (sharded, CLOCK) |
 //!
 //! # Quickstart
 //!
