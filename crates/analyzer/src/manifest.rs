@@ -7,7 +7,8 @@
 //! * `atomic <crate> <ident> require-order` — `Ordering::Relaxed` on this
 //!   atomic is a diagnostic unless site-allowlisted.
 //! * `atomic <crate> <ident> relaxed-ok: <justification>` — audited; the
-//!   justification is mandatory (an empty one is itself a diagnostic).
+//!   justification is mandatory (an empty one is a parse error at its
+//!   line).
 //! * `lock <class> <rank> <pattern>[,<pattern>...]` — lock classes and
 //!   their acquisition ranks. Patterns are dotted receiver-chain suffixes
 //!   (`shared.state` matches `self.shared.state.lock()`; `slot` matches
@@ -18,6 +19,8 @@
 //!   acquiring `<class>`, scoped to files whose path ends with
 //!   `<file-suffix>`. `transient` marks helpers that release internally
 //!   before returning: order-checked at the call site, nothing held after.
+//!   `<class>` must name a `lock` entry, before or after it; an unknown
+//!   one is a parse error at the `lockfn`'s line.
 //! * `det-file <file-suffix>` — the whole file is a deterministic twin:
 //!   R5 flags any wall-clock use.
 //! * `det-fn <file-suffix> <fn-name>` — one function is deterministic.
@@ -79,8 +82,10 @@ pub struct Manifest {
 
 impl Manifest {
     /// Parses the manifest text. Returns `Err(line, message)` on the first
-    /// malformed entry — a broken manifest must fail the run loudly, not
-    /// silently stop checking.
+    /// malformed entry — an `atomic ... relaxed-ok:` without a
+    /// justification or a `lockfn` whose class names no `lock` among them:
+    /// a broken manifest must fail the run loudly, not silently stop
+    /// checking.
     pub fn parse(text: &str) -> Result<Manifest, (u32, String)> {
         let mut m = Manifest::default();
         for (idx, raw) in text.lines().enumerate() {
@@ -108,7 +113,14 @@ impl Manifest {
                     let policy = if policy == "require-order" {
                         AtomicPolicy::RequireOrder
                     } else if let Some(reason) = policy.strip_prefix("relaxed-ok:") {
-                        AtomicPolicy::RelaxedOk(reason.trim().to_string())
+                        let reason = reason.trim();
+                        if reason.is_empty() {
+                            return Err((
+                                lineno,
+                                format!("`relaxed-ok:` needs a justification: `{line}`"),
+                            ));
+                        }
+                        AtomicPolicy::RelaxedOk(reason.to_string())
                     } else {
                         return Err((lineno, format!("unknown atomic policy `{policy}`")));
                     };
@@ -177,6 +189,15 @@ impl Manifest {
                 _ => return Err((lineno, format!("unknown manifest entry kind `{kind}`"))),
             }
         }
+        // A `lockfn` may precede its `lock`, so its class is checked once
+        // every class is known: an unknown one would classify nothing and
+        // drop every call of the helper out of R4.
+        if let Some(lf) = m.lock_fns.iter().find(|lf| m.rank_of(&lf.class).is_none()) {
+            return Err((
+                lf.line,
+                format!("lockfn class `{}` names no `lock` entry", lf.class),
+            ));
+        }
         Ok(m)
     }
 
@@ -214,6 +235,7 @@ impl Manifest {
                 && lf.chain.len() <= chain.len()
                 && chain[chain.len() - lf.chain.len()..] == lf.chain[..]
             {
+                // `parse` rejected every class that names no lock.
                 let rank = self.rank_of(&lf.class)?;
                 return Some((lf.class.as_str(), rank, lf.transient));
             }
@@ -310,5 +332,20 @@ mod tests {
         assert!(Manifest::parse("lock scheduler x state").is_err());
         assert!(Manifest::parse("frobnicate everything").is_err());
         assert!(Manifest::parse("atomic serve x sometimes-ok").is_err());
+        assert!(Manifest::parse("atomic serve x relaxed-ok:  ").is_err());
+    }
+
+    #[test]
+    fn a_lockfn_may_precede_its_lock() {
+        let m = Manifest::parse(
+            "lockfn cache/src/lib.rs lock_shard shard\n\
+             lock shard 3 shard\n",
+        )
+        .expect("a later lock entry names the class");
+        let chain: Vec<String> = ["self", "lock_shard"].map(String::from).into();
+        assert_eq!(
+            m.classify_lock_fn("crates/cache/src/lib.rs", &chain),
+            Some(("shard", 3, false))
+        );
     }
 }

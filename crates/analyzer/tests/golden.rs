@@ -194,6 +194,25 @@ fn stale_manifest_entries_report_at_golden_lines() {
 }
 
 #[test]
+fn malformed_manifests_fail_at_golden_lines() {
+    // An audited atomic without a justification, and a lockfn whose class
+    // (a typo) names no lock: either would silently check nothing.
+    let parse = |name: &str| Manifest::parse(&read_fixture(name)).expect_err(name);
+    let (line, message) = parse("empty_reason.manifest");
+    assert_eq!(line, 5, "{message}");
+    assert!(
+        message.contains("`relaxed-ok:` needs a justification"),
+        "{message}"
+    );
+    let (line, message) = parse("unknown_class.manifest");
+    assert_eq!(line, 6, "{message}");
+    assert!(
+        message.contains("lockfn class `shrad` names no `lock` entry"),
+        "{message}"
+    );
+}
+
+#[test]
 fn broken_models_replay_deterministically() {
     // End-to-end seeded-replay contract: a Broken model's counterexample,
     // replayed from its recorded choices, reproduces the identical op

@@ -19,7 +19,7 @@ use crate::results_dir;
 /// heuristics may use. Numbers from different hosts are only comparable
 /// with this context attached.
 pub struct BenchHost {
-    /// Active kernel path (e.g. `avx2+fma`, `scalar`).
+    /// Active kernel path (`scalar`, `avx2+fma` or `avx512`).
     pub simd: &'static str,
     /// Worker threads available to the threaded kernels.
     pub threads: usize,
@@ -107,6 +107,6 @@ mod tests {
     fn detected_host_is_sane() {
         let host = BenchHost::detect();
         assert!(host.threads >= 1);
-        assert!(matches!(host.simd, "scalar" | "avx2+fma"));
+        assert!(matches!(host.simd, "scalar" | "avx2+fma" | "avx512"));
     }
 }

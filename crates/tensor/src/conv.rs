@@ -425,14 +425,7 @@ mod tests {
         }
     }
 
-    /// The levels this host can run.
-    fn levels() -> Vec<SimdLevel> {
-        let mut levels = vec![SimdLevel::Scalar];
-        if simd::hardware_supports_avx2_fma() {
-            levels.push(SimdLevel::Avx2Fma);
-        }
-        levels
-    }
+    use crate::simd::host_levels as levels;
 
     /// The unfold this module replaced, as the bitwise reference: the
     /// explicit columns of [`im2col_into`] through the dense GEMM walk.
@@ -514,6 +507,50 @@ mod tests {
                                 y.to_bits(),
                                 "c={c} hw={hw} k={k} s={stride} pad={pad} b={b} \
                                  {level:?} shards={shards}: element {i}: {x} vs {y}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_avx512_image_walk_matches_the_avx2_walk_bitwise() {
+        if !simd::avx512_or_skip("the_avx512_image_walk_matches_the_avx2_walk_bitwise") {
+            return;
+        }
+        // Output channels that run 32-wide strips alone, a 16-wide
+        // remainder, a scalar tail, and all three, through the image
+        // operand: c·k² of 144 (one wide panel), 1 025 (three) and 24;
+        // 64, 4 and 49 pixels a sample; stride 1 and 2, padding 0 and 1.
+        let geometries = [
+            (&[1, 3][..], 16, 8, 3, 1, 1),
+            (&[1, 2][..], 41, 7, 5, 2, 0),
+            (&[2][..], 6, 14, 2, 2, 0),
+        ];
+        let mut scratch = Conv2dScratch::default();
+        let (mut want, mut got) = (Tensor::zeros(&[0]), Tensor::zeros(&[0]));
+        for (g, &(batches, c, hw, k, stride, pad)) in geometries.iter().enumerate() {
+            let spec = Conv2dSpec::new(k, stride, pad);
+            for &oc in &[16usize, 31, 32, 48, 160, 256, 992, 8192] {
+                let weight_t = Tensor::uniform(&[c * k * k, oc], -0.5, 0.5, (g + oc) as u64);
+                let bias = Tensor::uniform(&[oc], -0.1, 0.1, oc as u64);
+                for &b in batches {
+                    let input = Tensor::uniform(&[b, c, hw, hw], -1.0, 1.0, (g * 10 + b) as u64);
+                    let conv = |out: &mut Tensor, scratch: &mut Conv2dScratch, shards, level| {
+                        out.as_mut_slice().fill(f32::NAN);
+                        let at = (out, scratch);
+                        conv_on(&input, (&weight_t, Some(&bias)), spec, at, shards, level)
+                    };
+                    conv(&mut want, &mut scratch, Some(1), SimdLevel::Avx2Fma).unwrap();
+                    for shards in 1..=3 {
+                        conv(&mut got, &mut scratch, Some(shards), SimdLevel::Avx512).unwrap();
+                        for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "c={c} k={k} oc={oc} b={b} shards={shards}: element {i}"
                             );
                         }
                     }

@@ -1,18 +1,23 @@
-//! Matrix products on the crate's one GEMM kernel: the `R × 16` register
-//! tile of [`crate::tile`], walked in `k` panels over packed strips.
+//! Matrix products on the crate's one GEMM kernel: the register tile of
+//! [`crate::tile`], walked in `k` panels over packed strips.
 //!
-//! **Walk.** For each panel of [`PANEL`] reduction steps and each 16-column
-//! strip of `b`, the AVX2 walk first copies the strip's panel into a
-//! contiguous `[steps, 16]` stack buffer (the scalar walk and the column
-//! tail read `b` in place). Then, for each block of at most six rows of `a`
-//! ([`tile::row_blocks`]), the tile's accumulators are read back from the
-//! output (zero on the first panel), advanced over the panel and stored
-//! (plus the bias on the last). In `b` a strip's rows sit `n` floats apart:
-//! on the reference host's 64-set, 12-way L1 a 1 KB stride (`n` = 256, the
-//! CapsNet-MNIST primary convolution) maps a panel onto 4 sets and a stride
-//! of 4 KB or more onto one, so unpacked every row block re-read the panel
-//! from L2. On one thread its batch-8 product measures 48–62 GFLOP/s
-//! packed with six-row blocks, against 44–49 unpacked with four.
+//! **Walk.** For each panel of reduction steps and each strip of `b`, the
+//! vector walks first copy the strip's panel into a contiguous `[steps,
+//! width]` stack buffer (the scalar walk and the column tail read `b` in
+//! place). At [`SimdLevel::Avx512`] the strips are 32 columns wide while
+//! they fit, through the `__m512` tile; the rest, and every strip at
+//! [`SimdLevel::Avx2Fma`], are 16 wide, through the `__m256` tile; a tail
+//! narrower than 16 runs the scalar tile. Then, for each block of at most
+//! six rows of `a` ([`tile::row_blocks`]), the tile's accumulators are read
+//! back from the output (zero on the first panel), advanced over the panel
+//! and stored (plus the bias on the last). In `b` a strip's rows sit `n`
+//! floats apart: on the reference host's 64-set, 12-way L1 a 1 KB stride
+//! (`n` = 256, the CapsNet-MNIST primary convolution) maps a panel onto 4
+//! sets and a stride of 4 KB or more onto one, so unpacked every row block
+//! re-read the panel from L2. On one thread its batch-8 product measures
+//! 48–62 GFLOP/s packed with six-row blocks on the AVX2 tile, against 44–49
+//! unpacked with four; the AVX-512 tile takes the same convolution from
+//! 64–70 to 103–115 GFLOP/s on one pinned core.
 //!
 //! **Operand `a`.** Either an `[m, k]` matrix ([`Operand::Matrix`]) or a
 //! convolution's `[B, C, H, W]` input ([`Operand::Image`]), read in place
@@ -25,13 +30,14 @@
 //!
 //! **Arithmetic contract.** Every output element accumulates its `k`
 //! products in ascending `p` from `+0.0`: one fused multiply-add per step
-//! at [`SimdLevel::Avx2Fma`] (column tails use scalar `mul_add`, the same
-//! rounding), an unfused multiply then add at [`SimdLevel::Scalar`]; the
-//! bias is added after the reduction. The round trip through the output is
-//! exact, so results are bitwise independent of panel length, row position,
-//! batch size and shard count at a given level. Terms with `a == 0.0` are
-//! not skipped, which is bit-safe for finite `b`: an accumulator that
-//! starts at `+0.0` and adds `±0` stays `+0.0`.
+//! at both vector levels, whatever the strip's width (column tails use
+//! scalar `mul_add`, the same rounding), an unfused multiply then add at
+//! [`SimdLevel::Scalar`]; the bias is added after the reduction. The round
+//! trip through the output is exact, so results are bitwise independent of
+//! panel length, strip width, row position, batch size and shard count at
+//! a given level, and the two vector levels are bitwise one. Terms with
+//! `a == 0.0` are not skipped, which is bit-safe for finite `b`: an
+//! accumulator that starts at `+0.0` and adds `±0` stays `+0.0`.
 //!
 //! **Output and shards.** [`Gemm::pixels`] consecutive rows are a sample and
 //! the output is `[m / pixels, n, pixels]`: `1` is the row-major product,
@@ -43,16 +49,32 @@
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256, __m512};
+#[cfg(target_arch = "x86_64")]
+use std::marker::PhantomData;
+
 use crate::par::{for_each_shard, plan_threads};
 use crate::simd::{self, SimdLevel};
-use crate::tile::{self, F32Strip, ImageRows, Lhs, Rows, ROWS, STRIP};
+#[cfg(target_arch = "x86_64")]
+use crate::tile::Vector;
+use crate::tile::{self, F32Strip, ImageRows, Lhs, Rows, ROWS, STRIP, WIDE_STRIP};
 
-/// Reduction steps per panel: a packed panel is 64 KB (the stack buffer),
-/// and the accumulators' round trip is 192 loads and stores against the
-/// tile's 12 288 FMAs. Against the unpacked walk at `k` = 20 736, `n` = 256,
-/// batch 8 / batch 1: 512 measured 1.19x / 1.08x, 1 024 1.18–1.28x /
-/// 1.05–1.11x and 2 048 1.26x / 0.92x.
-const PANEL: usize = 1024;
+/// Floats in one packed panel (the stack buffer), whatever its strip's
+/// width: 64 KB, so a panel is sized in bytes, not steps. For a 16-column
+/// strip that is [`PANEL`] steps, and the accumulators' round trip is 192
+/// loads and stores against the tile's 12 288 FMAs. Against the unpacked
+/// walk at `k` = 20 736, `n` = 256, batch 8 / batch 1, 16-column panels of
+/// 512 steps measured 1.19x / 1.08x, 1 024 1.18–1.28x / 1.05–1.11x and
+/// 2 048 1.26x / 0.92x. The AVX-512 walk's 32-column panels of 512 steps
+/// (64 KB) ran its batch-8 convolution in 25.6–26.1 ms at best on one
+/// pinned core, 256 steps (32 KB) in 27.7–28.2 and 1 024 (128 KB) in
+/// 23.7, equal at batch 1 and twice the stack.
+const PACK: usize = 16 * 1024;
+
+/// Reduction steps per panel of the scalar and AVX2 walks; the AVX-512
+/// walk's panels fill the pack at its 32-column strips, in half as many.
+const PANEL: usize = PACK / STRIP;
 
 /// Matrix product `out[m,n] = a[m,k] * b[k,n]`, one call of the crate's
 /// GEMM kernel (see the module docs), written into the provided slice
@@ -231,8 +253,8 @@ impl Gemm<'_> {
     /// pinned.
     pub(crate) fn run_on(self, out: &mut [f32], shards: Option<usize>, level: SimdLevel) {
         let ((m, k, n), pixels) = (self.dims, self.pixels);
-        // The AVX2 tile indexes with unchecked pointers; these are the
-        // checks its SAFETY comments cite.
+        // The vector tiles index with unchecked pointers; these are the
+        // checks their SAFETY comments cite.
         match self.a {
             Operand::Matrix(a) => assert_eq!(Some(a.len()), m.checked_mul(k), "a must be [m, k]"),
             Operand::Image(image) => image.check(m, k),
@@ -271,16 +293,22 @@ impl Gemm<'_> {
                 } else {
                     (0..m, t * cols_per..((t + 1) * cols_per).min(n))
                 };
-                #[cfg(target_arch = "x86_64")]
-                if level == SimdLevel::Avx2Fma {
-                    // SAFETY: Avx2Fma is only selected after runtime feature
-                    // detection (tests guard with
-                    // `hardware_supports_avx2_fma`).
-                    return unsafe { self.walk_avx2(window, rows, cols) };
+                // SAFETY: the vector levels are only selected after runtime
+                // feature detection (tests guard with `simd::host_levels`);
+                // the scalar walk has no CPU requirement.
+                unsafe {
+                    match level {
+                        #[cfg(target_arch = "x86_64")]
+                        SimdLevel::Avx512 => self.walk_avx512(window, rows, cols),
+                        #[cfg(target_arch = "x86_64")]
+                        SimdLevel::Avx2Fma => self.walk_avx2(window, rows, cols),
+                        #[cfg(not(target_arch = "x86_64"))]
+                        SimdLevel::Avx512 | SimdLevel::Avx2Fma => {
+                            self.walk::<false, false>(window, rows, cols)
+                        }
+                        SimdLevel::Scalar => self.walk::<false, false>(window, rows, cols),
+                    }
                 }
-                let _ = level;
-                // SAFETY: the scalar walk has no CPU requirement.
-                unsafe { self.walk::<false>(window, rows, cols) };
             },
         );
     }
@@ -294,25 +322,40 @@ impl Gemm<'_> {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn walk_avx2(&self, window: &mut [f32], rows: Range<usize>, cols: Range<usize>) {
-        // SAFETY: the caller's contract is `walk::<true>`'s.
-        unsafe { self.walk::<true>(window, rows, cols) };
+        // SAFETY: the caller's contract is `walk::<true, false>`'s.
+        unsafe { self.walk::<true, false>(window, rows, cols) };
+    }
+
+    /// [`Self::walk`] compiled for AVX-512F on top of AVX2+FMA, for the
+    /// 32-column tile.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F and AVX2+FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn walk_avx512(&self, window: &mut [f32], rows: Range<usize>, cols: Range<usize>) {
+        // SAFETY: the caller's contract is `walk::<true, true>`'s.
+        unsafe { self.walk::<true, true>(window, rows, cols) };
     }
 
     /// Columns `cols` of rows `rows` into `window`, the `[rows.len() /
     /// pixels, cols.len(), pixels]` part of the output they own: panels,
     /// then strips, then row blocks. `rows` starts at a sample boundary.
-    /// `VECTOR` packs each whole strip's panel and runs it through the
-    /// AVX2 tile, fusing every step; the scalar tile reads `b` in place, as
-    /// the column tail and as the whole kernel at [`SimdLevel::Scalar`].
+    /// `WIDE` packs each 32-column strip that fits and runs it through the
+    /// AVX-512 tile; `VECTOR` does the same with the 16-column strips of
+    /// the rest and the AVX2 tile, fusing every step; the scalar tile reads
+    /// `b` in place, as the column tail and as the whole kernel at
+    /// [`SimdLevel::Scalar`].
     ///
     /// # Safety
     ///
-    /// `VECTOR` requires AVX2+FMA and inlining into a `#[target_feature]`
-    /// caller; `a` reads as `[m, k]` (a matrix of that shape, or an image
-    /// whose windows lie inside it) and `b` is `[k, n]`, as
-    /// [`Self::run_on`] asserts.
+    /// `VECTOR` requires AVX2+FMA and `WIDE` AVX-512F too, and inlining
+    /// into a `#[target_feature]` caller; `a` reads as `[m, k]` (a matrix
+    /// of that shape, or an image whose windows lie inside it) and `b` is
+    /// `[k, n]`, as [`Self::run_on`] asserts.
     #[inline(always)]
-    unsafe fn walk<const VECTOR: bool>(
+    unsafe fn walk<const VECTOR: bool, const WIDE: bool>(
         &self,
         window: &mut [f32],
         rows: Range<usize>,
@@ -320,10 +363,10 @@ impl Gemm<'_> {
     ) {
         let (_, k, n) = self.dims;
         debug_assert_eq!(window.len(), rows.len() * cols.len());
-        // One strip's panel, `[steps, 16]`, and an image's taps for one
-        // panel: written before they are read, so never zeroed.
+        // One strip's packed panel and an image's taps for one panel:
+        // written before they are read, so never zeroed.
         #[cfg(target_arch = "x86_64")]
-        let mut pack = Pack([MaybeUninit::uninit(); PANEL * STRIP]);
+        let mut pack = Pack([MaybeUninit::uninit(); PACK]);
         let mut taps = [MaybeUninit::<usize>::uninit(); PANEL];
         // An image's first row as `(b, oy, ox)`: every strip's blocks walk
         // the rows from there.
@@ -331,64 +374,106 @@ impl Gemm<'_> {
             Operand::Matrix(_) => (0, 0, 0),
             Operand::Image(image) => image.position(rows.start),
         };
-        for p0 in (0..k.max(1)).step_by(PANEL) {
-            let steps = p0..(p0 + PANEL).min(k);
+        // A panel fills the pack at the walk's widest strip.
+        let panel = if WIDE { PACK / WIDE_STRIP } else { PANEL };
+        for p0 in (0..k.max(1)).step_by(panel) {
+            let steps = p0..(p0 + panel).min(k);
             let taps: &[usize] = match self.a {
                 Operand::Matrix(_) => &[],
                 Operand::Image(image) => image.taps(&steps, &mut taps),
             };
-            for j in cols.clone().step_by(STRIP) {
-                let width = STRIP.min(cols.end - j);
-                #[cfg(target_arch = "x86_64")]
-                let packed = if VECTOR && width == STRIP {
-                    // SAFETY: AVX2 per this function's contract; `j + 16 ≤
-                    // n`, `steps.end ≤ k` and `steps.len() ≤ PANEL`.
-                    Some(unsafe { pack_panel(self.b, (n, j), &steps, &mut pack) })
+            let mut j = cols.start;
+            while j < cols.end {
+                let left = cols.end - j;
+                let width = if WIDE && left >= WIDE_STRIP {
+                    WIDE_STRIP
                 } else {
-                    None
+                    STRIP.min(left)
                 };
-                #[cfg(not(target_arch = "x86_64"))]
-                let packed = None;
                 let tile = Tile {
-                    strip: F32Strip::<VECTOR>(&self.b[p0 * n..]),
-                    packed,
-                    steps: steps.len(),
-                    resume: p0 > 0,
+                    steps: steps.clone(),
+                    taps,
                     bias: self.bias.filter(|_| steps.end == k),
-                    cols: (n, j, width),
+                    cols: (j, width),
                     pixels: self.pixels,
                 };
-                let mut next = first;
-                for block in tile::row_blocks(rows.len()) {
-                    let block = rows.start + block.start..rows.start + block.end;
-                    // Column `j` of row `block.start + r`; columns are
-                    // `pixels` apart.
-                    let at = |r: usize| {
-                        let (row, pixels) = (block.start + r - rows.start, self.pixels);
-                        (row / pixels * cols.len() + j - cols.start) * pixels + row % pixels
-                    };
-                    // SAFETY: forwarded contract; each operand below is
-                    // `a`'s rows `block`, steps `steps`, which `run_on`
-                    // asserted lie inside it.
-                    unsafe {
-                        match self.a {
-                            Operand::Matrix(a) => {
-                                let lhs = Lhs {
-                                    data: a,
-                                    off: block.start * k + p0,
-                                    stride: k,
-                                };
-                                tile.run(lhs, block.len(), window, at);
-                            }
-                            Operand::Image(image) => {
-                                let lhs = ImageRows {
-                                    data: image.data,
-                                    base: image.bases(&mut next, block.len()),
-                                    tap: taps,
-                                };
-                                tile.run(lhs, block.len(), window, at);
-                            }
+                let walk = (&rows, &cols, first);
+                // SAFETY: the features per this function's contract; each
+                // packed strip is `j + width ≤ n`, `steps.end ≤ k` and
+                // `width·steps.len() ≤ PACK`.
+                unsafe {
+                    match width {
+                        #[cfg(target_arch = "x86_64")]
+                        WIDE_STRIP if WIDE => {
+                            let panel = pack_panel::<__m512>(self.b, (n, j), &steps, &mut pack);
+                            let packed = Packed::<__m512>(panel, PhantomData);
+                            self.blocks::<_, WIDE_STRIP>(&tile, &packed, walk, window);
                         }
+                        #[cfg(target_arch = "x86_64")]
+                        STRIP if VECTOR => {
+                            let panel = pack_panel::<__m256>(self.b, (n, j), &steps, &mut pack);
+                            let packed = Packed::<__m256>(panel, PhantomData);
+                            self.blocks::<_, STRIP>(&tile, &packed, walk, window);
+                        }
+                        _ => {
+                            let in_place = InPlace {
+                                strip: F32Strip::<VECTOR>(&self.b[p0 * n..]),
+                                cols: (n, j, width),
+                            };
+                            self.blocks(&tile, &in_place, walk, window);
+                        }
+                    }
+                }
+                j += width;
+            }
+        }
+    }
+
+    /// Every row block of the walk's `rows` through one strip's `tile`,
+    /// advanced by `kernel`; the walk owns columns `cols` of the output and
+    /// `first` is an image's first row as `(b, oy, ox)`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::walk`], with the CPU features of `kernel`.
+    #[inline(always)]
+    unsafe fn blocks<K: Advance<W>, const W: usize>(
+        &self,
+        tile: &Tile<'_>,
+        kernel: &K,
+        (rows, cols, first): (&Range<usize>, &Range<usize>, (usize, usize, usize)),
+        window: &mut [f32],
+    ) {
+        let (k, j) = (self.dims.1, tile.cols.0);
+        let mut next = first;
+        for block in tile::row_blocks(rows.len()) {
+            let block = rows.start + block.start..rows.start + block.end;
+            // Column `j` of row `block.start + r`; columns are `pixels`
+            // apart.
+            let at = |r: usize| {
+                let (row, pixels) = (block.start + r - rows.start, self.pixels);
+                (row / pixels * cols.len() + j - cols.start) * pixels + row % pixels
+            };
+            // SAFETY: forwarded contract; each operand below is `a`'s rows
+            // `block`, steps `tile.steps`, which `run_on` asserted lie
+            // inside it.
+            unsafe {
+                match self.a {
+                    Operand::Matrix(a) => {
+                        let lhs = Lhs {
+                            data: a,
+                            off: block.start * k + tile.steps.start,
+                            stride: k,
+                        };
+                        tile.run(kernel, lhs, block.len(), window, at);
+                    }
+                    Operand::Image(image) => {
+                        let lhs = ImageRows {
+                            data: image.data,
+                            base: image.bases(&mut next, block.len()),
+                            tap: tile.taps,
+                        };
+                        tile.run(kernel, lhs, block.len(), window, at);
                     }
                 }
             }
@@ -397,44 +482,43 @@ impl Gemm<'_> {
 }
 
 /// One strip over one panel, for every row block of a walk.
-struct Tile<'p, const VECTOR: bool> {
-    /// `b` from the panel's first step on, read in place.
-    strip: F32Strip<'p, VECTOR>,
-    /// The strip's panel packed `[steps, 16]`, when the AVX2 tile runs it.
-    packed: Option<&'p [f32]>,
-    steps: usize,
-    /// `p0 > 0`: the accumulators resume from the output.
-    resume: bool,
+struct Tile<'p> {
+    /// The panel's reduction steps; past the first panel the accumulators
+    /// resume from the output.
+    steps: Range<usize>,
+    /// An image's tap offsets for those steps (empty for a matrix).
+    taps: &'p [usize],
     /// Added at the store, on the last panel only.
     bias: Option<&'p [f32]>,
-    /// `(n, j, width)`: the strip is columns `j..j + width` of `b`'s `n`.
-    cols: (usize, usize, usize),
+    /// `(j, width)`: the strip is columns `j..j + width` of `b`.
+    cols: (usize, usize),
     /// Output columns are this many floats apart.
     pixels: usize,
 }
 
-impl<const VECTOR: bool> Tile<'_, VECTOR> {
+impl Tile<'_> {
     /// One row block: its `rows` accumulators are read back from `window`
-    /// (zero on the first panel), advanced over the panel's steps of `lhs`
-    /// and stored (plus the bias on the last). Row `r`'s column `c` lives
-    /// at `window[at(r) + c·pixels]`.
+    /// (zero on the first panel), advanced by `kernel` over the panel's
+    /// steps of `lhs` and stored (plus the bias on the last). Row `r`'s
+    /// column `c` lives at `window[at(r) + c·pixels]`.
     ///
     /// # Safety
     ///
-    /// As [`Gemm::walk`], with `rows ≤ ROWS` and `lhs` covering rows
-    /// `..rows` and steps `..self.steps`.
+    /// As [`Gemm::blocks`], with `rows ≤ ROWS` and `lhs` covering rows
+    /// `..rows` and the panel's steps.
     #[inline(always)]
-    unsafe fn run<L: Rows>(
+    unsafe fn run<K: Advance<W>, L: Rows, const W: usize>(
         &self,
+        kernel: &K,
         lhs: L,
         rows: usize,
         window: &mut [f32],
         at: impl Fn(usize) -> usize,
     ) {
-        let ((_, j, width), pixels) = (self.cols, self.pixels);
-        let mut acc = [[0.0f32; STRIP]; ROWS];
+        let ((j, width), pixels) = (self.cols, self.pixels);
+        let mut acc = [[0.0f32; W]; ROWS];
         let live = &mut acc[..rows];
-        if self.resume {
+        if self.steps.start > 0 {
             for (r, a) in live.iter_mut().enumerate() {
                 let base = at(r);
                 for (c, av) in a[..width].iter_mut().enumerate() {
@@ -442,18 +526,8 @@ impl<const VECTOR: bool> Tile<'_, VECTOR> {
                 }
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        if let Some(packed) = self.packed {
-            // SAFETY: AVX2+FMA per this function's contract; `packed` is
-            // `[steps, 16]` and `lhs` covers the block's rows and steps.
-            unsafe {
-                let packed = F32Strip::<true>(packed);
-                tile::tile_vector_rows(&packed, (STRIP, 0), lhs, 0..self.steps, live);
-            }
-        }
-        if self.packed.is_none() {
-            tile::tile_scalar(&self.strip, self.cols, lhs, 0..self.steps, live);
-        }
+        // SAFETY: forwarded contract.
+        unsafe { kernel.advance(lhs, self.steps.len(), live) };
         for (r, a) in live.iter().enumerate() {
             let base = at(r);
             for (c, &av) in a[..width].iter().enumerate() {
@@ -463,45 +537,95 @@ impl<const VECTOR: bool> Tile<'_, VECTOR> {
     }
 }
 
-/// One strip's packed panel, `[PANEL, 16]`. Cache-line aligned: a step's
-/// 16 floats are one line, so neither of its two 8-float loads splits a
-/// line, wherever the walk's stack frame happens to sit.
+/// How a [`Tile`] advances one row block's `W`-column accumulators over
+/// its panel.
+trait Advance<const W: usize> {
+    /// Advances `acc` over the first `steps` steps of `lhs`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU features of the implementation; `lhs` covers `acc.len()`
+    /// rows and `steps` steps, and the strip `steps` steps.
+    unsafe fn advance<L: Rows>(&self, lhs: L, steps: usize, acc: &mut [[f32; W]]);
+}
+
+/// The scalar tile on `b` in place from the panel's first step: the whole
+/// kernel at [`SimdLevel::Scalar`] and the column tail of the vector walks.
+struct InPlace<'p, const FUSED: bool> {
+    strip: F32Strip<'p, FUSED>,
+    /// `(n, j, width)`: columns `j..j + width` of `b`'s `n`.
+    cols: (usize, usize, usize),
+}
+
+impl<const FUSED: bool> Advance<STRIP> for InPlace<'_, FUSED> {
+    // SAFETY: no CPU requirement; the trait's extents.
+    #[inline(always)]
+    unsafe fn advance<L: Rows>(&self, lhs: L, steps: usize, acc: &mut [[f32; STRIP]]) {
+        tile::tile_scalar(&self.strip, self.cols, lhs, 0..steps, acc);
+    }
+}
+
+/// A strip's panel packed `[steps, W]`, through the vector tile on `V`
+/// (`W = 2·V::LANES`).
+#[cfg(target_arch = "x86_64")]
+struct Packed<'p, V>(&'p [f32], PhantomData<V>);
+
+#[cfg(target_arch = "x86_64")]
+impl<V: Vector, const W: usize> Advance<W> for Packed<'_, V> {
+    // SAFETY: the trait contract — `V`'s features (and FMA); the packed
+    // panel is `[steps, W]`.
+    #[inline(always)]
+    unsafe fn advance<L: Rows>(&self, lhs: L, steps: usize, acc: &mut [[f32; W]]) {
+        let packed = F32Strip::<true>(self.0);
+        // SAFETY: forwarded contract.
+        unsafe { tile::tile_vector_rows::<V, _, _, W>(&packed, (W, 0), lhs, 0..steps, acc) }
+    }
+}
+
+/// One strip's packed panel, [`PACK`] floats. Cache-line aligned: a step
+/// of a 16-column strip is one line and of a 32-column strip two, so no
+/// vector load splits a line, wherever the walk's stack frame happens to
+/// sit.
 #[cfg(target_arch = "x86_64")]
 #[repr(C, align(64))]
-struct Pack([MaybeUninit<f32>; PANEL * STRIP]);
+struct Pack([MaybeUninit<f32>; PACK]);
 
-/// Copies rows `steps` of `b`'s 16-column strip at column `j` into `pack`
-/// and returns them as a `[steps.len(), 16]` matrix. In the AVX2 walk this
-/// loop is the only reader of `b` at its `n`-float stride, which the
-/// hardware prefetcher does not follow, so each row also hints the same row
-/// of the next strip.
+/// Copies rows `steps` of `b`'s `W = 2·V::LANES`-column strip at column
+/// `j` into `pack` and returns them as a `[steps.len(), W]` matrix. In the
+/// vector walks this loop is the only reader of `b` at its `n`-float
+/// stride, which the hardware prefetcher does not follow, so each row also
+/// hints the same row of the next strip.
 ///
 /// # Safety
 ///
-/// Requires AVX2, `j + 16 ≤ n`, `steps.end·n ≤ b.len()` and `steps.len() ≤
-/// PANEL`.
+/// Requires `V`'s CPU features, `j + W ≤ n`, `steps.end·n ≤ b.len()` and
+/// `W·steps.len() ≤ PACK`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn pack_panel<'p>(
+unsafe fn pack_panel<'p, V: Vector>(
     b: &[f32],
     (n, j): (usize, usize),
     steps: &Range<usize>,
     pack: &'p mut Pack,
 ) -> &'p [f32] {
     use std::arch::x86_64::*;
-    debug_assert!(j + STRIP <= n && steps.end * n <= b.len() && steps.len() <= PANEL);
+    let (lanes, w) = (V::LANES, 2 * V::LANES);
+    debug_assert!(j + w <= n && steps.end * n <= b.len() && steps.len() * w <= PACK);
     let dst = pack.0.as_mut_ptr().cast::<f32>();
-    // SAFETY: per the contract, strip row `p` (`b[p·n + j..][..16]`) and
-    // copy row `d < PANEL` are in bounds, the hint is never dereferenced,
-    // and the slice covers only the `steps.len()·16` floats written.
+    // SAFETY: per the contract, strip row `p` (`b[p·n + j..][..w]`) and
+    // copy row `d` (`w·(d + 1) ≤ PACK`) are in bounds, the hints are never
+    // dereferenced, and the slice covers only the `steps.len()·w` floats
+    // written.
     unsafe {
         for (d, p) in steps.clone().enumerate() {
             let src = b.as_ptr().add(p * n + j);
-            _mm_prefetch::<_MM_HINT_T0>(src.wrapping_add(STRIP).cast());
-            _mm256_storeu_ps(dst.add(d * STRIP), _mm256_loadu_ps(src));
-            _mm256_storeu_ps(dst.add(d * STRIP + 8), _mm256_loadu_ps(src.add(8)));
+            for line in (0..w).step_by(STRIP) {
+                _mm_prefetch::<_MM_HINT_T0>(src.wrapping_add(w + line).cast());
+            }
+            V::load(src).store(dst.add(d * w));
+            V::load(src.add(lanes)).store(dst.add(d * w + lanes));
         }
-        std::slice::from_raw_parts(dst, steps.len() * STRIP)
+        std::slice::from_raw_parts(dst, steps.len() * w)
     }
 }
 
@@ -562,16 +686,10 @@ mod tests {
         }
     }
 
-    /// The levels this host can run.
-    fn levels() -> Vec<SimdLevel> {
-        let mut levels = vec![SimdLevel::Scalar];
-        if simd::hardware_supports_avx2_fma() {
-            levels.push(SimdLevel::Avx2Fma);
-        }
-        levels
-    }
+    use crate::simd::host_levels as levels;
 
-    /// The reference product at `level` (one of [`levels`]).
+    /// The reference product at `level` (one of [`levels`]): the AVX2
+    /// kernel for both vector levels, which are bitwise one walk.
     fn reference(
         level: SimdLevel,
         a: &[f32],
@@ -582,10 +700,13 @@ mod tests {
         match level {
             SimdLevel::Scalar => matmul_serial_ikj(a, b, &mut out, k, n),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `levels` offers Avx2Fma only when the hardware has it.
-            SimdLevel::Avx2Fma => unsafe { matmul_serial_ikj_avx2(a, b, &mut out, k, n) },
+            // SAFETY: `levels` offers a vector level only when the hardware
+            // has AVX2+FMA.
+            SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
+                matmul_serial_ikj_avx2(a, b, &mut out, k, n)
+            },
             #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2Fma => unreachable!("not offered by `levels`"),
+            SimdLevel::Avx2Fma | SimdLevel::Avx512 => unreachable!("not offered by `levels`"),
         }
         out
     }
@@ -706,6 +827,53 @@ mod tests {
             pixels: 1,
         };
         g.run_on(out, Some(shards), level);
+    }
+
+    /// The column counts that run every strip of the AVX-512 walk: 32-wide
+    /// strips alone, a 16-wide remainder, a scalar tail, and all three.
+    const WIDE_NS: [usize; 8] = [16, 31, 32, 48, 160, 256, 992, 8192];
+
+    #[test]
+    fn the_avx512_walk_matches_the_avx2_walk_bitwise() {
+        if !simd::avx512_or_skip("the_avx512_walk_matches_the_avx2_walk_bitwise") {
+            return;
+        }
+        // Reductions around both walks' panels (the AVX-512 walk's are
+        // half as long), row counts of every block height and samples of
+        // 1 and 9 rows, with a bias: one sample splits its columns, several
+        // split between samples.
+        let wide_panel = PACK / WIDE_STRIP;
+        let ks = [1usize, 25, wide_panel - 1, wide_panel + 1, PANEL + 3];
+        let shapes = [(1usize, 1usize), (7, 1), (13, 1), (1, 9), (3, 9)];
+        for (ni, &n) in WIDE_NS.iter().enumerate() {
+            for (si, &(samples, pixels)) in shapes.iter().enumerate() {
+                let m = samples * pixels;
+                // Every k meets every n; the widest n only the short k.
+                let k = if n > 1024 {
+                    25
+                } else {
+                    ks[(ni + si) % ks.len()]
+                };
+                let a = lhs(m, k, si % 2 == 1);
+                let b = Tensor::uniform(&[k, n], -1.0, 1.0, (k + n) as u64).into_vec();
+                let bias = Tensor::uniform(&[n], -1.0, 1.0, n as u64).into_vec();
+                let g = Gemm {
+                    a: Operand::Matrix(&a),
+                    b: &b,
+                    bias: Some(&bias),
+                    dims: (m, k, n),
+                    pixels,
+                };
+                let mut want = vec![f32::NAN; m * n];
+                g.run_on(&mut want, Some(1), SimdLevel::Avx2Fma);
+                for shards in 1..=3 {
+                    let mut got = vec![f32::NAN; m * n];
+                    g.run_on(&mut got, Some(shards), SimdLevel::Avx512);
+                    let what = format!("{samples}x{pixels} k={k} n={n} shards={shards}");
+                    assert_bits(&got, &want, &what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!   accumulation and a polynomial `exp` change low-order bits; the
 //!   equivalence suite pins the drift at ≤1e-5 relative error.
 //!
+//! A third level, [`SimdLevel::Avx512`], widens only the dense register
+//! tile (`tile.rs`, under [`crate::matmul_into`], every convolution and
+//! the `f32` weights of [`crate::uhat_project`]) to 512-bit vectors,
+//! bitwise equal to its AVX2 walk. Every kernel here runs its AVX2
+//! implementation at that level: 512-bit Eq 2 / Eq 4 blocks measured
+//! 0.90–1.14x against it at 62 classes and 0.75–0.79x at 10.
+//!
 //! Dispatch is decided once (first use) and cached; see [`SimdLevel`].
 //!
 //! Nothing here decodes quantized weights: int8 and fp16 are read only by
@@ -32,6 +39,10 @@ pub enum SimdLevel {
     Scalar,
     /// 256-bit AVX2 with fused multiply-add.
     Avx2Fma,
+    /// [`SimdLevel::Avx2Fma`] whose dense register tile runs 32-column
+    /// strips on 512-bit AVX-512F vectors, bitwise equal to the 16-column
+    /// AVX2 tile; every other kernel runs its AVX2 path.
+    Avx512,
 }
 
 impl SimdLevel {
@@ -40,6 +51,7 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2Fma => "avx2+fma",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -47,22 +59,26 @@ impl SimdLevel {
 const LEVEL_UNINIT: u8 = 0;
 const LEVEL_SCALAR: u8 = 1;
 const LEVEL_AVX2: u8 = 2;
+const LEVEL_AVX512: u8 = 3;
 
 static ACTIVE_LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNINIT);
 
 /// The active kernel path: the best level the host supports, unless the
 /// `PIM_SIMD` environment variable forces one (`PIM_SIMD=scalar` pins the
-/// bitwise reference path for debugging). Decided on first call, then
-/// cached — changing the environment afterwards has no effect.
+/// bitwise reference path for debugging, `PIM_SIMD=avx2` the 16-column
+/// tile on an AVX-512 host). Decided on first call, then cached — changing
+/// the environment afterwards has no effect.
 pub fn active_level() -> SimdLevel {
     match ACTIVE_LEVEL.load(Ordering::Relaxed) {
         LEVEL_SCALAR => SimdLevel::Scalar,
         LEVEL_AVX2 => SimdLevel::Avx2Fma,
+        LEVEL_AVX512 => SimdLevel::Avx512,
         _ => {
             let level = detect_level();
             let code = match level {
                 SimdLevel::Scalar => LEVEL_SCALAR,
                 SimdLevel::Avx2Fma => LEVEL_AVX2,
+                SimdLevel::Avx512 => LEVEL_AVX512,
             };
             ACTIVE_LEVEL.store(code, Ordering::Relaxed);
             level
@@ -90,7 +106,9 @@ fn detect_level() -> SimdLevel {
             }
         }
     }
-    if hardware_supports_avx2_fma() {
+    if hardware_supports_avx512() {
+        SimdLevel::Avx512
+    } else if hardware_supports_avx2_fma() {
         SimdLevel::Avx2Fma
     } else {
         SimdLevel::Scalar
@@ -108,6 +126,44 @@ pub fn hardware_supports_avx2_fma() -> bool {
     {
         false
     }
+}
+
+/// Whether the host CPU offers the AVX-512 tile on top of AVX2+FMA (the
+/// [`SimdLevel::Avx512`] path; independent of any `PIM_SIMD` override).
+fn hardware_supports_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        hardware_supports_avx2_fma() && std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Every level this host can run, scalar first: the sweep of the tile
+/// kernels' bitwise suites.
+#[cfg(test)]
+pub(crate) fn host_levels() -> Vec<SimdLevel> {
+    let mut levels = vec![SimdLevel::Scalar];
+    if hardware_supports_avx2_fma() {
+        levels.push(SimdLevel::Avx2Fma);
+    }
+    if hardware_supports_avx512() {
+        levels.push(SimdLevel::Avx512);
+    }
+    levels
+}
+
+/// Whether this host runs the AVX-512 tile; if not, prints a note that
+/// `test` is skipped.
+#[cfg(test)]
+pub(crate) fn avx512_or_skip(test: &str) -> bool {
+    let runs = hardware_supports_avx512();
+    if !runs {
+        eprintln!("{test}: skipped, this host has no AVX-512F");
+    }
+    runs
 }
 
 /// Whether the host CPU additionally offers F16C half-precision converts
@@ -129,12 +185,13 @@ macro_rules! dispatch {
     ($scalar:expr, $avx2:expr) => {
         match active_level() {
             SimdLevel::Scalar => $scalar,
+            // Only the dense tile widens at Avx512; these kernels run AVX2.
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2Fma is only ever selected after
-            // `is_x86_feature_detected!` confirmed both features.
-            SimdLevel::Avx2Fma => unsafe { $avx2 },
+            // SAFETY: Avx2Fma and Avx512 are only ever selected after
+            // `is_x86_feature_detected!` confirmed AVX2 and FMA.
+            SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe { $avx2 },
             #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2Fma => $scalar,
+            SimdLevel::Avx2Fma | SimdLevel::Avx512 => $scalar,
         }
     };
 }
@@ -1059,7 +1116,7 @@ mod tests {
         let l1 = active_level();
         let l2 = active_level();
         assert_eq!(l1, l2);
-        assert!(matches!(l1.name(), "scalar" | "avx2+fma"));
+        assert!(matches!(l1.name(), "scalar" | "avx2+fma" | "avx512"));
     }
 
     #[test]

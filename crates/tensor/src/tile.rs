@@ -1,16 +1,21 @@
-//! The `R × 16` register tile under both dense kernels of this crate: the
-//! û projection ([`crate::uhat`]) and the GEMM ([`crate::matmul`]).
+//! The register tile under both dense kernels of this crate: the û
+//! projection ([`crate::uhat`]) and the GEMM ([`crate::matmul`]).
 //!
 //! A tile is `R ≤ 6` rows of a broadcast operand ([`Rows`]: a matrix's
 //! rows, [`Lhs`], or a convolution's receptive fields read from the image,
-//! [`ImageRows`]) against one 16-column strip of a streamed operand
-//! ([`Strip`]): two 8-lane
-//! accumulators per row, advanced over a range of reduction steps. Six rows
-//! hold twelve accumulators, two weight loads and one broadcast: 15 of
-//! AVX2's 16 vector registers. The caller supplies the accumulators'
-//! initial value and stores the result, so the same tile serves û (from
-//! zero, whole reduction, one store) and the GEMM (one `k` panel at a
-//! time, accumulators round-tripping through the output between panels).
+//! [`ImageRows`]) against one strip of a streamed operand ([`Strip`]) two
+//! vectors wide: two accumulators per row, advanced over a range of
+//! reduction steps. One body, generic over the register type ([`Vector`]),
+//! runs both widths. On AVX2 a strip is 16 columns of two 8-lane `__m256`;
+//! at [`crate::SimdLevel::Avx512`] the dense `f32` operands also run
+//! 32-column strips of two 16-lane `__m512`. Six rows hold twelve
+//! accumulators, two weight loads and one broadcast: 15 of AVX2's 16
+//! vector registers, or 15 of AVX-512's 32. Every output element takes the
+//! same steps in the same order at either width, so the two are bitwise
+//! equal. The caller supplies the accumulators' initial value and stores
+//! the result, so the same tile serves û (from zero, whole reduction, one
+//! store) and the GEMM (one `k` panel at a time, accumulators
+//! round-tripping through the output between panels).
 //!
 //! [`tile_scalar`] is the same walk in scalar code — the whole kernel at
 //! [`crate::SimdLevel::Scalar`] and the column tail of the vector walk — with
@@ -18,8 +23,13 @@
 
 use std::ops::Range;
 
-/// Columns per strip: two 8-lane vectors.
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256, __m512};
+
+/// Columns per AVX2 strip: two 8-lane vectors.
 pub(crate) const STRIP: usize = 16;
+/// Columns per AVX-512 strip: two 16-lane vectors.
+pub(crate) const WIDE_STRIP: usize = 32;
 /// Rows per register block.
 pub(crate) const ROWS: usize = 6;
 
@@ -55,29 +65,166 @@ macro_rules! with_rows {
 pub(crate) use with_rows;
 
 /// A row-major `[steps, n]` streamed operand, read as `f32`.
-pub(crate) trait Strip {
+pub(crate) trait Strip: Loads {
     /// `true`: accumulate with one fused multiply-add; `false`: multiply,
     /// round, then add.
     const FUSED: bool;
-    /// `true` when [`Self::load8`] needs F16C on top of AVX2.
+    /// `true` when its 8-lane [`Load`] needs F16C on top of AVX2.
     const F16C: bool = false;
 
     /// Element `idx`.
     fn at(&self, idx: usize) -> f32;
 
-    /// Elements `idx..idx + 8`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (and F16C for the fp16 strip) and `idx + 8` within
-    /// the operand.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn load8(&self, idx: usize) -> std::arch::x86_64::__m256;
-
     /// Address of element `idx` for a prefetch hint. `idx` may lie past the
     /// operand, so the pointer is formed with wrapping arithmetic and must
     /// never be dereferenced.
     fn hint(&self, idx: usize) -> *const i8;
+}
+
+/// The vector loads every [`Strip`] offers: 8 lanes, and its widest.
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait Loads: Load<__m256> + Load<Self::Wide> {
+    /// The widest register its loader fills: `__m512` for dense `f32`,
+    /// `__m256` for the quantized decoders, which run the AVX2 tile at
+    /// every vector level.
+    type Wide: Vector;
+}
+
+/// Off x86-64 a strip has no vector loads.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) trait Loads {}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl<T> Loads for T {}
+
+/// One register of a strip's elements.
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait Load<V: Vector> {
+    /// Elements `idx..idx + V::LANES`.
+    ///
+    /// # Safety
+    ///
+    /// Requires the CPU features of `V` (and F16C for the fp16 strip) and
+    /// `idx + V::LANES` within the operand.
+    unsafe fn load(&self, idx: usize) -> V;
+}
+
+/// A register the tile accumulates in; a strip is two of them.
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait Vector: Copy {
+    /// `f32` lanes.
+    const LANES: usize;
+
+    /// Every lane `x`.
+    ///
+    /// # Safety
+    ///
+    /// Requires the register's CPU features (AVX2, or AVX-512F).
+    unsafe fn splat(x: f32) -> Self;
+
+    /// `LANES` floats from `p`, unaligned.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::splat`], and `p` readable for `LANES` floats.
+    unsafe fn load(p: *const f32) -> Self;
+
+    /// Writes the lanes to `p`, unaligned.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::splat`], and `p` writable for `LANES` floats.
+    unsafe fn store(self, p: *mut f32);
+
+    /// One lane-wise [`step`]: `acc + u·w`, rounded once when `fused`, else
+    /// after the multiply and again after the add.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::splat`] (plus FMA for the AVX2 register).
+    unsafe fn step(fused: bool, acc: Self, u: Self, w: Self) -> Self;
+}
+
+/// AVX2 / FMA intrinsics on 8 lanes.
+#[cfg(target_arch = "x86_64")]
+impl Vector for __m256 {
+    const LANES: usize = 8;
+
+    // SAFETY: the trait contract — the register's features.
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        // SAFETY: the trait contract.
+        unsafe { std::arch::x86_64::_mm256_set1_ps(x) }
+    }
+
+    // SAFETY: the trait contract — the features, `LANES` floats at `p`.
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        // SAFETY: the trait contract.
+        unsafe { std::arch::x86_64::_mm256_loadu_ps(p) }
+    }
+
+    // SAFETY: the trait contract — the features, `LANES` floats at `p`.
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        // SAFETY: the trait contract.
+        unsafe { std::arch::x86_64::_mm256_storeu_ps(p, self) }
+    }
+
+    // SAFETY: the trait contract — the register's features.
+    #[inline(always)]
+    unsafe fn step(fused: bool, acc: Self, u: Self, w: Self) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: the trait contract.
+        unsafe {
+            if fused {
+                _mm256_fmadd_ps(u, w, acc)
+            } else {
+                _mm256_add_ps(acc, _mm256_mul_ps(u, w))
+            }
+        }
+    }
+}
+
+/// AVX-512F intrinsics on 16 lanes.
+#[cfg(target_arch = "x86_64")]
+impl Vector for __m512 {
+    const LANES: usize = 16;
+
+    // SAFETY: the trait contract — the register's features.
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        // SAFETY: the trait contract.
+        unsafe { std::arch::x86_64::_mm512_set1_ps(x) }
+    }
+
+    // SAFETY: the trait contract — the features, `LANES` floats at `p`.
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        // SAFETY: the trait contract.
+        unsafe { std::arch::x86_64::_mm512_loadu_ps(p) }
+    }
+
+    // SAFETY: the trait contract — the features, `LANES` floats at `p`.
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        // SAFETY: the trait contract.
+        unsafe { std::arch::x86_64::_mm512_storeu_ps(p, self) }
+    }
+
+    // SAFETY: the trait contract — the register's features.
+    #[inline(always)]
+    unsafe fn step(fused: bool, acc: Self, u: Self, w: Self) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: the trait contract.
+        unsafe {
+            if fused {
+                _mm512_fmadd_ps(u, w, acc)
+            } else {
+                _mm512_add_ps(acc, _mm512_mul_ps(u, w))
+            }
+        }
+    }
 }
 
 /// Dense `f32` weights; `FUSED` picks the accumulation step.
@@ -91,18 +238,26 @@ impl<const FUSED: bool> Strip for F32Strip<'_, FUSED> {
         self.0[idx]
     }
 
-    // SAFETY: the trait contract — AVX2, `idx + 8` within the operand.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn load8(&self, idx: usize) -> std::arch::x86_64::__m256 {
-        debug_assert!(idx + 8 <= self.0.len());
-        // SAFETY: the caller keeps `idx + 8` inside the operand.
-        unsafe { std::arch::x86_64::_mm256_loadu_ps(self.0.as_ptr().add(idx)) }
-    }
-
     #[inline(always)]
     fn hint(&self, idx: usize) -> *const i8 {
         self.0.as_ptr().wrapping_add(idx).cast()
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<const FUSED: bool> Loads for F32Strip<'_, FUSED> {
+    type Wide = __m512;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<V: Vector, const FUSED: bool> Load<V> for F32Strip<'_, FUSED> {
+    // SAFETY: the trait contract — `V`'s features, `idx + V::LANES` within
+    // the operand.
+    #[inline(always)]
+    unsafe fn load(&self, idx: usize) -> V {
+        debug_assert!(idx + V::LANES <= self.0.len());
+        // SAFETY: the caller keeps `idx + V::LANES` inside the operand.
+        unsafe { V::load(self.0.as_ptr().add(idx)) }
     }
 }
 
@@ -187,36 +342,37 @@ pub(crate) fn step<S: Strip>(acc: f32, u: f32, w: f32) -> f32 {
     }
 }
 
-/// The vector accumulators of an `R`-row tile.
+/// The accumulators of an `R`-row tile on register `V`.
 #[cfg(target_arch = "x86_64")]
-pub(crate) type Acc<const R: usize> = [[std::arch::x86_64::__m256; 2]; R];
+pub(crate) type Acc<V, const R: usize> = [[V; 2]; R];
 
-/// Advances `acc` (`R` rows × columns `j..j + 16` of an `n`-wide strip) over
-/// `steps` in ascending order. With `hint = Some(idx)` each step also
-/// prefetches the strip line `idx` elements on from its own row.
+/// Advances `acc` (`R` rows × columns `j..j + 2·V::LANES` of an `n`-wide
+/// strip) over `steps` in ascending order. With `hint = Some(idx)` each
+/// step also prefetches the strip lines `idx` elements on from its own row.
 ///
 /// # Safety
 ///
-/// Requires the CPU features of [`Strip::load8`], `j + 16 ≤ n`,
-/// `steps.end · n` within the strip and every `(r, d)` with `r < R`,
-/// `d < steps.end` a valid [`Rows::at`] index of `lhs`.
+/// Requires the CPU features of `V` and of the strip's [`Load`],
+/// `j + 2·V::LANES ≤ n`, `steps.end · n` within the strip and every
+/// `(r, d)` with `r < R`, `d < steps.end` a valid [`Rows::at`] index of
+/// `lhs`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) unsafe fn tile_vector<S: Strip, L: Rows, const R: usize>(
+pub(crate) unsafe fn tile_vector<V: Vector, S: Strip + Load<V>, L: Rows, const R: usize>(
     strip: &S,
     at: (usize, usize),
     lhs: L,
     steps: Range<usize>,
     hint: Option<usize>,
-    acc: Acc<R>,
-) -> Acc<R> {
+    acc: Acc<V, R>,
+) -> Acc<V, R> {
     // Two loops, not a test per step: with the test inside, the one-row û
     // loop rotated a dozen registers around every prefetch (0.86–0.93x).
     // SAFETY: forwarded contract.
     unsafe {
         match hint {
-            Some(ahead) => advance::<S, L, R, true>(strip, at, lhs, steps, ahead, acc),
-            None => advance::<S, L, R, false>(strip, at, lhs, steps, 0, acc),
+            Some(ahead) => advance::<V, S, L, R, true>(strip, at, lhs, steps, ahead, acc),
+            None => advance::<V, S, L, R, false>(strip, at, lhs, steps, 0, acc),
         }
     }
 }
@@ -228,36 +384,35 @@ pub(crate) unsafe fn tile_vector<S: Strip, L: Rows, const R: usize>(
 /// As [`tile_vector`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn advance<S: Strip, L: Rows, const R: usize, const HINT: bool>(
+unsafe fn advance<V: Vector, S: Strip + Load<V>, L: Rows, const R: usize, const HINT: bool>(
     strip: &S,
     (n, j): (usize, usize),
     lhs: L,
     steps: Range<usize>,
     ahead: usize,
-    mut acc: Acc<R>,
-) -> Acc<R> {
+    mut acc: Acc<V, R>,
+) -> Acc<V, R> {
     use std::arch::x86_64::*;
-    debug_assert!(j + STRIP <= n);
+    let lanes = V::LANES;
+    debug_assert!(j + 2 * lanes <= n);
     // SAFETY: per the contract, the broadcast reads `(r, d)` (r < R,
-    // d < steps.end) are inside `lhs` and `load8` reads `d·n + j + 16 ≤
-    // steps.end·n` elements of the strip; the prefetch address is never
-    // dereferenced.
+    // d < steps.end) are inside `lhs` and the loads read `d·n + j +
+    // 2·lanes ≤ steps.end·n` elements of the strip; the prefetch
+    // addresses are never dereferenced.
     unsafe {
         for d in steps {
-            let w0 = strip.load8(d * n + j);
-            let w1 = strip.load8(d * n + j + 8);
+            let w0: V = strip.load(d * n + j);
+            let w1: V = strip.load(d * n + j + lanes);
             if HINT {
-                _mm_prefetch::<_MM_HINT_T0>(strip.hint(d * n + ahead));
+                // One prefetch per 16 columns: a cache line of `f32`.
+                for line in (0..2 * lanes).step_by(STRIP) {
+                    _mm_prefetch::<_MM_HINT_T0>(strip.hint(d * n + ahead + line));
+                }
             }
             for (r, a) in acc.iter_mut().enumerate() {
-                let uv = _mm256_set1_ps(lhs.at_unchecked(r, d));
-                if S::FUSED {
-                    a[0] = _mm256_fmadd_ps(uv, w0, a[0]);
-                    a[1] = _mm256_fmadd_ps(uv, w1, a[1]);
-                } else {
-                    a[0] = _mm256_add_ps(a[0], _mm256_mul_ps(uv, w0));
-                    a[1] = _mm256_add_ps(a[1], _mm256_mul_ps(uv, w1));
-                }
+                let uv = V::splat(lhs.at_unchecked(r, d));
+                a[0] = V::step(S::FUSED, a[0], uv, w0);
+                a[1] = V::step(S::FUSED, a[1], uv, w1);
             }
         }
     }
@@ -265,20 +420,20 @@ unsafe fn advance<S: Strip, L: Rows, const R: usize, const HINT: bool>(
 }
 
 /// [`tile_vector`] on accumulators in memory, as [`tile_scalar`] takes
-/// them: the `1 ≤ acc.len() ≤ ROWS` rows are loaded into registers,
-/// advanced over `steps` and stored back.
+/// them: the `1 ≤ acc.len() ≤ ROWS` rows of `W = 2·V::LANES` columns are
+/// loaded into registers, advanced over `steps` and stored back.
 ///
 /// # Safety
 ///
 /// As [`tile_vector`] with `R = acc.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) unsafe fn tile_vector_rows<S: Strip, L: Rows>(
+pub(crate) unsafe fn tile_vector_rows<V: Vector, S: Strip + Load<V>, L: Rows, const W: usize>(
     strip: &S,
     at: (usize, usize),
     lhs: L,
     steps: Range<usize>,
-    acc: &mut [[f32; STRIP]],
+    acc: &mut [[f32; W]],
 ) {
     /// The first `R` rows of `acc`.
     ///
@@ -286,31 +441,32 @@ pub(crate) unsafe fn tile_vector_rows<S: Strip, L: Rows>(
     ///
     /// As [`tile_vector`].
     #[inline(always)]
-    unsafe fn rows<S: Strip, L: Rows, const R: usize>(
+    unsafe fn rows<V: Vector, S: Strip + Load<V>, L: Rows, const W: usize, const R: usize>(
         strip: &S,
         at: (usize, usize),
         lhs: L,
         steps: Range<usize>,
-        acc: &mut [[f32; STRIP]],
+        acc: &mut [[f32; W]],
     ) {
-        use std::arch::x86_64::*;
+        const { assert!(W == 2 * V::LANES, "a row is two registers") };
         let acc = &mut acc[..R];
         // SAFETY: the caller's contract is `tile_vector`'s; every load and
-        // store is one of the two 8-float halves of a 16-float row.
+        // store is one of the two `V::LANES`-float halves of a `W`-float
+        // row.
         unsafe {
-            let regs: Acc<R> = std::array::from_fn(|r| {
+            let regs: Acc<V, R> = std::array::from_fn(|r| {
                 let row = acc[r].as_ptr();
-                [_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8))]
+                [V::load(row), V::load(row.add(V::LANES))]
             });
-            let regs = tile_vector::<S, L, R>(strip, at, lhs, steps, None, regs);
+            let regs = tile_vector::<V, S, L, R>(strip, at, lhs, steps, None, regs);
             for (row, v) in acc.iter_mut().zip(&regs) {
-                _mm256_storeu_ps(row.as_mut_ptr(), v[0]);
-                _mm256_storeu_ps(row.as_mut_ptr().add(8), v[1]);
+                v[0].store(row.as_mut_ptr());
+                v[1].store(row.as_mut_ptr().add(V::LANES));
             }
         }
     }
     // SAFETY: forwarded contract, `R = acc.len()`.
-    unsafe { with_rows!(acc.len(), R => rows::<S, L, R>(strip, at, lhs, steps, acc)) }
+    unsafe { with_rows!(acc.len(), R => rows::<V, S, L, W, R>(strip, at, lhs, steps, acc)) }
 }
 
 /// The scalar twin of [`tile_vector`]: advances `acc` (one entry per row of

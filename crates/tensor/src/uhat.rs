@@ -7,7 +7,10 @@
 //! `W_i` in 16-column strips and, per strip, the batch in balanced blocks
 //! of at most six rows: the 6 × 16 outputs live in twelve 8-lane
 //! accumulators across the whole `d = 0..C_L` reduction and are stored
-//! once. The caller does not need to zero `out`.
+//! once. At [`SimdLevel::Avx512`] an `f32` weight is walked in 32-column
+//! strips of twelve 16-lane accumulators while they fit, then the 16-column
+//! strips; the quantized strips stay 16 wide. The caller does not need to
+//! zero `out`.
 //!
 //! The strip loader is generic — plain `f32` loads, int8 affine
 //! dequantize, fp16 convert — so the quantized arms decode a strip once per
@@ -48,6 +51,8 @@ use crate::par::{for_each_shard, plan_threads};
 use crate::quant::{f16_to_f32, QuantDType, QuantTensor};
 use crate::simd::{self, SimdLevel};
 use crate::tile::{self, F32Strip, Lhs, Strip, ROWS, STRIP};
+#[cfg(target_arch = "x86_64")]
+use crate::tile::{Load, Loads, Vector};
 
 /// Columns between a strip and the one its first row block prefetches.
 #[cfg(target_arch = "x86_64")]
@@ -227,10 +232,22 @@ impl Strip for I8Strip<'_> {
         (i32::from(self.q[idx] as i8) - self.zero_point) as f32 * self.scale
     }
 
-    // SAFETY: the trait contract — AVX2, `idx + 8` within the block.
-    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    unsafe fn load8(&self, idx: usize) -> std::arch::x86_64::__m256 {
+    fn hint(&self, idx: usize) -> *const i8 {
+        self.q.as_ptr().wrapping_add(idx).cast()
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Loads for I8Strip<'_> {
+    type Wide = std::arch::x86_64::__m256;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Load<std::arch::x86_64::__m256> for I8Strip<'_> {
+    // SAFETY: the trait contract — AVX2, `idx + 8` within the block.
+    #[inline(always)]
+    unsafe fn load(&self, idx: usize) -> std::arch::x86_64::__m256 {
         use std::arch::x86_64::*;
         debug_assert!(idx + 8 <= self.q.len());
         // SAFETY: the caller keeps `idx + 8` inside the block, so the
@@ -246,11 +263,6 @@ impl Strip for I8Strip<'_> {
             _mm256_mul_ps(_mm256_cvtepi32_ps(ints), _mm256_set1_ps(self.scale))
         }
     }
-
-    #[inline(always)]
-    fn hint(&self, idx: usize) -> *const i8 {
-        self.q.as_ptr().wrapping_add(idx).cast()
-    }
 }
 
 /// Little-endian binary16 byte pairs.
@@ -265,21 +277,28 @@ impl Strip for F16Strip<'_> {
         f16_to_f32(u16::from_le_bytes([self.0[2 * idx], self.0[2 * idx + 1]]))
     }
 
+    #[inline(always)]
+    fn hint(&self, idx: usize) -> *const i8 {
+        self.0.as_ptr().wrapping_add(2 * idx).cast()
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Loads for F16Strip<'_> {
+    type Wide = std::arch::x86_64::__m256;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Load<std::arch::x86_64::__m256> for F16Strip<'_> {
     // SAFETY: the trait contract — AVX2 and F16C, `idx + 8` within the
     // block.
-    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    unsafe fn load8(&self, idx: usize) -> std::arch::x86_64::__m256 {
+    unsafe fn load(&self, idx: usize) -> std::arch::x86_64::__m256 {
         use std::arch::x86_64::*;
         debug_assert!(2 * (idx + 8) <= self.0.len());
         // SAFETY: the caller keeps `idx + 8` halves inside the block, so
         // the unaligned 16-byte load is in bounds.
         unsafe { _mm256_cvtph_ps(_mm_loadu_si128(self.0.as_ptr().add(2 * idx).cast())) }
-    }
-
-    #[inline(always)]
-    fn hint(&self, idx: usize) -> *const i8 {
-        self.0.as_ptr().wrapping_add(2 * idx).cast()
     }
 }
 
@@ -293,18 +312,25 @@ fn project_capsule<S: Strip, const ACC: bool>(
     at: Capsule,
     level: SimdLevel,
 ) {
+    // SAFETY: the vector levels are only selected after runtime feature
+    // detection (tests guard with `simd::host_levels`), and the fp16 strip
+    // only reaches them when F16C was detected too.
     #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2Fma {
-        // SAFETY: Avx2Fma is only selected after runtime feature detection
-        // (tests guard with `hardware_supports_avx2_fma`), and the fp16
-        // strip only reaches here when F16C was detected too.
-        return unsafe {
-            if S::F16C {
-                capsule_avx2_f16c::<S, ACC>(strip, u, rows, at)
-            } else {
-                capsule_avx2::<S, ACC>(strip, u, rows, at)
+    unsafe {
+        match level {
+            // Only a strip with a 512-bit load widens: the quantized
+            // decoders run the AVX2 tile at both vector levels.
+            SimdLevel::Avx512 if <S::Wide as Vector>::LANES > 8 => {
+                return capsule_avx512::<S, ACC>(strip, u, rows, at);
             }
-        };
+            SimdLevel::Avx512 | SimdLevel::Avx2Fma if S::F16C => {
+                return capsule_avx2_f16c::<S, ACC>(strip, u, rows, at);
+            }
+            SimdLevel::Avx512 | SimdLevel::Avx2Fma => {
+                return capsule_avx2::<S, ACC>(strip, u, rows, at);
+            }
+            SimdLevel::Scalar => {}
+        }
     }
     let _ = level;
     capsule_tiles::<S, ACC>(strip, u, rows, at, 0);
@@ -324,7 +350,7 @@ unsafe fn capsule_avx2<S: Strip, const ACC: bool>(
     at: Capsule,
 ) {
     // SAFETY: forwarded — the caller guarantees AVX2+FMA.
-    unsafe { capsule_vector::<S, ACC>(strip, u, rows, at) }
+    unsafe { capsule_vector::<std::arch::x86_64::__m256, S, ACC>(strip, u, rows, at) }
 }
 
 /// The AVX2+FMA+F16C instantiation, for the fp16 strip's vector convert.
@@ -341,27 +367,69 @@ unsafe fn capsule_avx2_f16c<S: Strip, const ACC: bool>(
     at: Capsule,
 ) {
     // SAFETY: forwarded — the caller guarantees the features.
-    unsafe { capsule_vector::<S, ACC>(strip, u, rows, at) }
+    unsafe { capsule_vector::<std::arch::x86_64::__m256, S, ACC>(strip, u, rows, at) }
 }
 
-/// Full 16-column strips through the vector tile, the column tail (and
-/// nothing else) through the scalar tile — bitwise the same step.
+/// The AVX-512F instantiation, for a strip whose widest load is 512-bit.
 ///
 /// # Safety
 ///
-/// Requires the CPU features of [`Strip::load8`]; must be inlined into a
-/// `#[target_feature]` caller.
+/// Requires AVX-512F and AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn capsule_vector<S: Strip, const ACC: bool>(
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn capsule_avx512<S: Strip, const ACC: bool>(
     strip: &S,
     u: &[f32],
     rows: &mut [&mut [f32]],
     at: Capsule,
 ) {
+    // SAFETY: forwarded — the caller guarantees the features.
+    unsafe { capsule_vector::<S::Wide, S, ACC>(strip, u, rows, at) }
+}
+
+/// Columns in strips two `V` wide while they fit, then 16-column AVX2
+/// strips, both through the vector tile; the column tail (and nothing
+/// else) through the scalar tile — bitwise the same step.
+///
+/// # Safety
+///
+/// Requires the CPU features of `V` and of the strip's loads; must be
+/// inlined into a `#[target_feature]` caller.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn capsule_vector<V: Vector, S: Strip + Load<V>, const ACC: bool>(
+    strip: &S,
+    u: &[f32],
+    rows: &mut [&mut [f32]],
+    at: Capsule,
+) {
+    let wide = at.n / (2 * V::LANES) * (2 * V::LANES);
     let full = at.n / STRIP * STRIP;
-    let mut j = 0;
-    while j < full {
+    // SAFETY: forwarded contract; both runs end at or before `full`.
+    unsafe {
+        capsule_strips::<V, S, ACC>(strip, u, rows, at, 0..wide, full);
+        capsule_strips::<std::arch::x86_64::__m256, S, ACC>(strip, u, rows, at, wide..full, full);
+    }
+    capsule_tiles::<S, ACC>(strip, u, rows, at, full);
+}
+
+/// The vector tile over strips `cols` (whole strips two `V` wide, ending
+/// at or before `full`, the end of every vector strip of the capsule).
+///
+/// # Safety
+///
+/// As [`capsule_vector`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn capsule_strips<V: Vector, S: Strip + Load<V>, const ACC: bool>(
+    strip: &S,
+    u: &[f32],
+    rows: &mut [&mut [f32]],
+    at: Capsule,
+    cols: Range<usize>,
+    full: usize,
+) {
+    for j in cols.step_by(2 * V::LANES) {
         // A strip's rows sit `N` weights apart — a page-sized stride the
         // hardware prefetcher does not follow — so the strip's first row
         // block hints the lines of the strip `LOOKAHEAD` columns on, which
@@ -373,30 +441,30 @@ unsafe fn capsule_vector<S: Strip, const ACC: bool>(
             at.cl * at.n + ahead - full
         });
         for block in tile::row_blocks(rows.len()) {
-            // SAFETY: features per this function's contract; `j + 16 ≤ n`
-            // and `block.end ≤ rows.len()`.
+            // SAFETY: features per this function's contract; `j + 2·V::LANES
+            // ≤ n` and `block.end ≤ rows.len()`.
             unsafe {
                 tile::with_rows!(block.len(), R => {
-                    tile_vector::<S, R, ACC>(strip, u, rows, at, block.start, j, hint)
+                    tile_vector::<V, S, R, ACC>(strip, u, rows, at, block.start, j, hint)
                 })
             }
             hint = None;
         }
-        j += STRIP;
     }
-    capsule_tiles::<S, ACC>(strip, u, rows, at, full);
 }
 
-/// `R` rows × 16 columns: the shared tile from zero (or, with `ACC`, from
-/// the outputs) across the whole `d = 0..C_L` reduction, stored once.
+/// `R` rows × `2·V::LANES` columns: the shared tile from zero (or, with
+/// `ACC`, from the outputs) across the whole `d = 0..C_L` reduction,
+/// stored once.
 ///
 /// # Safety
 ///
-/// Requires the CPU features of [`Strip::load8`], `j + 16 ≤ n`,
-/// `r0 + R ≤ rows.len()`, and the operand extents [`project`] asserts.
+/// Requires the CPU features of `V` and of the strip's loads, `j +
+/// 2·V::LANES ≤ n`, `r0 + R ≤ rows.len()`, and the operand extents
+/// [`project`] asserts.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile_vector<S: Strip, const R: usize, const ACC: bool>(
+unsafe fn tile_vector<V: Vector, S: Strip + Load<V>, const R: usize, const ACC: bool>(
     strip: &S,
     u: &[f32],
     rows: &mut [&mut [f32]],
@@ -405,8 +473,8 @@ unsafe fn tile_vector<S: Strip, const R: usize, const ACC: bool>(
     j: usize,
     hint: Option<usize>,
 ) {
-    use std::arch::x86_64::*;
-    debug_assert!(j + STRIP <= at.n && r0 + R <= rows.len());
+    let lanes = V::LANES;
+    debug_assert!(j + 2 * lanes <= at.n && r0 + R <= rows.len());
     let lhs = Lhs {
         data: u,
         off: r0 * at.u_stride + at.u_off,
@@ -414,22 +482,22 @@ unsafe fn tile_vector<S: Strip, const R: usize, const ACC: bool>(
     };
     // SAFETY: `project` asserted `u` is [B, L, C_L] and `rows` holds B
     // windows of [caps, N], so for k < B the tile's reads `u[k·u_stride +
-    // u_off + d]` (d < C_L) and the 16-float loads and stores at
-    // `rows[k][out_off + j]` (j + 16 ≤ N) are in bounds, and `C_L·N` is the
-    // strip's length.
+    // u_off + d]` (d < C_L) and the `2·lanes`-float loads and stores at
+    // `rows[k][out_off + j]` (j + 2·lanes ≤ N) are in bounds, and `C_L·N` is
+    // the strip's length.
     unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        let mut acc = [[V::splat(0.0); 2]; R];
         if ACC {
             for (r, a) in acc.iter_mut().enumerate() {
                 let src = rows[r0 + r].as_ptr().add(at.out_off + j);
-                *a = [_mm256_loadu_ps(src), _mm256_loadu_ps(src.add(8))];
+                *a = [V::load(src), V::load(src.add(lanes))];
             }
         }
-        let acc = tile::tile_vector::<S, _, R>(strip, (at.n, j), lhs, 0..at.cl, hint, acc);
+        let acc = tile::tile_vector::<V, S, _, R>(strip, (at.n, j), lhs, 0..at.cl, hint, acc);
         for (r, a) in acc.iter().enumerate() {
             let dst = rows[r0 + r].as_mut_ptr().add(at.out_off + j);
-            _mm256_storeu_ps(dst, a[0]);
-            _mm256_storeu_ps(dst.add(8), a[1]);
+            a[0].store(dst);
+            a[1].store(dst.add(lanes));
         }
     }
 }
@@ -524,13 +592,7 @@ mod tests {
         out
     }
 
-    fn levels() -> Vec<SimdLevel> {
-        let mut levels = vec![SimdLevel::Scalar];
-        if simd::hardware_supports_avx2_fma() {
-            levels.push(SimdLevel::Avx2Fma);
-        }
-        levels
-    }
+    use crate::simd::host_levels as levels;
 
     /// `u` with exact zeros (both signs) injected.
     fn inputs(b: usize, l: usize, cl: usize, seed: u64) -> Vec<f32> {
@@ -587,6 +649,37 @@ mod tests {
                             let what = format!("{name} n={n} b={b} {level:?} shards={shards}");
                             assert_bits(&got, &want, &what);
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_avx512_walk_matches_the_avx2_walk_bitwise() {
+        if !simd::avx512_or_skip("the_avx512_walk_matches_the_avx2_walk_bitwise") {
+            return;
+        }
+        // N runs 32-wide strips alone, a 16-wide remainder, a scalar tail,
+        // and all three; every block height, alone and in balanced splits.
+        let (l, cl) = (3usize, 9usize);
+        for &n in &[16usize, 31, 32, 48, 160, 256, 992, 8192] {
+            let w = Tensor::uniform(&[l, cl, n], -0.5, 0.5, n as u64).into_vec();
+            // The quantized strips run the AVX2 tile at both levels.
+            let int8 = QuantTensor::quantize(QuantDType::I8, &w, &[l, cl, n], &[2, 1]).unwrap();
+            let weights = [UhatWeights::F32(&w), UhatWeights::Quant(&int8)];
+            let batches: &[usize] = if n > 1024 { &[1, 7] } else { &[1, 2, 6, 7, 13] };
+            for &b in batches {
+                let dims = (b, l, cl, n);
+                let u = inputs(b, l, cl, (n + b) as u64);
+                for w in weights {
+                    let mut want = vec![f32::NAN; b * l * n];
+                    project(&u, w, &mut want, dims, 1, SimdLevel::Avx2Fma);
+                    for shards in 1..=3 {
+                        let mut got = vec![f32::NAN; b * l * n];
+                        project(&u, w, &mut got, dims, shards, SimdLevel::Avx512);
+                        let what = format!("n={n} b={b} shards={shards}");
+                        assert_bits(&got, &want, &what);
                     }
                 }
             }
@@ -670,6 +763,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn hardware_f16_convert_matches_scalar_codec() {
+        use std::arch::x86_64::__m256;
         if !(simd::hardware_supports_avx2_fma() && simd::hardware_supports_f16c()) {
             return;
         }
@@ -679,7 +773,7 @@ mod tests {
             let mut hw = [0.0f32; 8];
             // SAFETY: AVX2 and F16C were detected above, and `idx + 8`
             // halves lie inside the 65 536-half strip.
-            unsafe { std::arch::x86_64::_mm256_storeu_ps(hw.as_mut_ptr(), strip.load8(idx)) };
+            unsafe { Load::<__m256>::load(&strip, idx).store(hw.as_mut_ptr()) };
             for (k, h) in hw.iter().enumerate() {
                 let sw = strip.at(idx + k);
                 if sw.is_nan() {
