@@ -90,20 +90,32 @@ fn bench_routing(c: &mut Criterion) {
     g.bench_function("dynamic_exact_per_sample", |b| {
         b.iter(|| dynamic_routing_with(black_box(&u_hat), 3, false, &exact, &mut fresh()).unwrap())
     });
-    // The benchmark's `rp_heavy` routing at `max_batch`: 73 MB of û, far
-    // past the last-level cache, so this row shows whether û re-streams
-    // from DRAM every iteration (one sample's 4.6 MB need not). The rows
-    // above fit in L2. Built on first run so a filter that skips it
-    // allocates nothing; per-sample, warm scratch, one thread.
-    let mut rp_heavy: Option<(Tensor, RoutingScratch)> = None;
+    // The benchmark's per-sample routing at `max_batch`, one thread, warm
+    // scratch; each û is built on first run, so a filter that skips the
+    // row allocates nothing. `rp_heavy`: 73 MB of û past the last-level
+    // cache, routed sample by sample, so each sample's 4.6 MB stays
+    // resident across its nine iterations: the row times instruction
+    // issue in the per-row work, not DRAM (before rows were blocked, one
+    // pinned core spent 292–317 ns on a row at L = 144, whose û fits in
+    // L2, and 333–374 ns at L = 1152). `mnist`: ten classes, where fixed
+    // per-row costs weigh most.
+    let per_sample_rows = [
+        ("dynamic_exact_per_sample_rp_heavy", [16, 1152, 62, 16], 9),
+        ("dynamic_exact_per_sample_mnist", [8, 1152, 10, 16], 3),
+    ];
     g.sample_size(10);
-    g.bench_function("dynamic_exact_per_sample_rp_heavy", |b| {
-        let (u_hat, scratch) = rp_heavy.get_or_insert_with(|| {
-            let u_hat = Tensor::uniform(&[16, 1152, 62, 16], -0.5, 0.5, 2);
-            (u_hat, RoutingScratch::new())
+    for (id, dims, iterations) in per_sample_rows {
+        let mut built: Option<(Tensor, RoutingScratch)> = None;
+        g.bench_function(id, |b| {
+            let (u_hat, scratch) = built.get_or_insert_with(|| {
+                (Tensor::uniform(&dims, -0.5, 0.5, 2), RoutingScratch::new())
+            });
+            b.iter(|| {
+                dynamic_routing_with(black_box(&*u_hat), iterations, false, &exact, scratch)
+                    .unwrap()
+            })
         });
-        b.iter(|| dynamic_routing_with(black_box(&*u_hat), 9, false, &exact, scratch).unwrap())
-    });
+    }
     g.finish();
 }
 

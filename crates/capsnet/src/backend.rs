@@ -18,7 +18,8 @@ use pim_tensor::simd;
 ///
 /// Beyond the scalar special functions, the trait carries the slice/block
 /// kernels the routing inner loops are written against (`exp_slice`,
-/// `softmax_row`, `dot`, `axpy`, the fused Eq 2/Eq 4 and EM blocks). Every
+/// `softmax_row`, `dot`, `axpy`, the Eq 2/Eq 4 and EM blocks, and
+/// `route_rows`, one sample's fused Eq 4 → softmax → Eq 2 step). Every
 /// one has a default implementation that loops the scalar methods in the
 /// exact order the pre-vectorized engine used, so a backend that only
 /// provides `exp`/`inv_sqrt`/`div` (e.g. [`ApproxMath`], modelling the
@@ -88,6 +89,39 @@ pub trait MathBackend: Send + Sync {
     fn agreement_block(&self, u: &[f32], v: &[f32], b: &mut [f32], ch: usize) {
         for (j, bj) in b.iter_mut().enumerate() {
             *bj += self.dot(&u[j * ch..(j + 1) * ch], &v[j * ch..(j + 1) * ch]);
+        }
+    }
+    /// The per-sample routing step over consecutive `L` rows of one
+    /// sample (`u` is `[rows, H, C_H]`, `c` and `b` are `[rows, H]`, `v`
+    /// and `s` are `[H, C_H]`): with `agree = Some((v, b))`, each row runs
+    /// [`Self::agreement_block`] → [`Self::softmax_row`] →
+    /// [`Self::weighted_sum_block`]; with `None`, `c` already holds the
+    /// coefficients and each row runs only the weighted sum. Rows go in
+    /// ascending order.
+    fn route_rows(
+        &self,
+        u: &[f32],
+        agree: Option<(&[f32], &mut [f32])>,
+        c: &mut [f32],
+        s: &mut [f32],
+        ch: usize,
+    ) {
+        let block = s.len();
+        let nh = block / ch;
+        let rows = u.chunks_exact(block).zip(c.chunks_exact_mut(nh));
+        match agree {
+            Some((v, b)) => {
+                for ((u_row, c_row), b_row) in rows.zip(b.chunks_exact_mut(nh)) {
+                    self.agreement_block(u_row, v, b_row, ch);
+                    self.softmax_row(b_row, c_row);
+                    self.weighted_sum_block(c_row, u_row, s, ch);
+                }
+            }
+            None => {
+                for (u_row, c_row) in rows {
+                    self.weighted_sum_block(c_row, u_row, s, ch);
+                }
+            }
         }
     }
     /// [`Self::agreement_block`] swept over `nb` u-blocks spaced `u_stride`
@@ -237,6 +271,17 @@ impl MathBackend for ExactMath {
     #[inline]
     fn agreement_block(&self, u: &[f32], v: &[f32], b: &mut [f32], ch: usize) {
         simd::agreement_block(u, v, b, ch);
+    }
+    #[inline]
+    fn route_rows(
+        &self,
+        u: &[f32],
+        agree: Option<(&[f32], &mut [f32])>,
+        c: &mut [f32],
+        s: &mut [f32],
+        ch: usize,
+    ) {
+        simd::route_rows(u, agree, c, s, ch);
     }
     #[inline]
     fn agreement_blocks_strided(

@@ -21,6 +21,9 @@
 //! iteration streams, and it stays cache-resident across the iterations.
 //! Both fuse Eq 4 of one iteration with the softmax and Eq 2 of the next
 //! (see [`dynamic_routing_core`]), so û is streamed once per iteration.
+//! Per-sample routing hands each iteration's rows to the backend in one
+//! call ([`MathBackend::route_rows`]), which [`crate::ExactMath`] runs in
+//! blocks of four rows, and computes iteration 0's coefficient row once.
 
 use pim_tensor::Tensor;
 
@@ -93,6 +96,18 @@ pub fn dynamic_routing_with<B: MathBackend + ?Sized>(
 /// order is unchanged (b row i still sums k ascending, s still sums i
 /// ascending), so results are bit-identical to the unfused loop for any
 /// backend.
+///
+/// Per sample, two more steps keep that order:
+///
+/// * Iteration 0's logits are all zero, so every row's coefficients are
+///   `softmax(0)`: one row per call, computed once and copied into each of
+///   the sample's rows (`c` is still written in full), then Eq 2 alone.
+/// * Each later iteration is one [`MathBackend::route_rows`] call over the
+///   sample's `L` rows. The default runs the per-row chain above;
+///   [`crate::ExactMath`]'s SIMD kernel walks the rows in blocks of four,
+///   loading each `v` (Eq 4) and each `s` (Eq 2) vector once per block
+///   while every row keeps its own reduction and `s` its ascending-`i`
+///   FMA chain, so it is bitwise the per-row result.
 pub(crate) fn dynamic_routing_core<B: MathBackend + ?Sized>(
     uh: &[f32],
     (nb, nl, nh, ch): (usize, usize, usize, usize),
@@ -113,30 +128,29 @@ pub(crate) fn dynamic_routing_core<B: MathBackend + ?Sized>(
     if !batch_shared {
         // Per-sample coefficients, sample-major (module docs): sample k
         // reads only its own û, logits and `s`, so `b_logits` and `s` are
-        // one sample's and are reset per sample. Row (k, i) is
-        // self-contained, so the whole Eq 4 → softmax → Eq 2 chain fuses
-        // per û block, streamed in storage order.
+        // one sample's and are reset per sample. Iteration 0's logits are
+        // all zero, so its coefficient row is one softmax per call, copied
+        // into every row; later iterations run Eq 4 → softmax → Eq 2 over
+        // the sample's rows in one backend call.
         RoutingScratch::fill_buf(&mut scratch.s, block, 0.0);
-        let s = &mut scratch.s;
+        RoutingScratch::fill_buf(&mut scratch.c_first, nh, 0.0);
+        let (s, c_first) = (&mut scratch.s, &mut scratch.c_first);
+        backend.softmax_row(&b_logits[..nh], c_first);
         let samples = uh
             .chunks_exact(nl * block)
             .zip(v.chunks_exact_mut(block))
             .zip(c.chunks_exact_mut(nl * nh));
         for ((u_k, v_k), c_k) in samples {
             b_logits.fill(0.0);
-            for iter in 0..iterations {
+            for c_row in c_k.chunks_exact_mut(nh) {
+                c_row.copy_from_slice(c_first);
+            }
+            s.fill(0.0);
+            backend.route_rows(u_k, None, c_k, s, ch);
+            squash_all(s, v_k, ch, backend);
+            for _ in 1..iterations {
                 s.fill(0.0);
-                for ((u_block, b_row), c_row) in u_k
-                    .chunks_exact(block)
-                    .zip(b_logits.chunks_exact_mut(nh))
-                    .zip(c_k.chunks_exact_mut(nh))
-                {
-                    if iter > 0 {
-                        backend.agreement_block(u_block, v_k, b_row, ch);
-                    }
-                    backend.softmax_row(b_row, c_row);
-                    backend.weighted_sum_block(c_row, u_block, s, ch);
-                }
+                backend.route_rows(u_k, Some((v_k, b_logits)), c_k, s, ch);
                 squash_all(s, v_k, ch, backend);
             }
         }

@@ -4,9 +4,10 @@
 //! capsules without the information loss of pooling. Two algorithms are
 //! provided behind one interface:
 //!
-//! * [`dynamic_routing_with`] — Algorithm 1 (Sabour et al. 2017) with the
-//!   paper's batch-shared routing coefficients (`b_{ij}` accumulates
-//!   agreement over the whole batch, Eq 4);
+//! * [`dynamic_routing_with`] — Algorithm 1 (Sabour et al. 2017), with
+//!   per-sample routing coefficients (the original formulation, and what
+//!   every serving workload runs) or the paper's batch-shared ones
+//!   (`b_{ij}` accumulates agreement over the whole batch, Eq 4);
 //! * [`em_routing_with`] — a simplified Expectation-Maximization routing
 //!   (Hinton et al. 2018), demonstrating that the in-memory optimizations
 //!   apply to "different RP algorithms with simple adjustment".

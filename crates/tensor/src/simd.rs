@@ -15,12 +15,15 @@
 //!   accumulation and a polynomial `exp` change low-order bits; the
 //!   equivalence suite pins the drift at ≤1e-5 relative error.
 //!
-//! A third level, [`SimdLevel::Avx512`], widens only the dense register
-//! tile (`tile.rs`, under [`crate::matmul_into`], every convolution and
-//! the `f32` weights of [`crate::uhat_project`]) to 512-bit vectors,
-//! bitwise equal to its AVX2 walk. Every kernel here runs its AVX2
-//! implementation at that level: 512-bit Eq 2 / Eq 4 blocks measured
-//! 0.90–1.14x against it at 62 classes and 0.75–0.79x at 10.
+//! A third level, [`SimdLevel::Avx512`], widens the dense register tile
+//! (`tile.rs`, under [`crate::matmul_into`], every convolution and the
+//! `f32` weights of [`crate::uhat_project`]) to 512-bit vectors, bitwise
+//! equal to its AVX2 walk, and runs the softmax inside [`route_rows`] (the
+//! per-sample routing step) with a 512-bit `exp` and divide, bitwise equal
+//! to [`softmax_row`] ([`avx2::avx512`]). Every other kernel here, Eq 2 and Eq 4
+//! included, runs its AVX2 implementation at that level: 512-bit Eq 2 /
+//! Eq 4 blocks measured 0.90–1.14x against it at 62 classes and
+//! 0.75–0.79x at 10.
 //!
 //! Dispatch is decided once (first use) and cached; see [`SimdLevel`].
 //!
@@ -41,7 +44,8 @@ pub enum SimdLevel {
     Avx2Fma,
     /// [`SimdLevel::Avx2Fma`] whose dense register tile runs 32-column
     /// strips on 512-bit AVX-512F vectors, bitwise equal to the 16-column
-    /// AVX2 tile; every other kernel runs its AVX2 path.
+    /// AVX2 tile, and whose [`route_rows`] softmax runs 512-bit, bitwise
+    /// equal to [`softmax_row`]; every other kernel runs its AVX2 path.
     Avx512,
 }
 
@@ -185,7 +189,8 @@ macro_rules! dispatch {
     ($scalar:expr, $avx2:expr) => {
         match active_level() {
             SimdLevel::Scalar => $scalar,
-            // Only the dense tile widens at Avx512; these kernels run AVX2.
+            // These kernels run AVX2 at Avx512 too: only the dense tile and
+            // `route_rows`' softmax widen there.
             #[cfg(target_arch = "x86_64")]
             // SAFETY: Avx2Fma and Avx512 are only ever selected after
             // `is_x86_feature_detected!` confirmed AVX2 and FMA.
@@ -278,6 +283,115 @@ pub fn agreement_block(u: &[f32], v: &[f32], b: &mut [f32], ch: usize) {
         scalar::agreement_block(u, v, b, ch),
         avx2::agreement_block(u, v, b, ch)
     )
+}
+
+/// The per-sample routing step over consecutive `L` rows of one sample —
+/// Eq 4 → Eq 5 → Eq 2 of Algorithm 1 for every row `i`:
+///
+/// * with `agree = Some((v, b))`, `b[i][j] += ⟨u[i][j], v[j]⟩` (Eq 4 with
+///   the previous iteration's `v`), then `c[i] = softmax(b[i])` (Eq 5);
+///   with `None`, `c` already holds the rows' coefficients;
+/// * then `s[j] += c[i][j] · u[i][j]` (Eq 2), rows in ascending `i`.
+///
+/// `u` is `[rows, H, C_H]`, `b` and `c` are `[rows, H]`, `v` and `s` are
+/// `[H, C_H]` (`H = s.len() / ch`). The result is bitwise that of the
+/// per-row composition [`agreement_block`] → [`softmax_row`] →
+/// [`weighted_sum_block`] at every level. For `ch` a multiple of 8 up to
+/// 32 the vector path walks the rows in blocks of four: Eq 4 loads each
+/// `v` vector once per block (every row keeps [`agreement_block`]'s
+/// reduction tree) and Eq 2 loads and stores each `s` vector once per
+/// block, applying the rows' FMAs in ascending `i`. At
+/// [`SimdLevel::Avx512`] the softmax's `exp` and divide run on 512-bit
+/// vectors; its max and its denominator keep the 8-lane order. Every other
+/// `ch`, and the scalar level, run the per-row composition.
+///
+/// # Panics
+///
+/// If `ch` is zero, `s` is empty or not whole capsules, or the other
+/// slices do not have the lengths above.
+#[inline]
+pub fn route_rows(
+    u: &[f32],
+    agree: Option<(&[f32], &mut [f32])>,
+    c: &mut [f32],
+    s: &mut [f32],
+    ch: usize,
+) {
+    route_rows_at(active_level(), u, agree, c, s, ch);
+}
+
+/// [`route_rows`] at `level`.
+#[inline]
+fn route_rows_at(
+    level: SimdLevel,
+    u: &[f32],
+    agree: Option<(&[f32], &mut [f32])>,
+    c: &mut [f32],
+    s: &mut [f32],
+    ch: usize,
+) {
+    // The vector paths walk raw pointers sized from these lengths, so they
+    // are checked in every build (once per call, not per row).
+    assert!(
+        ch > 0 && !s.is_empty() && s.len().is_multiple_of(ch),
+        "s is [H, C_H]"
+    );
+    let nh = s.len() / ch;
+    assert!(c.len().is_multiple_of(nh), "c is [rows, H]");
+    assert_eq!(u.len(), c.len() * ch, "u is [rows, H, C_H]");
+    if let Some((v, b)) = &agree {
+        assert_eq!(v.len(), s.len(), "v is [H, C_H]");
+        assert_eq!(b.len(), c.len(), "b is [rows, H]");
+    }
+    match level {
+        SimdLevel::Scalar => scalar::route_rows(u, agree, c, s, ch),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma is only ever selected after
+        // `is_x86_feature_detected!` confirmed AVX2 and FMA.
+        SimdLevel::Avx2Fma => unsafe { avx2::route_rows(u, agree, c, s, ch) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx512 is only ever selected after
+        // `is_x86_feature_detected!` confirmed AVX2, FMA and AVX-512F.
+        SimdLevel::Avx512 => unsafe { avx2::avx512::route_rows(u, agree, c, s, ch) },
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => scalar::route_rows(u, agree, c, s, ch),
+    }
+}
+
+/// [`route_rows`] row by row through one level's row kernels
+/// `(agreement_block, softmax_row, weighted_sum_block)`: the path for every
+/// `ch` the vector path does not take, and the reference it is tested
+/// against.
+#[inline(always)]
+fn per_row<A, M, W>(
+    u: &[f32],
+    agree: Option<(&[f32], &mut [f32])>,
+    c: &mut [f32],
+    s: &mut [f32],
+    ch: usize,
+    (agreement, softmax, weighted_sum): (A, M, W),
+) where
+    A: Fn(&[f32], &[f32], &mut [f32], usize),
+    M: Fn(&[f32], &mut [f32]),
+    W: Fn(&[f32], &[f32], &mut [f32], usize),
+{
+    let block = s.len();
+    let nh = block / ch;
+    let rows = u.chunks_exact(block).zip(c.chunks_exact_mut(nh));
+    match agree {
+        Some((v, b)) => {
+            for ((u_row, c_row), b_row) in rows.zip(b.chunks_exact_mut(nh)) {
+                agreement(u_row, v, b_row, ch);
+                softmax(b_row, c_row);
+                weighted_sum(c_row, u_row, s, ch);
+            }
+        }
+        None => {
+            for (u_row, c_row) in rows {
+                weighted_sum(c_row, u_row, s, ch);
+            }
+        }
+    }
 }
 
 /// [`agreement_block`] over `nb` u-blocks spaced `u_stride` floats apart
@@ -430,6 +544,18 @@ pub mod scalar {
         for (j, bj) in b.iter_mut().enumerate() {
             *bj += dot(&u[j * ch..(j + 1) * ch], &v[j * ch..(j + 1) * ch]);
         }
+    }
+
+    /// Scalar [`super::route_rows`]: the per-row composition.
+    pub fn route_rows(
+        u: &[f32],
+        agree: Option<(&[f32], &mut [f32])>,
+        c: &mut [f32],
+        s: &mut [f32],
+        ch: usize,
+    ) {
+        let kernels = (agreement_block, softmax_row, weighted_sum_block);
+        super::per_row(u, agree, c, s, ch, kernels);
     }
 
     /// Scalar [`super::agreement_blocks_strided`]: loops the per-block
@@ -771,24 +897,20 @@ pub mod avx2 {
         }
     }
 
-    /// AVX2 [`super::softmax_row`]: fused max-reduce, polynomial exp with
-    /// running sum, and one broadcast divide. Partial rows run through
-    /// masked loads/stores, so even short routing rows (H < 8) stay fully
-    /// vectorized with no scalar tail.
+    /// The max of a non-empty row, reduced in 8-lane order: NaN and
+    /// signed zeros resolve by `_mm256_max_ps`'s operand order, so every
+    /// softmax that means to match [`softmax_row`] bitwise reduces here.
     ///
     /// # Safety
     ///
     /// Requires AVX2+FMA.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn softmax_row(logits: &[f32], out: &mut [f32]) {
-        let n = logits.len().min(out.len());
-        if n == 0 {
-            return;
-        }
+    unsafe fn row_max(logits: &[f32]) -> f32 {
+        let n = logits.len();
         let tail = n % LANES;
         let full = n - tail;
-
-        // Max reduce: inactive tail lanes blend to -∞ (the max identity).
+        // Inactive tail lanes blend to -∞ (the max identity).
         let mut vmax = _mm256_set1_ps(f32::NEG_INFINITY);
         let mut i = 0;
         while i < full {
@@ -810,7 +932,26 @@ pub mod avx2 {
         let m4 = _mm_max_ps(lo, hi);
         let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
         let m1 = _mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 0b01));
-        let mx = _mm_cvtss_f32(m1);
+        _mm_cvtss_f32(m1)
+    }
+
+    /// AVX2 [`super::softmax_row`]: fused max-reduce, polynomial exp with
+    /// running sum, and one broadcast divide. Partial rows run through
+    /// masked loads/stores, so even short routing rows (H < 8) stay fully
+    /// vectorized with no scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn softmax_row(logits: &[f32], out: &mut [f32]) {
+        let n = logits.len().min(out.len());
+        if n == 0 {
+            return;
+        }
+        let tail = n % LANES;
+        let full = n - tail;
+        let mx = row_max(&logits[..n]);
 
         // exp(l - mx) with running sum; masked-out exp lanes zero so the
         // sum is exact.
@@ -933,6 +1074,205 @@ pub mod avx2 {
         }
         for (j, bj) in b.iter_mut().enumerate() {
             *bj += dot(&u[j * ch..(j + 1) * ch], &v[j * ch..(j + 1) * ch]);
+        }
+    }
+
+    /// Vectors per capsule on [`super::route_rows`]' vector path: `ch` a
+    /// multiple of 8, up to 32.
+    fn lane_vecs(ch: usize) -> Option<usize> {
+        (ch.is_multiple_of(LANES) && (LANES..=4 * LANES).contains(&ch)).then_some(ch / LANES)
+    }
+
+    /// AVX2 [`super::route_rows`]: blocks of four rows for `ch` a multiple
+    /// of 8 up to 32, the per-row composition of this module's kernels for
+    /// any other `ch`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn route_rows(
+        u: &[f32],
+        agree: Option<(&[f32], &mut [f32])>,
+        c: &mut [f32],
+        s: &mut [f32],
+        ch: usize,
+    ) {
+        match lane_vecs(ch) {
+            Some(vecs) => route_lanes::<false>(vecs, u, agree, c, s),
+            None => {
+                let kernels = (
+                    |u: &[f32], v: &[f32], b: &mut [f32], ch| agreement_block(u, v, b, ch),
+                    |l: &[f32], o: &mut [f32]| softmax_row(l, o),
+                    |c: &[f32], u: &[f32], s: &mut [f32], ch| weighted_sum_block(c, u, s, ch),
+                );
+                super::per_row(u, agree, c, s, ch, kernels);
+            }
+        }
+    }
+
+    /// [`super::route_rows`]' vector path for `vecs` = `ch / 8` ∈ 1..=4:
+    /// blocks of four rows, then the remainder row by row. `WIDE` runs the
+    /// softmax on 512-bit vectors ([`avx512::softmax_row`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA, and AVX-512F when `WIDE`; the slices have the
+    /// lengths [`super::route_rows`] documents for `ch = 8 · vecs`.
+    #[inline(always)]
+    unsafe fn route_lanes<const WIDE: bool>(
+        vecs: usize,
+        u: &[f32],
+        agree: Option<(&[f32], &mut [f32])>,
+        c: &mut [f32],
+        s: &mut [f32],
+    ) {
+        match vecs {
+            1 => route_blocks::<1, WIDE>(u, agree, c, s),
+            2 => route_blocks::<2, WIDE>(u, agree, c, s),
+            3 => route_blocks::<3, WIDE>(u, agree, c, s),
+            _ => route_blocks::<4, WIDE>(u, agree, c, s),
+        }
+    }
+
+    // SAFETY: the contract of `route_lanes` with `ch = 8 · VECS`; the row
+    // pointers below step through `u`, `b` and `c` in whole rows and stop
+    // at `rows = c.len() / H`.
+    #[inline(always)]
+    unsafe fn route_blocks<const VECS: usize, const WIDE: bool>(
+        u: &[f32],
+        agree: Option<(&[f32], &mut [f32])>,
+        c: &mut [f32],
+        s: &mut [f32],
+    ) {
+        let block = s.len();
+        let nh = block / (VECS * LANES);
+        let rows = c.len() / nh;
+        let agree = agree.map(|(v, b)| (v.as_ptr(), b.as_mut_ptr()));
+        let (u, c, s) = (u.as_ptr(), c.as_mut_ptr(), s.as_mut_ptr());
+        let at = |i: usize| agree.map(|(v, b)| (v, b.add(i * nh)));
+        let mut i = 0;
+        while i + 4 <= rows {
+            route_block::<4, VECS, WIDE>(u.add(i * block), at(i), c.add(i * nh), s, nh);
+            i += 4;
+        }
+        while i < rows {
+            route_block::<1, VECS, WIDE>(u.add(i * block), at(i), c.add(i * nh), s, nh);
+            i += 1;
+        }
+    }
+
+    // SAFETY: requires AVX2+FMA (and AVX-512F when `WIDE`); `u` points at
+    // `ROWS` rows of `nh · 8 · VECS` floats, `c` (and `b`) at `ROWS` rows
+    // of `nh`, `v` and `s` at `nh · 8 · VECS` floats each.
+    #[inline(always)]
+    unsafe fn route_block<const ROWS: usize, const VECS: usize, const WIDE: bool>(
+        u: *const f32,
+        agree: Option<(*const f32, *mut f32)>,
+        c: *mut f32,
+        s: *mut f32,
+        nh: usize,
+    ) {
+        if let Some((v, b)) = agree {
+            agree_block::<ROWS, VECS>(u, v, b, nh);
+            for r in 0..ROWS {
+                let logits = std::slice::from_raw_parts(b.add(r * nh), nh);
+                let out = std::slice::from_raw_parts_mut(c.add(r * nh), nh);
+                if WIDE {
+                    avx512::softmax_row(logits, out);
+                } else {
+                    softmax_row(logits, out);
+                }
+            }
+        }
+        weigh_block::<ROWS, VECS>(u, c, s, nh);
+    }
+
+    /// Eq 4 for one block of rows: `b[r][j] += ⟨u[r][j], v[j]⟩`. Each `v`
+    /// vector is loaded once per block; every row reduces exactly as
+    /// [`agreement_block`] does (four `j` through one `hadd` tree, the
+    /// remainder through [`hsum256`]), so `b` is bitwise its result.
+    // SAFETY: the pointer contract of `route_block`.
+    #[inline(always)]
+    unsafe fn agree_block<const ROWS: usize, const VECS: usize>(
+        u: *const f32,
+        v: *const f32,
+        b: *mut f32,
+        nh: usize,
+    ) {
+        let ch = VECS * LANES;
+        let block = nh * ch;
+        let mut j = 0;
+        while j + 4 <= nh {
+            let mut vj = [[_mm256_setzero_ps(); VECS]; 4];
+            for (q, vq) in vj.iter_mut().enumerate() {
+                for (d, x) in vq.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(v.add((j + q) * ch + d * LANES));
+                }
+            }
+            for r in 0..ROWS {
+                let up = u.add(r * block + j * ch);
+                let mut acc = [_mm256_setzero_ps(); 4];
+                for (q, a) in acc.iter_mut().enumerate() {
+                    for (d, x) in vj[q].iter().enumerate() {
+                        let uv = _mm256_loadu_ps(up.add(q * ch + d * LANES));
+                        *a = _mm256_fmadd_ps(uv, *x, *a);
+                    }
+                }
+                let t0 = _mm256_hadd_ps(acc[0], acc[1]);
+                let t1 = _mm256_hadd_ps(acc[2], acc[3]);
+                let t2 = _mm256_hadd_ps(t0, t1);
+                let sum4 = _mm_add_ps(_mm256_castps256_ps128(t2), _mm256_extractf128_ps(t2, 1));
+                let bp = b.add(r * nh + j);
+                _mm_storeu_ps(bp, _mm_add_ps(_mm_loadu_ps(bp), sum4));
+            }
+            j += 4;
+        }
+        while j < nh {
+            let mut vj = [_mm256_setzero_ps(); VECS];
+            for (d, x) in vj.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(v.add(j * ch + d * LANES));
+            }
+            for r in 0..ROWS {
+                let up = u.add(r * block + j * ch);
+                let mut acc = _mm256_setzero_ps();
+                for (d, x) in vj.iter().enumerate() {
+                    acc = _mm256_fmadd_ps(_mm256_loadu_ps(up.add(d * LANES)), *x, acc);
+                }
+                *b.add(r * nh + j) += hsum256(acc);
+            }
+            j += 1;
+        }
+    }
+
+    /// Eq 2 for one block of rows: `s[j] += c[r][j] · u[r][j]`. Each `s`
+    /// vector is loaded and stored once per block, and the rows' FMAs run
+    /// in ascending `r` — per element the chain of [`weighted_sum_block`]
+    /// called row by row.
+    // SAFETY: the pointer contract of `route_block`.
+    #[inline(always)]
+    unsafe fn weigh_block<const ROWS: usize, const VECS: usize>(
+        u: *const f32,
+        c: *const f32,
+        s: *mut f32,
+        nh: usize,
+    ) {
+        let ch = VECS * LANES;
+        let block = nh * ch;
+        for j in 0..nh {
+            let mut cj = [_mm256_setzero_ps(); ROWS];
+            for (r, x) in cj.iter_mut().enumerate() {
+                *x = _mm256_set1_ps(*c.add(r * nh + j));
+            }
+            for d in 0..VECS {
+                let sp = s.add(j * ch + d * LANES);
+                let mut acc = _mm256_loadu_ps(sp);
+                for (r, x) in cj.iter().enumerate() {
+                    let uv = _mm256_loadu_ps(u.add(r * block + j * ch + d * LANES));
+                    acc = _mm256_fmadd_ps(*x, uv, acc);
+                }
+                _mm256_storeu_ps(sp, acc);
+            }
         }
     }
 
@@ -1087,6 +1427,155 @@ pub mod avx2 {
             *o = quad;
         }
     }
+
+    /// The [`SimdLevel::Avx512`](super::SimdLevel::Avx512) routing
+    /// kernels: 512-bit `exp` and divide, bitwise equal to their AVX2 twins.
+    ///
+    /// # Safety
+    ///
+    /// Every function in this module requires AVX-512F on top of AVX2 and FMA;
+    /// callers go through [`active_level`](super::active_level).
+    pub mod avx512 {
+        use super::super::arch::*;
+        use super::{hsum256, row_max, LANES};
+        use super::{EXP_HI, EXP_LO, LN2_HI, LN2_LO, LOG2EF, P0, P1, P2, P3, P4, P5};
+
+        /// Lanes of one 512-bit vector.
+        const WIDE: usize = 2 * LANES;
+
+        /// [`super::route_rows`] whose softmax is [`softmax_row`]; Eq 2 and
+        /// Eq 4 stay on 256-bit vectors.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX-512F, AVX2 and FMA.
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        pub unsafe fn route_rows(
+            u: &[f32],
+            agree: Option<(&[f32], &mut [f32])>,
+            c: &mut [f32],
+            s: &mut [f32],
+            ch: usize,
+        ) {
+            match super::lane_vecs(ch) {
+                Some(vecs) => super::route_lanes::<true>(vecs, u, agree, c, s),
+                None => super::route_rows(u, agree, c, s, ch),
+            }
+        }
+
+        /// [`super::softmax_row`] with `exp` and the divide on 16 lanes, bitwise
+        /// equal to it: the max is its 8-lane reduction, each exponent is its
+        /// polynomial lane for lane, and the denominator adds the 8-lane halves
+        /// in its order before the same horizontal sum. Rows holding NaN or ±∞
+        /// therefore match too.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX-512F, AVX2 and FMA.
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        pub unsafe fn softmax_row(logits: &[f32], out: &mut [f32]) {
+            let n = logits.len().min(out.len());
+            if n == 0 {
+                return;
+            }
+            let vmx = _mm512_set1_ps(row_max(&logits[..n]));
+            let rest = n % WIDE;
+            let full = n - rest;
+            let mask: __mmask16 = (1 << rest) - 1;
+
+            let mut vsum = _mm256_setzero_ps();
+            let mut i = 0;
+            while i < full {
+                let e = exp_ps(_mm512_sub_ps(_mm512_loadu_ps(logits.as_ptr().add(i)), vmx));
+                _mm512_storeu_ps(out.as_mut_ptr().add(i), e);
+                vsum = _mm256_add_ps(vsum, low_half(e));
+                vsum = _mm256_add_ps(vsum, high_half(e));
+                i += WIDE;
+            }
+            if rest > 0 {
+                // Inactive lanes zero, as the AVX2 tail's masked sum.
+                let l = _mm512_maskz_loadu_ps(mask, logits.as_ptr().add(full));
+                let e = _mm512_maskz_mov_ps(mask, exp_ps(_mm512_sub_ps(l, vmx)));
+                _mm512_mask_storeu_ps(out.as_mut_ptr().add(full), mask, e);
+                vsum = _mm256_add_ps(vsum, low_half(e));
+                if rest > LANES {
+                    vsum = _mm256_add_ps(vsum, high_half(e));
+                }
+            }
+
+            // Normalize (IEEE divide — the same rounding on any width).
+            let vd = _mm512_set1_ps(hsum256(vsum));
+            let mut i = 0;
+            while i < full {
+                let p = out.as_mut_ptr().add(i);
+                _mm512_storeu_ps(p, _mm512_div_ps(_mm512_loadu_ps(p), vd));
+                i += WIDE;
+            }
+            if rest > 0 {
+                let p = out.as_mut_ptr().add(full);
+                let e = _mm512_maskz_loadu_ps(mask, p);
+                _mm512_mask_storeu_ps(p, mask, _mm512_div_ps(e, vd));
+            }
+        }
+
+        // SAFETY: requires AVX-512F; register-only.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        unsafe fn low_half(x: __m512) -> __m256 {
+            _mm512_castps512_ps256(x)
+        }
+
+        // SAFETY: requires AVX-512F; register-only.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        unsafe fn high_half(x: __m512) -> __m256 {
+            _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)))
+        }
+
+        /// The AVX2 polynomial `exp` on 16 lanes: the same operations in the
+        /// same order, so every lane rounds as the 8-lane version does.
+        // SAFETY: requires AVX-512F per the target_feature attribute; callers
+        // are themselves `target_feature(avx512f)` fns behind the runtime
+        // feature check. Register-only math, no memory access.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        unsafe fn exp_ps(x: __m512) -> __m512 {
+            let hi_mask = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_set1_ps(EXP_HI));
+            let lo_mask = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, _mm512_set1_ps(EXP_LO));
+            let nan_mask = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x);
+            let xc = _mm512_max_ps(
+                _mm512_min_ps(x, _mm512_set1_ps(EXP_HI)),
+                _mm512_set1_ps(EXP_LO),
+            );
+
+            let n = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(
+                _mm512_fmadd_ps(xc, _mm512_set1_ps(LOG2EF), _mm512_set1_ps(0.5)),
+            );
+            let r = _mm512_fnmadd_ps(n, _mm512_set1_ps(LN2_HI), xc);
+            let r = _mm512_fnmadd_ps(n, _mm512_set1_ps(LN2_LO), r);
+
+            let mut p = _mm512_set1_ps(P0);
+            p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(P1));
+            p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(P2));
+            p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(P3));
+            p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(P4));
+            p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(P5));
+            let r2 = _mm512_mul_ps(r, r);
+            let y = _mm512_add_ps(_mm512_fmadd_ps(p, r2, r), _mm512_set1_ps(1.0));
+
+            let n_int = _mm512_cvtps_epi32(n);
+            let e1 = _mm512_srai_epi32::<1>(n_int);
+            let e2 = _mm512_sub_epi32(n_int, e1);
+            let bias = _mm512_set1_epi32(127);
+            let f1 = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(e1, bias)));
+            let f2 = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(e2, bias)));
+            let y = _mm512_mul_ps(_mm512_mul_ps(y, f1), f2);
+
+            let y = _mm512_mask_blend_ps(hi_mask, y, _mm512_set1_ps(f32::INFINITY));
+            let y = _mm512_mask_blend_ps(lo_mask, y, _mm512_setzero_ps());
+            _mm512_mask_blend_ps(nan_mask, y, x)
+        }
+    }
 }
 
 /// Stub so `simd::avx2` paths compile out cleanly on non-x86 targets (the
@@ -1222,6 +1711,105 @@ mod tests {
                 assert!((a - b).abs() < 1e-5, "n={n}: {a} vs {b}");
             }
         }
+    }
+
+    /// The per-row composition [`route_rows`] replaces, at `level`: the
+    /// scalar kernels, or the AVX2 kernels every vector level runs.
+    fn per_row_at(
+        level: SimdLevel,
+        u: &[f32],
+        agree: Option<(&[f32], &mut [f32])>,
+        c: &mut [f32],
+        s: &mut [f32],
+        ch: usize,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if level != SimdLevel::Scalar {
+            let kernels = (
+                // SAFETY: a vector level is in `host_levels`, so the host
+                // has AVX2 and FMA.
+                |u: &[f32], v: &[f32], b: &mut [f32], ch| unsafe {
+                    avx2::agreement_block(u, v, b, ch)
+                },
+                // SAFETY: as above.
+                |l: &[f32], o: &mut [f32]| unsafe { avx2::softmax_row(l, o) },
+                // SAFETY: as above.
+                |c: &[f32], u: &[f32], s: &mut [f32], ch| unsafe {
+                    avx2::weighted_sum_block(c, u, s, ch)
+                },
+            );
+            return per_row(u, agree, c, s, ch, kernels);
+        }
+        let kernels = (
+            scalar::agreement_block,
+            scalar::softmax_row,
+            scalar::weighted_sum_block,
+        );
+        per_row(u, agree, c, s, ch, kernels);
+    }
+
+    /// Row `i` of `[rows, nh]` logits: ordinary values for most rows, and
+    /// rows holding NaN, ±∞, signed zeros, or spreads past `exp`'s
+    /// overflow and underflow cut-offs.
+    fn logit_row(i: usize, nh: usize) -> Vec<f32> {
+        let mut row = seq(nh, i as f32 * 0.37);
+        match i % 6 {
+            1 => row[i % nh] = f32::NAN,
+            2 => row[(i * 3) % nh] = f32::INFINITY,
+            3 => row.fill(f32::NEG_INFINITY),
+            4 => {
+                for (j, x) in row.iter_mut().enumerate() {
+                    *x = [1e30, -1e30, 120.0, -120.0, 89.0, -88.0, 0.0][j % 7];
+                }
+            }
+            5 => {
+                for (j, x) in row.iter_mut().enumerate() {
+                    *x = if j % 2 == 0 { -0.0 } else { 0.0 };
+                }
+            }
+            _ => {}
+        }
+        row
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn route_rows_matches_the_per_row_composition_bitwise() {
+        for level in host_levels() {
+            for nh in [1, 2, 3, 4, 5, 7, 8, 10, 62, 64] {
+                for ch in [4, 8, 16, 24, 32] {
+                    let v = seq(nh * ch, 0.4);
+                    for rows in 1..=9 {
+                        let u = seq(rows * nh * ch, rows as f32);
+                        let b0: Vec<f32> = (0..rows).flat_map(|i| logit_row(i, nh)).collect();
+                        let s0 = seq(nh * ch, 0.8);
+                        for agree in [true, false] {
+                            let (mut b, mut c, mut s) = (b0.clone(), b0.clone(), s0.clone());
+                            let (mut rb, mut rc, mut rs) = (b0.clone(), b0.clone(), s0.clone());
+                            let on = agree.then_some((&v[..], &mut b[..]));
+                            route_rows_at(level, &u, on, &mut c, &mut s, ch);
+                            let on = agree.then_some((&v[..], &mut rb[..]));
+                            per_row_at(level, &u, on, &mut rc, &mut rs, ch);
+                            let case = format!("{level:?} H={nh} C_H={ch} rows={rows} eq4={agree}");
+                            assert_eq!(bits(&b), bits(&rb), "b, {case}");
+                            assert_eq!(bits(&c), bits(&rc), "c, {case}");
+                            assert_eq!(bits(&s), bits(&rs), "s, {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "u is [rows, H, C_H]")]
+    fn route_rows_rejects_a_short_u_block() {
+        let (nh, ch) = (4, 8);
+        let (mut c, mut s) = (vec![0.0; 2 * nh], vec![0.0; nh * ch]);
+        route_rows(&vec![0.0; nh * ch], None, &mut c, &mut s, ch);
     }
 
     #[test]
