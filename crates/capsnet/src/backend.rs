@@ -106,23 +106,12 @@ pub trait MathBackend: Send + Sync {
         s: &mut [f32],
         ch: usize,
     ) {
-        let block = s.len();
-        let nh = block / ch;
-        let rows = u.chunks_exact(block).zip(c.chunks_exact_mut(nh));
-        match agree {
-            Some((v, b)) => {
-                for ((u_row, c_row), b_row) in rows.zip(b.chunks_exact_mut(nh)) {
-                    self.agreement_block(u_row, v, b_row, ch);
-                    self.softmax_row(b_row, c_row);
-                    self.weighted_sum_block(c_row, u_row, s, ch);
-                }
-            }
-            None => {
-                for (u_row, c_row) in rows {
-                    self.weighted_sum_block(c_row, u_row, s, ch);
-                }
-            }
-        }
+        let kernels = (
+            |u: &[f32], v: &[f32], b: &mut [f32], ch| self.agreement_block(u, v, b, ch),
+            |l: &[f32], o: &mut [f32]| self.softmax_row(l, o),
+            |c: &[f32], u: &[f32], s: &mut [f32], ch| self.weighted_sum_block(c, u, s, ch),
+        );
+        simd::route_rows_with(u, agree, c, s, ch, kernels);
     }
     /// [`Self::agreement_block`] swept over `nb` u-blocks spaced `u_stride`
     /// floats apart (Eq 4 for one L capsule across the whole batch); `v`

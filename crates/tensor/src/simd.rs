@@ -358,12 +358,12 @@ fn route_rows_at(
     }
 }
 
-/// [`route_rows`] row by row through one level's row kernels
+/// [`route_rows`] row by row through the given row kernels
 /// `(agreement_block, softmax_row, weighted_sum_block)`: the path for every
-/// `ch` the vector path does not take, and the reference it is tested
-/// against.
+/// `ch` the vector path does not take, the reference it is tested against,
+/// and the composition `MathBackend::route_rows` defaults to.
 #[inline(always)]
-fn per_row<A, M, W>(
+pub fn route_rows_with<A, M, W>(
     u: &[f32],
     agree: Option<(&[f32], &mut [f32])>,
     c: &mut [f32],
@@ -555,7 +555,7 @@ pub mod scalar {
         ch: usize,
     ) {
         let kernels = (agreement_block, softmax_row, weighted_sum_block);
-        super::per_row(u, agree, c, s, ch, kernels);
+        super::route_rows_with(u, agree, c, s, ch, kernels);
     }
 
     /// Scalar [`super::agreement_blocks_strided`]: loops the per-block
@@ -1106,7 +1106,7 @@ pub mod avx2 {
                     |l: &[f32], o: &mut [f32]| softmax_row(l, o),
                     |c: &[f32], u: &[f32], s: &mut [f32], ch| weighted_sum_block(c, u, s, ch),
                 );
-                super::per_row(u, agree, c, s, ch, kernels);
+                super::route_rows_with(u, agree, c, s, ch, kernels);
             }
         }
     }
@@ -1738,14 +1738,14 @@ mod tests {
                     avx2::weighted_sum_block(c, u, s, ch)
                 },
             );
-            return per_row(u, agree, c, s, ch, kernels);
+            return route_rows_with(u, agree, c, s, ch, kernels);
         }
         let kernels = (
             scalar::agreement_block,
             scalar::softmax_row,
             scalar::weighted_sum_block,
         );
-        per_row(u, agree, c, s, ch, kernels);
+        route_rows_with(u, agree, c, s, ch, kernels);
     }
 
     /// Row `i` of `[rows, nh]` logits: ordinary values for most rows, and
