@@ -18,16 +18,19 @@
 //! * `forward` — `CapsNet::forward` under `ExactMath` (class capsules,
 //!   norms, coefficients) on seeded images, weights seeded as the
 //!   benchmark seeds them.
+//!
+//! The geometries and the model seed are copies of the values in
+//! `benchmark/src/workloads.rs`; nothing checks that they match, so they
+//! must be kept in step with that file by hand.
 
 use capsnet::routing::dynamic_routing_with;
 use capsnet::RoutingScratch;
 use capsnet::{ApproxMath, CapsNet, CapsNetSpec, ExactMath, MathBackend, RoutingAlgorithm};
 use pim_tensor::Tensor;
 
-/// A benchmark geometry: `(name, input_hw, conv1_channels, conv1_kernel,
-/// primary_channels, cl_dim, h_caps, ch_dim, routing_iterations,
-/// decoder_dims, max_batch)`; primary kernel 3 / stride 2 unless noted in
-/// [`spec`].
+/// A benchmark geometry. `conv1` is `(channels, kernel)` at stride 1;
+/// `primary` is `(channels, cl_dim, kernel, stride)`; the input has one
+/// channel and the model routes per sample with [`RoutingAlgorithm::Dynamic`].
 struct Geometry {
     name: &'static str,
     input_hw: usize,
@@ -40,7 +43,7 @@ struct Geometry {
     max_batch: usize,
 }
 
-/// The four workloads of `benchmark/src/workloads.rs`, copied.
+/// The four workloads of `benchmark/src/workloads.rs`, copied (module docs).
 const GEOMETRIES: [Geometry; 4] = [
     Geometry {
         name: "stream",

@@ -100,8 +100,9 @@ pub fn dynamic_routing_with<B: MathBackend + ?Sized>(
 /// Per sample, two more steps keep that order:
 ///
 /// * Iteration 0's logits are all zero, so every row's coefficients are
-///   `softmax(0)`: one row per call, computed once and copied into each of
-///   the sample's rows (`c` is still written in full), then Eq 2 alone.
+///   `softmax(0)`: one row per call, computed once into `c`'s first row
+///   and copied into every other row (`c` is still written in full); each
+///   sample's iteration 0 is then Eq 2 alone.
 /// * Each later iteration is one [`MathBackend::route_rows`] call over the
 ///   sample's `L` rows. The default runs the per-row chain above;
 ///   [`crate::ExactMath`]'s SIMD kernel walks the rows in blocks of four,
@@ -130,21 +131,23 @@ pub(crate) fn dynamic_routing_core<B: MathBackend + ?Sized>(
         // reads only its own û, logits and `s`, so `b_logits` and `s` are
         // one sample's and are reset per sample. Iteration 0's logits are
         // all zero, so its coefficient row is one softmax per call, copied
-        // into every row; later iterations run Eq 4 → softmax → Eq 2 over
-        // the sample's rows in one backend call.
+        // into every row of `c` up front; later iterations run Eq 4 →
+        // softmax → Eq 2 over the sample's rows in one backend call.
+        if !c.is_empty() {
+            let (first, rest) = c.split_at_mut(nh);
+            backend.softmax_row(&b_logits[..nh], first);
+            for row in rest.chunks_exact_mut(nh) {
+                row.copy_from_slice(first);
+            }
+        }
         RoutingScratch::fill_buf(&mut scratch.s, block, 0.0);
-        RoutingScratch::fill_buf(&mut scratch.c_first, nh, 0.0);
-        let (s, c_first) = (&mut scratch.s, &mut scratch.c_first);
-        backend.softmax_row(&b_logits[..nh], c_first);
+        let s = &mut scratch.s;
         let samples = uh
             .chunks_exact(nl * block)
             .zip(v.chunks_exact_mut(block))
             .zip(c.chunks_exact_mut(nl * nh));
         for ((u_k, v_k), c_k) in samples {
             b_logits.fill(0.0);
-            for c_row in c_k.chunks_exact_mut(nh) {
-                c_row.copy_from_slice(c_first);
-            }
             s.fill(0.0);
             backend.route_rows(u_k, None, c_k, s, ch);
             squash_all(s, v_k, ch, backend);

@@ -11,9 +11,9 @@
 //!
 //! Per-sample routing (dynamic with `batch_shared = false`, and EM) runs
 //! sample-major — every iteration of one sample before the next — so its
-//! buffers (`b_logits`, `s`, `c_first`, `mu`, `sigma_sq`, `act`) hold
-//! **one sample** and the scratch does not grow with the batch. Only
-//! batch-shared dynamic routing keeps a batch-wide `s` (`[B, H, C_H]`).
+//! buffers (`b_logits`, `s`, `mu`, `sigma_sq`, `act`) hold **one sample**
+//! and the scratch does not grow with the batch. Only batch-shared dynamic
+//! routing keeps a batch-wide `s` (`[B, H, C_H]`).
 
 /// Scratch buffers for [`dynamic_routing_with`](crate::routing::dynamic_routing_with)
 /// and [`em_routing_with`](crate::routing::em_routing_with).
@@ -23,12 +23,10 @@
 /// the sample-sharded driver hands each shard its own.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingScratch {
-    // Dynamic routing (Algorithm 1): the `[L, H]` coupling logits, `s`
-    // for one sample (`[H, C_H]`) or, batch-shared, the batch, and the
-    // per-sample path's iteration-0 coefficient row (`[H]`).
+    // Dynamic routing (Algorithm 1): the `[L, H]` coupling logits, and
+    // `s` for one sample (`[H, C_H]`) or, batch-shared, the batch.
     pub(crate) b_logits: Vec<f32>,
     pub(crate) s: Vec<f32>,
-    pub(crate) c_first: Vec<f32>,
     // EM routing, one sample: `[H, C_H]` means and variances, `[H]`
     // activations and row scratch.
     pub(crate) mu: Vec<f32>,
@@ -49,7 +47,6 @@ impl RoutingScratch {
         let buffers = [
             &self.b_logits,
             &self.s,
-            &self.c_first,
             &self.mu,
             &self.sigma_sq,
             &self.act,

@@ -995,14 +995,23 @@ pub mod avx2 {
     /// For lane-multiple `ch` (the common capsule widths 8/16/32) the whole
     /// `[rows, ch]` block is walked with flat pointers — no per-row slice
     /// setup — which matters because the routing loop calls this once per
-    /// `(sample, L-capsule)` pair. Elementwise identical to the generic
-    /// path (`fma(c_j, u, s)` per element).
+    /// `(sample, L-capsule)` pair: up to 32 through `weigh_block`, the
+    /// one-row instance of [`super::route_rows`]' Eq 2. Elementwise
+    /// identical to the generic path (`fma(c_j, u, s)` per element).
     ///
     /// # Safety
     ///
     /// Requires AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn weighted_sum_block(c: &[f32], u: &[f32], s: &mut [f32], ch: usize) {
+        let (cp, up, sp, nh) = (c.as_ptr(), u.as_ptr(), s.as_mut_ptr(), c.len());
+        match lane_vecs(ch) {
+            Some(1) => return weigh_block::<1, 1>(up, cp, sp, nh),
+            Some(2) => return weigh_block::<1, 2>(up, cp, sp, nh),
+            Some(3) => return weigh_block::<1, 3>(up, cp, sp, nh),
+            Some(_) => return weigh_block::<1, 4>(up, cp, sp, nh),
+            None => {}
+        }
         if ch.is_multiple_of(LANES) {
             let vecs = ch / LANES;
             let mut up = u.as_ptr();
@@ -1026,14 +1035,24 @@ pub mod avx2 {
     /// AVX2 [`super::agreement_block`].
     ///
     /// Same flat-walk specialization as [`weighted_sum_block`] for
-    /// lane-multiple `ch`: one or two FMA accumulators per row, one
-    /// horizontal reduce per output logit.
+    /// lane-multiple `ch` (up to 32 through `agree_block`, the one-row
+    /// instance of [`super::route_rows`]' Eq 4): one FMA accumulator per
+    /// row, four rows' horizontal reduces through one `hadd` tree.
     ///
     /// # Safety
     ///
     /// Requires AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn agreement_block(u: &[f32], v: &[f32], b: &mut [f32], ch: usize) {
+        let (up, vp, bp, nh) = (u.as_ptr(), v.as_ptr(), b.as_mut_ptr(), b.len());
+        match lane_vecs(ch) {
+            Some(1) => return agree_block::<1, 1>(up, vp, bp, nh),
+            Some(2) => return agree_block::<1, 2>(up, vp, bp, nh),
+            Some(3) => return agree_block::<1, 3>(up, vp, bp, nh),
+            Some(_) => return agree_block::<1, 4>(up, vp, bp, nh),
+            None => {}
+        }
+        // `ch` past 32: the same reduction order with a runtime vector count.
         if ch.is_multiple_of(LANES) {
             let vecs = ch / LANES;
             let rows = b.len();
