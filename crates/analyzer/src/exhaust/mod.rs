@@ -74,6 +74,8 @@ struct Inner {
     runnable: Vec<usize>,
     /// tid -> mutex id it is waiting on.
     waiting: BTreeMap<usize, usize>,
+    /// tid -> condvar id it sleeps on until a notify.
+    sleeping: BTreeMap<usize, usize>,
     /// mutex id -> owning tid.
     owners: BTreeMap<usize, usize>,
     finished: usize,
@@ -113,6 +115,7 @@ impl Sched {
                 current: NONE,
                 runnable: Vec::new(),
                 waiting: BTreeMap::new(),
+                sleeping: BTreeMap::new(),
                 owners: BTreeMap::new(),
                 finished: 0,
                 total,
@@ -141,7 +144,9 @@ impl Sched {
                 inner.done = true;
                 inner.current = NONE;
             } else {
-                let stuck: Vec<usize> = inner.waiting.keys().copied().collect();
+                let mut stuck: Vec<usize> = inner.waiting.keys().copied().collect();
+                stuck.extend(inner.sleeping.keys());
+                stuck.sort_unstable();
                 self.abort_locked(
                     inner,
                     format!("deadlock: threads {stuck:?} blocked with nothing runnable"),
@@ -221,6 +226,12 @@ impl Sched {
         if inner.record_ops {
             inner.ops.push(format!("t{tid}: {label}"));
         }
+        self.switch_away(inner, tid);
+    }
+
+    /// Lets the scheduler pick who runs next and returns once `tid` is
+    /// picked again (unwinding if the execution aborted meanwhile).
+    fn switch_away(&self, mut inner: MutexGuard<'_, Inner>, tid: usize) {
         self.pick(&mut inner);
         self.cv.notify_all();
         while inner.current != tid && !inner.aborted {
@@ -270,15 +281,7 @@ impl Sched {
             // Owned: deschedule until an unlock makes us runnable again.
             inner.runnable.retain(|&t| t != tid);
             inner.waiting.insert(tid, mutex_id);
-            self.pick(&mut inner);
-            self.cv.notify_all();
-            while inner.current != tid && !inner.aborted {
-                inner = self.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
-            }
-            if inner.aborted {
-                drop(inner);
-                panic::panic_any(AbortToken);
-            }
+            self.switch_away(inner, tid);
         }
     }
 
@@ -287,20 +290,47 @@ impl Sched {
     /// releaser keeps the CPU until its next shadow op, which is where
     /// freshly-woken waiters become eligible.
     fn release(&self, mutex_id: usize) {
-        let mut inner = lock_inner(&self.inner);
-        inner.owners.remove(&mutex_id);
-        let woken: Vec<usize> = inner
-            .waiting
-            .iter()
-            .filter(|(_, &m)| m == mutex_id)
-            .map(|(&t, _)| t)
-            .collect();
-        for t in woken {
-            inner.waiting.remove(&t);
-            let pos = inner.runnable.binary_search(&t).unwrap_or_else(|p| p);
-            inner.runnable.insert(pos, t);
-        }
+        Self::release_locked(&mut lock_inner(&self.inner), mutex_id);
     }
+
+    fn release_locked(inner: &mut Inner, mutex_id: usize) {
+        inner.owners.remove(&mutex_id);
+        unblock(&mut inner.waiting, &mut inner.runnable, mutex_id);
+    }
+
+    /// Condvar wait, in one step: releases `mutex_id`, deschedules the
+    /// caller until a notify on `cv_id` makes it runnable again. A sleeper
+    /// nobody notifies leaves nothing runnable: a deadlock.
+    fn sleep(&self, tid: usize, cv_id: usize, mutex_id: usize) {
+        let mut inner = lock_inner(&self.inner);
+        if inner.aborted {
+            drop(inner);
+            panic::panic_any(AbortToken);
+        }
+        Self::release_locked(&mut inner, mutex_id);
+        inner.runnable.retain(|&t| t != tid);
+        inner.sleeping.insert(tid, cv_id);
+        self.switch_away(inner, tid);
+    }
+
+    /// Makes every sleeper on `cv_id` runnable (they then race to
+    /// reacquire their mutex under the scheduler's control).
+    fn wake_all(&self, cv_id: usize) {
+        let inner = &mut *lock_inner(&self.inner);
+        unblock(&mut inner.sleeping, &mut inner.runnable, cv_id);
+    }
+}
+
+/// Moves every thread that `blocked` maps to `id` (a mutex or a condvar)
+/// back into the sorted `runnable` set.
+fn unblock(blocked: &mut BTreeMap<usize, usize>, runnable: &mut Vec<usize>, id: usize) {
+    blocked.retain(|&t, &mut b| {
+        if b == id {
+            let pos = runnable.binary_search(&t).unwrap_or_else(|p| p);
+            runnable.insert(pos, t);
+        }
+        b != id
+    });
 }
 
 // ── shadow primitives ───────────────────────────────────────────────────
@@ -332,7 +362,7 @@ impl<T> ShadowMutex<T> {
         let inner = self.data.lock().unwrap_or_else(PoisonError::into_inner);
         ShadowGuard {
             sched,
-            mutex_id: self.id,
+            mutex: self,
             inner: Some(inner),
         }
     }
@@ -341,7 +371,7 @@ impl<T> ShadowMutex<T> {
 /// Guard for a [`ShadowMutex`]; releases the shadow ownership on drop.
 pub struct ShadowGuard<'a, T> {
     sched: &'a Sched,
-    mutex_id: usize,
+    mutex: &'a ShadowMutex<T>,
     inner: Option<MutexGuard<'a, T>>,
 }
 
@@ -360,8 +390,47 @@ impl<T> std::ops::DerefMut for ShadowGuard<'_, T> {
 
 impl<T> Drop for ShadowGuard<'_, T> {
     fn drop(&mut self) {
-        self.inner.take();
-        self.sched.release(self.mutex_id);
+        if self.inner.take().is_some() {
+            self.sched.release(self.mutex.id);
+        }
+    }
+}
+
+/// A condition variable whose blocking lives in the scheduler. There are
+/// no spurious wake-ups and no timeouts: a waiter runs again only after a
+/// [`ShadowCondvar::notify_all`], so a lost wake-up strands it and the
+/// execution fails as a deadlock.
+pub struct ShadowCondvar {
+    id: usize,
+    label: &'static str,
+}
+
+impl ShadowCondvar {
+    pub fn new(label: &'static str) -> Self {
+        ShadowCondvar {
+            id: NEXT_MUTEX_ID.fetch_add(1, Ordering::Relaxed),
+            label,
+        }
+    }
+
+    /// Releases `guard`'s mutex and sleeps until a notify, then reacquires
+    /// the mutex (scheduling points before the wait and at the relock).
+    pub fn wait<'a, T>(&self, mut guard: ShadowGuard<'a, T>, tid: usize) -> ShadowGuard<'a, T> {
+        let (sched, mutex) = (guard.sched, guard.mutex);
+        sched.yield_point(tid, &format!("wait({})", self.label));
+        // The shadow ownership goes in `sleep`, atomically with the
+        // descheduling; the guard's drop must not release it again.
+        guard.inner.take();
+        drop(guard);
+        sched.sleep(tid, self.id, mutex.id);
+        mutex.lock(sched, tid)
+    }
+
+    /// Makes every thread sleeping on this condvar runnable (a scheduling
+    /// point).
+    pub fn notify_all(&self, sched: &Sched, tid: usize) {
+        sched.yield_point(tid, &format!("notify_all({})", self.label));
+        sched.wake_all(self.id);
     }
 }
 
@@ -766,6 +835,50 @@ mod tests {
         let out = explore(&model, Options::default());
         let cex = out.failure.expect("AB-BA deadlock must be found");
         assert!(cex.message.contains("deadlock"), "{}", cex.message);
+    }
+
+    #[test]
+    fn a_wait_nobody_notifies_is_a_deadlock() {
+        struct Flag {
+            m: ShadowMutex<bool>,
+            cv: ShadowCondvar,
+        }
+        let model = |notify: bool| -> Model<Flag> {
+            Model {
+                name: "flag",
+                threads: 2,
+                make: Arc::new(|| {
+                    Arc::new(Flag {
+                        m: ShadowMutex::new("m", false),
+                        cv: ShadowCondvar::new("cv"),
+                    })
+                }),
+                body: Arc::new(move |tid, sched, s: &Flag| {
+                    if tid == 0 {
+                        let mut g = s.m.lock(sched, tid);
+                        while !*g {
+                            g = s.cv.wait(g, tid);
+                        }
+                    } else {
+                        *s.m.lock(sched, tid) = true;
+                        if notify {
+                            s.cv.notify_all(sched, tid);
+                        }
+                    }
+                }),
+                check_final: Arc::new(|_| Ok(())),
+            }
+        };
+        let out = explore(&model(true), Options::default());
+        assert!(out.failure.is_none(), "{:?}", out.failure);
+        assert!(out.exhausted);
+        let out = explore(&model(false), Options::default());
+        let cex = out.failure.expect("an unnotified sleeper must be found");
+        assert!(
+            cex.message.contains("deadlock: threads [0]"),
+            "{}",
+            cex.message
+        );
     }
 
     #[test]

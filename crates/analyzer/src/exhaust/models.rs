@@ -1,4 +1,4 @@
-//! Shadow models of the two serve-tier concurrency protocols, checked
+//! Shadow models of the three serve-tier concurrency protocols, checked
 //! exhaustively by [`explore`].
 //!
 //! Each protocol comes in two variants: the **correct** one mirroring the
@@ -11,12 +11,13 @@
 //! |-----------|-------------------------------------------|-----------|
 //! | `mailbox` | `serve::replica::Mailbox` push/wound/close | every job resolves exactly once |
 //! | `reserve` | `serve::replica` `pick_and_reserve` CAS-argmin | counts never negative; overlapping picks spread |
+//! | `wake`    | `serve::server` `Scheduler` submit / `form_batch` sleeper count | no lost wake-up: every request is served |
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use super::{explore, Model, Options, Outcome, Sched, ShadowAtomic, ShadowMutex};
+use super::{explore, Model, Options, Outcome, Sched, ShadowAtomic, ShadowCondvar, ShadowMutex};
 
 /// A model variant: correct (expected to pass) or broken (expected to
 /// fail — self-test).
@@ -288,6 +289,92 @@ impl ShadowAtomic {
     }
 }
 
+// ── model 3: notify only when a thread sleeps ────────────────────────────
+
+/// Shadow of `serve::server::Scheduler`'s wake rule: the queue and the
+/// count of threads sleeping on `work_ready`, under one mutex.
+pub struct WakeState {
+    state: ShadowMutex<Queue>,
+    work_ready: ShadowCondvar,
+    /// Requests the worker served (read after quiescence).
+    served: AtomicI64,
+}
+
+/// The scheduler's guarded state.
+#[derive(Default)]
+pub struct Queue {
+    queued: usize,
+    sleepers: usize,
+}
+
+/// Requests the submitter sends (and the worker serves).
+const WAKE_REQUESTS: usize = 2;
+
+/// Threads: t0 submits `WAKE_REQUESTS` requests, each pushed under the
+/// lock, and notifies only when it saw a sleeper; t1 is a worker that
+/// takes them one by one, counting itself a sleeper around each wait.
+///
+/// `Broken`: the submitter reads the sleeper count in one critical section
+/// and publishes the request in another, so a worker that checks the
+/// queue and falls asleep in between is never notified — the lost wake-up
+/// the one-critical-section rule prevents. It surfaces as a deadlock.
+pub fn wake(variant: Variant) -> Model<WakeState> {
+    let broken = variant == Variant::Broken;
+    Model {
+        name: "wake",
+        threads: 2,
+        make: Arc::new(|| {
+            Arc::new(WakeState {
+                state: ShadowMutex::new("scheduler", Queue::default()),
+                work_ready: ShadowCondvar::new("work_ready"),
+                served: AtomicI64::new(0),
+            })
+        }),
+        body: Arc::new(move |tid, sched, s: &WakeState| match tid {
+            0 => {
+                for _ in 0..WAKE_REQUESTS {
+                    let wake = if broken {
+                        // BUG: the count is read before the request is
+                        // published, in a separate critical section.
+                        let wake = s.state.lock(sched, tid).sleepers > 0;
+                        s.state.lock(sched, tid).queued += 1;
+                        wake
+                    } else {
+                        let mut g = s.state.lock(sched, tid);
+                        g.queued += 1;
+                        g.sleepers > 0
+                    };
+                    if wake {
+                        s.work_ready.notify_all(sched, tid);
+                    }
+                }
+            }
+            1 => {
+                for _ in 0..WAKE_REQUESTS {
+                    let mut g = s.state.lock(sched, tid);
+                    while g.queued == 0 {
+                        g.sleepers += 1;
+                        g = s.work_ready.wait(g, tid);
+                        g.sleepers -= 1;
+                    }
+                    g.queued -= 1;
+                    drop(g);
+                    s.served.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            _ => unreachable!(),
+        }),
+        check_final: Arc::new(|s: &WakeState| {
+            let served = s.served.load(Ordering::SeqCst);
+            if served == WAKE_REQUESTS as i64 {
+                Ok(())
+            } else {
+                Err(format!("{served} of {WAKE_REQUESTS} requests served"))
+            }
+        }),
+    }
+}
+
 // ── registry ────────────────────────────────────────────────────────────
 
 /// Runs every model in both variants, exhaustively.
@@ -303,6 +390,11 @@ pub fn check_all(opts: Options) -> Vec<Report> {
             name: "reserve",
             variant,
             outcome: explore(&reserve(variant), opts),
+        });
+        reports.push(Report {
+            name: "wake",
+            variant,
+            outcome: explore(&wake(variant), opts),
         });
     }
     reports
@@ -361,10 +453,39 @@ mod tests {
     }
 
     #[test]
+    fn wake_correct_exhausts_clean() {
+        let out = explore(&wake(Variant::Correct), Options::default());
+        assert!(out.failure.is_none(), "{:#?}", out.failure);
+        assert!(out.exhausted);
+        assert!(
+            out.executions > 10,
+            "suspiciously small space: {}",
+            out.executions
+        );
+    }
+
+    #[test]
+    fn wake_broken_loses_a_wake_up() {
+        let out = explore(&wake(Variant::Broken), Options::default());
+        let cex = out
+            .failure
+            .expect("reading the count first must lose a wake-up");
+        assert!(
+            cex.message.contains("deadlock: threads [1]"),
+            "{}",
+            cex.message
+        );
+    }
+
+    #[test]
     fn broken_counterexamples_replay() {
         let out = explore(&reserve(Variant::Broken), Options::default());
         let cex = out.failure.expect("counterexample");
         let ops = super::super::replay(&reserve(Variant::Broken), &cex.choices);
+        assert_eq!(ops, cex.ops, "replay must be deterministic");
+        let out = explore(&wake(Variant::Broken), Options::default());
+        let cex = out.failure.expect("counterexample");
+        let ops = super::super::replay(&wake(Variant::Broken), &cex.choices);
         assert_eq!(ops, cex.ops, "replay must be deterministic");
     }
 }

@@ -121,7 +121,7 @@ fn main() -> ExitCode {
             );
         }
         if let Some((seed, iters)) = sample_args {
-            use pim_analyzer::exhaust::models::{mailbox, reserve};
+            use pim_analyzer::exhaust::models::{mailbox, reserve, wake};
             let opts = Options::default();
             let outcomes = [
                 (
@@ -132,6 +132,7 @@ fn main() -> ExitCode {
                     "reserve",
                     sample(&reserve(Variant::Correct), seed, iters, opts),
                 ),
+                ("wake", sample(&wake(Variant::Correct), seed, iters, opts)),
             ];
             for (name, out) in outcomes {
                 match &out.failure {

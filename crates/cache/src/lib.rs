@@ -16,6 +16,15 @@
 //! * **Sharded CLOCK eviction** under a byte budget: each shard keeps a
 //!   clock ring; referenced entries get a second chance, unreferenced ones
 //!   are evicted when the budget is exceeded.
+//! * **Doorkeeper admission under byte pressure** (TinyLFU's doorkeeper,
+//!   Einziger, Friedman & Manes, ACM TOS 2017). A fill that fits its
+//!   shard's budget is admitted at once. A fill that would evict is
+//!   admitted only if its digest was offered before: the first offer sets
+//!   one bit in the shard's doorkeeper and stores nothing
+//!   ([`CacheReport::declined`]), so a stream of content that never
+//!   repeats cannot flush the entries that do. The bitset is sized from
+//!   the shard's entry count and cleared after a window proportional to
+//!   it, so its memory stays bounded and old offers age out.
 //! * **Version-keyed invalidation, free under hot-swap.** The serving
 //!   registry's versions are strictly monotone, so a swap simply orphans
 //!   the old version's entries: lookups for the new version cannot match
@@ -99,8 +108,14 @@ pub struct CacheReport {
     /// without the shard lock. Kept because the benchmark's pinned API
     /// surface reads it (`cache.bloom_negative_share`).
     pub bloom_negatives: u64,
-    /// Values admitted.
+    /// Values admitted: every fill that fit without evicting, and under
+    /// byte pressure every fill whose digest the doorkeeper had seen
+    /// offered before.
     pub insertions: u64,
+    /// Fills declined under byte pressure on their digest's first offer:
+    /// the doorkeeper recorded the offer, and nothing was stored or
+    /// evicted.
+    pub declined: u64,
     /// Live entries evicted under byte pressure.
     pub evictions: u64,
     /// Entries reclaimed because a hot-swap orphaned their version.
@@ -143,6 +158,65 @@ const CLOCK_FRESH: u8 = 1;
 /// Clock credit for an entry that was hit.
 const CLOCK_PROTECTED: u8 = 3;
 
+/// Doorkeeper bits per cached entry (rounded up to a power of two).
+const DOORKEEPER_BITS_PER_ENTRY: usize = 32;
+/// Doorkeeper offers per window, as a share of its bits: a window of
+/// `bits / 8` offers (four per entry) sets at most an eighth of the bits,
+/// so a first offer passes as a repeat at most one time in eight, and
+/// about one in sixteen on average over the window.
+const DOORKEEPER_BITS_PER_OFFER: usize = 8;
+
+/// TinyLFU's doorkeeper: one bit per digest, set on a fill's first offer
+/// under byte pressure; a later offer finds it set and is admitted. Sized
+/// from the shard's entry count at the start of each window and cleared
+/// when the window's offers are spent (sample-and-reset), so its memory is
+/// bounded by the entry count, not by the stream. A window's last offer is
+/// carried into the next, so an offer is always remembered at least until
+/// the one after it.
+#[derive(Default)]
+struct Doorkeeper {
+    bits: Vec<u64>,
+    /// Offers left in the current window.
+    left: usize,
+}
+
+impl Doorkeeper {
+    /// Records an offer of `digest` to a shard holding `entries` entries;
+    /// `true` when the digest was offered before in this window.
+    fn offered_before(&mut self, digest: u64, entries: usize) -> bool {
+        if self.bits.is_empty() {
+            self.reset(entries);
+        }
+        let seen = self.test_and_set(digest);
+        self.left -= 1;
+        if self.left == 0 {
+            self.reset(entries);
+            self.test_and_set(digest);
+        }
+        seen
+    }
+
+    /// Starts a window sized for `entries` entries, every bit clear.
+    fn reset(&mut self, entries: usize) {
+        let nbits = (entries.max(2) * DOORKEEPER_BITS_PER_ENTRY).next_power_of_two();
+        self.bits.clear();
+        self.bits.resize(nbits / 64, 0);
+        self.left = nbits / DOORKEEPER_BITS_PER_OFFER;
+    }
+
+    /// Sets `digest`'s bit; `true` when it was already set.
+    fn test_and_set(&mut self, digest: u64) -> bool {
+        // Fibonacci hashing: the shard is chosen from the digest's low
+        // bits, so the bit index takes the high bits of a multiplied copy.
+        let nbits = self.bits.len() * 64;
+        let i = (digest.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & (nbits - 1);
+        let (word, bit) = (&mut self.bits[i / 64], 1u64 << (i % 64));
+        let seen = *word & bit != 0;
+        *word |= bit;
+        seen
+    }
+}
+
 struct Shard<V> {
     map: HashMap<Key, Entry<V>>,
     /// CLOCK ring over the map's keys; `hand` indexes the next victim
@@ -151,6 +225,9 @@ struct Shard<V> {
     ring: Vec<Key>,
     hand: usize,
     bytes: usize,
+    doorkeeper: Doorkeeper,
+    /// Fills the doorkeeper declined (see [`CacheReport::declined`]).
+    declined: u64,
 }
 
 impl<V> Shard<V> {
@@ -160,6 +237,8 @@ impl<V> Shard<V> {
             ring: Vec::new(),
             hand: 0,
             bytes: 0,
+            doorkeeper: Doorkeeper::default(),
+            declined: 0,
         }
     }
 
@@ -282,8 +361,12 @@ impl<V: CacheValue> ResponseCache<V> {
         }
     }
 
-    /// Admits a value under the byte budget, evicting via CLOCK as needed.
-    /// Returns `false` when the value alone exceeds a shard's budget.
+    /// Offers a value to the cache. A value that fits its shard's byte
+    /// budget is admitted at once. One that would evict is admitted (and
+    /// CLOCK evicts as needed) only if its digest was offered before; a
+    /// first offer under byte pressure is declined: the doorkeeper records
+    /// it, and nothing is stored or evicted ([`CacheReport::declined`]).
+    /// Returns `false` only when the value alone exceeds a shard's budget.
     ///
     /// Inserting under a retired (pre-swap) version is allowed — an
     /// in-flight batch on the old model `Arc` fills its own epoch — but no
@@ -315,6 +398,13 @@ impl<V: CacheValue> ResponseCache<V> {
             // (values are bit-identical by construction), refresh credit.
             entry.clock = entry.clock.max(CLOCK_FRESH);
             return true;
+        }
+        if shard.bytes + cost > self.shard_budget {
+            let entries = shard.map.len();
+            if !shard.doorkeeper.offered_before(digest, entries) {
+                shard.declined += 1;
+                return true;
+            }
         }
         // CLOCK sweep until the new entry fits. No orphan is cached (see
         // `retire_below`), so every candidate is live. Each full lap
@@ -377,15 +467,18 @@ impl<V: CacheValue> ResponseCache<V> {
     pub fn report(&self) -> CacheReport {
         let mut entries = 0u64;
         let mut bytes = 0u64;
+        let mut declined = 0u64;
         for shard in &self.shards {
             let shard = lock(shard);
             entries += shard.map.len() as u64;
             bytes += shard.bytes as u64;
+            declined += shard.declined;
         }
         CacheReport {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
             insertions: self.stats.insertions.load(Ordering::Relaxed),
+            declined,
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             orphan_evictions: self.stats.orphan_evictions.load(Ordering::Relaxed),
             entries,
@@ -447,16 +540,27 @@ mod tests {
         assert_eq!(rep.bytes, 3);
     }
 
+    /// Offers `value` under `digest` twice in a row: the doorkeeper admits
+    /// the second offer of a fill it declined.
+    fn offer_twice(cache: &ResponseCache<Vec<u8>>, version: u64, digest: u64, value: Vec<u8>) {
+        assert!(cache.insert(0, version, digest, value.clone()));
+        assert!(cache.insert(0, version, digest, value));
+    }
+
     #[test]
     fn eviction_respects_byte_budget() {
         let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
         for d in 0..100u64 {
-            assert!(cache.insert(0, 1, d, vec![0u8; 100]));
+            offer_twice(&cache, 1, d, vec![0u8; 100]);
         }
         let rep = cache.report();
         assert!(rep.bytes <= 1024, "{} bytes over budget", rep.bytes);
         assert_eq!(rep.entries, rep.bytes / 100);
         assert_eq!(rep.evictions + rep.entries, 100);
+        assert_eq!(rep.insertions, 100);
+        // Ten fit; each of the other ninety was declined once, then
+        // admitted on its second offer.
+        assert_eq!(rep.declined, 90, "{rep:?}");
         // Oversized values are rejected outright.
         assert!(!cache.insert(0, 1, 200, vec![0u8; 4096]));
     }
@@ -471,10 +575,11 @@ mod tests {
         for _ in 0..4 {
             assert!(cache.get(0, 1, 7).is_some());
         }
-        // Pressure: insert fresh keys; the hot key must survive the sweep.
+        // Pressure: admit fresh keys; the hot key must survive the sweep.
         for d in 100..105u64 {
-            cache.insert(0, 1, d, vec![0u8; 100]);
+            offer_twice(&cache, 1, d, vec![0u8; 100]);
         }
+        assert_eq!(cache.report().evictions, 5);
         assert!(cache.get(0, 1, 7).is_some(), "hot entry was evicted");
     }
 
@@ -509,8 +614,9 @@ mod tests {
         // the v2 entries that replace them.
         let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
         for d in 0..20u64 {
-            cache.insert(0, 1, d, vec![0u8; 100]);
+            offer_twice(&cache, 1, d, vec![0u8; 100]);
         }
+        assert_eq!(cache.report().declined, 10);
         cache.retire_below(0, 2);
         for d in 0..5u64 {
             cache.insert(0, 2, d, vec![0u8; 100]);
@@ -538,11 +644,79 @@ mod tests {
         }
         assert_eq!(cache.get(0, 3, 0), None);
         for d in 10..20u64 {
-            cache.insert(0, 1, d, vec![0u8; 100]);
+            offer_twice(&cache, 1, d, vec![0u8; 100]);
         }
         let survivors = (10..20u64).filter(|&d| cache.get(0, 1, d).is_some());
         assert_eq!(survivors.count(), 10, "{:?}", cache.report());
         assert_eq!(cache.report().orphan_evictions, 0);
+        assert_eq!(cache.report().declined, 10);
+    }
+
+    #[test]
+    fn a_fill_with_room_is_admitted_on_its_first_offer() {
+        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
+        for d in 0..10u64 {
+            assert!(cache.insert(0, 1, d, vec![0u8; 100]));
+            assert!(cache.get(0, 1, d).is_some(), "fill {d} with room declined");
+        }
+        let rep = cache.report();
+        assert_eq!((rep.insertions, rep.declined, rep.entries), (10, 0, 10));
+    }
+
+    #[test]
+    fn under_pressure_a_first_offer_is_declined_and_a_second_admitted() {
+        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
+        for d in 0..10u64 {
+            cache.insert(0, 1, d, vec![0u8; 100]);
+        }
+        let full = cache.report();
+        assert!(cache.insert(0, 1, 100, vec![0u8; 100]));
+        let rep = cache.report();
+        assert_eq!(
+            (rep.entries, rep.bytes, rep.evictions, rep.insertions),
+            (full.entries, full.bytes, full.evictions, full.insertions),
+            "a declined fill stores and evicts nothing"
+        );
+        assert_eq!(rep.declined, 1);
+        assert_eq!(cache.get(0, 1, 100), None);
+        assert!(cache.insert(0, 1, 100, vec![0u8; 100]));
+        assert_eq!(cache.get(0, 1, 100), Some(vec![0u8; 100]));
+        let rep = cache.report();
+        assert_eq!((rep.declined, rep.insertions, rep.evictions), (1, 11, 1));
+    }
+
+    #[test]
+    fn an_all_distinct_stream_under_pressure_is_mostly_declined() {
+        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
+        for d in 0..10u64 {
+            cache.insert(0, 1, d, vec![0u8; 100]);
+        }
+        let fills = 100_000u64;
+        for d in 0..fills {
+            assert!(cache.insert(0, 1, 1_000 + d, vec![0u8; 100]));
+        }
+        let rep = cache.report();
+        let admitted = rep.insertions - 10;
+        assert_eq!(admitted + rep.declined, fills, "{rep:?}");
+        assert!(admitted <= fills / 10, "{admitted} of {fills} admitted");
+        assert!(rep.bytes <= 1024, "{rep:?}");
+    }
+
+    #[test]
+    fn the_doorkeeper_stays_bounded_as_the_stream_grows() {
+        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
+        let words = |cache: &ResponseCache<Vec<u8>>| lock(&cache.shards[0]).doorkeeper.bits.len();
+        let mut sizes = Vec::new();
+        let mut d = 0u64;
+        for fills in [1_000u64, 10_000, 100_000] {
+            while d < fills {
+                cache.insert(0, 1, d, vec![0u8; 100]);
+                d += 1;
+            }
+            sizes.push(words(&cache));
+        }
+        // Ten entries: 10 · 32 bits, rounded up to 512 bits = 8 words.
+        assert_eq!(sizes, [8, 8, 8]);
     }
 
     #[test]

@@ -156,13 +156,27 @@ pub struct Response {
 }
 
 /// A one-shot completion slot: a [`Ticket`]'s outcome, or the reply to a
-/// replica control job. Poison-tolerant throughout: the state is a plain
-/// `Option`, valid at every point, so a peer that panics while holding the
+/// replica control job. Poison-tolerant throughout: the state is plain
+/// data, valid at every point, so a peer that panics while holding the
 /// lock must not cascade into its waiters.
+///
+/// Wake rule: a [`Slot::take`] / [`Slot::take_until`] about to block
+/// counts itself in `sleepers` under the `value` lock, and [`Slot::put`]
+/// notifies only when that count is non-zero. A put before any take —
+/// the common case for a µs-scale forward — makes no `futex_wake` call.
 #[derive(Debug)]
 pub(crate) struct Slot<T> {
-    pub(crate) value: Mutex<Option<T>>,
+    pub(crate) value: Mutex<SlotState<T>>,
     ready: Condvar,
+}
+
+/// What a [`Slot`]'s lock guards.
+#[derive(Debug)]
+pub(crate) struct SlotState<T> {
+    /// The outcome, once put and until taken.
+    outcome: Option<T>,
+    /// Takers blocked on `ready`.
+    sleepers: u32,
 }
 
 /// What a [`Ticket`] resolves with.
@@ -172,48 +186,60 @@ impl<T> Slot<T> {
     /// A slot already holding `value` (`None`: not yet fulfilled).
     pub(crate) fn new(value: Option<T>) -> Arc<Self> {
         Arc::new(Slot {
-            value: Mutex::new(value),
+            value: Mutex::new(SlotState {
+                outcome: value,
+                sleepers: 0,
+            }),
             ready: Condvar::new(),
         })
     }
 
-    /// Fulfills the slot and wakes its waiter.
+    /// Fulfills the slot and wakes its waiter, if one sleeps.
     pub(crate) fn put(&self, value: T) {
-        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-        self.ready.notify_all();
+        let mut state = self.value.lock().unwrap_or_else(PoisonError::into_inner);
+        state.outcome = Some(value);
+        let wake = state.sleepers > 0;
+        drop(state);
+        if wake {
+            self.ready.notify_all();
+        }
     }
 
     /// Blocks until the slot is fulfilled, then takes the value.
     pub(crate) fn take(&self) -> T {
-        let mut value = self.value.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.value.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(v) = value.take() {
+            if let Some(v) = state.outcome.take() {
                 return v;
             }
-            value = self
+            state.sleepers += 1;
+            state = self
                 .ready
-                .wait(value)
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.sleepers -= 1;
         }
     }
 
     /// [`Slot::take`] bounded by `deadline`: `None` once it passes with the
     /// slot unfulfilled (a value arriving later is simply never taken).
     pub(crate) fn take_until(&self, deadline: Instant) -> Option<T> {
-        let mut value = self.value.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.value.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(v) = value.take() {
+            if let Some(v) = state.outcome.take() {
                 return Some(v);
             }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            value = self
+            state.sleepers += 1;
+            state = self
                 .ready
-                .wait_timeout(value, deadline - now)
+                .wait_timeout(state, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
+            state.sleepers -= 1;
         }
     }
 }
@@ -304,6 +330,7 @@ impl Ticket {
             .value
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .outcome
             .clone()
     }
 }
@@ -350,6 +377,9 @@ struct SchedState {
     /// would close first, take the lower `batch_seq`, and invert the
     /// per-`(tenant, model, priority)` FIFO guarantee.
     forming: Vec<u32>,
+    /// Threads blocked on `work_ready`: workers waiting for a request or
+    /// coalescing companions, and swaps draining a forming reservation.
+    sleepers: u32,
 }
 
 impl SchedState {
@@ -382,6 +412,15 @@ impl SchedState {
 /// owns one per replica for the whole window, so queued requests and
 /// metrics outlive a replica's restarts. The workers over it — and the
 /// response cache they fill — belong to whoever spawned them.
+///
+/// Wake rule: every wait on `work_ready` counts itself in
+/// `SchedState::sleepers` under the scheduler lock, and the hot-path
+/// notifies — a submit that queued a request, a batch closing — read that
+/// count before they release the lock and skip `notify_all` when it is
+/// zero. Nobody can start waiting in between: a waiter checks for work and
+/// counts itself in one critical section, so either it sees the change or
+/// the notifier sees it counted. The rare transitions (close, retire,
+/// close-and-fail, a finished swap) always notify.
 pub(crate) struct Scheduler<'a> {
     pub(crate) models: &'a ModelRegistry,
     cfg: ServeConfig,
@@ -599,6 +638,7 @@ impl<'a> Scheduler<'a> {
                 retiring: false,
                 next_batch_seq: 0,
                 forming: vec![0; models.len()],
+                sleepers: 0,
             }),
             work_ready: Condvar::new(),
             metrics: Mutex::new(MetricsRecorder::new(cfg.max_batch)),
@@ -672,6 +712,7 @@ impl<'a> Scheduler<'a> {
         }
 
         let slot = Slot::new(None);
+        let wake;
         {
             let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             if st.closed {
@@ -749,8 +790,11 @@ impl<'a> Scheduler<'a> {
                 slot: Arc::clone(&slot),
                 digest,
             });
+            wake = st.sleepers > 0;
         }
-        self.work_ready.notify_all();
+        if wake {
+            self.work_ready.notify_all();
+        }
         Ok(Ticket {
             slot,
             deadline,
@@ -774,10 +818,12 @@ impl<'a> Scheduler<'a> {
         }
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while st.forming[model] > 0 {
+            st.sleepers += 1;
             st = self
                 .work_ready
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
+            st.sleepers -= 1;
         }
         let version = self
             .models
@@ -895,10 +941,12 @@ impl<'a> Scheduler<'a> {
             if st.retiring || (st.closed && st.queues.iter().all(|q| q.is_empty())) {
                 return None;
             }
+            st.sleepers += 1;
             st = self
                 .work_ready
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
+            st.sleepers -= 1;
         };
         let model = first.model;
         st.forming[model] += 1;
@@ -927,11 +975,13 @@ impl<'a> Scheduler<'a> {
             if now >= deadline {
                 break;
             }
+            st.sleepers += 1;
             let (guard, timeout) = self
                 .work_ready
                 .wait_timeout(st, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner);
             st = guard;
+            st.sleepers -= 1;
             if timeout.timed_out() {
                 // One last sweep below the loop condition, then dispatch.
                 sweep_coalesce(&mut st, model, cfg.max_batch, &mut samples, &mut batch);
@@ -941,11 +991,14 @@ impl<'a> Scheduler<'a> {
         let batch_seq = st.next_batch_seq;
         st.next_batch_seq += 1;
         st.forming[model] -= 1;
-        drop(st);
         // Another worker may be waiting for queued work this one skipped over,
         // for this model's forming reservation to clear, or a swap may be
         // draining that reservation.
-        self.work_ready.notify_all();
+        let wake = st.sleepers > 0;
+        drop(st);
+        if wake {
+            self.work_ready.notify_all();
+        }
         Some((batch, batch_seq, handle))
     }
 }
@@ -1534,6 +1587,7 @@ mod tests {
         // A geometry-changing swap fails every request that was admitted
         // (validated against the old spec) but not yet dispatched. Those
         // failures must be counted — the rollout canary relies on it.
+        use std::sync::atomic::Ordering::SeqCst;
         let models = ModelRegistry::from_models([tiny_model().clone()]);
         let cfg = ServeConfig {
             max_batch: 2,
@@ -1541,20 +1595,29 @@ mod tests {
             queue_capacity: 256,
             ..server_cfg()
         };
-        let server = Server::new(&models, &ExactMath, cfg).unwrap();
+        let gate = GatedMath {
+            entered: std::sync::atomic::AtomicBool::new(false),
+            release: std::sync::atomic::AtomicBool::new(false),
+        };
+        let server = Server::new(&models, &gate, cfg).unwrap();
         let ((ok, failed), metrics) = server.run(|h| {
-            // Burst far faster than the worker drains (submits are µs,
-            // forwards are ms), so most of these are still queued when the
-            // swap lands.
-            let tickets: Vec<Ticket> = (0..64)
-                .map(|i| h.submit(Request::new(0, 0, images(1, i))).unwrap())
+            // Hold the only worker inside the first request's forward, so
+            // the rest of the burst is still queued when the swap lands.
+            let first = h.submit(Request::new(0, 0, images(1, 0))).unwrap();
+            while !gate.entered.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            let tickets: Vec<Ticket> = std::iter::once(first)
+                .chain((1..64).map(|i| h.submit(Request::new(0, 0, images(1, i))).unwrap()))
                 .collect();
             // Swap to a network with a *different input geometry*: queued
-            // requests no longer match and their batches fail.
+            // requests no longer match and their batches fail. The held
+            // batch formed before the swap, so it finishes on the old one.
             let mut spec = CapsNetSpec::tiny_for_tests();
             spec.batch_shared_routing = false;
             spec.input_hw = (14, 14);
             h.swap_model(0, CapsNet::seeded(&spec, 9).unwrap()).unwrap();
+            gate.release.store(true, SeqCst);
             let mut ok = 0u64;
             let mut failed = 0u64;
             for t in tickets {
@@ -1567,7 +1630,7 @@ mod tests {
             (ok, failed)
         });
         assert_eq!(ok + failed, 64, "zero dropped tickets even on failure");
-        assert!(failed > 0, "the swap must have failed some queued batches");
+        assert_eq!((ok, failed), (1, 63), "the swap fails every queued batch");
         assert_eq!(metrics.requests, ok, "requests counts completed work only");
         assert_eq!(metrics.failed_requests, failed);
         assert!(metrics.failed_batches > 0);
@@ -1871,5 +1934,90 @@ mod tests {
             high.batch_seq,
             low.batch_seq
         );
+    }
+
+    /// Runs `f` on a thread of its own; its result arrives on the
+    /// receiver, which the caller reads with a timeout, so a lost wake-up
+    /// fails a test instead of hanging it.
+    fn spawned<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx
+    }
+
+    /// Polls `cond` until it holds or `bound` passes.
+    fn eventually(bound: Duration, cond: impl Fn() -> bool) -> bool {
+        let until = Instant::now() + bound;
+        while !cond() {
+            if Instant::now() >= until {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        true
+    }
+
+    #[test]
+    fn a_put_before_take_never_blocks() {
+        let slot: Arc<Slot<u32>> = Slot::new(None);
+        slot.put(7);
+        let taker = Arc::clone(&slot);
+        let took = spawned(move || taker.take()).recv_timeout(Duration::from_secs(10));
+        assert_eq!(took, Ok(7));
+        let slot: Arc<Slot<u32>> = Slot::new(None);
+        slot.put(8);
+        let far = Instant::now() + Duration::from_secs(3600);
+        assert_eq!(slot.take_until(far), Some(8));
+    }
+
+    #[test]
+    fn a_sleeping_take_is_woken_by_put() {
+        for bounded in [false, true] {
+            let slot: Arc<Slot<u32>> = Slot::new(None);
+            let taker = Arc::clone(&slot);
+            let rx = spawned(move || {
+                let far = Instant::now() + Duration::from_secs(3600);
+                if bounded {
+                    taker.take_until(far)
+                } else {
+                    Some(taker.take())
+                }
+            });
+            let asleep = || slot.value.lock().unwrap().sleepers == 1;
+            assert!(
+                eventually(Duration::from_secs(10), asleep),
+                "taker never slept"
+            );
+            slot.put(9);
+            let got = rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(
+                got,
+                Ok(Some(9)),
+                "put lost the wake-up (bounded: {bounded})"
+            );
+        }
+    }
+
+    #[test]
+    fn a_parked_worker_serves_the_first_submit() {
+        let models = ModelRegistry::from_models([tiny_model().clone()]);
+        let server = Server::new(&models, &ExactMath, server_cfg()).unwrap();
+        server.run(|h| {
+            let parked = || h.sched.state.lock().unwrap().sleepers == 1;
+            assert!(
+                eventually(Duration::from_secs(10), parked),
+                "worker never parked"
+            );
+            let request = Request::new(0, 0, images(1, 3)).with_deadline(Duration::from_secs(10));
+            let response = h.submit(request).unwrap().wait();
+            assert!(
+                response.is_ok(),
+                "the parked worker was not woken: {response:?}"
+            );
+        });
     }
 }

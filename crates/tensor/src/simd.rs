@@ -263,10 +263,15 @@ pub fn softmax_row(logits: &[f32], out: &mut [f32]) {
 ///
 /// `u` and `s` are `[rows, ch]` row-major with `rows = c.len()`; one call
 /// streams the whole contiguous `[H, C_H]` block.
+///
+/// # Panics
+///
+/// If `u` or `s` is not `c.len() · ch` long (checked in every build: the
+/// vector path walks raw pointers sized from `c`).
 #[inline]
 pub fn weighted_sum_block(c: &[f32], u: &[f32], s: &mut [f32], ch: usize) {
-    debug_assert_eq!(u.len(), c.len() * ch);
-    debug_assert_eq!(s.len(), c.len() * ch);
+    assert_eq!(u.len(), c.len() * ch, "u is [rows, ch]");
+    assert_eq!(s.len(), c.len() * ch, "s is [rows, ch]");
     dispatch!(
         scalar::weighted_sum_block(c, u, s, ch),
         avx2::weighted_sum_block(c, u, s, ch)
@@ -275,10 +280,14 @@ pub fn weighted_sum_block(c: &[f32], u: &[f32], s: &mut [f32], ch: usize) {
 
 /// Row-wise dot accumulation — the Eq 4 agreement kernel:
 /// for every row `j`, `b[j] += ⟨u[j·ch..], v[j·ch..]⟩`.
+///
+/// # Panics
+///
+/// If `u` or `v` is not `b.len() · ch` long (checked in every build).
 #[inline]
 pub fn agreement_block(u: &[f32], v: &[f32], b: &mut [f32], ch: usize) {
-    debug_assert_eq!(u.len(), b.len() * ch);
-    debug_assert_eq!(v.len(), b.len() * ch);
+    assert_eq!(u.len(), b.len() * ch, "u is [rows, ch]");
+    assert_eq!(v.len(), b.len() * ch, "v is [rows, ch]");
     dispatch!(
         scalar::agreement_block(u, v, b, ch),
         avx2::agreement_block(u, v, b, ch)
@@ -400,6 +409,11 @@ pub fn route_rows_with<A, M, W>(
 ///
 /// One dispatch covers the batch, letting the AVX2 path keep its loop
 /// state in registers across blocks.
+///
+/// # Panics
+///
+/// If the last u-block runs past `u` or `v` is not `nb` blocks long
+/// (checked in every build).
 #[inline]
 pub fn agreement_blocks_strided(
     u: &[f32],
@@ -410,8 +424,11 @@ pub fn agreement_blocks_strided(
     ch: usize,
 ) {
     let block = b.len() * ch;
-    debug_assert!(nb == 0 || (nb - 1) * u_stride + block <= u.len());
-    debug_assert_eq!(v.len(), nb * block);
+    assert!(
+        nb == 0 || (nb - 1) * u_stride + block <= u.len(),
+        "u holds nb blocks u_stride apart"
+    );
+    assert_eq!(v.len(), nb * block, "v is nb blocks");
     dispatch!(
         scalar::agreement_blocks_strided(u, u_stride, v, nb, b, ch),
         avx2::agreement_blocks_strided(u, u_stride, v, nb, b, ch)
@@ -421,6 +438,11 @@ pub fn agreement_blocks_strided(
 /// [`weighted_sum_block`] over `nb` u/s block pairs, with u-blocks spaced
 /// `u_stride` floats apart and s-blocks contiguous (the per-`L`-capsule
 /// Eq 2 sweep over the whole batch).
+///
+/// # Panics
+///
+/// If the last u-block runs past `u` or `s` is not `nb` blocks long
+/// (checked in every build).
 #[inline]
 pub fn weighted_sum_blocks_strided(
     c: &[f32],
@@ -431,8 +453,11 @@ pub fn weighted_sum_blocks_strided(
     ch: usize,
 ) {
     let block = c.len() * ch;
-    debug_assert!(nb == 0 || (nb - 1) * u_stride + block <= u.len());
-    debug_assert_eq!(s.len(), nb * block);
+    assert!(
+        nb == 0 || (nb - 1) * u_stride + block <= u.len(),
+        "u holds nb blocks u_stride apart"
+    );
+    assert_eq!(s.len(), nb * block, "s is nb blocks");
     dispatch!(
         scalar::weighted_sum_blocks_strided(c, u, u_stride, s, nb, ch),
         avx2::weighted_sum_blocks_strided(c, u, u_stride, s, nb, ch)
@@ -1829,6 +1854,34 @@ mod tests {
         let (nh, ch) = (4, 8);
         let (mut c, mut s) = (vec![0.0; 2 * nh], vec![0.0; nh * ch]);
         route_rows(&vec![0.0; nh * ch], None, &mut c, &mut s, ch);
+    }
+
+    #[test]
+    #[should_panic(expected = "u is [rows, ch]")]
+    fn weighted_sum_block_rejects_a_short_u() {
+        let (c, mut s) = ([1.0; 4], [0.0; 4 * 8]);
+        weighted_sum_block(&c, &[0.0; 8], &mut s, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "u is [rows, ch]")]
+    fn agreement_block_rejects_a_short_u() {
+        let (v, mut b) = ([0.0; 4 * 8], [0.0; 4]);
+        agreement_block(&[0.0; 8], &v, &mut b, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "u holds nb blocks u_stride apart")]
+    fn agreement_blocks_strided_rejects_a_short_u() {
+        let (v, mut b) = ([0.0; 2 * 4 * 8], [0.0; 4]);
+        agreement_blocks_strided(&[0.0; 4 * 8], 4 * 8, &v, 2, &mut b, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "u holds nb blocks u_stride apart")]
+    fn weighted_sum_blocks_strided_rejects_a_short_u() {
+        let (c, mut s) = ([1.0; 4], [0.0; 2 * 4 * 8]);
+        weighted_sum_blocks_strided(&c, &[0.0; 4 * 8], 4 * 8, &mut s, 2, 8);
     }
 
     #[test]
