@@ -374,7 +374,24 @@ impl<V: CacheValue> ResponseCache<V> {
     /// arrival: counted as an insertion and an orphan eviction, never
     /// stored.
     pub fn insert(&self, model: usize, version: u64, digest: u64, value: V) -> bool {
-        let cost = value.cost_bytes().max(1);
+        let cost = value.cost_bytes();
+        self.insert_with(model, version, digest, cost, || value)
+    }
+
+    /// [`ResponseCache::insert`] for a value not yet built: admission is
+    /// decided under the shard lock from `cost` (what the value's
+    /// [`CacheValue::cost_bytes`] will be), and `build` runs, under that
+    /// lock, only for a value that is stored. A declined, duplicate,
+    /// orphaned or oversized fill builds nothing.
+    pub fn insert_with(
+        &self,
+        model: usize,
+        version: u64,
+        digest: u64,
+        cost: usize,
+        build: impl FnOnce() -> V,
+    ) -> bool {
+        let cost = cost.max(1);
         if cost > self.shard_budget {
             return false;
         }
@@ -431,7 +448,7 @@ impl<V: CacheValue> ResponseCache<V> {
         shard.map.insert(
             key,
             Entry {
-                value,
+                value: build(),
                 cost,
                 clock: CLOCK_FRESH,
             },
@@ -545,6 +562,37 @@ mod tests {
     fn offer_twice(cache: &ResponseCache<Vec<u8>>, version: u64, digest: u64, value: Vec<u8>) {
         assert!(cache.insert(0, version, digest, value.clone()));
         assert!(cache.insert(0, version, digest, value));
+    }
+
+    #[test]
+    fn insert_with_builds_only_what_it_stores() {
+        let cache: ResponseCache<Vec<u8>> = ResponseCache::new(small(), 1);
+        let builds = std::cell::Cell::new(0u32);
+        let offer = |digest: u64| {
+            cache.insert_with(0, 1, digest, 100, || {
+                builds.set(builds.get() + 1);
+                vec![0u8; 100]
+            })
+        };
+        for d in 0..10u64 {
+            assert!(offer(d));
+        }
+        assert_eq!(builds.get(), 10, "fills that fit are built once each");
+        // Byte pressure: the first offer is declined and builds nothing.
+        assert!(offer(100));
+        assert_eq!(builds.get(), 10, "a declined offer called build");
+        assert_eq!(cache.report().declined, 1);
+        // Its second offer is admitted and built exactly once.
+        assert!(offer(100));
+        assert_eq!(builds.get(), 11);
+        assert_eq!(cache.get(0, 1, 100), Some(vec![0u8; 100]));
+        // A key already cached, an orphaned version and an oversized value
+        // store nothing and build nothing.
+        assert!(offer(100));
+        cache.retire_below(0, 2);
+        assert!(offer(101));
+        assert!(!cache.insert_with(0, 2, 102, 4096, || unreachable!()));
+        assert_eq!(builds.get(), 11);
     }
 
     #[test]

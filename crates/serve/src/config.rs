@@ -1,4 +1,7 @@
-//! Scheduler configuration: the latency budget and capacity knobs.
+//! Scheduler configuration: the latency budget and capacity knobs. A
+//! forming batch waits up to `max_wait` for companions only while its
+//! model's arrivals are at least one per `max_wait`; a request that arrived
+//! alone is dispatched with whatever is queued.
 
 use std::time::Duration;
 
@@ -14,8 +17,12 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Maximum time the *oldest* request of a forming batch may wait for
     /// companions before the batch dispatches anyway — the latency half of
-    /// the budget. `Duration::ZERO` disables coalescing waits entirely
-    /// (each worker dispatches whatever is queued).
+    /// the budget. The batch waits only while the model's arrivals are at
+    /// least one per `max_wait`: when the oldest request came more than
+    /// `max_wait` after the model's previous admission, the worker sweeps
+    /// the queue once and dispatches. A model's first admission waits.
+    /// `Duration::ZERO` disables coalescing waits entirely (each worker
+    /// dispatches whatever is queued).
     pub max_wait: Duration,
     /// Bound on queued (admitted but not yet dispatched) samples. Submits
     /// that would exceed it are rejected with

@@ -13,7 +13,10 @@
 //!   ([`SubmitError::QueueFull`], never a panic or an unbounded buffer);
 //! * **latency-aware coalescing**: a dispatched batch closes when it
 //!   reaches [`ServeConfig::max_batch`] samples or when the oldest queued
-//!   request has waited [`ServeConfig::max_wait`], whichever comes first;
+//!   request has waited [`ServeConfig::max_wait`], whichever comes first.
+//!   It waits for companions only while the model's arrivals are at least
+//!   one per `max_wait`; a request that arrived alone is dispatched at once
+//!   with whatever is queued, so paced traffic does not idle out `max_wait`;
 //! * **multi-model, multi-tenant** requests: each request names a
 //!   registered model; only same-model requests coalesce, and
 //!   per-`(tenant, model)` FIFO dispatch order is preserved;

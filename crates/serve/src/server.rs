@@ -122,11 +122,19 @@ pub struct CachedResponse {
     pub class_norms_sq: Vec<f32>,
 }
 
+impl CachedResponse {
+    /// The byte cost of a payload holding `predictions` predictions and
+    /// `norms` squared norms, known before the payload is built.
+    fn cost(predictions: usize, norms: usize) -> usize {
+        predictions * std::mem::size_of::<usize>()
+            + norms * std::mem::size_of::<f32>()
+            + std::mem::size_of::<Self>()
+    }
+}
+
 impl CacheValue for CachedResponse {
     fn cost_bytes(&self) -> usize {
-        self.predictions.len() * std::mem::size_of::<usize>()
-            + self.class_norms_sq.len() * std::mem::size_of::<f32>()
-            + std::mem::size_of::<Self>()
+        Self::cost(self.predictions.len(), self.class_norms_sq.len())
     }
 }
 
@@ -344,6 +352,10 @@ struct Pending {
     images: Tensor,
     samples: usize,
     enqueued_at: Instant,
+    /// Time since the previous admission of the same model (zero for the
+    /// model's first): a batch this request opens waits for companions
+    /// only while it is below `max_wait`.
+    gap: Duration,
     slot: Arc<ResponseSlot>,
     /// Input-content digest, computed once at submit when a response cache
     /// is attached (the lookup that missed); `run_batch` fills the cache
@@ -377,6 +389,10 @@ struct SchedState {
     /// would close first, take the lower `batch_seq`, and invert the
     /// per-`(tenant, model, priority)` FIFO guarantee.
     forming: Vec<u32>,
+    /// Per-model instant of the latest admission (`None` before the
+    /// first): the reference each admission's `Pending::gap` is taken
+    /// from.
+    last_admit: Vec<Option<Instant>>,
     /// Threads blocked on `work_ready`: workers waiting for a request or
     /// coalescing companions, and swaps draining a forming reservation.
     sleepers: u32,
@@ -638,6 +654,7 @@ impl<'a> Scheduler<'a> {
                 retiring: false,
                 next_batch_seq: 0,
                 forming: vec![0; models.len()],
+                last_admit: vec![None; models.len()],
                 sleepers: 0,
             }),
             work_ready: Condvar::new(),
@@ -780,13 +797,20 @@ impl<'a> Scheduler<'a> {
             }
             st.tier_samples[tier] += samples;
             *st.tenant_queued.entry(request.tenant).or_insert(0) += samples;
+            let enqueued_at = Instant::now();
+            let gap = st.last_admit[request.model]
+                .replace(enqueued_at)
+                .map_or(Duration::ZERO, |last| {
+                    enqueued_at.saturating_duration_since(last)
+                });
             st.queues[tier].push_back(Pending {
                 tenant: request.tenant,
                 model: request.model,
                 priority: request.priority,
                 images: request.images,
                 samples,
-                enqueued_at: Instant::now(),
+                enqueued_at,
+                gap,
                 slot: Arc::clone(&slot),
                 digest,
             });
@@ -960,7 +984,16 @@ impl<'a> Scheduler<'a> {
             // LINT-ALLOW(R2): submit rejects unknown models; slots are append-only
             .expect("validated at submit; registry slots are append-only");
         let coalescable = handle.coalescable();
-        let deadline = first.enqueued_at + cfg.max_wait;
+        // Wait for companions only while the model's arrivals are at least
+        // one per `max_wait`. A request that arrived alone takes what one
+        // sweep finds and dispatches: sparse traffic almost never sends a
+        // companion in time, so waiting would only idle the worker.
+        let wait = if first.gap < cfg.max_wait {
+            cfg.max_wait
+        } else {
+            Duration::ZERO
+        };
+        let deadline = first.enqueued_at + wait;
         let mut samples = first.samples;
         let mut batch = vec![first];
 
@@ -1160,13 +1193,18 @@ fn run_batch<B: MathBackend + Sync + ?Sized>(
                 // Fill the cache under the batch's own epoch: after a
                 // hot-swap, an in-flight batch on the old Arc fills the
                 // old version, which current-version lookups can never
-                // match — stale fills are orphans from birth.
+                // match — stale fills are orphans from birth. The payload is
+                // cloned only for a fill the cache stores.
                 if let (Some(cache), Some(digest)) = (cache, p.digest) {
-                    cache.insert(
+                    cache.insert_with(
                         model_index,
                         handle.version(),
                         digest,
-                        CachedResponse {
+                        CachedResponse::cost(
+                            response.predictions.len(),
+                            response.class_norms_sq.len(),
+                        ),
+                        || CachedResponse {
                             predictions: response.predictions.clone(),
                             class_norms_sq: response.class_norms_sq.clone(),
                         },
@@ -1580,6 +1618,73 @@ mod tests {
                 "same batch, same service time (batch is the unit of service)"
             );
         }
+    }
+
+    #[test]
+    fn a_request_after_a_lull_does_not_wait_for_companions() {
+        let models = ModelRegistry::from_models([tiny_model().clone()]);
+        let cfg = ServeConfig {
+            max_wait: Duration::from_millis(200),
+            ..server_cfg()
+        };
+        let server = Server::new(&models, &ExactMath, cfg).unwrap();
+        let ((first, lone), _) = server.run(|h| {
+            let first = h.submit(Request::new(0, 0, images(1, 1))).unwrap().wait();
+            std::thread::sleep(Duration::from_millis(250));
+            let lone = h.submit(Request::new(0, 0, images(1, 2))).unwrap().wait();
+            (first.unwrap(), lone.unwrap())
+        });
+        // The model's first admission has no gap to judge by: it waits out
+        // max_wait as it always did.
+        assert!(
+            first.queue_us >= 200_000,
+            "first waited {} us",
+            first.queue_us
+        );
+        // 250 ms after the previous admission, the arrivals are sparse: the
+        // worker dispatches at once instead of waiting 200 ms for nobody.
+        assert!(lone.queue_us < 100_000, "lone waited {} us", lone.queue_us);
+        assert_eq!(lone.batch_samples, 1);
+    }
+
+    #[test]
+    fn a_burst_after_a_lull_still_coalesces() {
+        let models = ModelRegistry::from_models([tiny_model().clone()]);
+        let cfg = ServeConfig {
+            max_batch: 8,
+            max_wait: Duration::from_millis(200),
+            ..server_cfg()
+        };
+        let server = Server::new(&models, &ExactMath, cfg).unwrap();
+        let (responses, _) = server.run(|h| {
+            h.submit(Request::new(0, 0, images(1, 1)))
+                .unwrap()
+                .wait()
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(250));
+            // The burst's first request may leave alone; every later one
+            // arrived within max_wait of the one before, so the batch it
+            // opens waits for the rest of the burst.
+            let tickets: Vec<Ticket> = (0..8)
+                .map(|i| {
+                    h.submit(Request::new(i, 0, images(1, 10 + i as u64)))
+                        .unwrap()
+                })
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| t.wait().unwrap())
+                .collect::<Vec<Response>>()
+        });
+        let largest = responses.iter().map(|r| r.batch_samples).max();
+        assert!(
+            largest >= Some(4),
+            "the burst did not coalesce: {:?}",
+            responses
+                .iter()
+                .map(|r| r.batch_samples)
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the batched scheduler's invariants.
 //!
 //! Under randomized request streams (tenants × models × request sizes ×
-//! scheduler knobs), irrespective of timing and interleaving:
+//! scheduler knobs × inter-arrival gaps on both sides of `max_wait`),
+//! irrespective of timing and interleaving:
 //!
 //! 1. **no request is lost or duplicated** — every admitted ticket resolves
 //!    exactly once, with the submitting request's sample count;
@@ -51,6 +52,16 @@ struct Sub {
     seed: u64,
 }
 
+/// The request a submission makes.
+fn request(sub: &Sub) -> Request {
+    let spec = models()[sub.model].net().spec();
+    Request::new(
+        sub.tenant,
+        sub.model,
+        request_images(spec, sub.samples, sub.seed),
+    )
+}
+
 /// Runs a stream through a server and returns, per submission, either the
 /// response or the typed reject it got.
 fn drive(
@@ -80,13 +91,8 @@ fn drive(
                             for (i, sub) in
                                 subs.iter().enumerate().filter(|(_, s)| s.tenant == tenant)
                             {
-                                let spec = models()[sub.model].net().spec();
                                 let ticket: Result<Ticket, SubmitError> =
-                                    handle.submit(Request::new(
-                                        sub.tenant,
-                                        sub.model,
-                                        request_images(spec, sub.samples, sub.seed),
-                                    ));
+                                    handle.submit(request(sub));
                                 got.push((i, ticket.map(|t| t.wait().unwrap())));
                             }
                             got
@@ -103,17 +109,8 @@ fn drive(
         } else {
             // Single-threaded burst: tickets collected first so the queue
             // actually fills, then awaited.
-            let tickets: Vec<Result<Ticket, SubmitError>> = subs
-                .iter()
-                .map(|sub| {
-                    let spec = models()[sub.model].net().spec();
-                    handle.submit(Request::new(
-                        sub.tenant,
-                        sub.model,
-                        request_images(spec, sub.samples, sub.seed),
-                    ))
-                })
-                .collect();
+            let tickets: Vec<Result<Ticket, SubmitError>> =
+                subs.iter().map(|sub| handle.submit(request(sub))).collect();
             tickets
                 .into_iter()
                 .map(|t| t.map(|ticket| ticket.wait().unwrap()))
@@ -278,5 +275,53 @@ proptest! {
             prop_assert!(r.is_ok());
             prop_assert!(r.unwrap().batch_samples <= max_batch);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Inter-arrival pauses on both sides of `max_wait` (none, or
+    /// `max_wait` + 1 ms): batches that wait for companions and requests
+    /// dispatched alone mix in one stream, and every response is still the
+    /// direct forward, in per-(tenant, model) FIFO order.
+    #[test]
+    fn invariants_hold_with_sparse_and_dense_arrivals(
+        subs in sub_stream(12, 2),
+        pauses in proptest::collection::vec(0u8..2, 12),
+        max_batch in 2usize..=4,
+        wait_ms in 1u64..=3,
+        workers in 1usize..=2,
+    ) {
+        let cfg = ServeConfig {
+            max_batch,
+            max_wait: Duration::from_millis(wait_ms),
+            queue_capacity: 64,
+            workers,
+            admission: pim_serve::AdmissionPolicy::QueueBound,
+        };
+        let subs: Vec<Sub> = subs.into_iter().map(|mut s| { s.samples = s.samples.min(max_batch); s }).collect();
+        let registry = ModelRegistry::from_models(models().iter().cloned());
+        let server = Server::new(&registry, &ExactMath, cfg).unwrap();
+        let (outcomes, _metrics) = server.run(|handle| {
+            let tickets: Vec<Result<Ticket, SubmitError>> = subs
+                .iter()
+                .zip(&pauses)
+                .map(|(sub, &sparse)| {
+                    if sparse == 1 {
+                        std::thread::sleep(cfg.max_wait + Duration::from_millis(1));
+                    }
+                    handle.submit(request(sub))
+                })
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| t.map(|ticket| ticket.wait().unwrap()))
+                .collect::<Vec<_>>()
+        });
+        for outcome in &outcomes {
+            prop_assert!(outcome.is_ok(), "roomy queue must admit everything");
+        }
+        check_invariants(&cfg, &subs, &outcomes)?;
     }
 }

@@ -297,7 +297,10 @@ mod tests {
     }
 
     /// Deterministic discrete-event soak: one worker serving single-sample
-    /// requests in priority order, admission decided by the **same**
+    /// requests in priority order, never waiting for batch companions (the
+    /// live scheduler's rule for sparse arrivals: a request that came more
+    /// than `max_wait` after its model's previous one dispatches at once),
+    /// admission decided by the **same**
     /// [`pim_serve::admission::decide`] the live server runs, over the same
     /// seeded Poisson arrivals the live driver paces. A pure function of its
     /// config — same seed, same counts, every time — which is what makes the
