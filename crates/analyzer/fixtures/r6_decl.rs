@@ -25,3 +25,9 @@ pub fn caller() -> u32 {
 mod tests {
     pub fn test_helper() {}
 }
+
+pub fn named_only_by_a_test_file() {}
+
+pub fn named_only_in_cfg_test() {}
+
+pub fn named_by_an_example() {}

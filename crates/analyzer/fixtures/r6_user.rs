@@ -7,3 +7,16 @@ fn user() -> u32 {
     let _ = "used_only_here";
     used_elsewhere() + caller()
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls() {
+        super::named_only_in_cfg_test();
+    }
+}
+
+#[test]
+fn gated_fn_calls() {
+    named_only_in_cfg_test();
+}

@@ -714,6 +714,7 @@ pub fn sample<S: Send + Sync + 'static>(
 
 /// Replays a recorded choice prefix, returning the labeled op schedule —
 /// deterministic, for counterexample inspection.
+// LINT-ALLOW(R6): model-checking helper: the golden tests pin that a counterexample replays to its recorded trace.
 pub fn replay<S: Send + Sync + 'static>(model: &Model<S>, choices: &[usize]) -> Vec<String> {
     run_once(model, choices.to_vec(), Mode::First, 10_000, true).ops
 }

@@ -23,15 +23,15 @@ use std::path::{Path, PathBuf};
 
 use diag::Diagnostic;
 use manifest::Manifest;
-use rules::FileCtx;
+use rules::{FileCtx, Role};
 
 /// Path of the protocol manifest, relative to the workspace root.
 const MANIFEST_PATH: &str = "crates/analyzer/protocol.manifest";
 
-/// Directories whose `.rs` files are read, with their crate and whether
-/// they are library source (linted by R1–R5; under `crates/`, checked by
-/// R6). All are searched for R6 uses; `crates/compat` has no `src/`.
-fn source_roots(root: &Path) -> Vec<(String, PathBuf, bool)> {
+/// Directories whose `.rs` files are read, with their crate and their
+/// R6 role; library source is also linted by R1–R5. The facade's `src/`
+/// is library source too; `crates/compat` has no `src/`.
+fn source_roots(root: &Path) -> Vec<(String, PathBuf, Role)> {
     let mut roots = Vec::new();
     let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
         .into_iter()
@@ -47,13 +47,22 @@ fn source_roots(root: &Path) -> Vec<(String, PathBuf, bool)> {
             .and_then(|n| n.to_str())
             .unwrap_or_default()
             .to_string();
-        for (sub, library) in [("src", true), ("tests", false), ("benches", false)] {
-            roots.push((krate.clone(), dir.join(sub), library));
+        for (sub, role) in [
+            ("src", Role::Library),
+            ("examples", Role::User),
+            ("tests", Role::Test),
+            ("benches", Role::Test),
+        ] {
+            roots.push((krate.clone(), dir.join(sub), role));
         }
     }
-    roots.push(("suite".to_string(), root.join("src"), true));
-    for dir in ["tests", "examples", "benchmark/src"] {
-        roots.push(("suite".to_string(), root.join(dir), false));
+    for (dir, role) in [
+        ("src", Role::Library),
+        ("tests", Role::Test),
+        ("examples", Role::User),
+        ("benchmark/src", Role::User),
+    ] {
+        roots.push(("suite".to_string(), root.join(dir), role));
     }
     roots
 }
@@ -93,14 +102,15 @@ fn load_manifest(root: &Path) -> Result<Manifest, String> {
     Manifest::parse(&text).map_err(|(line, msg)| format!("{MANIFEST_PATH}:{line}: {msg}"))
 }
 
-/// Lints every library source file (R1–R5), then every file read (R6),
-/// then checks that every manifest entry still names code (`RM`).
+/// Lints every library source file (R1–R5), then the `pub` surface
+/// against its production users (R6), then checks that every manifest
+/// entry still names code (`RM`, over every file read).
 /// Returns the sorted diagnostic list (empty ⇒ clean).
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let manifest = load_manifest(root)?;
     let mut diags = Vec::new();
     let mut sources = Vec::new();
-    for (krate, dir, library) in source_roots(root) {
+    for (krate, dir, role) in source_roots(root) {
         let mut files = Vec::new();
         collect_rs(&dir, &mut files);
         for file in files {
@@ -108,7 +118,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
             let scanned = scan::scan(&text);
             let path = rel(root, &file);
-            if library {
+            if role == Role::Library {
                 diags.extend(rules::lint_file(
                     &FileCtx {
                         path: &path,
@@ -121,7 +131,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
             sources.push(rules::Source {
                 path,
                 scanned,
-                declares: library && krate != "suite",
+                role,
             });
         }
     }

@@ -11,7 +11,7 @@
 //! | R3   | `Ordering::Relaxed` on a protocol-manifest atomic needs an audited justification |
 //! | R4   | nested lock acquisitions follow the declared partial order |
 //! | R5   | no wall clock inside the deterministic workload twins |
-//! | R6   | a `pub` fn / const / static outside test code is named in some other file |
+//! | R6   | a `pub` fn / const / static outside test code has a production caller in some other file |
 //! | RM   | every protocol-manifest entry names code still in the tree |
 //!
 //! Site-level escape hatch: `// LINT-ALLOW(R2): reason` on the flagged
@@ -475,42 +475,93 @@ pub fn lint_file(ctx: &FileCtx<'_>, manifest: &Manifest) -> Vec<Diagnostic> {
     diags
 }
 
-/// One scanned file as R6 sees it: every file is a user, and the `pub`
-/// items of one that `declares` (`crates/*/src`) are checked.
+/// One scanned file as R6 sees it. `RM` reads every file whatever its
+/// role.
 pub struct Source {
     pub path: String,
     pub scanned: Scanned,
-    pub declares: bool,
+    pub role: Role,
+}
+
+/// What a file is to R6: production code outside test items names users,
+/// and the `pub` items of library source are checked.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Role {
+    /// `crates/*/src` and the facade's `src/`: declares the checked
+    /// items, and uses.
+    Library,
+    /// `examples/`, `crates/*/examples`, `benchmark/src`: uses only.
+    User,
+    /// `crates/*/{tests,benches}`, the root `tests/`: not a user.
+    Test,
 }
 
 /// R6: every `pub` / `pub(crate)` / `pub(super)` fn, const or static
-/// outside test code in a declaring file is named in some other file.
-/// Names in comments, strings and `use` items do not count (a re-export
-/// alone keeps nothing alive), save a renamed import (`NAME as ALIAS`).
+/// outside test code in library source is named by production code in
+/// some other file. Names in tests, in `#[cfg(test)]` / `#[test]` items,
+/// in comments, strings and `use` items do not count (a re-export alone
+/// keeps nothing alive), save a renamed import (`NAME as ALIAS`).
 pub fn dead_surface(files: &[Source]) -> Vec<Diagnostic> {
     let mut users: HashMap<&str, BTreeSet<usize>> = HashMap::new();
-    for (f, file) in files.iter().enumerate() {
+    for (f, file) in files
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.role != Role::Test)
+    {
         let toks = &file.scanned.tokens;
         let mut in_use = false;
-        for (i, t) in toks.iter().enumerate() {
+        let mut i = 0usize;
+        while i < toks.len() {
+            if let Some(end) = past_test_item(toks, i) {
+                i = end;
+                continue;
+            }
+            let t = &toks[i];
             in_use = (in_use || t.is_ident("use")) && !t.is_punct(';');
             let renamed = toks.get(i + 1).is_some_and(|n| n.is_ident("as"));
             if let Some(name) = t.ident().filter(|_| !in_use || renamed) {
                 users.entry(name).or_default().insert(f);
             }
+            i += 1;
         }
     }
     let mut diags = Vec::new();
-    for (f, file) in files.iter().enumerate().filter(|(_, file)| file.declares) {
+    for (f, file) in files
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.role == Role::Library)
+    {
         for (line, kind, name) in pub_items(&file.scanned.tokens) {
             let elsewhere = users.get(name).is_some_and(|s| s.iter().any(|&g| g != f));
             if !elsewhere && !allows_r6(&file.scanned, line) {
-                let msg = format!("`pub {kind} {name}` is named in no other file — drop `pub`, delete it, or LINT-ALLOW(R6) with a reason");
+                let msg = format!("`pub {kind} {name}` has no production caller in another file — drop `pub`, delete it, or LINT-ALLOW(R6) with a reason");
                 diags.push(Diagnostic::new(Rule::R6DeadSurface, &file.path, line, msg));
             }
         }
     }
     diags
+}
+
+/// When `toks[hash]` opens an attribute that names `test` (`#[cfg(test)]`,
+/// `#[test]`), the index just past the item it gates: through its `;` or
+/// its `{ … }` body.
+fn past_test_item(toks: &[Tok], hash: usize) -> Option<usize> {
+    let open = hash + 1;
+    if !(toks[hash].is_punct('#') && toks.get(open).is_some_and(|t| t.is_punct('['))) {
+        return None;
+    }
+    let i = match_group(toks, open);
+    if !toks[open..i].iter().any(|t| t.is_ident("test")) {
+        return None;
+    }
+    let end = toks[i..]
+        .iter()
+        .position(|t| t.is_punct(';') || t.is_punct('{'))
+        .map_or(toks.len(), |k| i + k);
+    Some(match toks.get(end) {
+        Some(t) if t.is_punct('{') => match_group(toks, end),
+        _ => end + 1,
+    })
 }
 
 /// `(line, kind, name)` of every `pub` fn / const / static outside the
@@ -519,22 +570,14 @@ fn pub_items(toks: &[Tok]) -> Vec<(u32, &str, &str)> {
     let mut items = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
+        if let Some(end) = past_test_item(toks, i) {
+            i = end;
+            continue;
+        }
         let t = &toks[i];
         i += 1;
         if t.is_punct('#') && toks.get(i).is_some_and(|t| t.is_punct('[')) {
-            let attr = i..match_group(toks, i);
-            i = attr.end;
-            if toks[attr].iter().any(|t| t.is_ident("test")) {
-                // Skip the gated item: through its `;` or its `{ … }` body.
-                let end = toks[i..]
-                    .iter()
-                    .position(|t| t.is_punct(';') || t.is_punct('{'))
-                    .map_or(toks.len(), |k| i + k);
-                i = match toks.get(end) {
-                    Some(t) if t.is_punct('{') => match_group(toks, end),
-                    _ => end + 1,
-                };
-            }
+            i = match_group(toks, i);
         } else if t.is_ident("pub") {
             if toks.get(i).is_some_and(|t| t.is_punct('(')) {
                 i = match_group(toks, i);

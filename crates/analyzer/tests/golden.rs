@@ -2,13 +2,14 @@
 //! known violations; the linter must report exactly these `(rule, line)`
 //! pairs — no more, no fewer. Fixture paths are remapped onto synthetic
 //! workspace paths so crate gating (R2) and manifest suffix matching
-//! (R4/R5) behave as they do in a real run; R6 runs over a two-file pair,
-//! and `RM` checks a fixture manifest against two of the fixtures.
+//! (R4/R5) behave as they do in a real run; R6 runs over four files, one
+//! a test file and one an example, and `RM` checks a fixture manifest
+//! against two of the fixtures.
 
 use pim_analyzer::diag::{Diagnostic, Rule};
 use pim_analyzer::exhaust::{self, models, Options};
 use pim_analyzer::manifest::Manifest;
-use pim_analyzer::rules::{dead_surface, lint_file, stale_manifest, FileCtx, Source};
+use pim_analyzer::rules::{dead_surface, lint_file, stale_manifest, FileCtx, Role, Source};
 use pim_analyzer::scan::scan;
 
 /// The manifest the fixtures are linted against — a miniature of the real
@@ -121,17 +122,24 @@ fn det_twin_fixture_flags_wall_clock() {
 
 #[test]
 fn dead_surface_fixture_pair_reports_at_golden_lines() {
-    // Used in the other file: silent. Used only in its own file, or named
-    // elsewhere only by a `pub use`: reported. A reasoned allow
-    // suppresses; a bare one suppresses nothing and is itself `RA`.
-    let sources: Vec<Source> = ["r6_decl.rs", "r6_user.rs"]
-        .into_iter()
-        .map(|name| Source {
-            path: format!("crates/serve/src/{name}"),
-            scanned: scan(&read_fixture(name)),
-            declares: true,
-        })
-        .collect();
+    // Used by production code in another file (library source or an
+    // example): silent. Used only in its own file, named elsewhere only
+    // by a `pub use`, by a test file or inside `#[cfg(test)]` / `#[test]`
+    // items: reported. A reasoned allow suppresses; a bare one suppresses
+    // nothing and is itself `RA`.
+    let sources: Vec<Source> = [
+        ("r6_decl.rs", "crates/serve/src/r6_decl.rs", Role::Library),
+        ("r6_user.rs", "crates/serve/src/r6_user.rs", Role::Library),
+        ("r6_test.rs", "crates/serve/tests/r6_test.rs", Role::Test),
+        ("r6_example.rs", "examples/r6_example.rs", Role::User),
+    ]
+    .into_iter()
+    .map(|(name, path, role)| Source {
+        path: path.to_string(),
+        scanned: scan(&read_fixture(name)),
+        role,
+    })
+    .collect();
     let mut diags = dead_surface(&sources);
     diags.extend(lint_fixture(
         "r6_decl.rs",
@@ -146,11 +154,17 @@ fn dead_surface_fixture_pair_reports_at_golden_lines() {
             (Rule::R6DeadSurface, 12),
             (Rule::RAllow, 17),
             (Rule::R6DeadSurface, 18),
+            (Rule::R6DeadSurface, 29),
+            (Rule::R6DeadSurface, 31),
         ],
         "{diags:#?}"
     );
     assert!(diags[0].message.contains("`pub fn used_only_here`"));
     assert!(diags[1].message.contains("`pub const REEXPORTED_ONLY`"));
+    assert!(diags[4]
+        .message
+        .contains("`pub fn named_only_by_a_test_file`"));
+    assert!(diags[5].message.contains("`pub fn named_only_in_cfg_test`"));
 }
 
 #[test]
@@ -164,7 +178,7 @@ fn stale_manifest_entries_report_at_golden_lines() {
         .map(|name| Source {
             path: format!("crates/serve/src/{name}"),
             scanned: scan(&read_fixture(name)),
-            declares: true,
+            role: Role::Library,
         })
         .collect();
     let manifest = Manifest::parse(&read_fixture("stale.manifest")).expect("fixture parses");

@@ -109,7 +109,7 @@ impl ApproxProfile {
     /// Approximate `a / b` with this profile's recovery applied.
     pub fn div(&self, a: f32, b: f32) -> f32 {
         self.div_recovery
-            .apply(a * fast_recip(b, self.recip_refinements))
+            .apply(fast_div(a, b, self.recip_refinements))
     }
 
     /// Approximate `sqrt(x)` (`x * inv_sqrt(x)`), recovery applied.

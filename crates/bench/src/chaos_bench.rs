@@ -34,7 +34,7 @@ use crate::emit::{ledger_value, write_json_artifact, BenchHost};
 use crate::jsonlite::{Object, Value};
 
 /// Replicas in the chaos pool.
-pub const REPLICAS: usize = 4;
+const REPLICAS: usize = 4;
 
 /// Tenants issuing chaos traffic (tiers split 20/50/30).
 pub const TENANTS: usize = 200;
@@ -48,7 +48,7 @@ const STALLS: usize = 1;
 /// Scripted stall duration — longer than the pool's 50 ms
 /// `replica_timeout`, so the stalled request is abandoned typed and its
 /// late reply lands with nobody waiting (the reply-drop path).
-pub const STALL: Duration = Duration::from_millis(150);
+const STALL: Duration = Duration::from_millis(150);
 
 /// Offered rate as a fraction of the *measured pool throughput*: below
 /// saturation, so the chaos dent — not steady-state overload — dominates

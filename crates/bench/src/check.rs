@@ -7,7 +7,8 @@
 //! ([`crate::emit::write_json_artifact`]), `tests/golden_json.rs` on the
 //! committed file, the artifact module's unit test on a synthetic result.
 //! [`check_committed`] holds the bars a different CPU could miss with no
-//! code at fault; only `tests/golden_json.rs` runs it.
+//! code at fault: `tests/golden_json.rs` holds the committed file to
+//! them, while the recorder only prints whether its record clears them.
 
 use crate::jsonlite::Value;
 

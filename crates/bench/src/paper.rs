@@ -520,7 +520,7 @@ pub struct Outcome {
 
 impl Outcome {
     /// `ours / paper - 1`, when the paper reports a value.
-    pub fn rel_err(&self) -> Option<f64> {
+    fn rel_err(&self) -> Option<f64> {
         self.paper.map(|p| self.ours / p - 1.0)
     }
 

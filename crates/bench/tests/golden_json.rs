@@ -4,9 +4,9 @@
 //! `pim_bench::check::check_<artifact>` its recording binary ran before
 //! writing it — schema, reconciliation identities and the gates that
 //! compare a host with itself — and then by `check_committed`, which only
-//! these tests run: the bars a different CPU could miss with no code at
-//! fault (the store and quant rates, `host.threads >= 2`) and the
-//! full-size soak and chaos runs.
+//! these tests enforce (a recorder just prints its verdict): the bars a
+//! different CPU could miss with no code at fault (the store and quant
+//! rates, `host.threads >= 2`) and the full-size soak and chaos runs.
 
 use pim_bench::check::{
     check_cache, check_chaos, check_committed, check_quant, check_replica, check_soak, check_store,

@@ -276,28 +276,9 @@ impl RpCensus {
         }
     }
 
-    /// Builds the census for **EM routing** (Hinton et al. 2018) with the
-    /// same five-slot structure:
-    ///
-    /// | slot | dynamic routing | EM routing |
-    /// |---|---|---|
-    /// | Eq1 | û = u·W | votes = u·W |
-    /// | Eq2 | s = Σ_L û·c | M-step means μ = Σ_L R·û / ΣR |
-    /// | Eq3 | squash | M-step variances + activations |
-    /// | Eq4 | b += v·û | E-step vote likelihoods |
-    /// | Eq5 | softmax over H | E-step responsibility normalization |
-    ///
-    /// The aggregation dimensions per slot are identical, which is why the
-    /// inter-vault distribution (Table 2, Eqs 6–12) applies unchanged —
-    /// the paper's generality claim.
-    pub fn new_em(
-        nb: usize,
-        nl: usize,
-        nh: usize,
-        cl: usize,
-        ch: usize,
-        iterations: usize,
-    ) -> Self {
+    /// Builds the census for **EM routing** (Hinton et al. 2018); the
+    /// slot mapping is [`Self::from_spec`]'s.
+    fn new_em(nb: usize, nl: usize, nh: usize, cl: usize, ch: usize, iterations: usize) -> Self {
         let (nb_, nl_, nh_, cl_, ch_) = (nb as u64, nl as u64, nh as u64, cl as u64, ch as u64);
         // Per-sample responsibilities R are [B, L, H]; μ/σ are [B, H, CH].
         let r_bytes = nb_ * nl_ * nh_ * F32_BYTES;
@@ -400,7 +381,20 @@ impl RpCensus {
     }
 
     /// Builds the census from a network spec, honouring the spec's routing
-    /// algorithm.
+    /// algorithm. EM routing (Hinton et al. 2018) keeps dynamic routing's
+    /// five-slot structure:
+    ///
+    /// | slot | dynamic routing | EM routing |
+    /// |---|---|---|
+    /// | Eq1 | û = u·W | votes = u·W |
+    /// | Eq2 | s = Σ_L û·c | M-step means μ = Σ_L R·û / ΣR |
+    /// | Eq3 | squash | M-step variances + activations |
+    /// | Eq4 | b += v·û | E-step vote likelihoods |
+    /// | Eq5 | softmax over H | E-step responsibility normalization |
+    ///
+    /// The aggregation dimensions per slot are identical, which is why the
+    /// inter-vault distribution (Table 2, Eqs 6–12) applies unchanged —
+    /// the paper's generality claim.
     ///
     /// # Errors
     ///

@@ -1,6 +1,7 @@
 //! Network specification: the static description from which both the
 //! functional model and the op census are built.
 
+use pim_tensor::Conv2dSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CapsNetError;
@@ -63,6 +64,9 @@ pub struct CapsNetSpec {
     /// Routing algorithm.
     pub routing: RoutingAlgorithm,
     /// Hidden/output sizes of the FC decoder (e.g. `[512, 1024, 784]`).
+    /// The op census prices it (Fig 4's `fc` column); inference predicts
+    /// argmax ‖v_j‖ and never runs it, so a [`crate::CapsNet`] holds no
+    /// decoder weights.
     pub decoder_dims: Vec<usize>,
     /// Scale applied to the Caps-layer weights (and therefore the
     /// prediction vectors û). Trained CapsNets produce large agreement
@@ -217,12 +221,11 @@ fn conv_extent(
             "{layer} kernel and stride must be > 0, not {kernel} and {stride}"
         )));
     }
-    if d < kernel {
-        return Err(CapsNetError::InvalidSpec(format!(
-            "{layer} kernel {kernel} larger than {input} {d}"
-        )));
-    }
-    Ok((d - kernel) / stride + 1)
+    Conv2dSpec::new(kernel, stride, 0)
+        .output_dim(d)
+        .ok_or_else(|| {
+            CapsNetError::InvalidSpec(format!("{layer} kernel {kernel} larger than {input} {d}"))
+        })
 }
 
 #[cfg(test)]

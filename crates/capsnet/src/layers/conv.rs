@@ -14,23 +14,16 @@ pub enum Activation {
     Linear,
     /// Rectified linear unit.
     Relu,
-    /// Logistic sigmoid.
-    Sigmoid,
 }
 
 impl Activation {
     /// Applies the activation elementwise in place.
-    pub fn apply_in_place(&self, data: &mut [f32]) {
+    fn apply_in_place(&self, data: &mut [f32]) {
         match self {
             Activation::Linear => {}
             Activation::Relu => {
                 for x in data {
                     *x = x.max(0.0);
-                }
-            }
-            Activation::Sigmoid => {
-                for x in data {
-                    *x = 1.0 / (1.0 + (-*x).exp());
                 }
             }
         }
@@ -126,11 +119,6 @@ impl Conv2dLayer {
         self.bias.as_ref()
     }
 
-    /// The activation applied after the convolution.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
     /// Forward pass, `[B, in, H, W] -> [B, out, H', W']`: writes into `out`
     /// (resized in place) using caller-owned scratch, allocation-free once
     /// both are warm.
@@ -204,8 +192,6 @@ mod tests {
         };
         assert_eq!(apply(Activation::Relu), [0.0, 2.0]);
         assert_eq!(apply(Activation::Linear), [-1.0, 2.0]);
-        let s = apply(Activation::Sigmoid);
-        assert!(s[0] < 0.5 && s[1] > 0.5);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! The CapsNet layer zoo: convolution, PrimaryCaps, the routed Caps layer
-//! and the fully-connected decoder layers.
+//! The CapsNet layer zoo: convolution, PrimaryCaps and the routed Caps
+//! layer.
 
 mod caps;
 mod conv;
-mod fc;
 mod primary;
 
 pub use caps::CapsLayer;
 pub use conv::{Activation, Conv2dLayer};
-pub use fc::DenseLayer;
 pub use primary::PrimaryCapsLayer;

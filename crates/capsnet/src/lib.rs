@@ -5,7 +5,8 @@
 //! * the **encoder** — Conv layer(s), PrimaryCaps layer, and a final Caps
 //!   layer whose input/output capsules are connected by the **routing
 //!   procedure** (RP);
-//! * the **decoder** — fully-connected reconstruction layers;
+//! * the **decoder** only as the op census prices it: inference predicts
+//!   argmax ‖v_j‖ and runs no reconstruction layer;
 //! * two routing algorithms: **dynamic routing** (Algorithm 1, with the
 //!   batch-shared routing coefficients the paper assumes) and a simplified
 //!   **EM routing**, to back the paper's claim that the PIM design

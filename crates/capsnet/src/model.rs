@@ -1,5 +1,7 @@
-//! The assembled CapsNet model: encoder (Conv1 → PrimaryCaps → Caps layer
-//! with routing) and FC decoder, per Fig 2.
+//! The assembled CapsNet model: the encoder of Fig 2 (Conv1 → PrimaryCaps
+//! → Caps layer with routing). Predictions are argmax ‖v_j‖, so inference
+//! never runs Fig 2's FC decoder and the model holds no decoder weights;
+//! [`CapsNetSpec::decoder_dims`] still sizes it for the op census.
 //!
 //! There is one forward path: [`CapsNet::forward_with`] threads a
 //! [`ForwardArena`] through every layer, so steady-state inference touches
@@ -13,7 +15,7 @@ use pim_tensor::{Conv2dScratch, Tensor};
 use crate::backend::MathBackend;
 use crate::config::CapsNetSpec;
 use crate::error::CapsNetError;
-use crate::layers::{Activation, CapsLayer, Conv2dLayer, DenseLayer, PrimaryCapsLayer};
+use crate::layers::{Activation, CapsLayer, Conv2dLayer, PrimaryCapsLayer};
 use crate::routing::RoutingArena;
 use crate::weights::{WeightRef, WeightView};
 
@@ -136,14 +138,9 @@ impl ForwardView<'_> {
         self.class_norms_sq
     }
 
-    /// Final routing coefficients (`[L, H]` batch-shared dynamic,
-    /// `[B, L, H]` otherwise — see [`Self::coefficient_dims`]).
-    pub fn routing_coefficients(&self) -> &[f32] {
-        self.routing_coefficients
-    }
-
-    /// The coefficient tensor's dimensions.
-    pub fn coefficient_dims(&self) -> &[usize] {
+    /// The routing coefficients' dimensions: `[L, H]` batch-shared
+    /// dynamic, `[B, L, H]` otherwise.
+    fn coefficient_dims(&self) -> &[usize] {
         &self.coeff_dims[..self.coeff_rank]
     }
 
@@ -164,12 +161,7 @@ impl ForwardView<'_> {
     }
 
     /// Materializes an owned [`ForwardOutput`] from this view.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor construction errors (lengths always match by
-    /// construction).
-    pub fn to_owned_output(&self) -> Result<ForwardOutput, CapsNetError> {
+    fn to_owned_output(self) -> Result<ForwardOutput, CapsNetError> {
         Ok(ForwardOutput {
             class_capsules: Tensor::from_vec(
                 self.class_capsules.to_vec(),
@@ -195,8 +187,8 @@ impl ForwardView<'_> {
 /// every forward path reads weights through `as_slice`.
 ///
 /// The canonical names are the ones [`CapsNet::named_weights`] emits:
-/// `conv1.weight`, `conv1.bias`, `primary.weight`, `primary.bias`,
-/// `caps.weight`, and `decoder.{i}.weight` / `decoder.{i}.bias`.
+/// `conv1.weight`, `conv1.bias`, `primary.weight`, `primary.bias` and
+/// `caps.weight`.
 pub trait WeightSource {
     /// `true` when the source can produce `name` (optional tensors like
     /// biases are only requested when present).
@@ -214,7 +206,7 @@ pub trait WeightSource {
     fn tensor(&mut self, name: &str, dims: &[usize]) -> Result<Tensor, CapsNetError>;
 
     /// The weight stored under `name` as a typed [`WeightView`] — the path
-    /// the large streamed weights (`caps.weight`, decoder matrices) load
+    /// the large streamed weight (`caps.weight`) loads
     /// through, so quantized artifacts reach the fused kernels without an
     /// `f32` materialization. The default wraps [`WeightSource::tensor`],
     /// keeping plain `f32` sources source-compatible.
@@ -295,7 +287,6 @@ pub struct CapsNet {
     conv1: Conv2dLayer,
     primary: PrimaryCapsLayer,
     caps: CapsLayer,
-    decoder: Vec<DenseLayer>,
 }
 
 impl CapsNet {
@@ -333,28 +324,11 @@ impl CapsNet {
             seed.wrapping_add(2),
         )
         .with_batch_shared(spec.batch_shared_routing);
-        let mut decoder = Vec::new();
-        let mut in_dim = spec.h_caps * spec.ch_dim;
-        for (li, &out_dim) in spec.decoder_dims.iter().enumerate() {
-            let act = if li + 1 == spec.decoder_dims.len() {
-                Activation::Sigmoid
-            } else {
-                Activation::Relu
-            };
-            decoder.push(DenseLayer::seeded(
-                in_dim,
-                out_dim,
-                act,
-                seed.wrapping_add(3 + li as u64),
-            ));
-            in_dim = out_dim;
-        }
         Ok(CapsNet {
             spec: spec.clone(),
             conv1,
             primary,
             caps,
-            decoder,
         })
     }
 
@@ -418,34 +392,19 @@ impl CapsNet {
         )?
         .with_batch_shared(spec.batch_shared_routing);
 
-        let mut decoder = Vec::new();
-        let mut in_dim = spec.h_caps * spec.ch_dim;
-        for (li, &out_dim) in spec.decoder_dims.iter().enumerate() {
-            let act = if li + 1 == spec.decoder_dims.len() {
-                Activation::Sigmoid
-            } else {
-                Activation::Relu
-            };
-            let w = source.weight(&format!("decoder.{li}.weight"), &[in_dim, out_dim])?;
-            let b = source.tensor(&format!("decoder.{li}.bias"), &[out_dim])?;
-            decoder.push(DenseLayer::from_weight_view(w, b, act)?);
-            in_dim = out_dim;
-        }
         Ok(CapsNet {
             spec: spec.clone(),
             conv1,
             primary,
             caps,
-            decoder,
         })
     }
 
     /// Every weight with its canonical name, in a fixed order (the order
     /// model writers persist them in). Names round-trip through
     /// [`CapsNet::from_views`]. Conv kernels and biases are always dense
-    /// [`WeightRef::F32`]; the capsule and decoder matrices are
-    /// [`WeightRef::Quant`] when the network was loaded from a quantized
-    /// artifact.
+    /// [`WeightRef::F32`]; the capsule matrix is [`WeightRef::Quant`] when
+    /// the network was loaded from a quantized artifact.
     pub fn named_weights(&self) -> Vec<(String, WeightRef<'_>)> {
         let mut out: Vec<(String, WeightRef<'_>)> =
             vec![("conv1.weight".into(), WeightRef::F32(self.conv1.weight()))];
@@ -460,10 +419,6 @@ impl CapsNet {
             out.push(("primary.bias".into(), WeightRef::F32(b)));
         }
         out.push(("caps.weight".into(), self.caps.weight().as_ref()));
-        for (li, layer) in self.decoder.iter().enumerate() {
-            out.push((format!("decoder.{li}.weight"), layer.weight().as_ref()));
-            out.push((format!("decoder.{li}.bias"), WeightRef::F32(layer.bias())));
-        }
         out
     }
 
@@ -591,50 +546,13 @@ impl CapsNet {
         Ok(())
     }
 
-    /// Decoder forward pass: reconstructs inputs from class capsules with
-    /// all but the target capsule masked to zero (Fig 2's decoding stage).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors; `targets` must have one entry per sample.
-    pub fn reconstruct(
-        &self,
-        output: &ForwardOutput,
-        targets: &[usize],
-    ) -> Result<Tensor, CapsNetError> {
-        let vdims = output.class_capsules.shape().dims();
-        let (b, h, ch) = (vdims[0], vdims[1], vdims[2]);
-        if targets.len() != b {
-            return Err(CapsNetError::InputMismatch {
-                expected: format!("{b} target labels"),
-                actual: vec![targets.len()],
-            });
-        }
-        let vs = output.class_capsules.as_slice();
-        let mut masked = vec![0.0f32; b * h * ch];
-        for (bi, &t) in targets.iter().enumerate() {
-            if t >= h {
-                return Err(CapsNetError::InputMismatch {
-                    expected: format!("labels < {h}"),
-                    actual: vec![t],
-                });
-            }
-            let off = (bi * h + t) * ch;
-            masked[off..off + ch].copy_from_slice(&vs[off..off + ch]);
-        }
-        let mut x = Tensor::from_vec(masked, &[b, h * ch])?;
-        for layer in &self.decoder {
-            x = layer.forward(&x)?;
-        }
-        Ok(x)
-    }
-
     /// Margin loss (Sabour et al. Eq 4): per-sample sum over classes of
     /// `T_k·max(0, 0.9−‖v‖)² + 0.5·(1−T_k)·max(0, ‖v‖−0.1)²`.
     ///
     /// # Errors
     ///
     /// Requires one label per sample.
+    // LINT-ALLOW(R6): the training loss of ROADMAP item 12; it moves into `capsnet::train` when that lands.
     pub fn margin_loss(
         &self,
         output: &ForwardOutput,
@@ -698,17 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_shape_and_range() {
-        let net = tiny_net();
-        let out = net.forward(&tiny_images(2, 2), &ExactMath).unwrap();
-        let rec = net.reconstruct(&out, &[0, 2]).unwrap();
-        assert_eq!(rec.shape().dims(), &[2, 144]);
-        assert!(rec.as_slice().iter().all(|&x| (0.0..=1.0).contains(&x)));
-        assert!(net.reconstruct(&out, &[0]).is_err());
-        assert!(net.reconstruct(&out, &[0, 99]).is_err());
-    }
-
-    #[test]
     fn margin_loss_prefers_correct_labels() {
         let net = tiny_net();
         let out = net.forward(&tiny_images(1, 3), &ExactMath).unwrap();
@@ -749,7 +656,7 @@ mod tests {
             .map(|(name, t)| (name, t.expect_f32().clone()))
             .collect();
         assert!(source.contains_key("caps.weight"));
-        assert!(source.contains_key("decoder.2.bias"));
+        assert!(!source.keys().any(|name| name.starts_with("decoder.")));
         // …and rebuild. Forward must be bit-identical.
         let rebuilt = CapsNet::from_views(net.spec(), &mut source).unwrap();
         let images = tiny_images(3, 5);
@@ -771,10 +678,6 @@ mod tests {
         {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        // The decoder too (reconstruction exercises every dense layer).
-        let ra = net.reconstruct(&a, &[0, 1, 2]).unwrap();
-        let rb = rebuilt.reconstruct(&b, &[0, 1, 2]).unwrap();
-        assert_eq!(ra, rb);
     }
 
     #[test]

@@ -51,6 +51,7 @@ const BETA_A: f32 = 2.0;
 /// Returns [`CapsNetError::InputMismatch`] if `u_hat` is not rank 4 or has
 /// a zero-sized `L` / `H` / `C_H`, or [`CapsNetError::InvalidSpec`] for
 /// zero iterations.
+// LINT-ALLOW(R6): the serial EM reference the sharded layer path is checked against bitwise.
 pub fn em_routing_with<B: MathBackend + ?Sized>(
     u_hat: &Tensor,
     iterations: usize,

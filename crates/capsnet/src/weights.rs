@@ -64,14 +64,6 @@ impl WeightView {
         }
     }
 
-    /// The quantized tensor, when this view is quantized.
-    pub fn as_quant(&self) -> Option<&QuantTensor> {
-        match self {
-            WeightView::F32(_) => None,
-            WeightView::Quant(q) => Some(q),
-        }
-    }
-
     /// The dense tensor's data slice.
     ///
     /// # Panics
@@ -187,14 +179,6 @@ impl<'a> WeightRef<'a> {
             ),
         }
     }
-
-    /// The quantized tensor, when this ref is quantized.
-    pub fn as_quant(&self) -> Option<&'a QuantTensor> {
-        match self {
-            WeightRef::F32(_) => None,
-            WeightRef::Quant(q) => Some(q),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,11 +197,11 @@ mod tests {
         assert_eq!(dense.size_bytes(), 128);
         assert_eq!(quant.size_bytes(), 32);
         assert!(dense.as_f32().is_some() && quant.as_f32().is_none());
-        assert!(quant.as_quant().is_some());
+        assert!(matches!(quant, WeightView::Quant(_)));
         assert_eq!(dense.as_slice(), t.as_slice());
         assert!(!dense.is_shared() && !quant.is_shared());
         assert_eq!(quant.as_ref().size_bytes(), 32);
-        assert!(quant.as_ref().as_quant().is_some());
+        assert!(matches!(quant.as_ref(), WeightRef::Quant(_)));
     }
 
     #[test]

@@ -16,7 +16,7 @@ mod snippets;
 
 pub use model::DistributionModel;
 pub use parallelism::{parallelizable, parallelizable_em, table2};
-pub use score::{choose_dimension, execution_score, score_all, DeviceCoeffs};
+pub use score::{choose_dimension, execution_score, DeviceCoeffs};
 pub use snippets::{vault_shares, SnippetPlan};
 
 use serde::{Deserialize, Serialize};

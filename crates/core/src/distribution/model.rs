@@ -51,7 +51,7 @@ impl DistributionModel {
 
     /// Eq 6: largest per-vault workload under **B**-dimension distribution
     /// (full form).
-    pub fn e_b(&self) -> f64 {
+    fn e_b(&self) -> f64 {
         let share = Self::ceil_div(self.nb, self.nvault);
         let eq1 = share * self.nl * self.nh * self.ch * (2.0 * self.cl - 1.0);
         let eq2 = share * self.nh * self.ch * (2.0 * self.nl - 1.0);
@@ -63,6 +63,7 @@ impl DistributionModel {
     }
 
     /// Eq 7: the paper's `N_L ≫ 1` simplification of `E_B`.
+    // LINT-ALLOW(R6): Eq 7 is the paper's closed form, the reference the tests hold Eq 6 (`e(Dimension::B)`) to.
     pub fn e_b_simplified(&self) -> f64 {
         Self::ceil_div(self.nb, self.nvault)
             * self.nl

@@ -34,7 +34,7 @@ pub fn parallelizable(eq: RpEquation, dim: Dimension) -> bool {
 }
 
 /// EM routing's parallelizable dimensions for the same five slots (the
-/// slot mapping is documented on [`capsnet::RpCensus::new_em`]).
+/// slot mapping is documented on [`capsnet::RpCensus::from_spec`]).
 ///
 /// EM responsibilities are per-sample, so *every* slot parallelizes along
 /// the batch; the M-step slots aggregate over L (like dynamic Eq 2) and the

@@ -37,7 +37,7 @@ pub fn execution_score(model: &DistributionModel, dim: Dimension, coeffs: &Devic
 }
 
 /// Scores for all three dimensions, in [B, L, H] order.
-pub fn score_all(model: &DistributionModel, coeffs: &DeviceCoeffs) -> [f64; 3] {
+fn score_all(model: &DistributionModel, coeffs: &DeviceCoeffs) -> [f64; 3] {
     [
         execution_score(model, Dimension::B, coeffs),
         execution_score(model, Dimension::L, coeffs),

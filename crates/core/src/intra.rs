@@ -52,6 +52,7 @@ impl AddressingMode {
     }
 
     /// Spreads `bytes` of vault traffic over banks per this mode.
+    // LINT-ALLOW(R6): model-checking helper: `tests/integration_hmc.rs` holds the phase model's bank-spread assumption against the bit-level mappings.
     pub fn bank_spread(&self, bytes: u64, cfg: &HmcConfig) -> (Vec<u64>, f64) {
         let banks = cfg.banks_per_vault;
         let used = self.effective_banks(cfg).min(banks).max(1);

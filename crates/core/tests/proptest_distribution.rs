@@ -4,8 +4,8 @@
 use capsnet::RpCensus;
 use hmc_sim::HmcConfig;
 use pim_capsnet::distribution::{
-    choose_dimension, execution_score, score_all, vault_shares, DeviceCoeffs, Dimension,
-    DistributionModel, SnippetPlan,
+    choose_dimension, execution_score, vault_shares, DeviceCoeffs, Dimension, DistributionModel,
+    SnippetPlan,
 };
 use proptest::prelude::*;
 
@@ -37,7 +37,8 @@ proptest! {
     #[test]
     fn simplified_e_b_tracks_full_form(m in model_strategy()) {
         // Eq 7 is Eq 6 under N_L >> 1; with N_L >= 32 they stay within 15%.
-        let rel = (m.e_b() - m.e_b_simplified()).abs() / m.e_b();
+        let e_b = m.e(Dimension::B);
+        let rel = (e_b - m.e_b_simplified()).abs() / e_b;
         prop_assert!(rel < 0.15, "relative gap {rel}");
     }
 
@@ -62,7 +63,7 @@ proptest! {
     #[test]
     fn score_is_positive_and_chosen_is_argmax(m in model_strategy()) {
         let coeffs = DeviceCoeffs::from_hmc(&HmcConfig::gen3());
-        let scores = score_all(&m, &coeffs);
+        let scores = Dimension::ALL.map(|dim| execution_score(&m, dim, &coeffs));
         for s in scores {
             prop_assert!(s > 0.0 && s.is_finite());
         }

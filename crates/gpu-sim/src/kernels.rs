@@ -449,11 +449,15 @@ mod tests {
 #[cfg(test)]
 mod em_tests {
     use super::*;
-    use capsnet::RpCensus;
+    use capsnet::{CapsNetSpec, RoutingAlgorithm, RpCensus};
 
     #[test]
     fn generic_lowering_covers_all_slots() {
-        let em = RpCensus::new_em(100, 1152, 10, 8, 16, 3);
+        let spec = CapsNetSpec {
+            routing: RoutingAlgorithm::Em,
+            ..CapsNetSpec::mnist()
+        };
+        let em = RpCensus::from_spec(&spec, 100).unwrap();
         let kernels = lower_rp(&em);
         // Eq1 + 3 iterations × 4 slots × 2 stages (all EM slots aggregate).
         assert_eq!(kernels.len(), 1 + 3 * 4 * 2);

@@ -121,6 +121,7 @@ impl EventSim {
     /// `bank_of` maps a global block index to a bank/row; PEs issue one
     /// request per `issue_interval` cycles, interleaved round-robin — the
     /// access pattern of §5.3.1's concurrent-PE discussion.
+    // LINT-ALLOW(R6): model-checking helper: the conformance tests generate the PE streams they validate the phase model with.
     pub fn pe_stream(
         &self,
         pes: usize,

@@ -36,7 +36,7 @@ pub struct VaultWork {
 
 impl VaultWork {
     /// Total bytes this vault moves.
-    pub fn total_bytes(&self) -> u64 {
+    fn total_bytes(&self) -> u64 {
         if self.bank_bytes.is_empty() {
             self.program.traffic_bytes()
         } else {
@@ -132,6 +132,7 @@ impl PhaseEngine {
     ///
     /// Debug-asserts that `vaults` matches the configured vault count and
     /// bank vectors match the bank count.
+    // LINT-ALLOW(R6): model-checking helper: the event-level conformance tests validate one phase against `EventSim`.
     pub fn run_phase(&self, phase: &Phase) -> PhaseResult {
         debug_assert!(phase.vaults.len() <= self.cfg.vaults);
         let bank = BankModel::new(self.dram, self.cfg.block_bytes);

@@ -180,30 +180,6 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// How a routed-with-failover call ([`crate::ReplicaSetHandle::call`])
-/// ultimately failed: rejected at admission on every tried replica, or
-/// served-but-failed / timed out at the serving layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CallError {
-    /// Admission rejected the request in a way failover cannot fix
-    /// (unknown model, bad geometry) — retrying elsewhere is pointless.
-    Rejected(SubmitError),
-    /// The serving layer failed the request after the failover budget was
-    /// spent (or its deadline elapsed).
-    Serve(ServeError),
-}
-
-impl fmt::Display for CallError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CallError::Rejected(e) => write!(f, "call rejected: {e}"),
-            CallError::Serve(e) => write!(f, "call failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CallError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,11 +229,5 @@ mod tests {
             waited_us: 42,
         };
         assert!(timeout.to_string().contains("replica 1"));
-        assert!(CallError::Serve(timeout)
-            .to_string()
-            .contains("call failed"));
-        assert!(CallError::Rejected(SubmitError::ShuttingDown)
-            .to_string()
-            .contains("call rejected"));
     }
 }

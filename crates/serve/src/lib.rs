@@ -98,7 +98,7 @@ mod server;
 
 pub use admission::{AdmissionPolicy, AdmissionVerdict, Priority, SloConfig, TIERS};
 pub use config::ServeConfig;
-pub use error::{CallError, ServeError, SubmitError};
+pub use error::{ServeError, SubmitError};
 pub use metrics::{MetricsReport, ModelVersionCount, TierReport};
 pub use pim_cache::{CacheConfig, CacheReport};
 pub use registry::{ModelHandle, ModelRegistry};

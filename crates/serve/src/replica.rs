@@ -64,9 +64,8 @@
 //! ([`crate::Request::with_deadline`]); every ticket wait is bounded by
 //! it, resolving [`ServeError::DeadlineExceeded`] instead of hanging.
 //! Independently, [`FaultToleranceConfig::replica_timeout`] bounds each
-//! *attempt* — a stalled replica yields [`ServeError::ReplicaTimeout`]
-//! (which feeds its breaker) so [`ReplicaSetHandle::call`] can fail the
-//! request over to a healthy replica under a [`RetryBudget`].
+//! *attempt* — a stalled replica yields [`ServeError::ReplicaTimeout`],
+//! which feeds its breaker.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -81,11 +80,10 @@ use pim_cache::CacheConfig;
 use pim_store::MappedModel;
 
 use crate::config::ServeConfig;
-use crate::error::{CallError, ServeError, SubmitError};
+use crate::error::{ServeError, SubmitError};
 use crate::histogram::LatencyHistogram;
 use crate::metrics::{MetricsReport, PERCENTILES};
 use crate::registry::{load, ModelHandle, ModelRegistry};
-use crate::rollout::RetryBudget;
 use crate::server::{
     worker_loop, Request, Response, Scheduler, ServeCache, ServedModel, Slot, Ticket,
 };
@@ -121,9 +119,6 @@ pub struct FaultToleranceConfig {
     /// Panicked-replica restarts before the replica is declared
     /// [`HealthState::Dead`] for the rest of the window.
     pub max_restarts: u32,
-    /// Retry budget for [`ReplicaSetHandle::call`]'s failover resubmission
-    /// (attempts across replicas; backoff between admission rejections).
-    pub failover: RetryBudget,
 }
 
 impl Default for FaultToleranceConfig {
@@ -134,7 +129,6 @@ impl Default for FaultToleranceConfig {
             probe_cooldown: Duration::from_millis(50),
             watchdog_interval: Duration::from_millis(5),
             max_restarts: 4,
-            failover: RetryBudget::default(),
         }
     }
 }
@@ -145,7 +139,7 @@ impl FaultToleranceConfig {
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for a zero breaker threshold,
-    /// watchdog interval, failover attempt budget, or replica timeout.
+    /// watchdog interval, or replica timeout.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.breaker_threshold == 0 {
             return Err(ServeError::InvalidConfig(
@@ -155,11 +149,6 @@ impl FaultToleranceConfig {
         if self.watchdog_interval.is_zero() {
             return Err(ServeError::InvalidConfig(
                 "watchdog_interval must be > 0".into(),
-            ));
-        }
-        if self.failover.attempts == 0 {
-            return Err(ServeError::InvalidConfig(
-                "failover.attempts must be >= 1".into(),
             ));
         }
         if self.replica_timeout.is_some_and(|t| t.is_zero()) {
@@ -606,7 +595,6 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
                 .map(|(i, registry)| Replica::new(i, registry, &self.cfg))
                 .collect(),
             cache: self.cfg.cache.map(|cfg| ServeCache::new(cfg, models)),
-            failovers: AtomicU64::new(0),
             deadline_misses: Arc::new(AtomicU64::new(0)),
             rr: AtomicUsize::new(0),
         };
@@ -921,8 +909,6 @@ struct PoolShared<'a> {
     replicas: Vec<Replica<'a>>,
     /// The pool's one response cache, built per window.
     cache: Option<ServeCache>,
-    /// Requests resubmitted to another replica after a failure/timeout.
-    failovers: AtomicU64,
     /// Requests whose end-to-end deadline elapsed (shared with tickets,
     /// which may outlive the handle's borrow).
     deadline_misses: Arc<AtomicU64>,
@@ -955,11 +941,6 @@ impl ReplicaSetHandle<'_> {
             .health
             .outstanding
             .load(Ordering::Relaxed)
-    }
-
-    /// The replica's current [`HealthState`].
-    pub fn health(&self, replica: usize) -> HealthState {
-        self.pool.replicas[replica].health.state()
     }
 
     /// How many times `replica` has been restarted after a worker panic.
@@ -1017,65 +998,6 @@ impl ReplicaSetHandle<'_> {
         request: Request,
     ) -> Result<ReplicaTicket, SubmitError> {
         self.submit_reserved(request, self.reserve(replica), None)
-    }
-
-    /// Submits with routing **and failover**: on a replica failure
-    /// (forward panic, stall timeout) or transient admission rejection,
-    /// resubmits to another pick under `budget`, until the request's
-    /// deadline (if any) or the budget runs out. The one-call "just serve
-    /// this" API for callers that prefer availability over placement.
-    ///
-    /// # Errors
-    ///
-    /// [`CallError::Rejected`] for rejections failover cannot fix (unknown
-    /// model, bad shape); [`CallError::Serve`] with
-    /// [`ServeError::DeadlineExceeded`] / [`ServeError::Overloaded`] when
-    /// the deadline or retry budget is exhausted, or the terminal serve
-    /// error otherwise.
-    pub fn call(&self, request: Request, budget: &RetryBudget) -> Result<Response, CallError> {
-        let started = Instant::now();
-        let mut attempts: u32 = 0;
-        loop {
-            if let Some(d) = request.deadline {
-                if Instant::now() >= d {
-                    self.pool.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                    return Err(CallError::Serve(ServeError::DeadlineExceeded {
-                        waited_us: started.elapsed().as_micros() as u64,
-                    }));
-                }
-            }
-            if attempts >= budget.attempts {
-                return Err(CallError::Serve(ServeError::Overloaded {
-                    attempts,
-                    waited_us: started.elapsed().as_micros() as u64,
-                }));
-            }
-            attempts += 1;
-            match self.submit(request.clone()) {
-                Ok(ticket) => match ticket.wait() {
-                    Ok(response) => return Ok(response),
-                    Err(e @ ServeError::DeadlineExceeded { .. }) => {
-                        return Err(CallError::Serve(e));
-                    }
-                    Err(ServeError::Forward(_) | ServeError::ReplicaTimeout { .. }) => {
-                        // The replica failed the request; its breaker was
-                        // already fed by the ticket. Fail over.
-                        self.pool.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => return Err(CallError::Serve(e)),
-                },
-                Err(SubmitError::ShuttingDown) => {
-                    self.pool.failovers.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(budget.backoff);
-                }
-                Err(e @ (SubmitError::UnknownModel { .. } | SubmitError::ShapeMismatch { .. })) => {
-                    return Err(CallError::Rejected(e));
-                }
-                // QueueFull / Shed / TenantQuotaExceeded: transient
-                // backpressure — back off and retry.
-                Err(_) => std::thread::sleep(budget.backoff),
-            }
-        }
     }
 
     /// Reserves one outstanding slot on `replica` **before** admission.
@@ -1169,6 +1091,7 @@ impl ReplicaSetHandle<'_> {
     /// drains its admitted queue and exits normally; its metrics still
     /// appear in the final report. There is no way back within the
     /// window.
+    // LINT-ALLOW(R6): the fault-injection hook `rollout_faults::failed_reverts_are_recorded_not_silently_dropped` needs.
     pub fn decommission(&self, replica: usize) {
         self.set_draining(replica, true);
         let replica = &self.pool.replicas[replica];
@@ -1297,7 +1220,9 @@ pub struct ReplicaSetReport {
     pub quarantines: u64,
     /// Watchdog re-admission probes sent.
     pub probes: u64,
-    /// Failover resubmissions made by [`ReplicaSetHandle::call`].
+    /// Always 0: the pool does not resubmit a failed request to another
+    /// replica. Kept because the benchmark's pinned API surface reads it
+    /// (`replica.failovers`).
     pub failovers: u64,
     /// Requests whose end-to-end deadline elapsed before a response.
     pub deadline_misses: u64,
@@ -1346,7 +1271,7 @@ impl ReplicaSetReport {
             restarts: count(|h| &h.restarts),
             quarantines: count(|h| &h.quarantines),
             probes: count(|h| &h.probes),
-            failovers: pool.failovers.load(Ordering::Relaxed),
+            failovers: 0,
             deadline_misses: pool.deadline_misses.load(Ordering::Relaxed),
             p50_us,
             p95_us,

@@ -177,7 +177,7 @@ impl RolloutReport {
 
     /// Fleet-revert swaps that failed (replicas stuck on the new version
     /// after a rollback). Nonzero only on the [`RolloutError`] path.
-    pub fn failed_reverts(&self) -> usize {
+    fn failed_reverts(&self) -> usize {
         self.steps
             .iter()
             .filter(|s| s.outcome == ReplicaOutcome::RevertFailed)
@@ -314,6 +314,7 @@ impl ReplicaSetHandle<'_> {
     /// `observe` is called after each per-replica step is decided (fleet
     /// reverts included), in order. Useful for live rollout dashboards —
     /// and for fault-injection tests that need to act mid-rollout.
+    // LINT-ALLOW(R6): the fault-injection hook `rollout_faults::failed_reverts_are_recorded_not_silently_dropped` needs.
     pub fn rolling_rollout_observed(
         &self,
         new: &MappedModel,

@@ -1,6 +1,6 @@
 //! Fault-tolerance integration: deadlines against stalled replicas, stall
 //! timeouts feeding the circuit breaker, panic capture + restart from the
-//! shared artifact, failover, watchdog re-admission, permanent death, and
+//! shared artifact, watchdog re-admission, permanent death, and
 //! the admission estimator's post-restart warm-up.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use capsnet::{CapsNet, CapsNetSpec, ExactMath, MathBackend};
 use pim_serve::{
     AdmissionPolicy, FaultToleranceConfig, HealthState, Priority, ReplicaSet, ReplicaSetConfig,
-    Request, RetryBudget, RoutingPolicy, ServeConfig, ServeError, SloConfig, SubmitError,
+    Request, RoutingPolicy, ServeConfig, ServeError, SloConfig, SubmitError,
 };
 use pim_store::{MappedModel, ModelWriter};
 use pim_tensor::Tensor;
@@ -190,7 +190,7 @@ fn deadline_bounds_wait_on_stalled_replica() {
         );
         assert!(waited < Duration::from_secs(5), "not bounded: {waited:?}");
         // The caller's budget is not the replica's fault.
-        assert_eq!(pool.health(0), HealthState::Healthy);
+        assert_eq!(pool.snapshot().health[0], HealthState::Healthy);
         math.release();
         r1.wait().unwrap();
     });
@@ -222,12 +222,12 @@ fn stall_timeout_is_typed_and_trips_breaker() {
             matches!(err, ServeError::ReplicaTimeout { replica: 0, .. }),
             "expected ReplicaTimeout, got: {err}"
         );
-        assert_eq!(pool.health(0), HealthState::Degraded);
+        assert_eq!(pool.snapshot().health[0], HealthState::Degraded);
         // Second strike trips the breaker.
         let r2 = pool.submit(Request::new(1, 0, images(1, 2))).unwrap();
         let err = r2.wait().expect_err("still stalled");
         assert!(matches!(err, ServeError::ReplicaTimeout { .. }), "{err}");
-        assert_eq!(pool.health(0), HealthState::Quarantined);
+        assert_eq!(pool.snapshot().health[0], HealthState::Quarantined);
         math.release();
     });
     assert_eq!(report.quarantines, 1);
@@ -276,39 +276,12 @@ fn panicked_replica_restarts_from_shared_artifact_and_preserves_version() {
             .expect("the restarted replica serves again");
         assert_eq!(pool.version(0), 2);
         assert_eq!(pool.restarts(0), 1);
-        assert_eq!(pool.health(0), HealthState::Healthy);
+        assert_eq!(pool.snapshot().health[0], HealthState::Healthy);
     });
     assert_eq!(report.restarts, 1);
     assert_eq!(report.restarts_per_replica, vec![1]);
     assert_eq!(report.health[0], HealthState::Healthy);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// `call` resubmits a panic-failed request to another replica and
-/// succeeds; the detour is metered as a failover.
-#[test]
-fn call_fails_over_to_a_healthy_replica() {
-    let net = tiny_net(5);
-    let math = ScriptedMath::new();
-    let set = ReplicaSet::from_net(
-        "failover",
-        &net,
-        &math,
-        pool_cfg(2, FaultToleranceConfig::default()),
-    )
-    .unwrap();
-    let budget = RetryBudget {
-        attempts: 10,
-        backoff: Duration::from_millis(1),
-    };
-    let ((), report) = set.run(|pool| {
-        math.panic_next.store(true, SeqCst);
-        pool.call(Request::new(0, 0, images(1, 1)), &budget)
-            .expect("failover serves the request despite the panic");
-    });
-    assert!(report.failovers >= 1, "failovers: {}", report.failovers);
-    assert_eq!(report.restarts, 1);
-    assert_eq!(report.requests, 1);
 }
 
 /// The watchdog probes a quarantined replica past its cooldown and
@@ -325,7 +298,7 @@ fn quarantined_replica_is_skipped_then_probed_back_in() {
     let set = ReplicaSet::from_net("probe", &net, &ExactMath, pool_cfg(2, fault)).unwrap();
     let ((), report) = set.run(|pool| {
         pool.quarantine(0);
-        assert_eq!(pool.health(0), HealthState::Quarantined);
+        assert_eq!(pool.snapshot().health[0], HealthState::Quarantined);
         // Routing skips the quarantined replica.
         for i in 0..6u64 {
             let t = pool
@@ -336,17 +309,17 @@ fn quarantined_replica_is_skipped_then_probed_back_in() {
         }
         // The watchdog re-admits it after the cooldown.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while pool.health(0) == HealthState::Quarantined {
+        while pool.snapshot().health[0] == HealthState::Quarantined {
             assert!(Instant::now() < deadline, "watchdog never re-admitted");
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(pool.health(0), HealthState::Degraded);
+        assert_eq!(pool.snapshot().health[0], HealthState::Degraded);
         // One success heals probation.
         pool.submit_to(0, Request::new(0, 0, images(1, 9)))
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(pool.health(0), HealthState::Healthy);
+        assert_eq!(pool.snapshot().health[0], HealthState::Healthy);
     });
     assert!(report.quarantines >= 1);
     assert!(report.probes >= 1);
@@ -382,7 +355,7 @@ fn replica_dies_after_restart_budget_and_rejects_typed() {
                     // A dying life can answer `ShuttingDown` transiently
                     // while the supervisor respawns it; death is final
                     // only once the health machine says so.
-                    if pool.health(0) == HealthState::Dead {
+                    if pool.snapshot().health[0] == HealthState::Dead {
                         break;
                     }
                     std::thread::sleep(Duration::from_micros(100));
@@ -394,7 +367,7 @@ fn replica_dies_after_restart_budget_and_rejects_typed() {
                 Err(e) => panic!("unexpected reject: {e}"),
             }
         }
-        assert_eq!(pool.health(0), HealthState::Dead);
+        assert_eq!(pool.snapshot().health[0], HealthState::Dead);
         assert_eq!(pool.restarts(0), 1);
     });
     assert_eq!(report.restarts, 1);

@@ -248,7 +248,7 @@ fn quantized_artifact_hot_swap_under_load_drops_nothing() {
         quantized
             .named_weights()
             .iter()
-            .any(|(n, w)| n == "caps.weight" && w.as_quant().is_some()),
+            .any(|(n, w)| n == "caps.weight" && matches!(w, capsnet::WeightRef::Quant(_))),
         "the reloaded network must hold quantized caps storage"
     );
 

@@ -51,7 +51,6 @@ fn pool_cfg(replicas: usize) -> ReplicaSetConfig {
             probe_cooldown: Duration::from_millis(5),
             watchdog_interval: Duration::from_millis(2),
             max_restarts: 5,
-            ..FaultToleranceConfig::default()
         },
         cache: None,
     }
@@ -148,7 +147,7 @@ proptest! {
             // Whatever the schedule did, the fleet converges: every
             // replica the supervisor did not declare dead serves again.
             for r in 0..replicas {
-                if pool.health(r) != HealthState::Dead {
+                if pool.snapshot().health[r] != HealthState::Dead {
                     prop_assert!(
                         serves(pool, r, Duration::from_secs(10)),
                         "live replica {r} stopped serving after the schedule",

@@ -1,7 +1,10 @@
 //! Replica-pool integration: routing policies, shared-mapping weight
 //! residency, and the rolling rollout state machine (update + rollback).
 
-use std::collections::BTreeMap;
+mod common;
+
+use common::perturbed;
+
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::time::{Duration, Instant};
 
@@ -47,17 +50,6 @@ fn pool_cfg(replicas: usize, policy: RoutingPolicy) -> ReplicaSetConfig {
         fault: pim_serve::FaultToleranceConfig::default(),
         cache: None,
     }
-}
-
-/// A copy of `net` with every weight element nudged by a small relative
-/// factor — the "honest new version" whose canary divergence is small.
-fn perturbed(net: &CapsNet, factor: f32) -> CapsNet {
-    let mut weights: BTreeMap<String, Tensor> = net
-        .named_weights()
-        .into_iter()
-        .map(|(name, t)| (name, t.expect_f32().map(|x| x * (1.0 + factor))))
-        .collect();
-    CapsNet::from_views(net.spec(), &mut weights).unwrap()
 }
 
 #[test]

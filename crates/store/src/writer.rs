@@ -4,7 +4,6 @@
 //! observes a half-written artifact.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 
@@ -32,17 +31,15 @@ use crate::hash::Hasher;
 /// use pim_store::QuantSpec;
 /// use pim_tensor::QuantDType;
 ///
-/// // Blanket: every rank ≥ 2 `*.weight` tensor becomes int8…
+/// // Every rank ≥ 2 `*.weight` tensor becomes int8; biases stay f32.
 /// let all_i8 = QuantSpec::weights(QuantDType::I8);
-/// // …or pick per name, e.g. only the streamed caps weight as fp16.
-/// let caps_f16 = QuantSpec::new().with_weight("caps.weight", QuantDType::F16);
-/// assert!(all_i8.resolve("decoder.0.weight", &[16, 144]).is_some());
-/// assert!(caps_f16.resolve("decoder.0.weight", &[16, 144]).is_none());
+/// assert!(all_i8.resolve("caps.weight", &[16, 4, 18]).is_some());
+/// assert!(all_i8.resolve("conv1.bias", &[16]).is_none());
+/// assert!(QuantSpec::new().resolve("caps.weight", &[16, 4, 18]).is_none());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QuantSpec {
-    per_name: BTreeMap<String, QuantDType>,
-    blanket: Option<QuantDType>,
+    dtype: Option<QuantDType>,
 }
 
 impl QuantSpec {
@@ -51,36 +48,22 @@ impl QuantSpec {
         QuantSpec::default()
     }
 
-    /// A blanket spec: every `*.weight` tensor of rank ≥ 2 is stored as
-    /// `dtype`. Biases and other vectors always stay f32 — they are tiny,
-    /// and keeping them exact costs nothing.
+    /// Every `*.weight` tensor of rank ≥ 2 is stored as `dtype`. Biases
+    /// and other vectors always stay f32 — they are tiny, and keeping them
+    /// exact costs nothing.
     pub fn weights(dtype: QuantDType) -> Self {
-        QuantSpec {
-            per_name: BTreeMap::new(),
-            blanket: Some(dtype),
-        }
-    }
-
-    /// Adds (or overrides) the stored dtype for one named weight.
-    pub fn with_weight(mut self, name: &str, dtype: QuantDType) -> Self {
-        self.per_name.insert(name.to_string(), dtype);
-        self
+        QuantSpec { dtype: Some(dtype) }
     }
 
     /// `true` when no weight would be quantized.
     pub fn is_empty(&self) -> bool {
-        self.per_name.is_empty() && self.blanket.is_none()
+        self.dtype.is_none()
     }
 
     /// The stored dtype for `name` with logical `dims`, if quantized.
     pub fn resolve(&self, name: &str, dims: &[usize]) -> Option<QuantDType> {
-        if let Some(&d) = self.per_name.get(name) {
-            return Some(d);
-        }
-        match self.blanket {
-            Some(d) if name.ends_with(".weight") && dims.len() >= 2 => Some(d),
-            _ => None,
-        }
+        self.dtype
+            .filter(|_| name.ends_with(".weight") && dims.len() >= 2)
     }
 }
 

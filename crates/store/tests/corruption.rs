@@ -3,7 +3,7 @@
 //! panic, never a silently-wrong model.
 
 use capsnet::{CapsNet, CapsNetError, CapsNetSpec};
-use pim_store::format::{Header, FORMAT_VERSION, HEADER_LEN};
+use pim_store::format::{decode_table, Header, FORMAT_VERSION, HEADER_LEN};
 use pim_store::hash::hash64;
 use pim_store::{MappedModel, ModelWriter, StoreError};
 
@@ -58,15 +58,19 @@ fn truncation_at_every_region_is_rejected() {
 fn every_flipped_byte_is_detected() {
     let dir = tmp_dir("flip");
     let (path, bytes) = artifact_bytes(&dir);
-    // Flip one byte in each region: header fields, spec, table, and a
-    // spread of data positions including the very last data byte. (The
+    // Flip one byte in each region: header fields, spec, table, and the
+    // first, a middle and the last byte of every stored partition. (The
     // alignment padding between sections is the one region checksums do
     // not cover — it carries no information.)
     let mut positions = vec![9, 13, 22, 30, 70, 90, 150, 200];
-    let len = bytes.len();
-    // Partition data is 64-aligned and dense from ~1 KiB on in this
-    // artifact; probe several interior bytes and the final element.
-    positions.extend([len / 2, len / 2 + 1, len - 4, len - 64]);
+    let header = Header::decode(&bytes).unwrap();
+    let table = &bytes[header.table_off as usize..(header.table_off + header.table_len) as usize];
+    for record in decode_table(table, header.tensor_count, header.version).unwrap() {
+        for p in &record.partitions {
+            let (start, len) = (p.offset as usize, (p.elems * record.elem_bytes()) as usize);
+            positions.extend([start, start + len / 2, start + len - 1]);
+        }
+    }
     for &pos in &positions {
         let mut corrupt = bytes.clone();
         corrupt[pos] ^= 0x40;

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use capsnet::{CapsNet, CapsNetSpec, ExactMath};
+use capsnet::{CapsNet, CapsNetSpec, ExactMath, WeightRef};
 use pim_store::{MappedModel, ModelWriter, QuantSpec};
 use pim_tensor::{QuantDType, Tensor};
 use proptest::prelude::*;
@@ -101,8 +101,11 @@ proptest! {
         // The stored quantized section equals an in-memory quantization
         // of the same weights, byte for byte — per partition, with each
         // partition's own affine params.
-        let view = mapped.weight_view("caps.weight").unwrap();
-        let q = view.as_quant().expect("caps.weight must be quantized");
+        let loaded = mapped.capsnet().unwrap();
+        let weights = loaded.named_weights();
+        let Some((_, WeightRef::Quant(q))) = weights.iter().find(|(n, _)| n == "caps.weight") else {
+            panic!("caps.weight must be quantized")
+        };
         let original = net
             .named_weights()
             .into_iter()

@@ -6,7 +6,7 @@
 //! inside a capsule is rejected too, even with every checksum recomputed.
 
 use capsnet::{CapsNet, CapsNetSpec};
-use pim_store::format::Header;
+use pim_store::format::{decode_table, Header};
 use pim_store::hash::{hash64, Hasher};
 use pim_store::{MappedModel, ModelWriter, QuantSpec, StoreError};
 use pim_tensor::QuantDType;
@@ -25,7 +25,7 @@ fn quant_artifact_bytes(dir: &std::path::Path, dtype: QuantDType) -> (std::path:
     let path = dir.join("model.pimcaps");
     let net = CapsNet::seeded(&CapsNetSpec::tiny_for_tests(), 5).unwrap();
     ModelWriter::vault_aligned()
-        .with_quant(QuantSpec::new().with_weight("caps.weight", dtype))
+        .with_quant(QuantSpec::weights(dtype))
         .save(&net, &path)
         .unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -183,10 +183,23 @@ fn flipped_bytes_in_quant_payloads_are_rejected() {
     for (dtype, tag) in [(QuantDType::I8, "flip_i8"), (QuantDType::F16, "flip_f16")] {
         let dir = tmp_dir(tag);
         let (path, bytes) = quant_artifact_bytes(&dir, dtype);
-        let len = bytes.len();
-        // The quantized caps.weight payload dominates the tail of the
-        // file; flip a spread of interior bytes and the final one.
-        for pos in [len - 1, len - 7, len - 64, len / 2, len * 3 / 4] {
+        // The first, a middle and the last byte of every stored partition
+        // of every quantized section.
+        let header = Header::decode(&bytes).unwrap();
+        let table =
+            &bytes[header.table_off as usize..(header.table_off + header.table_len) as usize];
+        let mut positions = Vec::new();
+        for record in decode_table(table, header.tensor_count, header.version).unwrap() {
+            if record.dtype.quant().is_none() {
+                continue;
+            }
+            for p in &record.partitions {
+                let (start, len) = (p.offset as usize, (p.elems * record.elem_bytes()) as usize);
+                positions.extend([start, start + len / 2, start + len - 1]);
+            }
+        }
+        assert!(!positions.is_empty(), "{tag}: no quantized section");
+        for pos in positions {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x01;
             std::fs::write(&path, &corrupt).unwrap();
@@ -210,7 +223,7 @@ fn forged_dtype_tags_with_valid_table_checksum_are_rejected() {
             assert_eq!(table[span.dtype_at], DTYPE_F32);
             table[span.dtype_at] = DTYPE_F16;
         },
-        "conv1.weight",
+        "conv1.bias",
     );
     std::fs::write(&path, &forged).unwrap();
     assert_both_backings_reject(&path, "an f32 section re-tagged as f16");

@@ -3,7 +3,7 @@
 //! version-emission contract (unquantized artifacts stay byte-identical
 //! v1) and the refuse-to-requantize writer guard.
 
-use capsnet::{CapsNet, CapsNetSpec, ExactMath};
+use capsnet::{CapsNet, CapsNetSpec, ExactMath, WeightRef};
 use pim_store::format::{Header, FORMAT_VERSION, FORMAT_VERSION_F32};
 use pim_store::{Layout, MappedModel, ModelWriter, QuantSpec, StoreError};
 use pim_tensor::{QuantDType, Tensor};
@@ -73,7 +73,7 @@ fn packed_roundtrip(dtype: QuantDType, tag: &str, max_div: f32) {
     let path = dir.join("quant.pimcaps");
     let net = tiny_net(7);
     let report = ModelWriter::new()
-        .with_quant(QuantSpec::new().with_weight("caps.weight", dtype))
+        .with_quant(QuantSpec::weights(dtype))
         .save(&net, &path)
         .unwrap();
     assert_eq!(report.bytes, std::fs::metadata(&path).unwrap().len());
@@ -84,8 +84,11 @@ fn packed_roundtrip(dtype: QuantDType, tag: &str, max_div: f32) {
 
     // The mapped reader hands out the quantized section zero-copy.
     let mapped = MappedModel::open(&path).unwrap();
-    let view = mapped.weight_view("caps.weight").unwrap();
-    let q = view.as_quant().expect("caps.weight must stay quantized");
+    let loaded = mapped.capsnet().unwrap();
+    let weights = loaded.named_weights();
+    let Some((_, WeightRef::Quant(q))) = weights.iter().find(|(n, _)| n == "caps.weight") else {
+        panic!("caps.weight must stay quantized")
+    };
     assert_eq!(q.dtype(), dtype);
     assert!(
         q.is_shared(),
@@ -176,7 +179,7 @@ fn resaving_a_quantized_network_is_a_typed_error() {
     let path = dir.join("quant.pimcaps");
     let net = tiny_net(13);
     ModelWriter::new()
-        .with_quant(QuantSpec::new().with_weight("caps.weight", QuantDType::I8))
+        .with_quant(QuantSpec::weights(QuantDType::I8))
         .save(&net, &path)
         .unwrap();
     let loaded = MappedModel::open(&path).unwrap().capsnet().unwrap();

@@ -19,8 +19,7 @@ fn images(n: usize, seed: u64) -> Tensor {
     Tensor::uniform(&[n, 1, 12, 12], 0.0, 1.0, seed)
 }
 
-/// Bitwise comparison of the full forward output (capsules + norms) and
-/// the decoder reconstruction.
+/// Bitwise comparison of the full forward output (capsules + norms).
 fn assert_forward_bitwise(a: &CapsNet, b: &CapsNet) {
     let imgs = images(3, 17);
     let oa = a.forward(&imgs, &ExactMath).unwrap();
@@ -39,11 +38,6 @@ fn assert_forward_bitwise(a: &CapsNet, b: &CapsNet) {
         .iter()
         .zip(ob.class_norms_sq.as_slice())
     {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-    let ra = a.reconstruct(&oa, &[0, 1, 2]).unwrap();
-    let rb = b.reconstruct(&ob, &[0, 1, 2]).unwrap();
-    for (x, y) in ra.as_slice().iter().zip(rb.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
 }

@@ -36,7 +36,7 @@ fn mapped_artifact_drives_per_vault_phase() {
             }
         })
         .collect();
-    let total_bytes: u64 = vaults.iter().map(VaultWork::total_bytes).sum();
+    let total_bytes: u64 = vaults.iter().map(|v| v.program.traffic_bytes()).sum();
     assert_eq!(
         total_bytes,
         mapped.tensor("caps.weight").unwrap().size_bytes() as u64,

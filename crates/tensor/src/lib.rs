@@ -44,8 +44,7 @@ pub use conv::{conv2d_pretransposed_into, im2col_into, Conv2dScratch, Conv2dSpec
 pub use error::TensorError;
 pub use matmul::matmul_into;
 pub use quant::{
-    encode_block_f16, f16_to_f32, f32_to_f16, quantize_block_i8, ByteBuf, QuantBlock, QuantDType,
-    QuantTensor,
+    encode_block_f16, f16_to_f32, quantize_block_i8, ByteBuf, QuantBlock, QuantDType, QuantTensor,
 };
 pub use shape::Shape;
 pub use simd::SimdLevel;

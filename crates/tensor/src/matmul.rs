@@ -785,7 +785,7 @@ mod tests {
 
     #[test]
     fn simd_levels_agree_closely() {
-        if !simd::hardware_supports_avx2_fma() {
+        if !simd::host_levels().contains(&SimdLevel::Avx2Fma) {
             return;
         }
         for &(m, k, n) in &[

@@ -59,7 +59,7 @@ pub fn f16_to_f32(bits: u16) -> f32 {
 /// AVX2 kernels. NaNs are canonicalized to `0x7E00` (sign preserved) so a
 /// stored NaN can never differ between decode paths over quiet bits.
 #[inline]
-pub fn f32_to_f16(x: f32) -> u16 {
+fn f32_to_f16(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let exp = ((bits >> 23) & 0xFF) as i32;
@@ -410,7 +410,8 @@ impl QuantTensor {
     /// # Panics
     ///
     /// Panics when `index` is out of range.
-    pub fn block_at(&self, index: usize) -> &QuantBlock {
+    #[cfg(test)]
+    pub(crate) fn block_at(&self, index: usize) -> &QuantBlock {
         assert!(index < self.len(), "element index out of range");
         let i = self.blocks.partition_point(|b| b.start + b.elems <= index);
         &self.blocks[i]
@@ -449,6 +450,7 @@ impl QuantTensor {
     ///
     /// [`TensorError::LengthMismatch`] when `block_rows` does not sum to
     /// the leading dimension.
+    // LINT-ALLOW(R6): the in-memory reference quantization stored and fused-kernel sections are compared against.
     pub fn quantize(
         dtype: QuantDType,
         data: &[f32],

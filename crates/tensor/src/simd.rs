@@ -28,8 +28,8 @@
 //! Dispatch is decided once (first use) and cached; see [`SimdLevel`].
 //!
 //! Nothing here decodes quantized weights: int8 and fp16 are read only by
-//! the register tile's strip loaders under [`crate::uhat_project`], which serve
-//! both the capsule projection and the quantized dense layer.
+//! the register tile's strip loaders under [`crate::uhat_project`], the
+//! capsule projection.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64 as arch;
@@ -121,7 +121,7 @@ fn detect_level() -> SimdLevel {
 
 /// Whether the host CPU offers the AVX2+FMA path (independent of any
 /// `PIM_SIMD` override).
-pub fn hardware_supports_avx2_fma() -> bool {
+fn hardware_supports_avx2_fma() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
@@ -659,8 +659,8 @@ pub mod scalar {
 /// # Safety
 ///
 /// Every function in this module requires the host to support AVX2 and FMA;
-/// callers go through [`active_level`] (or guard with
-/// [`hardware_supports_avx2_fma`] in tests).
+/// callers go through [`active_level`] (or, in tests, check
+/// `host_levels`).
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use super::arch::*;

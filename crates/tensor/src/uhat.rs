@@ -15,11 +15,11 @@
 //! The strip loader is generic — plain `f32` loads, int8 affine
 //! dequantize, fp16 convert — so the quantized arms decode a strip once per
 //! row block rather than once per sample. These loaders are the crate's
-//! only int8 / fp16 decode: the quantized dense layer runs here too, as one
-//! capsule (`L = 1`, `C_L = in`, `N = out`).
+//! only int8 / fp16 decode.
 //!
-//! An int8 capsule may overlap several affine blocks, as that dense weight
-//! does (one block per vault partition of its rows). The walk then runs
+//! An int8 capsule may overlap several affine blocks, as a one-capsule
+//! weight (`L = 1`, `C_L = in`) does when its rows are split into vault
+//! partitions (one block each). The walk then runs
 //! once per block, over that block's run of `d` with its scale and zero
 //! point, and each later run starts its accumulators from the output the
 //! run before stored, as the GEMM's `k` panels do. The order of the steps
@@ -624,9 +624,9 @@ mod tests {
             // store's vault partitioning does.
             let quantized = [QuantDType::I8, QuantDType::F16]
                 .map(|dtype| QuantTensor::quantize(dtype, &w, &[l, cl, n], &[3, 4]).unwrap());
-            // Blocks of rows that end inside capsules, as the quantized
-            // dense layer's weight (one capsule) has: capsule 2 spans rows
-            // 18..27 and all three blocks.
+            // Blocks of rows that end inside capsules, as a vault-partitioned
+            // one-capsule weight has: capsule 2 spans rows 18..27 and all
+            // three blocks.
             let rows =
                 QuantTensor::quantize(QuantDType::I8, &w, &[l * cl, n], &[20, 4, 39]).unwrap();
             let weights = [
@@ -723,11 +723,10 @@ mod tests {
             0x7C00u16, 0xFC00, 0x7E00, 0x7C01, 0xFE55, 0x0001, 0x83FF, 0x8000,
         ];
         let f16_bytes: Vec<u8> = (0..len)
-            .map(|k| match k % 4 {
-                0 => specials[(k / 4) % specials.len()],
-                _ => crate::quant::f32_to_f16(((k as f32) * 0.37).sin() * 3.0),
+            .flat_map(|k| match k % 4 {
+                0 => specials[(k / 4) % specials.len()].to_le_bytes().to_vec(),
+                _ => crate::quant::encode_block_f16(&[((k as f32) * 0.37).sin() * 3.0]),
             })
-            .flat_map(u16::to_le_bytes)
             .collect();
         let weights = [
             QuantTensor::from_bytes(QuantDType::I8, i8_bytes, &[l, cl, n], blocks(0.03)),
@@ -764,7 +763,7 @@ mod tests {
     #[test]
     fn hardware_f16_convert_matches_scalar_codec() {
         use std::arch::x86_64::__m256;
-        if !(simd::hardware_supports_avx2_fma() && simd::hardware_supports_f16c()) {
+        if !(simd::host_levels().contains(&SimdLevel::Avx2Fma) && simd::hardware_supports_f16c()) {
             return;
         }
         let bytes: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use capsnet::{CapsNet, MathBackend};
 use pim_serve::{
     FaultToleranceConfig, Priority, ReplicaSet, ReplicaSetConfig, ReplicaSetHandle,
-    ReplicaSetReport, Request, RetryBudget, RoutingPolicy, ServeConfig, ServeError,
+    ReplicaSetReport, Request, RoutingPolicy, ServeConfig, ServeError,
 };
 use pim_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -286,7 +286,6 @@ pub fn chaos_fault_config() -> FaultToleranceConfig {
         probe_cooldown: Duration::from_millis(25),
         watchdog_interval: Duration::from_millis(5),
         max_restarts: 8,
-        failover: RetryBudget::default(),
     }
 }
 

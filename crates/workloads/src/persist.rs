@@ -11,7 +11,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use capsnet::{CapsNet, CapsNetSpec, ExactMath};
+use capsnet::{CapsNet, ExactMath};
 use pim_serve::{ModelRegistry, Request, ServeConfig, Server};
 use pim_store::{Layout, MappedModel, ModelWriter, StoreError};
 
@@ -123,8 +123,9 @@ pub fn persist_roundtrip(
 
 /// A small-but-real spec for scenario tests (the bench uses
 /// [`crate::traffic::streaming_spec`] instead — 280 MB of caps weights).
-pub fn tiny_persist_spec() -> CapsNetSpec {
-    let mut spec = CapsNetSpec::tiny_for_tests();
+#[cfg(test)]
+pub(crate) fn tiny_persist_spec() -> capsnet::CapsNetSpec {
+    let mut spec = capsnet::CapsNetSpec::tiny_for_tests();
     spec.name = "tiny-persist".into();
     spec.batch_shared_routing = false;
     spec

@@ -111,7 +111,7 @@ impl RolloutScenarioReport {
 /// A copy of `net` with every weight element scaled by `1 + factor` — the
 /// "honest small update" (tiny `factor`) or a stand-in for a corrupted
 /// training run (large `factor`).
-pub fn perturbed(net: &CapsNet, factor: f32) -> CapsNet {
+fn perturbed(net: &CapsNet, factor: f32) -> CapsNet {
     let mut weights: std::collections::BTreeMap<String, Tensor> = net
         .named_weights()
         .into_iter()

@@ -182,7 +182,11 @@ fn em_census_is_heavier_than_dynamic() {
     // The E/M steps do strictly more arithmetic per iteration than dynamic
     // routing's weighted sums (variances + likelihood quadratics).
     let dynamic = RpCensus::new(100, 1152, 10, 8, 16, 3);
-    let em = RpCensus::new_em(100, 1152, 10, 8, 16, 3);
+    let spec = CapsNetSpec {
+        routing: RoutingAlgorithm::Em,
+        ..CapsNetSpec::mnist()
+    };
+    let em = RpCensus::from_spec(&spec, 100).unwrap();
     assert!(em.total_flops() > dynamic.total_flops());
     assert_eq!(em.sizes.u_hat, dynamic.sizes.u_hat);
 }

@@ -76,18 +76,6 @@ fn em_and_dynamic_routing_agree_on_confident_inputs() {
 }
 
 #[test]
-fn decoder_reconstruction_pipeline() {
-    let spec = CapsNetSpec::tiny_for_tests();
-    let net = CapsNet::seeded(&spec, 5).unwrap();
-    let images = Tensor::uniform(&[2, 1, 12, 12], 0.0, 1.0, 6);
-    let out = net.forward(&images, &ExactMath).unwrap();
-    let preds = out.predictions();
-    let rec = net.reconstruct(&out, &preds).unwrap();
-    assert_eq!(rec.shape().dims(), &[2, 144]);
-    assert!(rec.as_slice().iter().all(|&x| (0.0..=1.0).contains(&x)));
-}
-
-#[test]
 fn margin_loss_decreases_with_better_labels() {
     let spec = CapsNetSpec::tiny_for_tests();
     let net = CapsNet::seeded(&spec, 13).unwrap();
