@@ -169,7 +169,7 @@ fn streaming_model(doc: &Value) -> Result<f64, String> {
 
 /// `BENCH_store.json`: every timed step ran, the quantized artifacts
 /// shrink, `speedup_mmap_vs_rebuild` is `rebuild_rng` over `load_mmap`, the
-/// load was a mapping and serving off it was bitwise.
+/// load was a mapping and a forward off the mapping was bitwise.
 pub fn check_store(doc: &Value) -> Verdict {
     check_host(doc)?;
     let f32_bytes = num(member(doc, "model")?, "artifact_bytes")?;
@@ -231,42 +231,6 @@ pub fn check_quant(doc: &Value) -> Verdict {
         ensure!(text(r, "verdict")? == "pass", "a gate row failed");
     }
     all_true(doc, &["gate_passed"])
-}
-
-/// `BENCH_replica.json`: one physical copy of the weights under the fleet,
-/// and the rolling-rollout scenario's invariants.
-pub fn check_replica(doc: &Value) -> Verdict {
-    check_host(doc)?;
-    let caps_bytes = streaming_model(doc)?;
-    let sharing = member(doc, "shared_mapping")?;
-    at_least(sharing, 2.0, &["replicas"])?;
-    let shared = ["mapped_bytes_total", "per_replica_shared_bytes"];
-    at_least(sharing, caps_bytes, &shared)?;
-    let owned = num(sharing, "per_replica_owned_bytes")?;
-    let negligible = owned < caps_bytes / 1000.0;
-    ensure!(negligible, "per-replica owned weight copies: {owned} bytes");
-    all_true(sharing, &["caps_weight_shared"])?;
-
-    let rollout = member(doc, "rollout")?;
-    let replicas = num(rollout, "replicas")?;
-    ensure!(replicas >= 3.0, "the rollout gate runs on >= 3 replicas");
-    let served = ledger(rollout)?;
-    let (submitted, completed) = (num(served, "submitted")?, num(served, "completed")?);
-    let zero_dropped = submitted >= 1.0 && completed == submitted;
-    ensure!(zero_dropped, "rollout completed {completed} of {submitted}");
-    let failures = num(rollout, "failed_requests")?;
-    ensure!(failures == 0.0, "rollout failed {failures} requests");
-    let whole_fleet = num(rollout, "good_rollout_updated")? == replicas;
-    ensure!(whole_fleet, "the healthy rollout skipped replicas");
-    let pauses = ["good_rollout_max_pause_us", "poisoned_rollout_max_pause_us"];
-    at_least(rollout, TINY, &pauses)?;
-    let flags = [
-        "versions_monotone",
-        "rollback_exercised",
-        "bitwise_attributed",
-        "invariants_hold",
-    ];
-    all_true(rollout, &flags)
 }
 
 /// `BENCH_soak.json`: exact per-phase reconciliation, one capacity under
@@ -344,51 +308,6 @@ pub fn check_soak(doc: &Value) -> Verdict {
         high_p99[2]
     );
     Ok(())
-}
-
-/// `BENCH_cache.json`: the cache knobs are exactly `byte_budget` and
-/// `shards`, hit responses bitwise equal to the cache-off twin,
-/// `completions == requests + cache_hits`, hit rate ≥ 0.5, zero dropped.
-pub fn check_cache(doc: &Value) -> Verdict {
-    check_host(doc)?;
-    let model = member(doc, "model")?;
-    text(model, "name")?;
-    let streams = num(model, "caps_weight_mb")? > 100.0;
-    ensure!(streams, "the cache must front the weight-streaming model");
-    let cache = member(doc, "cache")?;
-    let knobs = match cache {
-        Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
-        _ => Vec::new(),
-    };
-    ensure!(knobs == ["byte_budget", "shards"], "cache knobs {knobs:?}");
-    at_least(cache, 1.0, &knobs)?;
-    let traffic = member(doc, "traffic")?;
-    let requests = num(traffic, "requests")?;
-    let web_skew = (0.8..=1.2).contains(&num(traffic, "skew")?);
-    ensure!(web_skew, "the gate is defined at s ~ 1.0");
-    let distinct = num(traffic, "distinct_content")?;
-    let achievable = num(traffic, "achievable_hits")?;
-    let repeats = (1.0..=requests).contains(&distinct) && achievable == requests - distinct;
-    ensure!(repeats, "achievable hits drifted");
-
-    let off = num(member(doc, "cache_off")?, "dispatched")?;
-    ensure!(off == requests, "cache-off dispatched {off}");
-    let on = member(doc, "cache_on")?;
-    let (dispatched, hits) = (num(on, "dispatched")?, num(on, "cache_hits")?);
-    let partition = dispatched + hits == requests;
-    ensure!(partition, "{dispatched} + {hits} hits != {requests}");
-    ensure!(hits <= achievable, "{hits} hits of {achievable} repeats");
-    let hit_rate = num(on, "hit_rate")?;
-    let consistent = (hit_rate - hits / requests).abs() < 1e-3;
-    ensure!(consistent, "hit_rate {hit_rate} vs the counters");
-    let served = ledger(doc)?;
-    let (submitted, completed) = (num(served, "submitted")?, num(served, "completed")?);
-    let zero_dropped = submitted == requests && completed == submitted;
-    ensure!(zero_dropped, "cache: {completed} of {submitted}");
-    let hit_min = num(doc, "hit_rate_min")?;
-    ensure!(hit_min >= 0.5, "hit-rate gate weakened: {hit_min}");
-    ensure!(hit_rate >= hit_min, "hit rate {hit_rate} < {hit_min}");
-    all_true(doc, &["hit_responses_bitwise_equal"])
 }
 
 /// `BENCH_chaos.json`: exact reconciliation in both phases, every scripted
@@ -475,7 +394,6 @@ pub fn check_committed(file: &str, doc: &Value) -> Verdict {
         }
         "BENCH_soak.json" => at_least(doc, 1e6, &["total_requests"])?,
         "BENCH_chaos.json" => at_least(doc, 1e5, &["requests_per_phase"])?,
-        "BENCH_replica.json" | "BENCH_cache.json" => {}
         other => return Err(format!("{other} is not a bench record")),
     }
     Ok(())

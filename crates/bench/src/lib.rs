@@ -6,14 +6,12 @@
 //! `bench_results/` (override the directory with the `PIM_BENCH_OUT`
 //! environment variable).
 
-pub mod cache_bench;
 pub mod chaos_bench;
 pub mod check;
 pub mod emit;
 pub mod jsonlite;
 pub mod paper;
 pub mod quant_bench;
-pub mod replica_bench;
 pub mod soak_bench;
 
 use std::path::{Path, PathBuf};
@@ -57,20 +55,27 @@ impl Default for BenchContext {
     }
 }
 
-/// The output directory for CSV artifacts: `bench_results/` at the
-/// workspace root (benches execute with the package directory as CWD, so
-/// this resolves relative to the manifest instead). Override with
-/// `PIM_BENCH_OUT`.
+/// The output directory for CSV and JSON artifacts: `bench_results/` at
+/// the root of the workspace the process runs in, found at run time by
+/// walking up from the working directory (tests and benches run in the
+/// package directory). Override with `PIM_BENCH_OUT`.
 pub fn results_dir() -> PathBuf {
     if let Some(dir) = std::env::var_os("PIM_BENCH_OUT") {
         return PathBuf::from(dir);
     }
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest
-        .ancestors()
-        .nth(2)
-        .map(Path::to_path_buf)
-        .unwrap_or(manifest);
+    let cwd = std::env::current_dir().expect("the working directory is readable");
+    results_dir_from(&cwd)
+}
+
+/// `bench_results/` in the nearest ancestor of `start` (itself included)
+/// whose `Cargo.toml` declares a `[workspace]`, or in `start` when none
+/// does.
+fn results_dir_from(start: &Path) -> PathBuf {
+    let is_root = |dir: &&Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.contains("[workspace]"))
+    };
+    let root = start.ancestors().find(is_root).unwrap_or(start);
     root.join("bench_results")
 }
 
@@ -125,48 +130,6 @@ pub fn count_arg(flag: &str, default: usize) -> usize {
     count
 }
 
-/// Synthetic serve-tier reports for the artifact modules' unit tests.
-#[cfg(test)]
-pub(crate) mod fixtures {
-    use pim_serve::{MetricsReport, Priority, TierReport};
-
-    /// One tier row with `p99` (and proportionate p50/p95).
-    pub fn tier(priority: Priority, requests: u64, shed: u64, p99: u64) -> TierReport {
-        TierReport {
-            priority,
-            requests,
-            cache_hits: 0,
-            shed,
-            p50_us: p99 / 2,
-            p95_us: p99,
-            p99_us: p99,
-        }
-    }
-
-    /// A one-second window that dispatched `requests` single-sample batches.
-    pub fn metrics(requests: u64, cache_hits: u64, tiers: [TierReport; 3]) -> MetricsReport {
-        MetricsReport {
-            requests,
-            samples: requests,
-            batches: requests,
-            cache_hits,
-            rejected_full: 0,
-            rejected_quota: 0,
-            failed_requests: 0,
-            failed_batches: 0,
-            p50_us: 10,
-            p95_us: 20,
-            p99_us: 30,
-            mean_us: 12.0,
-            batch_occupancy: vec![0, requests],
-            elapsed_s: 1.0,
-            tiers,
-            version_counts: Vec::new(),
-            swaps: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +142,22 @@ mod tests {
             let c = ctx.census(b);
             assert_eq!(c.rp.nl, b.l_caps);
         }
+    }
+
+    #[test]
+    fn results_dir_is_found_from_the_working_directory() {
+        let tmp = std::env::temp_dir().join(format!("pim_bench_results_{}", std::process::id()));
+        let package = tmp.join("ws/crates/pkg/src");
+        std::fs::create_dir_all(&package).unwrap();
+        std::fs::write(tmp.join("ws/Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        std::fs::write(tmp.join("ws/crates/pkg/Cargo.toml"), "[package]\n").unwrap();
+        let want = tmp.join("ws/bench_results");
+        assert_eq!(results_dir_from(&package), want);
+        assert_eq!(results_dir_from(&tmp.join("ws")), want);
+        // Outside any workspace: next to where the process runs.
+        let stray = tmp.join("stray");
+        assert_eq!(results_dir_from(&stray), stray.join("bench_results"));
+        std::fs::remove_dir_all(&tmp).unwrap();
     }
 
     #[test]

@@ -252,8 +252,44 @@ impl SoakBenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{metrics, tier};
     use capsnet_workloads::drive::Ledger;
+    use pim_serve::{MetricsReport, TierReport};
+
+    /// One tier row with `p99` (and proportionate p50/p95).
+    fn tier(priority: Priority, requests: u64, shed: u64, p99: u64) -> TierReport {
+        TierReport {
+            priority,
+            requests,
+            cache_hits: 0,
+            shed,
+            p50_us: p99 / 2,
+            p95_us: p99,
+            p99_us: p99,
+        }
+    }
+
+    /// A one-second window that dispatched `requests` single-sample batches.
+    fn metrics(requests: u64, tiers: [TierReport; 3]) -> MetricsReport {
+        MetricsReport {
+            requests,
+            samples: requests,
+            batches: requests,
+            cache_hits: 0,
+            rejected_full: 0,
+            rejected_quota: 0,
+            failed_requests: 0,
+            failed_batches: 0,
+            p50_us: 10,
+            p95_us: 20,
+            p99_us: 30,
+            mean_us: 12.0,
+            batch_occupancy: vec![0, requests],
+            elapsed_s: 1.0,
+            tiers,
+            version_counts: Vec::new(),
+            swaps: 0,
+        }
+    }
 
     fn phase(multiplier: f64, shed: [u64; 3], high_p99: u64) -> SoakPhaseReport {
         let completed = 100 - shed.iter().sum::<u64>();
@@ -262,7 +298,7 @@ mod tests {
             tier(Priority::Normal, 50 - shed[1], shed[1], 40),
             tier(Priority::Low, completed - 20 - (50 - shed[1]), shed[2], 50),
         ];
-        let metrics = metrics(completed, 0, tiers);
+        let metrics = metrics(completed, tiers);
         SoakPhaseReport {
             counts: Ledger {
                 submitted: 100,

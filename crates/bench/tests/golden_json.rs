@@ -9,8 +9,7 @@
 //! rates, `host.threads >= 2`) and the full-size soak and chaos runs.
 
 use pim_bench::check::{
-    check_cache, check_chaos, check_committed, check_quant, check_replica, check_soak, check_store,
-    load, Verdict,
+    check_chaos, check_committed, check_quant, check_soak, check_store, load, Verdict,
 };
 use pim_bench::jsonlite::Value;
 use pim_bench::results_dir;
@@ -27,22 +26,53 @@ fn committed(file: &str, check: fn(&Value) -> Verdict) {
     check_committed(file, &doc).unwrap_or_else(|why| panic!("{file}: {why}"));
 }
 
+/// One test per committed record, and [`GOLDEN`]: the records they cover.
 macro_rules! golden {
-    ($($test:ident: $file:literal, $check:ident;)+) => {$(
-        #[test]
-        fn $test() {
-            committed($file, $check);
-        }
-    )+};
+    ($($test:ident: $file:literal, $check:ident;)+) => {
+        $(
+            #[test]
+            fn $test() {
+                committed($file, $check);
+            }
+        )+
+        const GOLDEN: &[&str] = &[$($file),+];
+    };
 }
 
 golden! {
     bench_store_schema: "BENCH_store.json", check_store;
     bench_quant_schema: "BENCH_quant.json", check_quant;
-    bench_replica_schema: "BENCH_replica.json", check_replica;
     bench_soak_schema: "BENCH_soak.json", check_soak;
-    bench_cache_schema: "BENCH_cache.json", check_cache;
     bench_chaos_schema: "BENCH_chaos.json", check_chaos;
+}
+
+/// The committed records are exactly the golden cases, and
+/// `check_committed` knows each of them and no retired one, so a recorder
+/// that is deleted cannot leave its record behind.
+#[test]
+fn every_committed_record_has_a_golden_case() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(results_dir())
+        .expect("bench_results/ is committed")
+        .map(|entry| entry.expect("a readable entry").file_name())
+        .filter_map(|name| name.to_str().map(str::to_string))
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    on_disk.sort();
+    let mut golden: Vec<String> = GOLDEN.iter().map(|f| f.to_string()).collect();
+    golden.sort();
+    assert_eq!(on_disk, golden, "committed records vs golden cases");
+
+    // Each golden case holds its record to `check_committed`, so every
+    // arm above is live; the retired names must have no arm left.
+    let store = committed_record("BENCH_store.json");
+    for retired in [
+        "BENCH_cache.json",
+        "BENCH_replica.json",
+        "BENCH_routing.json",
+    ] {
+        let why = check_committed(retired, &store).unwrap_err();
+        assert!(why.contains("not a bench record"), "{retired}: {why}");
+    }
 }
 
 /// Sets the number at `path` (object keys and array indices, outermost
@@ -78,14 +108,12 @@ fn host_speed_bars_fail_only_the_committed_check() {
     let why = check_committed("BENCH_store.json", &store).unwrap_err();
     assert!(why.contains("mmap vs rebuild 9.5x"), "{why}");
 
-    let mut replica = committed_record("BENCH_replica.json");
-    set(&mut replica, &["host", "threads"], 1.0);
-    assert_eq!(check_replica(&replica), Ok(()));
-    let why = check_committed("BENCH_replica.json", &replica).unwrap_err();
+    // A one-thread quant record, its rates untouched.
+    let mut quant = committed_record("BENCH_quant.json");
+    set(&mut quant, &["host", "threads"], 1.0);
+    assert_eq!(check_quant(&quant), Ok(()));
+    let why = check_committed("BENCH_quant.json", &quant).unwrap_err();
     assert!(why.contains("host.threads 1"), "{why}");
-
-    let unknown = check_committed("BENCH_routing.json", &committed_record("BENCH_cache.json"));
-    assert!(unknown.unwrap_err().contains("not a bench record"));
 }
 
 /// A ratio the recorder's check judges is recomputed from the timings

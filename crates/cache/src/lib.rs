@@ -126,18 +126,6 @@ pub struct CacheReport {
     pub bytes: u64,
 }
 
-impl CacheReport {
-    /// Hit fraction over all lookups (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     model: usize,
@@ -765,16 +753,5 @@ mod tests {
         }
         // Ten entries: 10 · 32 bits, rounded up to 512 bits = 8 words.
         assert_eq!(sizes, [8, 8, 8]);
-    }
-
-    #[test]
-    fn report_hit_rate() {
-        let rep = CacheReport {
-            hits: 3,
-            misses: 1,
-            ..CacheReport::default()
-        };
-        assert!((rep.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheReport::default().hit_rate(), 0.0);
     }
 }

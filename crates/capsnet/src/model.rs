@@ -437,6 +437,7 @@ impl CapsNet {
     /// `owned_bytes` near zero, because cloning a shared-backed network
     /// only bumps reference counts ([`pim_tensor::Tensor`] clones of
     /// shared storage are `Arc` clones, never byte copies).
+    // LINT-ALLOW(R6): the accounting `replica_pool::artifact_pool_shares_one_mapping_across_replicas` holds each layout's replicas to.
     pub fn weight_storage(&self) -> WeightStorageCensus {
         let mut census = WeightStorageCensus::default();
         for (_, t) in self.named_weights() {

@@ -69,7 +69,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -467,7 +466,7 @@ impl PoolLink {
 // ── supervisor ──────────────────────────────────────────────────────────
 
 /// The replica-pool supervisor. Construct with
-/// [`ReplicaSet::from_artifact`] (or [`ReplicaSet::from_net`] for
+/// [`ReplicaSet::from_shared`] (or [`ReplicaSet::from_net`] for
 /// in-memory tests), then open a serving window with [`ReplicaSet::run`].
 pub struct ReplicaSet<'a, B: MathBackend + Sync + ?Sized> {
     backend: &'a B,
@@ -499,23 +498,6 @@ impl<'a, B: MathBackend + Sync + ?Sized> ReplicaSet<'a, B> {
         Self::build(name, backend, cfg, || {
             load(artifact.path(), || artifact.capsnet())
         })
-    }
-
-    /// [`ReplicaSet::from_shared`] from a path: opens (and fully verifies)
-    /// the artifact **once**, then shares the mapping across all replicas.
-    ///
-    /// # Errors
-    ///
-    /// See [`ReplicaSet::from_shared`]; additionally any store error from
-    /// opening the artifact.
-    pub fn from_artifact(
-        name: impl Into<String>,
-        path: &Path,
-        backend: &'a B,
-        cfg: ReplicaSetConfig,
-    ) -> Result<Self, ServeError> {
-        let artifact = load(path, || MappedModel::open(path))?;
-        Self::from_shared(name, &artifact, backend, cfg)
     }
 
     /// Builds a pool from an in-memory network (cloned per replica — cheap

@@ -155,15 +155,11 @@ pub struct RolloutReport {
 }
 
 impl RolloutReport {
-    /// Longest out-of-rotation pause any replica saw, microseconds.
-    pub fn max_pause_us(&self) -> u64 {
-        self.steps.iter().map(|s| s.pause_us).max().unwrap_or(0)
-    }
-
     /// Replicas left serving the new version. A replica's *last* step is
     /// its final state: an `Updated` step superseded by a
     /// `RevertedWithFleet` step does not count, while a `RevertFailed`
     /// step leaves the replica on the new version and does.
+    // LINT-ALLOW(R6): the fleet state `replica_pool::rollouts_under_traffic_drop_nothing_and_serve_only_installed_weights` asserts after each rollout.
     pub fn updated(&self) -> usize {
         let mut last: std::collections::BTreeMap<usize, ReplicaOutcome> =
             std::collections::BTreeMap::new();
@@ -302,6 +298,7 @@ impl ReplicaSetHandle<'_> {
     /// failing canary on the new version is not an error; it is the
     /// rollback path. The error's `report` records every step that was
     /// attempted, failed reverts included.
+    // LINT-ALLOW(R6): the rollout `replica_pool::rollouts_under_traffic_drop_nothing_and_serve_only_installed_weights` drives under traffic.
     pub fn rolling_rollout(
         &self,
         new: &MappedModel,
@@ -325,7 +322,7 @@ impl ReplicaSetHandle<'_> {
         //
         // ASSUMPTION: the whole fleet serves *identical weights* before
         // the rollout starts — true for pools built via
-        // `ReplicaSet::from_shared`/`from_artifact`/`from_net` and kept
+        // `ReplicaSet::from_shared`/`from_net` and kept
         // true by every complete rollout (success or full rollback). If
         // replicas had diverged (e.g. a prior `RolloutError` left a
         // replica stuck), replica 0's output is not a valid baseline for

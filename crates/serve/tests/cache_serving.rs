@@ -107,6 +107,60 @@ fn cache_hit_is_bitwise_identical_and_typed_in_metrics() {
     assert!(rep.misses >= 2, "{rep:?}");
 }
 
+/// A stream of repeated keys served in waited windows (submit a window,
+/// wait all of it, then the next): every request whose key completed in
+/// an earlier window hits, bitwise the first copy's response, and the
+/// tickets partition into dispatched requests and cache hits.
+#[test]
+fn repeats_hit_once_their_first_copy_has_completed() {
+    const KEYS: u64 = 8;
+    let registry = ModelRegistry::from_models([ServedModel::new("repeats", versioned_net(1))]);
+    let cache = Arc::new(ServeCache::new(small_cache(), 1));
+    let server = Server::new(&registry, &ExactMath, serve_cfg())
+        .unwrap()
+        .with_cache(Arc::clone(&cache));
+
+    let (served, metrics) = server.run(|handle| {
+        let mut served = Vec::new();
+        for window in 0..6u64 {
+            // Keys are distinct within a window: whether a repeat inside
+            // one window hits depends on when its first copy's batch lands.
+            let tickets: Vec<_> = (0..4)
+                .map(|j| (2 * window + j) % KEYS)
+                .map(|key| {
+                    let request = Request::new(key as usize % 3, 0, images(1, key));
+                    (key, handle.submit(request).unwrap())
+                })
+                .collect();
+            for (key, ticket) in tickets {
+                served.push((window, key, ticket.wait().unwrap()));
+            }
+        }
+        served
+    });
+
+    let mut first = std::collections::HashMap::new();
+    let mut repeats = 0;
+    for (window, key, response) in &served {
+        let Some((first_window, original)) = first.get(key) else {
+            first.insert(*key, (*window, response.clone()));
+            continue;
+        };
+        assert!(first_window < window, "key {key} twice in window {window}");
+        repeats += 1;
+        let rode = (response.queue_us, response.service_us);
+        assert_eq!(rode, (0, 0), "key {key} missed in window {window}");
+        assert_eq!(response.predictions, original.predictions);
+        for (a, b) in response.class_norms_sq.iter().zip(&original.class_norms_sq) {
+            assert_eq!(a.to_bits(), b.to_bits(), "hit payload diverged");
+        }
+    }
+    assert_eq!(repeats, 16, "24 requests over 8 keys");
+    assert_eq!(metrics.cache_hits, repeats);
+    assert_eq!(served.len() as u64, metrics.requests + metrics.cache_hits);
+    assert_eq!(cache.report().hits, repeats);
+}
+
 /// Regression: after a hot-swap, a request whose content was cached under
 /// the old version must be re-served by the new network — never the
 /// pre-swap response. Version-keyed lookups make the old entry
@@ -280,7 +334,13 @@ fn rollout_canaries_bypass_the_pool_cache() {
         .save(&versioned_net(2), &v2_path)
         .unwrap();
 
-    let set = ReplicaSet::from_artifact("canary", &v1_path, &ExactMath, pool_cfg(3)).unwrap();
+    let set = ReplicaSet::from_shared(
+        "canary",
+        &MappedModel::open(&v1_path).unwrap(),
+        &ExactMath,
+        pool_cfg(3),
+    )
+    .unwrap();
     let (rollout, report) = set.run(|pool| {
         let new = MappedModel::open(&v2_path).unwrap();
         // Any finite divergence passes: the verdict is not under test.

@@ -5,13 +5,13 @@ mod common;
 
 use common::perturbed;
 
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::time::{Duration, Instant};
 
 use capsnet::{CapsNet, CapsNetSpec, ExactMath, MathBackend};
 use pim_serve::{
     ReplicaOutcome, ReplicaSet, ReplicaSetConfig, Request, RolloutConfig, RoutingPolicy,
-    ServeConfig, ServeError,
+    ServeConfig, ServeError, SubmitError,
 };
 use pim_store::{MappedModel, ModelWriter};
 use pim_tensor::Tensor;
@@ -376,61 +376,97 @@ fn pool_snapshots_are_live_monotone_and_merged() {
     }
 }
 
+/// The streaming model's layer shapes in miniature: each vault partition
+/// of the primary and caps weights is a whole number of 64-byte alignment
+/// units, and conv1's 100-byte rows are not.
+fn vault_spec() -> CapsNetSpec {
+    let mut spec = per_sample_spec();
+    spec.conv1_channels = 16;
+    spec.h_caps = 10;
+    spec.ch_dim = 16;
+    spec
+}
+
+/// Both layouts: the packed writer stores every tensor contiguously, so a
+/// replica owns no weight bytes at all. The vault-aligned writer pads
+/// between vault partitions, so a tensor whose partitions are not whole
+/// alignment units (conv1's) is gathered into an owned copy per replica;
+/// the caps weight must still be one shared view under the whole fleet.
 #[test]
 fn artifact_pool_shares_one_mapping_across_replicas() {
     let dir = tmp_dir("share");
-    let path = dir.join("m.pimcaps");
-    let net = tiny_net(4);
-    ModelWriter::new().save(&net, &path).unwrap();
+    let net = CapsNet::seeded(&vault_spec(), 4).unwrap();
+    let caps_bytes = net
+        .named_weights()
+        .into_iter()
+        .find(|(n, _)| n == "caps.weight")
+        .map(|(_, t)| t.size_bytes())
+        .unwrap();
 
-    let set = ReplicaSet::from_artifact(
-        "shared",
-        &path,
-        &ExactMath,
-        pool_cfg(3, RoutingPolicy::RoundRobin),
-    )
-    .unwrap();
+    for (layout, writer) in [
+        ("packed", ModelWriter::new()),
+        ("vault_aligned", ModelWriter::vault_aligned()),
+    ] {
+        let path = dir.join(format!("{layout}.pimcaps"));
+        writer.save(&net, &path).unwrap();
+        let set = ReplicaSet::from_shared(
+            "shared",
+            &MappedModel::open(&path).unwrap(),
+            &ExactMath,
+            pool_cfg(3, RoutingPolicy::RoundRobin),
+        )
+        .unwrap();
 
-    // Every replica's weights are zero-copy views of ONE mapping: no
-    // owned copies, and the big caps weight aliases the same bytes.
-    let mut caps_ptrs = Vec::new();
-    for i in 0..3 {
-        let handle = set.registry(i).unwrap().current(0).unwrap();
-        let census = handle.net().weight_storage();
-        assert_eq!(
-            census.owned_bytes, 0,
-            "replica {i} owns weight bytes: {census:?}"
-        );
-        let (_, caps) = handle
-            .net()
-            .named_weights()
-            .into_iter()
-            .find(|(n, _)| n == "caps.weight")
-            .unwrap();
-        caps_ptrs.push(caps.expect_f32().as_slice().as_ptr());
-    }
-    assert!(
-        caps_ptrs.windows(2).all(|w| w[0] == w[1]),
-        "replicas must read weights from the same physical bytes"
-    );
-
-    // And the pool serves bit-identically to the source network.
-    let (ok, _) = set.run(|pool| {
-        (0..9u64).all(|i| {
-            let response = pool
-                .submit(Request::new(i as usize % 3, 0, images(1, i)))
-                .unwrap()
-                .wait()
+        // Every replica's caps weight is a zero-copy view of ONE mapping:
+        // the same physical bytes, whatever else the layout copies.
+        let mut caps_ptrs = Vec::new();
+        for i in 0..3 {
+            let handle = set.registry(i).unwrap().current(0).unwrap();
+            let census = handle.net().weight_storage();
+            if layout == "packed" {
+                assert_eq!(
+                    census.owned_bytes, 0,
+                    "{layout}: replica {i} owns weight bytes: {census:?}"
+                );
+            } else {
+                assert!(
+                    census.owned_bytes * 10 < caps_bytes,
+                    "{layout}: replica {i} owns {} of {caps_bytes} caps-weight bytes: {census:?}",
+                    census.owned_bytes
+                );
+            }
+            let (_, caps) = handle
+                .net()
+                .named_weights()
+                .into_iter()
+                .find(|(n, _)| n == "caps.weight")
                 .unwrap();
-            let serial = net.forward(&images(1, i), &ExactMath).unwrap();
-            response
-                .class_norms_sq
-                .iter()
-                .zip(serial.class_norms_sq.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-        })
-    });
-    assert!(ok);
+            assert!(caps.is_shared(), "{layout}: replica {i} copied caps.weight");
+            caps_ptrs.push(caps.expect_f32().as_slice().as_ptr());
+        }
+        assert!(
+            caps_ptrs.windows(2).all(|w| w[0] == w[1]),
+            "{layout}: replicas must read weights from the same physical bytes"
+        );
+
+        // And the pool serves bit-identically to the source network.
+        let (ok, _) = set.run(|pool| {
+            (0..9u64).all(|i| {
+                let response = pool
+                    .submit(Request::new(i as usize % 3, 0, images(1, i)))
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                let serial = net.forward(&images(1, i), &ExactMath).unwrap();
+                response
+                    .class_norms_sq
+                    .iter()
+                    .zip(serial.class_norms_sq.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+        });
+        assert!(ok, "{layout}: the pool diverged from the source network");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -444,9 +480,9 @@ fn rolling_rollout_updates_every_replica() {
     ModelWriter::vault_aligned().save(&v1, &v1_path).unwrap();
     ModelWriter::vault_aligned().save(&v2, &v2_path).unwrap();
 
-    let set = ReplicaSet::from_artifact(
+    let set = ReplicaSet::from_shared(
         "roll",
-        &v1_path,
+        &MappedModel::open(&v1_path).unwrap(),
         &ExactMath,
         pool_cfg(3, RoutingPolicy::RoundRobin),
     )
@@ -499,9 +535,9 @@ fn canary_divergence_rolls_the_fleet_back() {
     ModelWriter::vault_aligned().save(&v1, &v1_path).unwrap();
     ModelWriter::vault_aligned().save(&bad, &bad_path).unwrap();
 
-    let set = ReplicaSet::from_artifact(
+    let set = ReplicaSet::from_shared(
         "guard",
-        &v1_path,
+        &MappedModel::open(&v1_path).unwrap(),
         &ExactMath,
         pool_cfg(3, RoutingPolicy::RoundRobin),
     )
@@ -550,6 +586,104 @@ fn canary_divergence_rolls_the_fleet_back() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A submitter keeps traffic flowing while the fleet takes a healthy
+/// rollout (v1 → v2, canary passes) and then a poisoned one (v2 → an
+/// unrelated net, canary trips, fleet rolls back) on three replicas. No
+/// ticket is dropped, no replica's version goes backwards in dispatch
+/// order, and every response is bitwise one that v1, v2 or the poisoned
+/// net computes: nothing is served that was never installed.
+#[test]
+fn rollouts_under_traffic_drop_nothing_and_serve_only_installed_weights() {
+    const REQUESTS: usize = 90;
+    let dir = tmp_dir("rollout_traffic");
+    let v1 = tiny_net(10);
+    let v2 = perturbed(&v1, 1e-4);
+    let poisoned = tiny_net(778);
+    let [v1_path, v2_path, bad_path] =
+        ["v1", "v2", "bad"].map(|v| dir.join(format!("{v}.pimcaps")));
+    for (net, path) in [(&v1, &v1_path), (&v2, &v2_path), (&poisoned, &bad_path)] {
+        ModelWriter::vault_aligned().save(net, path).unwrap();
+    }
+    let set = ReplicaSet::from_shared(
+        "traffic",
+        &MappedModel::open(&v1_path).unwrap(),
+        &ExactMath,
+        pool_cfg(3, RoutingPolicy::RoundRobin),
+    )
+    .unwrap();
+
+    let submitted = AtomicUsize::new(0);
+    let ((served, good, bad), metrics) = set.run(|pool| {
+        std::thread::scope(|scope| {
+            let submitter = scope.spawn(|| {
+                let mut tickets = Vec::with_capacity(REQUESTS);
+                for i in 0..REQUESTS {
+                    let ticket = loop {
+                        match pool.submit(Request::new(i % 4, 0, images(1, i as u64))) {
+                            Ok(ticket) => break ticket,
+                            Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
+                            Err(why) => panic!("request {i} rejected: {why}"),
+                        }
+                    };
+                    tickets.push((i, ticket.replica(), ticket));
+                    submitted.store(i + 1, SeqCst);
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                tickets
+                    .into_iter()
+                    .map(|(i, replica, ticket)| (i, replica, ticket.wait()))
+                    .collect::<Vec<_>>()
+            });
+            let wait_until = |n: usize| {
+                while submitted.load(SeqCst) < n && !submitter.is_finished() {
+                    std::thread::yield_now();
+                }
+            };
+            let rollout = |path: &std::path::Path| {
+                let new = MappedModel::open(path).unwrap();
+                pool.rolling_rollout(&new, &RolloutConfig::new(images(1, 0xCA), 0.1))
+                    .unwrap()
+            };
+            wait_until(REQUESTS / 3);
+            let good = rollout(&v2_path);
+            wait_until(2 * REQUESTS / 3);
+            let bad = rollout(&bad_path);
+            (submitter.join().unwrap(), good, bad)
+        })
+    });
+
+    assert!(!good.rolled_back && good.updated() == 3, "{good:?}");
+    assert!(bad.rolled_back && bad.updated() == 0, "{bad:?}");
+    let paused = good.steps.iter().chain(&bad.steps).all(|s| s.pause_us > 0);
+    assert!(paused, "a step took no replica out of rotation");
+    assert_eq!(served.len(), REQUESTS);
+    assert_eq!(metrics.failed_requests, 0);
+    let mut per_replica = vec![Vec::new(); 3];
+    for (i, replica, result) in served {
+        let response = result.unwrap_or_else(|e| panic!("request {i} dropped: {e}"));
+        let attributed = [&v1, &v2, &poisoned].iter().any(|net| {
+            let serial = net.forward(&images(1, i as u64), &ExactMath).unwrap();
+            response.predictions == serial.predictions()
+                && response
+                    .class_norms_sq
+                    .iter()
+                    .zip(serial.class_norms_sq.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        });
+        assert!(attributed, "request {i} served weights never installed");
+        per_replica[replica].push(response);
+    }
+    for (replica, mut stream) in per_replica.into_iter().enumerate() {
+        stream.sort_by_key(|r| (r.batch_seq, r.batch_offset));
+        let versions: Vec<u64> = stream.iter().map(|r| r.model_version).collect();
+        assert!(
+            versions.windows(2).all(|w| w[0] <= w[1]),
+            "replica {replica} went backwards: {versions:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn geometry_changing_rollout_is_caught_by_the_canary() {
     // The canary for the old geometry is rejected at submit on the new
@@ -566,9 +700,9 @@ fn geometry_changing_rollout_is_caught_by_the_canary() {
     ModelWriter::new().save(&v1, &v1_path).unwrap();
     ModelWriter::new().save(&other, &other_path).unwrap();
 
-    let set = ReplicaSet::from_artifact(
+    let set = ReplicaSet::from_shared(
         "geom",
-        &v1_path,
+        &MappedModel::open(&v1_path).unwrap(),
         &ExactMath,
         pool_cfg(2, RoutingPolicy::RoundRobin),
     )

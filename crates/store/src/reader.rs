@@ -332,6 +332,7 @@ impl MappedModel {
 
     /// Length of the backing file image in bytes — counted once, however
     /// many networks borrow it.
+    // LINT-ALLOW(R6): `roundtrip::shared_artifact_backs_many_networks_with_one_mapping` reads the one image's length.
     pub fn image_len(&self) -> usize {
         self.buf.as_bytes().len()
     }

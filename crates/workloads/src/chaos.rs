@@ -387,7 +387,6 @@ pub fn run_chaos_phase<B: MathBackend + Sync + ?Sized>(
             Drive {
                 arrivals: Arrivals::Paced,
                 backpressure: Backpressure::Tally,
-                keep_responses: false,
             },
             |_, arrival| tiered_request(&images, arrival).with_deadline(cfg.deadline),
             |i, pool: &ReplicaSetHandle<'_>| {
@@ -408,12 +407,12 @@ pub fn run_chaos_phase<B: MathBackend + Sync + ?Sized>(
         for (r, taint) in tainted.iter_mut().enumerate() {
             *taint = pool.restarts(r) > 0;
         }
-        for outcome in &driven.outcomes {
+        for failure in &driven.failures {
             if matches!(
-                outcome.result,
-                Err(ServeError::Forward(_) | ServeError::ReplicaTimeout { .. })
+                failure.error,
+                ServeError::Forward(_) | ServeError::ReplicaTimeout { .. }
             ) {
-                tainted[outcome.replica] = true;
+                tainted[failure.replica] = true;
             }
         }
 

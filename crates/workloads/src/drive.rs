@@ -4,10 +4,10 @@
 //! policy) applied to a slice of [`Arrival`]s, a content source
 //! (`content(i, &arrival) -> Request`) and an [`Endpoint`]; it returns one
 //! reconciled [`Ledger`] — every submission lands in exactly one bucket —
-//! plus, when asked, the responses. The soak, chaos, rollout,
-//! persist and cache gates are configurations of [`drive`]; nothing else in
-//! `crates/workloads`, `crates/bench` or the root `tests/` submits to or
-//! waits on a serve window.
+//! plus the tickets that failed. The soak and chaos gates are
+//! configurations of [`drive`]; nothing else in `crates/workloads`,
+//! `crates/bench` or the root `tests/` submits to or waits on a serve
+//! window.
 
 use std::time::{Duration, Instant};
 
@@ -137,17 +137,13 @@ impl Ledger {
     }
 }
 
-/// How the arrival timestamps are used. [`Arrivals::Burst`] and
-/// [`Arrivals::Paced`] tickets are waited on by a side thread fed through
-/// a channel, in submit order, so a stalled ticket cannot stop submission.
+/// How the arrival timestamps are used. Either way, tickets are waited on
+/// by a side thread fed through a channel, in submit order, so a stalled
+/// ticket cannot stop submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arrivals {
     /// Submit everything back to back, ignoring the timestamps.
     Burst,
-    /// Submit `n`, wait those `n` out on the caller's thread, repeat — so
-    /// a response cache sees a window's inserts before the next window's
-    /// repeats. Never more than `n` outstanding.
-    Windowed(usize),
     /// Open loop: no arrival is submitted before its `at_us`.
     Paced,
 }
@@ -169,30 +165,25 @@ pub struct Drive {
     pub arrivals: Arrivals,
     /// Rejection policy.
     pub backpressure: Backpressure,
-    /// Keep successful responses in [`Driven::outcomes`]. Off for long
-    /// soaks, which must not retain a million responses.
-    pub keep_responses: bool,
 }
 
-/// How one accepted ticket resolved.
+/// An accepted ticket that resolved with a typed error.
 #[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Index into the arrival slice.
-    pub arrival: usize,
+pub struct Failure {
     /// The replica that held the ticket.
     pub replica: usize,
     /// What the ticket resolved with.
-    pub result: Result<Response, ServeError>,
+    pub error: ServeError,
 }
 
-/// What one [`drive`] call observed.
+/// What one [`drive`] call observed. Successful responses are counted,
+/// never kept: a long soak must not retain a million of them.
 #[derive(Debug, Clone)]
 pub struct Driven {
     /// The reconciled accounting.
     pub ledger: Ledger,
-    /// In submit order: every failed ticket, and every successful one
-    /// when [`Drive::keep_responses`] is set.
-    pub outcomes: Vec<Outcome>,
+    /// Every failed ticket, in submit order.
+    pub failures: Vec<Failure>,
     /// Wall time from the first to the last submission, seconds.
     pub submit_s: f64,
 }
@@ -219,27 +210,23 @@ fn pace_until(start: Instant, at_us: u64) {
 #[derive(Default)]
 struct Harvested {
     ledger: Ledger,
-    outcomes: Vec<Outcome>,
+    failures: Vec<Failure>,
 }
 
 impl Harvested {
-    fn record<E: Endpoint>(&mut self, keep: bool, arrival: usize, ticket: E::Ticket) {
+    fn record<E: Endpoint>(&mut self, ticket: E::Ticket) {
         let replica = E::replica(&ticket);
-        let result = E::wait(ticket);
-        match &result {
-            Ok(_) => self.ledger.completed += 1,
-            Err(ServeError::Forward(_)) => self.ledger.failed_forward += 1,
-            Err(ServeError::DeadlineExceeded { .. }) => self.ledger.deadline_exceeded += 1,
-            Err(ServeError::ReplicaTimeout { .. }) => self.ledger.replica_timeout += 1,
-            Err(_) => self.ledger.other_failed += 1,
+        let Err(error) = E::wait(ticket) else {
+            self.ledger.completed += 1;
+            return;
+        };
+        match error {
+            ServeError::Forward(_) => self.ledger.failed_forward += 1,
+            ServeError::DeadlineExceeded { .. } => self.ledger.deadline_exceeded += 1,
+            ServeError::ReplicaTimeout { .. } => self.ledger.replica_timeout += 1,
+            _ => self.ledger.other_failed += 1,
         }
-        if keep || result.is_err() {
-            self.outcomes.push(Outcome {
-                arrival,
-                replica,
-                result,
-            });
-        }
+        self.failures.push(Failure { replica, error });
     }
 }
 
@@ -286,46 +273,24 @@ pub fn drive<E: Endpoint>(
         }
     };
 
-    let keep = cfg.keep_responses;
-    let mut submit_s = 0.0;
-    let harvested = match cfg.arrivals {
-        Arrivals::Windowed(window) => {
+    let (harvested, submit_s) = std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::channel::<E::Ticket>();
+        let harvester = scope.spawn(move || {
             let mut harvested = Harvested::default();
-            let mut next = 0;
-            for chunk in arrivals.chunks(window.max(1)) {
-                let mut tickets = Vec::with_capacity(chunk.len());
-                for arrival in chunk {
-                    if let Some(ticket) = offer(next, arrival) {
-                        tickets.push((next, ticket));
-                    }
-                    next += 1;
-                }
-                for (i, ticket) in tickets {
-                    harvested.record::<E>(keep, i, ticket);
-                }
+            for ticket in rx {
+                harvested.record::<E>(ticket);
             }
-            submit_s = start.elapsed().as_secs_f64();
             harvested
-        }
-        Arrivals::Burst | Arrivals::Paced => std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, E::Ticket)>();
-            let harvester = scope.spawn(move || {
-                let mut harvested = Harvested::default();
-                for (i, ticket) in rx {
-                    harvested.record::<E>(keep, i, ticket);
-                }
-                harvested
-            });
-            for (i, arrival) in arrivals.iter().enumerate() {
-                if let Some(ticket) = offer(i, arrival) {
-                    tx.send((i, ticket)).expect("harvester outlives submission");
-                }
+        });
+        for (i, arrival) in arrivals.iter().enumerate() {
+            if let Some(ticket) = offer(i, arrival) {
+                tx.send(ticket).expect("harvester outlives submission");
             }
-            submit_s = start.elapsed().as_secs_f64();
-            drop(tx);
-            harvester.join().expect("harvester thread")
-        }),
-    };
+        }
+        let submit_s = start.elapsed().as_secs_f64();
+        drop(tx);
+        (harvester.join().expect("harvester thread"), submit_s)
+    });
     Driven {
         ledger: Ledger {
             completed: harvested.ledger.completed,
@@ -335,22 +300,9 @@ pub fn drive<E: Endpoint>(
             other_failed: harvested.ledger.other_failed,
             ..ledger
         },
-        outcomes: harvested.outcomes,
+        failures: harvested.failures,
         submit_s,
     }
-}
-
-/// `true` when `response` carries exactly these predictions and the bits
-/// of these squared class norms — the one comparison behind every
-/// "served bitwise equal to …" gate.
-pub fn bitwise_eq(response: &Response, predictions: &[usize], class_norms_sq: &[f32]) -> bool {
-    response.predictions == predictions
-        && response.class_norms_sq.len() == class_norms_sq.len()
-        && response
-            .class_norms_sq
-            .iter()
-            .zip(class_norms_sq)
-            .all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 #[cfg(test)]
@@ -359,30 +311,26 @@ mod tests {
     use crate::soak::{image_pool, phase_arrivals, soak_registry, soak_spec, tiered_request};
     use capsnet::{CapsNet, ExactMath};
     use pim_serve::{AdmissionPolicy, ReplicaSet, ReplicaSetConfig, ServeConfig, Server};
+    use pim_tensor::Tensor;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
 
-    /// Accepts everything, answers instantly, and records what the driver
-    /// did to it: submission instants and the outstanding-ticket peak.
+    /// Accepts everything, answers instantly, and records when the driver
+    /// submitted to it.
     #[derive(Default)]
     struct Probe {
-        outstanding: Arc<AtomicUsize>,
-        peak: AtomicUsize,
         submitted_at: Mutex<Vec<Instant>>,
     }
 
     impl Endpoint for Probe {
-        type Ticket = Arc<AtomicUsize>;
+        type Ticket = ();
 
-        fn submit(&self, _request: Request) -> Result<Self::Ticket, SubmitError> {
+        fn submit(&self, _request: Request) -> Result<(), SubmitError> {
             self.submitted_at.lock().unwrap().push(Instant::now());
-            let now = self.outstanding.fetch_add(1, Ordering::SeqCst) + 1;
-            self.peak.fetch_max(now, Ordering::SeqCst);
-            Ok(Arc::clone(&self.outstanding))
+            Ok(())
         }
 
-        fn wait(ticket: Self::Ticket) -> Result<Response, ServeError> {
-            ticket.fetch_sub(1, Ordering::SeqCst);
+        fn wait((): ()) -> Result<Response, ServeError> {
             Ok(Response {
                 predictions: vec![0],
                 model_version: 1,
@@ -396,30 +344,11 @@ mod tests {
         }
     }
 
-    fn cfg(arrivals: Arrivals, keep_responses: bool) -> Drive {
+    fn cfg(arrivals: Arrivals) -> Drive {
         Drive {
             arrivals,
             backpressure: Backpressure::Tally,
-            keep_responses,
         }
-    }
-
-    #[test]
-    fn windowed_never_has_more_than_its_window_outstanding() {
-        let probe = Probe::default();
-        let arrivals = phase_arrivals(1e6, 10, 3, 1);
-        let images = image_pool(1);
-        let driven = drive(
-            &probe,
-            &arrivals,
-            cfg(Arrivals::Windowed(3), true),
-            |_, a| tiered_request(&images, a),
-            |_, _| {},
-        );
-        assert_eq!(probe.peak.load(Ordering::SeqCst), 3);
-        assert_eq!(driven.ledger.completed, 10);
-        let order: Vec<usize> = driven.outcomes.iter().map(|o| o.arrival).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>(), "submit order");
     }
 
     #[test]
@@ -432,7 +361,7 @@ mod tests {
         drive(
             &probe,
             &arrivals,
-            cfg(Arrivals::Paced, false),
+            cfg(Arrivals::Paced),
             |_, a| tiered_request(&images, a),
             |i, _| hooked.push(i),
         );
@@ -456,20 +385,75 @@ mod tests {
         let driven = drive(
             &probe,
             &arrivals,
-            cfg(Arrivals::Burst, false),
+            cfg(Arrivals::Burst),
             |_, a| tiered_request(&images, a),
             |_, _| {},
         );
         assert_eq!(driven.ledger.completed, 200_000);
         assert!(driven.ledger.reconciles());
-        assert_eq!(driven.outcomes.capacity(), 0, "a long soak keeps nothing");
+        assert_eq!(driven.failures.capacity(), 0, "a long soak keeps nothing");
+    }
+
+    /// The responses one [`Recorded`] endpoint saw, each with the index of
+    /// the accepted submission it answered.
+    type Sink = Arc<Mutex<Vec<(usize, Response)>>>;
+
+    /// An endpoint that keeps every response it hands back to the driver.
+    struct Recorded<'e, E> {
+        inner: &'e E,
+        accepted: AtomicUsize,
+        sink: Sink,
+    }
+
+    impl<E: Endpoint> Endpoint for Recorded<'_, E> {
+        type Ticket = (usize, E::Ticket, Sink);
+
+        fn submit(&self, request: Request) -> Result<Self::Ticket, SubmitError> {
+            let ticket = self.inner.submit(request)?;
+            let i = self.accepted.fetch_add(1, Ordering::SeqCst);
+            Ok((i, ticket, Arc::clone(&self.sink)))
+        }
+
+        fn wait((i, ticket, sink): Self::Ticket) -> Result<Response, ServeError> {
+            let response = E::wait(ticket)?;
+            sink.lock().unwrap().push((i, response.clone()));
+            Ok(response)
+        }
+    }
+
+    /// Drives `arrivals` into `endpoint` under `Retry`, and returns the
+    /// ledger and every response in acceptance order, which is arrival
+    /// order when each arrival is accepted exactly once.
+    fn drive_recorded<E: Endpoint>(
+        endpoint: &E,
+        arrivals: &[Arrival],
+        images: &[Tensor],
+    ) -> (Ledger, Vec<(usize, Response)>) {
+        let recorded = Recorded {
+            inner: endpoint,
+            accepted: AtomicUsize::new(0),
+            sink: Sink::default(),
+        };
+        let run = Drive {
+            arrivals: Arrivals::Burst,
+            backpressure: Backpressure::Retry,
+        };
+        let driven = drive(
+            &recorded,
+            arrivals,
+            run,
+            |_, a| tiered_request(images, a),
+            |_, _| {},
+        );
+        let mut responses = std::mem::take(&mut *recorded.sink.lock().unwrap());
+        responses.sort_by_key(|(i, _)| *i);
+        (driven.ledger, responses)
     }
 
     /// `Retry` against a queue of one sample delivers every request exactly
     /// once, and the `Endpoint` seam is inert: the same seeded stream
     /// through a bare `Server` and a one-replica `ReplicaSet` yields equal
-    /// ledgers and responses bitwise equal to each other and to the serial
-    /// forward.
+    /// ledgers and responses bitwise equal to the serial forward.
     #[test]
     fn retry_delivers_each_request_once_through_either_endpoint() {
         let serve = ServeConfig {
@@ -482,23 +466,11 @@ mod tests {
         let net = CapsNet::seeded(&soak_spec(), 0x50AC).unwrap();
         let arrivals = phase_arrivals(1e6, 300, 7, 4);
         let images = image_pool(4);
-        let run = Drive {
-            arrivals: Arrivals::Burst,
-            backpressure: Backpressure::Retry,
-            keep_responses: true,
-        };
 
         let registry = soak_registry(0x50AC);
         let server = Server::new(&registry, &ExactMath, serve).unwrap();
-        let (bare, metrics) = server.run(|handle| {
-            drive(
-                handle,
-                &arrivals,
-                run,
-                |_, a| tiered_request(&images, a),
-                |_, _| {},
-            )
-        });
+        let ((ledger, bare), metrics) =
+            server.run(|handle| drive_recorded(handle, &arrivals, &images));
         assert!(
             metrics.rejected_full > 0,
             "the queue of one never pushed back"
@@ -510,29 +482,20 @@ mod tests {
             ..ReplicaSetConfig::default()
         };
         let set = ReplicaSet::from_net("seam", &net, &ExactMath, pool_cfg).unwrap();
-        let (pooled, _) = set.run(|pool| {
-            drive(
-                pool,
-                &arrivals,
-                run,
-                |_, a| tiered_request(&images, a),
-                |_, _| {},
-            )
-        });
+        let ((pool_ledger, pooled), _) = set.run(|pool| drive_recorded(pool, &arrivals, &images));
 
-        assert_eq!(bare.ledger, pooled.ledger);
-        assert_eq!((bare.ledger.submitted, bare.ledger.completed), (300, 300));
-        for (i, (b, p)) in bare.outcomes.iter().zip(&pooled.outcomes).enumerate() {
-            assert_eq!((b.arrival, p.arrival), (i, i), "each arrival exactly once");
-            let image = tiered_request(&images, &arrivals[i]).images;
-            let serial = net.forward(&image, &ExactMath).unwrap();
-            for outcome in [b, p] {
-                let response = outcome.result.as_ref().unwrap();
-                assert!(bitwise_eq(
-                    response,
-                    &serial.predictions(),
-                    serial.class_norms_sq.as_slice()
-                ));
+        assert_eq!(ledger, pool_ledger);
+        assert_eq!((ledger.submitted, ledger.completed), (300, 300));
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for responses in [bare, pooled] {
+            let order: Vec<usize> = responses.iter().map(|(i, _)| *i).collect();
+            assert_eq!(order, (0..300).collect::<Vec<_>>(), "each arrival once");
+            for (i, response) in responses {
+                let image = tiered_request(&images, &arrivals[i]).images;
+                let serial = net.forward(&image, &ExactMath).unwrap();
+                assert_eq!(response.predictions, serial.predictions());
+                let norms = bits(serial.class_norms_sq.as_slice());
+                assert_eq!(bits(&response.class_norms_sq), norms, "arrival {i}");
             }
         }
     }

@@ -14,14 +14,11 @@
 pub mod accuracy;
 pub mod chaos;
 pub mod drive;
-pub mod persist;
 pub mod quant_gate;
 pub mod report;
-pub mod rollout;
 pub mod soak;
 mod suite;
 pub mod synth;
 pub mod traffic;
-pub mod zipf;
 
 pub use suite::{benchmarks, Benchmark, Dataset};

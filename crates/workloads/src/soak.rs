@@ -172,7 +172,6 @@ pub fn run_soak_phase<B: MathBackend + Sync + ?Sized>(
             Drive {
                 arrivals: Arrivals::Paced,
                 backpressure: Backpressure::Tally,
-                keep_responses: false,
             },
             |_, arrival| tiered_request(&images, arrival),
             |_, _| {},
@@ -232,7 +231,6 @@ pub fn saturated_hz<B: MathBackend + Sync + ?Sized>(
             Drive {
                 arrivals: Arrivals::Burst,
                 backpressure: Backpressure::Retry,
-                keep_responses: false,
             },
             |_, arrival| tiered_request(&images, arrival),
             |_, _| {},
